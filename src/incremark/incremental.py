@@ -144,7 +144,7 @@ def _replay_unsat_leaf(net, prop, tree, nid, mode, params, cfg0):
             fb_cfg, fb_bounds = cfg, bounds
     if use_lazy:
         nb = lp.tighten_inputs_then_repropagate(net, prop, asserts)
-        if nb.infeasible:
+        if nb.infeasible or is_property_refuted(nb, prop):
             return None, PROOF_REPLAYED, None
         cfg = cfg0.copy()
         refresh_bounds(cfg, net, prop, nb)

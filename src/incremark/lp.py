@@ -29,6 +29,8 @@ from .simplex import (
     entering_for,
     pivot,
     recompute,
+    resolve_violation,
+    update,
 )
 
 INF = math.inf
@@ -130,14 +132,14 @@ def phase1(relax: Relaxation) -> str:
         b, need_up = bv
         ent = entering_for(cfg, b, need_up)
         if ent is None:
-            # b is pinned at the extremal value of its row and still violates
-            relax.status = INFEASIBLE
-            relax.infeasible_row = b
-            break
+            if resolve_violation(cfg, b, need_up):
+                # b is pinned at the extremal value of its row and still violates
+                relax.status = INFEASIBLE
+                relax.infeasible_row = b
+                break
+            continue
         target = cfg.lo[b] if need_up else cfg.hi[b]
-        pivot(cfg, b, ent)
-        cfg.alpha[b] = target
-        recompute(cfg)
+        pivot(cfg, b, ent, target)
     return relax.status
 
 
@@ -151,7 +153,8 @@ def find_point(relax: Relaxation) -> dict[int, float] | None:
     """Feasible point over the neuron ids, or None (infeasible or capped)."""
     if phase1(relax) != FEASIBLE:
         return None
-    return {v: relax.cfg.alpha[v] for v in relax.neuron_ids}
+    cfg = relax.cfg
+    return {v: cfg.row_value(v) if v in cfg.rows else cfg.alpha[v] for v in relax.neuron_ids}
 
 
 def _optimize(relax: Relaxation, obj: dict[int, float], maximize: bool) -> float | None:
@@ -180,7 +183,8 @@ def _optimize(relax: Relaxation, obj: dict[int, float], maximize: bool) -> float
                     ent, sigma = j, -1
                     break
         if ent is None:
-            return sum(c * cfg.alpha[k] for k, c in sorted(obj.items()))
+            return sum(c * (cfg.row_value(k) if k in cfg.rows else cfg.alpha[k])
+                       for k, c in sorted(obj.items()))
         theta = (cfg.hi[ent] - cfg.alpha[ent]) if sigma > 0 else (cfg.alpha[ent] - cfg.lo[ent])
         leave = None
         for b in sorted(cfg.rows):
@@ -195,13 +199,11 @@ def _optimize(relax: Relaxation, obj: dict[int, float], maximize: bool) -> float
         if theta == INF:
             return None
         if leave is None:
-            cfg.alpha[ent] = cfg.hi[ent] if sigma > 0 else cfg.lo[ent]
+            update(cfg, ent, cfg.hi[ent] if sigma > 0 else cfg.lo[ent])
         else:
             hit_upper = cfg.rows[leave][ent] * sigma > 0
             target = cfg.hi[leave] if hit_upper else cfg.lo[leave]
-            pivot(cfg, leave, ent)
-            cfg.alpha[leave] = target
-        recompute(cfg)
+            pivot(cfg, leave, ent, target)
     return None
 
 

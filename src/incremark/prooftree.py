@@ -192,8 +192,17 @@ class ProofTree:
 
 
 def from_json(data: dict) -> ProofTree:
+    """Rebuild a tree from its JSON form. A missing key raises ValueError;
+    the structure is not validated (deserialize does that for files)."""
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported proof tree version {data.get('version')!r}")
+    try:
+        return _from_json(data)
+    except KeyError as e:
+        raise ValueError(f"proof tree is missing key {e}") from None
+
+
+def _from_json(data: dict) -> ProofTree:
     tree = ProofTree(data["dims"], data["prop_hash"], data.get("verdict"))
     tree.nodes = {}
     for nd in data["nodes"]:
@@ -221,5 +230,8 @@ def from_json(data: dict) -> ProofTree:
 
 
 def deserialize(path: str) -> ProofTree:
+    """Load and validate a stored tree; ValueError on a malformed file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json(json.load(fh))
+        tree = from_json(json.load(fh))
+    tree.validate()
+    return tree

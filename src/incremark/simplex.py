@@ -2,9 +2,14 @@
 the interval UNSAT row test, and Gaussian restoration of a stored basis.
 
 A Configuration owns a tableau (one row per basic variable, written over the
-non-basic ones), per-variable bounds, and a row-exact assignment. Rows carry
-no constants: every equation has a slack variable pinned by l = u, so a pivot
-is pure coefficient algebra.
+non-basic ones), per-variable bounds, and an assignment kept by Reluplex's
+update and pivot-and-update: moving a non-basic variable shifts only the
+basics whose rows mention it, and a pivot shifts only the basics in the
+entering column. Basic values therefore carry rounding drift between steps;
+every value that leaves the repair loop (a witness, a stuck row, an LP
+optimum) is re-solved exactly from its row first. Rows carry no constants:
+every equation has a slack variable pinned by l = u, so a pivot is pure
+coefficient algebra.
 """
 
 from __future__ import annotations
@@ -68,6 +73,8 @@ class Configuration:
     rows: basic id -> {non-basic id: coefficient}
     prop_slacks: property-constraint index -> slack variable id (multi-output
     constraints only; single-output ones become direct bounds).
+    rewritten: basics whose rows a pivot rewrote since the owner last cleared
+    the set (the search clears it at each row check).
     """
 
     def __init__(self, rows, lo, hi, alpha, relu_pairs, input_ids, prop_slacks=None):
@@ -79,6 +86,7 @@ class Configuration:
         self.input_ids: list[int] = list(input_ids)
         self.prop_slacks: dict[int, int] = dict(prop_slacks or {})
         self.violations: dict[int, int] = {pre: 0 for pre, _ in self.relu_pairs}
+        self.rewritten: set[int] = set()
 
     @property
     def basis(self) -> set[int]:
@@ -110,15 +118,40 @@ def recompute(cfg: Configuration) -> None:
         cfg.alpha[b] = cfg.row_value(b)
 
 
-def pivot(cfg: Configuration, leaving: int, entering: int) -> Configuration:
-    """Swap a basic and a non-basic variable, substituting everywhere.
+def update(cfg: Configuration, vid: int, value: float) -> None:
+    """Move non-basic vid to value, shifting by coefficient x delta only the
+    basics whose rows mention it."""
+    d = value - cfg.alpha[vid]
+    cfg.alpha[vid] = value
+    if d == 0.0:
+        return
+    alpha = cfg.alpha
+    for b, r in cfg.rows.items():
+        c = r.get(vid)
+        if c is not None:
+            alpha[b] += c * d
 
-    Mutates cfg in place and returns it. Solution set is unchanged.
+
+def pivot(cfg: Configuration, leaving: int, entering: int, value: float | None = None) -> None:
+    """Pivot-and-update: swap a basic and a non-basic variable, substituting
+    everywhere, and move the leaving variable to `value`.
+
+    The entering variable moves by d = (value - alpha[leaving]) / a, where a
+    is its coefficient in the leaving row, and each basic whose row holds it
+    by c x d. With value None the assignment is left as it is. Mutates cfg
+    in place and records the rewritten rows in cfg.rewritten; the solution
+    set is unchanged.
     """
     row = cfg.rows[leaving]
     a = row.get(entering, 0.0)
     if abs(a) <= EPS_PIVOT:
         raise PivotError(f"pivot coefficient {a!r} for ({leaving}, {entering})")
+    alpha = cfg.alpha
+    d = 0.0
+    if value is not None:
+        d = (value - alpha[leaving]) / a
+        alpha[leaving] = value
+        alpha[entering] += d
     new_row = {leaving: 1.0 / a}
     for k, c in row.items():
         if k == entering:
@@ -127,10 +160,14 @@ def pivot(cfg: Configuration, leaving: int, entering: int) -> Configuration:
         if abs(v) > COEF_EPS:
             new_row[k] = v
     del cfg.rows[leaving]
-    for r in cfg.rows.values():
+    rewritten = cfg.rewritten
+    rewritten.add(entering)
+    for b, r in cfg.rows.items():
         c = r.pop(entering, 0.0)
         if c == 0.0:
             continue
+        alpha[b] += c * d
+        rewritten.add(b)
         for k, v in new_row.items():
             w = r.get(k, 0.0) + c * v
             if abs(w) > COEF_EPS:
@@ -138,7 +175,6 @@ def pivot(cfg: Configuration, leaving: int, entering: int) -> Configuration:
             elif k in r:
                 del r[k]
     cfg.rows[entering] = new_row
-    return cfg
 
 
 def row_interval(cfg: Configuration, basic: int) -> tuple[float, float]:
@@ -160,12 +196,33 @@ def row_unsat(cfg: Configuration, basic: int, eps: float = EPS_BOUND) -> bool:
     return cfg.lo[basic] > rhi + eps or cfg.hi[basic] < rlo - eps
 
 
-def check_unsat_rows(cfg: Configuration, eps: float = EPS_BOUND) -> RowVerdict:
-    """First contradicting row by basic-variable id order, else Feasible."""
-    for b in sorted(cfg.rows):
+def check_unsat_rows(cfg: Configuration, eps: float = EPS_BOUND, rows=None) -> RowVerdict:
+    """First contradicting row by basic-variable id order, else Feasible.
+
+    rows=None scans every row. Given `rows` (the rows a pivot rewrote since
+    a scan that found every row feasible, with the bounds unchanged since),
+    it tests only those still basic whose value lies outside their bounds.
+    While every non-basic is inside its bounds the assignment is a point of
+    each row's interval, so a row whose basic sits inside its bounds cannot
+    contradict them. The filter can only skip a detection, never add one.
+    """
+    if rows is None:
+        candidates = cfg.rows
+    else:
+        lo, hi, alpha = cfg.lo, cfg.hi, cfg.alpha
+        candidates = [b for b in rows
+                      if b in cfg.rows and not lo[b] <= alpha[b] <= hi[b]]
+    for b in sorted(candidates):
         if row_unsat(cfg, b, eps):
             return RowVerdict(b)
     return FEASIBLE
+
+
+def resolve_violation(cfg: Configuration, b: int, need_up: bool, eps: float = EPS_BOUND) -> bool:
+    """Re-solve basic b exactly from its row; does it still violate its
+    bound in the same direction? Run before b's row certifies anything."""
+    a = cfg.alpha[b] = cfg.row_value(b)
+    return a < cfg.lo[b] - eps if need_up else a > cfg.hi[b] + eps
 
 
 def bound_violation(cfg: Configuration, eps: float = EPS_BOUND):
@@ -215,9 +272,9 @@ def set_variable(cfg: Configuration, vid: int, value: float) -> bool:
         ent = entering_for(cfg, vid, d > 0)
         if ent is None:
             return False
-        pivot(cfg, vid, ent)
-    cfg.alpha[vid] = value
-    recompute(cfg)
+        pivot(cfg, vid, ent, value)
+    else:
+        update(cfg, vid, value)
     return True
 
 
@@ -235,7 +292,8 @@ def repair_step(cfg: Configuration) -> StepResult:
     Priority: restore non-basic bound feasibility (only possible after an
     external bound refresh), then fix the lowest-id basic bound violation by
     pivot-and-update, then fix the lowest-id violated ReLU pair. Satisfied
-    when nothing is violated.
+    when nothing is violated once every basic is re-solved exactly; a
+    violation that the re-solve brings back is another step's work.
     """
     for v in sorted(cfg.alpha):
         if v in cfg.rows:
@@ -243,8 +301,7 @@ def repair_step(cfg: Configuration) -> StepResult:
         a = cfg.alpha[v]
         clamped = min(max(a, cfg.lo[v]), cfg.hi[v])
         if clamped != a:
-            cfg.alpha[v] = clamped
-            recompute(cfg)
+            update(cfg, v, clamped)
             return PROGRESS
 
     bv = bound_violation(cfg)
@@ -252,11 +309,11 @@ def repair_step(cfg: Configuration) -> StepResult:
         b, need_up = bv
         ent = entering_for(cfg, b, need_up)
         if ent is None:
-            return Stuck(dict(cfg.violations), stuck_row=b)
+            if resolve_violation(cfg, b, need_up):
+                return Stuck(dict(cfg.violations), stuck_row=b)
+            return PROGRESS
         target = cfg.lo[b] if need_up else cfg.hi[b]
-        pivot(cfg, b, ent)
-        cfg.alpha[b] = target
-        recompute(cfg)
+        pivot(cfg, b, ent, target)
         return PROGRESS
 
     bad = violated_relu_pairs(cfg)
@@ -269,6 +326,9 @@ def repair_step(cfg: Configuration) -> StepResult:
             return PROGRESS
         return Stuck(dict(cfg.violations))
 
+    recompute(cfg)
+    if bound_violation(cfg) is not None or violated_relu_pairs(cfg):
+        return PROGRESS
     return Satisfied(cfg.witness())
 
 

@@ -83,8 +83,9 @@ def _visit(net, prop, params, tree, nid, cfg, bounds, depth, max_depth,
     candidates = _uncertain(lay, bounds)
     budget = _node_budget(params, len(candidates))
     steps = 0
+    verdict = check_unsat_rows(cfg)  # node entry: every row
     while True:
-        verdict = check_unsat_rows(cfg)
+        cfg.rewritten.clear()
         if not verdict.feasible:
             node.status = pt.UNSAT
             node.basis = tuple(sorted(cfg.rows))
@@ -113,6 +114,8 @@ def _visit(net, prop, params, tree, nid, cfg, bounds, depth, max_depth,
                 node.key_row_var = step.stuck_row
                 return None
             raise RuntimeError("local search stuck on a fully decided branch")
+        # bounds are fixed within a node: only a rewritten row can change verdict
+        verdict = check_unsat_rows(cfg, rows=cfg.rewritten)
 
     if depth >= max_depth:
         # the depth cap forbids the only remaining move

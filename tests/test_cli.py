@@ -124,6 +124,38 @@ def test_reverify_property_mismatch(runner, tmp_path):
     assert res.exit_code == EXIT_MISMATCH
 
 
+def test_reverify_rejects_one_sided_tree(runner, tmp_path):
+    # a root with the single child x4 <= 0 would claim UNSAT while the
+    # oracle finds a counterexample in the uncovered x4 > 0 half
+    tree_path = tmp_path / "tree.json"
+    runner.invoke(main, ["verify", "--net", DEMO, "--prop", PROP,
+                         "--tree-out", str(tree_path)])
+    doc = json.loads(tree_path.read_text())
+    doc["nodes"] = [
+        dict(doc["nodes"][0], status="internal", basis=None, key_row_var=None, witness=None),
+        {"id": 1, "parent": 0, "assert": {"neuron": 3, "sign": "nonpos"},
+         "status": "unsat", "basis": None, "key_row_var": None, "witness": None},
+    ]
+    tree_path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["reverify", "--net", DEMO, "--prop", PROP,
+                               "--tree", str(tree_path)])
+    assert res.exit_code == EXIT_ERROR
+    assert "node 0: 1 children" in res.stderr
+
+
+def test_reverify_rejects_tree_without_dims(runner, tmp_path):
+    tree_path = tmp_path / "tree.json"
+    runner.invoke(main, ["verify", "--net", DEMO, "--prop", PROP,
+                         "--tree-out", str(tree_path)])
+    doc = json.loads(tree_path.read_text())
+    del doc["dims"]
+    tree_path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["reverify", "--net", DEMO, "--prop", PROP,
+                               "--tree", str(tree_path)])
+    assert res.exit_code == EXIT_ERROR
+    assert "missing key 'dims'" in res.stderr
+
+
 def test_bounds_output(runner):
     res = runner.invoke(main, ["bounds", "--net", DEMO, "--prop", PROP])
     assert res.exit_code == 0

@@ -2,6 +2,7 @@ import pytest
 
 from incremark.bench import (
     Perturbation,
+    oracle,
     perturb,
     random_network,
     random_threshold_property,
@@ -224,6 +225,21 @@ def test_solve_leaf_standalone():
     for leaf, v in verdicts.items():
         if v.sat:
             assert witness_ok(bumped, prop, v.witness)
+
+
+def test_lazy_replay_refuted_after_input_tightening():
+    # LP input tightening leaves the output's upper bound just under the
+    # threshold; the leaf must close as replayed, not reach a search whose
+    # output variable has lo > hi and reports a false witness
+    net = random_network((2, 5, 5, 1), 28)
+    prop = random_threshold_property(net, 29)
+    _, tree = solve(net, prop)
+    bumped = perturb(net, Perturbation(0.5, 1.0, 901))
+    verdict, rep, out = verify_incremental(bumped, prop, tree)
+    assert not verdict.sat
+    assert oracle(bumped, prop).name == "unsat"
+    assert rep.fallbacks == 0 and rep.replayed > 0
+    out.validate()
 
 
 def test_new_tree_seeds_next_round(demo_net, fprime, demo_prop):

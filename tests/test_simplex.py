@@ -1,7 +1,11 @@
 import pytest
 
 import _suites
+from incremark import lp, solver
+from incremark.bench import Perturbation, perturb, random_network, random_threshold_property
+from incremark.constants import EPS_ROW
 from incremark.deeppoly import NONPOS, Assertion, analyze
+from incremark.incremental import verify_incremental
 from incremark.model import LinearConstraint, Network, SafetyProperty
 from incremark.simplex import (
     FEASIBLE,
@@ -24,6 +28,7 @@ from incremark.simplex import (
     row_interval,
     row_unsat,
     set_variable,
+    update,
     violated_relu_pairs,
 )
 
@@ -99,6 +104,26 @@ def test_pivot_demo_sequence(demo_net, demo_prop):
         7: -0.6666666666666667, 9: 0.6666666666666667, 11: 1.6666666666666667,
         12: -0.6666666666666667,
     }
+
+
+def test_pivot_and_update_moves_leaving_to_value(demo_net, demo_prop):
+    cfg = demo_cfg(demo_net, demo_prop)
+    pivot(cfg, 7, 4, 0.25)
+    assert cfg.alpha[7] == 0.25
+    assert cfg.rewritten == {4, 6}            # the new row and the one holding x5
+    # the column update keeps every row solved without a re-solve
+    for b in cfg.rows:
+        assert cfg.alpha[b] == pytest.approx(cfg.row_value(b), abs=1e-12)
+
+
+def test_update_shifts_only_rows_that_mention_the_variable(demo_net, demo_prop):
+    cfg = demo_cfg(demo_net, demo_prop)
+    before = dict(cfg.alpha)
+    update(cfg, 4, 0.5)                        # x5 appears in rows 6 and 7
+    assert cfg.alpha[4] == 0.5
+    assert cfg.alpha[6] == pytest.approx(before[6] + 0.4 * (0.5 - before[4]))
+    assert cfg.alpha[7] == pytest.approx(before[7] + 1.0 * (0.5 - before[4]))
+    assert all(cfg.alpha[b] == before[b] for b in (2, 3, 8))
 
 
 def test_pivot_zero_coefficient_raises(demo_net, demo_prop):
@@ -326,3 +351,110 @@ def test_gauss_preserves_solutions():
 
 def test_row_checker_matches_corner_oracle():
     assert _suites.row_checker_vs_corners(1000) == 0
+
+
+# -- incremental assignment invariants over seeded searches ------------------
+
+def _instances(demo_net, demo_prop):
+    out = [(demo_net, demo_prop)]
+    for shape, seed in (((2, 5, 5, 1), 2), ((2, 5, 5, 1), 11), ((2, 5, 5, 1), 18),
+                        ((3, 8, 8, 1), 2)):
+        net = random_network(shape, seed)
+        out.append((net, random_threshold_property(net, seed + 1)))
+    return out
+
+
+def _exact(cfg, vid):
+    return cfg.row_value(vid) if vid in cfg.rows else cfg.alpha[vid]
+
+
+def _max_residual(cfg):
+    return max((abs(cfg.alpha[b] - cfg.row_value(b)) for b in cfg.rows), default=0.0)
+
+
+def _search_all(instances):
+    """Scratch search of every instance, then re-verification of its tree
+    under a mild weight change and a strong one, under which stored leaves
+    of three instances fall back to search."""
+    for net, prop in instances:
+        _, tree = solver.solve(net, prop)
+        for p in (Perturbation(0.05, 0.5, 3), Perturbation(0.5, 1.0, 901)):
+            verify_incremental(perturb(net, p), prop, tree)
+
+
+def test_row_residual_invariant(monkeypatch, demo_net, demo_prop):
+    instances = _instances(demo_net, demo_prop)
+    seen = {"steps": 0, "sat": 0, "lp": 0, "optima": 0, "tighten": 0}
+
+    real_step = solver.repair_step
+
+    def checked_step(cfg):
+        out = real_step(cfg)
+        seen["steps"] += 1
+        assert _max_residual(cfg) <= EPS_ROW
+        if isinstance(out, Satisfied):
+            seen["sat"] += 1
+            assert out.witness == tuple(_exact(cfg, i) for i in cfg.input_ids)
+        return out
+
+    def checked(fn, key):
+        def wrapper(cfg, *args):
+            fn(cfg, *args)
+            seen[key] += 1
+            assert _max_residual(cfg) <= EPS_ROW
+        return wrapper
+
+    real_optimize = lp._optimize
+
+    def checked_optimize(relax, obj, maximize):
+        out = real_optimize(relax, obj, maximize)
+        if out is not None:
+            seen["optima"] += 1
+            cfg = relax.cfg
+            assert out == sum(c * _exact(cfg, k) for k, c in sorted(obj.items()))
+        return out
+
+    real_tighten = lp.tighten
+
+    def checked_tighten(relax, vids):
+        out = real_tighten(relax, vids)
+        seen["tighten"] += 1
+        assert _max_residual(relax.cfg) <= EPS_ROW
+        return out
+
+    monkeypatch.setattr(solver, "repair_step", checked_step)
+    monkeypatch.setattr(lp, "pivot", checked(lp.pivot, "lp"))
+    monkeypatch.setattr(lp, "update", checked(lp.update, "lp"))
+    monkeypatch.setattr(lp, "_optimize", checked_optimize)
+    monkeypatch.setattr(lp, "tighten", checked_tighten)
+    _search_all(instances)
+    # LP tightening of every neuron at each scratch leaf's relaxation
+    for net, prop in instances:
+        _, tree = solver.solve(net, prop)
+        for leaf in tree.leaves():
+            asserts = sorted(tree.asserts_of(leaf))
+            bounds = analyze(net, prop.box, asserts)
+            if bounds.infeasible:
+                continue
+            relax = lp.build(net, prop, asserts, bounds)
+            if lp.phase1(relax) == lp.FEASIBLE:
+                lp.tighten(relax, relax.neuron_ids)
+    assert seen["steps"] > 1000 and seen["sat"] >= 3
+    assert seen["lp"] > 100 and seen["optima"] > 10 and seen["tighten"] > 10
+
+
+def test_restricted_row_check_matches_full_scan(monkeypatch, demo_net, demo_prop):
+    real_check = solver.check_unsat_rows
+    compared = [0]
+
+    def both(cfg, rows=None):
+        if rows is None:
+            return real_check(cfg)
+        restricted = real_check(cfg, rows=rows)
+        assert restricted == real_check(cfg)
+        compared[0] += 1
+        return restricted
+
+    monkeypatch.setattr(solver, "check_unsat_rows", both)
+    _search_all(_instances(demo_net, demo_prop))
+    assert compared[0] > 1000
