@@ -61,9 +61,8 @@ def _finish(verdict) -> None:
 @click.option("--prop", "prop_path", required=True, help="Property file.")
 @click.option("--tree-out", default=None, help="Write the proof tree here.")
 @click.option("--budget", type=int, default=None, help="Repair steps per node.")
-@click.option("--seed", type=int, default=0)
 @click.option("--dump-tableau", is_flag=True, help="Print the initial tableau.")
-def verify(net_path, prop_path, tree_out, budget, seed, dump_tableau):
+def verify(net_path, prop_path, tree_out, budget, dump_tableau):
     """Decide a property from scratch and record the proof tree."""
     net = _load(load_network, net_path, "network")
     prop = _load(load_property, prop_path, "property")
@@ -71,7 +70,7 @@ def verify(net_path, prop_path, tree_out, budget, seed, dump_tableau):
         cfg = initialize(net, prop, analyze(net, prop.box))
         click.echo(dump(cfg, "initial tableau"))
     try:
-        verdict, tree = solve(net, prop, SearchParams(local_budget=budget, seed=seed))
+        verdict, tree = solve(net, prop, SearchParams(local_budget=budget))
     except RuntimeError as e:
         click.echo(f"solver error: {e}", err=True)
         sys.exit(EXIT_ERROR)

@@ -2,9 +2,10 @@
 
 Each post-activation neuron carries linear lower/upper bounds over its
 pre-activation neuron; concrete intervals come from substituting those
-relations all the way back to the input box. Sign assertions clamp the
-pre-activation interval *before* the ReLU case split, so asserted branches
-propagate tightened relaxations downstream.
+relations all the way back to the input box. Back-substitution runs per
+layer as a matrix: one pass bounds every neuron of a layer from both sides.
+Sign assertions clamp the pre-activation interval *before* the ReLU case
+split, so asserted branches propagate tightened relaxations downstream.
 """
 
 from __future__ import annotations
@@ -95,35 +96,33 @@ def analyze(net: Network, box, asserts=()) -> Bounds:
     # coef, upper const) of post over pre, used during back-substitution.
     rel: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def back(level: int, coefs: np.ndarray, const: float, upper: bool) -> float:
-        """Bound coefs . post_level + const over the input box.
+    def back(level: int, coefs: np.ndarray, const: np.ndarray):
+        """Bound each row of coefs @ post_level + const over the input box;
+        returns (lower, upper) arrays with one entry per row.
 
         level 0 means the inputs themselves; level j >= 1 means the
-        post-activation vector of layer j-1.
+        post-activation vector of layer j-1. The lower and upper problems
+        are stacked into one matrix: row i < m is row i's lower bound, row
+        m + i its upper bound, and each picks the relation that bounds it.
         """
-        c = coefs.astype(float, copy=True)
-        k = const
+        m = coefs.shape[0]
+        c = np.concatenate((coefs, coefs))
+        k = np.concatenate((const, const))
+        upper_row = (np.arange(2 * m) >= m)[:, None]
         for j in range(level, 0, -1):
             lc, lk, uc, uk = rel[j - 1]
-            take_u = (c > 0) if upper else (c <= 0)
-            k += float(np.sum(np.where(take_u, uk, lk) * c))
+            take_u = (c > 0) == upper_row
+            k += (np.where(take_u, uk, lk) * c).sum(axis=1)
             c = np.where(take_u, uc, lc) * c
-            w, b = net.weights[j - 1], net.biases[j - 1]
-            k += float(c @ b)
-            c = c @ w
-        if upper:
-            return k + float(np.sum(np.where(c > 0, c * hi0, c * lo0)))
-        return k + float(np.sum(np.where(c > 0, c * lo0, c * hi0)))
+            k += c @ net.biases[j - 1]
+            c = c @ net.weights[j - 1]
+        k += np.where((c > 0) == upper_row, c * hi0, c * lo0).sum(axis=1)
+        return k[:m], k[m:]
 
     for li in range(net.n_layers):
         w = net.weights[li]
         n = w.shape[0]
-        pre_lo = np.array(
-            [back(li, w[j], float(net.biases[li][j]), upper=False) for j in range(n)]
-        )
-        pre_hi = np.array(
-            [back(li, w[j], float(net.biases[li][j]), upper=True) for j in range(n)]
-        )
+        pre_lo, pre_hi = back(li, w, net.biases[li])
 
         for j, vid in enumerate(lay.pre_ids[li]):
             lo, hi = pre_lo[j], pre_hi[j]
@@ -141,27 +140,24 @@ def analyze(net: Network, box, asserts=()) -> Bounds:
             res.lo[vid], res.hi[vid] = float(lo), float(hi)
 
         if net.activations[li] == RELU:
-            lc = np.zeros(n)
+            on = pre_lo >= 0.0
+            cross = ~on & (pre_hi > 0.0)
+            # the chord over [l, u] for uncertain neurons; the lower relation
+            # stays 0 for them, and both relations are 0 for decided-off ones.
+            # span is 1 off the crossing neurons, so no division sees a 0.
+            span = np.where(cross, pre_hi - pre_lo, 1.0)
+            s = np.where(cross, pre_hi / span, 0.0)
+            lc = on.astype(float)
             lk = np.zeros(n)
-            uc = np.zeros(n)
-            uk = np.zeros(n)
-            for j in range(n):
-                l, u = pre_lo[j], pre_hi[j]
-                if l >= 0.0:
-                    lc[j] = uc[j] = 1.0
-                elif u <= 0.0:
-                    pass  # both relations are the zero function
-                else:
-                    s = u / (u - l)
-                    uc[j], uk[j] = s, -s * l
-                    # lower relation stays 0 for uncertain neurons
+            uc = np.where(cross, s, lc)
+            uk = np.where(cross, -s * pre_lo, 0.0)
             rel.append((lc, lk, uc, uk))
-            eye = np.eye(n)
+            post_lo, post_hi = back(li + 1, np.eye(n), np.zeros(n))
+            post_lo = np.maximum(post_lo, 0.0).tolist()
+            post_hi = np.maximum(post_hi, 0.0).tolist()
             for j, vid in enumerate(lay.post_ids[li]):
-                plo = back(li + 1, eye[j], 0.0, upper=False)
-                phi = back(li + 1, eye[j], 0.0, upper=True)
-                res.lo[vid] = float(max(plo, 0.0))
-                res.hi[vid] = float(max(phi, 0.0))
+                res.lo[vid] = post_lo[j]
+                res.hi[vid] = post_hi[j]
                 res.relu_lower[vid] = (float(lc[j]), float(lk[j]))
                 res.relu_upper[vid] = (float(uc[j]), float(uk[j]))
         else:

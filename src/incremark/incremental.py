@@ -82,6 +82,30 @@ class IncrementalReport:
         }
 
 
+def _check_fits(tree: pt.ProofTree, net, prop) -> None:
+    """One walk over the stored nodes: every edge splits a ReLU of this
+    network, every witness is an input point, and every stored basis names
+    tableau variables of this network and property and has one per row."""
+    lay = net.layout
+    relu_pre = {pre for pre, _ in lay.relu_pairs}
+    n_ids = lay.n_vars + len(prop.constraints)
+    n_rows = (sum(len(p) for p in lay.pre_ids) + len(lay.relu_pairs)
+              + sum(1 for c in prop.constraints if sum(1 for a in c.coeffs if a != 0.0) >= 2))
+    for n in tree.nodes.values():
+        if n.assertion is not None and n.assertion.neuron not in relu_pre:
+            raise ShapeMismatchError(
+                f"node {n.id}: neuron {n.assertion.neuron} is not a ReLU of the network")
+        if n.witness is not None and len(n.witness) != net.n_inputs:
+            raise ShapeMismatchError(
+                f"node {n.id}: witness has {len(n.witness)} values for {net.n_inputs} inputs")
+        if n.basis is not None and len(set(n.basis)) != n_rows:
+            raise ShapeMismatchError(
+                f"node {n.id}: basis of {len(set(n.basis))} variables for {n_rows} tableau rows")
+        ids = (n.basis or ()) + (() if n.key_row_var is None else (n.key_row_var,))
+        if any(not 0 <= v < n_ids for v in ids):
+            raise ShapeMismatchError(f"node {n.id}: basis names a variable outside 0..{n_ids - 1}")
+
+
 def _solve_branch(net, prop, params, asserts, cfg, bounds):
     """Full search of one branch; returns (witness | None, branch ProofTree)."""
     tree = pt.ProofTree(net.dims, property_hash(prop))
@@ -143,7 +167,7 @@ def _replay_unsat_leaf(net, prop, tree, nid, mode, params, cfg0):
                 return None, PROOF_REPLAYED, None
             fb_cfg, fb_bounds = cfg, bounds
     if use_lazy:
-        nb = lp.tighten_inputs_then_repropagate(net, prop, asserts)
+        nb = lp.tighten_inputs_then_repropagate(net, prop, asserts, relax)
         if nb.infeasible or is_property_refuted(nb, prop):
             return None, PROOF_REPLAYED, None
         cfg = cfg0.copy()
@@ -180,6 +204,7 @@ def verify_incremental(net, prop, tree: pt.ProofTree, mode: str = LAZY,
     phash = property_hash(prop)
     if tree.prop_hash != phash:
         raise ShapeMismatchError("stored tree was built for a different property")
+    _check_fits(tree, net, prop)
 
     report = IncrementalReport(UNSAT, mode)
     times = report.times

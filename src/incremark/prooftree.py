@@ -132,10 +132,24 @@ class ProofTree:
     # -- invariants ----------------------------------------------------------
 
     def validate(self, n_rows: int | None = None) -> None:
-        """Raise ValueError on a structural invariant breach."""
+        """Raise ValueError on a structural invariant breach.
+
+        One walk from the root checks that every node is reached exactly
+        once, that each internal node has two complementary children, that
+        no neuron is asserted twice on one root-to-leaf path, and that each
+        leaf carries a leaf status."""
+        if 0 not in self.nodes:
+            raise ValueError("no root node")
         sat_leaves = 0
         unsolved = 0
-        for n in self.nodes.values():
+        seen: set[int] = set()
+        stack: list[tuple[int, frozenset[int]]] = [(0, frozenset())]
+        while stack:
+            nid, path = stack.pop()
+            if nid in seen:
+                raise ValueError(f"node {nid}: reached twice from the root")
+            seen.add(nid)
+            n = self.nodes[nid]
             if n.children:
                 if n.status != INTERNAL:
                     raise ValueError(f"node {n.id}: children but status {n.status}")
@@ -144,18 +158,24 @@ class ProofTree:
                 a, b = (self.nodes[c].assertion for c in n.children)
                 if a is None or b is None or a.neuron != b.neuron or a.sign == b.sign:
                     raise ValueError(f"node {n.id}: children are not complementary")
-            else:
-                if n.status == SAT:
-                    sat_leaves += 1
-                elif n.status == UNSOLVED:
-                    unsolved += 1
-                elif n.status == UNSAT and n.basis is not None:
-                    if n.key_row_var not in n.basis:
-                        raise ValueError(f"node {n.id}: key row var outside basis")
-                    if n_rows is not None and len(n.basis) != n_rows:
-                        raise ValueError(
-                            f"node {n.id}: basis size {len(n.basis)} != row count {n_rows}"
-                        )
+                if a.neuron in path:
+                    raise ValueError(f"node {n.id}: neuron {a.neuron} asserted twice on one path")
+                stack.extend((c, path | {a.neuron}) for c in n.children)
+            elif n.status == SAT:
+                sat_leaves += 1
+            elif n.status == UNSOLVED:
+                unsolved += 1
+            elif n.status != UNSAT:
+                raise ValueError(f"node {n.id}: leaf with status {n.status!r}")
+            elif n.basis is not None:
+                if n.key_row_var not in n.basis:
+                    raise ValueError(f"node {n.id}: key row var outside basis")
+                if n_rows is not None and len(n.basis) != n_rows:
+                    raise ValueError(
+                        f"node {n.id}: basis size {len(n.basis)} != row count {n_rows}"
+                    )
+        if len(seen) != len(self.nodes):
+            raise ValueError(f"{len(self.nodes) - len(seen)} nodes are not reachable from the root")
         if sat_leaves > 1:
             raise ValueError("more than one SAT leaf")
         if unsolved and not sat_leaves:
@@ -192,14 +212,19 @@ class ProofTree:
 
 
 def from_json(data: dict) -> ProofTree:
-    """Rebuild a tree from its JSON form. A missing key raises ValueError;
-    the structure is not validated (deserialize does that for files)."""
+    """Rebuild a tree from its JSON form. A missing key or a value of the
+    wrong type raises ValueError; the structure is not validated
+    (deserialize does that for files)."""
+    if not isinstance(data, dict):
+        raise ValueError("proof tree is not a JSON object")
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported proof tree version {data.get('version')!r}")
     try:
         return _from_json(data)
     except KeyError as e:
         raise ValueError(f"proof tree is missing key {e}") from None
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"malformed proof tree: {e}") from None
 
 
 def _from_json(data: dict) -> ProofTree:
@@ -210,18 +235,23 @@ def _from_json(data: dict) -> ProofTree:
         assertion = None if a is None else Assertion(int(a["neuron"]), a["sign"])
         if assertion is not None and assertion.sign not in (NONNEG, NONPOS):
             raise ValueError(f"bad assertion sign {assertion.sign!r}")
+        key = nd.get("key_row_var")
         node = Node(
             int(nd["id"]),
             nd["parent"],
             assertion,
             nd["status"],
-            None if nd.get("basis") is None else tuple(nd["basis"]),
-            nd.get("key_row_var"),
-            None if nd.get("witness") is None else tuple(nd["witness"]),
+            None if nd.get("basis") is None else tuple(int(v) for v in nd["basis"]),
+            None if key is None else int(key),
+            None if nd.get("witness") is None else tuple(float(x) for x in nd["witness"]),
         )
+        if node.id in tree.nodes:
+            raise ValueError(f"duplicate node id {node.id}")
         tree.nodes[node.id] = node
     for n in tree.nodes.values():
         if n.parent is not None:
+            if n.parent not in tree.nodes:
+                raise ValueError(f"node {n.id}: parent {n.parent} is not in the tree")
             tree.nodes[n.parent].children.append(n.id)
     for n in tree.nodes.values():
         n.children.sort()

@@ -24,12 +24,10 @@ from .simplex import (
 class SearchParams:
     """local_budget: repair steps per node (None = max(200, 50 x uncertain
     ReLUs of the node)); max_depth: split depth cap (None = one level per
-    ReLU neuron); seed is carried for interface stability, the default
-    search is fully deterministic and ignores it."""
+    ReLU neuron). The search is fully deterministic."""
 
     local_budget: int | None = None
     max_depth: int | None = None
-    seed: int = 0
 
 
 def _uncertain(lay, bounds) -> list[int]:

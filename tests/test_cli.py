@@ -2,11 +2,21 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from incremark import prooftree
-from incremark.bench import CSV_HEADER, random_network
+from incremark.bench import (
+    CSV_HEADER,
+    Perturbation,
+    oracle,
+    perturb,
+    random_network,
+    random_threshold_property,
+)
 from incremark.cli import EXIT_ERROR, EXIT_MISMATCH, EXIT_SAT, EXIT_UNSAT, main
-from incremark.model import load_network, save_network
+from incremark.model import load_network, load_property, save_network, save_property
+from incremark.solver import solve
 
 from conftest import DATA
 
@@ -234,3 +244,123 @@ def test_log_env_smoke(runner):
         res = runner.invoke(main, ["verify", "--net", DEMO, "--prop", PROP],
                             env={"INCREMARK_LOG": level})
         assert res.exit_code == EXIT_SAT
+
+
+@pytest.fixture(scope="module")
+def stored(tmp_path_factory):
+    """Stored trees to corrupt: name -> (modified net path, prop path, tree
+    JSON, exit code of the oracle's verdict on the modified net)."""
+    d = tmp_path_factory.mktemp("stored")
+    net = random_network((2, 5, 5, 1), 18)
+    prop = random_threshold_property(net, 19)
+    modified = perturb(net, Perturbation(0.3, 0.5, 18))
+    save_network(modified, str(d / "s18.rnn"))
+    save_property(prop, str(d / "s18.prop"))
+    instances = {
+        "demo": (load_network(DEMO), load_network(FPRIME), FPRIME, PROP),
+        "s18": (net, modified, str(d / "s18.rnn"), str(d / "s18.prop")),
+    }
+    out = {}
+    for name, (base, mod, net_path, prop_path) in instances.items():
+        p = load_property(prop_path)
+        _, tree = solve(base, p)
+        code = EXIT_SAT if oracle(mod, p).sat else EXIT_UNSAT
+        out[name] = (net_path, prop_path, tree.to_json(), code)
+    return out
+
+
+def _reverify_doc(tmp_path, net_path, prop_path, doc, *extra):
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return CliRunner().invoke(main, ["reverify", "--net", net_path, "--prop", prop_path,
+                                     "--tree", str(tree_path), *extra])
+
+
+def _renumber_root_split(doc, neuron):
+    for nd in doc["nodes"]:
+        if nd["parent"] == 0:
+            nd["assert"]["neuron"] = neuron
+
+
+def _bad_witness(doc):
+    leaf = next(nd for nd in doc["nodes"] if nd["witness"] is not None)
+    leaf["witness"] = leaf["witness"] + [0.0]
+
+
+def _basis_out_of_range(doc):
+    leaf = next(nd for nd in doc["nodes"] if nd["basis"] is not None)
+    leaf["basis"][0] = 10_000
+
+
+def _repeat_on_path(doc):
+    # node 4 sits below the split on neuron 3; splitting it on 3 again
+    # asserts that neuron twice on one root-to-leaf path
+    for nd in doc["nodes"]:
+        if nd["parent"] == 4:
+            nd["assert"]["neuron"] = 3
+
+
+@pytest.mark.parametrize("case, mutate, code, message", [
+    # an edge on neuron 99 used to end in a KeyError traceback from lp.build
+    ("s18", lambda doc: _renumber_root_split(doc, 99), EXIT_MISMATCH,
+     "neuron 99 is not a ReLU"),
+    ("demo", _bad_witness, EXIT_MISMATCH, "witness has 3 values for 2 inputs"),
+    ("s18", _basis_out_of_range, EXIT_MISMATCH, "basis names a variable outside"),
+    ("s18", _repeat_on_path, EXIT_ERROR, "neuron 3 asserted twice on one path"),
+])
+def test_reverify_rejects_tree_not_of_this_network(stored, tmp_path, case, mutate, code, message):
+    net_path, prop_path, doc, _ = stored[case]
+    doc = json.loads(json.dumps(doc))
+    mutate(doc)
+    res = _reverify_doc(tmp_path, net_path, prop_path, doc)
+    assert res.exit_code == code
+    assert message in res.stderr
+    assert len(res.stderr.strip().split("\n")) == 1
+
+
+MUTATIONS = ("drop", "flip", "renumber", "renumber_all", "witness", "truncate")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_reverify_mutated_tree(stored, tmp_path_factory, data):
+    """A corrupted tree file is rejected with a one-line message (exit 1 or
+    2) or re-verified to the oracle's verdict; it never raises."""
+    case = data.draw(st.sampled_from(sorted(stored)))
+    net_path, prop_path, doc, expected = stored[case]
+    doc = json.loads(json.dumps(doc))
+    nodes = doc["nodes"]
+    n_ids = 60  # past every variable id of both networks
+    kinds = data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3))
+    for kind in kinds:
+        edges = [nd for nd in nodes if nd["assert"] is not None]
+        if kind == "drop" and len(nodes) > 1:
+            del nodes[data.draw(st.integers(1, len(nodes) - 1))]
+        elif kind == "flip" and edges:
+            a = data.draw(st.sampled_from(edges))["assert"]
+            a["sign"] = "nonneg" if a["sign"] == "nonpos" else "nonpos"
+        elif kind == "renumber" and edges:
+            data.draw(st.sampled_from(edges))["assert"]["neuron"] = data.draw(
+                st.integers(-1, n_ids))
+        elif kind == "renumber_all" and edges:
+            old = data.draw(st.sampled_from(edges))["assert"]["neuron"]
+            new = data.draw(st.integers(-1, n_ids))
+            for nd in edges:
+                if nd["assert"]["neuron"] == old:
+                    nd["assert"]["neuron"] = new
+        elif kind == "witness":
+            nd = data.draw(st.sampled_from(nodes))
+            nd["witness"] = [0.0] * data.draw(st.integers(0, 4))
+    text = json.dumps(doc)
+    if "truncate" in kinds:
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    mode = data.draw(st.sampled_from(["lazy", "strict"]))
+    res = _reverify_doc(tmp_path_factory.mktemp("mutant"), net_path, prop_path, text,
+                        "--mode", mode)
+    assert isinstance(res.exception, SystemExit), res.exception
+    event(f"exit {res.exit_code}")
+    if res.exit_code in (EXIT_ERROR, EXIT_MISMATCH):
+        message = res.stderr.strip()
+        assert message and "\n" not in message
+    else:
+        assert res.exit_code == expected

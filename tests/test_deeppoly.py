@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 import _suites
+from incremark.bench import random_network
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted
-from incremark.model import LinearConstraint, Network, SafetyProperty
+from incremark.model import RELU, LinearConstraint, Network, SafetyProperty
 
 from conftest import BOX
 
@@ -119,3 +121,97 @@ def test_refuted_arity_mismatch(demo_net):
 
 def test_soundness_sampled(demo_net):
     assert _suites.deeppoly_soundness(demo_net, BOX, n_random=8, samples=60) == 0
+
+
+def reference_analyze(net, box, asserts=()):
+    """Scalar DeepPoly: one back-substitution per neuron and side. Returns
+    None when an assertion empties an interval, else (lo, hi, relations)
+    over the network neurons, relations being post -> (lc, lk, uc, uk)."""
+    lay = net.layout
+    lo0 = np.array([b[0] for b in box], dtype=float)
+    hi0 = np.array([b[1] for b in box], dtype=float)
+    signs: dict[int, list[str]] = {}
+    for a in asserts:
+        signs.setdefault(a.neuron, []).append(a.sign)
+    lo = dict(zip(lay.input_ids, lo0.tolist()))
+    hi = dict(zip(lay.input_ids, hi0.tolist()))
+    rel, relations = [], {}
+
+    def back(level, coefs, const, upper):
+        c, k = np.array(coefs, dtype=float), const
+        for j in range(level, 0, -1):
+            lc, lk, uc, uk = rel[j - 1]
+            take_u = (c > 0) if upper else (c <= 0)
+            k += float(np.sum(np.where(take_u, uk, lk) * c))
+            c = np.where(take_u, uc, lc) * c
+            k += float(c @ net.biases[j - 1])
+            c = c @ net.weights[j - 1]
+        top, bot = (hi0, lo0) if upper else (lo0, hi0)
+        return k + float(np.sum(np.where(c > 0, c * top, c * bot)))
+
+    for li in range(net.n_layers):
+        w, b = net.weights[li], net.biases[li]
+        n = len(b)
+        pl, ph = np.zeros(n), np.zeros(n)
+        for j, vid in enumerate(lay.pre_ids[li]):
+            l, u = back(li, w[j], float(b[j]), False), back(li, w[j], float(b[j]), True)
+            for sign in signs.get(vid, ()):
+                if sign == NONNEG:
+                    l = max(l, 0.0)
+                else:
+                    u = min(u, 0.0)
+            if l > u + 1e-12:
+                return None
+            pl[j], ph[j] = min(l, u), u
+            lo[vid], hi[vid] = pl[j], ph[j]
+        if net.activations[li] != RELU:
+            rel.append((np.ones(n), np.zeros(n), np.ones(n), np.zeros(n)))
+            continue
+        lc, lk, uc, uk = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+        for j in range(n):
+            l, u = pl[j], ph[j]
+            if l >= 0.0:
+                lc[j] = uc[j] = 1.0
+            elif u > 0.0:
+                uc[j] = u / (u - l)
+                uk[j] = -uc[j] * l
+        rel.append((lc, lk, uc, uk))
+        eye = np.eye(n)
+        for j, vid in enumerate(lay.post_ids[li]):
+            lo[vid] = max(back(li + 1, eye[j], 0.0, False), 0.0)
+            hi[vid] = max(back(li + 1, eye[j], 0.0, True), 0.0)
+            relations[vid] = (lc[j], lk[j], uc[j], uk[j])
+    return lo, hi, relations
+
+
+@pytest.mark.parametrize("dims", [(2, 5, 5, 1), (3, 8, 8, 1), (4, 10, 10, 1), (3, 6, 6, 3)])
+def test_matrix_analyze_matches_scalar_reference(dims):
+    rng = np.random.default_rng(sum(dims))
+    seen = {"infeasible": 0, "contradictory": 0}
+    for seed in range(8):
+        net = random_network(dims, seed)
+        pres = [pre for pre, _ in net.layout.relu_pairs]
+        for trial in range(12):
+            a, b = rng.uniform(-1.0, 1.0, (2, dims[0]))
+            box = tuple(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+            k = int(rng.integers(0, len(pres) + 1)) if trial else 0
+            chosen = rng.choice(pres, size=k)
+            asserts = sorted({Assertion(int(v), (NONNEG, NONPOS)[int(rng.integers(2))])
+                              for v in chosen})
+            if len({x.neuron for x in asserts}) < len(asserts):
+                seen["contradictory"] += 1
+            got = analyze(net, box, asserts)
+            want = reference_analyze(net, box, asserts)
+            assert got.infeasible == (want is None), (dims, seed, trial)
+            if want is None:
+                seen["infeasible"] += 1
+                continue
+            lo, hi, relations = want
+            for vid in lo:
+                assert got.lo[vid] == pytest.approx(lo[vid], rel=0, abs=1e-12)
+                assert got.hi[vid] == pytest.approx(hi[vid], rel=0, abs=1e-12)
+            assert set(got.relu_upper) == set(relations)
+            for vid, (lc, lk, uc, uk) in relations.items():
+                got_rel = got.relu_lower[vid] + got.relu_upper[vid]
+                assert got_rel == pytest.approx((lc, lk, uc, uk), rel=0, abs=1e-12)
+    assert seen["infeasible"] > 0 and seen["contradictory"] > 0, seen

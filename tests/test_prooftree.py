@@ -189,6 +189,26 @@ def test_validate_rejections():
     with pytest.raises(ValueError):
         t.validate()
 
+    t, l, r, ll, lr = small_tree()
+    t.nodes[r].status = UNSAT
+    for kid in (ll, lr):
+        t.nodes[kid].assertion = Assertion(2, t.nodes[kid].assertion.sign)
+    t.nodes[ll].status = t.nodes[lr].status = UNSAT
+    with pytest.raises(ValueError, match="neuron 2 asserted twice on one path"):
+        t.validate()
+
+    t, l, r, ll, lr = small_tree()
+    t.nodes[r].status = INTERNAL  # a leaf that claims to be split
+    t.nodes[ll].status = t.nodes[lr].status = UNSAT
+    with pytest.raises(ValueError, match="leaf with status"):
+        t.validate()
+
+    t, l, r, ll, lr = small_tree()
+    t.nodes[l].children = []  # ll and lr hang off no reachable node
+    t.nodes[l].status = t.nodes[r].status = UNSAT
+    with pytest.raises(ValueError, match="not reachable"):
+        t.validate()
+
 
 def test_copy_is_deep():
     t, l, r, ll, lr = small_tree()
@@ -243,6 +263,20 @@ def test_from_json_rejects():
     }
     with pytest.raises(ValueError):
         from_json(bad)
+    bad["nodes"][1]["assert"]["sign"] = "nonpos"
+    bad["nodes"][1]["parent"] = 5
+    with pytest.raises(ValueError, match="parent 5 is not in the tree"):
+        from_json(bad)
+    bad["nodes"][1]["parent"] = 0
+    bad["nodes"][1]["id"] = 0
+    with pytest.raises(ValueError, match="duplicate node id 0"):
+        from_json(bad)
+    bad["nodes"][1]["id"] = 1
+    bad["nodes"][1]["witness"] = "oops"
+    with pytest.raises(ValueError):
+        from_json(bad)
+    with pytest.raises(ValueError, match="not a JSON object"):
+        from_json([bad])
 
 
 def test_serialized_file_is_plain_json(tmp_path):
