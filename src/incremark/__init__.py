@@ -9,12 +9,7 @@ falling back to search only where a certificate no longer holds.
 
 from .bench import CompareReport, Perturbation, compare, oracle, perturb
 from .deeppoly import Assertion, Bounds, analyze, is_property_refuted
-from .incremental import (
-    IncrementalReport,
-    ShapeMismatchError,
-    solve_leaf,
-    verify_incremental,
-)
+from .incremental import IncrementalReport, ShapeMismatchError, verify_incremental
 from .model import (
     LinearConstraint,
     Network,
@@ -60,7 +55,6 @@ __all__ = [
     "save_network",
     "save_property",
     "solve",
-    "solve_leaf",
     "verify_incremental",
     "witness_ok",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 from . import lp
 from .constants import EPS_BOUND
 from .deeppoly import NONNEG, NONPOS, Assertion, Bounds
-from .incremental import LAZY, verify_incremental
+from .incremental import verify_incremental
 from .model import (
     UNSAT,
     LinearConstraint,
@@ -218,7 +218,7 @@ class CompareReport:
         ]
 
 
-def compare(net: Network, prop: SafetyProperty, perturbations, modes=(LAZY,),
+def compare(net: Network, prop: SafetyProperty, perturbations,
             params: SearchParams | None = None) -> CompareReport:
     """Run scratch and incremental verification on each perturbed network.
 
@@ -234,32 +234,31 @@ def compare(net: Network, prop: SafetyProperty, perturbations, modes=(LAZY,),
     acc: dict[float, list[float]] = {}
     for p in perturbations:
         modified = perturb(net, p)
-        for mode in modes:
-            t0 = time.perf_counter()
-            v_scratch, _ = solve(modified, prop, params)
-            ms_scratch = 1000.0 * (time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            v_inc, inc_rep, _ = verify_incremental(modified, prop, base_tree, mode, params)
-            ms_inc = 1000.0 * (time.perf_counter() - t0)
-            agree = v_scratch.name == v_inc.name
-            oracle_name = None
-            if small:
-                oracle_name = oracle(modified, prop).name
-                agree = agree and v_scratch.name == oracle_name
-            report.rows.append({
-                "gamma": p.gamma, "fraction": p.fraction, "seed": p.seed,
-                "verdict_scratch": v_scratch.name, "ms_scratch": ms_scratch,
-                "verdict_inc": v_inc.name, "ms_inc": ms_inc,
-                "replay_pct": inc_rep.replay_pct, "agree": agree,
-            })
-            acc.setdefault(p.gamma, []).append(inc_rep.replay_pct)
-            if small and not agree:
-                raise OracleDisagreement(
-                    f"verdicts diverge at gamma={p.gamma} fraction={p.fraction} "
-                    f"seed={p.seed}: scratch={v_scratch.name} inc={v_inc.name} "
-                    f"oracle={oracle_name}",
-                    report.csv_text,
-                )
+        t0 = time.perf_counter()
+        v_scratch, _ = solve(modified, prop, params)
+        ms_scratch = 1000.0 * (time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        v_inc, inc_rep, _ = verify_incremental(modified, prop, base_tree, params=params)
+        ms_inc = 1000.0 * (time.perf_counter() - t0)
+        agree = v_scratch.name == v_inc.name
+        oracle_name = None
+        if small:
+            oracle_name = oracle(modified, prop).name
+            agree = agree and v_scratch.name == oracle_name
+        report.rows.append({
+            "gamma": p.gamma, "fraction": p.fraction, "seed": p.seed,
+            "verdict_scratch": v_scratch.name, "ms_scratch": ms_scratch,
+            "verdict_inc": v_inc.name, "ms_inc": ms_inc,
+            "replay_pct": inc_rep.replay_pct, "agree": agree,
+        })
+        acc.setdefault(p.gamma, []).append(inc_rep.replay_pct)
+        if small and not agree:
+            raise OracleDisagreement(
+                f"verdicts diverge at gamma={p.gamma} fraction={p.fraction} "
+                f"seed={p.seed}: scratch={v_scratch.name} inc={v_inc.name} "
+                f"oracle={oracle_name}",
+                report.csv_text,
+            )
     report.replay_by_gamma = {g: sum(v) / len(v) for g, v in acc.items()}
     return report
 

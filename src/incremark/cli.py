@@ -17,7 +17,7 @@ import click
 from . import bench as bench_mod
 from . import prooftree
 from .deeppoly import analyze
-from .incremental import LAZY, STRICT, ShapeMismatchError, verify_incremental
+from .incremental import ShapeMismatchError, verify_incremental
 from .model import load_network, load_property, save_network
 from .simplex import dump, initialize
 from .solver import SearchParams, solve
@@ -48,6 +48,29 @@ def _load(loader, path: str, what: str):
         sys.exit(EXIT_ERROR)
 
 
+def _check_property_fits(net, prop, prop_path: str) -> None:
+    """Exit with an error when the property's box or constraints do not
+    match the network's input and output counts."""
+    n_out = net.n_outputs
+    bad = next((c for c in prop.constraints if len(c.coeffs) != n_out), None)
+    if len(prop.box) != net.n_inputs:
+        problem = f"box has {len(prop.box)} intervals for {net.n_inputs} network inputs"
+    elif bad is not None:
+        problem = f"a constraint has {len(bad.coeffs)} coefficients for {n_out} network outputs"
+    else:
+        return
+    click.echo(f"property {prop_path} does not fit the network: {problem}", err=True)
+    sys.exit(EXIT_ERROR)
+
+
+def _load_query(net_path: str, prop_path: str):
+    """Load a network and a property that fits it, or exit with an error."""
+    net = _load(load_network, net_path, "network")
+    prop = _load(load_property, prop_path, "property")
+    _check_property_fits(net, prop, prop_path)
+    return net, prop
+
+
 def _finish(verdict) -> None:
     if verdict.name == "sat":
         click.echo("SAT " + " ".join(repr(float(x)) for x in verdict.witness))
@@ -64,8 +87,7 @@ def _finish(verdict) -> None:
 @click.option("--dump-tableau", is_flag=True, help="Print the initial tableau.")
 def verify(net_path, prop_path, tree_out, budget, dump_tableau):
     """Decide a property from scratch and record the proof tree."""
-    net = _load(load_network, net_path, "network")
-    prop = _load(load_property, prop_path, "property")
+    net, prop = _load_query(net_path, prop_path)
     if dump_tableau:
         cfg = initialize(net, prop, analyze(net, prop.box))
         click.echo(dump(cfg, "initial tableau"))
@@ -84,18 +106,17 @@ def verify(net_path, prop_path, tree_out, budget, dump_tableau):
 @click.option("--net", "net_path", required=True, help="Modified network file.")
 @click.option("--prop", "prop_path", required=True)
 @click.option("--tree", "tree_path", required=True, help="Stored proof tree.")
-@click.option("--mode", type=click.Choice([STRICT, LAZY]), default=LAZY)
 @click.option("--tree-out", default=None, help="Write the updated tree here.")
 @click.option("--report", "report_path", default=None, help="Write a JSON run report.")
 @click.option("--budget", type=int, default=None)
-def reverify(net_path, prop_path, tree_path, mode, tree_out, report_path, budget):
+def reverify(net_path, prop_path, tree_path, tree_out, report_path, budget):
     """Re-verify a modified network guided by a stored proof tree."""
     net = _load(load_network, net_path, "network")
     prop = _load(load_property, prop_path, "property")
     tree = _load(prooftree.deserialize, tree_path, "proof tree")
     try:
         verdict, rep, new_tree = verify_incremental(
-            net, prop, tree, mode=mode, params=SearchParams(local_budget=budget))
+            net, prop, tree, params=SearchParams(local_budget=budget))
     except ShapeMismatchError as e:
         click.echo(f"stored tree does not match: {e}", err=True)
         sys.exit(EXIT_MISMATCH)
@@ -117,8 +138,7 @@ def reverify(net_path, prop_path, tree_path, mode, tree_out, report_path, budget
 @click.option("--prop", "prop_path", required=True, help="Supplies the input box.")
 def bounds(net_path, prop_path):
     """Print abstraction intervals and the ReLU relational bounds."""
-    net = _load(load_network, net_path, "network")
-    prop = _load(load_property, prop_path, "property")
+    net, prop = _load_query(net_path, prop_path)
     b = analyze(net, prop.box)
     lay = net.layout
     shown: list[int] = list(lay.input_ids)
@@ -163,8 +183,7 @@ def perturb(net_path, out_path, gamma, fraction, seed, scope):
 @click.option("--prop", "prop_path", required=True)
 def oracle(net_path, prop_path):
     """Exact verdict by activation-pattern enumeration (small nets only)."""
-    net = _load(load_network, net_path, "network")
-    prop = _load(load_property, prop_path, "property")
+    net, prop = _load_query(net_path, prop_path)
     try:
         verdict = bench_mod.oracle(net, prop)
     except (ValueError, RuntimeError) as e:
@@ -185,10 +204,9 @@ def oracle(net_path, prop_path):
               help="Perturbations per gamma; rows = gammas x trials.")
 # seed 18 gives a default instance with a nontrivial unsat proof tree
 @click.option("--seed", type=int, default=18)
-@click.option("--mode", type=click.Choice([STRICT, LAZY]), default=LAZY)
 @click.option("--budget", type=int, default=None)
 @click.option("--out", "out_path", required=True, help="CSV destination.")
-def bench(net_path, prop_path, gammas, fractions, trials, seed, mode, budget, out_path):
+def bench(net_path, prop_path, gammas, fractions, trials, seed, budget, out_path):
     """Scratch-vs-incremental comparison over random perturbations."""
     try:
         gamma_vals = [float(g) for g in gammas.split(",") if g]
@@ -202,6 +220,7 @@ def bench(net_path, prop_path, gammas, fractions, trials, seed, mode, budget, ou
         net = bench_mod.random_network((2, 5, 5, 1), seed)
     if prop_path:
         prop = _load(load_property, prop_path, "property")
+        _check_property_fits(net, prop, prop_path)
     else:
         prop = bench_mod.random_threshold_property(net, seed + 1)
     perts = []
@@ -212,8 +231,7 @@ def bench(net_path, prop_path, gammas, fractions, trials, seed, mode, budget, ou
                 g, fraction_vals[t % len(fraction_vals)], seed + 7919 * run))
             run += 1
     try:
-        report = bench_mod.compare(net, prop, perts, modes=(mode,),
-                                   params=SearchParams(local_budget=budget))
+        report = bench_mod.compare(net, prop, perts, params=SearchParams(local_budget=budget))
     except bench_mod.OracleDisagreement as e:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(e.csv_text)

@@ -7,11 +7,14 @@ to a full branch search:
 
     analyze under Assert(v)          empty or property-impossible -> UNSAT
     branch relaxation LP             infeasible -> UNSAT
-    strict mode                      rebuild the stored basis, LP-tighten the
-                                     key row's variables, re-test that row
-    lazy mode (default)              LP-shrink the input box, re-propagate,
-                                     re-test every row of the fresh tableau
+    LP input tightening              LP-shrink the input box, re-propagate:
+                                     empty or property-impossible -> UNSAT
+    row test                         any row of the fresh tableau contradicts
+                                     its bounds -> UNSAT
     otherwise                        full search of the branch
+
+The ladder needs only the leaf's edge assertions, so a stored UNSAT leaf
+carries nothing else.
 """
 
 from __future__ import annotations
@@ -23,18 +26,8 @@ from . import lp
 from . import prooftree as pt
 from .deeppoly import analyze, is_property_refuted
 from .model import UNSAT, Verdict, property_hash, witness_ok
-from .simplex import (
-    SingularBasisError,
-    check_unsat_rows,
-    gauss_to_basis,
-    initialize,
-    refresh_bounds,
-    row_unsat,
-)
+from .simplex import check_unsat_rows, initialize, refresh_bounds
 from .solver import SearchParams, _visit
-
-STRICT = "strict"
-LAZY = "lazy"
 
 PROOF_REPLAYED = "proof_replayed"
 PROOF_FAILED_FELL_BACK = "proof_failed_fell_back"
@@ -52,7 +45,6 @@ class ShapeMismatchError(Exception):
 @dataclass
 class IncrementalReport:
     verdict: Verdict
-    mode: str
     outcomes: dict[int, str] = field(default_factory=dict)
     pruned: int = 0
     replayed: int = 0
@@ -71,7 +63,6 @@ class IncrementalReport:
         return {
             "verdict": self.verdict.name,
             "witness": None if self.verdict.witness is None else list(self.verdict.witness),
-            "mode": self.mode,
             "replay_pct": self.replay_pct,
             "pruned": self.pruned,
             "replayed": self.replayed,
@@ -82,15 +73,10 @@ class IncrementalReport:
         }
 
 
-def _check_fits(tree: pt.ProofTree, net, prop) -> None:
+def _check_fits(tree: pt.ProofTree, net) -> None:
     """One walk over the stored nodes: every edge splits a ReLU of this
-    network, every witness is an input point, and every stored basis names
-    tableau variables of this network and property and has one per row."""
-    lay = net.layout
-    relu_pre = {pre for pre, _ in lay.relu_pairs}
-    n_ids = lay.n_vars + len(prop.constraints)
-    n_rows = (sum(len(p) for p in lay.pre_ids) + len(lay.relu_pairs)
-              + sum(1 for c in prop.constraints if sum(1 for a in c.coeffs if a != 0.0) >= 2))
+    network and every witness is an input point."""
+    relu_pre = {pre for pre, _ in net.layout.relu_pairs}
     for n in tree.nodes.values():
         if n.assertion is not None and n.assertion.neuron not in relu_pre:
             raise ShapeMismatchError(
@@ -98,12 +84,6 @@ def _check_fits(tree: pt.ProofTree, net, prop) -> None:
         if n.witness is not None and len(n.witness) != net.n_inputs:
             raise ShapeMismatchError(
                 f"node {n.id}: witness has {len(n.witness)} values for {net.n_inputs} inputs")
-        if n.basis is not None and len(set(n.basis)) != n_rows:
-            raise ShapeMismatchError(
-                f"node {n.id}: basis of {len(set(n.basis))} variables for {n_rows} tableau rows")
-        ids = (n.basis or ()) + (() if n.key_row_var is None else (n.key_row_var,))
-        if any(not 0 <= v < n_ids for v in ids):
-            raise ShapeMismatchError(f"node {n.id}: basis names a variable outside 0..{n_ids - 1}")
 
 
 def _solve_branch(net, prop, params, asserts, cfg, bounds):
@@ -116,30 +96,9 @@ def _solve_branch(net, prop, params, asserts, cfg, bounds):
     return w, tree
 
 
-def _slack_expr(lay, prop, cfg, vid):
-    """Express a tableau variable over network neurons for LP tightening.
-
-    Returns a coefficient dict, or None when the variable is pinned (constant
-    slacks) and tightening is pointless.
-    """
-    for pair, sid in lay.relu_slack.items():
-        if sid == vid:
-            pre, post = pair
-            return {post: 1.0, pre: -1.0}
-    if vid in lay.affine_const_slack.values() or vid in lay.relu_const_slack.values():
-        return None
-    for idx, sid in cfg.prop_slacks.items():
-        if sid == vid:
-            c = prop.constraints[idx]
-            return {lay.output_ids[k]: float(a) for k, a in enumerate(c.coeffs) if a != 0.0}
-    return {vid: 1.0}  # a network neuron
-
-
-def _replay_unsat_leaf(net, prop, tree, nid, mode, params, cfg0):
+def _replay_unsat_leaf(net, prop, tree, nid, params, cfg0):
     """Returns (witness | None, outcome, graft tree | None) for a stored
     UNSAT leaf. Outcome is PROOF_REPLAYED or PROOF_FAILED_FELL_BACK."""
-    lay = net.layout
-    node = tree.nodes[nid]
     asserts = sorted(tree.asserts_of(nid))
     bounds = analyze(net, prop.box, asserts)
     if bounds.infeasible or is_property_refuted(bounds, prop):
@@ -147,66 +106,32 @@ def _replay_unsat_leaf(net, prop, tree, nid, mode, params, cfg0):
     relax = lp.build(net, prop, asserts, bounds)
     if not lp.feasible(relax):
         return None, PROOF_REPLAYED, None
-
-    fb_cfg = fb_bounds = None
-    use_lazy = mode == LAZY or node.basis is None
-    if not use_lazy:
-        try:
-            cfg = gauss_to_basis(cfg0, node.basis)
-        except SingularBasisError:
-            use_lazy = True
-        else:
-            refresh_bounds(cfg, net, prop, bounds)
-            key = node.key_row_var
-            for v in sorted(set(cfg.rows[key]) | {key}):
-                expr = _slack_expr(lay, prop, cfg, v)
-                if expr is None:
-                    continue
-                cfg.lo[v], cfg.hi[v] = lp.tighten_expr(relax, expr, (cfg.lo[v], cfg.hi[v]))
-            if row_unsat(cfg, key):
-                return None, PROOF_REPLAYED, None
-            fb_cfg, fb_bounds = cfg, bounds
-    if use_lazy:
-        nb = lp.tighten_inputs_then_repropagate(net, prop, asserts, relax)
-        if nb.infeasible or is_property_refuted(nb, prop):
-            return None, PROOF_REPLAYED, None
-        cfg = cfg0.copy()
-        refresh_bounds(cfg, net, prop, nb)
-        if not check_unsat_rows(cfg).feasible:
-            return None, PROOF_REPLAYED, None
-        fb_cfg, fb_bounds = cfg, nb
-
-    w, graft = _solve_branch(net, prop, params, asserts, fb_cfg, fb_bounds)
+    nb = lp.tighten_inputs_then_repropagate(net, prop, asserts, relax)
+    if nb.infeasible or is_property_refuted(nb, prop):
+        return None, PROOF_REPLAYED, None
+    cfg = cfg0.copy()
+    refresh_bounds(cfg, net, prop, nb)
+    if not check_unsat_rows(cfg).feasible:
+        return None, PROOF_REPLAYED, None
+    w, graft = _solve_branch(net, prop, params, asserts, cfg, nb)
     return w, PROOF_FAILED_FELL_BACK, graft
 
 
-def solve_leaf(net, prop, tree, nid, mode: str = LAZY, params: SearchParams | None = None) -> Verdict:
-    """Standalone branch verdict for one stored UNSAT leaf."""
-    params = params or SearchParams()
-    bounds = analyze(net, prop.box)
-    cfg0 = initialize(net, prop, bounds)
-    w, _, _ = _replay_unsat_leaf(net, prop, tree, nid, mode, params, cfg0)
-    return Verdict(True, w) if w is not None else UNSAT
-
-
-def verify_incremental(net, prop, tree: pt.ProofTree, mode: str = LAZY,
-                       params: SearchParams | None = None):
+def verify_incremental(net, prop, tree: pt.ProofTree, *, params: SearchParams | None = None):
     """Re-verify (net, prop) guided by a stored tree.
 
     Returns (Verdict, IncrementalReport, new ProofTree); the new tree records
     what this run established, so it can seed the next modification.
     """
-    if mode not in (STRICT, LAZY):
-        raise ValueError(f"unknown mode {mode!r}")
     params = params or SearchParams()
     if tuple(tree.dims) != tuple(net.dims):
         raise ShapeMismatchError(f"tree dims {tree.dims} vs network {net.dims}")
     phash = property_hash(prop)
     if tree.prop_hash != phash:
         raise ShapeMismatchError("stored tree was built for a different property")
-    _check_fits(tree, net, prop)
+    _check_fits(tree, net)
 
-    report = IncrementalReport(UNSAT, mode)
+    report = IncrementalReport(UNSAT)
     times = report.times
     t0 = time.perf_counter()
 
@@ -245,16 +170,9 @@ def verify_incremental(net, prop, tree: pt.ProofTree, mode: str = LAZY,
         if bounds.infeasible or is_property_refuted(bounds, prop):
             report.outcomes[nid] = RESOLVED_UNSAT
             node.status = pt.UNSAT
-            node.basis = node.key_row_var = node.witness = None
+            node.witness = None
             return False
-        cfg = None
-        if mode == STRICT and node.basis is not None:
-            try:
-                cfg = gauss_to_basis(cfg0, node.basis)
-            except SingularBasisError:
-                cfg = None
-        if cfg is None:
-            cfg = cfg0.copy()
+        cfg = cfg0.copy()
         refresh_bounds(cfg, net, prop, bounds)
         w, graft = _solve_branch(net, prop, params, asserts, cfg, bounds)
         grafts[nid] = graft
@@ -286,7 +204,7 @@ def verify_incremental(net, prop, tree: pt.ProofTree, mode: str = LAZY,
     report.unsat_total = len(unsat_leaves) + report.pruned
     if witness is None:
         for nid in unsat_leaves:
-            w, outcome, graft = _replay_unsat_leaf(net, prop, work, nid, mode, params, cfg0)
+            w, outcome, graft = _replay_unsat_leaf(net, prop, work, nid, params, cfg0)
             report.outcomes[nid] = outcome
             if outcome == PROOF_REPLAYED:
                 report.replayed += 1
@@ -317,8 +235,6 @@ def _assemble(work: pt.ProofTree, grafts: dict[int, pt.ProofTree]) -> pt.ProofTr
 
     def copy_fields(dst: pt.Node, src: pt.Node) -> None:
         dst.status = src.status
-        dst.basis = src.basis
-        dst.key_row_var = src.key_row_var
         dst.witness = src.witness
 
     def clone(tree: pt.ProofTree, sid: int, oid: int) -> None:

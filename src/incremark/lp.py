@@ -13,7 +13,7 @@ row gets a fresh slack variable whose bounds encode the relation:
 
 The solver is the bounded-variable simplex from the simplex module: phase 1
 repairs bound violations (Bland's rule, so it terminates), phase 2 optimizes
-single variables or slack expressions by reduced costs with a ratio test.
+single variables by reduced costs with a ratio test.
 """
 
 from __future__ import annotations
@@ -157,18 +157,12 @@ def find_point(relax: Relaxation) -> dict[int, float] | None:
     return {v: cfg.row_value(v) if v in cfg.rows else cfg.alpha[v] for v in relax.neuron_ids}
 
 
-def _optimize(relax: Relaxation, obj: dict[int, float], maximize: bool) -> float | None:
-    """Optimum of a linear expression over the relaxation, or None when the
+def _optimize(relax: Relaxation, vid: int, maximize: bool) -> float | None:
+    """Optimum of one variable over the relaxation, or None when the
     direction is unbounded or the cap is hit. Assumes phase1 == feasible."""
     cfg = relax.cfg
     for _ in range(relax.cap):
-        red: dict[int, float] = {}
-        for k, c in obj.items():
-            if k in cfg.rows:
-                for k2, c2 in cfg.rows[k].items():
-                    red[k2] = red.get(k2, 0.0) + c * c2
-            else:
-                red[k] = red.get(k, 0.0) + c
+        red = dict(cfg.rows[vid]) if vid in cfg.rows else {vid: 1.0}
         ent, sigma = None, 0
         for j in sorted(red):
             c = red[j]
@@ -183,8 +177,7 @@ def _optimize(relax: Relaxation, obj: dict[int, float], maximize: bool) -> float
                     ent, sigma = j, -1
                     break
         if ent is None:
-            return sum(c * (cfg.row_value(k) if k in cfg.rows else cfg.alpha[k])
-                       for k, c in sorted(obj.items()))
+            return cfg.row_value(vid) if vid in cfg.rows else cfg.alpha[vid]
         theta = (cfg.hi[ent] - cfg.alpha[ent]) if sigma > 0 else (cfg.alpha[ent] - cfg.lo[ent])
         leave = None
         for b in sorted(cfg.rows):
@@ -207,28 +200,24 @@ def _optimize(relax: Relaxation, obj: dict[int, float], maximize: bool) -> float
     return None
 
 
-def tighten_expr(relax: Relaxation, expr: dict[int, float], prior: tuple[float, float]):
-    """LP range of a linear expression, intersected with the prior interval.
-    Unbounded directions and cap hits keep the prior side. Optima are padded
-    outward by EPS_LP so rounding error cannot cut off a feasible point."""
+def tighten(relax: Relaxation, vids) -> dict[int, tuple[float, float]]:
+    """Per-variable LP bounds, never wider than the variable's current ones.
+    Unbounded directions and cap hits keep the current side. Optima are
+    padded outward by EPS_LP so rounding error cannot cut off a feasible
+    point. ValueError on an infeasible relaxation."""
     st = phase1(relax)
     if st == INFEASIBLE:
         raise ValueError("tighten on an infeasible relaxation")
-    lo0, hi0 = prior
-    if st == CAP:
-        return lo0, hi0
-    mn = _optimize(relax, expr, maximize=False)
-    mx = _optimize(relax, expr, maximize=True)
-    lo = lo0 if mn is None else max(lo0, mn - EPS_LP)
-    hi = hi0 if mx is None else min(hi0, mx + EPS_LP)
-    return lo, hi
-
-
-def tighten(relax: Relaxation, vids) -> dict[int, tuple[float, float]]:
-    """Per-variable LP bounds, never wider than the variable's current ones."""
+    cfg = relax.cfg
     out = {}
     for v in sorted(vids):
-        out[v] = tighten_expr(relax, {v: 1.0}, (relax.cfg.lo[v], relax.cfg.hi[v]))
+        lo, hi = cfg.lo[v], cfg.hi[v]
+        if st != CAP:
+            mn = _optimize(relax, v, maximize=False)
+            mx = _optimize(relax, v, maximize=True)
+            lo = lo if mn is None else max(lo, mn - EPS_LP)
+            hi = hi if mx is None else min(hi, mx + EPS_LP)
+        out[v] = (lo, hi)
     return out
 
 

@@ -1,6 +1,10 @@
 """Labelled binary tree recording a search: edges carry sign assertions on
-ReLU pre-activations, leaves carry the features needed to replay them later
-(UNSAT: basis + key row variable; SAT: witness).
+ReLU pre-activations, leaves carry a status, and a SAT leaf its witness.
+
+An UNSAT leaf needs nothing more to be replayed: its edge assertions alone
+say which branch to re-check. Files written before the stored basis was
+dropped still carry `basis` and `key_row_var` keys on UNSAT leaves; they are
+read as the same format version and ignored.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ class Node:
     parent: int | None
     assertion: Assertion | None  # edge label from parent; None at the root
     status: str = UNSOLVED
-    basis: tuple[int, ...] | None = None
-    key_row_var: int | None = None
     witness: tuple[float, ...] | None = None
     children: list[int] = field(default_factory=list)
 
@@ -107,8 +109,6 @@ class ProofTree:
                 out._delete_subtree(c)
             n.children = []
             n.status = UNSAT
-            n.basis = None
-            n.key_row_var = None
             n.witness = None
             if removed is not None:
                 removed.append(nid)
@@ -122,8 +122,7 @@ class ProofTree:
     def copy(self) -> "ProofTree":
         t = ProofTree(self.dims, self.prop_hash, self.verdict)
         t.nodes = {
-            i: Node(n.id, n.parent, n.assertion, n.status, n.basis,
-                    n.key_row_var, n.witness, list(n.children))
+            i: Node(n.id, n.parent, n.assertion, n.status, n.witness, list(n.children))
             for i, n in self.nodes.items()
         }
         t._next = self._next
@@ -131,7 +130,7 @@ class ProofTree:
 
     # -- invariants ----------------------------------------------------------
 
-    def validate(self, n_rows: int | None = None) -> None:
+    def validate(self) -> None:
         """Raise ValueError on a structural invariant breach.
 
         One walk from the root checks that every node is reached exactly
@@ -167,13 +166,6 @@ class ProofTree:
                 unsolved += 1
             elif n.status != UNSAT:
                 raise ValueError(f"node {n.id}: leaf with status {n.status!r}")
-            elif n.basis is not None:
-                if n.key_row_var not in n.basis:
-                    raise ValueError(f"node {n.id}: key row var outside basis")
-                if n_rows is not None and len(n.basis) != n_rows:
-                    raise ValueError(
-                        f"node {n.id}: basis size {len(n.basis)} != row count {n_rows}"
-                    )
         if len(seen) != len(self.nodes):
             raise ValueError(f"{len(self.nodes) - len(seen)} nodes are not reachable from the root")
         if sat_leaves > 1:
@@ -193,8 +185,6 @@ class ProofTree:
                 "assert": None if n.assertion is None else
                           {"neuron": n.assertion.neuron, "sign": n.assertion.sign},
                 "status": n.status,
-                "basis": None if n.basis is None else sorted(n.basis),
-                "key_row_var": n.key_row_var,
                 "witness": None if n.witness is None else list(n.witness),
             })
         return {
@@ -235,14 +225,11 @@ def _from_json(data: dict) -> ProofTree:
         assertion = None if a is None else Assertion(int(a["neuron"]), a["sign"])
         if assertion is not None and assertion.sign not in (NONNEG, NONPOS):
             raise ValueError(f"bad assertion sign {assertion.sign!r}")
-        key = nd.get("key_row_var")
         node = Node(
             int(nd["id"]),
             nd["parent"],
             assertion,
             nd["status"],
-            None if nd.get("basis") is None else tuple(int(v) for v in nd["basis"]),
-            None if key is None else int(key),
             None if nd.get("witness") is None else tuple(float(x) for x in nd["witness"]),
         )
         if node.id in tree.nodes:

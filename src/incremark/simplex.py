@@ -1,5 +1,5 @@
-"""Sparse-tableau simplex layer: configurations, pivoting, bound repair,
-the interval UNSAT row test, and Gaussian restoration of a stored basis.
+"""Sparse-tableau simplex layer: configurations, pivoting, bound repair and
+the interval UNSAT row test.
 
 A Configuration owns a tableau (one row per basic variable, written over the
 non-basic ones), per-variable bounds, and an assignment kept by Reluplex's
@@ -10,6 +10,11 @@ every value that leaves the repair loop (a witness, a stuck row, an LP
 optimum) is re-solved exactly from its row first. Rows carry no constants:
 every equation has a slack variable pinned by l = u, so a pivot is pure
 coefficient algebra.
+
+Non-basic variables always lie within their bounds: `initialize` and
+`refresh_bounds` place them there, and every move (`update`, `set_variable`,
+the leaving side of a pivot) sends one to a value inside them. The row test
+and the repair loop rely on this.
 """
 
 from __future__ import annotations
@@ -21,10 +26,6 @@ from .constants import COEF_EPS, EPS_BOUND, EPS_PIVOT, EPS_RELU
 
 class PivotError(ValueError):
     """Requested pivot coefficient is numerically zero."""
-
-
-class SingularBasisError(Exception):
-    """gauss_to_basis could not make some target variable basic."""
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,6 @@ class Configuration:
         self.prop_slacks: dict[int, int] = dict(prop_slacks or {})
         self.violations: dict[int, int] = {pre: 0 for pre, _ in self.relu_pairs}
         self.rewritten: set[int] = set()
-
-    @property
-    def basis(self) -> set[int]:
-        return set(self.rows)
 
     def copy(self) -> "Configuration":
         c = Configuration(
@@ -289,21 +286,12 @@ def violated_relu_pairs(cfg: Configuration) -> list[tuple[int, int]]:
 def repair_step(cfg: Configuration) -> StepResult:
     """One move of the local search.
 
-    Priority: restore non-basic bound feasibility (only possible after an
-    external bound refresh), then fix the lowest-id basic bound violation by
-    pivot-and-update, then fix the lowest-id violated ReLU pair. Satisfied
-    when nothing is violated once every basic is re-solved exactly; a
-    violation that the re-solve brings back is another step's work.
+    Priority: fix the lowest-id basic bound violation by pivot-and-update,
+    then the lowest-id violated ReLU pair. Non-basics need no repair: they
+    stay within their bounds (see the module docstring). Satisfied when
+    nothing is violated once every basic is re-solved exactly; a violation
+    that the re-solve brings back is another step's work.
     """
-    for v in sorted(cfg.alpha):
-        if v in cfg.rows:
-            continue
-        a = cfg.alpha[v]
-        clamped = min(max(a, cfg.lo[v]), cfg.hi[v])
-        if clamped != a:
-            update(cfg, v, clamped)
-            return PROGRESS
-
     bv = bound_violation(cfg)
     if bv is not None:
         b, need_up = bv
@@ -330,34 +318,6 @@ def repair_step(cfg: Configuration) -> StepResult:
     if bound_violation(cfg) is not None or violated_relu_pairs(cfg):
         return PROGRESS
     return Satisfied(cfg.witness())
-
-
-def gauss_to_basis(cfg0: Configuration, target) -> Configuration:
-    """Re-express a copy of cfg0's tableau over the target basis.
-
-    Sequential pivoting, partial pivoting on coefficient magnitude among rows
-    whose basic variable is not itself a target. Raises SingularBasisError
-    when some target variable cannot enter.
-    """
-    target = set(target)
-    if len(target) != len(cfg0.rows):
-        raise ValueError(f"target basis size {len(target)} != row count {len(cfg0.rows)}")
-    cfg = cfg0.copy()
-    for t in sorted(target):
-        if t in cfg.rows:
-            continue
-        best_b, best_c = None, 0.0
-        for b in sorted(cfg.rows):
-            if b in target:
-                continue
-            c = cfg.rows[b].get(t, 0.0)
-            if abs(c) > EPS_PIVOT and abs(c) > abs(best_c):
-                best_b, best_c = b, c
-        if best_b is None:
-            raise SingularBasisError(f"variable {t} cannot be made basic")
-        pivot(cfg, best_b, t)
-    recompute(cfg)
-    return cfg
 
 
 # ---------------------------------------------------------------------------

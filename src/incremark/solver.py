@@ -86,8 +86,6 @@ def _visit(net, prop, params, tree, nid, cfg, bounds, depth, max_depth,
         cfg.rewritten.clear()
         if not verdict.feasible:
             node.status = pt.UNSAT
-            node.basis = tuple(sorted(cfg.rows))
-            node.key_row_var = verdict.unsat_row
             return None
         # the budget only rations work before a split; a branch with every
         # ReLU decided is a pure LP and the loop runs it to a decision
@@ -100,7 +98,6 @@ def _visit(net, prop, params, tree, nid, cfg, bounds, depth, max_depth,
                 raise RuntimeError(f"local search produced an invalid witness {step.witness}")
             node.status = pt.SAT
             node.witness = step.witness
-            node.basis = tuple(sorted(cfg.rows))
             return step.witness
         if isinstance(step, Stuck):
             if candidates:
@@ -108,8 +105,6 @@ def _visit(net, prop, params, tree, nid, cfg, bounds, depth, max_depth,
             if step.stuck_row is not None:
                 # pinned row: exact infeasibility certificate at these bounds
                 node.status = pt.UNSAT
-                node.basis = tuple(sorted(cfg.rows))
-                node.key_row_var = step.stuck_row
                 return None
             raise RuntimeError("local search stuck on a fully decided branch")
         # bounds are fixed within a node: only a rewritten row can change verdict

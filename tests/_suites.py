@@ -15,14 +15,7 @@ from incremark.constants import EPS_BOUND
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze
 from incremark.model import forward_values, witness_ok
 from incremark.prooftree import ProofTree
-from incremark.simplex import (
-    Configuration,
-    SingularBasisError,
-    gauss_to_basis,
-    pivot,
-    recompute,
-    row_unsat,
-)
+from incremark.simplex import Configuration, pivot, recompute, row_unsat
 
 
 def random_configuration(rng) -> Configuration:
@@ -99,32 +92,6 @@ def pivot_preservation(trials: int = 1000, seed: int = 101) -> int:
         # the assignment must still solve the (pivoted) row system
         live = {v: cfg.alpha[v] for v in cfg.lo}
         if not _satisfies_rows(cfg, live):
-            bad += 1
-    return bad
-
-
-def gauss_preservation(successes: int = 100, seed: int = 202) -> int:
-    rng = np.random.default_rng(seed)
-    bad = 0
-    got = 0
-    attempts = 0
-    while got < successes:
-        attempts += 1
-        if attempts > successes * 100:
-            raise RuntimeError("could not produce enough nonsingular targets")
-        cfg = random_configuration(rng)
-        m = len(cfg.rows)
-        target = tuple(sorted(int(v) for v in rng.choice(sorted(cfg.lo), m, replace=False)))
-        sols = _row_solutions(cfg, rng)
-        try:
-            new = gauss_to_basis(cfg, target)
-        except SingularBasisError:
-            continue
-        got += 1
-        if tuple(sorted(new.rows)) != target:
-            bad += 1
-            continue
-        if not all(_satisfies_rows(new, s) for s in sols):
             bad += 1
     return bad
 

@@ -13,7 +13,6 @@ from click.testing import CliRunner
 from _suites import (
     deeppoly_soundness,
     distance_axioms,
-    gauss_preservation,
     pivot_preservation,
     relaxation_soundness,
     row_checker_vs_corners,
@@ -31,7 +30,7 @@ from incremark.bench import (
 )
 from incremark.cli import main as cli_main
 from incremark.deeppoly import analyze
-from incremark.incremental import LAZY, STRICT, verify_incremental
+from incremark.incremental import verify_incremental
 from incremark.model import evaluate, forward_values, witness_ok
 from incremark.simplex import initialize
 from incremark.solver import solve
@@ -182,14 +181,13 @@ def test_criterion_6_identity_replay():
         total_replayed = 0
         for net, prop, tree, s in instances:
             same = perturb(net, Perturbation(0.0, 1.0, s))
-            for mode in (LAZY, STRICT):
-                verdict, rep, _ = verify_incremental(same, prop, tree, mode=mode)
-                assert not verdict.sat
-                assert rep.fallbacks == 0, f"seed {s} mode {mode}"
-                assert rep.replay_pct == 100.0, f"seed {s} mode {mode}"
-                total_replayed += rep.replayed
+            verdict, rep, _ = verify_incremental(same, prop, tree)
+            assert not verdict.sat
+            assert rep.fallbacks == 0, f"seed {s}"
+            assert rep.replay_pct == 100.0, f"seed {s}"
+            total_replayed += rep.replayed
         assert total_replayed > 0
-        detail.append(f"{total_replayed} leaves replayed across 20 instances x 2 modes")
+        detail.append(f"{total_replayed} leaves replayed across 20 instances")
 
 
 def test_criterion_7_property_suites(demo_net):
@@ -197,7 +195,6 @@ def test_criterion_7_property_suites(demo_net):
     with reported("criterion 7, randomized property suites", detail):
         counts = {
             "pivot": pivot_preservation(trials=1000),
-            "gauss": gauss_preservation(successes=100),
             "row-checker": row_checker_vs_corners(trials=1000),
             "abstraction": deeppoly_soundness(demo_net, BOX, n_random=50,
                                               samples=200),
@@ -205,7 +202,7 @@ def test_criterion_7_property_suites(demo_net):
             "distance": distance_axioms(),
         }
         assert all(v == 0 for v in counts.values()), counts
-        detail.append("0 violations in all six suites")
+        detail.append("0 violations in all five suites")
 
 
 def test_criterion_8_benchmark_csv():

@@ -15,7 +15,6 @@ from incremark.bench import (
     random_network,
     random_threshold_property,
 )
-from incremark.incremental import LAZY, STRICT
 from incremark.model import (
     LinearConstraint,
     Network,
@@ -154,14 +153,6 @@ def test_compare_csv_and_summary():
         f"gamma=0 mean_replay_pct=100.0",
         f"gamma=0.05 mean_replay_pct={rep.replay_by_gamma[0.05]:.1f}",
     ]
-
-
-def test_compare_both_modes_produce_rows(demo_net, demo_prop):
-    rep = compare(demo_net, demo_prop, [Perturbation(0.1, 1.0, 3)],
-                  modes=(LAZY, STRICT))
-    assert len(rep.rows) == 2
-    assert rep.all_agree
-    assert {r["verdict_inc"] for r in rep.rows} == {"sat"}
 
 
 def test_compare_deterministic_modulo_timing():

@@ -69,7 +69,7 @@ def test_verify_writes_tree(runner, tmp_path):
     assert res.exit_code == EXIT_SAT
     tree = prooftree.deserialize(str(out))
     assert len(tree.nodes) == 3
-    tree.validate(n_rows=5)
+    tree.validate()
 
 
 def test_verify_dump_tableau(runner):
@@ -100,17 +100,8 @@ def test_reverify_with_report(runner, tmp_path):
     assert text.endswith("}\n")
     assert '  "verdict": "sat"' in text  # indent=2
     rep = json.loads(text)
-    assert rep["mode"] == "lazy"
+    assert rep["replayed"] == 0 and rep["fallbacks"] == 0
     assert prooftree.deserialize(str(new_tree_path)).nodes
-
-
-def test_reverify_strict_mode(runner, tmp_path):
-    tree_path = tmp_path / "tree.json"
-    runner.invoke(main, ["verify", "--net", DEMO, "--prop", PROP,
-                         "--tree-out", str(tree_path)])
-    res = runner.invoke(main, ["reverify", "--net", FPRIME, "--prop", PROP,
-                               "--tree", str(tree_path), "--mode", "strict"])
-    assert res.exit_code == EXIT_SAT
 
 
 def test_reverify_shape_mismatch(runner, tmp_path):
@@ -142,9 +133,9 @@ def test_reverify_rejects_one_sided_tree(runner, tmp_path):
                          "--tree-out", str(tree_path)])
     doc = json.loads(tree_path.read_text())
     doc["nodes"] = [
-        dict(doc["nodes"][0], status="internal", basis=None, key_row_var=None, witness=None),
+        dict(doc["nodes"][0], status="internal", witness=None),
         {"id": 1, "parent": 0, "assert": {"neuron": 3, "sign": "nonpos"},
-         "status": "unsat", "basis": None, "key_row_var": None, "witness": None},
+         "status": "unsat", "witness": None},
     ]
     tree_path.write_text(json.dumps(doc))
     res = runner.invoke(main, ["reverify", "--net", DEMO, "--prop", PROP,
@@ -164,6 +155,30 @@ def test_reverify_rejects_tree_without_dims(runner, tmp_path):
                                "--tree", str(tree_path)])
     assert res.exit_code == EXIT_ERROR
     assert "missing key 'dims'" in res.stderr
+
+
+# the demo network has two inputs and one output
+MISFIT_PROPS = {
+    "constraint": ("box\n-1.0 1.0\n-1.0 1.0\nge 0.3 1.0 1.0\n",
+                   "a constraint has 2 coefficients for 1 network outputs"),
+    "box": ("box\n-1.0 1.0\n-1.0 1.0\n-1.0 1.0\nge 0.3 1.0\n",
+            "box has 3 intervals for 2 network inputs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFIT_PROPS))
+@pytest.mark.parametrize("command", ["verify", "bounds", "oracle", "bench"])
+def test_property_that_does_not_fit_the_network(runner, tmp_path, command, case):
+    # verify and bounds used to end in a ValueError traceback, oracle in an
+    # IndexError traceback or a SAT answer
+    text, message = MISFIT_PROPS[case]
+    prop = tmp_path / "misfit.prop"
+    prop.write_text(text)
+    extra = ["--trials", "1", "--out", str(tmp_path / "b.csv")] if command == "bench" else []
+    res = runner.invoke(main, [command, "--net", DEMO, "--prop", str(prop), *extra])
+    assert res.exit_code == EXIT_ERROR
+    assert message in res.stderr
+    assert len(res.stderr.strip().split("\n")) == 1
 
 
 def test_bounds_output(runner):
@@ -269,11 +284,11 @@ def stored(tmp_path_factory):
     return out
 
 
-def _reverify_doc(tmp_path, net_path, prop_path, doc, *extra):
+def _reverify_doc(tmp_path, net_path, prop_path, doc):
     tree_path = tmp_path / "tree.json"
     tree_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return CliRunner().invoke(main, ["reverify", "--net", net_path, "--prop", prop_path,
-                                     "--tree", str(tree_path), *extra])
+                                     "--tree", str(tree_path)])
 
 
 def _renumber_root_split(doc, neuron):
@@ -285,11 +300,6 @@ def _renumber_root_split(doc, neuron):
 def _bad_witness(doc):
     leaf = next(nd for nd in doc["nodes"] if nd["witness"] is not None)
     leaf["witness"] = leaf["witness"] + [0.0]
-
-
-def _basis_out_of_range(doc):
-    leaf = next(nd for nd in doc["nodes"] if nd["basis"] is not None)
-    leaf["basis"][0] = 10_000
 
 
 def _repeat_on_path(doc):
@@ -305,7 +315,6 @@ def _repeat_on_path(doc):
     ("s18", lambda doc: _renumber_root_split(doc, 99), EXIT_MISMATCH,
      "neuron 99 is not a ReLU"),
     ("demo", _bad_witness, EXIT_MISMATCH, "witness has 3 values for 2 inputs"),
-    ("s18", _basis_out_of_range, EXIT_MISMATCH, "basis names a variable outside"),
     ("s18", _repeat_on_path, EXIT_ERROR, "neuron 3 asserted twice on one path"),
 ])
 def test_reverify_rejects_tree_not_of_this_network(stored, tmp_path, case, mutate, code, message):
@@ -354,9 +363,7 @@ def test_reverify_mutated_tree(stored, tmp_path_factory, data):
     text = json.dumps(doc)
     if "truncate" in kinds:
         text = text[:data.draw(st.integers(0, len(text) - 1))]
-    mode = data.draw(st.sampled_from(["lazy", "strict"]))
-    res = _reverify_doc(tmp_path_factory.mktemp("mutant"), net_path, prop_path, text,
-                        "--mode", mode)
+    res = _reverify_doc(tmp_path_factory.mktemp("mutant"), net_path, prop_path, text)
     assert isinstance(res.exception, SystemExit), res.exception
     event(f"exit {res.exit_code}")
     if res.exit_code in (EXIT_ERROR, EXIT_MISMATCH):

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import pytest
 
 from incremark.bench import (
@@ -8,19 +11,17 @@ from incremark.bench import (
     random_threshold_property,
 )
 from incremark.incremental import (
-    LAZY,
     PROOF_FAILED_FELL_BACK,
     PROOF_REPLAYED,
     PRUNED,
     RESOLVED_SAT,
     RESOLVED_UNSAT,
     SKIPPED,
-    STRICT,
     IncrementalReport,
     ShapeMismatchError,
-    solve_leaf,
     verify_incremental,
 )
+from incremark.prooftree import deserialize
 from incremark.model import (
     LinearConstraint,
     Network,
@@ -33,8 +34,10 @@ from incremark.solver import solve
 
 from conftest import BOX
 
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+
 REPORT_KEYS = {
-    "verdict", "witness", "mode", "replay_pct", "pruned", "replayed",
+    "verdict", "witness", "replay_pct", "pruned", "replayed",
     "fallbacks", "unsat_leaves_total", "times_s", "outcomes",
 }
 
@@ -65,11 +68,10 @@ def test_modified_net_witness_signs(demo_net, fprime, demo_prop):
 
 def test_report_json_schema(demo_net, fprime, demo_prop):
     _, tree = solve(demo_net, demo_prop)
-    _, rep, _ = verify_incremental(fprime, demo_prop, tree, mode=STRICT)
+    _, rep, _ = verify_incremental(fprime, demo_prop, tree)
     j = rep.to_json()
     assert set(j) == REPORT_KEYS
     assert j["verdict"] == "sat"
-    assert j["mode"] == "strict"
     assert isinstance(j["witness"], list)
     assert set(j["outcomes"]) == {"1", "2"}
     assert set(j["times_s"]) <= {"analyze", "prune", "open_leaves",
@@ -79,8 +81,9 @@ def test_report_json_schema(demo_net, fprime, demo_prop):
 
 def test_mode_and_shape_validation(demo_net, demo_prop):
     _, tree = solve(demo_net, demo_prop)
-    with pytest.raises(ValueError):
-        verify_incremental(demo_net, demo_prop, tree, mode="eager")
+    # lazy replay is the only replay: there is no mode to choose
+    with pytest.raises(TypeError):
+        verify_incremental(demo_net, demo_prop, tree, mode="strict")
     wide = Network([[[0.2, -0.7, 0.0], [0.8, -0.8, 0.0]], [[0.4, 0.6]]],
                    [[-0.1, 0.0], [0.0]])
     with pytest.raises(ShapeMismatchError):
@@ -124,15 +127,14 @@ def test_unsat_leaves_replay_identity(demo_net, demo_prop):
     net = random_network((2, 5, 5, 1), 18)
     prop = random_threshold_property(net, 19)
     _, tree = solve(net, prop)
-    for mode in (LAZY, STRICT):
-        verdict, rep, out = verify_incremental(net, prop, tree, mode=mode)
-        assert not verdict.sat
-        assert rep.fallbacks == 0
-        assert rep.replayed == 4
-        assert rep.pruned == 1
-        assert rep.replay_pct == 100.0
-        assert sorted(out.nodes) == list(range(9))
-        out.validate()
+    verdict, rep, out = verify_incremental(net, prop, tree)
+    assert not verdict.sat
+    assert rep.fallbacks == 0
+    assert rep.replayed == 4
+    assert rep.pruned == 1
+    assert rep.replay_pct == 100.0
+    assert sorted(out.nodes) == list(range(9))
+    out.validate()
 
 
 def test_gamma_zero_replays_everywhere():
@@ -144,11 +146,10 @@ def test_gamma_zero_replays_everywhere():
         if v.sat:
             continue
         same = perturb(net, Perturbation(0.0, 1.0, seed + 100))
-        for mode in (LAZY, STRICT):
-            v2, rep, _ = verify_incremental(same, prop, tree, mode=mode)
-            assert not v2.sat
-            assert rep.fallbacks == 0
-            assert rep.replay_pct == 100.0
+        v2, rep, _ = verify_incremental(same, prop, tree)
+        assert not v2.sat
+        assert rep.fallbacks == 0
+        assert rep.replay_pct == 100.0
         checked += 1
     assert checked >= 3
 
@@ -159,17 +160,15 @@ def test_sat_flip_short_circuits_later_leaves():
     _, tree = solve(net, prop)
     assert tree.leaves() == [2, 3, 4]
     bumped = perturb(net, Perturbation(0.3, 1.0, 1))
-    for mode in (LAZY, STRICT):
-        verdict, rep, out = verify_incremental(bumped, prop, tree, mode=mode)
-        assert verdict.sat
-        assert witness_ok(bumped, prop, verdict.witness)
-        assert rep.outcomes == {2: PROOF_FAILED_FELL_BACK, 3: SKIPPED, 4: SKIPPED}
-        assert rep.replay_pct == 0.0
-        out.validate()
-        # skipped leaves keep their stored unsat hints for the next round
-        skipped = [i for i in out.leaves() if out.nodes[i].status == "unsat"
-                   and out.nodes[i].basis is not None]
-        assert skipped
+    verdict, rep, out = verify_incremental(bumped, prop, tree)
+    assert verdict.sat
+    assert witness_ok(bumped, prop, verdict.witness)
+    assert rep.outcomes == {2: PROOF_FAILED_FELL_BACK, 3: SKIPPED, 4: SKIPPED}
+    assert rep.replay_pct == 0.0
+    out.validate()
+    # skipped leaves stay unsat leaves for the next round
+    skipped = [i for i in out.leaves() if out.nodes[i].status == "unsat"]
+    assert skipped
 
 
 def test_counters_are_consistent():
@@ -181,17 +180,16 @@ def test_counters_are_consistent():
             continue
         for gamma, ps in ((0.05, 2), (0.3, 5)):
             net2 = perturb(net, Perturbation(gamma, 0.5, ps))
-            for mode in (LAZY, STRICT):
-                verdict, rep, out = verify_incremental(net2, prop, tree, mode=mode)
-                j = rep.to_json()
-                visited = rep.replayed + rep.fallbacks
-                assert visited == sum(
-                    1 for o in rep.outcomes.values()
-                    if o in (PROOF_REPLAYED, PROOF_FAILED_FELL_BACK))
-                assert rep.unsat_total >= rep.pruned
-                assert 0.0 <= j["replay_pct"] <= 100.0
-                assert sorted(out.nodes) == list(range(len(out.nodes)))
-                out.validate()
+            verdict, rep, out = verify_incremental(net2, prop, tree)
+            j = rep.to_json()
+            visited = rep.replayed + rep.fallbacks
+            assert visited == sum(
+                1 for o in rep.outcomes.values()
+                if o in (PROOF_REPLAYED, PROOF_FAILED_FELL_BACK))
+            assert rep.unsat_total >= rep.pruned
+            assert 0.0 <= j["replay_pct"] <= 100.0
+            assert sorted(out.nodes) == list(range(len(out.nodes)))
+            out.validate()
 
 
 def test_modes_agree_with_scratch():
@@ -203,28 +201,10 @@ def test_modes_agree_with_scratch():
         _, tree = solve(net, prop)
         net2 = perturb(net, Perturbation(0.05, 0.3, seed + 50))
         fresh, _ = solve(net2, prop)
-        for mode in (LAZY, STRICT):
-            v, _, _ = verify_incremental(net2, prop, tree, mode=mode)
-            if v.sat != fresh.sat:
-                disagreements += 1
+        v, _, _ = verify_incremental(net2, prop, tree)
+        if v.sat != fresh.sat:
+            disagreements += 1
     assert disagreements == 0
-
-
-def test_solve_leaf_standalone():
-    net = random_network((2, 5, 5, 1), 18)
-    prop = random_threshold_property(net, 19)
-    _, tree = solve(net, prop)
-    for leaf in (3, 6, 7, 8):
-        assert not solve_leaf(net, prop, tree, leaf).sat
-        assert not solve_leaf(net, prop, tree, leaf, mode=STRICT).sat
-    # after a strong bump one branch admits a witness again
-    bumped = perturb(net, Perturbation(0.5, 1.0, 3))
-    verdicts = {leaf: solve_leaf(bumped, prop, tree, leaf) for leaf in (3, 6, 7, 8)}
-    fresh, _ = solve(bumped, prop)
-    assert any(v.sat for v in verdicts.values()) == fresh.sat
-    for leaf, v in verdicts.items():
-        if v.sat:
-            assert witness_ok(bumped, prop, v.witness)
 
 
 def test_lazy_replay_refuted_after_input_tightening():
@@ -253,8 +233,32 @@ def test_new_tree_seeds_next_round(demo_net, fprime, demo_prop):
 
 
 def test_replay_pct_vacuous_default():
-    rep = IncrementalReport(Verdict(False), LAZY)
+    rep = IncrementalReport(Verdict(False))
     assert rep.replay_pct == 100.0
     rep.replayed = 3
     rep.fallbacks = 1
     assert rep.replay_pct == 75.0
+
+
+@pytest.mark.parametrize("p, replayed, fallbacks", [
+    (Perturbation(0.3, 0.5, 18), 4, 0),   # every stored leaf replays
+    (Perturbation(0.5, 1.0, 28), 1, 1),   # one leaf falls back, still UNSAT
+    (Perturbation(0.5, 1.0, 7), 1, 1),    # the fallback finds a witness
+])
+def test_tree_with_stored_basis_still_reverifies(p, replayed, fallbacks):
+    # written by a version that stored each UNSAT leaf's final basis and key
+    # row; same format version, the extra keys are ignored on load
+    path = FIXTURES / "tree_v1_s18.json"
+    doc = json.loads(path.read_text())
+    assert any(nd["basis"] is not None and nd["key_row_var"] is not None
+               for nd in doc["nodes"])
+    tree = deserialize(str(path))
+    net = random_network((2, 5, 5, 1), 18)
+    prop = random_threshold_property(net, 19)
+    modified = perturb(net, p)
+    verdict, rep, out = verify_incremental(modified, prop, tree)
+    assert verdict.name == oracle(modified, prop).name
+    assert (rep.replayed, rep.fallbacks) == (replayed, fallbacks)
+    if verdict.sat:
+        assert witness_ok(modified, prop, verdict.witness)
+    out.validate()

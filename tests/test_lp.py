@@ -2,7 +2,6 @@ import pytest
 
 import _suites
 from incremark import lp
-from incremark.constants import EPS_LP
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze
 from incremark.model import LinearConstraint, Network, SafetyProperty, forward_values
 
@@ -64,7 +63,7 @@ def test_infeasible_certificate(demo_net, unsat_prop):
     assert r.infeasible_row is not None
     assert lp.find_point(r) is None
     with pytest.raises(ValueError):
-        lp.tighten_expr(r, {6: 1.0}, (0.0, 2.0))
+        lp.tighten(r, [6])
 
 
 def test_tighten_demo_values(demo_net, demo_prop):
@@ -86,14 +85,6 @@ def test_tighten_never_widens(demo_net, demo_prop):
     for v, (tlo, thi) in lp.tighten(r, range(7)).items():
         assert tlo >= r.cfg.lo[v]
         assert thi <= r.cfg.hi[v]
-
-
-def test_tighten_expr_matches_output(demo_net, demo_prop):
-    r = demo_relax(demo_net, demo_prop)
-    lo, hi = lp.tighten_expr(r, {4: 0.4, 5: 0.6}, (-10.0, 10.0))
-    # same expression as the output row, so the range agrees up to padding
-    assert lo == pytest.approx(0.3, abs=2 * EPS_LP)
-    assert hi == pytest.approx(1.28, abs=2 * EPS_LP)
 
 
 def test_cap_is_conservative(demo_net, demo_prop):

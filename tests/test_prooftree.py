@@ -100,7 +100,6 @@ def _bounds(lo2, hi2):
 def test_prune_drops_contradicted_branch():
     t, l, r, ll, lr = small_tree()
     t.nodes[r].status = UNSAT
-    t.nodes[r].basis = (0, 1)
     removed: list[int] = []
     out = t.prune(_bounds(0.5, 1.0), removed)  # nonpos on x3 impossible
     assert removed == [l]
@@ -108,9 +107,9 @@ def test_prune_drops_contradicted_branch():
     kept = out.nodes[l]
     assert kept.children == []
     assert kept.status == UNSAT
-    assert kept.basis is None and kept.key_row_var is None and kept.witness is None
-    # untouched sibling keeps its proof
-    assert out.nodes[r].basis == (0, 1)
+    assert kept.witness is None
+    # untouched sibling keeps its status
+    assert out.nodes[r].status == UNSAT
     # the original tree is not mutated
     assert sorted(t.nodes) == [0, l, r, ll, lr]
 
@@ -142,12 +141,10 @@ def test_prune_margin():
 def test_validate_accepts_completed_tree():
     t, l, r, ll, lr = small_tree()
     t.nodes[r].status = UNSAT
-    t.nodes[r].basis = (0, 1, 2)
-    t.nodes[r].key_row_var = 2
     t.nodes[ll].status = UNSAT
     t.nodes[lr].status = SAT
     t.nodes[lr].witness = (0.5, 0.5)
-    t.validate(n_rows=3)
+    t.validate()
 
 
 def test_validate_rejections():
@@ -155,18 +152,6 @@ def test_validate_rejections():
     t.nodes[l].status = SAT  # internal node with children
     with pytest.raises(ValueError):
         t.validate()
-
-    t, l, r, ll, lr = small_tree()
-    t.nodes[ll].status = t.nodes[lr].status = UNSAT
-    t.nodes[r].status = UNSAT
-    t.nodes[r].basis = (0, 1)
-    t.nodes[r].key_row_var = 7  # outside the basis
-    with pytest.raises(ValueError):
-        t.validate()
-    t.nodes[r].key_row_var = 1
-    with pytest.raises(ValueError):
-        t.validate(n_rows=3)  # basis size mismatch
-    t.validate(n_rows=2)
 
     t, l, r, ll, lr = small_tree()
     t.nodes[ll].status = t.nodes[lr].status = SAT
@@ -223,8 +208,6 @@ def test_json_roundtrip(tmp_path):
     t, l, r, ll, lr = small_tree()
     t.verdict = "sat"
     t.nodes[r].status = UNSAT
-    t.nodes[r].basis = (4, 1, 0)
-    t.nodes[r].key_row_var = 4
     t.nodes[lr].status = SAT
     t.nodes[lr].witness = (0.25, -0.75)
     t.nodes[ll].status = UNSAT
@@ -235,7 +218,7 @@ def test_json_roundtrip(tmp_path):
     assert data["prop_hash"] == HASH
     assert data["verdict"] == "sat"
     assert [nd["id"] for nd in data["nodes"]] == [0, l, r, ll, lr]
-    assert data["nodes"][r]["basis"] == [0, 1, 4]  # canonical order
+    assert set(data["nodes"][r]) == {"id", "parent", "assert", "status", "witness"}
     assert data["nodes"][lr]["witness"] == [0.25, -0.75]
     assert data["nodes"][0]["assert"] is None
     assert data["nodes"][l]["assert"] == {"neuron": 2, "sign": "nonpos"}
@@ -245,7 +228,11 @@ def test_json_roundtrip(tmp_path):
     back = deserialize(str(p))
     assert back.to_json() == data
     assert back.nodes[0].children == [l, r]
-    assert back.nodes[r].basis == (0, 1, 4)
+    # files of the same version that still store an UNSAT leaf's basis and
+    # key row load with those keys ignored
+    old = json.loads(json.dumps(data))
+    old["nodes"][r].update(basis=[0, 1, 4], key_row_var=4)
+    assert from_json(old).to_json() == data
     # appending after a load continues the id sequence
     assert back.add_child(r, Assertion(3, NONPOS)) == lr + 1
 

@@ -13,13 +13,11 @@ from incremark.simplex import (
     PivotError,
     Progress,
     Satisfied,
-    SingularBasisError,
     Stuck,
     bound_violation,
     check_unsat_rows,
     dump,
     entering_for,
-    gauss_to_basis,
     initialize,
     pivot,
     recompute,
@@ -229,20 +227,6 @@ def test_repair_step_stuck_reports_row():
     assert out.stuck_row == 2                  # certificate row at these bounds
 
 
-def test_repair_step_nonbasic_clamp_first():
-    cfg = small_cfg(
-        {2: {0: 1.0, 1: 1.0}},
-        {0: 0.0, 1: 0.0, 2: -10.0},
-        {0: 1.0, 1: 1.0, 2: 10.0},
-        {0: 0.5, 1: 0.5},
-    )
-    cfg.lo[0] = 0.8                            # external tightening
-    out = repair_step(cfg)
-    assert isinstance(out, Progress)
-    assert cfg.alpha[0] == 0.8
-    assert cfg.alpha[2] == pytest.approx(1.3)
-
-
 def test_repair_step_cycles_and_scores_violations(demo_net, demo_prop):
     # the root instance makes the bare local search ping-pong between the two
     # relu pairs; the violation counters are what the solver splits on
@@ -310,19 +294,6 @@ def test_set_variable_basic_refusals():
     assert not set_variable(cfg, 2, 2.5)
 
 
-def test_gauss_to_basis_demo(demo_net, demo_prop):
-    cfg = demo_cfg(demo_net, demo_prop)
-    target = (0, 1, 5, 7, 8)
-    new = gauss_to_basis(cfg, target)
-    assert tuple(sorted(new.rows)) == target
-    assert sorted(cfg.rows) == [2, 3, 6, 7, 8]  # original untouched
-    with pytest.raises(ValueError):
-        gauss_to_basis(cfg, (0, 1, 2))          # size mismatch
-    with pytest.raises(SingularBasisError):
-        # after x10 enters, no remaining non-target row mentions x13
-        gauss_to_basis(cfg, (2, 3, 6, 9, 12))
-
-
 def test_refresh_bounds_reclamps(demo_net, demo_prop):
     cfg = demo_cfg(demo_net, demo_prop)
     cfg.violations[2] = 5
@@ -343,10 +314,6 @@ def test_dump_mentions_rows(demo_net, demo_prop):
 
 def test_pivot_preserves_solutions():
     assert _suites.pivot_preservation(1000) == 0
-
-
-def test_gauss_preserves_solutions():
-    assert _suites.gauss_preservation(100) == 0
 
 
 def test_row_checker_matches_corner_oracle():
@@ -372,6 +339,10 @@ def _max_residual(cfg):
     return max((abs(cfg.alpha[b] - cfg.row_value(b)) for b in cfg.rows), default=0.0)
 
 
+def _nonbasics_in_bounds(cfg):
+    return all(cfg.lo[v] <= a <= cfg.hi[v] for v, a in cfg.alpha.items() if v not in cfg.rows)
+
+
 def _search_all(instances):
     """Scratch search of every instance, then re-verification of its tree
     under a mild weight change and a strong one, under which stored leaves
@@ -392,6 +363,9 @@ def test_row_residual_invariant(monkeypatch, demo_net, demo_prop):
         out = real_step(cfg)
         seen["steps"] += 1
         assert _max_residual(cfg) <= EPS_ROW
+        # repair_step has no clamp of its own: no move may leave a
+        # non-basic outside its bounds
+        assert _nonbasics_in_bounds(cfg)
         if isinstance(out, Satisfied):
             seen["sat"] += 1
             assert out.witness == tuple(_exact(cfg, i) for i in cfg.input_ids)
@@ -406,12 +380,11 @@ def test_row_residual_invariant(monkeypatch, demo_net, demo_prop):
 
     real_optimize = lp._optimize
 
-    def checked_optimize(relax, obj, maximize):
-        out = real_optimize(relax, obj, maximize)
+    def checked_optimize(relax, vid, maximize):
+        out = real_optimize(relax, vid, maximize)
         if out is not None:
             seen["optima"] += 1
-            cfg = relax.cfg
-            assert out == sum(c * _exact(cfg, k) for k, c in sorted(obj.items()))
+            assert out == _exact(relax.cfg, vid)
         return out
 
     real_tighten = lp.tighten

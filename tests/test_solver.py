@@ -13,13 +13,6 @@ from incremark.solver import SearchParams, solve
 from conftest import BOX
 
 
-def n_tableau_rows(net, prop):
-    lay = net.layout
-    multi = sum(1 for c in prop.constraints
-                if sum(1 for a in c.coeffs if a != 0.0) >= 2)
-    return sum(len(p) for p in lay.pre_ids) + len(lay.relu_pairs) + multi
-
-
 def test_solve_demo_sat(demo_net, demo_prop):
     verdict, tree = solve(demo_net, demo_prop)
     assert verdict.sat
@@ -39,13 +32,12 @@ def test_solve_demo_tree_structure(demo_net, demo_prop):
     # split on the first hidden pre-activation, nonpos branch first
     assert sat_leaf.assertion.neuron == 2 and sat_leaf.assertion.sign == "nonpos"
     assert sat_leaf.status == SAT
-    assert sat_leaf.basis == (0, 1, 5, 7, 8)
     assert sat_leaf.witness == (0.6750000000000002, 0.0500000000000001)
     # SAT short-circuits: the sibling branch is never visited
     assert open_leaf.assertion.neuron == 2 and open_leaf.assertion.sign == "nonneg"
     assert open_leaf.status == UNSOLVED
-    assert open_leaf.basis is None and open_leaf.witness is None
-    tree.validate(n_rows=n_tableau_rows(demo_net, demo_prop))
+    assert open_leaf.witness is None
+    tree.validate()
 
 
 def test_solve_demo_tree_json(demo_net, demo_prop):
@@ -54,7 +46,7 @@ def test_solve_demo_tree_json(demo_net, demo_prop):
     assert data["version"] == 1
     assert data["verdict"] == "sat"
     assert data["nodes"][1]["assert"] == {"neuron": 2, "sign": "nonpos"}
-    assert data["nodes"][1]["basis"] == [0, 1, 5, 7, 8]
+    assert data["nodes"][1]["witness"] == [0.6750000000000002, 0.0500000000000001]
     assert data["nodes"][2]["status"] == "unsolved"
 
 
@@ -65,7 +57,6 @@ def test_solve_refuted_at_root(demo_net, unsat_prop):
     assert tree.verdict == "unsat"
     assert sorted(tree.nodes) == [0]
     assert tree.root.status == UNSAT
-    assert tree.root.basis is None  # refuted by intervals, nothing to replay
 
 
 def test_solve_empty_negation_is_unsat(demo_net):
@@ -83,13 +74,7 @@ def test_solve_unsat_after_search():
     statuses = [tree.nodes[i].status for i in sorted(tree.nodes)]
     assert statuses == ["internal", "internal", "internal", "unsat",
                         "internal", "unsat", "unsat", "unsat", "unsat"]
-    # one leaf was refuted by the abstraction alone and carries no proof
-    assert tree.nodes[5].basis is None
-    for leaf in (3, 6, 7, 8):
-        n = tree.nodes[leaf]
-        assert n.basis is not None
-        assert n.key_row_var in n.basis
-    tree.validate(n_rows=n_tableau_rows(net, prop))
+    tree.validate()
 
 
 def test_solve_tiny_budget_still_decides(demo_net, demo_prop):
@@ -105,7 +90,7 @@ def test_solve_tiny_budget_still_decides(demo_net, demo_prop):
     verdict, tree = solve(net, prop, SearchParams(local_budget=1))
     assert not verdict.sat
     assert len(tree.nodes) == 21
-    tree.validate(n_rows=n_tableau_rows(net, prop))
+    tree.validate()
 
 
 def test_solve_depth_cap_raises(demo_net, demo_prop):
@@ -130,7 +115,7 @@ def test_solve_random_instances_validate():
         net = random_network(shape, seed)
         prop = random_threshold_property(net, seed + 1)
         verdict, tree = solve(net, prop)
-        tree.validate(n_rows=n_tableau_rows(net, prop))
+        tree.validate()
         assert tree.prop_hash == property_hash(prop)
         if verdict.sat:
             sats += 1
