@@ -17,7 +17,7 @@ import click
 from . import bench as bench_mod
 from . import prooftree
 from .deeppoly import analyze
-from .incremental import ShapeMismatchError, verify_incremental
+from .incremental import ShapeMismatchError, check_dims, verify_incremental
 from .model import load_network, load_property, save_network
 from .simplex import dump, initialize
 from .solver import SearchParams, solve
@@ -83,7 +83,8 @@ def _finish(verdict) -> None:
 @click.option("--net", "net_path", required=True, help="Network file.")
 @click.option("--prop", "prop_path", required=True, help="Property file.")
 @click.option("--tree-out", default=None, help="Write the proof tree here.")
-@click.option("--budget", type=int, default=None, help="Repair steps per node.")
+@click.option("--budget", type=int, default=None,
+              help="Most repair steps per node before it splits.")
 @click.option("--dump-tableau", is_flag=True, help="Print the initial tableau.")
 def verify(net_path, prop_path, tree_out, budget, dump_tableau):
     """Decide a property from scratch and record the proof tree."""
@@ -115,6 +116,10 @@ def reverify(net_path, prop_path, tree_path, tree_out, report_path, budget):
     prop = _load(load_property, prop_path, "property")
     tree = _load(prooftree.deserialize, tree_path, "proof tree")
     try:
+        # a tree of other layer widths is a mismatch first; a property that
+        # does not fit the network is an error even if the tree carries its hash
+        check_dims(tree, net)
+        _check_property_fits(net, prop, prop_path)
         verdict, rep, new_tree = verify_incremental(
             net, prop, tree, params=SearchParams(local_budget=budget))
     except ShapeMismatchError as e:
@@ -196,7 +201,8 @@ def oracle(net_path, prop_path):
 @click.option("--net", "net_path", default=None,
               help="Base network (default: a seeded random 2-5-5-1 net).")
 @click.option("--prop", "prop_path", default=None,
-              help="Property (default: a seeded random threshold property).")
+              help="Property (default: a seeded random threshold property; "
+                   "single-output networks only).")
 @click.option("--gammas", default="0.001,0.01,0.03,0.05", show_default=True)
 @click.option("--fractions", default="0.1,0.3,0.5", show_default=True,
               help="Cycled across trials within each gamma.")
@@ -221,6 +227,10 @@ def bench(net_path, prop_path, gammas, fractions, trials, seed, budget, out_path
     if prop_path:
         prop = _load(load_property, prop_path, "property")
         _check_property_fits(net, prop, prop_path)
+    elif net.n_outputs != 1:
+        click.echo(f"--prop is required: the network has {net.n_outputs} outputs and the "
+                   "default threshold property needs one", err=True)
+        sys.exit(EXIT_ERROR)
     else:
         prop = bench_mod.random_threshold_property(net, seed + 1)
     perts = []

@@ -73,6 +73,13 @@ class IncrementalReport:
         }
 
 
+def check_dims(tree: pt.ProofTree, net) -> None:
+    """ShapeMismatchError unless the tree was built for a network of these
+    layer widths."""
+    if tuple(tree.dims) != tuple(net.dims):
+        raise ShapeMismatchError(f"tree dims {tree.dims} vs network {net.dims}")
+
+
 def _check_fits(tree: pt.ProofTree, net) -> None:
     """One walk over the stored nodes: every edge splits a ReLU of this
     network and every witness is an input point."""
@@ -124,8 +131,7 @@ def verify_incremental(net, prop, tree: pt.ProofTree, *, params: SearchParams | 
     what this run established, so it can seed the next modification.
     """
     params = params or SearchParams()
-    if tuple(tree.dims) != tuple(net.dims):
-        raise ShapeMismatchError(f"tree dims {tree.dims} vs network {net.dims}")
+    check_dims(tree, net)
     phash = property_hash(prop)
     if tree.prop_hash != phash:
         raise ShapeMismatchError("stored tree was built for a different property")

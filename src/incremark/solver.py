@@ -1,12 +1,21 @@
-"""From-scratch verification: budgeted local repair inside each branch,
-abstraction-guided splitting on the most-conflicted uncertain ReLU, DFS over
-sign assertions, full proof tree recording.
+"""From-scratch verification: local repair inside each branch, split on
+demand, DFS over sign assertions, full proof tree recording.
+
+A node runs the tableau repair loop until it finds a witness, a row that
+closes the branch, or a reason to split. It splits as soon as one uncertain
+ReLU pair has been repaired SPLIT_THRESHOLD times, on that pair (Reluplex's
+split on demand, Katz et al., CAV 2017); the step budget is the backstop. A
+branch with every ReLU decided is a pure LP: the loop runs it to a decision,
+and once a decided pair has been repaired SPLIT_THRESHOLD times (the loop
+can cycle between pairs that sit within the bound tolerance) the exact
+branch LP decides it instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import lp
 from . import prooftree as pt
 from .deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted
 from .model import UNSAT, Verdict, property_hash, witness_ok
@@ -20,11 +29,17 @@ from .simplex import (
 )
 
 
+# repairs of one ReLU pair after which a node stops its local search: it
+# splits on that pair, or, with no uncertain pair left, asks the branch LP
+SPLIT_THRESHOLD = 10
+
+
 @dataclass(frozen=True)
 class SearchParams:
-    """local_budget: repair steps per node (None = max(200, 50 x uncertain
-    ReLUs of the node)); max_depth: split depth cap (None = one level per
-    ReLU neuron). The search is fully deterministic."""
+    """local_budget: most repair steps per node before it splits, when no
+    uncertain pair has reached SPLIT_THRESHOLD repairs first (None =
+    max(200, 50 x uncertain ReLUs of the node)); max_depth: split depth cap
+    (None = one level per ReLU neuron). The search is fully deterministic."""
 
     local_budget: int | None = None
     max_depth: int | None = None
@@ -87,10 +102,14 @@ def _visit(net, prop, params, tree, nid, cfg, bounds, depth, max_depth,
         if not verdict.feasible:
             node.status = pt.UNSAT
             return None
-        # the budget only rations work before a split; a branch with every
-        # ReLU decided is a pure LP and the loop runs it to a decision
-        if steps >= budget and candidates:
-            break
+        if candidates:
+            # split on demand; the budget only rations work before a split
+            if steps >= budget or max(cfg.violations[p] for p in candidates) >= SPLIT_THRESHOLD:
+                break
+        elif max(cfg.violations.values(), default=0) >= SPLIT_THRESHOLD:
+            # every ReLU decided: a pure LP, which the loop may cycle on
+            # (fixes within EPS_RELU undo each other inside EPS_BOUND)
+            return _decide_by_lp(net, prop, node, sorted(base | tree.asserts_of(nid)), bounds)
         steps += 1
         step = repair_step(cfg)
         if isinstance(step, Satisfied):
@@ -131,4 +150,20 @@ def _visit(net, prop, params, tree, nid, cfg, bounds, depth, max_depth,
         refresh_bounds(ccfg, net, prop, child_bounds)
         witness = _visit(net, prop, params, tree, cid, ccfg, child_bounds,
                          depth + 1, max_depth, base)
+    return witness
+
+
+def _decide_by_lp(net, prop, node, asserts, bounds):
+    """Decide a branch with every ReLU decided by its exact branch LP;
+    returns a witness or None (branch UNSAT)."""
+    relax = lp.build(net, prop, asserts, bounds)
+    if not lp.feasible(relax):
+        node.status = pt.UNSAT
+        return None
+    point = lp.find_point(relax)
+    witness = None if point is None else tuple(float(point[i]) for i in net.layout.input_ids)
+    if witness is None or not witness_ok(net, prop, witness):
+        raise RuntimeError("branch LP gave no witness on a fully decided branch")
+    node.status = pt.SAT
+    node.witness = witness
     return witness

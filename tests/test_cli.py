@@ -15,7 +15,13 @@ from incremark.bench import (
     random_threshold_property,
 )
 from incremark.cli import EXIT_ERROR, EXIT_MISMATCH, EXIT_SAT, EXIT_UNSAT, main
-from incremark.model import load_network, load_property, save_network, save_property
+from incremark.model import (
+    load_network,
+    load_property,
+    property_hash,
+    save_network,
+    save_property,
+)
 from incremark.solver import solve
 
 from conftest import DATA
@@ -181,6 +187,30 @@ def test_property_that_does_not_fit_the_network(runner, tmp_path, command, case)
     assert len(res.stderr.strip().split("\n")) == 1
 
 
+def test_reverify_property_that_does_not_fit_the_network(runner, tmp_path):
+    # the tree carries the misfit property's hash, so only the fit check can
+    # stop it; this used to end in a ValueError traceback from is_property_refuted
+    text, message = MISFIT_PROPS["constraint"]
+    prop_path = tmp_path / "misfit.prop"
+    prop_path.write_text(text)
+    tree = prooftree.ProofTree((2, 2, 1), property_hash(load_property(str(prop_path))), "unsat")
+    tree.root.status = prooftree.UNSAT
+    tree_path = tmp_path / "tree.json"
+    tree.serialize(str(tree_path))
+    res = runner.invoke(main, ["reverify", "--net", DEMO, "--prop", str(prop_path),
+                               "--tree", str(tree_path)])
+    assert res.exit_code == EXIT_ERROR
+    assert message in res.stderr
+    assert len(res.stderr.strip().split("\n")) == 1
+    # a tree of other layer widths is still a mismatch, reported first
+    wide = tmp_path / "wide.rnn"
+    save_network(random_network((3, 8, 1), 0), str(wide))
+    res = runner.invoke(main, ["reverify", "--net", str(wide), "--prop", str(prop_path),
+                               "--tree", str(tree_path)])
+    assert res.exit_code == EXIT_MISMATCH
+    assert "stored tree does not match" in res.stderr
+
+
 def test_bounds_output(runner):
     res = runner.invoke(main, ["bounds", "--net", DEMO, "--prop", PROP])
     assert res.exit_code == 0
@@ -245,6 +275,19 @@ def test_bench_explicit_files(runner, tmp_path):
                                "--out", str(out)])
     assert res.exit_code == 0
     assert len(out.read_text().strip().split("\n")) == 4
+
+
+def test_bench_multi_output_net_needs_a_property(runner, tmp_path):
+    # the default threshold property has one output; this used to end in a
+    # ValueError traceback from random_threshold_property
+    net_path = tmp_path / "two_out.rnn"
+    save_network(random_network((2, 3, 2), 0), str(net_path))
+    out = tmp_path / "b.csv"
+    res = runner.invoke(main, ["bench", "--net", str(net_path), "--out", str(out)])
+    assert res.exit_code == EXIT_ERROR
+    assert "--prop is required" in res.stderr
+    assert len(res.stderr.strip().split("\n")) == 1
+    assert not out.exists()
 
 
 def test_bench_rejects_bad_gammas(runner, tmp_path):

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from incremark import solver
 from incremark.bench import (
     Perturbation,
     oracle,
@@ -219,6 +220,32 @@ def test_lazy_replay_refuted_after_input_tightening():
     assert not verdict.sat
     assert oracle(bumped, prop).name == "unsat"
     assert rep.fallbacks == 0 and rep.replayed > 0
+    out.validate()
+
+
+def test_fully_decided_fallback_branch_is_decided_by_its_lp(monkeypatch):
+    # the fallback branch has no uncertain ReLU left, and the repair loop
+    # alternated fixes of two decided pairs within the bound tolerance
+    # without end; the branch LP must decide it, within a few repair steps
+    steps = 0
+    repair_step = solver.repair_step
+
+    def counted(cfg):
+        nonlocal steps
+        steps += 1
+        assert steps <= 5_000, "repair loop does not end"
+        return repair_step(cfg)
+
+    net = random_network((2, 5, 5, 1), 587)
+    prop = random_threshold_property(net, 588)
+    _, tree = solve(net, prop)
+    bumped = perturb(net, Perturbation(0.5, 1.0, 32263))
+    monkeypatch.setattr(solver, "repair_step", counted)
+    verdict, rep, out = verify_incremental(bumped, prop, tree)
+    assert verdict.sat
+    assert witness_ok(bumped, prop, verdict.witness)
+    assert oracle(bumped, prop).name == "sat"
+    assert rep.fallbacks == 1
     out.validate()
 
 

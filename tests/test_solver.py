@@ -1,13 +1,17 @@
+from collections import Counter
+
 import pytest
 
-from incremark.bench import random_network, random_threshold_property
+from incremark.bench import oracle, random_network, random_threshold_property
 from incremark.model import (
     LinearConstraint,
     SafetyProperty,
     property_hash,
     witness_ok,
 )
-from incremark.prooftree import INTERNAL, SAT, UNSAT, UNSOLVED
+from incremark import solver
+from incremark.prooftree import INTERNAL, SAT, UNSAT, UNSOLVED, ProofTree
+from incremark.simplex import Stuck
 from incremark.solver import SearchParams, solve
 
 from conftest import BOX
@@ -127,3 +131,76 @@ def test_solve_random_instances_validate():
             assert tree.sat_leaf() is None
             assert tree.leaves_with_status(UNSOLVED) == []
     assert sats and unsats  # the generator must exercise both outcomes
+
+
+@pytest.mark.parametrize("dims, seed", [((2, 5, 5, 1), 2), ((3, 8, 8, 1), 5)])
+def test_split_on_demand(monkeypatch, dims, seed):
+    """Every internal node splits on the first uncertain pair whose repair
+    count reaches SPLIT_THRESHOLD, right when it does; a node where no pair
+    gets there splits when stuck or at the step budget."""
+    net = random_network(dims, seed)
+    prop = random_threshold_property(net, seed + 1)
+    searches = {}  # id(cfg) -> the local search's record
+    last = []
+    repair_step, add_child = solver.repair_step, ProofTree.add_child
+
+    def traced_step(cfg):
+        rec = searches.setdefault(id(cfg), {"cfg": cfg, "steps": 0, "hot": None})
+        step = repair_step(cfg)
+        rec["steps"] += 1
+        rec["stuck"] = isinstance(step, Stuck)
+        if rec["hot"] is None:
+            hot = [pre for pre, _ in cfg.relu_pairs
+                   if cfg.lo[pre] < 0.0 < cfg.hi[pre]
+                   and cfg.violations[pre] >= solver.SPLIT_THRESHOLD]
+            if hot:
+                rec["hot"] = (hot[0], rec["steps"])
+        last[:] = [rec]
+        return step
+
+    splits = {}
+
+    def traced_add_child(tree, parent, assertion):
+        # a node's last repair step comes right before its split
+        splits.setdefault(parent, (assertion.neuron, last[0]))
+        return add_child(tree, parent, assertion)
+
+    monkeypatch.setattr(solver, "repair_step", traced_step)
+    monkeypatch.setattr(ProofTree, "add_child", traced_add_child)
+    _, tree = solve(net, prop)
+    assert set(splits) == {n.id for n in tree.nodes.values() if n.status == INTERNAL}
+    on_demand = 0
+    for neuron, rec in splits.values():
+        cfg = rec["cfg"]
+        n_uncertain = sum(cfg.lo[pre] < 0.0 < cfg.hi[pre] for pre, _ in cfg.relu_pairs)
+        if rec["hot"] is not None:
+            on_demand += 1
+            assert (neuron, rec["steps"]) == rec["hot"]
+        else:
+            assert rec["stuck"] or rec["steps"] == max(200, 50 * n_uncertain)
+    assert on_demand > 0
+
+
+def test_branch_lp_decides_fully_decided_branches(monkeypatch):
+    """With SPLIT_THRESHOLD at 0 every node splits before any repair and the
+    branch LP decides every branch with all ReLUs decided: the verdicts must
+    be the oracle's, and both LP outcomes must occur."""
+    statuses = Counter()
+    decide = solver._decide_by_lp
+
+    def counted(net, prop, node, asserts, bounds):
+        witness = decide(net, prop, node, asserts, bounds)
+        statuses[node.status] += 1
+        return witness
+
+    monkeypatch.setattr(solver, "SPLIT_THRESHOLD", 0)
+    monkeypatch.setattr(solver, "_decide_by_lp", counted)
+    for seed in range(12):
+        net = random_network((2, 5, 5, 1), seed)
+        prop = random_threshold_property(net, seed + 1)
+        verdict, tree = solve(net, prop)
+        tree.validate()
+        assert verdict.sat == oracle(net, prop).sat
+        if verdict.sat:
+            assert witness_ok(net, prop, verdict.witness)
+    assert statuses[SAT] and statuses[UNSAT]
