@@ -3,8 +3,9 @@
 The from-scratch solver combines symbolic interval analysis with a
 Reluplex-style tableau search and records every branch decision in a proof
 tree. After a weight modification, the incremental driver re-verifies by
-replaying the stored per-branch certificates against the new network,
-falling back to search only where a certificate no longer holds.
+replaying each stored UNSAT leaf, which keeps only its branch's sign
+assertions, against the new network: fresh bounds, the branch LP and a row
+test try to close the branch again, and search runs only where none does.
 """
 
 from .bench import CompareReport, Perturbation, compare, oracle, perturb
@@ -24,7 +25,7 @@ from .model import (
     witness_ok,
 )
 from .prooftree import ProofTree, deserialize, from_json
-from .solver import SearchParams, solve
+from .solver import solve
 
 __version__ = "0.1.0"
 
@@ -38,7 +39,6 @@ __all__ = [
     "Perturbation",
     "ProofTree",
     "SafetyProperty",
-    "SearchParams",
     "ShapeMismatchError",
     "Verdict",
     "analyze",

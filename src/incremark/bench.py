@@ -27,9 +27,8 @@ from .model import (
     SafetyProperty,
     Verdict,
     evaluate,
-    witness_ok,
 )
-from .solver import SearchParams, solve
+from .solver import solve
 
 WEIGHTS = "weights"
 WEIGHTS_AND_BIASES = "weights+biases"
@@ -157,17 +156,7 @@ def oracle(net: Network, prop: SafetyProperty) -> Verdict:
         if i == len(pres):
             asserts = sorted(Assertion(n, s) for n, s in signs.items())
             bounds = Bounds(lo=lo, hi=hi, output_ids=tuple(lay.output_ids))
-            relax = lp.build(net, prop, asserts, bounds)
-            status = lp.phase1(relax)
-            if status == lp.CAP:
-                raise RuntimeError("oracle LP hit its iteration cap")
-            if status == lp.FEASIBLE:
-                point = lp.find_point(relax)
-                w = tuple(point[v] for v in lay.input_ids)
-                if not witness_ok(net, prop, w):
-                    raise RuntimeError("oracle LP point failed forward validation")
-                return w
-            return None
+            return lp.decide(net, prop, asserts, bounds)
         pre = pres[i]
         for sign in (NONNEG, NONPOS):
             signs[pre] = sign
@@ -218,8 +207,7 @@ class CompareReport:
         ]
 
 
-def compare(net: Network, prop: SafetyProperty, perturbations,
-            params: SearchParams | None = None) -> CompareReport:
+def compare(net: Network, prop: SafetyProperty, perturbations) -> CompareReport:
     """Run scratch and incremental verification on each perturbed network.
 
     The base network's tree guides every incremental run. When the net is
@@ -227,18 +215,17 @@ def compare(net: Network, prop: SafetyProperty, perturbations,
     OracleDisagreement; otherwise only scratch-vs-incremental agreement is
     recorded.
     """
-    params = params or SearchParams()
-    _, base_tree = solve(net, prop, params)
+    _, base_tree = solve(net, prop)
     small = len(net.layout.relu_pairs) <= ORACLE_MAX_RELUS
     report = CompareReport()
     acc: dict[float, list[float]] = {}
     for p in perturbations:
         modified = perturb(net, p)
         t0 = time.perf_counter()
-        v_scratch, _ = solve(modified, prop, params)
+        v_scratch, _ = solve(modified, prop)
         ms_scratch = 1000.0 * (time.perf_counter() - t0)
         t0 = time.perf_counter()
-        v_inc, inc_rep, _ = verify_incremental(modified, prop, base_tree, params=params)
+        v_inc, inc_rep, _ = verify_incremental(modified, prop, base_tree)
         ms_inc = 1000.0 * (time.perf_counter() - t0)
         agree = v_scratch.name == v_inc.name
         oracle_name = None

@@ -20,7 +20,7 @@ from .deeppoly import analyze
 from .incremental import ShapeMismatchError, check_dims, verify_incremental
 from .model import load_network, load_property, save_network
 from .simplex import dump, initialize
-from .solver import SearchParams, solve
+from .solver import solve
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -83,17 +83,15 @@ def _finish(verdict) -> None:
 @click.option("--net", "net_path", required=True, help="Network file.")
 @click.option("--prop", "prop_path", required=True, help="Property file.")
 @click.option("--tree-out", default=None, help="Write the proof tree here.")
-@click.option("--budget", type=int, default=None,
-              help="Most repair steps per node before it splits.")
 @click.option("--dump-tableau", is_flag=True, help="Print the initial tableau.")
-def verify(net_path, prop_path, tree_out, budget, dump_tableau):
+def verify(net_path, prop_path, tree_out, dump_tableau):
     """Decide a property from scratch and record the proof tree."""
     net, prop = _load_query(net_path, prop_path)
     if dump_tableau:
         cfg = initialize(net, prop, analyze(net, prop.box))
         click.echo(dump(cfg, "initial tableau"))
     try:
-        verdict, tree = solve(net, prop, SearchParams(local_budget=budget))
+        verdict, tree = solve(net, prop)
     except RuntimeError as e:
         click.echo(f"solver error: {e}", err=True)
         sys.exit(EXIT_ERROR)
@@ -109,8 +107,7 @@ def verify(net_path, prop_path, tree_out, budget, dump_tableau):
 @click.option("--tree", "tree_path", required=True, help="Stored proof tree.")
 @click.option("--tree-out", default=None, help="Write the updated tree here.")
 @click.option("--report", "report_path", default=None, help="Write a JSON run report.")
-@click.option("--budget", type=int, default=None)
-def reverify(net_path, prop_path, tree_path, tree_out, report_path, budget):
+def reverify(net_path, prop_path, tree_path, tree_out, report_path):
     """Re-verify a modified network guided by a stored proof tree."""
     net = _load(load_network, net_path, "network")
     prop = _load(load_property, prop_path, "property")
@@ -120,8 +117,7 @@ def reverify(net_path, prop_path, tree_path, tree_out, report_path, budget):
         # does not fit the network is an error even if the tree carries its hash
         check_dims(tree, net)
         _check_property_fits(net, prop, prop_path)
-        verdict, rep, new_tree = verify_incremental(
-            net, prop, tree, params=SearchParams(local_budget=budget))
+        verdict, rep, new_tree = verify_incremental(net, prop, tree)
     except ShapeMismatchError as e:
         click.echo(f"stored tree does not match: {e}", err=True)
         sys.exit(EXIT_MISMATCH)
@@ -210,9 +206,8 @@ def oracle(net_path, prop_path):
               help="Perturbations per gamma; rows = gammas x trials.")
 # seed 18 gives a default instance with a nontrivial unsat proof tree
 @click.option("--seed", type=int, default=18)
-@click.option("--budget", type=int, default=None)
 @click.option("--out", "out_path", required=True, help="CSV destination.")
-def bench(net_path, prop_path, gammas, fractions, trials, seed, budget, out_path):
+def bench(net_path, prop_path, gammas, fractions, trials, seed, out_path):
     """Scratch-vs-incremental comparison over random perturbations."""
     try:
         gamma_vals = [float(g) for g in gammas.split(",") if g]
@@ -241,7 +236,7 @@ def bench(net_path, prop_path, gammas, fractions, trials, seed, budget, out_path
                 g, fraction_vals[t % len(fraction_vals)], seed + 7919 * run))
             run += 1
     try:
-        report = bench_mod.compare(net, prop, perts, params=SearchParams(local_budget=budget))
+        report = bench_mod.compare(net, prop, perts)
     except bench_mod.OracleDisagreement as e:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(e.csv_text)

@@ -18,6 +18,11 @@ EPS_ROW = 1e-7
 # Bound comparisons: violation and UNSAT-row margins.
 EPS_BOUND = 1e-7
 
+# A pre-activation interval that its sign assertion empties by at most this
+# much is taken as float rounding of the back-substitution and collapses to a
+# point; a wider crossing makes the branch infeasible.
+EPS_COLLAPSE = 1e-12
+
 # Coefficients below this are dropped from tableau rows to keep them sparse.
 COEF_EPS = 1e-12
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import EPS_BOUND
+from .constants import EPS_BOUND, EPS_COLLAPSE
 from .model import RELU, Network
 
 NONNEG = "nonneg"
@@ -132,7 +132,7 @@ def analyze(net: Network, box, asserts=()) -> Bounds:
                 else:
                     hi = min(hi, 0.0)
             if lo > hi:
-                if lo > hi + 1e-12:
+                if lo > hi + EPS_COLLAPSE:
                     res.infeasible = True
                     return res
                 lo = hi  # tolerance-level crossing, collapse to a point

@@ -27,7 +27,7 @@ from . import prooftree as pt
 from .deeppoly import analyze, is_property_refuted
 from .model import UNSAT, Verdict, property_hash, witness_ok
 from .simplex import check_unsat_rows, initialize, refresh_bounds
-from .solver import SearchParams, _visit
+from .solver import search_branch
 
 PROOF_REPLAYED = "proof_replayed"
 PROOF_FAILED_FELL_BACK = "proof_failed_fell_back"
@@ -93,17 +93,7 @@ def _check_fits(tree: pt.ProofTree, net) -> None:
                 f"node {n.id}: witness has {len(n.witness)} values for {net.n_inputs} inputs")
 
 
-def _solve_branch(net, prop, params, asserts, cfg, bounds):
-    """Full search of one branch; returns (witness | None, branch ProofTree)."""
-    tree = pt.ProofTree(net.dims, property_hash(prop))
-    max_depth = len(net.layout.relu_pairs)
-    w = _visit(net, prop, params, tree, 0, cfg, bounds,
-               min(len(asserts), max_depth), max_depth, frozenset(asserts))
-    tree.verdict = "sat" if w is not None else "unsat"
-    return w, tree
-
-
-def _replay_unsat_leaf(net, prop, tree, nid, params, cfg0):
+def _replay_unsat_leaf(net, prop, tree, nid, cfg0):
     """Returns (witness | None, outcome, graft tree | None) for a stored
     UNSAT leaf. Outcome is PROOF_REPLAYED or PROOF_FAILED_FELL_BACK."""
     asserts = sorted(tree.asserts_of(nid))
@@ -120,17 +110,16 @@ def _replay_unsat_leaf(net, prop, tree, nid, params, cfg0):
     refresh_bounds(cfg, net, prop, nb)
     if not check_unsat_rows(cfg).feasible:
         return None, PROOF_REPLAYED, None
-    w, graft = _solve_branch(net, prop, params, asserts, cfg, nb)
+    w, graft = search_branch(net, prop, asserts, cfg, nb)
     return w, PROOF_FAILED_FELL_BACK, graft
 
 
-def verify_incremental(net, prop, tree: pt.ProofTree, *, params: SearchParams | None = None):
+def verify_incremental(net, prop, tree: pt.ProofTree):
     """Re-verify (net, prop) guided by a stored tree.
 
     Returns (Verdict, IncrementalReport, new ProofTree); the new tree records
     what this run established, so it can seed the next modification.
     """
-    params = params or SearchParams()
     check_dims(tree, net)
     phash = property_hash(prop)
     if tree.prop_hash != phash:
@@ -180,7 +169,7 @@ def verify_incremental(net, prop, tree: pt.ProofTree, *, params: SearchParams | 
             return False
         cfg = cfg0.copy()
         refresh_bounds(cfg, net, prop, bounds)
-        w, graft = _solve_branch(net, prop, params, asserts, cfg, bounds)
+        w, graft = search_branch(net, prop, asserts, cfg, bounds)
         grafts[nid] = graft
         if w is not None:
             report.outcomes[nid] = RESOLVED_SAT
@@ -210,7 +199,7 @@ def verify_incremental(net, prop, tree: pt.ProofTree, *, params: SearchParams | 
     report.unsat_total = len(unsat_leaves) + report.pruned
     if witness is None:
         for nid in unsat_leaves:
-            w, outcome, graft = _replay_unsat_leaf(net, prop, work, nid, params, cfg0)
+            w, outcome, graft = _replay_unsat_leaf(net, prop, work, nid, cfg0)
             report.outcomes[nid] = outcome
             if outcome == PROOF_REPLAYED:
                 report.replayed += 1

@@ -1,5 +1,6 @@
-"""Linear programming over the branch relaxation: feasibility and bound
-tightening, plus the input-box tightening variant.
+"""Linear programming over the branch relaxation: feasibility, bound
+tightening, the input-box tightening variant, and the exact decision of a
+branch with every ReLU decided.
 
 The relaxation's variables are the network neurons only. Every constraint
 row gets a fresh slack variable whose bounds encode the relation:
@@ -19,10 +20,11 @@ single variables by reduced costs with a ratio test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import EPS_LP, EPS_PIVOT, LP_ITER_FACTOR
-from .deeppoly import NONNEG, Assertion, Bounds, analyze
+from .deeppoly import NONNEG, Bounds, analyze
+from .model import witness_ok
 from .simplex import (
     Configuration,
     bound_violation,
@@ -155,6 +157,24 @@ def find_point(relax: Relaxation) -> dict[int, float] | None:
         return None
     cfg = relax.cfg
     return {v: cfg.row_value(v) if v in cfg.rows else cfg.alpha[v] for v in relax.neuron_ids}
+
+
+def decide(net, prop, asserts, bounds: Bounds) -> tuple[float, ...] | None:
+    """Decide a branch with every ReLU decided, whose relaxation is then
+    exact: an input point that violates the property, or None when the
+    branch is infeasible. RuntimeError on an iteration-cap hit or a point
+    that fails forward validation."""
+    relax = build(net, prop, asserts, bounds)
+    status = phase1(relax)
+    if status == INFEASIBLE:
+        return None
+    if status == CAP:
+        raise RuntimeError("branch LP hit its iteration cap")
+    point = find_point(relax)
+    witness = tuple(float(point[v]) for v in net.layout.input_ids)
+    if not witness_ok(net, prop, witness):
+        raise RuntimeError("branch LP point failed forward validation")
+    return witness
 
 
 def _optimize(relax: Relaxation, vid: int, maximize: bool) -> float | None:

@@ -212,36 +212,6 @@ def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> b
     return True
 
 
-def make_robustness_queries(net, x0, r, domain=None) -> list[SafetyProperty]:
-    """One query per competing label: SAT of any query = not robust at x0.
-
-    The negated constraint is y_j - y_c >= 0 (a tie already counts against
-    robustness). Raises when the label at x0 is itself tied.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    y0 = evaluate(net, x0)
-    c = int(np.argmax(y0))
-    if sum(1 for v in y0 if v == y0[c]) > 1:
-        raise ValueError("argmax tie at the centre point; label undefined")
-    box = []
-    for i, xi in enumerate(x0):
-        lo, hi = xi - r, xi + r
-        if domain is not None:
-            lo, hi = max(lo, domain[i][0]), min(hi, domain[i][1])
-        box.append((float(lo), float(hi)))
-    queries = []
-    for j in range(net.n_outputs):
-        if j == c:
-            continue
-        coeffs = [0.0] * net.n_outputs
-        coeffs[j] = 1.0
-        coeffs[c] = -1.0
-        queries.append(SafetyProperty(tuple(box), (LinearConstraint(tuple(coeffs), 0.0),)))
-    return queries
-
-
 # ---------------------------------------------------------------------------
 # text formats
 

@@ -59,7 +59,6 @@ class Stuck:
     bound violation whose row has no eligible entering variable (the row is
     then an exact certificate at the current bounds)."""
 
-    violations: dict[int, int]
     stuck_row: int | None = None
 
 
@@ -298,7 +297,7 @@ def repair_step(cfg: Configuration) -> StepResult:
         ent = entering_for(cfg, b, need_up)
         if ent is None:
             if resolve_violation(cfg, b, need_up):
-                return Stuck(dict(cfg.violations), stuck_row=b)
+                return Stuck(stuck_row=b)
             return PROGRESS
         target = cfg.lo[b] if need_up else cfg.hi[b]
         pivot(cfg, b, ent, target)
@@ -312,7 +311,7 @@ def repair_step(cfg: Configuration) -> StepResult:
             return PROGRESS
         if set_variable(cfg, pre, cfg.alpha[post]):
             return PROGRESS
-        return Stuck(dict(cfg.violations))
+        return Stuck()
 
     recompute(cfg)
     if bound_violation(cfg) is not None or violated_relu_pairs(cfg):

@@ -86,12 +86,6 @@ def test_verify_dump_tableau(runner):
     assert res.output.strip().split("\n")[-1].startswith("SAT ")
 
 
-def test_verify_budget_flag(runner):
-    res = runner.invoke(main, ["verify", "--net", DEMO, "--prop", PROP,
-                               "--budget", "1"])
-    assert res.exit_code == EXIT_SAT
-
-
 def test_reverify_with_report(runner, tmp_path):
     tree_path = tmp_path / "tree.json"
     runner.invoke(main, ["verify", "--net", DEMO, "--prop", PROP,

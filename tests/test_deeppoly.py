@@ -3,6 +3,7 @@ import pytest
 
 import _suites
 from incremark.bench import random_network
+from incremark.constants import EPS_COLLAPSE
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted
 from incremark.model import RELU, LinearConstraint, Network, SafetyProperty
 
@@ -83,6 +84,25 @@ def test_analyze_infeasible_assertion(demo_net):
     assert sorted(b.lo) == [0, 1]  # partial: stops at the contradiction
 
 
+@pytest.mark.parametrize("sign, bias", [(NONPOS, 1.0), (NONNEG, -1.0)])
+def test_analyze_assertion_crossing_collapses_within_eps(sign, bias):
+    """x1 = x0 + bias*d over x0 in [0, 1] (NONNEG: [-1, 0]) misses the
+    asserted half-line by d: within EPS_COLLAPSE the interval collapses to
+    a point and the branch stays feasible; 1e-6 empties it."""
+    box = ((0.0, 1.0),) if sign == NONPOS else ((-1.0, 0.0),)
+    pre = 1  # variable ids: input 0, then the hidden pre-activation
+
+    def run(d):
+        net = Network([[[1.0]], [[1.0]]], [[bias * d], [0.0]])
+        return analyze(net, box, [Assertion(pre, sign)])
+
+    b = run(EPS_COLLAPSE / 2)
+    assert not b.infeasible
+    lo, hi = b.interval(pre)
+    assert lo == hi and abs(hi) <= EPS_COLLAPSE
+    assert run(1e-6).infeasible
+
+
 def test_analyze_box_arity(demo_net):
     with pytest.raises(ValueError):
         analyze(demo_net, ((-1.0, 1.0),))
@@ -160,7 +180,7 @@ def reference_analyze(net, box, asserts=()):
                     l = max(l, 0.0)
                 else:
                     u = min(u, 0.0)
-            if l > u + 1e-12:
+            if l > u + EPS_COLLAPSE:
                 return None
             pl[j], ph[j] = min(l, u), u
             lo[vid], hi[vid] = pl[j], ph[j]

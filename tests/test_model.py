@@ -11,7 +11,6 @@ from incremark.model import (
     forward_values,
     load_network,
     load_property,
-    make_robustness_queries,
     property_hash,
     save_network,
     save_property,
@@ -134,32 +133,6 @@ def test_network_validation():
         Network([[[1.0]]], [[0.0]], ["sigmoid"])
     with pytest.raises(ValueError):
         Network([[[1.0, 2.0]], [[1.0, 2.0]]], [[0.0], [0.0]])  # chain mismatch
-
-
-def test_robustness_queries():
-    net = Network([[[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]], [[0.0, 0.0, 0.2]])
-    qs = make_robustness_queries(net, (1.0, 0.0), 0.25)
-    assert len(qs) == 2  # one per competing label, centre label 0 excluded
-    for q in qs:
-        assert q.box == ((0.75, 1.25), (-0.25, 0.25))
-        assert len(q.constraints) == 1
-        c = q.constraints[0]
-        assert c.threshold == 0.0
-        assert c.coeffs[0] == -1.0 and sum(c.coeffs) == 0.0
-
-
-def test_robustness_queries_domain_clip():
-    net = Network([[[1.0, 0.0], [0.0, 1.0]]], [[0.5, 0.0]])
-    qs = make_robustness_queries(net, (0.875, 0.0), 0.25, domain=((0.0, 1.0), (0.0, 1.0)))
-    assert qs[0].box == ((0.625, 1.0), (0.0, 0.25))
-
-
-def test_robustness_queries_errors():
-    net = Network([[[1.0, 0.0], [0.0, 1.0]]], [[0.0, 0.0]])
-    with pytest.raises(ValueError):
-        make_robustness_queries(net, (0.5, 0.5), 0.1)  # argmax tie
-    with pytest.raises(ValueError):
-        make_robustness_queries(net, (1.0, 0.0), 0.0)  # radius
 
 
 def test_network_roundtrip(tmp_path, fdoubleprime):

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from incremark.bench import oracle, random_network, random_threshold_property
+from incremark.deeppoly import analyze
 from incremark.model import (
     LinearConstraint,
     SafetyProperty,
@@ -11,8 +12,8 @@ from incremark.model import (
 )
 from incremark import solver
 from incremark.prooftree import INTERNAL, SAT, UNSAT, UNSOLVED, ProofTree
-from incremark.simplex import Stuck
-from incremark.solver import SearchParams, solve
+from incremark.simplex import PROGRESS, Stuck
+from incremark.solver import solve
 
 from conftest import BOX
 
@@ -81,27 +82,6 @@ def test_solve_unsat_after_search():
     tree.validate()
 
 
-def test_solve_tiny_budget_still_decides(demo_net, demo_prop):
-    verdict, tree = solve(demo_net, demo_prop, SearchParams(local_budget=1))
-    assert verdict.sat
-    assert witness_ok(demo_net, demo_prop, verdict.witness)
-    # less repair per node means more splitting, never a wrong answer
-    assert len(tree.nodes) == 5
-    tree.validate()
-
-    net = random_network((2, 5, 5, 1), 18)
-    prop = random_threshold_property(net, 19)
-    verdict, tree = solve(net, prop, SearchParams(local_budget=1))
-    assert not verdict.sat
-    assert len(tree.nodes) == 21
-    tree.validate()
-
-
-def test_solve_depth_cap_raises(demo_net, demo_prop):
-    with pytest.raises(RuntimeError):
-        solve(demo_net, demo_prop, SearchParams(max_depth=0))
-
-
 def test_solve_deterministic(demo_net, demo_prop):
     a = solve(demo_net, demo_prop)
     b = solve(demo_net, demo_prop)
@@ -137,7 +117,7 @@ def test_solve_random_instances_validate():
 def test_split_on_demand(monkeypatch, dims, seed):
     """Every internal node splits on the first uncertain pair whose repair
     count reaches SPLIT_THRESHOLD, right when it does; a node where no pair
-    gets there splits when stuck or at the step budget."""
+    gets there splits when stuck."""
     net = random_network(dims, seed)
     prop = random_threshold_property(net, seed + 1)
     searches = {}  # id(cfg) -> the local search's record
@@ -171,14 +151,41 @@ def test_split_on_demand(monkeypatch, dims, seed):
     assert set(splits) == {n.id for n in tree.nodes.values() if n.status == INTERNAL}
     on_demand = 0
     for neuron, rec in splits.values():
-        cfg = rec["cfg"]
-        n_uncertain = sum(cfg.lo[pre] < 0.0 < cfg.hi[pre] for pre, _ in cfg.relu_pairs)
         if rec["hot"] is not None:
             on_demand += 1
             assert (neuron, rec["steps"]) == rec["hot"]
         else:
-            assert rec["stuck"] or rec["steps"] == max(200, 50 * n_uncertain)
+            assert rec["stuck"]
     assert on_demand > 0
+
+
+def test_decided_pair_at_threshold_ends_the_node(monkeypatch):
+    """A decided ReLU pair that reaches SPLIT_THRESHOLD repairs while
+    uncertain pairs remain ends the node at that step, which splits on an
+    uncertain pair instead of repairing the decided one on and on."""
+    net = random_network((2, 5, 5, 1), 18)
+    prop = random_threshold_property(net, 19)
+    uncertain = solver._uncertain(net.layout, analyze(net, prop.box))
+    decided = next(pre for pre, _ in net.layout.relu_pairs if pre not in uncertain)
+    assert uncertain
+    root = {"steps": 0}
+    repair_step = solver.repair_step
+
+    def step(cfg):
+        if root.setdefault("cfg", cfg) is not cfg:
+            return repair_step(cfg)
+        # the root's local search only ever re-repairs its decided pair
+        root["steps"] += 1
+        cfg.violations[decided] += 1
+        return PROGRESS
+
+    monkeypatch.setattr(solver, "repair_step", step)
+    verdict, tree = solve(net, prop)
+    assert root["steps"] == solver.SPLIT_THRESHOLD
+    assert tree.root.status == INTERNAL
+    assert {tree.nodes[c].assertion.neuron for c in tree.root.children} <= set(uncertain)
+    tree.validate()
+    assert verdict.sat == oracle(net, prop).sat
 
 
 def test_branch_lp_decides_fully_decided_branches(monkeypatch):
