@@ -18,7 +18,7 @@ import numpy as np
 
 from . import lp
 from .constants import EPS_BOUND
-from .deeppoly import NONNEG, NONPOS, Assertion, Bounds
+from .deeppoly import NONNEG, NONPOS, Bounds
 from .incremental import verify_incremental
 from .model import (
     UNSAT,
@@ -154,9 +154,8 @@ def oracle(net: Network, prop: SafetyProperty) -> Verdict:
         if not can_violate(lo, hi):
             return None
         if i == len(pres):
-            asserts = sorted(Assertion(n, s) for n, s in signs.items())
             bounds = Bounds(lo=lo, hi=hi, output_ids=tuple(lay.output_ids))
-            return lp.decide(net, prop, asserts, bounds)
+            return lp.decide(net, prop, bounds)
         pre = pres[i]
         for sign in (NONNEG, NONPOS):
             signs[pre] = sign

@@ -142,12 +142,7 @@ def bounds(net_path, prop_path):
     net, prop = _load_query(net_path, prop_path)
     b = analyze(net, prop.box)
     lay = net.layout
-    shown: list[int] = list(lay.input_ids)
-    for li in range(net.n_layers):
-        shown.extend(lay.pre_ids[li])
-        if lay.post_ids[li] is not lay.pre_ids[li]:
-            shown.extend(lay.post_ids[li])
-    for vid in shown:
+    for vid in lay.neuron_ids:
         click.echo(f"x{vid + 1} in [{b.lo[vid]:.10g}, {b.hi[vid]:.10g}]")
     for pre, post in lay.relu_pairs:
         if post not in b.relu_upper:

@@ -32,11 +32,11 @@ class Assertion:
 
 @dataclass
 class Bounds:
-    """Concrete intervals per variable id, plus each post neuron's linear
+    """Concrete intervals per neuron id, plus each post neuron's linear
     relations over its pre neuron: post >= lc*pre + lk, post <= uc*pre + uk.
 
-    Covers network neurons and the structural slack variables (the ReLU
-    inequality slack post - pre and the per-equation constant slacks).
+    Covers network neurons only; the tableau derives the bounds of its
+    own variables from these (`simplex.initialize`, `simplex.refresh_bounds`).
     `infeasible` means some assertion emptied a pre-activation interval, in
     which case the remaining dicts are only partially filled.
     """
@@ -163,18 +163,5 @@ def analyze(net: Network, box, asserts=()) -> Bounds:
         else:
             # identity activation: post ids alias the pre ids
             rel.append((np.ones(n), np.zeros(n), np.ones(n), np.zeros(n)))
-
-    # Structural slack intervals follow from the pre-activation intervals.
-    for (pre, post) in lay.relu_pairs:
-        l, u = res.lo[pre], res.hi[pre]
-        sid = lay.relu_slack[(pre, post)]
-        res.lo[sid] = float(max(0.0, -u))
-        res.hi[sid] = float(max(0.0, -l))
-    for li in range(net.n_layers):
-        for j, pre in enumerate(lay.pre_ids[li]):
-            sid = lay.affine_const_slack[pre]
-            res.lo[sid] = res.hi[sid] = -float(net.biases[li][j])
-    for sid in lay.relu_const_slack.values():
-        res.lo[sid] = res.hi[sid] = 0.0
 
     return res

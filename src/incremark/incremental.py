@@ -100,7 +100,7 @@ def _replay_unsat_leaf(net, prop, tree, nid, cfg0):
     bounds = analyze(net, prop.box, asserts)
     if bounds.infeasible or is_property_refuted(bounds, prop):
         return None, PROOF_REPLAYED, None
-    relax = lp.build(net, prop, asserts, bounds)
+    relax = lp.build(net, prop, bounds)
     if not lp.feasible(relax):
         return None, PROOF_REPLAYED, None
     nb = lp.tighten_inputs_then_repropagate(net, prop, asserts, relax)

@@ -5,10 +5,11 @@ A network is a stack of affine layers, each followed by a ReLU except
 variable id:
 
     inputs, then per layer its pre-activation neurons followed by its
-    post-activation neurons, then (implicitly) the outputs, then auxiliary
-    slack variables in introduction order: one slack per ReLU inequality
-    x_post >= x_pre, then one constant slack per equation (affine equations
-    first, then the ReLU inequalities).
+    post-activation neurons, then (implicitly) the outputs, then the
+    tableau's slack variables: one per ReLU inequality x_post >= x_pre
+    (s = x_post - x_pre), then one per affine equation, pinned to minus its
+    bias. Property slacks and the branch LP's chord slacks follow at
+    solve time, from n_vars on.
 
 The numbering is a pure function of the layer dimensions, so trees recorded
 for one network apply to any same-shaped network.
@@ -129,10 +130,10 @@ class VariableLayout:
     pre_ids: list[list[int]] = field(default_factory=list)    # per layer 1..k
     post_ids: list[list[int]] = field(default_factory=list)   # per layer; == pre_ids for 'none'
     output_ids: list[int] = field(default_factory=list)
+    neuron_ids: list[int] = field(default_factory=list)  # inputs, then each layer's pre, post
     relu_pairs: list[tuple[int, int]] = field(default_factory=list)
     relu_slack: dict[tuple[int, int], int] = field(default_factory=dict)
     affine_const_slack: dict[int, int] = field(default_factory=dict)  # pre id -> slack id
-    relu_const_slack: dict[tuple[int, int], int] = field(default_factory=dict)
     n_vars: int = 0  # network neurons + structural slacks; property slacks go after
 
     def __post_init__(self) -> None:
@@ -151,6 +152,7 @@ class VariableLayout:
             else:
                 self.post_ids.append(pre)
         self.output_ids = self.post_ids[-1]
+        self.neuron_ids = list(range(nxt))
         for pair in self.relu_pairs:
             self.relu_slack[pair] = nxt
             nxt += 1
@@ -158,9 +160,6 @@ class VariableLayout:
             for p in layer_pre:
                 self.affine_const_slack[p] = nxt
                 nxt += 1
-        for pair in self.relu_pairs:
-            self.relu_const_slack[pair] = nxt
-            nxt += 1
         self.n_vars = nxt
 
     def var_name(self, vid: int) -> str:

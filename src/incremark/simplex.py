@@ -8,8 +8,9 @@ basics whose rows mention it, and a pivot shifts only the basics in the
 entering column. Basic values therefore carry rounding drift between steps;
 every value that leaves the repair loop (a witness, a stuck row, an LP
 optimum) is re-solved exactly from its row first. Rows carry no constants:
-every equation has a slack variable pinned by l = u, so a pivot is pure
-coefficient algebra.
+each affine equation has a slack variable pinned to minus its bias, so a
+pivot is pure coefficient algebra. The slack bounds follow from the neuron
+intervals of a `Bounds` (see `_bound_maps`).
 
 Non-basic variables always lie within their bounds: `initialize` and
 `refresh_bounds` place them there, and every move (`update`, `set_variable`,
@@ -236,12 +237,12 @@ def bound_violation(cfg: Configuration, eps: float = EPS_BOUND):
     return None
 
 
-def entering_for(cfg: Configuration, basic: int, need_up: bool) -> int | None:
+def entering_for(cfg: Configuration, row: dict[int, float], need_up: bool) -> int | None:
     """Bland-style entering choice: lowest-id non-basic in the row whose
-    coefficient sign permits moving the basic variable the needed way and
+    coefficient sign permits moving the row's value the needed way and
     whose own bound in that movement direction is not saturated."""
-    for k in sorted(cfg.rows[basic]):
-        c = cfg.rows[basic][k]
+    for k in sorted(row):
+        c = row[k]
         if abs(c) <= EPS_PIVOT:
             continue
         increase_k = (c > 0) == need_up
@@ -265,7 +266,7 @@ def set_variable(cfg: Configuration, vid: int, value: float) -> bool:
         d = value - cfg.alpha[vid]
         if abs(d) <= EPS_RELU / 2:
             return False
-        ent = entering_for(cfg, vid, d > 0)
+        ent = entering_for(cfg, cfg.rows[vid], d > 0)
         if ent is None:
             return False
         pivot(cfg, vid, ent, value)
@@ -282,26 +283,38 @@ def violated_relu_pairs(cfg: Configuration) -> list[tuple[int, int]]:
     return out
 
 
+def bound_step(cfg: Configuration) -> Progress | Stuck | None:
+    """One bound repair: None when every basic lies within its bounds.
+
+    Otherwise the lowest-id violating basic leaves the basis at the violated
+    bound by pivot-and-update (Bland's rule, so a run of steps terminates).
+    Stuck(row) when no entering variable can move it and the exact re-solve
+    confirms the violation: the row then certifies that no point within the
+    bounds exists.
+    """
+    bv = bound_violation(cfg)
+    if bv is None:
+        return None
+    b, need_up = bv
+    ent = entering_for(cfg, cfg.rows[b], need_up)
+    if ent is None:
+        return Stuck(stuck_row=b) if resolve_violation(cfg, b, need_up) else PROGRESS
+    pivot(cfg, b, ent, cfg.lo[b] if need_up else cfg.hi[b])
+    return PROGRESS
+
+
 def repair_step(cfg: Configuration) -> StepResult:
     """One move of the local search.
 
-    Priority: fix the lowest-id basic bound violation by pivot-and-update,
-    then the lowest-id violated ReLU pair. Non-basics need no repair: they
-    stay within their bounds (see the module docstring). Satisfied when
-    nothing is violated once every basic is re-solved exactly; a violation
-    that the re-solve brings back is another step's work.
+    Priority: a bound step, then the lowest-id violated ReLU pair.
+    Non-basics need no repair: they stay within their bounds (see the module
+    docstring). Satisfied when nothing is violated once every basic is
+    re-solved exactly; a violation that the re-solve brings back is another
+    step's work.
     """
-    bv = bound_violation(cfg)
-    if bv is not None:
-        b, need_up = bv
-        ent = entering_for(cfg, b, need_up)
-        if ent is None:
-            if resolve_violation(cfg, b, need_up):
-                return Stuck(stuck_row=b)
-            return PROGRESS
-        target = cfg.lo[b] if need_up else cfg.hi[b]
-        pivot(cfg, b, ent, target)
-        return PROGRESS
+    step = bound_step(cfg)
+    if step is not None:
+        return step
 
     bad = violated_relu_pairs(cfg)
     if bad:
@@ -322,7 +335,7 @@ def repair_step(cfg: Configuration) -> StepResult:
 # ---------------------------------------------------------------------------
 # building the initial configuration
 
-def _define_row(rows: dict[int, dict[int, float]], basic: int, expr: dict[int, float]) -> None:
+def define_row(rows: dict[int, dict[int, float]], basic: int, expr: dict[int, float]) -> None:
     """Install basic = expr, substituting already-basic variables so the RHS
     only mentions non-basics."""
     out: dict[int, float] = {}
@@ -336,14 +349,26 @@ def _define_row(rows: dict[int, dict[int, float]], basic: int, expr: dict[int, f
     rows[basic] = {k: v for k, v in sorted(out.items()) if abs(v) > COEF_EPS}
 
 
-def _apply_property(lay, prop, lo, hi, prop_slacks) -> None:
-    """Fold the negated-property constraints into the bound maps.
+def _bound_maps(net, prop, bounds, prop_slacks):
+    """Variable bounds of the tableau: the neuron intervals of `bounds`, the
+    slack intervals they imply, and the negated property.
 
-    Single-output constraints tighten that output's interval directly.
-    Multi-output ones bound their slack row: l = threshold, u = the interval
-    upper bound of the expression (floored at the threshold so a refuted-level
+    A ReLU slack s = post - pre lies in [max(0,-u), max(0,-l)] over
+    pre in [l, u]; an affine slack is pinned to minus the bias. Single-output
+    constraints tighten that output's interval directly. Multi-output ones
+    bound their slack row: l = threshold, u = the interval upper bound of
+    the expression (floored at the threshold so a refuted-level
     contradiction shows up in the row test, not as an inverted interval).
     """
+    lay = net.layout
+    lo = dict(bounds.lo)
+    hi = dict(bounds.hi)
+    for (pre, _), sid in lay.relu_slack.items():
+        lo[sid], hi[sid] = max(0.0, -hi[pre]), max(0.0, -lo[pre])
+    for li in range(net.n_layers):
+        for j, pre in enumerate(lay.pre_ids[li]):
+            sid = lay.affine_const_slack[pre]
+            lo[sid] = hi[sid] = -float(net.biases[li][j])
     for idx, c in enumerate(prop.constraints):
         terms = [(lay.output_ids[k], a) for k, a in enumerate(c.coeffs) if a != 0.0]
         if len(terms) == 1:
@@ -359,18 +384,16 @@ def _apply_property(lay, prop, lo, hi, prop_slacks) -> None:
                 ub += a * (hi[vid] if a > 0 else lo[vid])
             lo[sid] = c.threshold
             hi[sid] = max(ub, c.threshold)
+    return lo, hi
 
 
 def initialize(net, prop, bounds) -> Configuration:
     """Standard encoding: affine rows (pre basic), ReLU inequality rows
     (slack basic), property rows (property slack basic); bounds from the
-    abstraction; non-basics start at their lower bound."""
+    neuron intervals of `bounds`; non-basics start at their lower bound."""
     if not prop.constraints:
         raise ValueError("empty negation is decided before encoding")
     lay = net.layout
-    lo = dict(bounds.lo)
-    hi = dict(bounds.hi)
-
     rows: dict[int, dict[int, float]] = {}
     prev = lay.input_ids
     for li in range(net.n_layers):
@@ -378,15 +401,10 @@ def initialize(net, prop, bounds) -> Configuration:
         for j, pre in enumerate(lay.pre_ids[li]):
             expr = {prev[k]: float(w[j, k]) for k in range(w.shape[1]) if w[j, k] != 0.0}
             expr[lay.affine_const_slack[pre]] = -1.0
-            _define_row(rows, pre, expr)
+            define_row(rows, pre, expr)
         prev = lay.post_ids[li]
-    for pair in lay.relu_pairs:
-        pre, post = pair
-        _define_row(
-            rows,
-            lay.relu_slack[pair],
-            {post: 1.0, pre: -1.0, lay.relu_const_slack[pair]: -1.0},
-        )
+    for (pre, post), sid in lay.relu_slack.items():
+        define_row(rows, sid, {post: 1.0, pre: -1.0})
 
     prop_slacks: dict[int, int] = {}
     nxt = lay.n_vars
@@ -394,9 +412,9 @@ def initialize(net, prop, bounds) -> Configuration:
         terms = {lay.output_ids[k]: float(a) for k, a in enumerate(c.coeffs) if a != 0.0}
         if len(terms) >= 2:
             prop_slacks[idx] = nxt
-            _define_row(rows, nxt, terms)
+            define_row(rows, nxt, terms)
             nxt += 1
-    _apply_property(lay, prop, lo, hi, prop_slacks)
+    lo, hi = _bound_maps(net, prop, bounds, prop_slacks)
 
     alpha = {v: lo[v] for v in lo if v not in rows}
     cfg = Configuration(rows, lo, hi, alpha, lay.relu_pairs, lay.input_ids, prop_slacks)
@@ -408,11 +426,7 @@ def refresh_bounds(cfg: Configuration, net, prop, bounds) -> None:
     """Replace cfg's bounds with freshly analyzed ones (same variable set),
     clamp non-basics back into range, and re-solve the basics. Violation
     counters restart: they score the upcoming local search only."""
-    lay = net.layout
-    lo = dict(bounds.lo)
-    hi = dict(bounds.hi)
-    _apply_property(lay, prop, lo, hi, cfg.prop_slacks)
-    cfg.lo, cfg.hi = lo, hi
+    cfg.lo, cfg.hi = lo, hi = _bound_maps(net, prop, bounds, cfg.prop_slacks)
     for v in cfg.alpha:
         if v not in cfg.rows:
             cfg.alpha[v] = min(max(cfg.alpha[v], lo[v]), hi[v])

@@ -85,7 +85,7 @@ def _visit(net, prop, tree, nid, cfg, bounds, base):
                 break
             # every ReLU decided: a pure LP, which the loop may cycle on
             # (fixes within EPS_RELU undo each other inside EPS_BOUND)
-            return _decide_by_lp(net, prop, node, sorted(base | tree.asserts_of(nid)), bounds)
+            return _decide_by_lp(net, prop, node, bounds)
         step = repair_step(cfg)
         if isinstance(step, Satisfied):
             if not witness_ok(net, prop, step.witness):
@@ -124,10 +124,10 @@ def _visit(net, prop, tree, nid, cfg, bounds, base):
     return witness
 
 
-def _decide_by_lp(net, prop, node, asserts, bounds):
+def _decide_by_lp(net, prop, node, bounds):
     """Record the branch LP's decision of a fully decided branch on its
     node; returns the witness or None (branch UNSAT)."""
-    witness = lp.decide(net, prop, asserts, bounds)
+    witness = lp.decide(net, prop, bounds)
     node.status = pt.UNSAT if witness is None else pt.SAT
     node.witness = witness
     return witness

@@ -197,10 +197,36 @@ def deeppoly_soundness(first_net=None, first_box=None, n_random: int = 50,
     return bad
 
 
+def _relaxation_point(net, prop, bounds, relax, vals: dict[int, float]) -> dict[int, float]:
+    """Extend a forward-evaluated network point by the values the
+    relaxation's slacks take there, computed from the network and the
+    neuron intervals alone: post - pre per ReLU, -bias per affine equation,
+    a.y per multi-output constraint, and post - k.pre per uncertain ReLU,
+    numbered as the encoding documents."""
+    lay = net.layout
+    point = dict(vals)
+    for (pre, post), sid in lay.relu_slack.items():
+        point[sid] = vals[post] - vals[pre]
+    for li in range(net.n_layers):
+        for j, pre in enumerate(lay.pre_ids[li]):
+            point[lay.affine_const_slack[pre]] = -float(net.biases[li][j])
+    for idx, sid in relax.cfg.prop_slacks.items():
+        c = prop.constraints[idx]
+        point[sid] = sum(a * vals[y] for a, y in zip(c.coeffs, lay.output_ids))
+    sid = lay.n_vars + len(relax.cfg.prop_slacks)
+    for pre, post in lay.relu_pairs:
+        l, u = bounds.lo[pre], bounds.hi[pre]
+        if l < 0.0 < u:
+            point[sid] = vals[post] - u / (u - l) * vals[pre]
+            sid += 1
+    return point
+
+
 def relaxation_soundness(points: int = 1000, seed: int = 505) -> int:
-    """Any network point in the asserted region extends to an assignment
-    satisfying the structural relaxation rows; points that also violate the
-    property satisfy the property rows and output bounds too."""
+    """Every network point in the asserted region, extended by its slack
+    values, satisfies every row of the branch relaxation and every variable
+    bound except the property's; a point that also violates the property
+    satisfies those too, so a certified-infeasible relaxation holds none."""
     rng = np.random.default_rng(seed)
     bad = 0
     checked = 0
@@ -219,24 +245,13 @@ def relaxation_soundness(points: int = 1000, seed: int = 505) -> int:
             bounds = analyze(net, prop.box, asserts)
             if bounds.infeasible:
                 continue
-        relax = lp.build(net, prop, asserts, bounds)
+        relax = lp.build(net, prop, bounds)
 
         # snapshot before phase 1 runs: pivoting re-keys the rows
         rows0 = {b: dict(r) for b, r in relax.cfg.rows.items()}
         lo0 = dict(relax.cfg.lo)
         hi0 = dict(relax.cfg.hi)
-        n_pre = sum(len(p) for p in lay.pre_ids)
-        n_relu_rows = 0
-        for pre, _ in lay.relu_pairs:
-            l, u = lo0[pre], hi0[pre]
-            if l >= 0.0:
-                n_relu_rows += 1
-            elif u <= 0.0:
-                pass
-            else:
-                n_relu_rows += 2
-        slack_ids = sorted(rows0)
-        structural = set(slack_ids[: n_pre + n_relu_rows])
+        prop_vars = set(lay.output_ids) | set(relax.cfg.prop_slacks.values())
         feasible = lp.feasible(relax)
 
         lows = [l for l, _ in prop.box]
@@ -251,20 +266,20 @@ def relaxation_soundness(points: int = 1000, seed: int = 505) -> int:
             if not in_assert:
                 continue
             checked += 1
-            for sid in structural:
-                s = sum(c * vals[k] for k, c in rows0[sid].items())
-                if not (lo0[sid] - 1e-7 <= s <= hi0[sid] + 1e-7):
+            point = _relaxation_point(net, prop, bounds, relax, vals)
+            if set(point) != set(lo0):
+                bad += 1
+                continue
+            for b, row in rows0.items():
+                if abs(sum(c * point[k] for k, c in row.items()) - point[b]) > 1e-7:
                     bad += 1
-            if witness_ok(net, prop, x, eps=0.0):
-                if not feasible:
-                    bad += 1  # certified-infeasible region contains a witness
-                for sid in slack_ids:
-                    s = sum(c * vals[k] for k, c in rows0[sid].items())
-                    if not (lo0[sid] - 1e-7 <= s <= hi0[sid] + 1e-7):
-                        bad += 1
-                for v in relax.neuron_ids:
-                    if not (lo0[v] - 1e-7 <= vals[v] <= hi0[v] + 1e-7):
-                        bad += 1
+            witness = witness_ok(net, prop, x, eps=0.0)
+            if witness and not feasible:
+                bad += 1  # certified-infeasible region contains a witness
+            for v, val in point.items():
+                if (witness or v not in prop_vars) and not (
+                        lo0[v] - 1e-7 <= val <= hi0[v] + 1e-7):
+                    bad += 1
     return bad
 
 

@@ -37,19 +37,6 @@ def test_analyze_demo_relational(demo_net):
     assert b.relu_lower == {4: (0.0, 0.0), 5: (0.0, 0.0)}
 
 
-def test_analyze_demo_slack_intervals(demo_net):
-    b = analyze(demo_net, BOX)
-    # relu inequality slacks: post - pre in [max(0,-u), max(0,-l)]
-    assert b.interval(7) == (0.0, 0.9999999999999999)
-    assert b.interval(8) == (0.0, 1.6)
-    # constant slacks pin the equation constants: -bias, then 0
-    assert b.interval(9) == (0.1, 0.1)
-    assert b.interval(10) == (-0.0, -0.0)
-    assert b.interval(11) == (-0.0, -0.0)
-    assert b.interval(12) == (0.0, 0.0)
-    assert b.interval(13) == (0.0, 0.0)
-
-
 def test_analyze_nonpos_assertion(demo_net, demo_prop):
     b = analyze(demo_net, BOX, [Assertion(3, NONPOS)])
     assert b.hi[3] == 0.0

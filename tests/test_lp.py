@@ -1,36 +1,82 @@
+import math
+
+import numpy as np
 import pytest
 
 import _suites
 from incremark import lp
+from incremark.bench import random_network, random_threshold_property
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze
 from incremark.model import LinearConstraint, Network, SafetyProperty, forward_values
+from incremark.simplex import Configuration, initialize, recompute
 
 from conftest import BOX
 
 
 def demo_relax(demo_net, demo_prop, asserts=()):
-    bounds = analyze(demo_net, BOX, sorted(asserts))
-    return lp.build(demo_net, demo_prop, list(asserts), bounds)
+    return lp.build(demo_net, demo_prop, analyze(demo_net, BOX, sorted(asserts)))
 
 
 def test_build_uses_clamped_intervals(demo_net, demo_prop):
     r = demo_relax(demo_net, demo_prop)
     assert r.cfg.lo[6] == 0.3            # single-output property: direct bound
     assert r.cfg.hi[6] == 1.28
-    assert r.neuron_ids == [0, 1, 2, 3, 4, 5, 6]
-    # uncertain relus contribute two rows each, affine equations one
-    assert len(r.cfg.rows) == 3 + 4
+    # the search tableau's 3 affine and 2 relu rows, plus 2 chord rows
+    assert len(r.cfg.rows) == 3 + 2 + 2
+    assert r.cap == lp.LP_ITER_FACTOR * (7 + 14)
     assert r.status is None              # phase 1 not run yet
 
 
 def test_build_decided_relu_rows(demo_net, demo_prop):
     r = demo_relax(demo_net, demo_prop, [Assertion(3, NONPOS)])
-    # the off unit loses its rows; its post variable is pinned to zero
+    # the off unit has no chord; its post variable is pinned to zero
     assert r.cfg.lo[5] == 0.0 and r.cfg.hi[5] == 0.0
-    assert len(r.cfg.rows) == 3 + 2
+    assert len(r.cfg.rows) == 3 + 2 + 1
     r2 = demo_relax(demo_net, demo_prop, [Assertion(3, NONNEG)])
-    # the on unit keeps one equality row post - pre = 0
-    assert len(r2.cfg.rows) == 3 + 3
+    # the on unit has no chord; its slack post - pre is pinned to zero
+    assert (r2.cfg.lo[8], r2.cfg.hi[8]) == (0.0, 0.0)
+    assert len(r2.cfg.rows) == 3 + 2 + 1
+
+
+def test_build_is_search_tableau_plus_chord_rows():
+    """lp.build's rows and bounds are initialize's, plus exactly one chord
+    row post - k.pre <= -k.l per uncertain ReLU, numbered from the first
+    free id."""
+    rng = np.random.default_rng(7)
+    checked = 0
+    for seed in range(12):
+        net = random_network(((2, 5, 5, 1), (3, 8, 8, 1))[seed % 2], seed)
+        prop = random_threshold_property(net, seed + 1)
+        lay = net.layout
+        bounds = analyze(net, prop.box)
+        uncertain = [(p, q) for p, q in lay.relu_pairs if bounds.lo[p] < 0.0 < bounds.hi[p]]
+        if uncertain and seed % 3:
+            p = uncertain[seed % len(uncertain)][0]
+            bounds = analyze(net, prop.box, [Assertion(p, NONNEG if seed % 2 else NONPOS)])
+            if bounds.infeasible:
+                continue
+            uncertain = [(p, q) for p, q in lay.relu_pairs
+                         if bounds.lo[p] < 0.0 < bounds.hi[p]]
+        cfg = initialize(net, prop, bounds)
+        relax = lp.build(net, prop, bounds)
+        first = lay.n_vars + len(cfg.prop_slacks)
+        chords = sorted(set(relax.cfg.rows) - set(cfg.rows))
+        assert chords == list(range(first, first + len(uncertain)))
+        assert {b: relax.cfg.rows[b] for b in cfg.rows} == cfg.rows
+        assert {v: relax.cfg.lo[v] for v in cfg.lo} == cfg.lo
+        assert {v: relax.cfg.hi[v] for v in cfg.hi} == cfg.hi
+        # each chord row, at any assignment of the non-basics, equals
+        # post - k.pre with pre solved from its affine row
+        point = {v: float(rng.normal()) for v in cfg.alpha if v not in cfg.rows}
+        val = Configuration(relax.cfg.rows, relax.cfg.lo, relax.cfg.hi, point, [], [])
+        recompute(val)
+        for sid, (pre, post) in zip(chords, uncertain):
+            l, u = bounds.lo[pre], bounds.hi[pre]
+            k = u / (u - l)
+            assert val.alpha[sid] == pytest.approx(point[post] - k * val.alpha[pre], abs=1e-9)
+            assert (relax.cfg.lo[sid], relax.cfg.hi[sid]) == (-math.inf, -k * l)
+            checked += 1
+    assert checked > 20
 
 
 def test_phase1_feasible_and_cached(demo_net, demo_prop):
@@ -45,11 +91,11 @@ def test_phase1_feasible_and_cached(demo_net, demo_prop):
 
 def test_find_point_satisfies_everything(demo_net, demo_prop):
     r = demo_relax(demo_net, demo_prop)
-    pt = r and lp.find_point(r)
+    pt = lp.find_point(r, demo_net.layout.neuron_ids)
     assert pt is not None
     assert set(pt) == set(range(7))
     assert pt[6] >= 0.3 - 1e-12
-    for v in r.neuron_ids:
+    for v in pt:
         assert r.cfg.lo[v] - 1e-9 <= pt[v] <= r.cfg.hi[v] + 1e-9
     # the relaxed relu region contains the vertex
     assert pt[4] >= max(0.0, pt[2]) - 1e-9
@@ -57,11 +103,11 @@ def test_find_point_satisfies_everything(demo_net, demo_prop):
 
 
 def test_infeasible_certificate(demo_net, unsat_prop):
-    r = lp.build(demo_net, unsat_prop, [], analyze(demo_net, BOX))
+    r = lp.build(demo_net, unsat_prop, analyze(demo_net, BOX))
     assert lp.phase1(r) == lp.INFEASIBLE
     assert not lp.feasible(r)
     assert r.infeasible_row is not None
-    assert lp.find_point(r) is None
+    assert lp.find_point(r, [0, 1]) is None
     with pytest.raises(ValueError):
         lp.tighten(r, [6])
 
@@ -70,14 +116,38 @@ def test_tighten_demo_values(demo_net, demo_prop):
     r = demo_relax(demo_net, demo_prop)
     out = lp.tighten(r, [2, 3, 6])
     # x3: the property floor pushes the reachable lower end up from -1
-    assert out[2] == (-0.7822580655161288, 0.7999999999999999)
+    assert out[2] == (-0.7822580655161292, 0.7999999999999999)
     # x4: improved from -1.6; the exact constrained minimum is 0.4, so any
     # sound relaxation bound must stay at or below that
-    assert out[3] == (-0.9414634156341459, 1.6)
+    assert out[3] == (-0.941463415634147, 1.6)
     assert out[3][0] <= 0.4
     # y: lower bound is the property threshold, upper recovers the interval
     # bound exactly (the LP optimum is padded by EPS_LP, then re-capped)
     assert out[6] == (0.3, 1.28)
+
+
+def test_ratio_test_ties_within_an_ulp_go_to_the_lowest_basic():
+    # maximize x0: rows x1 = x0 and x2 = x0 both block it, x2 one ulp
+    # earlier than x1; the two steps tie, so the lower id x1 leaves
+    top = math.nextafter(1.0, 0.0)
+    cfg = Configuration(
+        {1: {0: 1.0}, 2: {0: 1.0}},
+        {0: 0.0, 1: 0.0, 2: 0.0},
+        {0: 10.0, 1: 1.0, 2: top},
+        {0: 0.0},
+        [], [0],
+    )
+    recompute(cfg)
+    relax = lp.Relaxation(cfg, cap=10, status=lp.FEASIBLE)
+    assert lp._optimize(relax, 0, maximize=True) == 1.0
+    assert 1 not in cfg.rows and 2 in cfg.rows
+    # a tie with the entering variable's own bound goes to the bound flip,
+    # though the row blocks one ulp earlier
+    cfg = Configuration({1: {0: 1.0}}, {0: 0.0, 1: 0.0}, {0: 1.0, 1: top}, {0: 0.0}, [], [0])
+    recompute(cfg)
+    relax = lp.Relaxation(cfg, cap=10, status=lp.FEASIBLE)
+    assert lp._optimize(relax, 0, maximize=True) == 1.0
+    assert 1 in cfg.rows
 
 
 def test_tighten_never_widens(demo_net, demo_prop):
@@ -92,7 +162,7 @@ def test_cap_is_conservative(demo_net, demo_prop):
     r.cap = 0
     assert lp.phase1(r) == lp.CAP
     assert lp.feasible(r)                # cap never certifies infeasibility
-    assert lp.find_point(r) is None
+    assert lp.find_point(r, [0, 1]) is None
     assert lp.tighten(r, [6]) == {6: (0.3, 1.28)}  # priors kept verbatim
 
 

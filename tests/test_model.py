@@ -27,11 +27,11 @@ def test_layout_demo_shape(demo_net):
     assert lay.pre_ids == [[2, 3], [6]]
     assert lay.post_ids == [[4, 5], [6]]
     assert lay.output_ids == [6]
+    assert lay.neuron_ids == [0, 1, 2, 3, 4, 5, 6]
     assert lay.relu_pairs == [(2, 4), (3, 5)]
     assert lay.relu_slack == {(2, 4): 7, (3, 5): 8}
     assert lay.affine_const_slack == {2: 9, 3: 10, 6: 11}
-    assert lay.relu_const_slack == {(2, 4): 12, (3, 5): 13}
-    assert lay.n_vars == 14
+    assert lay.n_vars == 12
 
 
 def test_layout_final_none_layer_shares_ids(demo_net):
@@ -49,8 +49,9 @@ def test_layout_deeper_shape():
     assert lay.pre_ids[0] == list(range(3, 11))
     assert lay.post_ids[0] == list(range(11, 19))
     assert lay.pre_ids[1] == [19]
-    # 8 relu slacks, 9 affine consts, 8 relu consts after the neurons
-    assert lay.n_vars == 20 + 8 + 9 + 8
+    assert lay.neuron_ids == list(range(20))
+    # 8 relu slacks, then 9 affine consts after the neurons
+    assert lay.n_vars == 20 + 8 + 9
 
 
 def test_var_name_is_one_based(demo_net):

@@ -4,7 +4,7 @@ import _suites
 from incremark import lp, solver
 from incremark.bench import Perturbation, perturb, random_network, random_threshold_property
 from incremark.constants import EPS_ROW
-from incremark.deeppoly import NONPOS, Assertion, analyze
+from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze
 from incremark.incremental import verify_incremental
 from incremark.model import LinearConstraint, Network, SafetyProperty
 from incremark.simplex import (
@@ -49,9 +49,26 @@ def test_initialize_demo_tableau(demo_net, demo_prop):
     assert cfg.rows[2] == {0: 0.2, 1: -0.7, 9: -1.0}
     assert cfg.rows[3] == {0: 0.8, 1: -0.8, 10: -1.0}
     assert cfg.rows[6] == {4: 0.4, 5: 0.6, 11: -1.0}
-    assert cfg.rows[7] == {0: -0.2, 1: 0.7, 4: 1.0, 9: 1.0, 12: -1.0}
-    assert cfg.rows[8] == {0: -0.8, 1: 0.8, 5: 1.0, 10: 1.0, 13: -1.0}
+    assert cfg.rows[7] == {0: -0.2, 1: 0.7, 4: 1.0, 9: 1.0}
+    assert cfg.rows[8] == {0: -0.8, 1: 0.8, 5: 1.0, 10: 1.0}
     assert cfg.prop_slacks == {}
+
+
+def test_initialize_demo_slack_intervals(demo_net, demo_prop):
+    b = analyze(demo_net, BOX)
+    assert set(b.lo) == set(b.hi) == set(demo_net.layout.neuron_ids)  # neurons only
+    cfg = initialize(demo_net, demo_prop, b)
+    # relu inequality slacks: post - pre in [max(0,-u), max(0,-l)]
+    assert (cfg.lo[7], cfg.hi[7]) == (0.0, 0.9999999999999999)
+    assert (cfg.lo[8], cfg.hi[8]) == (0.0, 1.6)
+    # affine slacks pin the equation constants to -bias
+    assert (cfg.lo[9], cfg.hi[9]) == (0.1, 0.1)
+    assert (cfg.lo[10], cfg.hi[10]) == (-0.0, -0.0)
+    assert (cfg.lo[11], cfg.hi[11]) == (-0.0, -0.0)
+    assert sorted(cfg.lo) == list(range(12))
+    # refresh_bounds derives them the same way from new neuron intervals
+    refresh_bounds(cfg, demo_net, demo_prop, analyze(demo_net, BOX, [Assertion(3, NONNEG)]))
+    assert (cfg.lo[8], cfg.hi[8]) == (0.0, 0.0)
 
 
 def test_initialize_demo_bounds_and_alpha(demo_net, demo_prop):
@@ -79,7 +96,7 @@ def test_initialize_multi_output_property_slack():
     sid = net.layout.n_vars
     assert cfg.prop_slacks == {0: sid}
     # outputs are themselves basic, so the slack row is pre-substituted down
-    # to inputs and constant slacks
+    # to inputs and affine slacks
     assert cfg.rows[sid] == {0: 1.0, 1: -1.0, 4: -1.0, 5: 1.0}
     assert cfg.lo[sid] == 0.25
     assert cfg.hi[sid] == 1.0  # interval ub of y1 - y2
@@ -89,18 +106,17 @@ def test_pivot_demo_sequence(demo_net, demo_prop):
     cfg = demo_cfg(demo_net, demo_prop)
     pivot(cfg, 7, 4)
     assert sorted(cfg.rows) == [2, 3, 4, 6, 8]
-    assert cfg.rows[4] == {0: 0.2, 1: -0.7, 7: 1.0, 9: -1.0, 12: 1.0}
+    assert cfg.rows[4] == {0: 0.2, 1: -0.7, 7: 1.0, 9: -1.0}
     # the substitution reaches every row that mentioned the entering variable
     assert cfg.rows[6] == {
         0: 0.08000000000000002, 1: -0.27999999999999997, 5: 0.6,
-        7: 0.4, 9: -0.4, 11: -1.0, 12: 0.4,
+        7: 0.4, 9: -0.4, 11: -1.0,
     }
     pivot(cfg, 6, 5)
     assert sorted(cfg.rows) == [2, 3, 4, 5, 8]
     assert cfg.rows[5] == {
         0: -0.13333333333333336, 1: 0.4666666666666666, 6: 1.6666666666666667,
         7: -0.6666666666666667, 9: 0.6666666666666667, 11: 1.6666666666666667,
-        12: -0.6666666666666667,
     }
 
 
@@ -189,15 +205,16 @@ def test_entering_for_bland_and_saturation():
         {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0},
         {0: 0.0, 1: 1.0, 2: 0.0},
     )
-    assert entering_for(cfg, 3, True) == 0     # lowest eligible id
-    cfg.alpha[0] = 1.0                          # saturate upward move of x1
-    assert entering_for(cfg, 3, True) == 1     # negative coef, x2 can decrease
+    row = cfg.rows[3]
+    assert entering_for(cfg, row, True) == 0     # lowest eligible id
+    cfg.alpha[0] = 1.0                            # saturate upward move of x1
+    assert entering_for(cfg, row, True) == 1     # negative coef, x2 can decrease
     cfg.alpha[1] = 0.0
-    assert entering_for(cfg, 3, True) == 2
+    assert entering_for(cfg, row, True) == 2
     cfg.alpha[2] = 1.0
-    assert entering_for(cfg, 3, True) is None
+    assert entering_for(cfg, row, True) is None
     # the opposite direction is still available
-    assert entering_for(cfg, 3, False) == 0
+    assert entering_for(cfg, row, False) == 0
 
 
 def test_repair_step_bound_fix():
@@ -409,9 +426,9 @@ def test_row_residual_invariant(monkeypatch, demo_net, demo_prop):
             bounds = analyze(net, prop.box, asserts)
             if bounds.infeasible:
                 continue
-            relax = lp.build(net, prop, asserts, bounds)
+            relax = lp.build(net, prop, bounds)
             if lp.phase1(relax) == lp.FEASIBLE:
-                lp.tighten(relax, relax.neuron_ids)
+                lp.tighten(relax, net.layout.neuron_ids)
     assert seen["steps"] > 1000 and seen["sat"] >= 3
     assert seen["lp"] > 100 and seen["optima"] > 10 and seen["tighten"] > 10
 

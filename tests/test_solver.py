@@ -195,8 +195,8 @@ def test_branch_lp_decides_fully_decided_branches(monkeypatch):
     statuses = Counter()
     decide = solver._decide_by_lp
 
-    def counted(net, prop, node, asserts, bounds):
-        witness = decide(net, prop, node, asserts, bounds)
+    def counted(net, prop, node, bounds):
+        witness = decide(net, prop, node, bounds)
         statuses[node.status] += 1
         return witness
 
