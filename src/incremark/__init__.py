@@ -3,9 +3,12 @@
 The from-scratch solver combines symbolic interval analysis with a
 Reluplex-style tableau search and records every branch decision in a proof
 tree. After a weight modification, the incremental driver re-verifies by
-replaying each stored UNSAT leaf, which keeps only its branch's sign
-assertions, against the new network: fresh bounds, the branch LP and a row
-test try to close the branch again, and search runs only where none does.
+replaying each stored UNSAT leaf against the new network. A leaf keeps its
+branch's sign assertions and, when a row closed it, that row's certificate:
+the multipliers of the encoded equations whose sum showed the branch empty.
+Fresh bounds, the certificate rebuilt for the new weights, the branch LP and
+a row test try to close the branch again, and search runs only where none
+does.
 """
 
 from .bench import CompareReport, Perturbation, compare, oracle, perturb

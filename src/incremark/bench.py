@@ -155,7 +155,7 @@ def oracle(net: Network, prop: SafetyProperty) -> Verdict:
             return None
         if i == len(pres):
             bounds = Bounds(lo=lo, hi=hi, output_ids=tuple(lay.output_ids))
-            return lp.decide(net, prop, bounds)
+            return lp.decide(net, prop, bounds)[0]
         pre = pres[i]
         for sign in (NONNEG, NONPOS):
             signs[pre] = sign

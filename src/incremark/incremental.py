@@ -3,30 +3,44 @@
 The driver prunes edges the new bounds contradict, fast-paths the stored SAT
 witness, re-searches open (sat/unsolved) leaves seeded with fresh bounds, and
 for each stored UNSAT leaf tries to replay the old proof before falling back
-to a full branch search:
+to a full branch search. Each rung is named by the word the report counts:
 
-    analyze under Assert(v)          empty or property-impossible -> UNSAT
-    branch relaxation LP             infeasible -> UNSAT
-    LP input tightening              LP-shrink the input box, re-propagate:
-                                     empty or property-impossible -> UNSAT
-    row test                         any row of the fresh tableau contradicts
-                                     its bounds -> UNSAT
-    otherwise                        full search of the branch
+    analyze      analyze under Assert(v): empty or property-impossible
+    certificate  the leaf's stored certificate, rebuilt for the new weights
+                 and bounds, excludes 0 by intervals (no LP is built)
+    lp           the branch relaxation LP is infeasible; its row becomes the
+                 leaf's new certificate
+    tighten      LP-shrink the input box, re-propagate: empty or
+                 property-impossible
+    rows         any row of the fresh tableau contradicts its bounds
+    fallback     otherwise: full search of the branch, whose closed leaves
+                 bring their own certificates
 
-The ladder needs only the leaf's edge assertions, so a stored UNSAT leaf
-carries nothing else.
+Every rung but the last closes the leaf. A leaf needs only its edge
+assertions; the certificate, when it has one, only saves the LP.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import lp
 from . import prooftree as pt
 from .deeppoly import analyze, is_property_refuted
 from .model import UNSAT, Verdict, property_hash, witness_ok
-from .simplex import check_unsat_rows, initialize, refresh_bounds
+from .simplex import (
+    AFF,
+    CHORD,
+    PROP,
+    RELU,
+    certificate,
+    check_unsat_rows,
+    initialize,
+    prop_slack_ids,
+    refresh_bounds,
+)
 from .solver import search_branch
 
 PROOF_REPLAYED = "proof_replayed"
@@ -35,6 +49,15 @@ RESOLVED_SAT = "resolved_sat"
 RESOLVED_UNSAT = "resolved_unsat"
 PRUNED = "pruned"
 SKIPPED = "skipped"
+
+# rungs of the replay ladder, in order (see the module docstring)
+ANALYZE = "analyze"
+CERTIFICATE = "certificate"
+LP = "lp"
+TIGHTEN = "tighten"
+ROWS = "rows"
+FALLBACK = "fallback"
+RUNGS = (ANALYZE, CERTIFICATE, LP, TIGHTEN, ROWS, FALLBACK)
 
 
 class ShapeMismatchError(Exception):
@@ -51,6 +74,7 @@ class IncrementalReport:
     fallbacks: int = 0
     unsat_total: int = 0
     times: dict[str, float] = field(default_factory=dict)
+    rungs: dict[int, str] = field(default_factory=dict)  # replayed leaf -> its rung
 
     @property
     def replay_pct(self) -> float:
@@ -60,6 +84,7 @@ class IncrementalReport:
         return 100.0 * self.replayed / visited
 
     def to_json(self) -> dict:
+        rungs = Counter(self.rungs.values())
         return {
             "verdict": self.verdict.name,
             "witness": None if self.verdict.witness is None else list(self.verdict.witness),
@@ -70,6 +95,7 @@ class IncrementalReport:
             "unsat_leaves_total": self.unsat_total,
             "times_s": {k: round(v, 6) for k, v in self.times.items()},
             "outcomes": {str(k): v for k, v in sorted(self.outcomes.items())},
+            "rungs": {r: rungs[r] for r in RUNGS},
         }
 
 
@@ -80,38 +106,51 @@ def check_dims(tree: pt.ProofTree, net) -> None:
         raise ShapeMismatchError(f"tree dims {tree.dims} vs network {net.dims}")
 
 
-def _check_fits(tree: pt.ProofTree, net) -> None:
+def _check_fits(tree: pt.ProofTree, net, prop) -> None:
     """One walk over the stored nodes: every edge splits a ReLU of this
-    network and every witness is an input point."""
-    relu_pre = {pre for pre, _ in net.layout.relu_pairs}
+    network, every witness is an input point, and every certificate names
+    equations that this network and property encode."""
+    lay = net.layout
+    equations = {AFF: lay.pre_row, RELU: lay.relu_post, CHORD: lay.relu_post,
+                 PROP: prop_slack_ids(net, prop)}
     for n in tree.nodes.values():
-        if n.assertion is not None and n.assertion.neuron not in relu_pre:
+        if n.assertion is not None and n.assertion.neuron not in lay.relu_post:
             raise ShapeMismatchError(
                 f"node {n.id}: neuron {n.assertion.neuron} is not a ReLU of the network")
         if n.witness is not None and len(n.witness) != net.n_inputs:
             raise ShapeMismatchError(
                 f"node {n.id}: witness has {len(n.witness)} values for {net.n_inputs} inputs")
+        for kind, i, _ in n.cert or ():
+            if i not in equations.get(kind, ()):
+                raise ShapeMismatchError(
+                    f"node {n.id}: certificate names {kind} equation {i}, which this "
+                    "network and property do not encode")
 
 
 def _replay_unsat_leaf(net, prop, tree, nid, cfg0):
-    """Returns (witness | None, outcome, graft tree | None) for a stored
-    UNSAT leaf. Outcome is PROOF_REPLAYED or PROOF_FAILED_FELL_BACK."""
+    """Climb the replay ladder for a stored UNSAT leaf; returns (rung,
+    witness | None, graft tree | None). A branch LP that closes the leaf
+    leaves its certificate on the leaf."""
     asserts = sorted(tree.asserts_of(nid))
     bounds = analyze(net, prop.box, asserts)
     if bounds.infeasible or is_property_refuted(bounds, prop):
-        return None, PROOF_REPLAYED, None
+        return ANALYZE, None, None
+    node = tree.nodes[nid]
+    if node.cert is not None and lp.certificate_refutes(net, prop, bounds, node.cert):
+        return CERTIFICATE, None, None
     relax = lp.build(net, prop, bounds)
     if not lp.feasible(relax):
-        return None, PROOF_REPLAYED, None
+        node.cert = certificate(relax.cfg, relax.infeasible_row)
+        return LP, None, None
     nb = lp.tighten_inputs_then_repropagate(net, prop, asserts, relax)
     if nb.infeasible or is_property_refuted(nb, prop):
-        return None, PROOF_REPLAYED, None
+        return TIGHTEN, None, None
     cfg = cfg0.copy()
     refresh_bounds(cfg, net, prop, nb)
     if not check_unsat_rows(cfg).feasible:
-        return None, PROOF_REPLAYED, None
+        return ROWS, None, None
     w, graft = search_branch(net, prop, asserts, cfg, nb)
-    return w, PROOF_FAILED_FELL_BACK, graft
+    return FALLBACK, w, graft
 
 
 def verify_incremental(net, prop, tree: pt.ProofTree):
@@ -124,7 +163,7 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     phash = property_hash(prop)
     if tree.prop_hash != phash:
         raise ShapeMismatchError("stored tree was built for a different property")
-    _check_fits(tree, net)
+    _check_fits(tree, net, prop)
 
     report = IncrementalReport(UNSAT)
     times = report.times
@@ -199,12 +238,14 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     report.unsat_total = len(unsat_leaves) + report.pruned
     if witness is None:
         for nid in unsat_leaves:
-            w, outcome, graft = _replay_unsat_leaf(net, prop, work, nid, cfg0)
-            report.outcomes[nid] = outcome
-            if outcome == PROOF_REPLAYED:
-                report.replayed += 1
-            else:
+            rung, w, graft = _replay_unsat_leaf(net, prop, work, nid, cfg0)
+            report.rungs[nid] = rung
+            if rung == FALLBACK:
+                report.outcomes[nid] = PROOF_FAILED_FELL_BACK
                 report.fallbacks += 1
+            else:
+                report.outcomes[nid] = PROOF_REPLAYED
+                report.replayed += 1
             if graft is not None:
                 grafts[nid] = graft
             if w is not None:
@@ -231,6 +272,7 @@ def _assemble(work: pt.ProofTree, grafts: dict[int, pt.ProofTree]) -> pt.ProofTr
     def copy_fields(dst: pt.Node, src: pt.Node) -> None:
         dst.status = src.status
         dst.witness = src.witness
+        dst.cert = src.cert
 
     def clone(tree: pt.ProofTree, sid: int, oid: int) -> None:
         src = tree.nodes[sid]

@@ -18,6 +18,11 @@ A decided-on ReLU (l >= 0) has its slack at [0, 0]; a decided-off one
 so the region is the triangle relaxation of every uncertain ReLU. Phase 1
 is the search's own bound step (Bland's rule, so it terminates); phase 2
 optimizes single variables by reduced costs with a ratio test.
+
+The row that shows a relaxation infeasible is a combination of these
+equations (`simplex.certificate`). `certificate_refutes` rebuilds such a
+combination for other weights and bounds and tests it by intervals, which
+closes a branch without building its relaxation.
 """
 
 from __future__ import annotations
@@ -25,17 +30,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import COEF_EPS, EPS_LP, LP_ITER_FACTOR
+from .constants import COEF_EPS, EPS_BOUND, EPS_LP, LP_ITER_FACTOR
 from .deeppoly import Bounds, analyze
 from .model import witness_ok
 from .simplex import (
+    AFF,
+    CHORD,
+    PROP,
+    RELU,
+    Certificate,
     Configuration,
     Stuck,
+    bound_maps,
     bound_step,
+    certificate,
     define_row,
     entering_for,
     initialize,
     pivot,
+    prop_slack_ids,
     update,
 )
 
@@ -68,6 +81,7 @@ def build(net, prop, bounds: Bounds) -> Relaxation:
             define_row(cfg.rows, sid, {post: 1.0, pre: -k})
             cfg.lo[sid], cfg.hi[sid] = -INF, -k * l
             cfg.alpha[sid] = cfg.row_value(sid)
+            cfg.equations[sid] = (CHORD, pre)
             sid += 1
     return Relaxation(cfg, LP_ITER_FACTOR * (len(cfg.rows) + len(cfg.lo)))
 
@@ -108,22 +122,85 @@ def find_point(relax: Relaxation, vids) -> dict[int, float] | None:
     return {v: _value(relax.cfg, v) for v in vids}
 
 
-def decide(net, prop, bounds: Bounds) -> tuple[float, ...] | None:
+def decide(net, prop, bounds: Bounds) -> tuple[tuple[float, ...] | None, Certificate | None]:
     """Decide a branch with every ReLU decided, whose relaxation is then
-    exact: an input point that violates the property, or None when the
-    branch is infeasible. RuntimeError on an iteration-cap hit or a point
-    that fails forward validation."""
+    exact. Returns (witness, None) with an input point that violates the
+    property, or (None, certificate) when the branch is infeasible.
+    RuntimeError on an iteration-cap hit or a point that fails forward
+    validation."""
     relax = build(net, prop, bounds)
     status = phase1(relax)
     if status == INFEASIBLE:
-        return None
+        return None, certificate(relax.cfg, relax.infeasible_row)
     if status == CAP:
         raise RuntimeError("branch LP hit its iteration cap")
     point = find_point(relax, net.layout.input_ids)
     witness = tuple(float(x) for x in point.values())
     if not witness_ok(net, prop, witness):
         raise RuntimeError("branch LP point failed forward validation")
-    return witness
+    return witness, None
+
+
+def certificate_refutes(net, prop, bounds: Bounds, cert: Certificate) -> bool:
+    """Does a certificate show the branch of `bounds` empty?
+
+    Each (kind, index, y) names one equation of the table above, rebuilt
+    from this network's weights and biases; a chord takes its slope from
+    `bounds`. The sum of y times the equations vanishes at every point of
+    the branch, whatever the multipliers, so when its interval over the
+    variable bounds excludes 0 by more than EPS_BOUND the branch is empty. A
+    chord on a neuron that `bounds` no longer leave undecided, or a
+    non-finite end of the interval, refutes nothing. Indices must name
+    equations of this network and property (`incremental` checks stored
+    trees)."""
+    lay = net.layout
+    prop_slacks = prop_slack_ids(net, prop)
+    lo, hi = bound_maps(net, prop, bounds, prop_slacks)
+    coef: dict[int, float] = {}
+    rlo = rhi = 0.0  # the slacks' share of the interval
+
+    for kind, i, y in cert:
+        if y == 0.0:
+            continue
+        if kind == CHORD:
+            l, u = bounds.lo[i], bounds.hi[i]
+            if not l < 0.0 < u:
+                return False
+            k = u / (u - l)
+            terms = [(i, k), (lay.relu_post[i], -1.0)]
+            slo, shi = -INF, -k * l
+        else:
+            if kind == AFF:
+                li, j = lay.pre_row[i]
+                prev = lay.input_ids if li == 0 else lay.post_ids[li - 1]
+                terms = [(i, 1.0), *zip(prev, (-net.weights[li][j]).tolist())]
+                s = lay.affine_const_slack[i]
+            elif kind == RELU:
+                post = lay.relu_post[i]
+                terms = [(i, 1.0), (post, -1.0)]
+                s = lay.relu_slack[(i, post)]
+            else:  # PROP
+                coeffs = prop.constraints[i].coeffs
+                terms = [(lay.output_ids[k], -a) for k, a in enumerate(coeffs) if a != 0.0]
+                s = prop_slacks[i]
+            slo, shi = lo[s], hi[s]
+        if y > 0:
+            rlo += y * slo
+            rhi += y * shi
+        else:
+            rlo += y * shi
+            rhi += y * slo
+        for v, c in terms:
+            coef[v] = coef.get(v, 0.0) + y * c
+
+    for v, c in coef.items():
+        if c > 0:
+            rlo += c * lo[v]
+            rhi += c * hi[v]
+        elif c < 0:
+            rlo += c * hi[v]
+            rhi += c * lo[v]
+    return EPS_BOUND < rlo < INF or -INF < rhi < -EPS_BOUND
 
 
 def _optimize(relax: Relaxation, vid: int, maximize: bool) -> float | None:

@@ -132,6 +132,8 @@ class VariableLayout:
     output_ids: list[int] = field(default_factory=list)
     neuron_ids: list[int] = field(default_factory=list)  # inputs, then each layer's pre, post
     relu_pairs: list[tuple[int, int]] = field(default_factory=list)
+    relu_post: dict[int, int] = field(default_factory=dict)  # ReLU pre id -> post id
+    pre_row: dict[int, tuple[int, int]] = field(default_factory=dict)  # pre id -> (layer, row)
     relu_slack: dict[tuple[int, int], int] = field(default_factory=dict)
     affine_const_slack: dict[int, int] = field(default_factory=dict)  # pre id -> slack id
     n_vars: int = 0  # network neurons + structural slacks; property slacks go after
@@ -144,6 +146,7 @@ class VariableLayout:
             pre = list(range(nxt, nxt + n))
             nxt += n
             self.pre_ids.append(pre)
+            self.pre_row.update((p, (i, j)) for j, p in enumerate(pre))
             if self.activations[i] == RELU:
                 post = list(range(nxt, nxt + n))
                 nxt += n
@@ -152,6 +155,7 @@ class VariableLayout:
             else:
                 self.post_ids.append(pre)
         self.output_ids = self.post_ids[-1]
+        self.relu_post = dict(self.relu_pairs)
         self.neuron_ids = list(range(nxt))
         for pair in self.relu_pairs:
             self.relu_slack[pair] = nxt

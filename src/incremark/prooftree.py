@@ -1,19 +1,26 @@
 """Labelled binary tree recording a search: edges carry sign assertions on
 ReLU pre-activations, leaves carry a status, and a SAT leaf its witness.
 
-An UNSAT leaf needs nothing more to be replayed: its edge assertions alone
-say which branch to re-check. Files written before the stored basis was
-dropped still carry `basis` and `key_row_var` keys on UNSAT leaves; they are
-read as the same format version and ignored.
+An UNSAT leaf's edge assertions say which branch to re-check. A leaf that a
+tableau or LP row closed also stores that row's certificate: the multipliers
+`[kind, index, y]` of the encoded equations whose sum the row is (see
+`simplex.certificate`), which replay re-tests for the new weights before it
+builds a branch LP. The key is optional: a leaf without it, such as one
+closed by interval analysis or written by an older version, replays from its
+assertions alone. Files written before the stored basis was dropped still
+carry `basis` and `key_row_var` keys on UNSAT leaves; they are read as the
+same format version and ignored.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .constants import EPS_BOUND
 from .deeppoly import NONNEG, NONPOS, Assertion, Bounds
+from .simplex import EQUATION_KINDS, Certificate
 
 INTERNAL = "internal"
 UNSAT = "unsat"
@@ -31,6 +38,7 @@ class Node:
     status: str = UNSOLVED
     witness: tuple[float, ...] | None = None
     children: list[int] = field(default_factory=list)
+    cert: Certificate | None = None  # UNSAT leaf closed by a row
 
 
 class ProofTree:
@@ -85,8 +93,9 @@ class ProofTree:
 
         nonneg on x is impossible when u(x) < -EPS_BOUND; nonpos when
         l(x) > EPS_BOUND. A dropped branch covers an empty region, so its
-        root is kept as an UNSAT leaf with no stored proof (nothing to
-        replay; ids of these leaves are appended to `removed`). Complementary
+        root is kept as an UNSAT leaf, which this run does not replay (ids
+        of these leaves are appended to `removed`); a leaf keeps its
+        certificate, an internal node has none. Complementary
         assertions can never both contradict one interval, so no internal
         node loses both children.
         """
@@ -122,7 +131,7 @@ class ProofTree:
     def copy(self) -> "ProofTree":
         t = ProofTree(self.dims, self.prop_hash, self.verdict)
         t.nodes = {
-            i: Node(n.id, n.parent, n.assertion, n.status, n.witness, list(n.children))
+            i: Node(n.id, n.parent, n.assertion, n.status, n.witness, list(n.children), n.cert)
             for i, n in self.nodes.items()
         }
         t._next = self._next
@@ -179,14 +188,17 @@ class ProofTree:
         nodes = []
         for i in sorted(self.nodes):
             n = self.nodes[i]
-            nodes.append({
+            nd = {
                 "id": n.id,
                 "parent": n.parent,
                 "assert": None if n.assertion is None else
                           {"neuron": n.assertion.neuron, "sign": n.assertion.sign},
                 "status": n.status,
                 "witness": None if n.witness is None else list(n.witness),
-            })
+            }
+            if n.cert is not None:
+                nd["cert"] = [list(e) for e in n.cert]
+            nodes.append(nd)
         return {
             "version": FORMAT_VERSION,
             "dims": list(self.dims),
@@ -213,8 +225,28 @@ def from_json(data: dict) -> ProofTree:
         return _from_json(data)
     except KeyError as e:
         raise ValueError(f"proof tree is missing key {e}") from None
-    except (TypeError, AttributeError) as e:
+    except (TypeError, AttributeError, OverflowError) as e:
         raise ValueError(f"malformed proof tree: {e}") from None
+
+
+def _cert_from_json(entries) -> Certificate:
+    """A stored certificate: a list of [kind, integer index, finite number]
+    (JSON admits NaN and Infinity, so finiteness is checked)."""
+    if not isinstance(entries, list):
+        raise ValueError("certificate is not a list")
+    out = []
+    for e in entries:
+        if not isinstance(e, list) or len(e) != 3:
+            raise ValueError(f"certificate entry {e!r} is not [kind, index, multiplier]")
+        kind, idx, y = e
+        if kind not in EQUATION_KINDS:
+            raise ValueError(f"certificate names unknown equation kind {kind!r}")
+        if type(idx) is not int:
+            raise ValueError(f"certificate index {idx!r} is not an integer")
+        if type(y) not in (int, float) or not math.isfinite(float(y)):
+            raise ValueError(f"certificate multiplier {y!r} is not a finite number")
+        out.append((kind, idx, float(y)))
+    return tuple(out)
 
 
 def _from_json(data: dict) -> ProofTree:
@@ -231,6 +263,7 @@ def _from_json(data: dict) -> ProofTree:
             assertion,
             nd["status"],
             None if nd.get("witness") is None else tuple(float(x) for x in nd["witness"]),
+            cert=None if nd.get("cert") is None else _cert_from_json(nd["cert"]),
         )
         if node.id in tree.nodes:
             raise ValueError(f"duplicate node id {node.id}")

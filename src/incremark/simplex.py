@@ -10,12 +10,16 @@ every value that leaves the repair loop (a witness, a stuck row, an LP
 optimum) is re-solved exactly from its row first. Rows carry no constants:
 each affine equation has a slack variable pinned to minus its bias, so a
 pivot is pure coefficient algebra. The slack bounds follow from the neuron
-intervals of a `Bounds` (see `_bound_maps`).
+intervals of a `Bounds` (see `bound_maps`).
 
 Non-basic variables always lie within their bounds: `initialize` and
 `refresh_bounds` place them there, and every move (`update`, `set_variable`,
 the leaving side of a pivot) sends one to a value inside them. The row test
 and the repair loop rely on this.
+
+Each encoded equation has a slack of its own that no other equation
+mentions, so every tableau row is a combination of the equations whose
+multipliers can be read off the row (`certificate`).
 """
 
 from __future__ import annotations
@@ -23,6 +27,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constants import COEF_EPS, EPS_BOUND, EPS_PIVOT, EPS_RELU
+
+
+# kinds of encoded equation, each written `slack - expr = 0` and named by
+# (kind, index): the affine equation and the ReLU coupling of a pre-activation
+# neuron, a property constraint over two or more outputs, and the branch LP's
+# chord of an undecided ReLU (see the lp module)
+AFF = "aff"
+RELU = "relu"
+PROP = "prop"
+CHORD = "chord"
+EQUATION_KINDS = (AFF, RELU, PROP, CHORD)
+
+# multipliers (kind, index, y) of encoded equations whose sum is a row that
+# shows a branch empty
+Certificate = tuple[tuple[str, int, float], ...]
 
 
 class PivotError(ValueError):
@@ -74,11 +93,13 @@ class Configuration:
     rows: basic id -> {non-basic id: coefficient}
     prop_slacks: property-constraint index -> slack variable id (multi-output
     constraints only; single-output ones become direct bounds).
+    equations: slack id -> (kind, index) of the one equation it belongs to.
     rewritten: basics whose rows a pivot rewrote since the owner last cleared
     the set (the search clears it at each row check).
     """
 
-    def __init__(self, rows, lo, hi, alpha, relu_pairs, input_ids, prop_slacks=None):
+    def __init__(self, rows, lo, hi, alpha, relu_pairs, input_ids, prop_slacks=None,
+                 equations=None):
         self.rows: dict[int, dict[int, float]] = rows
         self.lo: dict[int, float] = lo
         self.hi: dict[int, float] = hi
@@ -86,6 +107,7 @@ class Configuration:
         self.relu_pairs: list[tuple[int, int]] = list(relu_pairs)
         self.input_ids: list[int] = list(input_ids)
         self.prop_slacks: dict[int, int] = dict(prop_slacks or {})
+        self.equations: dict[int, tuple[str, int]] = equations or {}
         self.violations: dict[int, int] = {pre: 0 for pre, _ in self.relu_pairs}
         self.rewritten: set[int] = set()
 
@@ -98,6 +120,7 @@ class Configuration:
             self.relu_pairs,
             self.input_ids,
             self.prop_slacks,
+            self.equations,
         )
         c.violations = dict(self.violations)
         return c
@@ -213,6 +236,21 @@ def check_unsat_rows(cfg: Configuration, eps: float = EPS_BOUND, rows=None) -> R
         if row_unsat(cfg, b, eps):
             return RowVerdict(b)
     return FEASIBLE
+
+
+def certificate(cfg: Configuration, b: int) -> Certificate:
+    """Multipliers of the encoded equations whose sum is row b.
+
+    Row b, x_b - sum_k c_k x_k = 0, is a combination of the equations, each
+    written slack - expr = 0. Matching the coefficient of each equation's
+    own slack gives its multiplier: 1 for b itself, -c_k for a non-basic
+    slack, 0 for any other basic one (left out).
+    """
+    eq = cfg.equations
+    out = [(*eq[k], -c) for k, c in cfg.rows[b].items() if k in eq]
+    if b in eq:
+        out.append((*eq[b], 1.0))
+    return tuple(sorted(out))
 
 
 def resolve_violation(cfg: Configuration, b: int, need_up: bool, eps: float = EPS_BOUND) -> bool:
@@ -349,7 +387,7 @@ def define_row(rows: dict[int, dict[int, float]], basic: int, expr: dict[int, fl
     rows[basic] = {k: v for k, v in sorted(out.items()) if abs(v) > COEF_EPS}
 
 
-def _bound_maps(net, prop, bounds, prop_slacks):
+def bound_maps(net, prop, bounds, prop_slacks):
     """Variable bounds of the tableau: the neuron intervals of `bounds`, the
     slack intervals they imply, and the negated property.
 
@@ -387,6 +425,16 @@ def _bound_maps(net, prop, bounds, prop_slacks):
     return lo, hi
 
 
+def prop_slack_ids(net, prop) -> dict[int, int]:
+    """Slack id of each property constraint over two or more outputs, from
+    n_vars on in constraint order; the others bound their one output."""
+    out: dict[int, int] = {}
+    for idx, c in enumerate(prop.constraints):
+        if sum(1 for a in c.coeffs if a != 0.0) >= 2:
+            out[idx] = net.layout.n_vars + len(out)
+    return out
+
+
 def initialize(net, prop, bounds) -> Configuration:
     """Standard encoding: affine rows (pre basic), ReLU inequality rows
     (slack basic), property rows (property slack basic); bounds from the
@@ -395,29 +443,31 @@ def initialize(net, prop, bounds) -> Configuration:
         raise ValueError("empty negation is decided before encoding")
     lay = net.layout
     rows: dict[int, dict[int, float]] = {}
+    equations: dict[int, tuple[str, int]] = {}
     prev = lay.input_ids
     for li in range(net.n_layers):
         w = net.weights[li]
         for j, pre in enumerate(lay.pre_ids[li]):
             expr = {prev[k]: float(w[j, k]) for k in range(w.shape[1]) if w[j, k] != 0.0}
-            expr[lay.affine_const_slack[pre]] = -1.0
+            sid = lay.affine_const_slack[pre]
+            expr[sid] = -1.0
             define_row(rows, pre, expr)
+            equations[sid] = (AFF, pre)
         prev = lay.post_ids[li]
     for (pre, post), sid in lay.relu_slack.items():
         define_row(rows, sid, {post: 1.0, pre: -1.0})
+        equations[sid] = (RELU, pre)
 
-    prop_slacks: dict[int, int] = {}
-    nxt = lay.n_vars
-    for idx, c in enumerate(prop.constraints):
-        terms = {lay.output_ids[k]: float(a) for k, a in enumerate(c.coeffs) if a != 0.0}
-        if len(terms) >= 2:
-            prop_slacks[idx] = nxt
-            define_row(rows, nxt, terms)
-            nxt += 1
-    lo, hi = _bound_maps(net, prop, bounds, prop_slacks)
+    prop_slacks = prop_slack_ids(net, prop)
+    for idx, sid in prop_slacks.items():
+        coeffs = prop.constraints[idx].coeffs
+        define_row(rows, sid, {lay.output_ids[k]: float(a) for k, a in enumerate(coeffs) if a != 0.0})
+        equations[sid] = (PROP, idx)
+    lo, hi = bound_maps(net, prop, bounds, prop_slacks)
 
     alpha = {v: lo[v] for v in lo if v not in rows}
-    cfg = Configuration(rows, lo, hi, alpha, lay.relu_pairs, lay.input_ids, prop_slacks)
+    cfg = Configuration(rows, lo, hi, alpha, lay.relu_pairs, lay.input_ids, prop_slacks,
+                        equations)
     recompute(cfg)
     return cfg
 
@@ -426,7 +476,7 @@ def refresh_bounds(cfg: Configuration, net, prop, bounds) -> None:
     """Replace cfg's bounds with freshly analyzed ones (same variable set),
     clamp non-basics back into range, and re-solve the basics. Violation
     counters restart: they score the upcoming local search only."""
-    cfg.lo, cfg.hi = lo, hi = _bound_maps(net, prop, bounds, cfg.prop_slacks)
+    cfg.lo, cfg.hi = lo, hi = bound_maps(net, prop, bounds, cfg.prop_slacks)
     for v in cfg.alpha:
         if v not in cfg.rows:
             cfg.alpha[v] = min(max(cfg.alpha[v], lo[v]), hi[v])

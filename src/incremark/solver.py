@@ -6,7 +6,9 @@ closes the branch, or one ReLU pair that has been repaired SPLIT_THRESHOLD
 times (Reluplex's split on demand, Katz et al., CAV 2017). At that point the
 node ends: it splits on its most repaired uncertain pair, or, with every
 ReLU decided, the exact branch LP decides it (the loop can cycle between
-decided pairs that sit within the bound tolerance).
+decided pairs that sit within the bound tolerance). A leaf that a row
+closes, of the search tableau or of the branch LP, stores that row's
+certificate (`simplex.certificate`) for replay.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .model import UNSAT, Verdict, property_hash, witness_ok
 from .simplex import (
     Satisfied,
     Stuck,
+    certificate,
     check_unsat_rows,
     initialize,
     refresh_bounds,
@@ -79,6 +82,7 @@ def _visit(net, prop, tree, nid, cfg, bounds, base):
         cfg.rewritten.clear()
         if not verdict.feasible:
             node.status = pt.UNSAT
+            node.cert = certificate(cfg, verdict.unsat_row)
             return None
         if max(cfg.violations.values(), default=0) >= SPLIT_THRESHOLD:
             if candidates:
@@ -99,6 +103,7 @@ def _visit(net, prop, tree, nid, cfg, bounds, base):
             if step.stuck_row is not None:
                 # pinned row: exact infeasibility certificate at these bounds
                 node.status = pt.UNSAT
+                node.cert = certificate(cfg, step.stuck_row)
                 return None
             raise RuntimeError("local search stuck on a fully decided branch")
         # bounds are fixed within a node: only a rewritten row can change verdict
@@ -127,7 +132,7 @@ def _visit(net, prop, tree, nid, cfg, bounds, base):
 def _decide_by_lp(net, prop, node, bounds):
     """Record the branch LP's decision of a fully decided branch on its
     node; returns the witness or None (branch UNSAT)."""
-    witness = lp.decide(net, prop, bounds)
+    witness, node.cert = lp.decide(net, prop, bounds)
     node.status = pt.UNSAT if witness is None else pt.SAT
     node.witness = witness
     return witness

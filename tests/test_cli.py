@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 from click.testing import CliRunner
@@ -308,9 +309,14 @@ def stored(tmp_path_factory):
     modified = perturb(net, Perturbation(0.3, 0.5, 18))
     save_network(modified, str(d / "s18.rnn"))
     save_property(prop, str(d / "s18.prop"))
+    # the stored UNSAT tree no longer holds: a leaf that a hostile
+    # certificate closed by mistake would turn the oracle's SAT into UNSAT
+    broken = perturb(net, Perturbation(0.5, 1.0, 7))
+    save_network(broken, str(d / "s18_sat.rnn"))
     instances = {
         "demo": (load_network(DEMO), load_network(FPRIME), FPRIME, PROP),
         "s18": (net, modified, str(d / "s18.rnn"), str(d / "s18.prop")),
+        "s18_sat": (net, broken, str(d / "s18_sat.rnn"), str(d / "s18.prop")),
     }
     out = {}
     for name, (base, mod, net_path, prop_path) in instances.items():
@@ -319,6 +325,22 @@ def stored(tmp_path_factory):
         code = EXIT_SAT if oracle(mod, p).sat else EXIT_UNSAT
         out[name] = (net_path, prop_path, tree.to_json(), code)
     return out
+
+
+def test_reverify_debug_log_names_each_leaf_rung(stored, tmp_path, caplog):
+    net_path, prop_path, doc, _ = stored["s18"]
+    (tmp_path / "tree.json").write_text(json.dumps(doc))
+    report_path = tmp_path / "report.json"
+    with caplog.at_level(logging.DEBUG, logger="incremark"):
+        res = CliRunner().invoke(main, ["reverify", "--net", net_path, "--prop", prop_path,
+                                        "--tree", str(tmp_path / "tree.json"),
+                                        "--report", str(report_path)])
+    assert res.exit_code == EXIT_UNSAT
+    rep = json.loads(report_path.read_text())
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("unsat leaf")]
+    assert len(lines) == rep["replayed"] + rep["fallbacks"] == sum(rep["rungs"].values())
+    rungs = [line.rsplit(": ", 1)[1] for line in lines]
+    assert {r: rungs.count(r) for r in rep["rungs"]} == rep["rungs"]
 
 
 def _reverify_doc(tmp_path, net_path, prop_path, doc):
@@ -339,6 +361,11 @@ def _bad_witness(doc):
     leaf["witness"] = leaf["witness"] + [0.0]
 
 
+def _cert_on_neuron(doc, kind, neuron):
+    leaf = next(nd for nd in doc["nodes"] if nd.get("cert"))
+    leaf["cert"][0][:2] = [kind, neuron]
+
+
 def _repeat_on_path(doc):
     # node 4 sits below the split on neuron 3; splitting it on 3 again
     # asserts that neuron twice on one root-to-leaf path
@@ -353,6 +380,16 @@ def _repeat_on_path(doc):
      "neuron 99 is not a ReLU"),
     ("demo", _bad_witness, EXIT_MISMATCH, "witness has 3 values for 2 inputs"),
     ("s18", _repeat_on_path, EXIT_ERROR, "neuron 3 asserted twice on one path"),
+    # a certificate index that names no equation used to end in a KeyError
+    # traceback from the certificate rung
+    ("s18", lambda doc: _cert_on_neuron(doc, "relu", 99), EXIT_MISMATCH,
+     "certificate names relu equation 99"),
+    ("s18", lambda doc: _cert_on_neuron(doc, "chord", 22), EXIT_MISMATCH,
+     "certificate names chord equation 22"),
+    ("s18", lambda doc: _cert_on_neuron(doc, "prop", 0), EXIT_MISMATCH,
+     "certificate names prop equation 0"),
+    ("s18", lambda doc: _cert_on_neuron(doc, "bias", 2), EXIT_ERROR,
+     "unknown equation kind 'bias'"),
 ])
 def test_reverify_rejects_tree_not_of_this_network(stored, tmp_path, case, mutate, code, message):
     net_path, prop_path, doc, _ = stored[case]
@@ -364,14 +401,55 @@ def test_reverify_rejects_tree_not_of_this_network(stored, tmp_path, case, mutat
     assert len(res.stderr.strip().split("\n")) == 1
 
 
-MUTATIONS = ("drop", "flip", "renumber", "renumber_all", "witness", "truncate")
+MUTATIONS = ("drop", "flip", "renumber", "renumber_all", "witness", "cert", "truncate")
+NUMBERS = st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 0.0,
+                           1e-300]) | st.floats(allow_nan=True, allow_infinity=True)
+SCALES = st.sampled_from([-1.0, 1e-12, 1e-3, 1e3, 1e12, 1e300]) | st.floats(-1e6, 1e6)
+JUNK = st.sampled_from([[], ["aff", 1], "aff", ["aff", 1.5, 1.0], ["aff", True, 1.0],
+                        ["aff", 1, "1"], ["aff", 10 ** 400, 1.0], None])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+def _mutate_cert(doc, data, n_ids):
+    """Corrupt one certificate: a bad or huge multiplier, scaled or flipped
+    multipliers, a wrong kind or index, a malformed entry, a certificate
+    copied onto another node, or a made-up one."""
+    nodes = doc["nodes"]
+    # certificates that an earlier "junk" mutation has not broken
+    carriers = [nd for nd in nodes if nd.get("cert") and all(
+        isinstance(e, list) and len(e) == 3 and isinstance(e[2], float) for e in nd["cert"])]
+    how = data.draw(st.sampled_from(("value", "scale", "flip", "kind", "index", "junk",
+                                     "copy", "invent")))
+    if how == "invent" or not carriers:
+        data.draw(st.sampled_from(nodes))["cert"] = data.draw(st.lists(st.tuples(
+            st.sampled_from(["aff", "relu", "chord", "prop", "bias"]),
+            st.integers(-1, n_ids), NUMBERS).map(list), max_size=12))
+        return
+    cert = data.draw(st.sampled_from(carriers))["cert"]
+    i = data.draw(st.integers(0, len(cert) - 1))
+    if how == "value":
+        cert[i][2] = data.draw(NUMBERS)
+    elif how == "scale":
+        k = data.draw(SCALES)
+        for e in cert:
+            e[2] *= k
+    elif how == "flip":
+        cert[i][2] = -cert[i][2]
+    elif how == "kind":
+        cert[i][0] = data.draw(st.sampled_from(["aff", "relu", "chord", "prop", "bias"]))
+    elif how == "index":
+        cert[i][1] = data.draw(st.integers(-1, n_ids))
+    elif how == "junk":
+        cert[i] = data.draw(JUNK)
+    else:  # copy
+        data.draw(st.sampled_from(nodes))["cert"] = json.loads(json.dumps(cert))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
 @given(st.data())
 def test_reverify_mutated_tree(stored, tmp_path_factory, data):
     """A corrupted tree file is rejected with a one-line message (exit 1 or
-    2) or re-verified to the oracle's verdict; it never raises."""
+    2) or re-verified to the oracle's verdict; it never raises. A stored
+    certificate, however hostile, can only fail to close a leaf."""
     case = data.draw(st.sampled_from(sorted(stored)))
     net_path, prop_path, doc, expected = stored[case]
     doc = json.loads(json.dumps(doc))
@@ -397,6 +475,8 @@ def test_reverify_mutated_tree(stored, tmp_path_factory, data):
         elif kind == "witness":
             nd = data.draw(st.sampled_from(nodes))
             nd["witness"] = [0.0] * data.draw(st.integers(0, 4))
+        elif kind == "cert":
+            _mutate_cert(doc, data, n_ids)
     text = json.dumps(doc)
     if "truncate" in kinds:
         text = text[:data.draw(st.integers(0, len(text) - 1))]
@@ -408,3 +488,29 @@ def test_reverify_mutated_tree(stored, tmp_path_factory, data):
         assert message and "\n" not in message
     else:
         assert res.exit_code == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_reverify_hostile_certificate(stored, tmp_path_factory, data):
+    """Certificate mutations alone, so most mutants reach the replay ladder:
+    each is rejected in one line or gets the oracle's verdict."""
+    case = data.draw(st.sampled_from(["s18", "s18_sat"]))
+    net_path, prop_path, doc, expected = stored[case]
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate_cert(doc, data, 60)
+    d = tmp_path_factory.mktemp("hostile")
+    tree_path, report_path = d / "tree.json", d / "report.json"
+    tree_path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["reverify", "--net", net_path, "--prop", prop_path,
+                                    "--tree", str(tree_path), "--report", str(report_path)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    if res.exit_code in (EXIT_ERROR, EXIT_MISMATCH):
+        message = res.stderr.strip()
+        assert message and "\n" not in message
+        event(f"rejected, exit {res.exit_code}")
+    else:
+        assert res.exit_code == expected
+        rungs = json.loads(report_path.read_text())["rungs"]
+        event(f"{case}: {rungs['certificate']} leaves closed by a certificate")

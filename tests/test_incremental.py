@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from incremark import solver
+from incremark import lp, solver
 from incremark.bench import (
     Perturbation,
     oracle,
@@ -11,18 +11,23 @@ from incremark.bench import (
     random_network,
     random_threshold_property,
 )
+from incremark.deeppoly import analyze
 from incremark.incremental import (
+    CERTIFICATE,
+    FALLBACK,
+    LP,
     PROOF_FAILED_FELL_BACK,
     PROOF_REPLAYED,
     PRUNED,
     RESOLVED_SAT,
     RESOLVED_UNSAT,
+    RUNGS,
     SKIPPED,
     IncrementalReport,
     ShapeMismatchError,
     verify_incremental,
 )
-from incremark.prooftree import deserialize
+from incremark.prooftree import deserialize, from_json
 from incremark.model import (
     LinearConstraint,
     Network,
@@ -39,7 +44,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 REPORT_KEYS = {
     "verdict", "witness", "replay_pct", "pruned", "replayed",
-    "fallbacks", "unsat_leaves_total", "times_s", "outcomes",
+    "fallbacks", "unsat_leaves_total", "times_s", "outcomes", "rungs",
 }
 
 
@@ -78,6 +83,8 @@ def test_report_json_schema(demo_net, fprime, demo_prop):
     assert set(j["times_s"]) <= {"analyze", "prune", "open_leaves",
                                  "unsat_leaves", "total"}
     assert all(isinstance(v, float) for v in j["times_s"].values())
+    # no stored UNSAT leaf was replayed: every rung counts 0
+    assert j["rungs"] == {r: 0 for r in RUNGS}
 
 
 def test_mode_and_shape_validation(demo_net, demo_prop):
@@ -289,3 +296,100 @@ def test_tree_with_stored_basis_still_reverifies(p, replayed, fallbacks):
     if verdict.sat:
         assert witness_ok(modified, prop, verdict.witness)
     out.validate()
+    # the file stores no certificates, so none closes a leaf
+    assert not any("cert" in nd for nd in doc["nodes"])
+    assert CERTIFICATE not in rep.rungs.values()
+
+
+def _leaf_bounds(net, prop, tree, nid):
+    return analyze(net, prop.box, sorted(tree.asserts_of(nid)))
+
+
+@pytest.mark.parametrize("shape, seeds", [((2, 5, 5, 1), range(60)), ((3, 8, 8, 1), range(8))])
+def test_solve_certificates_close_their_own_leaves(shape, seeds):
+    """On the network that wrote it, every stored certificate closes its
+    leaf under the leaf's own analyze bounds."""
+    checked = 0
+    for s in seeds:
+        net = random_network(shape, s)
+        prop = random_threshold_property(net, s + 1)
+        _, tree = solve(net, prop)
+        for nid in tree.leaves():
+            cert = tree.nodes[nid].cert
+            if cert is not None:
+                assert lp.certificate_refutes(net, prop, _leaf_bounds(net, prop, tree, nid), cert)
+                checked += 1
+    assert checked >= 5
+
+
+def _paper_and_break_grid(s):
+    paper = [Perturbation(g, (0.1, 0.3, 0.5)[t], s + 7919 * (3 * i + t))
+             for i, g in enumerate((0.001, 0.01, 0.03, 0.05)) for t in range(3)]
+    return paper + [Perturbation(g, 1.0, s + 7919 * (12 + 3 * i + t))
+                    for i, g in enumerate((0.3, 0.5)) for t in range(3)]
+
+
+def test_certificate_rung_closes_only_empty_branches():
+    """Every leaf that a certificate closes has an infeasible branch LP, and
+    every verdict is the oracle's."""
+    closed = 0
+    for s in (3, 18, 25, 28):
+        net = random_network((2, 5, 5, 1), s)
+        prop = random_threshold_property(net, s + 1)
+        v, tree = solve(net, prop)
+        assert not v.sat
+        for p in _paper_and_break_grid(s):
+            modified = perturb(net, p)
+            verdict, rep, _ = verify_incremental(modified, prop, tree)
+            assert verdict.name == oracle(modified, prop).name
+            for nid, rung in rep.rungs.items():
+                if rung == CERTIFICATE:
+                    bounds = _leaf_bounds(modified, prop, tree, nid)
+                    assert not lp.feasible(lp.build(modified, prop, bounds))
+                    closed += 1
+    assert closed >= 20
+
+
+def test_lp_certificate_is_carried_forward(monkeypatch):
+    """A leaf that the branch LP closes keeps the LP's certificate in the
+    output tree; re-verifying from that tree closes it by the certificate,
+    with no LP built."""
+    net = random_network((2, 5, 5, 1), 18)
+    prop = random_threshold_property(net, 19)
+    _, tree = solve(net, prop)
+    modified = perturb(net, Perturbation(0.05, 1.0, 2))
+    _, rep1, out1 = verify_incremental(modified, prop, tree)
+    by_lp = {tree.asserts_of(nid) for nid, rung in rep1.rungs.items() if rung == LP}
+    assert by_lp
+    doc = out1.to_json()
+    carried = [nd for nd in doc["nodes"] if out1.asserts_of(nd["id"]) in by_lp]
+    assert len(carried) == len(by_lp)
+    assert all(nd.get("cert") for nd in carried)
+
+    builds = 0
+    build = lp.build
+
+    def counted(*args):
+        nonlocal builds
+        builds += 1
+        return build(*args)
+
+    monkeypatch.setattr(lp, "build", counted)
+    out1 = from_json(json.loads(json.dumps(doc)))
+    verdict, rep2, _ = verify_incremental(modified, prop, out1)
+    assert not verdict.sat
+    assert builds == 0
+    assert {out1.asserts_of(nid) for nid, rung in rep2.rungs.items()
+            if rung == CERTIFICATE} >= by_lp
+
+
+def test_fallback_graft_brings_its_certificates():
+    net = random_network((2, 5, 5, 1), 18)
+    prop = random_threshold_property(net, 19)
+    _, tree = solve(net, prop)
+    modified = perturb(net, Perturbation(0.5, 1.0, 28))
+    verdict, rep, out = verify_incremental(modified, prop, tree)
+    assert not verdict.sat
+    [fell_back] = [tree.asserts_of(nid) for nid, rung in rep.rungs.items() if rung == FALLBACK]
+    grafted = [i for i in out.leaves() if out.asserts_of(i) >= fell_back]
+    assert any(out.nodes[i].cert is not None for i in grafted)

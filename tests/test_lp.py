@@ -8,7 +8,7 @@ from incremark import lp
 from incremark.bench import random_network, random_threshold_property
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze
 from incremark.model import LinearConstraint, Network, SafetyProperty, forward_values
-from incremark.simplex import Configuration, initialize, recompute
+from incremark.simplex import Configuration, certificate, initialize, recompute
 
 from conftest import BOX
 
@@ -110,6 +110,84 @@ def test_infeasible_certificate(demo_net, unsat_prop):
     assert lp.find_point(r, [0, 1]) is None
     with pytest.raises(ValueError):
         lp.tighten(r, [6])
+
+
+def _equation_residual(net, prop, cfg, bounds, kind, i, v):
+    """slack - expr of one encoded equation at an arbitrary point v, written
+    out here from the encoding tables rather than taken from the tableau."""
+    lay = net.layout
+    own = {key: sid for sid, key in cfg.equations.items()}[(kind, i)]
+    if kind == "aff":
+        li, j = lay.pre_row[i]
+        prev = lay.input_ids if li == 0 else lay.post_ids[li - 1]
+        expr = sum(w * v[p] for w, p in zip(net.weights[li][j], prev)) - v[i]
+    elif kind == "relu":
+        expr = v[lay.relu_post[i]] - v[i]
+    elif kind == "chord":
+        l, u = bounds.lo[i], bounds.hi[i]
+        expr = v[lay.relu_post[i]] - u / (u - l) * v[i]
+    else:
+        expr = sum(a * v[y] for a, y in zip(prop.constraints[i].coeffs, lay.output_ids))
+    return v[own] - expr
+
+
+@pytest.mark.parametrize("shape, seed, n_out", [((2, 5, 5, 1), 3, 1), ((3, 6, 4), 8, 4),
+                                                ((2, 4, 4, 3), 11, 3)])
+def test_every_row_is_its_certificates_sum(shape, seed, n_out):
+    """At any point, even one off every equation, a tableau row's residual
+    equals the certificate-weighted sum of the equations' residuals."""
+    rng = np.random.default_rng(seed)
+    net = random_network(shape, seed)
+    # two multi-output constraints, so property slacks are encoded too
+    prop = SafetyProperty(tuple((-1.0, 1.0) for _ in range(shape[0])), tuple(
+        LinearConstraint(tuple(rng.normal(size=n_out)), -5.0) for _ in range(2)))
+    bounds = analyze(net, prop.box)
+    r = lp.build(net, prop, bounds)
+    lp.phase1(r)  # pivots the rows away from their encoded form
+    kinds = {kind for kind, _ in r.cfg.equations.values()}
+    assert kinds == ({"aff", "relu", "chord", "prop"} if n_out > 1 else {"aff", "relu", "chord"})
+    v = {k: float(x) for k, x in zip(sorted(r.cfg.lo), rng.normal(size=len(r.cfg.lo)))}
+    for b, row in r.cfg.rows.items():
+        lhs = v[b] - sum(c * v[k] for k, c in row.items())
+        rhs = sum(y * _equation_residual(net, prop, r.cfg, bounds, kind, i, v)
+                  for kind, i, y in certificate(r.cfg, b))
+        assert rhs == pytest.approx(lhs, abs=1e-9)
+
+
+def test_infeasible_branch_certificate_closes_it(demo_net, unsat_prop, fprime):
+    r = lp.build(demo_net, unsat_prop, analyze(demo_net, BOX))
+    assert lp.phase1(r) == lp.INFEASIBLE
+    cert = certificate(r.cfg, r.infeasible_row)
+    assert lp.certificate_refutes(demo_net, unsat_prop, analyze(demo_net, BOX), cert)
+    # a small weight change: the rebuilt sum still excludes 0
+    assert lp.certificate_refutes(fprime, unsat_prop, analyze(fprime, BOX), cert)
+    # any multipliers give an implied equation; these ones show nothing
+    for useless in ((), (("relu", 2, 1.0),), (("relu", 2, -3.0), ("relu", 3, 0.5))):
+        assert not lp.certificate_refutes(demo_net, unsat_prop, analyze(demo_net, BOX), useless)
+
+
+def test_certificate_chord_needs_an_undecided_neuron(demo_net, demo_prop):
+    bounds = analyze(demo_net, BOX)
+    assert bounds.lo[3] < 0.0 < bounds.hi[3]
+    # the chord of x4 over its interval, alone: post - k*pre <= -k*l holds,
+    # so the interval of its residual, slack - post + k*pre, contains 0
+    assert not lp.certificate_refutes(demo_net, demo_prop, bounds, (("chord", 3, 1.0),))
+    # once the neuron is decided the chord's bound cuts real points: for
+    # pre = x in [1, 2] it would say post - 2*pre <= -2, which only pre = 2
+    # meets. With the output capped at 1.5 that "shows" a non-empty branch
+    # empty, so the rung must refuse it
+    net = Network([[[1.0]], [[1.0]]], [[0.0], [0.0]])
+    prop = SafetyProperty(((1.0, 2.0),), (LinearConstraint((-1.0,), -1.5),))
+    on = analyze(net, prop.box)
+    assert (on.lo[1], on.hi[1]) == (1.0, 2.0)
+    assert lp.feasible(lp.build(net, prop, on))
+    cut = (("chord", 1, 1.0), ("relu", 1, -2.0), ("aff", 3, 1.0))  # s_chord + y <= -0.5
+    assert not lp.certificate_refutes(net, prop, on, cut)
+    # on a neuron pinned to [0, 0] the chord has no slope (0/0): it refutes
+    # nothing, rather than raise
+    pinned = analyze(demo_net, BOX, [Assertion(3, NONNEG), Assertion(3, NONPOS)])
+    assert pinned.lo[3] == pinned.hi[3] == 0.0
+    assert not lp.certificate_refutes(demo_net, demo_prop, pinned, (("chord", 3, 1.0),))
 
 
 def test_tighten_demo_values(demo_net, demo_prop):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -237,6 +238,47 @@ def test_json_roundtrip(tmp_path):
     assert back.add_child(r, Assertion(3, NONPOS)) == lr + 1
 
 
+def test_certificate_roundtrip_copy_and_prune():
+    t, l, r, ll, lr = small_tree()
+    for n in (r, ll, lr):
+        t.nodes[n].status = UNSAT
+    t.nodes[r].cert = (("aff", 2, 1.0), ("relu", 3, -0.5))
+    data = t.to_json()
+    assert data["nodes"][r]["cert"] == [["aff", 2, 1.0], ["relu", 3, -0.5]]
+    assert "cert" not in data["nodes"][ll]
+    back = from_json(json.loads(json.dumps(data)))
+    assert back.nodes[r].cert == t.nodes[r].cert
+    assert back.to_json() == data
+    assert t.copy().nodes[r].cert == t.nodes[r].cert
+    # pruning the other side keeps the certified leaf as it is
+    pruned = t.prune(Bounds(lo={2: 0.5}, hi={2: 1.0}))
+    assert sorted(pruned.nodes) == [0, l, r]
+    assert pruned.nodes[r].cert == t.nodes[r].cert
+    assert pruned.nodes[l].cert is None
+
+
+@pytest.mark.parametrize("cert, message", [
+    ("aff", "certificate is not a list"),
+    ([["aff", 2]], "is not [kind, index, multiplier]"),
+    ([["bias", 2, 1.0]], "unknown equation kind 'bias'"),
+    ([["aff", 2.0, 1.0]], "index 2.0 is not an integer"),
+    ([["aff", True, 1.0]], "index True is not an integer"),
+    ([["aff", 2, "1"]], "multiplier '1' is not a finite number"),
+    ([["aff", 2, float("nan")]], "multiplier nan is not a finite number"),
+    ([["aff", 2, float("-inf")]], "multiplier -inf is not a finite number"),
+    ([["aff", 2, 10 ** 400]], "malformed proof tree"),
+])
+def test_from_json_rejects_malformed_certificates(cert, message):
+    t, l, r, ll, lr = small_tree()
+    t.nodes[r].status = UNSAT
+    data = t.to_json()
+    data["nodes"][r]["cert"] = cert
+    # JSON text admits NaN and Infinity, so the check must not rely on the parser
+    data = json.loads(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_json(data)
+
+
 def test_from_json_rejects():
     with pytest.raises(ValueError):
         from_json({"version": 2, "dims": [2, 2, 1], "prop_hash": HASH, "nodes": []})
@@ -264,6 +306,14 @@ def test_from_json_rejects():
         from_json(bad)
     with pytest.raises(ValueError, match="not a JSON object"):
         from_json([bad])
+    # numbers past float range used to end in an OverflowError traceback
+    bad["nodes"][1]["witness"] = [10 ** 400, 0.0]
+    with pytest.raises(ValueError, match="malformed proof tree"):
+        from_json(bad)
+    bad["nodes"][1]["witness"] = None
+    bad["nodes"][1]["assert"]["neuron"] = float("inf")
+    with pytest.raises(ValueError, match="malformed proof tree"):
+        from_json(bad)
 
 
 def test_serialized_file_is_plain_json(tmp_path):
