@@ -7,8 +7,8 @@ replaying each stored UNSAT leaf against the new network. A leaf keeps its
 branch's sign assertions and, when a row closed it, that row's certificate:
 the multipliers of the encoded equations whose sum showed the branch empty.
 Fresh bounds, the certificate rebuilt for the new weights, the branch LP and
-a row test try to close the branch again, and search runs only where none
-does.
+LP tightening of the input box try to close the branch again, and search runs
+only where none does.
 """
 
 from .bench import CompareReport, Perturbation, compare, oracle, perturb

@@ -12,9 +12,9 @@ to a full branch search. Each rung is named by the word the report counts:
                  leaf's new certificate
     tighten      LP-shrink the input box, re-propagate: empty or
                  property-impossible
-    rows         any row of the fresh tableau contradicts its bounds
-    fallback     otherwise: full search of the branch, whose closed leaves
-                 bring their own certificates
+    fallback     otherwise: full search of the branch from a fresh tableau
+                 over the tightened bounds (`solver.search_branch`), whose
+                 closed leaves bring their own certificates
 
 Every rung but the last closes the leaf. A leaf needs only its edge
 assertions; the certificate, when it has one, only saves the LP.
@@ -30,17 +30,9 @@ from . import lp
 from . import prooftree as pt
 from .deeppoly import analyze, is_property_refuted
 from .model import UNSAT, Verdict, property_hash, witness_ok
-from .simplex import (
-    AFF,
-    CHORD,
-    PROP,
-    RELU,
-    certificate,
-    check_unsat_rows,
-    initialize,
-    prop_slack_ids,
-    refresh_bounds,
-)
+from .simplex import AFF, CHORD, PROP, RELU, certificate, prop_slack_ids
+# not called here: perfbench/tracer.py patches these two names on this module
+from .simplex import check_unsat_rows, refresh_bounds  # noqa: F401
 from .solver import search_branch
 
 PROOF_REPLAYED = "proof_replayed"
@@ -55,9 +47,8 @@ ANALYZE = "analyze"
 CERTIFICATE = "certificate"
 LP = "lp"
 TIGHTEN = "tighten"
-ROWS = "rows"
 FALLBACK = "fallback"
-RUNGS = (ANALYZE, CERTIFICATE, LP, TIGHTEN, ROWS, FALLBACK)
+RUNGS = (ANALYZE, CERTIFICATE, LP, TIGHTEN, FALLBACK)
 
 
 class ShapeMismatchError(Exception):
@@ -127,7 +118,7 @@ def _check_fits(tree: pt.ProofTree, net, prop) -> None:
                     "network and property do not encode")
 
 
-def _replay_unsat_leaf(net, prop, tree, nid, cfg0):
+def _replay_unsat_leaf(net, prop, tree, nid):
     """Climb the replay ladder for a stored UNSAT leaf; returns (rung,
     witness | None, graft tree | None). A branch LP that closes the leaf
     leaves its certificate on the leaf."""
@@ -145,11 +136,7 @@ def _replay_unsat_leaf(net, prop, tree, nid, cfg0):
     nb = lp.tighten_inputs_then_repropagate(net, prop, asserts, relax)
     if nb.infeasible or is_property_refuted(nb, prop):
         return TIGHTEN, None, None
-    cfg = cfg0.copy()
-    refresh_bounds(cfg, net, prop, nb)
-    if not check_unsat_rows(cfg).feasible:
-        return ROWS, None, None
-    w, graft = search_branch(net, prop, asserts, cfg, nb)
+    w, graft = search_branch(net, prop, asserts, nb)
     return FALLBACK, w, graft
 
 
@@ -178,8 +165,6 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
         times["total"] = time.perf_counter() - t0
         return UNSAT, report, out
 
-    cfg0 = initialize(net, prop, base)
-
     t1 = time.perf_counter()
     removed: list[int] = []
     work = tree.prune(base, removed)
@@ -206,9 +191,7 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
             node.status = pt.UNSAT
             node.witness = None
             return False
-        cfg = cfg0.copy()
-        refresh_bounds(cfg, net, prop, bounds)
-        w, graft = search_branch(net, prop, asserts, cfg, bounds)
+        w, graft = search_branch(net, prop, asserts, bounds)
         grafts[nid] = graft
         if w is not None:
             report.outcomes[nid] = RESOLVED_SAT
@@ -238,7 +221,7 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     report.unsat_total = len(unsat_leaves) + report.pruned
     if witness is None:
         for nid in unsat_leaves:
-            rung, w, graft = _replay_unsat_leaf(net, prop, work, nid, cfg0)
+            rung, w, graft = _replay_unsat_leaf(net, prop, work, nid)
             report.rungs[nid] = rung
             if rung == FALLBACK:
                 report.outcomes[nid] = PROOF_FAILED_FELL_BACK
@@ -269,27 +252,16 @@ def _assemble(work: pt.ProofTree, grafts: dict[int, pt.ProofTree]) -> pt.ProofTr
     node ids renumbered densely in DFS order."""
     out = pt.ProofTree(work.dims, work.prop_hash)
 
-    def copy_fields(dst: pt.Node, src: pt.Node) -> None:
-        dst.status = src.status
-        dst.witness = src.witness
-        dst.cert = src.cert
-
     def clone(tree: pt.ProofTree, sid: int, oid: int) -> None:
         src = tree.nodes[sid]
-        copy_fields(out.nodes[oid], src)
+        if tree is work and sid in grafts and not src.children:
+            clone(grafts[sid], 0, oid)
+            return
+        dst = out.nodes[oid]
+        dst.status, dst.witness, dst.cert = src.status, src.witness, src.cert
         for c in src.children:
             cid = out.add_child(oid, tree.nodes[c].assertion)
             clone(tree, c, cid)
 
-    def clone_old(sid: int, oid: int) -> None:
-        src = work.nodes[sid]
-        if sid in grafts and not src.children:
-            clone(grafts[sid], 0, oid)
-            return
-        copy_fields(out.nodes[oid], src)
-        for c in src.children:
-            cid = out.add_child(oid, work.nodes[c].assertion)
-            clone_old(c, cid)
-
-    clone_old(0, 0)
+    clone(work, 0, 0)
     return out

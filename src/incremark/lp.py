@@ -264,19 +264,12 @@ def tighten(relax: Relaxation, vids) -> dict[int, tuple[float, float]]:
     return out
 
 
-def tighten_inputs_then_repropagate(net, prop, asserts, relax=None) -> Bounds:
-    """Shrink the input box by per-input LP optimization, then re-run the
-    abstraction on the smaller box. An infeasible relaxation (or an input
-    interval squeezed empty) is reported as infeasible Bounds.
-
-    `relax`, when given, must be the branch relaxation built for the same
-    asserts over the unchanged box; it is reused instead of rebuilt."""
+def tighten_inputs_then_repropagate(net, prop, asserts, relax) -> Bounds:
+    """Shrink the input box by per-input LP optimization over `relax`, the
+    branch relaxation built for the same asserts over the unchanged box,
+    then re-run the abstraction on the smaller box. An infeasible relaxation
+    (or an input interval squeezed empty) is reported as infeasible Bounds."""
     asserts = sorted(asserts)
-    if relax is None:
-        base = analyze(net, prop.box, asserts)
-        if base.infeasible:
-            return base
-        relax = build(net, prop, base)
     if phase1(relax) == INFEASIBLE:
         return Bounds(output_ids=tuple(net.layout.output_ids), infeasible=True)
     box = []

@@ -54,15 +54,17 @@ def solve(net, prop):
         tree = pt.ProofTree(net.dims, property_hash(prop), "unsat")
         tree.root.status = pt.UNSAT
         return UNSAT, tree
-    witness, tree = search_branch(net, prop, (), initialize(net, prop, bounds), bounds)
+    witness, tree = search_branch(net, prop, (), bounds)
     return (UNSAT if witness is None else Verdict(True, witness)), tree
 
 
-def search_branch(net, prop, asserts, cfg, bounds):
-    """Search the branch under `asserts`, with `cfg` and `bounds` built for
-    it; returns (witness | None, the branch's ProofTree). The tree's edges
-    hold only the assertions this search adds below `asserts`."""
+def search_branch(net, prop, asserts, bounds):
+    """Search the branch under `asserts` from a fresh tableau over `bounds`,
+    which must be that branch's bounds; returns (witness | None, the
+    branch's ProofTree). The tree's edges hold only the assertions this
+    search adds below `asserts`."""
     tree = pt.ProofTree(net.dims, property_hash(prop))
+    cfg = initialize(net, prop, bounds)
     witness = _visit(net, prop, tree, 0, cfg, bounds, frozenset(asserts))
     tree.verdict = "unsat" if witness is None else "sat"
     return witness, tree

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from incremark import lp, solver
+from incremark import lp, simplex, solver
 from incremark.bench import (
     Perturbation,
     oracle,
@@ -393,3 +393,25 @@ def test_fallback_graft_brings_its_certificates():
     [fell_back] = [tree.asserts_of(nid) for nid, rung in rep.rungs.items() if rung == FALLBACK]
     grafted = [i for i in out.leaves() if out.asserts_of(i) >= fell_back]
     assert any(out.nodes[i].cert is not None for i in grafted)
+
+
+def test_replay_closed_by_certificates_builds_no_tableau(monkeypatch):
+    """A re-verification whose every leaf its certificate closes builds no
+    tableau: a branch search builds its own, only when one runs."""
+    net = random_network((2, 5, 5, 1), 18)
+    prop = random_threshold_property(net, 19)
+    _, tree = solve(net, prop)
+    modified = perturb(net, Perturbation(0.001, 0.1, 18))
+    built = 0
+    init = simplex.Configuration.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(simplex.Configuration, "__init__", counted)
+    verdict, rep, _ = verify_incremental(modified, prop, tree)
+    assert not verdict.sat
+    assert rep.rungs and set(rep.rungs.values()) == {CERTIFICATE}
+    assert built == 0
