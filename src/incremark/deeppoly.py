@@ -6,6 +6,13 @@ relations all the way back to the input box. Back-substitution runs per
 layer as a matrix: one pass bounds every neuron of a layer from both sides.
 Sign assertions clamp the pre-activation interval *before* the ReLU case
 split, so asserted branches propagate tightened relaxations downstream.
+
+A back-substitution is itself a sum of the equations the tableau encodes
+(see the simplex module): an affine layer is an `aff` equation, a
+decided-on ReLU a `relu` equation, an uncertain ReLU taken by its upper
+relation a `chord`. `certificate` writes down the multipliers of the one
+row that refuted a branch, so a branch that `analyze` closed carries the
+same kind of proof as one a tableau row closed.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import numpy as np
 
 from .constants import EPS_BOUND, EPS_COLLAPSE
 from .model import RELU, Network
+from .simplex import AFF, CHORD, PROP, RELU as RELU_EQ, Certificate
 
 NONNEG = "nonneg"
 NONPOS = "nonpos"
@@ -37,8 +45,10 @@ class Bounds:
 
     Covers network neurons only; the tableau derives the bounds of its
     own variables from these (`simplex.initialize`, `simplex.refresh_bounds`).
-    `infeasible` means some assertion emptied a pre-activation interval, in
-    which case the remaining dicts are only partially filled.
+    `infeasible` means the branch is empty; when `analyze` found it so,
+    `emptied` is the assertion that emptied its neuron's pre-activation
+    interval, and the dicts are filled only for the layers before that
+    neuron's.
     """
 
     lo: dict[int, float] = field(default_factory=dict)
@@ -47,6 +57,7 @@ class Bounds:
     relu_upper: dict[int, tuple[float, float]] = field(default_factory=dict)
     output_ids: tuple[int, ...] = ()
     infeasible: bool = False
+    emptied: Assertion | None = None
 
     def interval(self, vid: int) -> tuple[float, float]:
         return self.lo[vid], self.hi[vid]
@@ -62,7 +73,12 @@ def is_property_refuted(bounds: Bounds, prop, eps: float = EPS_BOUND) -> bool:
         return True
     if bounds.infeasible:
         return True
-    for c in prop.constraints:
+    return _refuted_constraint(bounds, prop, eps) is not None
+
+
+def _refuted_constraint(bounds: Bounds, prop, eps: float = EPS_BOUND) -> int | None:
+    """Index of the first conjunct a.y >= c with ub(a.y) < c - eps."""
+    for idx, c in enumerate(prop.constraints):
         if len(c.coeffs) != len(bounds.output_ids):
             raise ValueError("constraint arity does not match the network outputs")
         ub = 0.0
@@ -72,8 +88,29 @@ def is_property_refuted(bounds: Bounds, prop, eps: float = EPS_BOUND) -> bool:
             elif a < 0:
                 ub += a * bounds.lo[vid]
         if ub < c.threshold - eps:
-            return True
-    return False
+            return idx
+    return None
+
+
+def clamp(net: Network, bounds: Bounds, asserts) -> Bounds | None:
+    """The intervals of `bounds` narrowed by sign assertions, or None when
+    one empties: NONNEG raises a pre-activation's lower end to 0, NONPOS
+    lowers its upper end to 0 and pins its post to [0, 0]. When `bounds`
+    contain a region, the result contains the part of it where the
+    assertions hold, though less tightly than `analyze` under them. The
+    ReLU relations are not carried over."""
+    lo, hi = dict(bounds.lo), dict(bounds.hi)
+    for a in asserts:
+        v = a.neuron
+        if a.sign == NONNEG:
+            lo[v] = max(lo[v], 0.0)
+        else:
+            hi[v] = min(hi[v], 0.0)
+            post = net.layout.relu_post[v]
+            lo[post] = hi[post] = 0.0
+        if lo[v] > hi[v]:
+            return None
+    return Bounds(lo, hi, output_ids=bounds.output_ids)
 
 
 def analyze(net: Network, box, asserts=()) -> Bounds:
@@ -134,6 +171,7 @@ def analyze(net: Network, box, asserts=()) -> Bounds:
             if lo > hi:
                 if lo > hi + EPS_COLLAPSE:
                     res.infeasible = True
+                    res.emptied = Assertion(vid, NONNEG if pre_hi[j] < 0.0 else NONPOS)
                     return res
                 lo = hi  # tolerance-level crossing, collapse to a point
             pre_lo[j], pre_hi[j] = lo, hi
@@ -165,3 +203,82 @@ def analyze(net: Network, box, asserts=()) -> Bounds:
             rel.append((np.ones(n), np.zeros(n), np.ones(n), np.zeros(n)))
 
     return res
+
+
+def certificate(net: Network, prop, bounds: Bounds) -> Certificate | None:
+    """Multipliers (kind, index, y) of the back-substitution row with which
+    `analyze` refuted the branch of `bounds`; None when `bounds` refute
+    nothing or no equation states the refutation (an empty negation, a
+    constraint with no output term, or an output ReLU whose own interval
+    contradicts the property).
+
+    The row is the refuting bound's back-substitution written as a sum of
+    encoded equations, one multiplier per equation it passes through: `aff`
+    for each pre-activation, `relu` for a decided-on ReLU, `chord` for an
+    uncertain one taken by its upper relation, and `prop` (multiplier 1)
+    for a constraint over two or more outputs. Posts of decided-off ReLUs,
+    and of uncertain ones taken by their lower relation (post >= 0), stay
+    in the row as bounded variables, as do the neuron of the emptied
+    assertion and a single-output constraint's output, whose bounds carry
+    the assertion or the threshold. `lp.certificate_refutes` rebuilds the
+    row for any weights and bounds and tests it by intervals.
+    """
+    lay = net.layout
+    out: list[tuple[str, int, float]] = []
+    if bounds.emptied is not None:
+        # keep s*pre (s = +1 under NONNEG), expand -s*pre: the row's lower
+        # end is s*(the asserted bound - the back-substituted one)
+        v = bounds.emptied.neuron
+        li, j = lay.pre_row[v]
+        d = np.zeros(len(lay.pre_ids[li]))
+        d[j] = -1.0 if bounds.emptied.sign == NONNEG else 1.0
+    else:
+        idx = _refuted_constraint(bounds, prop) if not bounds.infeasible else None
+        if idx is None:
+            return None
+        coeffs = prop.constraints[idx].coeffs
+        li = net.n_layers - 1
+        # -a on the outputs: actual terms of the prop equation s - a.y, or
+        # for one output the expansion of the kept a*y bounded by the threshold
+        terms = sum(1 for a in coeffs if a != 0.0)
+        if terms == 0:
+            return None  # 0 >= c: no equation to name
+        single = terms == 1
+        if not single:
+            out.append((PROP, idx, 1.0))
+        d = _through_activation(net, bounds, li, -np.asarray(coeffs, dtype=float), out, single)
+        if d is None:
+            return None
+    while True:
+        # d on layer li's pre-activations: each aff equation takes its own
+        # and leaves d @ W on the layer's inputs
+        for n in np.flatnonzero(d).tolist():
+            out.append((AFF, lay.pre_ids[li][n], -float(d[n])))
+        if li == 0:
+            return tuple(sorted(out))
+        li -= 1
+        d = _through_activation(net, bounds, li, d @ net.weights[li + 1], out, False)
+
+
+def _through_activation(net, bounds, li, g, out, expand_all):
+    """Carry row coefficients `g` on layer li's posts to its pre-activations,
+    appending the ReLU equations used to `out`; a post that no equation
+    bounds the needed way stays in the row (None instead when every post
+    must be expanded)."""
+    if net.activations[li] != RELU:
+        return g
+    d = np.zeros(len(g))
+    pre_ids = net.layout.pre_ids[li]
+    for n in np.flatnonzero(g).tolist():
+        c = float(g[n])
+        pre = pre_ids[n]
+        l, u = bounds.lo[pre], bounds.hi[pre]
+        if l >= 0.0:
+            out.append((RELU_EQ, pre, c))
+            d[n] = c
+        elif u > 0.0 and c < 0.0:
+            out.append((CHORD, pre, c))
+            d[n] = c * (u / (u - l))
+        elif expand_all:
+            return None
+    return d

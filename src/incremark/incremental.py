@@ -3,32 +3,42 @@
 The driver prunes edges the new bounds contradict, fast-paths the stored SAT
 witness, re-searches open (sat/unsolved) leaves seeded with fresh bounds, and
 for each stored UNSAT leaf tries to replay the old proof before falling back
-to a full branch search. Each rung is named by the word the report counts:
+to a full branch search. Every UNSAT leaf that `solve` writes carries a
+certificate: the multipliers of the encoded equations whose sum showed its
+branch empty (a tableau or LP row, or a DeepPoly back-substitution). The
+ladder tests it first, on the cheapest bounds that contain the branch. Each
+rung is named by the word the report counts:
 
-    analyze      analyze under Assert(v): empty or property-impossible
-    certificate  the leaf's stored certificate, rebuilt for the new weights
-                 and bounds, excludes 0 by intervals (no LP is built)
+    certificate  the stored certificate, rebuilt for the new weights, excludes
+                 0 by intervals over the root bounds clamped by the leaf's
+                 assertions (no analyze, no LP)
+    analyze      analyze under Assert(v): empty or property-impossible; the
+                 refuting back-substitution becomes the leaf's certificate
+    certificate  the stored certificate over the leaf's own analyze bounds
     lp           the branch relaxation LP is infeasible; its row becomes the
-                 leaf's new certificate
+                 leaf's certificate
     tighten      LP-shrink the input box, re-propagate: empty or
                  property-impossible
     fallback     otherwise: full search of the branch from a fresh tableau
                  over the tightened bounds (`solver.search_branch`), whose
                  closed leaves bring their own certificates
 
-Every rung but the last closes the leaf. A leaf needs only its edge
-assertions; the certificate, when it has one, only saves the LP.
+Every rung but the last closes the leaf. The clamped root box contains the
+leaf's region, and a chord over a wider interval still bounds its ReLU, so
+the first test is sound; an assertion that empties its clamped interval
+skips it. A leaf needs only its edge assertions; its certificate, when it
+has one, only saves work.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from . import lp
+from . import deeppoly, lp
 from . import prooftree as pt
-from .deeppoly import analyze, is_property_refuted
+from .deeppoly import analyze, clamp, is_property_refuted
 from .model import UNSAT, Verdict, property_hash, witness_ok
 from .simplex import AFF, CHORD, PROP, RELU, certificate, prop_slack_ids
 # not called here: perfbench/tracer.py patches these two names on this module
@@ -42,7 +52,8 @@ RESOLVED_UNSAT = "resolved_unsat"
 PRUNED = "pruned"
 SKIPPED = "skipped"
 
-# rungs of the replay ladder, in order (see the module docstring)
+# rungs of the replay ladder as the report counts them; the certificate
+# is tried before analyze and again after it (see the module docstring)
 ANALYZE = "analyze"
 CERTIFICATE = "certificate"
 LP = "lp"
@@ -63,6 +74,7 @@ class IncrementalReport:
     pruned: int = 0
     replayed: int = 0
     fallbacks: int = 0
+    fallback_nodes: int = 0  # nodes of the fallback searches' grafts
     unsat_total: int = 0
     times: dict[str, float] = field(default_factory=dict)
     rungs: dict[int, str] = field(default_factory=dict)  # replayed leaf -> its rung
@@ -83,6 +95,7 @@ class IncrementalReport:
             "pruned": self.pruned,
             "replayed": self.replayed,
             "fallbacks": self.fallbacks,
+            "fallback_nodes": self.fallback_nodes,
             "unsat_leaves_total": self.unsat_total,
             "times_s": {k: round(v, 6) for k, v in self.times.items()},
             "outcomes": {str(k): v for k, v in sorted(self.outcomes.items())},
@@ -118,16 +131,21 @@ def _check_fits(tree: pt.ProofTree, net, prop) -> None:
                     "network and property do not encode")
 
 
-def _replay_unsat_leaf(net, prop, tree, nid):
-    """Climb the replay ladder for a stored UNSAT leaf; returns (rung,
-    witness | None, graft tree | None). A branch LP that closes the leaf
-    leaves its certificate on the leaf."""
-    asserts = sorted(tree.asserts_of(nid))
-    bounds = analyze(net, prop.box, asserts)
-    if bounds.infeasible or is_property_refuted(bounds, prop):
-        return ANALYZE, None, None
+def _replay_unsat_leaf(net, prop, tree, nid, base):
+    """Climb the replay ladder for a stored UNSAT leaf, given the root
+    bounds `base`; returns (rung, witness | None, graft tree | None). The
+    analyze and LP rungs leave their certificates on the leaf."""
     node = tree.nodes[nid]
-    if node.cert is not None and lp.certificate_refutes(net, prop, bounds, node.cert):
+    asserts = sorted(tree.asserts_of(nid))
+    if node.cert is not None:
+        box = clamp(net, base, asserts) if asserts else base
+        if box is not None and lp.certificate_refutes(net, prop, box, node.cert):
+            return CERTIFICATE, None, None
+    bounds = analyze(net, prop.box, asserts) if asserts else base
+    if bounds.infeasible or is_property_refuted(bounds, prop):
+        node.cert = deeppoly.certificate(net, prop, bounds) or node.cert
+        return ANALYZE, None, None
+    if asserts and node.cert is not None and lp.certificate_refutes(net, prop, bounds, node.cert):
         return CERTIFICATE, None, None
     relax = lp.build(net, prop, bounds)
     if not lp.feasible(relax):
@@ -161,6 +179,7 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     if is_property_refuted(base, prop):
         out = pt.ProofTree(net.dims, phash, "unsat")
         out.root.status = pt.UNSAT
+        out.root.cert = deeppoly.certificate(net, prop, base)
         report.outcomes = {nid: SKIPPED for nid in tree.leaves()}
         times["total"] = time.perf_counter() - t0
         return UNSAT, report, out
@@ -170,6 +189,11 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     work = tree.prune(base, removed)
     for nid in removed:
         report.outcomes[nid] = PRUNED
+        node = work.nodes[nid]
+        if node.cert is None:
+            # a pruned internal node: its assertion empties its interval
+            node.cert = deeppoly.certificate(
+                net, prop, replace(base, infeasible=True, emptied=node.assertion))
     report.pruned = len(removed)
     times["prune"] = time.perf_counter() - t1
 
@@ -185,11 +209,12 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
             witness = tuple(node.witness)
             return True
         asserts = sorted(work.asserts_of(nid))
-        bounds = analyze(net, prop.box, asserts)
+        bounds = analyze(net, prop.box, asserts) if asserts else base
         if bounds.infeasible or is_property_refuted(bounds, prop):
             report.outcomes[nid] = RESOLVED_UNSAT
             node.status = pt.UNSAT
             node.witness = None
+            node.cert = deeppoly.certificate(net, prop, bounds)
             return False
         w, graft = search_branch(net, prop, asserts, bounds)
         grafts[nid] = graft
@@ -221,11 +246,12 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     report.unsat_total = len(unsat_leaves) + report.pruned
     if witness is None:
         for nid in unsat_leaves:
-            rung, w, graft = _replay_unsat_leaf(net, prop, work, nid)
+            rung, w, graft = _replay_unsat_leaf(net, prop, work, nid, base)
             report.rungs[nid] = rung
             if rung == FALLBACK:
                 report.outcomes[nid] = PROOF_FAILED_FELL_BACK
                 report.fallbacks += 1
+                report.fallback_nodes += len(graft.nodes)
             else:
                 report.outcomes[nid] = PROOF_REPLAYED
                 report.replayed += 1

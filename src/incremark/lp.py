@@ -41,14 +41,14 @@ from .simplex import (
     Certificate,
     Configuration,
     Stuck,
-    bound_maps,
     bound_step,
     certificate,
     define_row,
     entering_for,
     initialize,
+    output_bounds,
     pivot,
-    prop_slack_ids,
+    prop_slack_interval,
     update,
 )
 
@@ -148,58 +148,65 @@ def certificate_refutes(net, prop, bounds: Bounds, cert: Certificate) -> bool:
     from this network's weights and biases; a chord takes its slope from
     `bounds`. The sum of y times the equations vanishes at every point of
     the branch, whatever the multipliers, so when its interval over the
-    variable bounds excludes 0 by more than EPS_BOUND the branch is empty. A
-    chord on a neuron that `bounds` no longer leave undecided, or a
-    non-finite end of the interval, refutes nothing. Indices must name
-    equations of this network and property (`incremental` checks stored
-    trees)."""
+    variable bounds excludes 0 by more than EPS_BOUND the branch is empty.
+    The bounds are those `simplex.bound_maps` derives, computed only for
+    the variables the equations touch. A chord on a neuron that `bounds` no
+    longer leave undecided, or a non-finite end of the interval, refutes
+    nothing. Indices must name equations of this network and property
+    (`incremental` checks stored trees)."""
     lay = net.layout
-    prop_slacks = prop_slack_ids(net, prop)
-    lo, hi = bound_maps(net, prop, bounds, prop_slacks)
+    blo, bhi = bounds.lo, bounds.hi
+    out_lo, out_hi = output_bounds(net, prop, bounds)
     coef: dict[int, float] = {}
     rlo = rhi = 0.0  # the slacks' share of the interval
 
     for kind, i, y in cert:
         if y == 0.0:
             continue
-        if kind == CHORD:
-            l, u = bounds.lo[i], bounds.hi[i]
-            if not l < 0.0 < u:
+        if kind == AFF:
+            li, j = lay.pre_row[i]
+            slo = shi = -float(net.biases[li][j])
+            coef[i] = coef.get(i, 0.0) + y
+            prev = lay.input_ids if li == 0 else lay.post_ids[li - 1]
+            for v, w in zip(prev, net.weights[li][j].tolist()):
+                coef[v] = coef.get(v, 0.0) - y * w
+        elif kind == RELU or kind == CHORD:
+            l, u = blo[i], bhi[i]
+            if kind == RELU:
+                k = 1.0
+                slo, shi = max(0.0, -u), max(0.0, -l)
+            elif l < 0.0 < u:
+                k = u / (u - l)
+                slo, shi = -INF, -k * l
+            else:
                 return False
-            k = u / (u - l)
-            terms = [(i, k), (lay.relu_post[i], -1.0)]
-            slo, shi = -INF, -k * l
-        else:
-            if kind == AFF:
-                li, j = lay.pre_row[i]
-                prev = lay.input_ids if li == 0 else lay.post_ids[li - 1]
-                terms = [(i, 1.0), *zip(prev, (-net.weights[li][j]).tolist())]
-                s = lay.affine_const_slack[i]
-            elif kind == RELU:
-                post = lay.relu_post[i]
-                terms = [(i, 1.0), (post, -1.0)]
-                s = lay.relu_slack[(i, post)]
-            else:  # PROP
-                coeffs = prop.constraints[i].coeffs
-                terms = [(lay.output_ids[k], -a) for k, a in enumerate(coeffs) if a != 0.0]
-                s = prop_slacks[i]
-            slo, shi = lo[s], hi[s]
+            coef[i] = coef.get(i, 0.0) + y * k
+            post = lay.relu_post[i]
+            coef[post] = coef.get(post, 0.0) - y
+        else:  # PROP
+            c = prop.constraints[i]
+            for v, a in zip(lay.output_ids, c.coeffs):
+                if a != 0.0:
+                    coef[v] = coef.get(v, 0.0) - y * a
+            slo, shi = prop_slack_interval(net, c, out_lo, out_hi)
         if y > 0:
             rlo += y * slo
             rhi += y * shi
         else:
             rlo += y * shi
             rhi += y * slo
-        for v, c in terms:
-            coef[v] = coef.get(v, 0.0) + y * c
 
     for v, c in coef.items():
+        if v in out_lo:
+            lo, hi = out_lo[v], out_hi[v]
+        else:
+            lo, hi = blo[v], bhi[v]
         if c > 0:
-            rlo += c * lo[v]
-            rhi += c * hi[v]
+            rlo += c * lo
+            rhi += c * hi
         elif c < 0:
-            rlo += c * hi[v]
-            rhi += c * lo[v]
+            rlo += c * hi
+            rhi += c * lo
     return EPS_BOUND < rlo < INF or -INF < rhi < -EPS_BOUND
 
 

@@ -1,15 +1,16 @@
 """Labelled binary tree recording a search: edges carry sign assertions on
 ReLU pre-activations, leaves carry a status, and a SAT leaf its witness.
 
-An UNSAT leaf's edge assertions say which branch to re-check. A leaf that a
-tableau or LP row closed also stores that row's certificate: the multipliers
-`[kind, index, y]` of the encoded equations whose sum the row is (see
-`simplex.certificate`), which replay re-tests for the new weights before it
-builds a branch LP. The key is optional: a leaf without it, such as one
-closed by interval analysis or written by an older version, replays from its
-assertions alone. Files written before the stored basis was dropped still
-carry `basis` and `key_row_var` keys on UNSAT leaves; they are read as the
-same format version and ignored.
+An UNSAT leaf's edge assertions say which branch to re-check. Every UNSAT
+leaf also stores a certificate: the multipliers `[kind, index, y]` of the
+encoded equations whose sum showed its branch empty, be it a tableau or LP
+row (`simplex.certificate`) or a DeepPoly back-substitution
+(`deeppoly.certificate`). Replay re-tests it for the new weights before
+anything else. The key is optional on load: a leaf without it, such as one
+written by an older version, replays from its assertions alone. Files
+written before the stored basis was dropped still carry `basis` and
+`key_row_var` keys on UNSAT leaves; they are read as the same format
+version and ignored.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class Node:
     status: str = UNSOLVED
     witness: tuple[float, ...] | None = None
     children: list[int] = field(default_factory=list)
-    cert: Certificate | None = None  # UNSAT leaf closed by a row
+    cert: Certificate | None = None  # every UNSAT leaf: the row that closed it
 
 
 class ProofTree:
@@ -95,7 +96,8 @@ class ProofTree:
         l(x) > EPS_BOUND. A dropped branch covers an empty region, so its
         root is kept as an UNSAT leaf, which this run does not replay (ids
         of these leaves are appended to `removed`); a leaf keeps its
-        certificate, an internal node has none. Complementary
+        certificate, and an internal node gets none here (`incremental`
+        gives it one). Complementary
         assertions can never both contradict one interval, so no internal
         node loses both children.
         """

@@ -392,37 +392,54 @@ def bound_maps(net, prop, bounds, prop_slacks):
     slack intervals they imply, and the negated property.
 
     A ReLU slack s = post - pre lies in [max(0,-u), max(0,-l)] over
-    pre in [l, u]; an affine slack is pinned to minus the bias. Single-output
-    constraints tighten that output's interval directly. Multi-output ones
-    bound their slack row: l = threshold, u = the interval upper bound of
-    the expression (floored at the threshold so a refuted-level
-    contradiction shows up in the row test, not as an inverted interval).
+    pre in [l, u]; an affine slack is pinned to minus the bias.
+    Single-output constraints tighten that output's interval directly
+    (`output_bounds`); multi-output ones bound their slack row
+    (`prop_slack_interval`).
     """
     lay = net.layout
     lo = dict(bounds.lo)
     hi = dict(bounds.hi)
+    out_lo, out_hi = output_bounds(net, prop, bounds)
+    lo.update(out_lo)
+    hi.update(out_hi)
     for (pre, _), sid in lay.relu_slack.items():
         lo[sid], hi[sid] = max(0.0, -hi[pre]), max(0.0, -lo[pre])
     for li in range(net.n_layers):
         for j, pre in enumerate(lay.pre_ids[li]):
             sid = lay.affine_const_slack[pre]
             lo[sid] = hi[sid] = -float(net.biases[li][j])
-    for idx, c in enumerate(prop.constraints):
-        terms = [(lay.output_ids[k], a) for k, a in enumerate(c.coeffs) if a != 0.0]
-        if len(terms) == 1:
-            vid, a = terms[0]
-            if a > 0:
-                lo[vid] = max(lo[vid], c.threshold / a)
-            else:
-                hi[vid] = min(hi[vid], c.threshold / a)
-        elif terms:
-            sid = prop_slacks[idx]
-            ub = 0.0
-            for vid, a in terms:
-                ub += a * (hi[vid] if a > 0 else lo[vid])
-            lo[sid] = c.threshold
-            hi[sid] = max(ub, c.threshold)
+    for idx, sid in prop_slacks.items():
+        lo[sid], hi[sid] = prop_slack_interval(net, prop.constraints[idx], out_lo, out_hi)
     return lo, hi
+
+
+def output_bounds(net, prop, bounds):
+    """Output intervals of `bounds`, each tightened by the constraints over
+    that output alone: a*y >= c bounds y by c/a."""
+    out_lo = {v: bounds.lo[v] for v in net.layout.output_ids}
+    out_hi = {v: bounds.hi[v] for v in net.layout.output_ids}
+    for c in prop.constraints:
+        terms = [(v, a) for v, a in zip(net.layout.output_ids, c.coeffs) if a != 0.0]
+        if len(terms) == 1:
+            [(v, a)] = terms
+            if a > 0:
+                out_lo[v] = max(out_lo[v], c.threshold / a)
+            else:
+                out_hi[v] = min(out_hi[v], c.threshold / a)
+    return out_lo, out_hi
+
+
+def prop_slack_interval(net, c, out_lo, out_hi) -> tuple[float, float]:
+    """Bounds of the slack s = a.y of a constraint a.y >= c over two or more
+    outputs: l = c, u = the interval upper bound of a.y, floored at c so
+    that a refuted-level contradiction shows up in the row test, not as an
+    inverted interval."""
+    ub = 0.0
+    for v, a in zip(net.layout.output_ids, c.coeffs):
+        if a != 0.0:
+            ub += a * (out_hi[v] if a > 0 else out_lo[v])
+    return c.threshold, max(ub, c.threshold)
 
 
 def prop_slack_ids(net, prop) -> dict[int, int]:

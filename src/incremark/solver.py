@@ -6,14 +6,21 @@ closes the branch, or one ReLU pair that has been repaired SPLIT_THRESHOLD
 times (Reluplex's split on demand, Katz et al., CAV 2017). At that point the
 node ends: it splits on its most repaired uncertain pair, or, with every
 ReLU decided, the exact branch LP decides it (the loop can cycle between
-decided pairs that sit within the bound tolerance). A leaf that a row
-closes, of the search tableau or of the branch LP, stores that row's
-certificate (`simplex.certificate`) for replay.
+decided pairs that sit within the bound tolerance).
+
+Every UNSAT leaf stores the certificate of the row that closed it, for
+replay: a row of the search tableau or of the branch LP
+(`simplex.certificate`), or the DeepPoly back-substitution that refuted the
+branch (`deeppoly.certificate`). A tableau row closes a node only when its
+certificate, rebuilt from the network, refutes the node's bounds
+(`lp.certificate_refutes`): pivoting drifts rows away from the sum of the
+equations they name, most at large weight scales. A row that fails the
+check ends the node's local search like the split rule does.
 """
 
 from __future__ import annotations
 
-from . import lp
+from . import deeppoly, lp
 from . import prooftree as pt
 from .deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted
 from .model import UNSAT, Verdict, property_hash, witness_ok
@@ -53,6 +60,7 @@ def solve(net, prop):
     if is_property_refuted(bounds, prop):
         tree = pt.ProofTree(net.dims, property_hash(prop), "unsat")
         tree.root.status = pt.UNSAT
+        tree.root.cert = deeppoly.certificate(net, prop, bounds)
         return UNSAT, tree
     witness, tree = search_branch(net, prop, (), bounds)
     return (UNSAT if witness is None else Verdict(True, witness)), tree
@@ -83,15 +91,11 @@ def _visit(net, prop, tree, nid, cfg, bounds, base):
     while True:
         cfg.rewritten.clear()
         if not verdict.feasible:
-            node.status = pt.UNSAT
-            node.cert = certificate(cfg, verdict.unsat_row)
-            return None
+            if _close_by_row(net, prop, node, cfg, bounds, verdict.unsat_row):
+                return None
+            break
         if max(cfg.violations.values(), default=0) >= SPLIT_THRESHOLD:
-            if candidates:
-                break
-            # every ReLU decided: a pure LP, which the loop may cycle on
-            # (fixes within EPS_RELU undo each other inside EPS_BOUND)
-            return _decide_by_lp(net, prop, node, bounds)
+            break
         step = repair_step(cfg)
         if isinstance(step, Satisfied):
             if not witness_ok(net, prop, step.witness):
@@ -102,15 +106,19 @@ def _visit(net, prop, tree, nid, cfg, bounds, base):
         if isinstance(step, Stuck):
             if candidates:
                 break
-            if step.stuck_row is not None:
-                # pinned row: exact infeasibility certificate at these bounds
-                node.status = pt.UNSAT
-                node.cert = certificate(cfg, step.stuck_row)
+            if step.stuck_row is None:
+                raise RuntimeError("local search stuck on a fully decided branch")
+            # pinned row: exact infeasibility certificate at these bounds
+            if _close_by_row(net, prop, node, cfg, bounds, step.stuck_row):
                 return None
-            raise RuntimeError("local search stuck on a fully decided branch")
+            break
         # bounds are fixed within a node: only a rewritten row can change verdict
         verdict = check_unsat_rows(cfg, rows=cfg.rewritten)
 
+    if not candidates:
+        # every ReLU decided: a pure LP, which the loop may cycle on (fixes
+        # within EPS_RELU undo each other inside EPS_BOUND)
+        return _decide_by_lp(net, prop, node, bounds)
     split = max(candidates, key=lambda p: (cfg.violations.get(p, 0), -p))
     node.status = pt.INTERNAL
     kids = [tree.add_child(nid, Assertion(split, sign)) for sign in (NONPOS, NONNEG)]
@@ -124,11 +132,23 @@ def _visit(net, prop, tree, nid, cfg, bounds, base):
         if child_bounds.infeasible or is_property_refuted(child_bounds, prop):
             # region empty or property interval-impossible: nothing to search
             child.status = pt.UNSAT
+            child.cert = deeppoly.certificate(net, prop, child_bounds)
             continue
         ccfg = cfg.copy()
         refresh_bounds(ccfg, net, prop, child_bounds)
         witness = _visit(net, prop, tree, cid, ccfg, child_bounds, base)
     return witness
+
+
+def _close_by_row(net, prop, node, cfg, bounds, row) -> bool:
+    """Close the node as UNSAT on a tableau row that contradicts its bounds,
+    if the row's certificate, rebuilt from the network, refutes them too."""
+    cert = certificate(cfg, row)
+    if not lp.certificate_refutes(net, prop, bounds, cert):
+        return False
+    node.status = pt.UNSAT
+    node.cert = cert
+    return True
 
 
 def _decide_by_lp(net, prop, node, bounds):

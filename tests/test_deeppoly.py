@@ -4,7 +4,17 @@ import pytest
 import _suites
 from incremark.bench import random_network
 from incremark.constants import EPS_COLLAPSE
-from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted
+from incremark.deeppoly import (
+    NONNEG,
+    NONPOS,
+    Assertion,
+    Bounds,
+    analyze,
+    certificate,
+    clamp,
+    is_property_refuted,
+)
+from incremark.lp import certificate_refutes
 from incremark.model import RELU, LinearConstraint, Network, SafetyProperty
 
 from conftest import BOX
@@ -68,6 +78,7 @@ def test_analyze_infeasible_assertion(demo_net):
     # x3 <= -0.55 over this box, so nonneg empties the interval
     b = analyze(demo_net, ((-1.0, -0.5), (0.5, 1.0)), [Assertion(2, NONNEG)])
     assert b.infeasible
+    assert b.emptied == Assertion(2, NONNEG)
     assert sorted(b.lo) == [0, 1]  # partial: stops at the contradiction
 
 
@@ -222,3 +233,75 @@ def test_matrix_analyze_matches_scalar_reference(dims):
                 got_rel = got.relu_lower[vid] + got.relu_upper[vid]
                 assert got_rel == pytest.approx((lc, lk, uc, uk), rel=0, abs=1e-12)
     assert seen["infeasible"] > 0 and seen["contradictory"] > 0, seen
+
+
+def test_certificate_is_the_refuting_back_substitution(demo_net):
+    """y >= 2 is refuted by ub(y) = 1.28: y = 0.4*x4 + 0.6*x5 with both
+    ReLUs uncertain, so the row takes both chords and the three affine
+    equations, and keeps the output bounded by the threshold."""
+    b = analyze(demo_net, BOX)
+    high = SafetyProperty(BOX, (LinearConstraint((1.0,), 2.0),))
+    cert = certificate(demo_net, high, b)
+    assert [(k, i) for k, i, _ in cert] == [
+        ("aff", 2), ("aff", 3), ("aff", 6), ("chord", 2), ("chord", 3)]
+    y = {(k, i): v for k, i, v in cert}
+    assert y["aff", 6] == 1.0
+    assert (y["chord", 2], y["chord", 3]) == (-0.4, -0.6)
+    assert y["aff", 2] == pytest.approx(0.4 * 0.8 / 1.8)  # 0.4 * the chord slope
+    assert y["aff", 3] == pytest.approx(0.6 * 0.5)
+    assert certificate_refutes(demo_net, high, b, cert)
+    # as tight as analyze: it still refutes a threshold just above 1.28
+    tight = SafetyProperty(BOX, (LinearConstraint((1.0,), 1.2801),))
+    assert certificate_refutes(demo_net, tight, b, certificate(demo_net, tight, b))
+    assert certificate(demo_net, SafetyProperty(BOX, (LinearConstraint((1.0,), 1.27),)), b) is None
+
+
+def test_certificate_of_an_emptied_assertion(demo_net, demo_prop):
+    """x2 <= -0.55 over this box: NONNEG on it empties the branch, and its
+    affine equation alone refutes the box with x2's lower end raised to 0."""
+    box = ((-1.0, -0.5), (0.5, 1.0))
+    b = analyze(demo_net, box, [Assertion(2, NONNEG)])
+    cert = certificate(demo_net, demo_prop, b)
+    assert cert == (("aff", 2, 1.0),)
+    root = analyze(demo_net, box)
+    assert clamp(demo_net, root, [Assertion(2, NONNEG)]) is None  # empties too
+    raised = Bounds(dict(root.lo), dict(root.hi), output_ids=root.output_ids)
+    raised.lo[2] = 0.0
+    assert certificate_refutes(demo_net, demo_prop, raised, cert)
+    # NONPOS: x3 >= 0.1 over x0 in [0.5, 1], x1 in [-1, -0.5]
+    box = ((0.5, 1.0), (-1.0, -0.5))
+    b = analyze(demo_net, box, [Assertion(2, NONPOS)])
+    assert b.emptied == Assertion(2, NONPOS)
+    assert certificate(demo_net, demo_prop, b) == (("aff", 2, -1.0),)
+
+
+def test_certificate_of_a_constraint_over_two_outputs():
+    net = Network([[[1.0, 0.0], [0.0, 1.0]]], [[0.0, 0.0]])
+    box = ((0.0, 1.0), (0.0, 1.0))
+    gap = SafetyProperty(box, (LinearConstraint((1.0, -1.0), 1.5),))
+    b = analyze(net, box)
+    cert = certificate(net, gap, b)
+    assert cert == (("aff", 2, 1.0), ("aff", 3, -1.0), ("prop", 0, 1.0))
+    assert certificate_refutes(net, gap, b, cert)
+
+
+def test_certificate_none_when_no_equation_states_it(demo_net):
+    # a constraint with no output term, and an output ReLU that is off
+    b = analyze(demo_net, BOX)
+    assert certificate(demo_net, SafetyProperty(BOX, (LinearConstraint((0.0,), 1.0),)), b) is None
+    net = Network([[[1.0]], [[1.0]]], [[0.0], [-2.0]], [RELU, RELU])
+    box = ((0.0, 1.0),)
+    prop = SafetyProperty(box, (LinearConstraint((1.0,), 0.5),))
+    b = analyze(net, box)
+    assert is_property_refuted(b, prop)
+    assert certificate(net, prop, b) is None
+
+
+def test_clamp_narrows_asserted_neurons(demo_net):
+    b = analyze(demo_net, BOX)
+    c = clamp(demo_net, b, [Assertion(2, NONNEG), Assertion(3, NONPOS)])
+    assert c.interval(2) == (0.0, b.hi[2])
+    assert c.interval(3) == (b.lo[3], 0.0)
+    assert c.interval(5) == (0.0, 0.0)  # the post of the NONPOS neuron
+    assert c.interval(4) == b.interval(4) and c.interval(6) == b.interval(6)
+    assert b.interval(2) == (-0.9999999999999999, 0.7999999999999999)  # untouched

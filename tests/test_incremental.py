@@ -1,9 +1,10 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
-from incremark import lp, simplex, solver
+from incremark import deeppoly, incremental, lp, simplex, solver
 from incremark.bench import (
     Perturbation,
     oracle,
@@ -11,8 +12,9 @@ from incremark.bench import (
     random_network,
     random_threshold_property,
 )
-from incremark.deeppoly import analyze
+from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze, clamp, is_property_refuted
 from incremark.incremental import (
+    ANALYZE,
     CERTIFICATE,
     FALLBACK,
     LP,
@@ -44,7 +46,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 REPORT_KEYS = {
     "verdict", "witness", "replay_pct", "pruned", "replayed",
-    "fallbacks", "unsat_leaves_total", "times_s", "outcomes", "rungs",
+    "fallbacks", "fallback_nodes", "unsat_leaves_total", "times_s", "outcomes", "rungs",
 }
 
 
@@ -85,6 +87,7 @@ def test_report_json_schema(demo_net, fprime, demo_prop):
     assert all(isinstance(v, float) for v in j["times_s"].values())
     # no stored UNSAT leaf was replayed: every rung counts 0
     assert j["rungs"] == {r: 0 for r in RUNGS}
+    assert j["fallback_nodes"] == 0
 
 
 def test_mode_and_shape_validation(demo_net, demo_prop):
@@ -110,6 +113,8 @@ def test_root_refutation_skips_everything(demo_net, demo_prop):
     assert rep.outcomes == {1: SKIPPED, 2: SKIPPED}
     assert sorted(out.nodes) == [0]
     assert out.nodes[0].status == "unsat"
+    cert = out.nodes[0].cert
+    assert cert is not None and cert == deeppoly.certificate(tiny, demo_prop, analyze(tiny, BOX))
     assert out.verdict == "unsat"
 
 
@@ -127,6 +132,8 @@ def test_prune_then_search_surviving_branch(demo_net, demo_prop):
     assert {i: out.nodes[i].status for i in sorted(out.nodes)} == {
         0: "internal", 1: "unsat", 2: "sat",
     }
+    # the pruned leaf's proof: x3 = 0.2*x1 - 0.7*x2 + 1 >= 0.1 > 0 under nonpos
+    assert out.nodes[1].cert == (("aff", 2, -1.0),)
     assert witness_ok(shifted, demo_prop, verdict.witness)
     out.validate()
 
@@ -307,19 +314,106 @@ def _leaf_bounds(net, prop, tree, nid):
 
 @pytest.mark.parametrize("shape, seeds", [((2, 5, 5, 1), range(60)), ((3, 8, 8, 1), range(8))])
 def test_solve_certificates_close_their_own_leaves(shape, seeds):
-    """On the network that wrote it, every stored certificate closes its
-    leaf under the leaf's own analyze bounds."""
-    checked = 0
+    """On the network that wrote it, every UNSAT leaf stores a certificate,
+    and the certificate closes its leaf: under the leaf's own analyze
+    bounds, or, where analyze emptied the branch and left its bounds
+    partial, under the root bounds clamped by the leaf's assertions."""
+    checked = emptied = 0
     for s in seeds:
         net = random_network(shape, s)
         prop = random_threshold_property(net, s + 1)
         _, tree = solve(net, prop)
-        for nid in tree.leaves():
+        base = analyze(net, prop.box)
+        for nid in tree.leaves_with_status("unsat"):
             cert = tree.nodes[nid].cert
-            if cert is not None:
-                assert lp.certificate_refutes(net, prop, _leaf_bounds(net, prop, tree, nid), cert)
-                checked += 1
+            assert cert is not None
+            bounds = _leaf_bounds(net, prop, tree, nid)
+            if bounds.infeasible:
+                bounds = clamp(net, base, sorted(tree.asserts_of(nid)))
+                emptied += 1
+            assert lp.certificate_refutes(net, prop, bounds, cert)
+            checked += 1
     assert checked >= 5
+    if shape == (2, 5, 5, 1):
+        assert emptied >= 1
+
+
+def test_deeppoly_certificate_kinds():
+    """A leaf that analyze closed stores the back-substitution row: one aff
+    multiplier per pre-activation it passes through, relu and chord entries
+    only for ReLUs that the leaf's bounds leave decided-on or uncertain."""
+    kinds = set()
+    for s in range(30):
+        net = random_network((2, 5, 5, 1), s)
+        prop = random_threshold_property(net, s + 1)
+        _, tree = solve(net, prop)
+        for nid in tree.leaves_with_status("unsat"):
+            bounds = _leaf_bounds(net, prop, tree, nid)
+            if not (bounds.infeasible or is_property_refuted(bounds, prop)):
+                continue
+            cert = tree.nodes[nid].cert
+            assert cert == deeppoly.certificate(net, prop, bounds)
+            for kind, i, _ in cert:
+                kinds.add(kind)
+                if kind == simplex.RELU:
+                    assert bounds.lo[i] >= 0.0
+                elif kind == simplex.CHORD:
+                    assert bounds.lo[i] < 0.0 < bounds.hi[i]
+    assert kinds == {simplex.AFF, simplex.RELU, simplex.CHORD}
+
+
+def _neuron_values(net, x):
+    """Every neuron's value at each row of x: {id: array over the rows}."""
+    lay = net.layout
+    vals = {vid: x[:, j] for j, vid in enumerate(lay.input_ids)}
+    v = x
+    for li, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
+        pre = v @ w.T + b
+        vals.update((vid, pre[:, j]) for j, vid in enumerate(lay.pre_ids[li]))
+        v = np.maximum(pre, 0.0) if act == "relu" else pre
+        vals.update((vid, v[:, j]) for j, vid in enumerate(lay.post_ids[li]))
+    return vals
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 5, 1), (3, 8, 8, 1)])
+def test_clamped_root_bounds_contain_the_branch(shape):
+    """The root bounds clamped by a random assertion set contain every
+    sampled point of the branch, and an emptied clamp leaves no point in it.
+
+    They need not contain the branch's own analyze bounds: analyze takes a
+    NONNEG-asserted neuron by post = pre over the whole input box, which
+    can widen a later neuron past its root interval (s1 below)."""
+    rng = np.random.default_rng(5)
+    inside = 0
+    for s in range(12):
+        net = random_network(shape, s)
+        prop = random_threshold_property(net, s + 1)
+        base = analyze(net, prop.box)
+        lo, hi = zip(*prop.box)
+        vals = _neuron_values(net, rng.uniform(lo, hi, size=(400, net.n_inputs)))
+        pres = [pre for pre, _ in net.layout.relu_pairs]
+        for _ in range(10):
+            picked = rng.choice(pres, size=int(rng.integers(1, 5)), replace=False)
+            asserts = sorted(Assertion(int(v), (NONNEG, NONPOS)[int(rng.integers(2))])
+                             for v in picked)
+            keep = np.ones(400, dtype=bool)
+            for a in asserts:
+                keep &= vals[a.neuron] >= 0 if a.sign == NONNEG else vals[a.neuron] <= 0
+            box = clamp(net, base, asserts)
+            if box is None:
+                assert not keep.any()
+                continue
+            for v in net.layout.neuron_ids:
+                assert np.all(box.lo[v] - 1e-9 <= vals[v][keep]), (s, asserts, v)
+                assert np.all(vals[v][keep] <= box.hi[v] + 1e-9), (s, asserts, v)
+            inside += int(keep.sum())
+    assert inside >= 1000
+
+    net = random_network((2, 5, 5, 1), 1)
+    prop = random_threshold_property(net, 2)
+    asserts = [Assertion(2, NONPOS), Assertion(3, NONNEG), Assertion(4, NONPOS),
+               Assertion(16, NONNEG)]
+    assert analyze(net, prop.box, asserts).hi[13] > clamp(net, analyze(net, prop.box), asserts).hi[13]
 
 
 def _paper_and_break_grid(s):
@@ -393,6 +487,28 @@ def test_fallback_graft_brings_its_certificates():
     [fell_back] = [tree.asserts_of(nid) for nid, rung in rep.rungs.items() if rung == FALLBACK]
     grafted = [i for i in out.leaves() if out.asserts_of(i) >= fell_back]
     assert any(out.nodes[i].cert is not None for i in grafted)
+    assert rep.fallback_nodes == sum(1 for i in out.nodes if out.asserts_of(i) >= fell_back)
+    assert rep.to_json()["fallback_nodes"] == rep.fallback_nodes >= 1
+
+
+def test_analyze_rung_stores_a_fresh_certificate():
+    """A leaf that the analyze rung closes carries that run's DeepPoly
+    certificate in the output tree, which closes the leaf under its own
+    bounds."""
+    net = random_network((2, 5, 5, 1), 28)
+    prop = random_threshold_property(net, 29)
+    _, tree = solve(net, prop)
+    modified = perturb(net, Perturbation(0.001, 0.1, 18))
+    _, rep1, out1 = verify_incremental(modified, prop, tree)
+    by_analyze = {tree.asserts_of(nid) for nid, rung in rep1.rungs.items() if rung == ANALYZE}
+    assert by_analyze
+    for nid in out1.leaves():
+        asserts = out1.asserts_of(nid)
+        if asserts in by_analyze:
+            bounds = analyze(modified, prop.box, sorted(asserts))
+            cert = out1.nodes[nid].cert
+            assert cert == deeppoly.certificate(modified, prop, bounds)
+            assert bounds.infeasible or lp.certificate_refutes(modified, prop, bounds, cert)
 
 
 def test_replay_closed_by_certificates_builds_no_tableau(monkeypatch):
@@ -415,3 +531,28 @@ def test_replay_closed_by_certificates_builds_no_tableau(monkeypatch):
     assert not verdict.sat
     assert rep.rungs and set(rep.rungs.values()) == {CERTIFICATE}
     assert built == 0
+
+
+def test_replay_closed_by_certificates_runs_analyze_once(monkeypatch):
+    """Certificates go first: a re-verification whose every leaf its
+    certificate closes over the clamped root bounds runs analyze only for
+    those root bounds."""
+    calls = 0
+    run = incremental.analyze
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return run(*args)
+
+    monkeypatch.setattr(incremental, "analyze", counted)
+    for s in (17, 25):
+        net = random_network((2, 5, 5, 1), s)
+        prop = random_threshold_property(net, s + 1)
+        _, tree = solve(net, prop)
+        modified = perturb(net, Perturbation(0.01, 0.3, 5))
+        calls = 0
+        verdict, rep, _ = verify_incremental(modified, prop, tree)
+        assert not verdict.sat
+        assert len(rep.rungs) == 3 and set(rep.rungs.values()) == {CERTIFICATE}
+        assert calls == 1

@@ -8,7 +8,14 @@ from incremark import lp
 from incremark.bench import random_network, random_threshold_property
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze
 from incremark.model import LinearConstraint, Network, SafetyProperty, forward_values
-from incremark.simplex import Configuration, certificate, initialize, recompute
+from incremark.simplex import (
+    Configuration,
+    bound_maps,
+    certificate,
+    initialize,
+    prop_slack_ids,
+    recompute,
+)
 
 from conftest import BOX
 
@@ -164,6 +171,74 @@ def test_infeasible_branch_certificate_closes_it(demo_net, unsat_prop, fprime):
     # any multipliers give an implied equation; these ones show nothing
     for useless in ((), (("relu", 2, 1.0),), (("relu", 2, -3.0), ("relu", 3, 0.5))):
         assert not lp.certificate_refutes(demo_net, unsat_prop, analyze(demo_net, BOX), useless)
+
+
+def _refutes_over_all_bounds(net, prop, bounds, cert):
+    """Reference for lp.certificate_refutes: the same test over every
+    variable bound of the tableau, built by simplex.bound_maps."""
+    lay = net.layout
+    slacks = prop_slack_ids(net, prop)
+    lo, hi = bound_maps(net, prop, bounds, slacks)
+    coef, rlo, rhi = {}, 0.0, 0.0
+    for kind, i, y in cert:
+        if kind == "chord":
+            l, u = bounds.lo[i], bounds.hi[i]
+            if not l < 0.0 < u:
+                return False
+            k = u / (u - l)
+            terms, slo, shi = [(i, k), (lay.relu_post[i], -1.0)], -math.inf, -k * l
+        else:
+            if kind == "aff":
+                li, j = lay.pre_row[i]
+                prev = lay.input_ids if li == 0 else lay.post_ids[li - 1]
+                terms = [(i, 1.0), *zip(prev, (-net.weights[li][j]).tolist())]
+                sid = lay.affine_const_slack[i]
+            elif kind == "relu":
+                terms, sid = [(i, 1.0), (lay.relu_post[i], -1.0)], lay.relu_slack[(i, lay.relu_post[i])]
+            else:
+                coeffs = prop.constraints[i].coeffs
+                terms = [(lay.output_ids[n], -a) for n, a in enumerate(coeffs) if a != 0.0]
+                sid = slacks[i]
+            slo, shi = lo[sid], hi[sid]
+        rlo += y * (slo if y > 0 else shi)
+        rhi += y * (shi if y > 0 else slo)
+        for v, c in terms:
+            coef[v] = coef.get(v, 0.0) + y * c
+    for v, c in coef.items():
+        rlo += c * (lo[v] if c > 0 else hi[v])
+        rhi += c * (hi[v] if c > 0 else lo[v])
+    return 1e-7 < rlo < math.inf or -math.inf < rhi < -1e-7
+
+
+@pytest.mark.parametrize("shape, n_out", [((2, 5, 5, 1), 1), ((3, 6, 4), 4)])
+def test_certificate_refutes_reads_only_the_bounds_it_needs(shape, n_out):
+    """The certificate test reads the bounds of the variables its equations
+    touch and answers as the test over every tableau bound does, on every
+    row of pivoted branch LPs and on scaled copies of them."""
+    rng = np.random.default_rng(2)
+    answers = []
+    for seed in range(6):
+        net = random_network(shape, seed)
+        prop = SafetyProperty(tuple((-1.0, 1.0) for _ in range(shape[0])), tuple(
+            LinearConstraint(tuple(rng.normal(size=n_out)), float(rng.normal()))
+            for _ in range(2)))
+        pres = [pre for pre, _ in net.layout.relu_pairs]
+        for _ in range(4):
+            asserts = sorted({Assertion(int(v), (NONNEG, NONPOS)[int(rng.integers(2))])
+                              for v in rng.choice(pres, size=2, replace=False)})
+            bounds = analyze(net, prop.box, asserts)
+            if bounds.infeasible:
+                continue
+            r = lp.build(net, prop, bounds)
+            lp.phase1(r)
+            for b in r.cfg.rows:
+                cert = certificate(r.cfg, b)
+                for scale in (1.0, -3.0):
+                    scaled = tuple((k, i, scale * y) for k, i, y in cert)
+                    got = lp.certificate_refutes(net, prop, bounds, scaled)
+                    assert got == _refutes_over_all_bounds(net, prop, bounds, scaled)
+                    answers.append(got)
+    assert True in answers and False in answers
 
 
 def test_certificate_chord_needs_an_undecided_neuron(demo_net, demo_prop):

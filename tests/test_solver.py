@@ -1,12 +1,15 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from incremark.bench import oracle, random_network, random_threshold_property
 from incremark.deeppoly import analyze
 from incremark.model import (
     LinearConstraint,
+    Network,
     SafetyProperty,
+    evaluate,
     property_hash,
     witness_ok,
 )
@@ -211,3 +214,35 @@ def test_branch_lp_decides_fully_decided_branches(monkeypatch):
         if verdict.sat:
             assert witness_ok(net, prop, verdict.witness)
     assert statuses[SAT] and statuses[UNSAT]
+
+
+def _scaled_instance(seed, scale):
+    """random_network((2,4,4,1), seed) with every weight and bias times
+    `scale`, and a threshold property drawn as random_threshold_property
+    draws it, its margin widened by 0.2 * scale**3."""
+    net = random_network((2, 4, 4, 1), seed)
+    net = Network([w * scale for w in net.weights], [b * scale for b in net.biases],
+                  list(net.activations))
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)
+    box = [(float(min(x, y)), float(max(x, y))) for x, y in zip(a, b)]
+    pts = rng.uniform([l for l, _ in box], [h for _, h in box], size=(64, 2))
+    ys = [evaluate(net, x)[0] for x in pts]
+    t = max(ys) + rng.uniform(-0.25, 0.25) * (max(ys) - min(ys) + 0.2 * scale**3)
+    return net, SafetyProperty(tuple(box), (LinearConstraint((1.0,), float(t)),))
+
+
+def test_row_closes_a_node_only_when_its_certificate_rechecks():
+    """At weight scale 1e4 pivoting drifts tableau rows away from the sums
+    of equations they name. In s123 such a row closed the root node and
+    the search answered UNSAT, though a point beats the threshold (about
+    -1.04e12) by about 9e10; re-checked, the row closes nothing and the
+    search finds a witness."""
+    net, prop = _scaled_instance(123, 1e4)
+    assert -1.05e12 < prop.constraints[0].threshold < -1.03e12
+    verdict, tree = solve(net, prop)
+    assert verdict.sat
+    assert witness_ok(net, prop, verdict.witness)
+    assert oracle(net, prop).sat
+    assert len(tree.nodes) == 3
+    tree.validate()
