@@ -63,21 +63,21 @@ class Bounds:
         return self.lo[vid], self.hi[vid]
 
 
-def is_property_refuted(bounds: Bounds, prop, eps: float = EPS_BOUND) -> bool:
+def is_property_refuted(bounds: Bounds, prop) -> bool:
     """True when no point within `bounds` can satisfy the property.
 
     An empty constraint list is refuted vacuously. Otherwise some conjunct
-    a.y >= c must be interval-impossible: ub(a.y) < c - eps.
+    a.y >= c must be interval-impossible: ub(a.y) < c - EPS_BOUND.
     """
     if not prop.constraints:
         return True
     if bounds.infeasible:
         return True
-    return _refuted_constraint(bounds, prop, eps) is not None
+    return _refuted_constraint(bounds, prop) is not None
 
 
-def _refuted_constraint(bounds: Bounds, prop, eps: float = EPS_BOUND) -> int | None:
-    """Index of the first conjunct a.y >= c with ub(a.y) < c - eps."""
+def _refuted_constraint(bounds: Bounds, prop) -> int | None:
+    """Index of the first conjunct a.y >= c with ub(a.y) < c - EPS_BOUND."""
     for idx, c in enumerate(prop.constraints):
         if len(c.coeffs) != len(bounds.output_ids):
             raise ValueError("constraint arity does not match the network outputs")
@@ -87,7 +87,7 @@ def _refuted_constraint(bounds: Bounds, prop, eps: float = EPS_BOUND) -> int | N
                 ub += a * bounds.hi[vid]
             elif a < 0:
                 ub += a * bounds.lo[vid]
-        if ub < c.threshold - eps:
+        if ub < c.threshold - EPS_BOUND:
             return idx
     return None
 

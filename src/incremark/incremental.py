@@ -71,13 +71,22 @@ class ShapeMismatchError(Exception):
 class IncrementalReport:
     verdict: Verdict
     outcomes: dict[int, str] = field(default_factory=dict)
-    pruned: int = 0
-    replayed: int = 0
-    fallbacks: int = 0
     fallback_nodes: int = 0  # nodes of the fallback searches' grafts
     unsat_total: int = 0
     times: dict[str, float] = field(default_factory=dict)
     rungs: dict[int, str] = field(default_factory=dict)  # replayed leaf -> its rung
+
+    @property
+    def pruned(self) -> int:
+        return sum(1 for o in self.outcomes.values() if o == PRUNED)
+
+    @property
+    def replayed(self) -> int:
+        return sum(1 for r in self.rungs.values() if r != FALLBACK)
+
+    @property
+    def fallbacks(self) -> int:
+        return sum(1 for r in self.rungs.values() if r == FALLBACK)
 
     @property
     def replay_pct(self) -> float:
@@ -194,7 +203,6 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
             # a pruned internal node: its assertion empties its interval
             node.cert = deeppoly.certificate(
                 net, prop, replace(base, infeasible=True, emptied=node.assertion))
-    report.pruned = len(removed)
     times["prune"] = time.perf_counter() - t1
 
     grafts: dict[int, pt.ProofTree] = {}
@@ -243,18 +251,16 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     t3 = time.perf_counter()
     unsat_leaves = [nid for nid in work.leaves_with_status(pt.UNSAT)
                     if nid not in report.outcomes]
-    report.unsat_total = len(unsat_leaves) + report.pruned
+    report.unsat_total = len(unsat_leaves) + len(removed)
     if witness is None:
         for nid in unsat_leaves:
             rung, w, graft = _replay_unsat_leaf(net, prop, work, nid, base)
             report.rungs[nid] = rung
             if rung == FALLBACK:
                 report.outcomes[nid] = PROOF_FAILED_FELL_BACK
-                report.fallbacks += 1
                 report.fallback_nodes += len(graft.nodes)
             else:
                 report.outcomes[nid] = PROOF_REPLAYED
-                report.replayed += 1
             if graft is not None:
                 grafts[nid] = graft
             if w is not None:

@@ -6,16 +6,17 @@ non-basic ones), per-variable bounds, and an assignment kept by Reluplex's
 update and pivot-and-update: moving a non-basic variable shifts only the
 basics whose rows mention it, and a pivot shifts only the basics in the
 entering column. Basic values therefore carry rounding drift between steps;
-every value that leaves the repair loop (a witness, a stuck row, an LP
-optimum) is re-solved exactly from its row first. Rows carry no constants:
-each affine equation has a slack variable pinned to minus its bias, so a
-pivot is pure coefficient algebra. The slack bounds follow from the neuron
-intervals of a `Bounds` (see `bound_maps`).
+every value that leaves the repair loop (a witness, the row of an
+infeasible LP, an LP optimum) is re-solved exactly from its row first. Rows
+carry no constants: each affine equation has a slack variable pinned to
+minus its bias, so a pivot is pure coefficient algebra. The slack bounds
+follow from the neuron intervals of a `Bounds` (see `bound_maps`).
 
 Non-basic variables always lie within their bounds: `initialize` and
 `refresh_bounds` place them there, and every move (`update`, `set_variable`,
-the leaving side of a pivot) sends one to a value inside them. The row test
-and the repair loop rely on this.
+the leaving side of a pivot) sends one to a value inside them. The repair
+loop relies on this, and so does the row test, which therefore tests only
+the rows whose basic lies outside its bounds (`check_unsat_rows`).
 
 Each encoded equation has a slack of its own that no other equation
 mentions, so every tableau row is a combination of the equations whose
@@ -49,21 +50,6 @@ class PivotError(ValueError):
 
 
 @dataclass(frozen=True)
-class RowVerdict:
-    """Feasible when unsat_row is None; otherwise the basic id of the first
-    row contradicting its own bounds by interval arithmetic."""
-
-    unsat_row: int | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.unsat_row is None
-
-
-FEASIBLE = RowVerdict()
-
-
-@dataclass(frozen=True)
 class Progress:
     pass
 
@@ -77,7 +63,8 @@ class Satisfied:
 class Stuck:
     """No single repair applies. stuck_row is set when the blocker was a
     bound violation whose row has no eligible entering variable (the row is
-    then an exact certificate at the current bounds)."""
+    then an exact certificate at the current bounds, which the branch LP's
+    phase 1 reports)."""
 
     stuck_row: int | None = None
 
@@ -94,8 +81,6 @@ class Configuration:
     prop_slacks: property-constraint index -> slack variable id (multi-output
     constraints only; single-output ones become direct bounds).
     equations: slack id -> (kind, index) of the one equation it belongs to.
-    rewritten: basics whose rows a pivot rewrote since the owner last cleared
-    the set (the search clears it at each row check).
     """
 
     def __init__(self, rows, lo, hi, alpha, relu_pairs, input_ids, prop_slacks=None,
@@ -109,7 +94,6 @@ class Configuration:
         self.prop_slacks: dict[int, int] = dict(prop_slacks or {})
         self.equations: dict[int, tuple[str, int]] = equations or {}
         self.violations: dict[int, int] = {pre: 0 for pre, _ in self.relu_pairs}
-        self.rewritten: set[int] = set()
 
     def copy(self) -> "Configuration":
         c = Configuration(
@@ -159,8 +143,7 @@ def pivot(cfg: Configuration, leaving: int, entering: int, value: float | None =
     The entering variable moves by d = (value - alpha[leaving]) / a, where a
     is its coefficient in the leaving row, and each basic whose row holds it
     by c x d. With value None the assignment is left as it is. Mutates cfg
-    in place and records the rewritten rows in cfg.rewritten; the solution
-    set is unchanged.
+    in place; the solution set is unchanged.
     """
     row = cfg.rows[leaving]
     a = row.get(entering, 0.0)
@@ -180,14 +163,11 @@ def pivot(cfg: Configuration, leaving: int, entering: int, value: float | None =
         if abs(v) > COEF_EPS:
             new_row[k] = v
     del cfg.rows[leaving]
-    rewritten = cfg.rewritten
-    rewritten.add(entering)
     for b, r in cfg.rows.items():
         c = r.pop(entering, 0.0)
         if c == 0.0:
             continue
         alpha[b] += c * d
-        rewritten.add(b)
         for k, v in new_row.items():
             w = r.get(k, 0.0) + c * v
             if abs(w) > COEF_EPS:
@@ -210,32 +190,28 @@ def row_interval(cfg: Configuration, basic: int) -> tuple[float, float]:
     return lo, hi
 
 
-def row_unsat(cfg: Configuration, basic: int, eps: float = EPS_BOUND) -> bool:
-    """Does this row contradict its basic variable's bounds with margin > eps?"""
+def row_unsat(cfg: Configuration, basic: int) -> bool:
+    """Does this row contradict its basic variable's bounds with margin >
+    EPS_BOUND?"""
     rlo, rhi = row_interval(cfg, basic)
-    return cfg.lo[basic] > rhi + eps or cfg.hi[basic] < rlo - eps
+    return cfg.lo[basic] > rhi + EPS_BOUND or cfg.hi[basic] < rlo - EPS_BOUND
 
 
-def check_unsat_rows(cfg: Configuration, eps: float = EPS_BOUND, rows=None) -> RowVerdict:
-    """First contradicting row by basic-variable id order, else Feasible.
+def check_unsat_rows(cfg: Configuration) -> int | None:
+    """Basic id of the lowest row that contradicts its bounds, else None.
 
-    rows=None scans every row. Given `rows` (the rows a pivot rewrote since
-    a scan that found every row feasible, with the bounds unchanged since),
-    it tests only those still basic whose value lies outside their bounds.
-    While every non-basic is inside its bounds the assignment is a point of
-    each row's interval, so a row whose basic sits inside its bounds cannot
-    contradict them. The filter can only skip a detection, never add one.
+    Only basics outside their bounds by more than EPS_BOUND are tested, the
+    ones `bound_violation` scans: while every non-basic is inside its bounds
+    the assignment is a point of each row's interval, so the row of a basic
+    within EPS_BOUND of its bounds passes `row_unsat`, whose margin is the
+    same.
     """
-    if rows is None:
-        candidates = cfg.rows
-    else:
-        lo, hi, alpha = cfg.lo, cfg.hi, cfg.alpha
-        candidates = [b for b in rows
-                      if b in cfg.rows and not lo[b] <= alpha[b] <= hi[b]]
-    for b in sorted(candidates):
-        if row_unsat(cfg, b, eps):
-            return RowVerdict(b)
-    return FEASIBLE
+    lo, hi, alpha = cfg.lo, cfg.hi, cfg.alpha
+    for b in sorted(cfg.rows):
+        a = alpha[b]
+        if (a < lo[b] - EPS_BOUND or a > hi[b] + EPS_BOUND) and row_unsat(cfg, b):
+            return b
+    return None
 
 
 def certificate(cfg: Configuration, b: int) -> Certificate:
@@ -253,14 +229,14 @@ def certificate(cfg: Configuration, b: int) -> Certificate:
     return tuple(sorted(out))
 
 
-def resolve_violation(cfg: Configuration, b: int, need_up: bool, eps: float = EPS_BOUND) -> bool:
+def resolve_violation(cfg: Configuration, b: int, need_up: bool) -> bool:
     """Re-solve basic b exactly from its row; does it still violate its
     bound in the same direction? Run before b's row certifies anything."""
     a = cfg.alpha[b] = cfg.row_value(b)
-    return a < cfg.lo[b] - eps if need_up else a > cfg.hi[b] + eps
+    return a < cfg.lo[b] - EPS_BOUND if need_up else a > cfg.hi[b] + EPS_BOUND
 
 
-def bound_violation(cfg: Configuration, eps: float = EPS_BOUND):
+def bound_violation(cfg: Configuration):
     """Lowest-id basic variable outside its bounds, with the needed direction.
 
     Returns (basic id, need_up) or None. Non-basic variables satisfy their
@@ -268,9 +244,9 @@ def bound_violation(cfg: Configuration, eps: float = EPS_BOUND):
     """
     for b in sorted(cfg.rows):
         a = cfg.alpha[b]
-        if a < cfg.lo[b] - eps:
+        if a < cfg.lo[b] - EPS_BOUND:
             return b, True
-        if a > cfg.hi[b] + eps:
+        if a > cfg.hi[b] + EPS_BOUND:
             return b, False
     return None
 

@@ -1,12 +1,17 @@
 """From-scratch verification: local repair inside each branch, split on
 demand, DFS over sign assertions, full proof tree recording.
 
-A node runs the tableau repair loop until it finds a witness, a row that
-closes the branch, or one ReLU pair that has been repaired SPLIT_THRESHOLD
-times (Reluplex's split on demand, Katz et al., CAV 2017). At that point the
-node ends: it splits on its most repaired uncertain pair, or, with every
-ReLU decided, the exact branch LP decides it (the loop can cycle between
-decided pairs that sit within the bound tolerance).
+A node runs the tableau repair loop, testing its rows before each step
+(`simplex.check_unsat_rows`). The loop ends a node in one of three ways: a
+row that contradicts its bounds closes the branch once its certificate
+re-checks (below), a repaired point that passes forward validation is a
+witness, and anything else ends the local search. That covers one ReLU
+pair repaired SPLIT_THRESHOLD times (Reluplex's split on demand, Katz et
+al., CAV 2017), a row whose certificate does not re-check, a repair that
+is stuck, and a point that forward validation rejects. The node then
+splits on its most repaired uncertain pair, or, with every ReLU decided,
+the exact branch LP decides it (the loop can cycle between decided pairs
+that sit within the bound tolerance).
 
 Every UNSAT leaf stores the certificate of the row that closed it, for
 replay: a row of the search tableau or of the branch LP
@@ -14,8 +19,7 @@ replay: a row of the search tableau or of the branch LP
 branch (`deeppoly.certificate`). A tableau row closes a node only when its
 certificate, rebuilt from the network, refutes the node's bounds
 (`lp.certificate_refutes`): pivoting drifts rows away from the sum of the
-equations they name, most at large weight scales. A row that fails the
-check ends the node's local search like the split rule does.
+equations they name, most at large weight scales.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from . import prooftree as pt
 from .deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted
 from .model import UNSAT, Verdict, property_hash, witness_ok
 from .simplex import (
+    Progress,
     Satisfied,
-    Stuck,
     certificate,
     check_unsat_rows,
     initialize,
@@ -87,37 +91,22 @@ def _visit(net, prop, tree, nid, cfg, bounds, base):
     """
     node = tree.nodes[nid]
     candidates = _uncertain(net.layout, bounds)
-    verdict = check_unsat_rows(cfg)  # node entry: every row
-    while True:
-        cfg.rewritten.clear()
-        if not verdict.feasible:
-            if _close_by_row(net, prop, node, cfg, bounds, verdict.unsat_row):
-                return None
-            break
+    while (row := check_unsat_rows(cfg)) is None:
         if max(cfg.violations.values(), default=0) >= SPLIT_THRESHOLD:
             break
         step = repair_step(cfg)
-        if isinstance(step, Satisfied):
-            if not witness_ok(net, prop, step.witness):
-                raise RuntimeError(f"local search produced an invalid witness {step.witness}")
+        if isinstance(step, Satisfied) and witness_ok(net, prop, step.witness):
             node.status = pt.SAT
             node.witness = step.witness
             return step.witness
-        if isinstance(step, Stuck):
-            if candidates:
-                break
-            if step.stuck_row is None:
-                raise RuntimeError("local search stuck on a fully decided branch")
-            # pinned row: exact infeasibility certificate at these bounds
-            if _close_by_row(net, prop, node, cfg, bounds, step.stuck_row):
-                return None
-            break
-        # bounds are fixed within a node: only a rewritten row can change verdict
-        verdict = check_unsat_rows(cfg, rows=cfg.rewritten)
+        if not isinstance(step, Progress):
+            break  # Stuck, or a point that the forward pass rejects
+    if row is not None and _close_by_row(net, prop, node, cfg, bounds, row):
+        return None
 
     if not candidates:
         # every ReLU decided: a pure LP, which the loop may cycle on (fixes
-        # within EPS_RELU undo each other inside EPS_BOUND)
+        # within EPS_RELU undo each other inside EPS_BOUND) or leave undecided
         return _decide_by_lp(net, prop, node, bounds)
     split = max(candidates, key=lambda p: (cfg.violations.get(p, 0), -p))
     node.status = pt.INTERNAL

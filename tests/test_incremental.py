@@ -276,8 +276,9 @@ def test_new_tree_seeds_next_round(demo_net, fprime, demo_prop):
 def test_replay_pct_vacuous_default():
     rep = IncrementalReport(Verdict(False))
     assert rep.replay_pct == 100.0
-    rep.replayed = 3
-    rep.fallbacks = 1
+    rep.rungs = {1: CERTIFICATE, 2: ANALYZE, 3: LP, 4: FALLBACK}
+    rep.outcomes = {0: PRUNED, 1: PROOF_REPLAYED, 5: SKIPPED}
+    assert (rep.replayed, rep.fallbacks, rep.pruned) == (3, 1, 1)
     assert rep.replay_pct == 75.0
 
 

@@ -246,3 +246,38 @@ def test_row_closes_a_node_only_when_its_certificate_rechecks():
     assert oracle(net, prop).sat
     assert len(tree.nodes) == 3
     tree.validate()
+
+
+@pytest.mark.parametrize("seed, scale, nodes", [(123, 1e3, 3), (35, 1e4, 17)])
+def test_unfinished_local_search_splits_or_asks_the_lp(seed, scale, nodes):
+    """A local search that ends without a closing row or a valid witness
+    ends the node like the split rule does. s123 at 1e3 repairs to a point
+    that fails forward validation; s35 at 1e4 gets stuck on a fully decided
+    branch. Both used to raise RuntimeError and are SAT."""
+    net, prop = _scaled_instance(seed, scale)
+    verdict, tree = solve(net, prop)
+    assert verdict.sat
+    assert witness_ok(net, prop, verdict.witness)
+    assert oracle(net, prop).sat
+    assert len(tree.nodes) == nodes
+    tree.validate()
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e4])
+def test_scale_grid_has_no_wrong_unsat(scale):
+    """Over seeds 0-199 at large weight scales no UNSAT verdict meets an
+    oracle witness that passes forward validation. Runs where the solver
+    or the oracle raises RuntimeError (the branch LP's point fails forward
+    validation) give no verdict to compare."""
+    unsat = 0
+    for seed in range(200):
+        net, prop = _scaled_instance(seed, scale)
+        try:
+            verdict = solve(net, prop)[0]
+            truth = oracle(net, prop)
+        except RuntimeError:
+            continue
+        if not verdict.sat:
+            unsat += 1
+            assert not (truth.sat and witness_ok(net, prop, truth.witness)), seed
+    assert unsat >= 50  # the grid must exercise UNSAT answers: 89 at 1e3, 91 at 1e4
