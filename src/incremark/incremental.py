@@ -3,7 +3,9 @@
 The driver prunes edges the new bounds contradict, fast-paths the stored SAT
 witness, re-searches open (sat/unsolved) leaves seeded with fresh bounds, and
 for each stored UNSAT leaf tries to replay the old proof before falling back
-to a full branch search. Every UNSAT leaf that `solve` writes carries a
+to a branch search. Every search is `solver.search` on a leaf of the pruned
+copy of the stored tree, which it grows in place; the copy, renumbered, is
+the output tree. Every UNSAT leaf that `solve` writes carries a
 certificate: the multipliers of the encoded equations whose sum showed its
 branch empty (a tableau or LP row, or a DeepPoly back-substitution). The
 ladder tests it first, on the cheapest bounds that contain the branch. Each
@@ -19,9 +21,9 @@ rung is named by the word the report counts:
                  leaf's certificate
     tighten      LP-shrink the input box, re-propagate: empty or
                  property-impossible
-    fallback     otherwise: full search of the branch from a fresh tableau
-                 over the tightened bounds (`solver.search_branch`), whose
-                 closed leaves bring their own certificates
+    fallback     otherwise: `solver.search` decides the leaf from a new
+                 tableau over the tightened bounds and grows the tree below
+                 it; its closed leaves bring their own certificates
 
 Every rung but the last closes the leaf. The clamped root box contains the
 leaf's region, and a chord over a wider interval still bounds its ReLU, so
@@ -43,7 +45,7 @@ from .model import UNSAT, Verdict, property_hash, witness_ok
 from .simplex import AFF, CHORD, PROP, RELU, certificate, prop_slack_ids
 # not called here: perfbench/tracer.py patches these two names on this module
 from .simplex import check_unsat_rows, refresh_bounds  # noqa: F401
-from .solver import search_branch
+from .solver import search
 
 PROOF_REPLAYED = "proof_replayed"
 PROOF_FAILED_FELL_BACK = "proof_failed_fell_back"
@@ -71,7 +73,7 @@ class ShapeMismatchError(Exception):
 class IncrementalReport:
     verdict: Verdict
     outcomes: dict[int, str] = field(default_factory=dict)
-    fallback_nodes: int = 0  # nodes of the fallback searches' grafts
+    fallback_nodes: int = 0  # nodes the fallback searches grew, their leaves included
     unsat_total: int = 0
     times: dict[str, float] = field(default_factory=dict)
     rungs: dict[int, str] = field(default_factory=dict)  # replayed leaf -> its rung
@@ -142,33 +144,33 @@ def _check_fits(tree: pt.ProofTree, net, prop) -> None:
 
 def _replay_unsat_leaf(net, prop, tree, nid, base):
     """Climb the replay ladder for a stored UNSAT leaf, given the root
-    bounds `base`; returns (rung, witness | None, graft tree | None). The
-    analyze and LP rungs leave their certificates on the leaf."""
+    bounds `base`; returns (rung, witness | None). The analyze and LP rungs
+    leave their certificates on the leaf, and the fallback grows the tree
+    below it."""
     node = tree.nodes[nid]
     asserts = sorted(tree.asserts_of(nid))
     if node.cert is not None:
         box = clamp(net, base, asserts) if asserts else base
         if box is not None and lp.certificate_refutes(net, prop, box, node.cert):
-            return CERTIFICATE, None, None
+            return CERTIFICATE, None
     bounds = analyze(net, prop.box, asserts) if asserts else base
-    if bounds.infeasible or is_property_refuted(bounds, prop):
+    if is_property_refuted(bounds, prop):
         node.cert = deeppoly.certificate(net, prop, bounds) or node.cert
-        return ANALYZE, None, None
+        return ANALYZE, None
     if asserts and node.cert is not None and lp.certificate_refutes(net, prop, bounds, node.cert):
-        return CERTIFICATE, None, None
+        return CERTIFICATE, None
     relax = lp.build(net, prop, bounds)
     if not lp.feasible(relax):
         node.cert = certificate(relax.cfg, relax.infeasible_row)
-        return LP, None, None
+        return LP, None
     nb = lp.tighten_inputs_then_repropagate(net, prop, asserts, relax)
-    if nb.infeasible or is_property_refuted(nb, prop):
-        return TIGHTEN, None, None
-    w, graft = search_branch(net, prop, asserts, nb)
-    return FALLBACK, w, graft
+    if is_property_refuted(nb, prop):
+        return TIGHTEN, None
+    return FALLBACK, search(net, prop, tree, nid, nb)
 
 
 def verify_incremental(net, prop, tree: pt.ProofTree):
-    """Re-verify (net, prop) guided by a stored tree.
+    """Re-verify (net, prop) guided by a stored tree, which is left as it is.
 
     Returns (Verdict, IncrementalReport, new ProofTree); the new tree records
     what this run established, so it can seed the next modification.
@@ -187,8 +189,7 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     times["analyze"] = time.perf_counter() - t0
     if is_property_refuted(base, prop):
         out = pt.ProofTree(net.dims, phash, "unsat")
-        out.root.status = pt.UNSAT
-        out.root.cert = deeppoly.certificate(net, prop, base)
+        search(net, prop, out, 0, base)
         report.outcomes = {nid: SKIPPED for nid in tree.leaves()}
         times["total"] = time.perf_counter() - t0
         return UNSAT, report, out
@@ -205,95 +206,69 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
                 net, prop, replace(base, infeasible=True, emptied=node.assertion))
     times["prune"] = time.perf_counter() - t1
 
-    grafts: dict[int, pt.ProofTree] = {}
-    witness: tuple[float, ...] | None = None
-
-    def visit_open_leaf(nid: int) -> bool:
-        """Re-search a sat or unsolved leaf; True when it yields a witness."""
-        nonlocal witness
-        node = work.nodes[nid]
-        if node.witness is not None and witness_ok(net, prop, node.witness):
-            report.outcomes[nid] = RESOLVED_SAT
-            witness = tuple(node.witness)
-            return True
-        asserts = sorted(work.asserts_of(nid))
-        bounds = analyze(net, prop.box, asserts) if asserts else base
-        if bounds.infeasible or is_property_refuted(bounds, prop):
-            report.outcomes[nid] = RESOLVED_UNSAT
-            node.status = pt.UNSAT
-            node.witness = None
-            node.cert = deeppoly.certificate(net, prop, bounds)
-            return False
-        w, graft = search_branch(net, prop, asserts, bounds)
-        grafts[nid] = graft
-        if w is not None:
-            report.outcomes[nid] = RESOLVED_SAT
-            witness = w
-            return True
-        report.outcomes[nid] = RESOLVED_UNSAT
-        return False
+    # the stored leaves, taken before any search grows `work` below them
+    stored_leaves = work.leaves()
+    unsat_leaves = [nid for nid in work.leaves_with_status(pt.UNSAT) if nid not in removed]
+    # the sat leaf first, then the unsolved ones nearest it; the sat branch
+    # may have been pruned away, and unproven regions remain
+    sat_leaf = work.sat_leaf()
+    open_leaves = work.leaves_with_status(pt.UNSOLVED)
+    if sat_leaf is not None:
+        open_leaves.sort(key=lambda v: (work.distance(v, sat_leaf), v))
+        open_leaves.insert(0, sat_leaf)
 
     t2 = time.perf_counter()
-    sat_leaf = work.sat_leaf()
-    open_leaves: list[int] = []
-    if sat_leaf is not None:
-        eps = work.leaves_with_status(pt.UNSOLVED)
-        eps.sort(key=lambda v: (work.distance(v, sat_leaf), v))
-        open_leaves = [sat_leaf] + eps
-    else:
-        # the sat branch may have been pruned away; unproven regions remain
-        open_leaves = work.leaves_with_status(pt.UNSOLVED)
+    witness: tuple[float, ...] | None = None
     for nid in open_leaves:
-        if visit_open_leaf(nid):
+        node = work.nodes[nid]
+        if node.witness is not None and witness_ok(net, prop, node.witness):
+            witness = tuple(node.witness)
+        else:
+            asserts = sorted(work.asserts_of(nid))
+            witness = search(net, prop, work, nid,
+                             analyze(net, prop.box, asserts) if asserts else base)
+        report.outcomes[nid] = RESOLVED_UNSAT if witness is None else RESOLVED_SAT
+        if witness is not None:
             break
     times["open_leaves"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    unsat_leaves = [nid for nid in work.leaves_with_status(pt.UNSAT)
-                    if nid not in report.outcomes]
     report.unsat_total = len(unsat_leaves) + len(removed)
     if witness is None:
         for nid in unsat_leaves:
-            rung, w, graft = _replay_unsat_leaf(net, prop, work, nid, base)
+            size = len(work.nodes)
+            rung, witness = _replay_unsat_leaf(net, prop, work, nid, base)
             report.rungs[nid] = rung
             if rung == FALLBACK:
                 report.outcomes[nid] = PROOF_FAILED_FELL_BACK
-                report.fallback_nodes += len(graft.nodes)
+                report.fallback_nodes += 1 + len(work.nodes) - size
             else:
                 report.outcomes[nid] = PROOF_REPLAYED
-            if graft is not None:
-                grafts[nid] = graft
-            if w is not None:
-                witness = w
+            if witness is not None:
                 break
     times["unsat_leaves"] = time.perf_counter() - t3
 
-    for nid in work.leaves():
+    for nid in stored_leaves:
         report.outcomes.setdefault(nid, SKIPPED)
 
     verdict = Verdict(True, witness) if witness is not None else UNSAT
     report.verdict = verdict
-    out = _assemble(work, grafts)
+    out = _renumber(work)
     out.verdict = verdict.name
     times["total"] = time.perf_counter() - t0
     return verdict, report, out
 
 
-def _assemble(work: pt.ProofTree, grafts: dict[int, pt.ProofTree]) -> pt.ProofTree:
-    """New tree: the pruned skeleton with re-searched branches grafted in,
-    node ids renumbered densely in DFS order."""
+def _renumber(work: pt.ProofTree) -> pt.ProofTree:
+    """New tree: `work` with node ids renumbered densely in DFS order."""
     out = pt.ProofTree(work.dims, work.prop_hash)
 
-    def clone(tree: pt.ProofTree, sid: int, oid: int) -> None:
-        src = tree.nodes[sid]
-        if tree is work and sid in grafts and not src.children:
-            clone(grafts[sid], 0, oid)
-            return
+    def clone(sid: int, oid: int) -> None:
+        src = work.nodes[sid]
         dst = out.nodes[oid]
         dst.status, dst.witness, dst.cert = src.status, src.witness, src.cert
         for c in src.children:
-            cid = out.add_child(oid, tree.nodes[c].assertion)
-            clone(tree, c, cid)
+            clone(c, out.add_child(oid, work.nodes[c].assertion))
 
-    clone(work, 0, 0)
+    clone(0, 0)
     return out

@@ -18,6 +18,7 @@ for one network apply to any same-shaped network.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,14 @@ class SafetyProperty:
 
     def __post_init__(self) -> None:
         for lo, hi in self.box:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"input box bound is not a finite number: [{lo}, {hi}]")
             if lo > hi:
                 raise ValueError(f"empty input box: [{lo}, {hi}]")
+        for c in self.constraints:
+            if not all(map(math.isfinite, (c.threshold, *c.coeffs))):
+                raise ValueError(f"constraint ge {c.threshold} {c.coeffs} holds a value that is "
+                                 "not a finite number")
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,8 @@ class Network:
                 raise ValueError(f"layer {i + 1}: bad weight/bias shape")
             if w.shape[1] != dims[-1]:
                 raise ValueError(f"layer {i + 1}: expects {dims[-1]} inputs, got {w.shape[1]}")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"layer {i + 1}: a weight or bias is not a finite number")
             dims.append(w.shape[0])
         self.dims = tuple(dims)
         self.layout = VariableLayout(self.dims, tuple(self.activations))
@@ -198,10 +207,11 @@ def forward_values(net: Network, x) -> dict[int, float]:
 
 
 def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> bool:
-    """A SAT witness must sit in the box and violate the property, i.e.
-    satisfy every negated constraint, within eps."""
+    """A SAT witness must be a finite point that sits in the box and
+    violates the property, i.e. satisfies every negated constraint, within
+    eps."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (net.n_inputs,):
+    if x.shape != (net.n_inputs,) or not np.isfinite(x).all():
         return False
     for xi, (lo, hi) in zip(x, prop.box):
         if xi < lo - eps or xi > hi + eps:

@@ -1,5 +1,7 @@
 """Labelled binary tree recording a search: edges carry sign assertions on
 ReLU pre-activations, leaves carry a status, and a SAT leaf its witness.
+A search (`solver.search`) decides one leaf and grows the tree below it, so
+re-verification grows the pruned copy of a stored tree in place.
 
 An UNSAT leaf's edge assertions say which branch to re-check. Every UNSAT
 leaf also stores a certificate: the multipliers `[kind, index, y]` of the
@@ -259,12 +261,15 @@ def _from_json(data: dict) -> ProofTree:
         assertion = None if a is None else Assertion(int(a["neuron"]), a["sign"])
         if assertion is not None and assertion.sign not in (NONNEG, NONPOS):
             raise ValueError(f"bad assertion sign {assertion.sign!r}")
+        witness = None if nd.get("witness") is None else tuple(float(x) for x in nd["witness"])
+        if witness is not None and not all(map(math.isfinite, witness)):
+            raise ValueError(f"witness {list(witness)} is not a finite point")
         node = Node(
             int(nd["id"]),
             nd["parent"],
             assertion,
             nd["status"],
-            None if nd.get("witness") is None else tuple(float(x) for x in nd["witness"]),
+            witness,
             cert=None if nd.get("cert") is None else _cert_from_json(nd["cert"]),
         )
         if node.id in tree.nodes:

@@ -1,6 +1,12 @@
 """From-scratch verification: local repair inside each branch, split on
 demand, DFS over sign assertions, full proof tree recording.
 
+`search` is the one way a branch is decided. It takes any tree and one of
+its leaves, with the bounds of the leaf's branch, and grows the tree below
+that leaf: `solve` calls it on the root of a new tree, each split calls it
+on the new children, and re-verification (`incremental`) calls it on the
+leaves of a stored tree that it cannot replay.
+
 A node runs the tableau repair loop, testing its rows before each step
 (`simplex.check_unsat_rows`). The loop ends a node in one of three ways: a
 row that contradicts its bounds closes the branch once its certificate
@@ -60,36 +66,33 @@ def solve(net, prop):
     visited stay in the tree as Unsolved leaves. The search is fully
     deterministic.
     """
-    bounds = analyze(net, prop.box)
-    if is_property_refuted(bounds, prop):
-        tree = pt.ProofTree(net.dims, property_hash(prop), "unsat")
-        tree.root.status = pt.UNSAT
-        tree.root.cert = deeppoly.certificate(net, prop, bounds)
-        return UNSAT, tree
-    witness, tree = search_branch(net, prop, (), bounds)
+    tree = pt.ProofTree(net.dims, property_hash(prop))
+    witness = search(net, prop, tree, 0, analyze(net, prop.box))
+    tree.verdict = "unsat" if witness is None else "sat"
     return (UNSAT if witness is None else Verdict(True, witness)), tree
 
 
-def search_branch(net, prop, asserts, bounds):
-    """Search the branch under `asserts` from a fresh tableau over `bounds`,
-    which must be that branch's bounds; returns (witness | None, the
-    branch's ProofTree). The tree's edges hold only the assertions this
-    search adds below `asserts`."""
-    tree = pt.ProofTree(net.dims, property_hash(prop))
-    cfg = initialize(net, prop, bounds)
-    witness = _visit(net, prop, tree, 0, cfg, bounds, frozenset(asserts))
-    tree.verdict = "unsat" if witness is None else "sat"
-    return witness, tree
+def search(net, prop, tree, nid, bounds, parent=None):
+    """Decide leaf `nid` of `tree`, given the bounds of its branch, and grow
+    the tree below it; returns a witness or None (branch UNSAT).
 
-
-def _visit(net, prop, tree, nid, cfg, bounds, base):
-    """Solve one branch; returns a witness or None (branch UNSAT).
-
-    The node's configuration is exclusively owned here; children get copies.
-    `base` holds assertions established outside this tree, so children are
-    analyzed under base plus their own edge path.
+    Bounds that refute the property close the leaf with their DeepPoly
+    certificate. Otherwise the leaf is searched from a new tableau, or, for
+    a split child, from a copy of its `parent`'s configuration with the
+    child's bounds; the configuration is exclusively owned here.
     """
     node = tree.nodes[nid]
+    node.witness = node.cert = None
+    if is_property_refuted(bounds, prop):
+        # region empty or property interval-impossible: nothing to search
+        node.status = pt.UNSAT
+        node.cert = deeppoly.certificate(net, prop, bounds)
+        return None
+    if parent is None:
+        cfg = initialize(net, prop, bounds)
+    else:
+        cfg = parent.copy()
+        refresh_bounds(cfg, net, prop, bounds)
     candidates = _uncertain(net.layout, bounds)
     while (row := check_unsat_rows(cfg)) is None:
         if max(cfg.violations.values(), default=0) >= SPLIT_THRESHOLD:
@@ -111,21 +114,12 @@ def _visit(net, prop, tree, nid, cfg, bounds, base):
     split = max(candidates, key=lambda p: (cfg.violations.get(p, 0), -p))
     node.status = pt.INTERNAL
     kids = [tree.add_child(nid, Assertion(split, sign)) for sign in (NONPOS, NONNEG)]
-
     witness = None
     for cid in kids:
         if witness is not None:
             break  # later siblings stay Unsolved
-        child = tree.nodes[cid]
-        child_bounds = analyze(net, prop.box, sorted(base | tree.asserts_of(cid)))
-        if child_bounds.infeasible or is_property_refuted(child_bounds, prop):
-            # region empty or property interval-impossible: nothing to search
-            child.status = pt.UNSAT
-            child.cert = deeppoly.certificate(net, prop, child_bounds)
-            continue
-        ccfg = cfg.copy()
-        refresh_bounds(ccfg, net, prop, child_bounds)
-        witness = _visit(net, prop, tree, cid, ccfg, child_bounds, base)
+        child_bounds = analyze(net, prop.box, sorted(tree.asserts_of(cid)))
+        witness = search(net, prop, tree, cid, child_bounds, cfg)
     return witness
 
 

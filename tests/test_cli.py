@@ -1,11 +1,16 @@
 import json
 import logging
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import incremark
 from incremark import prooftree
 from incremark.bench import (
     CSV_HEADER,
@@ -343,6 +348,16 @@ def test_reverify_debug_log_names_each_leaf_rung(stored, tmp_path, caplog):
     assert {r: rungs.count(r) for r in rep["rungs"]} == rep["rungs"]
 
 
+def test_import_does_not_load_logging():
+    """`reverify` logs its per-leaf lines from the report, so the library
+    never imports logging, which adds about 0.5 MB to a process's peak RSS.
+    pytest imports logging itself, so a fresh interpreter checks."""
+    src = str(pathlib.Path(incremark.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, incremark; sys.exit('logging' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 def _reverify_doc(tmp_path, net_path, prop_path, doc):
     tree_path = tmp_path / "tree.json"
     tree_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -359,6 +374,11 @@ def _renumber_root_split(doc, neuron):
 def _bad_witness(doc):
     leaf = next(nd for nd in doc["nodes"] if nd["witness"] is not None)
     leaf["witness"] = leaf["witness"] + [0.0]
+
+
+def _nan_witness(doc):
+    leaf = next(nd for nd in doc["nodes"] if nd["status"] == "unsat")
+    leaf["status"], leaf["witness"] = "sat", [float("nan")] * 2
 
 
 def _cert_on_neuron(doc, kind, neuron):
@@ -380,6 +400,8 @@ def _repeat_on_path(doc):
      "neuron 99 is not a ReLU"),
     ("demo", _bad_witness, EXIT_MISMATCH, "witness has 3 values for 2 inputs"),
     ("s18", _repeat_on_path, EXIT_ERROR, "neuron 3 asserted twice on one path"),
+    # a NaN witness used to pass witness_ok and print `SAT nan nan`
+    ("s18", _nan_witness, EXIT_ERROR, "witness [nan, nan] is not a finite point"),
     # a certificate index that names no equation used to end in a KeyError
     # traceback from the certificate rung
     ("s18", lambda doc: _cert_on_neuron(doc, "relu", 99), EXIT_MISMATCH,
@@ -474,7 +496,7 @@ def test_reverify_mutated_tree(stored, tmp_path_factory, data):
                     nd["assert"]["neuron"] = new
         elif kind == "witness":
             nd = data.draw(st.sampled_from(nodes))
-            nd["witness"] = [0.0] * data.draw(st.integers(0, 4))
+            nd["witness"] = data.draw(st.lists(NUMBERS, max_size=4))
         elif kind == "cert":
             _mutate_cert(doc, data, n_ids)
     text = json.dumps(doc)

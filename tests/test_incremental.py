@@ -479,17 +479,36 @@ def test_lp_certificate_is_carried_forward(monkeypatch):
 
 
 def test_fallback_graft_brings_its_certificates():
-    net = random_network((2, 5, 5, 1), 18)
-    prop = random_threshold_property(net, 19)
-    _, tree = solve(net, prop)
-    modified = perturb(net, Perturbation(0.5, 1.0, 28))
-    verdict, rep, out = verify_incremental(modified, prop, tree)
-    assert not verdict.sat
-    [fell_back] = [tree.asserts_of(nid) for nid, rung in rep.rungs.items() if rung == FALLBACK]
-    grafted = [i for i in out.leaves() if out.asserts_of(i) >= fell_back]
-    assert any(out.nodes[i].cert is not None for i in grafted)
-    assert rep.fallback_nodes == sum(1 for i in out.nodes if out.asserts_of(i) >= fell_back)
-    assert rep.to_json()["fallback_nodes"] == rep.fallback_nodes >= 1
+    """A re-searched stored leaf becomes the root of the subtree its search
+    grows: it keeps no witness or certificate once it splits, the fallback
+    counts its nodes, and the input tree is left as it was. In the first
+    case a stored UNSAT leaf falls back, and its new leaves bring their
+    certificates; in the second the stored SAT leaf's witness fails and its
+    search grows 3 nodes."""
+    for s, perturbation in ((18, Perturbation(0.5, 1.0, 28)), (2, Perturbation(0.05, 1.0, 0))):
+        net = random_network((2, 5, 5, 1), s)
+        prop = random_threshold_property(net, s + 1)
+        _, tree = solve(net, prop)
+        doc = tree.to_json()
+        verdict, rep, out = verify_incremental(perturb(net, perturbation), prop, tree)
+        assert not verdict.sat
+        assert tree.to_json() == doc
+        assert all(n.witness is None and n.cert is None
+                   for n in out.nodes.values() if n.children)
+
+        def grown(nids):
+            paths = [tree.asserts_of(nid) for nid in nids]
+            return [i for i in out.nodes if any(out.asserts_of(i) >= a for a in paths)]
+
+        fell_back = grown(nid for nid, rung in rep.rungs.items() if rung == FALLBACK)
+        assert rep.to_json()["fallback_nodes"] == rep.fallback_nodes == len(fell_back)
+        if s == 18:
+            assert fell_back
+            assert any(out.nodes[i].cert is not None for i in fell_back
+                       if not out.nodes[i].children)
+        else:
+            assert not fell_back
+            assert len(grown([tree.sat_leaf()])) == 3
 
 
 def test_analyze_rung_stores_a_fresh_certificate():

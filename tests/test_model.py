@@ -101,6 +101,9 @@ def test_witness_ok_rejects(demo_net, demo_prop):
     assert not witness_ok(demo_net, demo_prop, (1.5, 0.0))     # outside box
     assert not witness_ok(demo_net, demo_prop, (0.0, 0.0))     # y below threshold
     assert not witness_ok(demo_net, demo_prop, (0.675,))       # wrong arity
+    # every comparison with NaN is false, so it used to pass the box test
+    assert not witness_ok(demo_net, demo_prop, (float("nan"), float("nan")))
+    assert not witness_ok(demo_net, demo_prop, (float("inf"), 0.0))
     empty = SafetyProperty(BOX, ())
     assert not witness_ok(demo_net, empty, (0.0, 0.0))
 
@@ -134,6 +137,10 @@ def test_network_validation():
         Network([[[1.0]]], [[0.0]], ["sigmoid"])
     with pytest.raises(ValueError):
         Network([[[1.0, 2.0]], [[1.0, 2.0]]], [[0.0], [0.0]])  # chain mismatch
+    with pytest.raises(ValueError, match="not a finite number"):
+        Network([[[float("nan")]]], [[0.0]])
+    with pytest.raises(ValueError, match="not a finite number"):
+        Network([[[1.0]]], [[float("-inf")]])
 
 
 def test_network_roundtrip(tmp_path, fdoubleprime):
@@ -166,6 +173,10 @@ def test_network_file_errors(tmp_path):
     p.write_text("relunet 1\ndims 1\nlayer 1 none\n")
     with pytest.raises(ValueError):
         load_network(str(p))  # single dim
+    for bad in ("nan 0.0", "1.0 inf"):
+        p.write_text(f"relunet 1\ndims 1 1\nlayer 1 none\n{bad}\n")
+        with pytest.raises(ValueError, match="not a finite number"):
+            load_network(str(p))  # a NaN weight used to give a wrong SAT
 
 
 def test_property_roundtrip(tmp_path, demo_prop):
@@ -199,6 +210,12 @@ def test_property_file_errors(tmp_path):
     p.write_text("box\n-1.0 1.0\nge 0.3 1.0\nge 0.1 1.0 2.0\n")
     with pytest.raises(ValueError):
         load_property(str(p))  # inconsistent arity
+    # NaN or infinite numbers used to give wrong SAT answers
+    for bad in ("box\nnan 1.0\nge 0.3 1.0\n", "box\n-1.0 inf\nge 0.3 1.0\n",
+                "box\n-1.0 1.0\nge nan 1.0\n", "box\n-1.0 1.0\nge 0.3 -inf\n"):
+        p.write_text(bad)
+        with pytest.raises(ValueError, match="not a finite number"):
+            load_property(str(p))
 
 
 def test_property_hash_frozen(demo_prop):

@@ -310,6 +310,11 @@ def test_from_json_rejects():
     bad["nodes"][1]["witness"] = [10 ** 400, 0.0]
     with pytest.raises(ValueError, match="malformed proof tree"):
         from_json(bad)
+    # a NaN witness used to pass witness_ok and answer SAT
+    for x in (float("nan"), float("inf"), -float("inf")):
+        bad["nodes"][1]["witness"] = [0.5, x]
+        with pytest.raises(ValueError, match="is not a finite point"):
+            from_json(json.loads(json.dumps(bad)))
     bad["nodes"][1]["witness"] = None
     bad["nodes"][1]["assert"]["neuron"] = float("inf")
     with pytest.raises(ValueError, match="malformed proof tree"):
