@@ -17,7 +17,7 @@ import click
 from . import bench as bench_mod
 from . import prooftree
 from .deeppoly import analyze
-from .incremental import ShapeMismatchError, check_dims, verify_incremental
+from .incremental import RUNGS, ShapeMismatchError, check_dims, verify_incremental
 from .model import load_network, load_property, save_network
 from .simplex import dump, initialize
 from .solver import solve
@@ -71,6 +71,11 @@ def _load_query(net_path: str, prop_path: str):
     return net, prop
 
 
+def _solver_error(e: RuntimeError) -> None:
+    click.echo(f"solver error: {e}", err=True)
+    sys.exit(EXIT_ERROR)
+
+
 def _finish(verdict) -> None:
     if verdict.name == "sat":
         click.echo("SAT " + " ".join(repr(float(x)) for x in verdict.witness))
@@ -87,14 +92,13 @@ def _finish(verdict) -> None:
 def verify(net_path, prop_path, tree_out, dump_tableau):
     """Decide a property from scratch and record the proof tree."""
     net, prop = _load_query(net_path, prop_path)
-    if dump_tableau:
-        cfg = initialize(net, prop, analyze(net, prop.box))
-        click.echo(dump(cfg, "initial tableau"))
     try:
+        if dump_tableau:
+            cfg = initialize(net, prop, analyze(net, prop.box))
+            click.echo(dump(cfg, "initial tableau"))
         verdict, tree = solve(net, prop)
     except RuntimeError as e:
-        click.echo(f"solver error: {e}", err=True)
-        sys.exit(EXIT_ERROR)
+        _solver_error(e)
     log.info("verify %s: %s, %d tree nodes", net_path, verdict.name, len(tree.nodes))
     if tree_out:
         tree.serialize(tree_out)
@@ -122,12 +126,12 @@ def reverify(net_path, prop_path, tree_path, tree_out, report_path):
         click.echo(f"stored tree does not match: {e}", err=True)
         sys.exit(EXIT_MISMATCH)
     except RuntimeError as e:
-        click.echo(f"solver error: {e}", err=True)
-        sys.exit(EXIT_ERROR)
+        _solver_error(e)
     # one line per replayed leaf, from the report: the library itself does
     # not import logging, which would add about 0.5 MB to every process
-    for nid, rung in sorted(rep.rungs.items()):
-        log.debug("unsat leaf %d: %s", nid, rung)
+    for nid, outcome in sorted(rep.outcomes.items()):
+        if outcome in RUNGS:
+            log.debug("unsat leaf %d: %s", nid, outcome)
     log.info("reverify %s: %s, replay %.1f%%", net_path, verdict.name, rep.replay_pct)
     if tree_out:
         new_tree.serialize(tree_out)
@@ -144,7 +148,10 @@ def reverify(net_path, prop_path, tree_path, tree_out, report_path):
 def bounds(net_path, prop_path):
     """Print abstraction intervals and the ReLU relational bounds."""
     net, prop = _load_query(net_path, prop_path)
-    b = analyze(net, prop.box)
+    try:
+        b = analyze(net, prop.box)
+    except RuntimeError as e:
+        _solver_error(e)
     lay = net.layout
     for vid in lay.neuron_ids:
         click.echo(f"x{vid + 1} in [{b.lo[vid]:.10g}, {b.hi[vid]:.10g}]")
@@ -241,6 +248,8 @@ def bench(net_path, prop_path, gammas, fractions, trials, seed, out_path):
             fh.write(e.csv_text)
         click.echo(f"disagreement: {e}", err=True)
         sys.exit(EXIT_ERROR)
+    except RuntimeError as e:
+        _solver_error(e)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(report.csv_text)
     for line in report.summary_lines():

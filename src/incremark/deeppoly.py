@@ -159,7 +159,12 @@ def analyze(net: Network, box, asserts=()) -> Bounds:
     for li in range(net.n_layers):
         w = net.weights[li]
         n = w.shape[0]
-        pre_lo, pre_hi = back(li, w, net.biases[li])
+        # a chord over an interval wider than the largest float has slope 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            pre_lo, pre_hi = back(li, w, net.biases[li])
+            if not np.isfinite(pre_hi - pre_lo).all():
+                raise RuntimeError(f"layer {li + 1}: a pre-activation interval or its width "
+                                   "is not a finite float")
 
         for j, vid in enumerate(lay.pre_ids[li]):
             lo, hi = pre_lo[j], pre_hi[j]

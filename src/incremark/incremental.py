@@ -4,12 +4,13 @@ The driver prunes edges the new bounds contradict, fast-paths the stored SAT
 witness, re-searches open (sat/unsolved) leaves seeded with fresh bounds, and
 for each stored UNSAT leaf tries to replay the old proof before falling back
 to a branch search. Every search is `solver.search` on a leaf of the pruned
-copy of the stored tree, which it grows in place; the copy, renumbered, is
-the output tree. Every UNSAT leaf that `solve` writes carries a
+copy of the stored tree, which it grows in place; that copy is the output
+tree, so the stored nodes that pruning keeps keep their ids and a search's
+nodes take ids above them. Every UNSAT leaf that `solve` writes carries a
 certificate: the multipliers of the encoded equations whose sum showed its
 branch empty (a tableau or LP row, or a DeepPoly back-substitution). The
 ladder tests it first, on the cheapest bounds that contain the branch. Each
-rung is named by the word the report counts:
+rung is named by the word the report records:
 
     certificate  the stored certificate, rebuilt for the new weights, excludes
                  0 by intervals over the root bounds clamped by the leaf's
@@ -47,15 +48,13 @@ from .simplex import AFF, CHORD, PROP, RELU, certificate, prop_slack_ids
 from .simplex import check_unsat_rows, refresh_bounds  # noqa: F401
 from .solver import search
 
-PROOF_REPLAYED = "proof_replayed"
-PROOF_FAILED_FELL_BACK = "proof_failed_fell_back"
 RESOLVED_SAT = "resolved_sat"
 RESOLVED_UNSAT = "resolved_unsat"
 PRUNED = "pruned"
 SKIPPED = "skipped"
 
-# rungs of the replay ladder as the report counts them; the certificate
-# is tried before analyze and again after it (see the module docstring)
+# rungs of the replay ladder, the outcomes of replayed UNSAT leaves; the
+# certificate is tried before analyze and again after it (module docstring)
 ANALYZE = "analyze"
 CERTIFICATE = "certificate"
 LP = "lp"
@@ -72,11 +71,12 @@ class ShapeMismatchError(Exception):
 @dataclass
 class IncrementalReport:
     verdict: Verdict
+    # stored leaf id (kept in the output tree unless the root bounds refute
+    # the property) -> PRUNED, SKIPPED, RESOLVED_SAT/UNSAT or the leaf's rung
     outcomes: dict[int, str] = field(default_factory=dict)
     fallback_nodes: int = 0  # nodes the fallback searches grew, their leaves included
-    unsat_total: int = 0
-    times: dict[str, float] = field(default_factory=dict)
-    rungs: dict[int, str] = field(default_factory=dict)  # replayed leaf -> its rung
+    unsat_total: int = 0  # stored UNSAT leaves, the pruned ones included
+    times: dict[str, float] = field(default_factory=dict)  # phase -> seconds
 
     @property
     def pruned(self) -> int:
@@ -84,21 +84,19 @@ class IncrementalReport:
 
     @property
     def replayed(self) -> int:
-        return sum(1 for r in self.rungs.values() if r != FALLBACK)
+        return sum(1 for o in self.outcomes.values() if o in RUNGS and o != FALLBACK)
 
     @property
     def fallbacks(self) -> int:
-        return sum(1 for r in self.rungs.values() if r == FALLBACK)
+        return sum(1 for o in self.outcomes.values() if o == FALLBACK)
 
     @property
     def replay_pct(self) -> float:
         visited = self.replayed + self.fallbacks
-        if visited == 0:
-            return 100.0  # nothing needed replaying
-        return 100.0 * self.replayed / visited
+        return 100.0 * self.replayed / visited if visited else 100.0  # 100: nothing to replay
 
     def to_json(self) -> dict:
-        rungs = Counter(self.rungs.values())
+        counts = Counter(self.outcomes.values())
         return {
             "verdict": self.verdict.name,
             "witness": None if self.verdict.witness is None else list(self.verdict.witness),
@@ -110,7 +108,7 @@ class IncrementalReport:
             "unsat_leaves_total": self.unsat_total,
             "times_s": {k: round(v, 6) for k, v in self.times.items()},
             "outcomes": {str(k): v for k, v in sorted(self.outcomes.items())},
-            "rungs": {r: rungs[r] for r in RUNGS},
+            "rungs": {r: counts[r] for r in RUNGS},
         }
 
 
@@ -172,7 +170,8 @@ def _replay_unsat_leaf(net, prop, tree, nid, base):
 def verify_incremental(net, prop, tree: pt.ProofTree):
     """Re-verify (net, prop) guided by a stored tree, which is left as it is.
 
-    Returns (Verdict, IncrementalReport, new ProofTree); the new tree records
+    Returns (Verdict, IncrementalReport, new ProofTree). The new tree is the
+    pruned copy of the stored one that this run's searches grew; it records
     what this run established, so it can seed the next modification.
     """
     check_dims(tree, net)
@@ -238,12 +237,9 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
         for nid in unsat_leaves:
             size = len(work.nodes)
             rung, witness = _replay_unsat_leaf(net, prop, work, nid, base)
-            report.rungs[nid] = rung
+            report.outcomes[nid] = rung
             if rung == FALLBACK:
-                report.outcomes[nid] = PROOF_FAILED_FELL_BACK
                 report.fallback_nodes += 1 + len(work.nodes) - size
-            else:
-                report.outcomes[nid] = PROOF_REPLAYED
             if witness is not None:
                 break
     times["unsat_leaves"] = time.perf_counter() - t3
@@ -253,22 +249,6 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
 
     verdict = Verdict(True, witness) if witness is not None else UNSAT
     report.verdict = verdict
-    out = _renumber(work)
-    out.verdict = verdict.name
+    work.verdict = verdict.name
     times["total"] = time.perf_counter() - t0
-    return verdict, report, out
-
-
-def _renumber(work: pt.ProofTree) -> pt.ProofTree:
-    """New tree: `work` with node ids renumbered densely in DFS order."""
-    out = pt.ProofTree(work.dims, work.prop_hash)
-
-    def clone(sid: int, oid: int) -> None:
-        src = work.nodes[sid]
-        dst = out.nodes[oid]
-        dst.status, dst.witness, dst.cert = src.status, src.witness, src.cert
-        for c in src.children:
-            clone(c, out.add_child(oid, work.nodes[c].assertion))
-
-    clone(0, 0)
-    return out
+    return verdict, report, work

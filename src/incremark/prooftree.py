@@ -148,8 +148,9 @@ class ProofTree:
 
         One walk from the root checks that every node is reached exactly
         once, that each internal node has two complementary children, that
-        no neuron is asserted twice on one root-to-leaf path, and that each
-        leaf carries a leaf status."""
+        no neuron is asserted twice on one root-to-leaf path, that each
+        leaf carries a leaf status, and that only a SAT leaf carries a
+        witness and only an UNSAT leaf a certificate."""
         if 0 not in self.nodes:
             raise ValueError("no root node")
         sat_leaves = 0
@@ -162,6 +163,10 @@ class ProofTree:
                 raise ValueError(f"node {nid}: reached twice from the root")
             seen.add(nid)
             n = self.nodes[nid]
+            where = "internal node" if n.children else f"{n.status} leaf"
+            for what, value, home in (("witness", n.witness, SAT), ("certificate", n.cert, UNSAT)):
+                if value is not None and where != f"{home} leaf":
+                    raise ValueError(f"node {n.id}: {where} carries a {what}")
             if n.children:
                 if n.status != INTERNAL:
                     raise ValueError(f"node {n.id}: children but status {n.status}")

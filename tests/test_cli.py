@@ -22,6 +22,7 @@ from incremark.bench import (
 )
 from incremark.cli import EXIT_ERROR, EXIT_MISMATCH, EXIT_SAT, EXIT_UNSAT, main
 from incremark.model import (
+    Network,
     load_network,
     load_property,
     property_hash,
@@ -31,6 +32,7 @@ from incremark.model import (
 from incremark.solver import solve
 
 from conftest import DATA
+from test_solver import _scaled_instance
 
 DEMO = str(DATA / "demo.rnn")
 FPRIME = str(DATA / "fprime.rnn")
@@ -229,6 +231,27 @@ def test_bounds_output(runner):
     ]
 
 
+def test_interval_wider_than_the_largest_float_is_an_error(runner, tmp_path):
+    # on the demo net x3 in [-9e307, 9e307] is wider than the largest float:
+    # its chord had slope 0, which cut off the ReLU's upper side, and verify
+    # answered UNSAT though the oracle's (-5e300, -5e300) gives y = 1e300.
+    # A weight of 2 overflows x3's own bounds, which raised a numpy warning
+    prop = tmp_path / "huge.prop"
+    prop.write_text("box\n-1e308 1e308\n-1e308 1e308\nge 1e300 1.0\n")
+    steep = tmp_path / "steep.rnn"
+    save_network(Network([[[2.0, -0.7], [0.8, -0.8]], [[0.4, 0.6]]], [[-0.1, 0.0], [0.0]]),
+                 str(steep))
+    for net in (DEMO, str(steep)):
+        for command in ("verify", "bounds"):
+            res = runner.invoke(main, [command, "--net", net, "--prop", str(prop)])
+            assert res.exit_code == EXIT_ERROR, (net, command)
+            assert res.stderr == ("solver error: layer 1: a pre-activation interval or its "
+                                  "width is not a finite float\n")
+            assert "UNSAT" not in res.output
+    res = runner.invoke(main, ["oracle", "--net", DEMO, "--prop", str(prop)])
+    assert res.exit_code == EXIT_SAT
+
+
 def test_perturb_identity_round_trip(runner, tmp_path):
     out = tmp_path / "copy.rnn"
     res = runner.invoke(main, ["perturb", "--net", DEMO, "--out", str(out),
@@ -295,6 +318,21 @@ def test_bench_rejects_bad_gammas(runner, tmp_path):
                                "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == EXIT_ERROR
     assert "bad flag value" in res.stderr
+
+
+def test_bench_solver_error_is_one_line(runner, tmp_path):
+    # the base solve's branch LP point fails forward validation; this used
+    # to end in a RuntimeError traceback
+    net, prop = _scaled_instance(9, 1e4)
+    save_network(net, str(tmp_path / "sc.rnn"))
+    save_property(prop, str(tmp_path / "sc.prop"))
+    out = tmp_path / "b.csv"
+    res = runner.invoke(main, ["bench", "--net", str(tmp_path / "sc.rnn"),
+                               "--prop", str(tmp_path / "sc.prop"), "--trials", "1",
+                               "--gammas", "0.01", "--out", str(out)])
+    assert res.exit_code == EXIT_ERROR
+    assert res.stderr == "solver error: branch LP point failed forward validation\n"
+    assert not out.exists()
 
 
 def test_log_env_smoke(runner):
@@ -386,6 +424,13 @@ def _cert_on_neuron(doc, kind, neuron):
     leaf["cert"][0][:2] = [kind, neuron]
 
 
+def _put_on(doc, key, value, status, internal=False):
+    """Put a witness or certificate on the first node of a status."""
+    nd = next(nd for nd in doc["nodes"] if nd["status"] == status
+              and internal == any(c["parent"] == nd["id"] for c in doc["nodes"]))
+    nd[key] = value
+
+
 def _repeat_on_path(doc):
     # node 4 sits below the split on neuron 3; splitting it on 3 again
     # asserts that neuron twice on one root-to-leaf path
@@ -412,6 +457,17 @@ def _repeat_on_path(doc):
      "certificate names prop equation 0"),
     ("s18", lambda doc: _cert_on_neuron(doc, "bias", 2), EXIT_ERROR,
      "unknown equation kind 'bias'"),
+    # re-verification copied these forward into the trees it wrote
+    ("s18", lambda doc: _put_on(doc, "witness", [0.1, 0.2], "internal", True), EXIT_ERROR,
+     "node 0: internal node carries a witness"),
+    ("s18", lambda doc: _put_on(doc, "witness", [0.1, 0.2], "unsat"), EXIT_ERROR,
+     "unsat leaf carries a witness"),
+    ("demo", lambda doc: _put_on(doc, "witness", [0.1, 0.2], "unsolved"), EXIT_ERROR,
+     "unsolved leaf carries a witness"),
+    ("s18", lambda doc: _put_on(doc, "cert", [["aff", 2, 1.0]], "internal", True),
+     EXIT_ERROR, "node 0: internal node carries a certificate"),
+    ("demo", lambda doc: _put_on(doc, "cert", [["aff", 2, 1.0]], "sat"), EXIT_ERROR,
+     "sat leaf carries a certificate"),
 ])
 def test_reverify_rejects_tree_not_of_this_network(stored, tmp_path, case, mutate, code, message):
     net_path, prop_path, doc, _ = stored[case]

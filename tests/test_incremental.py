@@ -18,8 +18,6 @@ from incremark.incremental import (
     CERTIFICATE,
     FALLBACK,
     LP,
-    PROOF_FAILED_FELL_BACK,
-    PROOF_REPLAYED,
     PRUNED,
     RESOLVED_SAT,
     RESOLVED_UNSAT,
@@ -48,6 +46,11 @@ REPORT_KEYS = {
     "verdict", "witness", "replay_pct", "pruned", "replayed",
     "fallbacks", "fallback_nodes", "unsat_leaves_total", "times_s", "outcomes", "rungs",
 }
+
+
+def _rungs(rep):
+    """The replayed UNSAT leaves of a report, each with its rung."""
+    return {nid: o for nid, o in rep.outcomes.items() if o in RUNGS}
 
 
 def test_modified_net_fast_path(demo_net, fprime, demo_prop):
@@ -138,6 +141,56 @@ def test_prune_then_search_surviving_branch(demo_net, demo_prop):
     out.validate()
 
 
+def _survivors(tree, rep):
+    """Stored nodes that pruning kept: those with no pruned proper ancestor."""
+    pruned = {nid for nid, o in rep.outcomes.items() if o == PRUNED}
+
+    def kept(nid):
+        parent = tree.nodes[nid].parent
+        return parent is None or (parent not in pruned and kept(parent))
+
+    return {nid for nid in tree.nodes if kept(nid)}
+
+
+@pytest.mark.parametrize("case, fallbacks, pruned, added", [
+    ("s18-28", 1, 2, 0),  # pruning drops two subtrees; a fallback closes its leaf
+    ("s18-50", 1, 1, 6),  # a fallback grows six nodes below its leaf
+    ("demo", 0, 1, 0),    # the stored SAT branch is pruned
+])
+def test_output_tree_keeps_stored_ids(demo_net, demo_prop, case, fallbacks, pruned, added):
+    """The output tree is the stored one, pruned and grown in place: each
+    stored node that survives pruning keeps its id, parent and assertion,
+    the nodes a search adds take ids above the stored ones, and the report
+    names each leaf it settled by its id in the output tree, a replayed
+    UNSAT leaf by its rung."""
+    if case == "demo":
+        net, prop = demo_net, demo_prop
+        modified = Network([[[0.2, -0.7], [0.8, -0.8]], [[0.4, 0.6]]], [[1.0, 0.0], [0.0]])
+    else:
+        net = random_network((2, 5, 5, 1), 18)
+        prop = random_threshold_property(net, 19)
+        modified = perturb(net, Perturbation(0.5, 1.0, int(case.split("-")[1])))
+    _, tree = solve(net, prop)
+    doc = tree.to_json()
+    _, rep, out = verify_incremental(modified, prop, tree)
+    assert tree.to_json() == doc
+    out.validate()
+    assert (rep.fallbacks, rep.pruned) == (fallbacks, pruned)
+    kept = _survivors(tree, rep)
+    for nid in kept:
+        assert (out.nodes[nid].parent, out.nodes[nid].assertion) == (
+            tree.nodes[nid].parent, tree.nodes[nid].assertion)
+    new = set(out.nodes) - kept
+    assert len(new) == added and all(nid > max(tree.nodes) for nid in new)
+
+    assert set(rep.outcomes) <= set(out.nodes)
+    for nid, rung in _rungs(rep).items():
+        if rung != FALLBACK:
+            assert out.nodes[nid].status == "unsat" and not out.nodes[nid].children
+    outcomes = list(rep.outcomes.values())
+    assert rep.to_json()["rungs"] == {r: outcomes.count(r) for r in RUNGS}
+
+
 def test_unsat_leaves_replay_identity(demo_net, demo_prop):
     net = random_network((2, 5, 5, 1), 18)
     prop = random_threshold_property(net, 19)
@@ -178,7 +231,7 @@ def test_sat_flip_short_circuits_later_leaves():
     verdict, rep, out = verify_incremental(bumped, prop, tree)
     assert verdict.sat
     assert witness_ok(bumped, prop, verdict.witness)
-    assert rep.outcomes == {2: PROOF_FAILED_FELL_BACK, 3: SKIPPED, 4: SKIPPED}
+    assert rep.outcomes == {2: FALLBACK, 3: SKIPPED, 4: SKIPPED}
     assert rep.replay_pct == 0.0
     out.validate()
     # skipped leaves stay unsat leaves for the next round
@@ -198,12 +251,10 @@ def test_counters_are_consistent():
             verdict, rep, out = verify_incremental(net2, prop, tree)
             j = rep.to_json()
             visited = rep.replayed + rep.fallbacks
-            assert visited == sum(
-                1 for o in rep.outcomes.values()
-                if o in (PROOF_REPLAYED, PROOF_FAILED_FELL_BACK))
+            assert visited == len(_rungs(rep)) == sum(j["rungs"].values())
             assert rep.unsat_total >= rep.pruned
             assert 0.0 <= j["replay_pct"] <= 100.0
-            assert sorted(out.nodes) == list(range(len(out.nodes)))
+            assert set(rep.outcomes) <= set(out.nodes)
             out.validate()
 
 
@@ -276,8 +327,7 @@ def test_new_tree_seeds_next_round(demo_net, fprime, demo_prop):
 def test_replay_pct_vacuous_default():
     rep = IncrementalReport(Verdict(False))
     assert rep.replay_pct == 100.0
-    rep.rungs = {1: CERTIFICATE, 2: ANALYZE, 3: LP, 4: FALLBACK}
-    rep.outcomes = {0: PRUNED, 1: PROOF_REPLAYED, 5: SKIPPED}
+    rep.outcomes = {0: PRUNED, 1: CERTIFICATE, 2: ANALYZE, 3: LP, 4: FALLBACK, 5: SKIPPED}
     assert (rep.replayed, rep.fallbacks, rep.pruned) == (3, 1, 1)
     assert rep.replay_pct == 75.0
 
@@ -306,7 +356,7 @@ def test_tree_with_stored_basis_still_reverifies(p, replayed, fallbacks):
     out.validate()
     # the file stores no certificates, so none closes a leaf
     assert not any("cert" in nd for nd in doc["nodes"])
-    assert CERTIFICATE not in rep.rungs.values()
+    assert CERTIFICATE not in rep.outcomes.values()
 
 
 def _leaf_bounds(net, prop, tree, nid):
@@ -437,7 +487,7 @@ def test_certificate_rung_closes_only_empty_branches():
             modified = perturb(net, p)
             verdict, rep, _ = verify_incremental(modified, prop, tree)
             assert verdict.name == oracle(modified, prop).name
-            for nid, rung in rep.rungs.items():
+            for nid, rung in rep.outcomes.items():
                 if rung == CERTIFICATE:
                     bounds = _leaf_bounds(modified, prop, tree, nid)
                     assert not lp.feasible(lp.build(modified, prop, bounds))
@@ -454,7 +504,7 @@ def test_lp_certificate_is_carried_forward(monkeypatch):
     _, tree = solve(net, prop)
     modified = perturb(net, Perturbation(0.05, 1.0, 2))
     _, rep1, out1 = verify_incremental(modified, prop, tree)
-    by_lp = {tree.asserts_of(nid) for nid, rung in rep1.rungs.items() if rung == LP}
+    by_lp = {tree.asserts_of(nid) for nid, rung in rep1.outcomes.items() if rung == LP}
     assert by_lp
     doc = out1.to_json()
     carried = [nd for nd in doc["nodes"] if out1.asserts_of(nd["id"]) in by_lp]
@@ -474,7 +524,7 @@ def test_lp_certificate_is_carried_forward(monkeypatch):
     verdict, rep2, _ = verify_incremental(modified, prop, out1)
     assert not verdict.sat
     assert builds == 0
-    assert {out1.asserts_of(nid) for nid, rung in rep2.rungs.items()
+    assert {out1.asserts_of(nid) for nid, rung in rep2.outcomes.items()
             if rung == CERTIFICATE} >= by_lp
 
 
@@ -500,7 +550,7 @@ def test_fallback_graft_brings_its_certificates():
             paths = [tree.asserts_of(nid) for nid in nids]
             return [i for i in out.nodes if any(out.asserts_of(i) >= a for a in paths)]
 
-        fell_back = grown(nid for nid, rung in rep.rungs.items() if rung == FALLBACK)
+        fell_back = grown(nid for nid, rung in rep.outcomes.items() if rung == FALLBACK)
         assert rep.to_json()["fallback_nodes"] == rep.fallback_nodes == len(fell_back)
         if s == 18:
             assert fell_back
@@ -520,7 +570,8 @@ def test_analyze_rung_stores_a_fresh_certificate():
     _, tree = solve(net, prop)
     modified = perturb(net, Perturbation(0.001, 0.1, 18))
     _, rep1, out1 = verify_incremental(modified, prop, tree)
-    by_analyze = {tree.asserts_of(nid) for nid, rung in rep1.rungs.items() if rung == ANALYZE}
+    by_analyze = {tree.asserts_of(nid) for nid, rung in rep1.outcomes.items()
+                  if rung == ANALYZE}
     assert by_analyze
     for nid in out1.leaves():
         asserts = out1.asserts_of(nid)
@@ -549,7 +600,7 @@ def test_replay_closed_by_certificates_builds_no_tableau(monkeypatch):
     monkeypatch.setattr(simplex.Configuration, "__init__", counted)
     verdict, rep, _ = verify_incremental(modified, prop, tree)
     assert not verdict.sat
-    assert rep.rungs and set(rep.rungs.values()) == {CERTIFICATE}
+    assert _rungs(rep) and set(_rungs(rep).values()) == {CERTIFICATE}
     assert built == 0
 
 
@@ -574,5 +625,5 @@ def test_replay_closed_by_certificates_runs_analyze_once(monkeypatch):
         calls = 0
         verdict, rep, _ = verify_incremental(modified, prop, tree)
         assert not verdict.sat
-        assert len(rep.rungs) == 3 and set(rep.rungs.values()) == {CERTIFICATE}
+        assert len(_rungs(rep)) == 3 and set(_rungs(rep).values()) == {CERTIFICATE}
         assert calls == 1
