@@ -49,8 +49,8 @@ class Perturbation:
     scope: str = WEIGHTS
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be a finite number >= 0, got {self.gamma!r}")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
         if self.scope not in (WEIGHTS, WEIGHTS_AND_BIASES):
@@ -61,7 +61,8 @@ def perturb(net: Network, p: Perturbation) -> Network:
     """Resample ceil(fraction * total) entries, chosen without replacement.
 
     Unchosen entries are copied bitwise; gamma = 0 leaves even the chosen
-    ones identical. Deterministic in the seed.
+    ones identical. Deterministic in the seed. ValueError when an entry's
+    interval, or its width, is not a finite float.
     """
     rng = np.random.default_rng(p.seed)
     weights = [w.copy() for w in net.weights]
@@ -78,8 +79,10 @@ def perturb(net: Network, p: Perturbation) -> Network:
             flat -= arrays[ai].size
             ai += 1
         w = float(arrays[ai].flat[flat])
-        a, b = (1.0 - p.gamma) * w, (1.0 + p.gamma) * w
-        arrays[ai].flat[flat] = rng.uniform(min(a, b), max(a, b))
+        a, b = sorted(((1.0 - p.gamma) * w, (1.0 + p.gamma) * w))
+        if not math.isfinite(b - a):
+            raise ValueError(f"resampling interval [{a}, {b}] of weight {w} is not finite")
+        arrays[ai].flat[flat] = rng.uniform(a, b)
     return Network(weights, biases, list(net.activations))
 
 

@@ -177,11 +177,11 @@ def perturb(net_path, out_path, gamma, fraction, seed, scope):
     """Write a randomly perturbed copy of a network."""
     net = _load(load_network, net_path, "network")
     try:
-        p = bench_mod.Perturbation(gamma, fraction, seed, scope)
+        out = bench_mod.perturb(net, bench_mod.Perturbation(gamma, fraction, seed, scope))
     except ValueError as e:
         click.echo(str(e), err=True)
         sys.exit(EXIT_ERROR)
-    save_network(bench_mod.perturb(net, p), out_path)
+    save_network(out, out_path)
     sys.exit(0)
 
 
@@ -218,6 +218,12 @@ def bench(net_path, prop_path, gammas, fractions, trials, seed, out_path):
     try:
         gamma_vals = [float(g) for g in gammas.split(",") if g]
         fraction_vals = [float(f) for f in fractions.split(",") if f]
+        if not gamma_vals or not fraction_vals or trials < 1:
+            raise ValueError("no perturbations: --gammas and --fractions each need a "
+                             "value and --trials must be at least 1")
+        perts = [bench_mod.Perturbation(g, fraction_vals[t % len(fraction_vals)],
+                                        seed + 7919 * (gi * trials + t))
+                 for gi, g in enumerate(gamma_vals) for t in range(trials)]
     except ValueError as e:
         click.echo(f"bad flag value: {e}", err=True)
         sys.exit(EXIT_ERROR)
@@ -234,13 +240,6 @@ def bench(net_path, prop_path, gammas, fractions, trials, seed, out_path):
         sys.exit(EXIT_ERROR)
     else:
         prop = bench_mod.random_threshold_property(net, seed + 1)
-    perts = []
-    run = 0
-    for g in gamma_vals:
-        for t in range(trials):
-            perts.append(bench_mod.Perturbation(
-                g, fraction_vals[t % len(fraction_vals)], seed + 7919 * run))
-            run += 1
     try:
         report = bench_mod.compare(net, prop, perts)
     except bench_mod.OracleDisagreement as e:
@@ -250,6 +249,9 @@ def bench(net_path, prop_path, gammas, fractions, trials, seed, out_path):
         sys.exit(EXIT_ERROR)
     except RuntimeError as e:
         _solver_error(e)
+    except ValueError as e:
+        click.echo(f"bench error: {e}", err=True)
+        sys.exit(EXIT_ERROR)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(report.csv_text)
     for line in report.summary_lines():

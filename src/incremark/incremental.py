@@ -43,7 +43,7 @@ from . import deeppoly, lp
 from . import prooftree as pt
 from .deeppoly import analyze, clamp, is_property_refuted
 from .model import UNSAT, Verdict, property_hash, witness_ok
-from .simplex import AFF, CHORD, PROP, RELU, certificate, prop_slack_ids
+from .simplex import CHORD, certificate, encoded_equations
 # not called here: perfbench/tracer.py patches these two names on this module
 from .simplex import check_unsat_rows, refresh_bounds  # noqa: F401
 from .solver import search
@@ -124,8 +124,7 @@ def _check_fits(tree: pt.ProofTree, net, prop) -> None:
     network, every witness is an input point, and every certificate names
     equations that this network and property encode."""
     lay = net.layout
-    equations = {AFF: lay.pre_row, RELU: lay.relu_post, CHORD: lay.relu_post,
-                 PROP: prop_slack_ids(net, prop)}
+    equations = {*encoded_equations(net, prop).values(), *((CHORD, p) for p in lay.relu_post)}
     for n in tree.nodes.values():
         if n.assertion is not None and n.assertion.neuron not in lay.relu_post:
             raise ShapeMismatchError(
@@ -134,7 +133,7 @@ def _check_fits(tree: pt.ProofTree, net, prop) -> None:
             raise ShapeMismatchError(
                 f"node {n.id}: witness has {len(n.witness)} values for {net.n_inputs} inputs")
         for kind, i, _ in n.cert or ():
-            if i not in equations.get(kind, ()):
+            if (kind, i) not in equations:
                 raise ShapeMismatchError(
                     f"node {n.id}: certificate names {kind} equation {i}, which this "
                     "network and property do not encode")

@@ -2,22 +2,14 @@
 tightening, the input-box tightening variant, and the exact decision of a
 branch with every ReLU decided.
 
-The relaxation is the search tableau plus chord rows. `simplex.initialize`
-encodes the branch from its neuron intervals (see the simplex module):
-
-    affine layer        pre = W.prev - s            s in [-b, -b]
-    ReLU                s = post - pre              s in [max(0,-u), max(0,-l)]
-    negated property    single output: a bound on y; else s = a.y, s >= c
-
-A decided-on ReLU (l >= 0) has its slack at [0, 0]; a decided-off one
-(u <= 0) has post pinned to [0, 0] by its interval. Each uncertain ReLU
-(l < 0 < u) adds one row
-
-    chord               s = post - k.pre            s <= -k.l,  k = u/(u-l)
-
-so the region is the triangle relaxation of every uncertain ReLU. Phase 1
-is the search's own bound step (Bland's rule, so it terminates); phase 2
-optimizes single variables by reduced costs with a ratio test.
+The relaxation is the search tableau (`simplex.initialize`) plus one
+chord row per uncertain ReLU (l < 0 < u), each equation as
+`simplex.equation` defines it. A decided-on ReLU (l >= 0) has its slack
+at [0, 0]; a decided-off one (u <= 0) has post pinned to [0, 0] by its
+interval; so the region is the triangle relaxation of every uncertain
+ReLU. Phase 1 is the search's own bound step (Bland's rule, so it
+terminates); phase 2 optimizes single variables by reduced costs with a
+ratio test.
 
 The row that shows a relaxation infeasible is a combination of these
 equations (`simplex.certificate`). `certificate_refutes` rebuilds such a
@@ -27,17 +19,14 @@ closes a branch without building its relaxation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .constants import COEF_EPS, EPS_BOUND, EPS_LP, LP_ITER_FACTOR
 from .deeppoly import Bounds, analyze
 from .model import witness_ok
 from .simplex import (
-    AFF,
     CHORD,
-    PROP,
-    RELU,
+    INF,
     Certificate,
     Configuration,
     Stuck,
@@ -45,14 +34,12 @@ from .simplex import (
     certificate,
     define_row,
     entering_for,
+    equation,
     initialize,
-    output_bounds,
+    neuron_bounds,
     pivot,
-    prop_slack_interval,
     update,
 )
-
-INF = math.inf
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -73,13 +60,11 @@ def build(net, prop, bounds: Bounds) -> Relaxation:
     intervals, with its sign assertions already clamped in (as `analyze`
     and the oracle's propagation do)."""
     cfg = initialize(net, prop, bounds)
-    sid = net.layout.n_vars + len(cfg.prop_slacks)
-    for pre, post in net.layout.relu_pairs:
-        l, u = bounds.lo[pre], bounds.hi[pre]
-        if l < 0.0 < u:
-            k = u / (u - l)
-            define_row(cfg.rows, sid, {post: 1.0, pre: -k})
-            cfg.lo[sid], cfg.hi[sid] = -INF, -k * l
+    sid = max(cfg.equations) + 1
+    for pre, _ in net.layout.relu_pairs:
+        if bounds.lo[pre] < 0.0 < bounds.hi[pre]:
+            terms, cfg.lo[sid], cfg.hi[sid] = equation(net, prop, CHORD, pre, cfg.lo, cfg.hi)
+            define_row(cfg.rows, sid, dict(terms))
             cfg.alpha[sid] = cfg.row_value(sid)
             cfg.equations[sid] = (CHORD, pre)
             sid += 1
@@ -144,51 +129,25 @@ def decide(net, prop, bounds: Bounds) -> tuple[tuple[float, ...] | None, Certifi
 def certificate_refutes(net, prop, bounds: Bounds, cert: Certificate) -> bool:
     """Does a certificate show the branch of `bounds` empty?
 
-    Each (kind, index, y) names one equation of the table above, rebuilt
-    from this network's weights and biases; a chord takes its slope from
-    `bounds`. The sum of y times the equations vanishes at every point of
-    the branch, whatever the multipliers, so when its interval over the
-    variable bounds excludes 0 by more than EPS_BOUND the branch is empty.
-    The bounds are those `simplex.bound_maps` derives, computed only for
-    the variables the equations touch. A chord on a neuron that `bounds` no
-    longer leave undecided, or a non-finite end of the interval, refutes
-    nothing. Indices must name equations of this network and property
-    (`incremental` checks stored trees)."""
-    lay = net.layout
-    blo, bhi = bounds.lo, bounds.hi
-    out_lo, out_hi = output_bounds(net, prop, bounds)
+    Each (kind, index, y) names one equation, rebuilt by `simplex.equation`
+    from this network's weights and biases and from `bounds`, with each
+    output's interval tightened by the single-output constraints. The sum
+    of y times (slack - terms) vanishes at every point of the branch,
+    whatever the multipliers, so when its interval over the variable bounds
+    excludes 0 by more than EPS_BOUND the branch is empty. A chord on a
+    neuron that `bounds` no longer leave undecided, or a non-finite end of
+    the interval, refutes nothing. Indices must name equations of this
+    network and property (`incremental` checks stored trees)."""
+    lo, hi = neuron_bounds(net, prop, bounds)
     coef: dict[int, float] = {}
     rlo = rhi = 0.0  # the slacks' share of the interval
 
     for kind, i, y in cert:
         if y == 0.0:
             continue
-        if kind == AFF:
-            li, j = lay.pre_row[i]
-            slo = shi = -float(net.biases[li][j])
-            coef[i] = coef.get(i, 0.0) + y
-            prev = lay.input_ids if li == 0 else lay.post_ids[li - 1]
-            for v, w in zip(prev, net.weights[li][j].tolist()):
-                coef[v] = coef.get(v, 0.0) - y * w
-        elif kind == RELU or kind == CHORD:
-            l, u = blo[i], bhi[i]
-            if kind == RELU:
-                k = 1.0
-                slo, shi = max(0.0, -u), max(0.0, -l)
-            elif l < 0.0 < u:
-                k = u / (u - l)
-                slo, shi = -INF, -k * l
-            else:
-                return False
-            coef[i] = coef.get(i, 0.0) + y * k
-            post = lay.relu_post[i]
-            coef[post] = coef.get(post, 0.0) - y
-        else:  # PROP
-            c = prop.constraints[i]
-            for v, a in zip(lay.output_ids, c.coeffs):
-                if a != 0.0:
-                    coef[v] = coef.get(v, 0.0) - y * a
-            slo, shi = prop_slack_interval(net, c, out_lo, out_hi)
+        terms, slo, shi = equation(net, prop, kind, i, lo, hi)
+        for v, c in terms:
+            coef[v] = coef.get(v, 0.0) - y * c
         if y > 0:
             rlo += y * slo
             rhi += y * shi
@@ -197,16 +156,12 @@ def certificate_refutes(net, prop, bounds: Bounds, cert: Certificate) -> bool:
             rhi += y * slo
 
     for v, c in coef.items():
-        if v in out_lo:
-            lo, hi = out_lo[v], out_hi[v]
-        else:
-            lo, hi = blo[v], bhi[v]
         if c > 0:
-            rlo += c * lo
-            rhi += c * hi
+            rlo += c * lo[v]
+            rhi += c * hi[v]
         elif c < 0:
-            rlo += c * hi
-            rhi += c * lo
+            rlo += c * hi[v]
+            rhi += c * lo[v]
     return EPS_BOUND < rlo < INF or -INF < rhi < -EPS_BOUND
 
 

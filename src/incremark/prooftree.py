@@ -228,14 +228,22 @@ def from_json(data: dict) -> ProofTree:
     (deserialize does that for files)."""
     if not isinstance(data, dict):
         raise ValueError("proof tree is not a JSON object")
-    if data.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported proof tree version {data.get('version')!r}")
+    version = data.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"unsupported proof tree version {version!r}")
     try:
         return _from_json(data)
     except KeyError as e:
         raise ValueError(f"proof tree is missing key {e}") from None
     except (TypeError, AttributeError, OverflowError) as e:
         raise ValueError(f"malformed proof tree: {e}") from None
+
+
+def _int(x, what: str) -> int:
+    """A JSON integer; int() would also take 1.5, "1" and true."""
+    if type(x) is not int:
+        raise ValueError(f"malformed proof tree: {what} {x!r} is not an integer")
+    return x
 
 
 def _cert_from_json(entries) -> Certificate:
@@ -250,8 +258,7 @@ def _cert_from_json(entries) -> Certificate:
         kind, idx, y = e
         if kind not in EQUATION_KINDS:
             raise ValueError(f"certificate names unknown equation kind {kind!r}")
-        if type(idx) is not int:
-            raise ValueError(f"certificate index {idx!r} is not an integer")
+        _int(idx, "certificate index")
         if type(y) not in (int, float) or not math.isfinite(float(y)):
             raise ValueError(f"certificate multiplier {y!r} is not a finite number")
         out.append((kind, idx, float(y)))
@@ -259,19 +266,21 @@ def _cert_from_json(entries) -> Certificate:
 
 
 def _from_json(data: dict) -> ProofTree:
-    tree = ProofTree(data["dims"], data["prop_hash"], data.get("verdict"))
+    dims = [_int(d, "dims entry") for d in data["dims"]]
+    tree = ProofTree(dims, data["prop_hash"], data.get("verdict"))
     tree.nodes = {}
     for nd in data["nodes"]:
         a = nd.get("assert")
-        assertion = None if a is None else Assertion(int(a["neuron"]), a["sign"])
+        assertion = None if a is None else Assertion(_int(a["neuron"], "neuron"), a["sign"])
         if assertion is not None and assertion.sign not in (NONNEG, NONPOS):
             raise ValueError(f"bad assertion sign {assertion.sign!r}")
         witness = None if nd.get("witness") is None else tuple(float(x) for x in nd["witness"])
         if witness is not None and not all(map(math.isfinite, witness)):
             raise ValueError(f"witness {list(witness)} is not a finite point")
+        parent = nd["parent"]
         node = Node(
-            int(nd["id"]),
-            nd["parent"],
+            _int(nd["id"], "node id"),
+            None if parent is None else _int(parent, "parent"),
             assertion,
             nd["status"],
             witness,

@@ -9,8 +9,10 @@ entering column. Basic values therefore carry rounding drift between steps;
 every value that leaves the repair loop (a witness, the row of an
 infeasible LP, an LP optimum) is re-solved exactly from its row first. Rows
 carry no constants: each affine equation has a slack variable pinned to
-minus its bias, so a pivot is pure coefficient algebra. The slack bounds
-follow from the neuron intervals of a `Bounds` (see `bound_maps`).
+minus its bias, so a pivot is pure coefficient algebra. `equation`
+defines each encoded equation and its slack's interval over the neuron
+intervals of a `Bounds`; the rows (`initialize`), the slack bounds
+(`bound_maps`), the branch LP and the certificate test all read it.
 
 Non-basic variables always lie within their bounds: `initialize` and
 `refresh_bounds` place them there, and every move (`update`, `set_variable`,
@@ -25,6 +27,7 @@ multipliers can be read off the row (`certificate`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constants import COEF_EPS, EPS_BOUND, EPS_PIVOT, EPS_RELU
@@ -33,12 +36,14 @@ from .constants import COEF_EPS, EPS_BOUND, EPS_PIVOT, EPS_RELU
 # kinds of encoded equation, each written `slack - expr = 0` and named by
 # (kind, index): the affine equation and the ReLU coupling of a pre-activation
 # neuron, a property constraint over two or more outputs, and the branch LP's
-# chord of an undecided ReLU (see the lp module)
+# chord of an undecided ReLU (see `equation`)
 AFF = "aff"
 RELU = "relu"
 PROP = "prop"
 CHORD = "chord"
 EQUATION_KINDS = (AFF, RELU, PROP, CHORD)
+
+INF = math.inf
 
 # multipliers (kind, index, y) of encoded equations whose sum is a row that
 # shows a branch empty
@@ -78,20 +83,16 @@ class Configuration:
     """Tableau + bounds + assignment + ReLU pair bookkeeping.
 
     rows: basic id -> {non-basic id: coefficient}
-    prop_slacks: property-constraint index -> slack variable id (multi-output
-    constraints only; single-output ones become direct bounds).
     equations: slack id -> (kind, index) of the one equation it belongs to.
     """
 
-    def __init__(self, rows, lo, hi, alpha, relu_pairs, input_ids, prop_slacks=None,
-                 equations=None):
+    def __init__(self, rows, lo, hi, alpha, relu_pairs, input_ids, equations=None):
         self.rows: dict[int, dict[int, float]] = rows
         self.lo: dict[int, float] = lo
         self.hi: dict[int, float] = hi
         self.alpha: dict[int, float] = alpha
         self.relu_pairs: list[tuple[int, int]] = list(relu_pairs)
         self.input_ids: list[int] = list(input_ids)
-        self.prop_slacks: dict[int, int] = dict(prop_slacks or {})
         self.equations: dict[int, tuple[str, int]] = equations or {}
         self.violations: dict[int, int] = {pre: 0 for pre, _ in self.relu_pairs}
 
@@ -103,7 +104,6 @@ class Configuration:
             dict(self.alpha),
             self.relu_pairs,
             self.input_ids,
-            self.prop_slacks,
             self.equations,
         )
         c.violations = dict(self.violations)
@@ -363,103 +363,112 @@ def define_row(rows: dict[int, dict[int, float]], basic: int, expr: dict[int, fl
     rows[basic] = {k: v for k, v in sorted(out.items()) if abs(v) > COEF_EPS}
 
 
-def bound_maps(net, prop, bounds, prop_slacks):
-    """Variable bounds of the tableau: the neuron intervals of `bounds`, the
-    slack intervals they imply, and the negated property.
+def equation(net, prop, kind, i, lo, hi):
+    """Equation (kind, i) of the encoding and its slack's interval, as
+    (terms, slack_lo, slack_hi): slack = sum(c * x for x, c in terms).
 
-    A ReLU slack s = post - pre lies in [max(0,-u), max(0,-l)] over
-    pre in [l, u]; an affine slack is pinned to minus the bias.
-    Single-output constraints tighten that output's interval directly
-    (`output_bounds`); multi-output ones bound their slack row
-    (`prop_slack_interval`).
+    This is the one definition of each equation. The search tableau
+    (`initialize`, `bound_maps`), the branch LP's chord rows (`lp.build`)
+    and the certificate test (`lp.certificate_refutes`) all read it:
+
+        aff    s = W.prev - pre    s in [-b, -b]
+        relu   s = post - pre      s in [max(0,-u), max(0,-l)]
+        chord  s = post - k.pre    s in [-inf, -k.l],  k = u/(u-l)
+        prop   s = a.y             s in [c, max(c, ub)]
+
+    `pre` is pre-activation neuron i, with weight row W and bias b of its
+    layer, interval [l, u] and ReLU output `post`. `prop` is constraint i,
+    a.y >= c over two or more outputs (zero coefficients left out), and ub
+    is the interval upper bound of a.y; the floor at c makes a refuted
+    constraint show up in a row test, not as an inverted interval. `lo`
+    and `hi` give the neuron intervals, each output's tightened by the
+    single-output constraints (`neuron_bounds`). A chord exists for an
+    uncertain ReLU (l < 0 < u); over any other interval it is the trivial
+    equation s = 0 with s free, which shows nothing. An affine equation's
+    terms keep its zero weights, which `initialize` leaves out of its row.
     """
     lay = net.layout
-    lo = dict(bounds.lo)
-    hi = dict(bounds.hi)
-    out_lo, out_hi = output_bounds(net, prop, bounds)
-    lo.update(out_lo)
-    hi.update(out_hi)
-    for (pre, _), sid in lay.relu_slack.items():
-        lo[sid], hi[sid] = max(0.0, -hi[pre]), max(0.0, -lo[pre])
-    for li in range(net.n_layers):
-        for j, pre in enumerate(lay.pre_ids[li]):
-            sid = lay.affine_const_slack[pre]
-            lo[sid] = hi[sid] = -float(net.biases[li][j])
-    for idx, sid in prop_slacks.items():
-        lo[sid], hi[sid] = prop_slack_interval(net, prop.constraints[idx], out_lo, out_hi)
+    if kind == AFF:
+        li, j = lay.pre_row[i]
+        prev = lay.input_ids if li == 0 else lay.post_ids[li - 1]
+        s = -float(net.biases[li][j])
+        return ((i, -1.0), *zip(prev, net.weights[li][j].tolist())), s, s
+    if kind == PROP:
+        c = prop.constraints[i]
+        terms = tuple((v, float(a)) for v, a in zip(lay.output_ids, c.coeffs) if a != 0.0)
+        ub = 0.0
+        for v, a in terms:
+            ub += a * (hi[v] if a > 0 else lo[v])
+        return terms, c.threshold, max(ub, c.threshold)
+    l, u = lo[i], hi[i]
+    post = lay.relu_post[i]
+    if kind == RELU:
+        return ((i, -1.0), (post, 1.0)), max(0.0, -u), max(0.0, -l)
+    if not l < 0.0 < u:
+        return (), -INF, INF
+    k = u / (u - l)
+    return ((i, -k), (post, 1.0)), -INF, -k * l
+
+
+def encoded_equations(net, prop) -> dict[int, tuple[str, int]]:
+    """Slack id -> (kind, index) of each equation of the search tableau, in
+    the order `initialize` installs their rows: the affine equations layer
+    by layer, the ReLU couplings, then the property constraints over two or
+    more outputs, whose slacks are numbered from n_vars on in constraint
+    order (a single-output one bounds its output instead)."""
+    lay = net.layout
+    out = {lay.affine_const_slack[pre]: (AFF, pre) for pre in lay.pre_row}
+    out.update((sid, (RELU, pre)) for (pre, _), sid in lay.relu_slack.items())
+    multi = [i for i, c in enumerate(prop.constraints) if sum(a != 0.0 for a in c.coeffs) >= 2]
+    out.update((lay.n_vars + n, (PROP, i)) for n, i in enumerate(multi))
+    return out
+
+
+def bound_maps(net, prop, bounds, equations):
+    """Variable bounds of the tableau: the neuron intervals of `bounds`,
+    each output's tightened by the single-output constraints, and the
+    interval of each slack of `equations` (`equation`)."""
+    lo, hi = neuron_bounds(net, prop, bounds)
+    for sid, (kind, i) in equations.items():
+        _, lo[sid], hi[sid] = equation(net, prop, kind, i, lo, hi)
     return lo, hi
 
 
-def output_bounds(net, prop, bounds):
-    """Output intervals of `bounds`, each tightened by the constraints over
-    that output alone: a*y >= c bounds y by c/a."""
-    out_lo = {v: bounds.lo[v] for v in net.layout.output_ids}
-    out_hi = {v: bounds.hi[v] for v in net.layout.output_ids}
+def neuron_bounds(net, prop, bounds):
+    """Copies of the neuron intervals of `bounds`, each output's tightened
+    by the constraints over that output alone: a*y >= c bounds y by c/a."""
+    lo, hi = dict(bounds.lo), dict(bounds.hi)
     for c in prop.constraints:
         terms = [(v, a) for v, a in zip(net.layout.output_ids, c.coeffs) if a != 0.0]
         if len(terms) == 1:
             [(v, a)] = terms
             if a > 0:
-                out_lo[v] = max(out_lo[v], c.threshold / a)
+                lo[v] = max(lo[v], c.threshold / a)
             else:
-                out_hi[v] = min(out_hi[v], c.threshold / a)
-    return out_lo, out_hi
-
-
-def prop_slack_interval(net, c, out_lo, out_hi) -> tuple[float, float]:
-    """Bounds of the slack s = a.y of a constraint a.y >= c over two or more
-    outputs: l = c, u = the interval upper bound of a.y, floored at c so
-    that a refuted-level contradiction shows up in the row test, not as an
-    inverted interval."""
-    ub = 0.0
-    for v, a in zip(net.layout.output_ids, c.coeffs):
-        if a != 0.0:
-            ub += a * (out_hi[v] if a > 0 else out_lo[v])
-    return c.threshold, max(ub, c.threshold)
-
-
-def prop_slack_ids(net, prop) -> dict[int, int]:
-    """Slack id of each property constraint over two or more outputs, from
-    n_vars on in constraint order; the others bound their one output."""
-    out: dict[int, int] = {}
-    for idx, c in enumerate(prop.constraints):
-        if sum(1 for a in c.coeffs if a != 0.0) >= 2:
-            out[idx] = net.layout.n_vars + len(out)
-    return out
+                hi[v] = min(hi[v], c.threshold / a)
+    return lo, hi
 
 
 def initialize(net, prop, bounds) -> Configuration:
-    """Standard encoding: affine rows (pre basic), ReLU inequality rows
-    (slack basic), property rows (property slack basic); bounds from the
-    neuron intervals of `bounds`; non-basics start at their lower bound."""
+    """Standard encoding: one row per equation of `encoded_equations`,
+    solved for the pre-activation of an affine one and for the slack of
+    any other; bounds from the neuron intervals of `bounds`; non-basics
+    start at their lower bound."""
     if not prop.constraints:
         raise ValueError("empty negation is decided before encoding")
-    lay = net.layout
+    equations = encoded_equations(net, prop)
+    lo, hi = neuron_bounds(net, prop, bounds)
     rows: dict[int, dict[int, float]] = {}
-    equations: dict[int, tuple[str, int]] = {}
-    prev = lay.input_ids
-    for li in range(net.n_layers):
-        w = net.weights[li]
-        for j, pre in enumerate(lay.pre_ids[li]):
-            expr = {prev[k]: float(w[j, k]) for k in range(w.shape[1]) if w[j, k] != 0.0}
-            sid = lay.affine_const_slack[pre]
+    for sid, (kind, i) in equations.items():
+        terms, lo[sid], hi[sid] = equation(net, prop, kind, i, lo, hi)
+        if kind == AFF:  # s = W.prev - pre, so pre = W.prev - s
+            expr = {v: c for v, c in terms[1:] if c != 0.0}
             expr[sid] = -1.0
-            define_row(rows, pre, expr)
-            equations[sid] = (AFF, pre)
-        prev = lay.post_ids[li]
-    for (pre, post), sid in lay.relu_slack.items():
-        define_row(rows, sid, {post: 1.0, pre: -1.0})
-        equations[sid] = (RELU, pre)
-
-    prop_slacks = prop_slack_ids(net, prop)
-    for idx, sid in prop_slacks.items():
-        coeffs = prop.constraints[idx].coeffs
-        define_row(rows, sid, {lay.output_ids[k]: float(a) for k, a in enumerate(coeffs) if a != 0.0})
-        equations[sid] = (PROP, idx)
-    lo, hi = bound_maps(net, prop, bounds, prop_slacks)
-
+            define_row(rows, i, expr)
+        else:
+            define_row(rows, sid, dict(terms))
     alpha = {v: lo[v] for v in lo if v not in rows}
-    cfg = Configuration(rows, lo, hi, alpha, lay.relu_pairs, lay.input_ids, prop_slacks,
+    cfg = Configuration(rows, lo, hi, alpha, net.layout.relu_pairs, net.layout.input_ids,
                         equations)
     recompute(cfg)
     return cfg
@@ -469,7 +478,7 @@ def refresh_bounds(cfg: Configuration, net, prop, bounds) -> None:
     """Replace cfg's bounds with freshly analyzed ones (same variable set),
     clamp non-basics back into range, and re-solve the basics. Violation
     counters restart: they score the upcoming local search only."""
-    cfg.lo, cfg.hi = lo, hi = bound_maps(net, prop, bounds, cfg.prop_slacks)
+    cfg.lo, cfg.hi = lo, hi = bound_maps(net, prop, bounds, cfg.equations)
     for v in cfg.alpha:
         if v not in cfg.rows:
             cfg.alpha[v] = min(max(cfg.alpha[v], lo[v]), hi[v])

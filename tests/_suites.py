@@ -210,10 +210,11 @@ def _relaxation_point(net, prop, bounds, relax, vals: dict[int, float]) -> dict[
     for li in range(net.n_layers):
         for j, pre in enumerate(lay.pre_ids[li]):
             point[lay.affine_const_slack[pre]] = -float(net.biases[li][j])
-    for idx, sid in relax.cfg.prop_slacks.items():
-        c = prop.constraints[idx]
-        point[sid] = sum(a * vals[y] for a, y in zip(c.coeffs, lay.output_ids))
-    sid = lay.n_vars + len(relax.cfg.prop_slacks)
+    sid = lay.n_vars
+    for c in prop.constraints:
+        if sum(a != 0.0 for a in c.coeffs) >= 2:
+            point[sid] = sum(a * vals[y] for a, y in zip(c.coeffs, lay.output_ids))
+            sid += 1
     for pre, post in lay.relu_pairs:
         l, u = bounds.lo[pre], bounds.hi[pre]
         if l < 0.0 < u:
@@ -251,7 +252,8 @@ def relaxation_soundness(points: int = 1000, seed: int = 505) -> int:
         rows0 = {b: dict(r) for b, r in relax.cfg.rows.items()}
         lo0 = dict(relax.cfg.lo)
         hi0 = dict(relax.cfg.hi)
-        prop_vars = set(lay.output_ids) | set(relax.cfg.prop_slacks.values())
+        prop_vars = set(lay.output_ids) | {
+            sid for sid, (kind, _) in relax.cfg.equations.items() if kind == "prop"}
         feasible = lp.feasible(relax)
 
         lows = [l for l, _ in prop.box]

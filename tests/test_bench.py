@@ -42,6 +42,9 @@ def test_perturbation_validation():
         Perturbation(0.1, 1.5)
     with pytest.raises(ValueError):
         Perturbation(0.1, 0.5, 0, "biases")
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be a finite number"):
+            Perturbation(gamma)
 
 
 def test_perturb_gamma_zero_bitwise():

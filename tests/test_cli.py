@@ -318,6 +318,24 @@ def test_bench_rejects_bad_gammas(runner, tmp_path):
                                "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == EXIT_ERROR
     assert "bad flag value" in res.stderr
+    # these used to end in a ValueError, ZeroDivisionError or OverflowError
+    # traceback, or, with no perturbation to run, in exit 0; a gamma of
+    # 1e308 makes the resampling interval of weight 2.0 wider than the
+    # largest float
+    save_network(Network([[[2.0]]], [[0.0]]), str(tmp_path / "w2.rnn"))
+    out = ["--out", str(tmp_path / "y")]
+    for args in (["bench", "--gammas", "-1"], ["bench", "--fractions", "0"],
+                 ["bench", "--fractions", ""], ["bench", "--gammas", ""],
+                 ["bench", "--trials", "0"],
+                 ["bench", "--gammas", "nan"],
+                 ["perturb", "--net", DEMO, "--gamma", "nan"],
+                 ["perturb", "--net", DEMO, "--gamma", "inf"],
+                 ["perturb", "--net", str(tmp_path / "w2.rnn"), "--gamma", "1e308"],
+                 ["bench", "--net", str(tmp_path / "w2.rnn"), "--gammas", "1e308",
+                  "--trials", "1"]):
+        res = runner.invoke(main, args + out)
+        assert res.exit_code == EXIT_ERROR and isinstance(res.exception, SystemExit), args
+        assert res.stderr.count("\n") == 1, (args, res.stderr)
 
 
 def test_bench_solver_error_is_one_line(runner, tmp_path):

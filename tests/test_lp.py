@@ -12,8 +12,8 @@ from incremark.simplex import (
     Configuration,
     bound_maps,
     certificate,
+    encoded_equations,
     initialize,
-    prop_slack_ids,
     recompute,
 )
 
@@ -66,7 +66,7 @@ def test_build_is_search_tableau_plus_chord_rows():
                          if bounds.lo[p] < 0.0 < bounds.hi[p]]
         cfg = initialize(net, prop, bounds)
         relax = lp.build(net, prop, bounds)
-        first = lay.n_vars + len(cfg.prop_slacks)
+        first = lay.n_vars + sum(kind == "prop" for kind, _ in cfg.equations.values())
         chords = sorted(set(relax.cfg.rows) - set(cfg.rows))
         assert chords == list(range(first, first + len(uncertain)))
         assert {b: relax.cfg.rows[b] for b in cfg.rows} == cfg.rows
@@ -138,27 +138,36 @@ def _equation_residual(net, prop, cfg, bounds, kind, i, v):
     return v[own] - expr
 
 
+def _zero_some_weights(net, rng):
+    """A copy of net with about a third of its weights set to 0.0, which
+    `initialize` leaves out of its rows and an equation's terms keep."""
+    return Network([np.where(rng.random(w.shape) < 0.35, 0.0, w) for w in net.weights],
+                   net.biases, list(net.activations))
+
+
 @pytest.mark.parametrize("shape, seed, n_out", [((2, 5, 5, 1), 3, 1), ((3, 6, 4), 8, 4),
                                                 ((2, 4, 4, 3), 11, 3)])
 def test_every_row_is_its_certificates_sum(shape, seed, n_out):
     """At any point, even one off every equation, a tableau row's residual
-    equals the certificate-weighted sum of the equations' residuals."""
+    equals the certificate-weighted sum of the equations' residuals; for a
+    random network and for a copy with zero weights."""
     rng = np.random.default_rng(seed)
     net = random_network(shape, seed)
     # two multi-output constraints, so property slacks are encoded too
     prop = SafetyProperty(tuple((-1.0, 1.0) for _ in range(shape[0])), tuple(
         LinearConstraint(tuple(rng.normal(size=n_out)), -5.0) for _ in range(2)))
-    bounds = analyze(net, prop.box)
-    r = lp.build(net, prop, bounds)
-    lp.phase1(r)  # pivots the rows away from their encoded form
-    kinds = {kind for kind, _ in r.cfg.equations.values()}
-    assert kinds == ({"aff", "relu", "chord", "prop"} if n_out > 1 else {"aff", "relu", "chord"})
-    v = {k: float(x) for k, x in zip(sorted(r.cfg.lo), rng.normal(size=len(r.cfg.lo)))}
-    for b, row in r.cfg.rows.items():
-        lhs = v[b] - sum(c * v[k] for k, c in row.items())
-        rhs = sum(y * _equation_residual(net, prop, r.cfg, bounds, kind, i, v)
-                  for kind, i, y in certificate(r.cfg, b))
-        assert rhs == pytest.approx(lhs, abs=1e-9)
+    for net in (net, _zero_some_weights(net, rng)):
+        bounds = analyze(net, prop.box)
+        r = lp.build(net, prop, bounds)
+        lp.phase1(r)  # pivots the rows away from their encoded form
+        kinds = {kind for kind, _ in r.cfg.equations.values()}
+        assert kinds == ({"aff", "relu", "chord", "prop"} if n_out > 1 else {"aff", "relu", "chord"})
+        v = {k: float(x) for k, x in zip(sorted(r.cfg.lo), rng.normal(size=len(r.cfg.lo)))}
+        for b, row in r.cfg.rows.items():
+            lhs = v[b] - sum(c * v[k] for k, c in row.items())
+            rhs = sum(y * _equation_residual(net, prop, r.cfg, bounds, kind, i, v)
+                      for kind, i, y in certificate(r.cfg, b))
+            assert rhs == pytest.approx(lhs, abs=1e-9)
 
 
 def test_infeasible_branch_certificate_closes_it(demo_net, unsat_prop, fprime):
@@ -177,8 +186,9 @@ def _refutes_over_all_bounds(net, prop, bounds, cert):
     """Reference for lp.certificate_refutes: the same test over every
     variable bound of the tableau, built by simplex.bound_maps."""
     lay = net.layout
-    slacks = prop_slack_ids(net, prop)
-    lo, hi = bound_maps(net, prop, bounds, slacks)
+    equations = encoded_equations(net, prop)
+    slacks = {i: sid for sid, (kind, i) in equations.items() if kind == "prop"}
+    lo, hi = bound_maps(net, prop, bounds, equations)
     coef, rlo, rhi = {}, 0.0, 0.0
     for kind, i, y in cert:
         if kind == "chord":
@@ -214,11 +224,14 @@ def _refutes_over_all_bounds(net, prop, bounds, cert):
 def test_certificate_refutes_reads_only_the_bounds_it_needs(shape, n_out):
     """The certificate test reads the bounds of the variables its equations
     touch and answers as the test over every tableau bound does, on every
-    row of pivoted branch LPs and on scaled copies of them."""
+    row of pivoted branch LPs and on scaled copies of them; for random
+    networks and for copies with zero weights."""
     rng = np.random.default_rng(2)
     answers = []
-    for seed in range(6):
-        net = random_network(shape, seed)
+    for seed in range(12):
+        net = random_network(shape, seed % 6)
+        if seed >= 6:
+            net = _zero_some_weights(net, np.random.default_rng(seed))
         prop = SafetyProperty(tuple((-1.0, 1.0) for _ in range(shape[0])), tuple(
             LinearConstraint(tuple(rng.normal(size=n_out)), float(rng.normal()))
             for _ in range(2)))

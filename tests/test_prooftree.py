@@ -319,6 +319,22 @@ def test_from_json_rejects():
     bad["nodes"][1]["assert"]["neuron"] = float("inf")
     with pytest.raises(ValueError, match="malformed proof tree"):
         from_json(bad)
+    # int() used to coerce these, so a malformed file loaded: id 1.5, "1" or
+    # true as 1, parent false or 0.0 as the root, neuron 2.7 as 2, dims
+    # [2.9, 2, 1] as (2, 2, 1) and version true as 1
+    good = small_tree()[0].to_json()
+    from_json(good)
+    for keys, value in [(("version",), True), (("dims", 0), 2.9),
+                        (("nodes", 1, "id"), 1.5), (("nodes", 1, "id"), "1"),
+                        (("nodes", 1, "id"), True), (("nodes", 1, "parent"), False),
+                        (("nodes", 1, "parent"), 0.0), (("nodes", 1, "assert", "neuron"), 2.7)]:
+        data = json.loads(json.dumps(good))
+        target = data
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = value
+        with pytest.raises(ValueError, match="not an integer|unsupported proof tree version"):
+            from_json(data)
 
 
 def test_serialized_file_is_plain_json(tmp_path):

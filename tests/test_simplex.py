@@ -50,7 +50,7 @@ def test_initialize_demo_tableau(demo_net, demo_prop):
     assert cfg.rows[6] == {4: 0.4, 5: 0.6, 11: -1.0}
     assert cfg.rows[7] == {0: -0.2, 1: 0.7, 4: 1.0, 9: 1.0}
     assert cfg.rows[8] == {0: -0.8, 1: 0.8, 5: 1.0, 10: 1.0}
-    assert cfg.prop_slacks == {}
+    assert "prop" not in {kind for kind, _ in cfg.equations.values()}
 
 
 def test_initialize_demo_slack_intervals(demo_net, demo_prop):
@@ -93,7 +93,7 @@ def test_initialize_multi_output_property_slack():
     prop = SafetyProperty(box, (LinearConstraint((1.0, -1.0), 0.25),))
     cfg = initialize(net, prop, analyze(net, box))
     sid = net.layout.n_vars
-    assert cfg.prop_slacks == {0: sid}
+    assert cfg.equations[sid] == ("prop", 0)
     # outputs are themselves basic, so the slack row is pre-substituted down
     # to inputs and affine slacks
     assert cfg.rows[sid] == {0: 1.0, 1: -1.0, 4: -1.0, 5: 1.0}
