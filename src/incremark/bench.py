@@ -92,7 +92,8 @@ def oracle(net: Network, prop: SafetyProperty) -> Verdict:
     Patterns are pruned with interval arithmetic; each survivor becomes an
     exact LP (pattern equalities + signs + box + property rows). SAT iff some
     pattern is feasible; the LP vertex restricted to the inputs is the
-    witness.
+    witness. RuntimeError when no pattern gave a witness and the LP could
+    not decide some pattern (`lp.decide`).
     """
     lay = net.layout
     pres = [pre for pre, _ in lay.relu_pairs]
@@ -149,7 +150,10 @@ def oracle(net: Network, prop: SafetyProperty) -> Verdict:
                 return False
         return True
 
+    undecided = 0
+
     def search(i: int, signs: dict[int, str]):
+        nonlocal undecided
         iv = propagate(signs)
         if iv is None:
             return None
@@ -158,7 +162,9 @@ def oracle(net: Network, prop: SafetyProperty) -> Verdict:
             return None
         if i == len(pres):
             bounds = Bounds(lo=lo, hi=hi, output_ids=tuple(lay.output_ids))
-            return lp.decide(net, prop, bounds)[0]
+            witness, cert = lp.decide(net, prop, bounds)
+            undecided += witness is None and cert is None
+            return witness
         pre = pres[i]
         for sign in (NONNEG, NONPOS):
             signs[pre] = sign
@@ -169,6 +175,9 @@ def oracle(net: Network, prop: SafetyProperty) -> Verdict:
         return None
 
     w = search(0, {})
+    if w is None and undecided:
+        raise RuntimeError(f"no witness found, and the branch LP could not decide "
+                           f"{undecided} activation pattern(s)")
     return Verdict(True, w) if w is not None else UNSAT
 
 

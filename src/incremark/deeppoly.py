@@ -1,11 +1,12 @@
 """Symbolic interval analysis over the network (DeepPoly-style).
 
 Each post-activation neuron carries linear lower/upper bounds over its
-pre-activation neuron; concrete intervals come from substituting those
-relations all the way back to the input box. Back-substitution runs per
-layer as a matrix: one pass bounds every neuron of a layer from both sides.
-Sign assertions clamp the pre-activation interval *before* the ReLU case
-split, so asserted branches propagate tightened relaxations downstream.
+pre-activation neuron. Pre-activations are bounded by back-substitution
+of those relations to the input box, once per layer as a matrix that
+bounds every pre-activation of the layer from both sides; a ReLU output's
+interval is the ReLU of its pre-activation's. Sign assertions clamp the
+pre-activation interval *before* the ReLU case split, so asserted
+branches propagate tightened relaxations downstream.
 
 A back-substitution is itself a sum of the equations the tableau encodes
 (see the simplex module): an affine layer is an `aff` equation, a
@@ -133,35 +134,26 @@ def analyze(net: Network, box, asserts=()) -> Bounds:
     # coef, upper const) of post over pre, used during back-substitution.
     rel: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def back(level: int, coefs: np.ndarray, const: np.ndarray):
-        """Bound each row of coefs @ post_level + const over the input box;
-        returns (lower, upper) arrays with one entry per row.
-
-        level 0 means the inputs themselves; level j >= 1 means the
-        post-activation vector of layer j-1. The lower and upper problems
-        are stacked into one matrix: row i < m is row i's lower bound, row
-        m + i its upper bound, and each picks the relation that bounds it.
-        """
-        m = coefs.shape[0]
-        c = np.concatenate((coefs, coefs))
-        k = np.concatenate((const, const))
-        upper_row = (np.arange(2 * m) >= m)[:, None]
-        for j in range(level, 0, -1):
-            lc, lk, uc, uk = rel[j - 1]
-            take_u = (c > 0) == upper_row
-            k += (np.where(take_u, uk, lk) * c).sum(axis=1)
-            c = np.where(take_u, uc, lc) * c
-            k += c @ net.biases[j - 1]
-            c = c @ net.weights[j - 1]
-        k += np.where((c > 0) == upper_row, c * hi0, c * lo0).sum(axis=1)
-        return k[:m], k[m:]
-
     for li in range(net.n_layers):
         w = net.weights[li]
         n = w.shape[0]
+        # Bound each row of w @ post + b over the input box, the lower and
+        # upper problems stacked: row j < n is neuron j's lower bound, row
+        # n + j its upper bound, and each picks the relation that bounds it.
+        c = np.concatenate((w, w))
+        k = np.concatenate((net.biases[li], net.biases[li]))
+        upper_row = (np.arange(2 * n) >= n)[:, None]
         # a chord over an interval wider than the largest float has slope 0
         with np.errstate(over="ignore", invalid="ignore"):
-            pre_lo, pre_hi = back(li, w, net.biases[li])
+            for j in range(li, 0, -1):
+                lc, lk, uc, uk = rel[j - 1]
+                take_u = (c > 0) == upper_row
+                k += (np.where(take_u, uk, lk) * c).sum(axis=1)
+                c = np.where(take_u, uc, lc) * c
+                k += c @ net.biases[j - 1]
+                c = c @ net.weights[j - 1]
+            k += np.where((c > 0) == upper_row, c * hi0, c * lo0).sum(axis=1)
+            pre_lo, pre_hi = k[:n], k[n:]
             if not np.isfinite(pre_hi - pre_lo).all():
                 raise RuntimeError(f"layer {li + 1}: a pre-activation interval or its width "
                                    "is not a finite float")
@@ -195,9 +187,8 @@ def analyze(net: Network, box, asserts=()) -> Bounds:
             uc = np.where(cross, s, lc)
             uk = np.where(cross, -s * pre_lo, 0.0)
             rel.append((lc, lk, uc, uk))
-            post_lo, post_hi = back(li + 1, np.eye(n), np.zeros(n))
-            post_lo = np.maximum(post_lo, 0.0).tolist()
-            post_hi = np.maximum(post_hi, 0.0).tolist()
+            post_lo = np.maximum(pre_lo, 0.0).tolist()
+            post_hi = np.maximum(pre_hi, 0.0).tolist()
             for j, vid in enumerate(lay.post_ids[li]):
                 res.lo[vid] = post_lo[j]
                 res.hi[vid] = post_hi[j]

@@ -18,19 +18,22 @@ rung is named by the word the report records:
     analyze      analyze under Assert(v): empty or property-impossible; the
                  refuting back-substitution becomes the leaf's certificate
     certificate  the stored certificate over the leaf's own analyze bounds
-    lp           the branch relaxation LP is infeasible; its row becomes the
+    lp           the branch relaxation LP is infeasible and the certificate
+                 of its row re-checks over the leaf's bounds; it becomes the
                  leaf's certificate
-    tighten      LP-shrink the input box, re-propagate: empty or
-                 property-impossible
+    tighten      the relaxation is feasible: LP-shrink the input box,
+                 re-propagate: empty or property-impossible
     fallback     otherwise: `solver.search` decides the leaf from a new
-                 tableau over the tightened bounds and grows the tree below
-                 it; its closed leaves bring their own certificates
+                 tableau over the tightened bounds (the leaf's own, after an
+                 LP row that does not re-check) and grows the tree below it;
+                 its closed leaves bring their own certificates
 
 Every rung but the last closes the leaf. The clamped root box contains the
 leaf's region, and a chord over a wider interval still bounds its ReLU, so
 the first test is sound; an assertion that empties its clamped interval
 skips it. A leaf needs only its edge assertions; its certificate, when it
-has one, only saves work.
+has one, only saves work. A run that finds no witness raises RuntimeError
+when a search left a branch undecided (`solver.raise_if_undecided`).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .model import UNSAT, Verdict, property_hash, witness_ok
 from .simplex import CHORD, certificate, encoded_equations
 # not called here: perfbench/tracer.py patches these two names on this module
 from .simplex import check_unsat_rows, refresh_bounds  # noqa: F401
-from .solver import search
+from .solver import raise_if_undecided, search
 
 RESOLVED_SAT = "resolved_sat"
 RESOLVED_UNSAT = "resolved_unsat"
@@ -157,13 +160,18 @@ def _replay_unsat_leaf(net, prop, tree, nid, base):
     if asserts and node.cert is not None and lp.certificate_refutes(net, prop, bounds, node.cert):
         return CERTIFICATE, None
     relax = lp.build(net, prop, bounds)
-    if not lp.feasible(relax):
-        node.cert = certificate(relax.cfg, relax.infeasible_row)
-        return LP, None
-    nb = lp.tighten_inputs_then_repropagate(net, prop, asserts, relax)
-    if is_property_refuted(nb, prop):
-        return TIGHTEN, None
-    return FALLBACK, search(net, prop, tree, nid, nb)
+    if lp.feasible(relax):
+        bounds = lp.tighten_inputs_then_repropagate(net, prop, asserts, relax)
+        if is_property_refuted(bounds, prop):
+            return TIGHTEN, None
+    else:
+        cert = certificate(relax.cfg, relax.infeasible_row)
+        if lp.certificate_refutes(net, prop, bounds, cert):
+            node.cert = cert
+            return LP, None
+        # the relaxation's infeasibility is unproven: tightening over it
+        # would only repeat that claim
+    return FALLBACK, search(net, prop, tree, nid, bounds)
 
 
 def verify_incremental(net, prop, tree: pt.ProofTree):
@@ -243,6 +251,8 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
                 break
     times["unsat_leaves"] = time.perf_counter() - t3
 
+    if witness is None:
+        raise_if_undecided(work)
     for nid in stored_leaves:
         report.outcomes.setdefault(nid, SKIPPED)
 

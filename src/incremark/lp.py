@@ -110,20 +110,21 @@ def find_point(relax: Relaxation, vids) -> dict[int, float] | None:
 def decide(net, prop, bounds: Bounds) -> tuple[tuple[float, ...] | None, Certificate | None]:
     """Decide a branch with every ReLU decided, whose relaxation is then
     exact. Returns (witness, None) with an input point that violates the
-    property, or (None, certificate) when the branch is infeasible.
-    RuntimeError on an iteration-cap hit or a point that fails forward
+    property, or (None, certificate) when the branch is infeasible and the
+    certificate re-checks over `bounds` (`certificate_refutes`). Returns
+    (None, None) when it cannot decide: a certificate that does not
+    re-check, an iteration-cap hit, or a point that fails forward
     validation."""
     relax = build(net, prop, bounds)
     status = phase1(relax)
     if status == INFEASIBLE:
-        return None, certificate(relax.cfg, relax.infeasible_row)
+        cert = certificate(relax.cfg, relax.infeasible_row)
+        return None, (cert if certificate_refutes(net, prop, bounds, cert) else None)
     if status == CAP:
-        raise RuntimeError("branch LP hit its iteration cap")
+        return None, None
     point = find_point(relax, net.layout.input_ids)
     witness = tuple(float(x) for x in point.values())
-    if not witness_ok(net, prop, witness):
-        raise RuntimeError("branch LP point failed forward validation")
-    return witness, None
+    return (witness if witness_ok(net, prop, witness) else None), None
 
 
 def certificate_refutes(net, prop, bounds: Bounds, cert: Certificate) -> bool:

@@ -13,11 +13,15 @@ row that contradicts its bounds closes the branch once its certificate
 re-checks (below), a repaired point that passes forward validation is a
 witness, and anything else ends the local search. That covers one ReLU
 pair repaired SPLIT_THRESHOLD times (Reluplex's split on demand, Katz et
-al., CAV 2017), a row whose certificate does not re-check, a repair that
-is stuck, and a point that forward validation rejects. The node then
-splits on its most repaired uncertain pair, or, with every ReLU decided,
-the exact branch LP decides it (the loop can cycle between decided pairs
-that sit within the bound tolerance).
+al., CAV 2017), LP_ITER_FACTOR * (rows + variables) repair steps (bound
+repair can cycle once values are re-solved between pivots), a row whose
+certificate does not re-check, a repair that is stuck, and a point that
+forward validation rejects. The node then splits on its most repaired
+uncertain pair, or, with every ReLU decided, the exact branch LP decides
+it (the loop can cycle between decided pairs that sit within the bound
+tolerance). A branch that the LP cannot decide stays an unsolved leaf and
+the search goes on; `solve` raises RuntimeError only when it ends with no
+witness and such a leaf.
 
 Every UNSAT leaf stores the certificate of the row that closed it, for
 replay: a row of the search tableau or of the branch LP
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from . import deeppoly, lp
 from . import prooftree as pt
+from .constants import LP_ITER_FACTOR
 from .deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted
 from .model import UNSAT, Verdict, property_hash, witness_ok
 from .simplex import (
@@ -68,13 +73,16 @@ def solve(net, prop):
     """
     tree = pt.ProofTree(net.dims, property_hash(prop))
     witness = search(net, prop, tree, 0, analyze(net, prop.box))
+    if witness is None:
+        raise_if_undecided(tree)
     tree.verdict = "unsat" if witness is None else "sat"
     return (UNSAT if witness is None else Verdict(True, witness)), tree
 
 
 def search(net, prop, tree, nid, bounds, parent=None):
     """Decide leaf `nid` of `tree`, given the bounds of its branch, and grow
-    the tree below it; returns a witness or None (branch UNSAT).
+    the tree below it; returns a witness or None (branch UNSAT, or a leaf
+    below it that the branch LP left unsolved).
 
     Bounds that refute the property close the leaf with their DeepPoly
     certificate. Otherwise the leaf is searched from a new tableau, or, for
@@ -82,7 +90,7 @@ def search(net, prop, tree, nid, bounds, parent=None):
     child's bounds; the configuration is exclusively owned here.
     """
     node = tree.nodes[nid]
-    node.witness = node.cert = None
+    node.status, node.witness, node.cert = pt.UNSOLVED, None, None
     if is_property_refuted(bounds, prop):
         # region empty or property interval-impossible: nothing to search
         node.status = pt.UNSAT
@@ -94,9 +102,11 @@ def search(net, prop, tree, nid, bounds, parent=None):
         cfg = parent.copy()
         refresh_bounds(cfg, net, prop, bounds)
     candidates = _uncertain(net.layout, bounds)
+    steps_left = LP_ITER_FACTOR * (len(cfg.rows) + len(cfg.lo))
     while (row := check_unsat_rows(cfg)) is None:
-        if max(cfg.violations.values(), default=0) >= SPLIT_THRESHOLD:
+        if max(cfg.violations.values(), default=0) >= SPLIT_THRESHOLD or not steps_left:
             break
+        steps_left -= 1
         step = repair_step(cfg)
         if isinstance(step, Satisfied) and witness_ok(net, prop, step.witness):
             node.status = pt.SAT
@@ -136,8 +146,21 @@ def _close_by_row(net, prop, node, cfg, bounds, row) -> bool:
 
 def _decide_by_lp(net, prop, node, bounds):
     """Record the branch LP's decision of a fully decided branch on its
-    node; returns the witness or None (branch UNSAT)."""
+    node; returns the witness or None (branch UNSAT, or undecided: the node
+    stays unsolved)."""
     witness, node.cert = lp.decide(net, prop, bounds)
-    node.status = pt.UNSAT if witness is None else pt.SAT
+    if witness is not None:
+        node.status = pt.SAT
+    elif node.cert is not None:
+        node.status = pt.UNSAT
     node.witness = witness
     return witness
+
+
+def raise_if_undecided(tree) -> None:
+    """RuntimeError when a search that found no witness left a leaf of
+    `tree` unsolved: its verdict would rest on a branch nobody decided."""
+    undecided = tree.leaves_with_status(pt.UNSOLVED)
+    if undecided:
+        raise RuntimeError(f"no witness found, and the branch LP could not decide "
+                           f"{len(undecided)} branch(es)")

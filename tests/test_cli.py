@@ -339,8 +339,9 @@ def test_bench_rejects_bad_gammas(runner, tmp_path):
 
 
 def test_bench_solver_error_is_one_line(runner, tmp_path):
-    # the base solve's branch LP point fails forward validation; this used
-    # to end in a RuntimeError traceback
+    # the base solve finds no witness and leaves four fully decided branches
+    # that the branch LP cannot decide; this used to end in a RuntimeError
+    # traceback
     net, prop = _scaled_instance(9, 1e4)
     save_network(net, str(tmp_path / "sc.rnn"))
     save_property(prop, str(tmp_path / "sc.prop"))
@@ -349,7 +350,8 @@ def test_bench_solver_error_is_one_line(runner, tmp_path):
                                "--prop", str(tmp_path / "sc.prop"), "--trials", "1",
                                "--gammas", "0.01", "--out", str(out)])
     assert res.exit_code == EXIT_ERROR
-    assert res.stderr == "solver error: branch LP point failed forward validation\n"
+    assert res.stderr == ("solver error: no witness found, and the branch LP could not "
+                          "decide 4 branch(es)\n")
     assert not out.exists()
 
 

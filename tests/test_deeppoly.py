@@ -33,7 +33,7 @@ def test_analyze_demo_intervals(demo_net):
     assert b.interval(0) == (-1.0, 1.0)
     assert b.interval(2) == (-0.9999999999999999, 0.7999999999999999)
     assert b.interval(3) == (-1.6, 1.6)
-    assert b.interval(4) == (0.0, 0.8)
+    assert b.interval(4) == (0.0, 0.7999999999999999)  # relu of x2's interval
     assert b.interval(5) == (0.0, 1.6)
     assert b.interval(6) == (0.0, 1.28)
 
@@ -142,7 +142,8 @@ def test_soundness_sampled(demo_net):
 
 
 def reference_analyze(net, box, asserts=()):
-    """Scalar DeepPoly: one back-substitution per neuron and side. Returns
+    """Scalar DeepPoly: one back-substitution per pre-activation and side,
+    and a ReLU output's interval the ReLU of its pre-activation's. Returns
     None when an assertion empties an interval, else (lo, hi, relations)
     over the network neurons, relations being post -> (lc, lk, uc, uk)."""
     lay = net.layout
@@ -194,10 +195,8 @@ def reference_analyze(net, box, asserts=()):
                 uc[j] = u / (u - l)
                 uk[j] = -uc[j] * l
         rel.append((lc, lk, uc, uk))
-        eye = np.eye(n)
         for j, vid in enumerate(lay.post_ids[li]):
-            lo[vid] = max(back(li + 1, eye[j], 0.0, False), 0.0)
-            hi[vid] = max(back(li + 1, eye[j], 0.0, True), 0.0)
+            lo[vid], hi[vid] = max(pl[j], 0.0), max(ph[j], 0.0)
             relations[vid] = (lc[j], lk[j], uc[j], uk[j])
     return lo, hi, relations
 
@@ -229,6 +228,10 @@ def test_matrix_analyze_matches_scalar_reference(dims):
                 assert got.lo[vid] == pytest.approx(lo[vid], rel=0, abs=1e-12)
                 assert got.hi[vid] == pytest.approx(hi[vid], rel=0, abs=1e-12)
             assert set(got.relu_upper) == set(relations)
+            for pre, post in net.layout.relu_pairs:
+                # exactly the ReLU of the clamped pre-activation interval
+                assert got.lo[post] == max(got.lo[pre], 0.0), (dims, seed, trial)
+                assert got.hi[post] == max(got.hi[pre], 0.0), (dims, seed, trial)
             for vid, (lc, lk, uc, uk) in relations.items():
                 got_rel = got.relu_lower[vid] + got.relu_upper[vid]
                 assert got_rel == pytest.approx((lc, lk, uc, uk), rel=0, abs=1e-12)

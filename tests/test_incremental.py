@@ -528,6 +528,29 @@ def test_lp_certificate_is_carried_forward(monkeypatch):
             if rung == CERTIFICATE} >= by_lp
 
 
+def test_lp_rung_closes_only_on_a_certificate_that_rechecks(monkeypatch):
+    """A leaf whose branch LP is infeasible but whose certificate does not
+    re-check over the leaf's bounds is not closed by the lp rung: nothing
+    is left to tighten over, so it falls back to a branch search, which
+    decides it."""
+    net = random_network((2, 5, 5, 1), 18)
+    prop = random_threshold_property(net, 19)
+    _, tree = solve(net, prop)
+    modified = perturb(net, Perturbation(0.05, 1.0, 2))
+    _, rep, _ = verify_incremental(modified, prop, tree)
+    by_lp = {nid for nid, rung in rep.outcomes.items() if rung == LP}
+    assert by_lp
+    # the lp rung's certificate becomes an empty sum, which refutes nothing
+    monkeypatch.setattr(incremental, "certificate", lambda cfg, row: ())
+    verdict, rep, out = verify_incremental(modified, prop, tree)
+    assert not verdict.sat and not oracle(modified, prop).sat
+    assert LP not in rep.outcomes.values()
+    assert {rep.outcomes[nid] for nid in by_lp} == {FALLBACK}
+    out.validate()
+    searched = [i for i in out.leaves_with_status("unsat") if i not in rep.outcomes]
+    assert searched and all(out.nodes[i].cert for i in searched)
+
+
 def test_fallback_graft_brings_its_certificates():
     """A re-searched stored leaf becomes the root of the subtree its search
     grows: it keeps no witness or certificate once it splits, the fallback

@@ -6,12 +6,17 @@ catalog can produce, for checking that a change leaves them byte-identical.
 imports `incremark` from SRC_DIR and the instance catalog from this
 repository's `perfbench/catalog.py`, and modifies neither. For each base of
 the catalog (`catalog.BASE_SEEDS`) it prints one line: the base key, the
-sha256 of `solve(...).to_json()`, and, for each perturbation of the base's
-grid (`catalog.grids`), the sha256 of the re-verification's report JSON
-(without `times_s`, which is wall time) and of the tree it returns. Each
-hash is cut to 16 hex digits. A re-verification that raises is digested
-as its exception type and message, which also go to standard error. Run
-it on two source trees and `diff` the outputs:
+sha256 of `solve(...).to_json()` with the verdict and node count of the
+solve (`hash:verdict:nodes`), and, for each perturbation of the base's grid
+(`catalog.grids`), the sha256 of the re-verification's report JSON (without
+`times_s`, which is wall time) and of the tree it returns, with its
+verdict, the output tree's node count and the report's `replayed`,
+`fallbacks` and `pruned` counts
+(`report:tree:verdict:nodes:replayed:fallbacks:pruned`). Each hash is cut
+to 16 hex digits. A re-verification that raises is digested as its
+exception type and message (`hash:raised`), which also go to standard
+error. Run it on two source trees and `diff` the outputs; a field whose
+hashes moved but whose counts did not moved by floats only:
 
     python tools/catalog_digest.py ../parent/src > a.txt
     python tools/catalog_digest.py src > b.txt
@@ -59,25 +64,27 @@ def main(argv: list[str]) -> int:
         for s in seeds:
             key = base_key(shape, s)
             net, prop = base_instance(shape, s)
-            _, tree = solver.solve(net, prop)
+            verdict, tree = solver.solve(net, prop)
             doc = tree.to_json()
-            fields = [key, _digest(doc)]
+            fields = [key, f"{_digest(doc)}:{verdict.name}:{len(tree.nodes)}"]
             rec = ref.bases[key]
             if rec["nodes"] is not None:
                 for p in grids(shape, s, rec["verdict"], rec["nodes"]):
                     if (key, p.gamma, p.fraction, p.seed) in SKIP:
                         continue
                     try:
-                        _, report, out = incremental.verify_incremental(
+                        verdict, report, out = incremental.verify_incremental(
                             perturb(net, p), prop, pt.from_json(doc))
                     except Exception as e:  # a raise is an outcome to compare
                         failure = f"{type(e).__name__}: {e}"
                         print(f"catalog_digest: {key} {p}: {failure}", file=sys.stderr)
-                        fields.append(_digest(failure))
+                        fields.append(f"{_digest(failure)}:raised")
                         continue
                     rep = report.to_json()
                     del rep["times_s"]
-                    fields += [_digest(rep), _digest(out.to_json())]
+                    fields.append(":".join(str(x) for x in (
+                        _digest(rep), _digest(out.to_json()), verdict.name, len(out.nodes),
+                        report.replayed, report.fallbacks, report.pruned)))
             print(" ".join(fields), flush=True)
     return 0
 
