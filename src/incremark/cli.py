@@ -13,10 +13,11 @@ import os
 import sys
 
 import click
+import numpy as np
 
 from . import bench as bench_mod
 from . import prooftree
-from .deeppoly import analyze
+from .deeppoly import analyze, relaxation
 from .incremental import RUNGS, ShapeMismatchError, check_dims, verify_incremental
 from .model import load_network, load_property, save_network
 from .simplex import dump, initialize
@@ -94,8 +95,8 @@ def verify(net_path, prop_path, tree_out, dump_tableau):
     net, prop = _load_query(net_path, prop_path)
     try:
         if dump_tableau:
-            cfg = initialize(net, prop, analyze(net, prop.box))
-            click.echo(dump(cfg, "initial tableau"))
+            click.echo(dump(initialize(net, prop, analyze(net, prop.box)), "initial tableau")
+                       if prop.constraints else "no tableau: the negation is empty")
         verdict, tree = solve(net, prop)
     except RuntimeError as e:
         _solver_error(e)
@@ -155,12 +156,9 @@ def bounds(net_path, prop_path):
     lay = net.layout
     for vid in lay.neuron_ids:
         click.echo(f"x{vid + 1} in [{b.lo[vid]:.10g}, {b.hi[vid]:.10g}]")
-    for pre, post in lay.relu_pairs:
-        if post not in b.relu_upper:
-            continue
-        lc, lk = b.relu_lower[post]
-        uc, uk = b.relu_upper[post]
-        click.echo(f"x{post + 1} >= {lc:.10g}*x{pre + 1} + {lk:.10g}")
+    lo, hi = (np.array([d[pre] for pre, _ in lay.relu_pairs]) for d in (b.lo, b.hi))
+    for (pre, post), lc, uc, uk in zip(lay.relu_pairs, *relaxation(lo, hi)):
+        click.echo(f"x{post + 1} >= {lc:.10g}*x{pre + 1} + 0")
         click.echo(f"x{post + 1} <= {uc:.10g}*x{pre + 1} + {uk:.10g}")
     sys.exit(0)
 

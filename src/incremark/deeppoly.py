@@ -1,12 +1,12 @@
 """Symbolic interval analysis over the network (DeepPoly-style).
 
-Each post-activation neuron carries linear lower/upper bounds over its
-pre-activation neuron. Pre-activations are bounded by back-substitution
-of those relations to the input box, once per layer as a matrix that
-bounds every pre-activation of the layer from both sides; a ReLU output's
-interval is the ReLU of its pre-activation's. Sign assertions clamp the
-pre-activation interval *before* the ReLU case split, so asserted
-branches propagate tightened relaxations downstream.
+A ReLU output is bounded by linear functions of its pre-activation,
+`relaxation` of the pre-activation's interval. Pre-activations are bounded
+by back-substitution of those relations to the input box, once per layer
+as a matrix that bounds every pre-activation of the layer from both sides;
+a ReLU output's interval is the ReLU of its pre-activation's. Sign
+assertions clamp the pre-activation interval *before* the ReLU case split,
+so asserted branches propagate tightened relaxations downstream.
 
 A back-substitution is itself a sum of the equations the tableau encodes
 (see the simplex module): an affine layer is an `aff` equation, a
@@ -41,8 +41,7 @@ class Assertion:
 
 @dataclass
 class Bounds:
-    """Concrete intervals per neuron id, plus each post neuron's linear
-    relations over its pre neuron: post >= lc*pre + lk, post <= uc*pre + uk.
+    """Concrete intervals per neuron id.
 
     Covers network neurons only; the tableau derives the bounds of its
     own variables from these (`simplex.initialize`, `simplex.refresh_bounds`).
@@ -54,8 +53,6 @@ class Bounds:
 
     lo: dict[int, float] = field(default_factory=dict)
     hi: dict[int, float] = field(default_factory=dict)
-    relu_lower: dict[int, tuple[float, float]] = field(default_factory=dict)
-    relu_upper: dict[int, tuple[float, float]] = field(default_factory=dict)
     output_ids: tuple[int, ...] = ()
     infeasible: bool = False
     emptied: Assertion | None = None
@@ -98,8 +95,7 @@ def clamp(net: Network, bounds: Bounds, asserts) -> Bounds | None:
     one empties: NONNEG raises a pre-activation's lower end to 0, NONPOS
     lowers its upper end to 0 and pins its post to [0, 0]. When `bounds`
     contain a region, the result contains the part of it where the
-    assertions hold, though less tightly than `analyze` under them. The
-    ReLU relations are not carried over."""
+    assertions hold, though less tightly than `analyze` under them."""
     lo, hi = dict(bounds.lo), dict(bounds.hi)
     for a in asserts:
         v = a.neuron
@@ -114,25 +110,47 @@ def clamp(net: Network, bounds: Bounds, asserts) -> Bounds | None:
     return Bounds(lo, hi, output_ids=bounds.output_ids)
 
 
+def relaxation(lo, hi):
+    """DeepPoly's linear bounds of relu(pre) over pre in [lo, hi], per
+    element of the interval arrays: relu(pre) >= lc*pre and
+    relu(pre) <= uc*pre + uk. Returns (lc, uc, uk).
+
+    A decided-on neuron (lo >= 0) is the identity both ways; an uncertain
+    one (lo < 0 < hi) is bounded above by the chord over [lo, hi] and below
+    by 0; a decided-off one is 0 both ways."""
+    on = lo >= 0.0
+    cross = ~on & (hi > 0.0)
+    # span is 1 off the crossing neurons, so no division sees a 0
+    span = np.where(cross, hi - lo, 1.0)
+    s = np.where(cross, hi / span, 0.0)
+    lc = on.astype(float)
+    return lc, np.where(cross, s, lc), np.where(cross, -s * lo, 0.0)
+
+
 def analyze(net: Network, box, asserts=()) -> Bounds:
     """Run the abstraction under sign assertions; `box` is passed explicitly
     so callers can re-propagate with a tightened one."""
     lay = net.layout
     res = Bounds(output_ids=tuple(lay.output_ids))
-    by_neuron: dict[int, list[str]] = {}
+    # per asserted layer, the floor (row 0) and ceiling (row 1) that NONNEG
+    # and NONPOS put on its pre-activations
+    clamps: dict[int, np.ndarray] = {}
     for a in asserts:
-        by_neuron.setdefault(a.neuron, []).append(a.sign)
+        li, j = lay.pre_row[a.neuron]
+        if li not in clamps:
+            clamps[li] = np.array([[-np.inf], [np.inf]]).repeat(len(lay.pre_ids[li]), axis=1)
+        clamps[li][int(a.sign == NONPOS), j] = 0.0
 
     lo0 = np.array([b[0] for b in box], dtype=float)
     hi0 = np.array([b[1] for b in box], dtype=float)
     if len(lo0) != net.n_inputs:
         raise ValueError("box arity does not match the network inputs")
-    for j, vid in enumerate(lay.input_ids):
-        res.lo[vid], res.hi[vid] = float(lo0[j]), float(hi0[j])
+    res.lo.update(zip(lay.input_ids, lo0.tolist()))
+    res.hi.update(zip(lay.input_ids, hi0.tolist()))
 
-    # Per processed layer: relation vectors (lower coef, lower const, upper
-    # coef, upper const) of post over pre, used during back-substitution.
-    rel: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    # Per processed layer: the relation vectors (lower coef, upper coef,
+    # upper const) of post over pre, used during back-substitution.
+    rel: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     for li in range(net.n_layers):
         w = net.weights[li]
@@ -146,57 +164,39 @@ def analyze(net: Network, box, asserts=()) -> Bounds:
         # a chord over an interval wider than the largest float has slope 0
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(li, 0, -1):
-                lc, lk, uc, uk = rel[j - 1]
+                lc, uc, uk = rel[j - 1]
                 take_u = (c > 0) == upper_row
-                k += (np.where(take_u, uk, lk) * c).sum(axis=1)
+                k += (np.where(take_u, uk, 0.0) * c).sum(axis=1)
                 c = np.where(take_u, uc, lc) * c
                 k += c @ net.biases[j - 1]
                 c = c @ net.weights[j - 1]
             k += np.where((c > 0) == upper_row, c * hi0, c * lo0).sum(axis=1)
-            pre_lo, pre_hi = k[:n], k[n:]
-            if not np.isfinite(pre_hi - pre_lo).all():
+            lo, hi = k[:n], k[n:]
+            if not np.isfinite(hi - lo).all():
                 raise RuntimeError(f"layer {li + 1}: a pre-activation interval or its width "
                                    "is not a finite float")
 
-        for j, vid in enumerate(lay.pre_ids[li]):
-            lo, hi = pre_lo[j], pre_hi[j]
-            for sign in by_neuron.get(vid, ()):
-                if sign == NONNEG:
-                    lo = max(lo, 0.0)
-                else:
-                    hi = min(hi, 0.0)
-            if lo > hi:
-                if lo > hi + EPS_COLLAPSE:
-                    res.infeasible = True
-                    res.emptied = Assertion(vid, NONNEG if pre_hi[j] < 0.0 else NONPOS)
-                    return res
-                lo = hi  # tolerance-level crossing, collapse to a point
-            pre_lo[j], pre_hi[j] = lo, hi
-            res.lo[vid], res.hi[vid] = float(lo), float(hi)
+        if li in clamps:
+            lo, hi = np.maximum(lo, clamps[li][0]), np.minimum(hi, clamps[li][1])
+        if (lo > hi).any():
+            emptied = lo > hi + EPS_COLLAPSE
+            if emptied.any():
+                # the first in id order; k[n + j] is its unclamped upper end
+                j = int(emptied.argmax())
+                res.infeasible = True
+                res.emptied = Assertion(lay.pre_ids[li][j], NONNEG if k[n + j] < 0.0 else NONPOS)
+                return res
+            lo = np.minimum(lo, hi)  # a tolerance-level crossing collapses to a point
+        res.lo.update(zip(lay.pre_ids[li], lo.tolist()))
+        res.hi.update(zip(lay.pre_ids[li], hi.tolist()))
 
         if net.activations[li] == RELU:
-            on = pre_lo >= 0.0
-            cross = ~on & (pre_hi > 0.0)
-            # the chord over [l, u] for uncertain neurons; the lower relation
-            # stays 0 for them, and both relations are 0 for decided-off ones.
-            # span is 1 off the crossing neurons, so no division sees a 0.
-            span = np.where(cross, pre_hi - pre_lo, 1.0)
-            s = np.where(cross, pre_hi / span, 0.0)
-            lc = on.astype(float)
-            lk = np.zeros(n)
-            uc = np.where(cross, s, lc)
-            uk = np.where(cross, -s * pre_lo, 0.0)
-            rel.append((lc, lk, uc, uk))
-            post_lo = np.maximum(pre_lo, 0.0).tolist()
-            post_hi = np.maximum(pre_hi, 0.0).tolist()
-            for j, vid in enumerate(lay.post_ids[li]):
-                res.lo[vid] = post_lo[j]
-                res.hi[vid] = post_hi[j]
-                res.relu_lower[vid] = (float(lc[j]), float(lk[j]))
-                res.relu_upper[vid] = (float(uc[j]), float(uk[j]))
+            rel.append(relaxation(lo, hi))
+            res.lo.update(zip(lay.post_ids[li], np.maximum(lo, 0.0).tolist()))
+            res.hi.update(zip(lay.post_ids[li], np.maximum(hi, 0.0).tolist()))
         else:
             # identity activation: post ids alias the pre ids
-            rel.append((np.ones(n), np.zeros(n), np.ones(n), np.zeros(n)))
+            rel.append((np.ones(n), np.ones(n), np.zeros(n)))
 
     return res
 

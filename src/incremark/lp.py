@@ -230,11 +230,11 @@ def tighten(relax: Relaxation, vids) -> dict[int, tuple[float, float]]:
 def tighten_inputs_then_repropagate(net, prop, asserts, relax) -> Bounds:
     """Shrink the input box by per-input LP optimization over `relax`, the
     branch relaxation built for the same asserts over the unchanged box,
-    then re-run the abstraction on the smaller box. An infeasible relaxation
-    (or an input interval squeezed empty) is reported as infeasible Bounds."""
+    then re-run the abstraction on the smaller box. An input interval
+    squeezed empty is reported as infeasible Bounds. Raises ValueError on
+    an infeasible relaxation, as `tighten` does: callers check
+    `feasible(relax)` first."""
     asserts = sorted(asserts)
-    if phase1(relax) == INFEASIBLE:
-        return Bounds(output_ids=tuple(net.layout.output_ids), infeasible=True)
     box = []
     for vid, (blo, bhi) in zip(net.layout.input_ids, prop.box):
         tlo, thi = tighten(relax, [vid])[vid]

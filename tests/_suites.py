@@ -12,10 +12,20 @@ import numpy as np
 from incremark import lp
 from incremark.bench import random_network, random_threshold_property
 from incremark.constants import EPS_BOUND
-from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze
+from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze, relaxation
 from incremark.model import forward_values, witness_ok
 from incremark.prooftree import ProofTree
 from incremark.simplex import Configuration, pivot, recompute, row_unsat
+
+
+def relu_relations(net, bounds) -> dict[int, tuple[float, float, float]]:
+    """Post id -> (lc, uc, uk), the relations `relaxation` gives each ReLU
+    over its pre-activation interval in `bounds`:
+    lc*pre <= post <= uc*pre + uk."""
+    pairs = net.layout.relu_pairs
+    rel = relaxation(np.array([bounds.lo[pre] for pre, _ in pairs]),
+                     np.array([bounds.hi[pre] for pre, _ in pairs]))
+    return {post: r for (_, post), r in zip(pairs, zip(*(v.tolist() for v in rel)))}
 
 
 def random_configuration(rng) -> Configuration:
@@ -160,17 +170,17 @@ def deeppoly_soundness(first_net=None, first_box=None, n_random: int = 50,
         xs = rng.uniform(lows, highs, (samples, len(box)))
         bounds = analyze(net, box)
         pre_of = {post: pre for pre, post in lay.relu_pairs}
+        relations = relu_relations(net, bounds)
         points = [forward_values(net, x) for x in xs]
         for vals in points:
             for v, val in vals.items():
                 if not (bounds.lo[v] - 1e-9 <= val <= bounds.hi[v] + 1e-9):
                     bad += 1
-            for post, (uc, uk) in bounds.relu_upper.items():
+            for post, (lc, uc, uk) in relations.items():
                 pre = pre_of[post]
-                lc, lk = bounds.relu_lower[post]
                 if vals[post] > uc * vals[pre] + uk + 1e-9:
                     bad += 1
-                if vals[post] < lc * vals[pre] + lk - 1e-9:
+                if vals[post] < lc * vals[pre] - 1e-9:
                     bad += 1
         # asserted re-analysis must still contain the matching samples
         uncertain = [p for p, _ in lay.relu_pairs

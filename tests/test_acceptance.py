@@ -15,6 +15,7 @@ from _suites import (
     distance_axioms,
     pivot_preservation,
     relaxation_soundness,
+    relu_relations,
     row_checker_vs_corners,
 )
 from conftest import ACCEPTANCE_LINES, BOX
@@ -68,9 +69,10 @@ def test_criterion_1_abstraction_bounds(demo_net, demo_prop, data_dir):
         }.items():
             assert abs(b.lo[vid] - lo) <= tol, f"lo[{vid}]"
             assert abs(b.hi[vid] - hi) <= tol, f"hi[{vid}]"
-        uc4, uk4 = b.relu_upper[4]
+        relations = relu_relations(demo_net, b)
+        _, uc4, uk4 = relations[4]
         assert abs(uc4 - 0.8 / 1.8) <= tol and abs(uk4 - 0.8 / 1.8) <= tol
-        uc5, uk5 = b.relu_upper[5]
+        _, uc5, uk5 = relations[5]
         assert abs(uc5 - 0.5) <= tol and abs(uk5 - 0.8) <= tol
         # the same numbers through the CLI surface
         res = CliRunner().invoke(cli_main, [

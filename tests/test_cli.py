@@ -94,6 +94,16 @@ def test_verify_dump_tableau(runner):
     assert res.output.strip().split("\n")[-1].startswith("SAT ")
 
 
+def test_verify_dump_tableau_empty_negation(runner, tmp_path):
+    # a property with a box and no constraint has nothing to encode
+    prop = tmp_path / "box.prop"
+    prop.write_text("box\n-1.0 1.0\n-1.0 1.0\n")
+    res = runner.invoke(main, ["verify", "--net", DEMO, "--prop", str(prop),
+                               "--dump-tableau"])
+    assert res.exit_code == EXIT_UNSAT, res.output
+    assert res.output == "no tableau: the negation is empty\nUNSAT\n"
+
+
 def test_reverify_with_report(runner, tmp_path):
     tree_path = tmp_path / "tree.json"
     runner.invoke(main, ["verify", "--net", DEMO, "--prop", PROP,

@@ -42,16 +42,17 @@ def test_analyze_demo_relational(demo_net):
     b = analyze(demo_net, BOX)
     # both hidden units are uncertain; upper relation is the chord, lower
     # relation is zero because neither interval is positive-dominated
-    assert b.relu_upper[4] == (0.4444444444444445, 0.4444444444444444)
-    assert b.relu_upper[5] == (0.5, 0.8)
-    assert b.relu_lower == {4: (0.0, 0.0), 5: (0.0, 0.0)}
+    relations = _suites.relu_relations(demo_net, b)
+    assert relations[4][1:] == (0.4444444444444445, 0.4444444444444444)
+    assert relations[5][1:] == (0.5, 0.8)
+    assert {post: r[0] for post, r in relations.items()} == {4: 0.0, 5: 0.0}
 
 
 def test_analyze_nonpos_assertion(demo_net, demo_prop):
     b = analyze(demo_net, BOX, [Assertion(3, NONPOS)])
     assert b.hi[3] == 0.0
     assert b.hi[5] == 0.0                      # decided off
-    assert b.relu_upper[5] == (0.0, 0.0)
+    assert _suites.relu_relations(demo_net, b)[5][1:] == (0.0, 0.0)
     assert b.hi[6] == 0.32000000000000006
     # 0.32 still clears the 0.3 threshold, so the branch stays open
     assert not is_property_refuted(b, demo_prop)
@@ -60,8 +61,9 @@ def test_analyze_nonpos_assertion(demo_net, demo_prop):
 def test_analyze_nonneg_assertion(demo_net):
     b = analyze(demo_net, BOX, [Assertion(3, NONNEG)])
     assert b.lo[3] == 0.0
-    assert b.relu_upper[5] == (1.0, 0.0)       # decided on: identity
-    assert b.relu_lower[5] == (1.0, 0.0)
+    lc, uc, uk = _suites.relu_relations(demo_net, b)[5]
+    assert (uc, uk) == (1.0, 0.0)              # decided on: identity
+    assert lc == 1.0
     assert b.hi[6] == 1.28
     # the identity relation back-substitutes the full pre range, so the
     # output lower bound may dip below zero; loose but sound
@@ -144,8 +146,11 @@ def test_soundness_sampled(demo_net):
 def reference_analyze(net, box, asserts=()):
     """Scalar DeepPoly: one back-substitution per pre-activation and side,
     and a ReLU output's interval the ReLU of its pre-activation's. Returns
-    None when an assertion empties an interval, else (lo, hi, relations)
-    over the network neurons, relations being post -> (lc, lk, uc, uk)."""
+    the emptied assertion when an assertion empties an interval (the first
+    neuron in id order whose interval crosses by more than EPS_COLLAPSE;
+    NONNEG if its unclamped upper end is below 0, else NONPOS), else
+    (lo, hi, relations) over the network neurons, relations being
+    post -> (lc, uc, uk)."""
     lay = net.layout
     lo0 = np.array([b[0] for b in box], dtype=float)
     hi0 = np.array([b[1] for b in box], dtype=float)
@@ -174,13 +179,14 @@ def reference_analyze(net, box, asserts=()):
         pl, ph = np.zeros(n), np.zeros(n)
         for j, vid in enumerate(lay.pre_ids[li]):
             l, u = back(li, w[j], float(b[j]), False), back(li, w[j], float(b[j]), True)
+            u0 = u
             for sign in signs.get(vid, ()):
                 if sign == NONNEG:
                     l = max(l, 0.0)
                 else:
                     u = min(u, 0.0)
             if l > u + EPS_COLLAPSE:
-                return None
+                return Assertion(vid, NONNEG if u0 < 0.0 else NONPOS)
             pl[j], ph[j] = min(l, u), u
             lo[vid], hi[vid] = pl[j], ph[j]
         if net.activations[li] != RELU:
@@ -197,7 +203,7 @@ def reference_analyze(net, box, asserts=()):
         rel.append((lc, lk, uc, uk))
         for j, vid in enumerate(lay.post_ids[li]):
             lo[vid], hi[vid] = max(pl[j], 0.0), max(ph[j], 0.0)
-            relations[vid] = (lc[j], lk[j], uc[j], uk[j])
+            relations[vid] = (lc[j], uc[j], uk[j])
     return lo, hi, relations
 
 
@@ -219,22 +225,24 @@ def test_matrix_analyze_matches_scalar_reference(dims):
                 seen["contradictory"] += 1
             got = analyze(net, box, asserts)
             want = reference_analyze(net, box, asserts)
-            assert got.infeasible == (want is None), (dims, seed, trial)
-            if want is None:
+            assert got.infeasible == isinstance(want, Assertion), (dims, seed, trial)
+            if got.infeasible:
+                # the whole-layer clamp empties the same neuron the scalar one does
+                assert got.emptied == want, (dims, seed, trial)
                 seen["infeasible"] += 1
                 continue
             lo, hi, relations = want
             for vid in lo:
                 assert got.lo[vid] == pytest.approx(lo[vid], rel=0, abs=1e-12)
                 assert got.hi[vid] == pytest.approx(hi[vid], rel=0, abs=1e-12)
-            assert set(got.relu_upper) == set(relations)
+            got_relations = _suites.relu_relations(net, got)
+            assert set(got_relations) == set(relations)
             for pre, post in net.layout.relu_pairs:
                 # exactly the ReLU of the clamped pre-activation interval
                 assert got.lo[post] == max(got.lo[pre], 0.0), (dims, seed, trial)
                 assert got.hi[post] == max(got.hi[pre], 0.0), (dims, seed, trial)
-            for vid, (lc, lk, uc, uk) in relations.items():
-                got_rel = got.relu_lower[vid] + got.relu_upper[vid]
-                assert got_rel == pytest.approx((lc, lk, uc, uk), rel=0, abs=1e-12)
+            for vid, want_rel in relations.items():
+                assert got_relations[vid] == pytest.approx(want_rel, rel=0, abs=1e-12)
     assert seen["infeasible"] > 0 and seen["contradictory"] > 0, seen
 
 

@@ -355,9 +355,10 @@ def test_repropagate_shrinks_inputs(demo_net, demo_prop):
 
 
 def test_repropagate_infeasible_cases(demo_net, unsat_prop):
-    nb = lp.tighten_inputs_then_repropagate(
-        demo_net, unsat_prop, [], demo_relax(demo_net, unsat_prop))
-    assert nb.infeasible
+    relax = demo_relax(demo_net, unsat_prop)
+    assert not lp.feasible(relax)
+    with pytest.raises(ValueError):
+        lp.tighten_inputs_then_repropagate(demo_net, unsat_prop, [], relax)
 
 
 def test_relaxation_soundness_sampled():
