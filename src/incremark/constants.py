@@ -23,7 +23,7 @@ EPS_BOUND = 1e-7
 # point; a wider crossing makes the branch infeasible.
 EPS_COLLAPSE = 1e-12
 
-# Coefficients below this are dropped from tableau rows to keep them sparse.
+# Tableau coefficients below this are stored as zero.
 COEF_EPS = 1e-12
 
 # ReLU pair check: |alpha(post) - max(0, alpha(pre))| above this counts as a

@@ -2,8 +2,8 @@
 tightening, the input-box tightening variant, and the exact decision of a
 branch with every ReLU decided.
 
-The relaxation is the search tableau (`simplex.initialize`) plus one
-chord row per uncertain ReLU (l < 0 < u), each equation as
+The relaxation is the search tableau plus one chord row per uncertain
+ReLU (l < 0 < u), encoded together by `simplex.encode`, each equation as
 `simplex.equation` defines it. A decided-on ReLU (l >= 0) has its slack
 at [0, 0]; a decided-off one (u <= 0) has post pinned to [0, 0] by its
 interval; so the region is the triangle relaxation of every uncertain
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import COEF_EPS, EPS_BOUND, EPS_LP, LP_ITER_FACTOR
 from .deeppoly import Bounds, analyze
 from .model import witness_ok
@@ -32,10 +34,10 @@ from .simplex import (
     Stuck,
     bound_step,
     certificate,
-    define_row,
+    encode,
+    encoded_equations,
     entering_for,
     equation,
-    initialize,
     neuron_bounds,
     pivot,
     update,
@@ -55,20 +57,19 @@ class Relaxation:
 
 
 def build(net, prop, bounds: Bounds) -> Relaxation:
-    """Encode the branch relaxation: the search tableau over `bounds` plus
-    one chord row per uncertain ReLU. `bounds` holds the branch's neuron
+    """Encode the branch relaxation: the equations of the search tableau
+    over `bounds` and one chord per uncertain ReLU, numbered from the first
+    free id. `bounds` holds the branch's neuron
     intervals, with its sign assertions already clamped in (as `analyze`
     and the oracle's propagation do)."""
-    cfg = initialize(net, prop, bounds)
-    sid = max(cfg.equations) + 1
+    equations = encoded_equations(net, prop)
+    sid = max(equations) + 1
     for pre, _ in net.layout.relu_pairs:
         if bounds.lo[pre] < 0.0 < bounds.hi[pre]:
-            terms, cfg.lo[sid], cfg.hi[sid] = equation(net, prop, CHORD, pre, cfg.lo, cfg.hi)
-            define_row(cfg.rows, sid, dict(terms))
-            cfg.alpha[sid] = cfg.row_value(sid)
-            cfg.equations[sid] = (CHORD, pre)
+            equations[sid] = (CHORD, pre)
             sid += 1
-    return Relaxation(cfg, LP_ITER_FACTOR * (len(cfg.rows) + len(cfg.lo)))
+    cfg = encode(net, prop, bounds, equations)
+    return Relaxation(cfg, LP_ITER_FACTOR * (len(cfg.basic) + len(cfg.lo)))
 
 
 def phase1(relax: Relaxation) -> str:
@@ -97,7 +98,7 @@ def feasible(relax: Relaxation) -> bool:
 
 
 def _value(cfg: Configuration, vid: int) -> float:
-    return cfg.row_value(vid) if vid in cfg.rows else cfg.alpha[vid]
+    return cfg.row_value(vid) if vid in cfg.pos else cfg.alpha[vid]
 
 
 def find_point(relax: Relaxation, vids) -> dict[int, float] | None:
@@ -178,18 +179,20 @@ def _optimize(relax: Relaxation, vid: int, maximize: bool) -> float | None:
     slightly relaxed polytope can only loosen a bound, never cut a point.
     """
     cfg = relax.cfg
+    unit = np.zeros(len(cfg.lo))
+    unit[vid] = 1.0
     for _ in range(relax.cap):
-        red = cfg.rows.get(vid, {vid: 1.0})
+        red = cfg.T[cfg.pos[vid]] if vid in cfg.pos else unit
         ent = entering_for(cfg, red, maximize)
         if ent is None:
             return _value(cfg, vid)
         sigma = 1 if (red[ent] > 0) == maximize else -1
         flip = (cfg.hi[ent] - cfg.alpha[ent]) if sigma > 0 else (cfg.alpha[ent] - cfg.lo[ent])
         steps = {}
-        for b, row in cfg.rows.items():
-            a = row.get(ent)
-            if not a:
-                continue
+        col = cfg.T[:, ent]
+        rows = col.nonzero()[0]
+        for r, a in zip(rows.tolist(), col[rows].tolist()):
+            b = cfg.basic[r]
             d = a * sigma
             room = (cfg.hi[b] - cfg.alpha[b]) if d > 0 else (cfg.lo[b] - cfg.alpha[b])
             steps[b] = max(room / d, 0.0)
@@ -201,7 +204,7 @@ def _optimize(relax: Relaxation, vid: int, maximize: bool) -> float | None:
             update(cfg, ent, cfg.hi[ent] if sigma > 0 else cfg.lo[ent])
         else:
             leave = min(b for b, t in steps.items() if t <= tied)
-            hit_upper = cfg.rows[leave][ent] * sigma > 0
+            hit_upper = cfg.T[cfg.pos[leave], ent] * sigma > 0
             pivot(cfg, leave, ent, cfg.hi[leave] if hit_upper else cfg.lo[leave])
     return None
 

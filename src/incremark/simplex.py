@@ -1,20 +1,22 @@
-"""Sparse-tableau simplex layer: configurations, pivoting, bound repair and
+"""Array-tableau simplex layer: configurations, pivoting, bound repair and
 the interval UNSAT row test.
 
 A Configuration owns a tableau (one row per basic variable, written over the
-non-basic ones), per-variable bounds, and an assignment kept by Reluplex's
-update and pivot-and-update: moving a non-basic variable shifts only the
-basics whose rows mention it, and a pivot shifts only the basics in the
-entering column. Basic values therefore carry rounding drift between steps;
-every value that leaves the repair loop (a witness, the row of an
-infeasible LP, an LP optimum) is re-solved exactly from its row first. Rows
-carry no constants: each affine equation has a slack variable pinned to
-minus its bias, so a pivot is pure coefficient algebra. `equation`
-defines each encoded equation and its slack's interval over the neuron
-intervals of a `Bounds`; the rows (`initialize`), the slack bounds
-(`bound_maps`), the branch LP and the certificate test all read it.
+non-basic ones and stored as one 2-D float array over all variable ids),
+per-variable bounds, and an assignment kept by Reluplex's update and
+pivot-and-update: moving a non-basic variable shifts only the basics whose
+rows mention it, and a pivot shifts only the basics in the entering column
+and updates their rows by one rank-1 product. Basic values therefore carry
+rounding drift between steps; every value that leaves the repair loop (a
+witness, the row of an infeasible LP, an LP optimum) is re-solved exactly
+from its row first. Rows have no constant column: each affine equation has
+a slack variable pinned to minus its bias, so a pivot is pure coefficient
+algebra. `equation` defines each encoded equation and its slack's interval
+over the neuron intervals of a `Bounds`; the rows and slack bounds
+(`encode`, `refresh_bounds`), the branch LP and the certificate test all
+read it.
 
-Non-basic variables always lie within their bounds: `initialize` and
+Non-basic variables always lie within their bounds: `encode` and
 `refresh_bounds` place them there, and every move (`update`, `set_variable`,
 the leaving side of a pivot) sends one to a value inside them. The repair
 loop relies on this, and so does the row test, which therefore tests only
@@ -27,8 +29,11 @@ multipliers can be read off the row (`certificate`).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .constants import COEF_EPS, EPS_BOUND, EPS_PIVOT, EPS_RELU
 
@@ -82,44 +87,78 @@ StepResult = Progress | Satisfied | Stuck
 class Configuration:
     """Tableau + bounds + assignment + ReLU pair bookkeeping.
 
-    rows: basic id -> {non-basic id: coefficient}
+    Variables are numbered 0..n-1, n = len(lo). The tableau is one float
+    array T with a row per basic variable and a column per variable id: row
+    r reads basic[r] = sum_k T[r, k] * x_k, with zeros on every basic
+    column, and pos maps a basic id to its row. A coefficient within
+    COEF_EPS of zero is stored as zero. The bounds lo, hi and the assignment
+    alpha are lists of Python floats by id, which the scalar repair moves
+    read one at a time; only the row test turns the bounds into arrays.
+
+    rows: basic id -> {non-basic id: coefficient}, the constructor's form of
+    the tableau, which `row(b)` reads back one row at a time.
+    lo, hi: the bounds of ids 0..n-1 (a dict or a list).
+    alpha: {id: value} of the non-basics; `recompute` solves the basics.
     equations: slack id -> (kind, index) of the one equation it belongs to.
     """
 
     def __init__(self, rows, lo, hi, alpha, relu_pairs, input_ids, equations=None):
-        self.rows: dict[int, dict[int, float]] = rows
-        self.lo: dict[int, float] = lo
-        self.hi: dict[int, float] = hi
-        self.alpha: dict[int, float] = alpha
+        n = len(lo)
+        self.basic: list[int] = list(rows)
+        self.pos: dict[int, int] = {b: r for r, b in enumerate(self.basic)}
+        self.T = np.zeros((len(self.basic), n))
+        for r, row in enumerate(rows.values()):
+            for k, c in row.items():
+                self.T[r, k] = c
+        self.lo: list[float] = [lo[v] for v in range(n)]
+        self.hi: list[float] = [hi[v] for v in range(n)]
+        self.alpha: list[float] = [alpha.get(v, 0.0) for v in range(n)]
         self.relu_pairs: list[tuple[int, int]] = list(relu_pairs)
         self.input_ids: list[int] = list(input_ids)
         self.equations: dict[int, tuple[str, int]] = equations or {}
         self.violations: dict[int, int] = {pre: 0 for pre, _ in self.relu_pairs}
 
     def copy(self) -> "Configuration":
-        c = Configuration(
-            {b: dict(r) for b, r in self.rows.items()},
-            dict(self.lo),
-            dict(self.hi),
-            dict(self.alpha),
-            self.relu_pairs,
-            self.input_ids,
-            self.equations,
-        )
+        c = copy.copy(self)
+        c.T = self.T.copy()
+        c.basic = list(self.basic)
+        c.pos = dict(self.pos)
+        c.lo, c.hi, c.alpha = list(self.lo), list(self.hi), list(self.alpha)
         c.violations = dict(self.violations)
         return c
 
+    def row(self, basic: int) -> dict[int, float]:
+        """Row of `basic` as {non-basic id: coefficient}, in id order."""
+        r = self.T[self.pos[basic]]
+        nz = np.flatnonzero(r)
+        return dict(zip(nz.tolist(), r[nz].tolist()))
+
     def row_value(self, basic: int) -> float:
-        return sum(c * self.alpha[k] for k, c in sorted(self.rows[basic].items()))
+        alpha = self.alpha
+        return sum(c * alpha[k] for k, c in self.row(basic).items())
 
     def witness(self) -> tuple[float, ...]:
         return tuple(self.alpha[i] for i in self.input_ids)
 
 
 def recompute(cfg: Configuration) -> None:
-    """Re-solve every row for its basic variable from the non-basic alphas."""
-    for b in cfg.rows:
-        cfg.alpha[b] = cfg.row_value(b)
+    """Re-solve every row for its basic variable from the non-basic alphas,
+    adding each row's terms in id order, as `row_value` does. The basics'
+    own values are left out of the product: their columns hold zeros, and
+    a zero term changes no sum."""
+    alpha = cfg.alpha
+    a = np.array(alpha)
+    a[cfg.basic] = 0.0
+    for b, terms in zip(cfg.basic, (cfg.T * a).tolist()):
+        alpha[b] = sum(terms)
+
+
+def _shift(cfg: Configuration, col: np.ndarray, d: float) -> None:
+    """Shift each basic by its coefficient in `col` x d."""
+    hit = col.nonzero()[0]
+    alpha, basic = cfg.alpha, cfg.basic
+    for r, c in zip(hit.tolist(), col[hit].tolist()):
+        alpha[basic[r]] += c * d
 
 
 def update(cfg: Configuration, vid: int, value: float) -> None:
@@ -127,13 +166,8 @@ def update(cfg: Configuration, vid: int, value: float) -> None:
     basics whose rows mention it."""
     d = value - cfg.alpha[vid]
     cfg.alpha[vid] = value
-    if d == 0.0:
-        return
-    alpha = cfg.alpha
-    for b, r in cfg.rows.items():
-        c = r.get(vid)
-        if c is not None:
-            alpha[b] += c * d
+    if d != 0.0:
+        _shift(cfg, cfg.T[:, vid], d)
 
 
 def pivot(cfg: Configuration, leaving: int, entering: int, value: float | None = None) -> None:
@@ -142,11 +176,14 @@ def pivot(cfg: Configuration, leaving: int, entering: int, value: float | None =
 
     The entering variable moves by d = (value - alpha[leaving]) / a, where a
     is its coefficient in the leaving row, and each basic whose row holds it
-    by c x d. With value None the assignment is left as it is. Mutates cfg
-    in place; the solution set is unchanged.
+    by c x d. With value None the assignment is left as it is. The tableau
+    takes one rank-1 update, T += (entering column) x (new row), and drops
+    the coefficients it leaves within COEF_EPS of zero. Mutates cfg in
+    place; the solution set is unchanged.
     """
-    row = cfg.rows[leaving]
-    a = row.get(entering, 0.0)
+    T = cfg.T
+    r = cfg.pos[leaving]
+    a = T.item(r, entering)
     if abs(a) <= EPS_PIVOT:
         raise PivotError(f"pivot coefficient {a!r} for ({leaving}, {entering})")
     alpha = cfg.alpha
@@ -155,63 +192,67 @@ def pivot(cfg: Configuration, leaving: int, entering: int, value: float | None =
         d = (value - alpha[leaving]) / a
         alpha[leaving] = value
         alpha[entering] += d
-    new_row = {leaving: 1.0 / a}
-    for k, c in row.items():
-        if k == entering:
-            continue
-        v = -c / a
-        if abs(v) > COEF_EPS:
-            new_row[k] = v
-    del cfg.rows[leaving]
-    for b, r in cfg.rows.items():
-        c = r.pop(entering, 0.0)
-        if c == 0.0:
-            continue
-        alpha[b] += c * d
-        for k, v in new_row.items():
-            w = r.get(k, 0.0) + c * v
-            if abs(w) > COEF_EPS:
-                r[k] = w
-            elif k in r:
-                del r[k]
-    cfg.rows[entering] = new_row
+    new = T[r] / -a
+    new[entering] = 0.0
+    new[np.abs(new) <= COEF_EPS] = 0.0
+    new[leaving] = 1.0 / a
+    col = T[:, entering].copy()
+    col[r] = 0.0
+    _shift(cfg, col, d)
+    T[:, entering] = 0.0
+    T += col[:, None] * new
+    T[np.abs(T) <= COEF_EPS] = 0.0
+    T[r] = new
+    cfg.basic[r] = entering
+    del cfg.pos[leaving]
+    cfg.pos[entering] = r
+
+
+def row_intervals(cfg: Configuration, basics: list[int]) -> list[list[float]]:
+    """Interval-arithmetic ranges [lows, highs] of the right-hand sides of
+    the rows of `basics` under l, u, by one product over those rows: each
+    coefficient c takes c*l and c*u in the order its sign gives, and each
+    row adds its terms one by one in id order. A zero coefficient adds 0,
+    even against an infinite bound."""
+    C = cfg.T[[cfg.pos[b] for b in basics]]
+    lh = np.array((cfg.lo, cfg.hi))
+    ends = np.where(C > 0.0, lh[:, None, :], lh[::-1, None, :])
+    terms = np.multiply(C, ends, out=np.zeros_like(ends), where=C != 0.0)
+    return np.add.accumulate(terms, axis=2)[:, :, -1].tolist()
 
 
 def row_interval(cfg: Configuration, basic: int) -> tuple[float, float]:
     """Interval-arithmetic range of a row's right-hand side under l, u."""
-    lo = hi = 0.0
-    for k, c in cfg.rows[basic].items():
-        if c > 0:
-            lo += c * cfg.lo[k]
-            hi += c * cfg.hi[k]
-        else:
-            lo += c * cfg.hi[k]
-            hi += c * cfg.lo[k]
+    [lo], [hi] = row_intervals(cfg, [basic])
     return lo, hi
+
+
+def _unsat(cfg: Configuration, b: int, rlo: float, rhi: float) -> bool:
+    return cfg.lo[b] > rhi + EPS_BOUND or cfg.hi[b] < rlo - EPS_BOUND
 
 
 def row_unsat(cfg: Configuration, basic: int) -> bool:
     """Does this row contradict its basic variable's bounds with margin >
     EPS_BOUND?"""
-    rlo, rhi = row_interval(cfg, basic)
-    return cfg.lo[basic] > rhi + EPS_BOUND or cfg.hi[basic] < rlo - EPS_BOUND
+    return _unsat(cfg, basic, *row_interval(cfg, basic))
 
 
 def check_unsat_rows(cfg: Configuration) -> int | None:
     """Basic id of the lowest row that contradicts its bounds, else None.
 
     Only basics outside their bounds by more than EPS_BOUND are tested, the
-    ones `bound_violation` scans: while every non-basic is inside its bounds
-    the assignment is a point of each row's interval, so the row of a basic
-    within EPS_BOUND of its bounds passes `row_unsat`, whose margin is the
-    same.
+    ones `bound_violation` scans, with one interval product over their rows:
+    while every non-basic is inside its bounds the assignment is a point of
+    each row's interval, so the row of a basic within EPS_BOUND of its
+    bounds passes `row_unsat`, whose margin is the same.
     """
     lo, hi, alpha = cfg.lo, cfg.hi, cfg.alpha
-    for b in sorted(cfg.rows):
-        a = alpha[b]
-        if (a < lo[b] - EPS_BOUND or a > hi[b] + EPS_BOUND) and row_unsat(cfg, b):
-            return b
-    return None
+    out = sorted(b for b in cfg.basic
+                 if alpha[b] < lo[b] - EPS_BOUND or alpha[b] > hi[b] + EPS_BOUND)
+    if not out:
+        return None
+    rlo, rhi = row_intervals(cfg, out)
+    return next((b for b, l, h in zip(out, rlo, rhi) if _unsat(cfg, b, l, h)), None)
 
 
 def certificate(cfg: Configuration, b: int) -> Certificate:
@@ -223,7 +264,7 @@ def certificate(cfg: Configuration, b: int) -> Certificate:
     slack, 0 for any other basic one (left out).
     """
     eq = cfg.equations
-    out = [(*eq[k], -c) for k, c in cfg.rows[b].items() if k in eq]
+    out = [(*eq[k], -c) for k, c in cfg.row(b).items() if k in eq]
     if b in eq:
         out.append((*eq[b], 1.0))
     return tuple(sorted(out))
@@ -242,7 +283,7 @@ def bound_violation(cfg: Configuration):
     Returns (basic id, need_up) or None. Non-basic variables satisfy their
     bounds by construction (clamped whenever bounds change).
     """
-    for b in sorted(cfg.rows):
+    for b in sorted(cfg.basic):
         a = cfg.alpha[b]
         if a < cfg.lo[b] - EPS_BOUND:
             return b, True
@@ -251,21 +292,22 @@ def bound_violation(cfg: Configuration):
     return None
 
 
-def entering_for(cfg: Configuration, row: dict[int, float], need_up: bool) -> int | None:
-    """Bland-style entering choice: lowest-id non-basic in the row whose
-    coefficient sign permits moving the row's value the needed way and
-    whose own bound in that movement direction is not saturated."""
-    for k in sorted(row):
-        c = row[k]
+def entering_for(cfg: Configuration, row: np.ndarray, need_up: bool) -> int | None:
+    """Bland-style entering choice: lowest-id non-basic in the row (a
+    coefficient vector over all ids) whose coefficient sign permits moving
+    the row's value the needed way and whose own bound in that movement
+    direction is not saturated."""
+    alpha, lo, hi = cfg.alpha, cfg.lo, cfg.hi
+    coef = row.tolist()
+    for k in row.nonzero()[0].tolist():
+        c = coef[k]
         if abs(c) <= EPS_PIVOT:
             continue
-        increase_k = (c > 0) == need_up
-        if increase_k:
-            if cfg.alpha[k] < cfg.hi[k]:
+        if (c > 0) == need_up:
+            if alpha[k] < hi[k]:
                 return k
-        else:
-            if cfg.alpha[k] > cfg.lo[k]:
-                return k
+        elif alpha[k] > lo[k]:
+            return k
     return None
 
 
@@ -276,11 +318,11 @@ def set_variable(cfg: Configuration, vid: int, value: float) -> bool:
     if value < lo - EPS_RELU or value > hi + EPS_RELU:
         return False
     value = min(max(value, lo), hi)
-    if vid in cfg.rows:
+    if vid in cfg.pos:
         d = value - cfg.alpha[vid]
         if abs(d) <= EPS_RELU / 2:
             return False
-        ent = entering_for(cfg, cfg.rows[vid], d > 0)
+        ent = entering_for(cfg, cfg.T[cfg.pos[vid]], d > 0)
         if ent is None:
             return False
         pivot(cfg, vid, ent, value)
@@ -310,7 +352,7 @@ def bound_step(cfg: Configuration) -> Progress | Stuck | None:
     if bv is None:
         return None
     b, need_up = bv
-    ent = entering_for(cfg, cfg.rows[b], need_up)
+    ent = entering_for(cfg, cfg.T[cfg.pos[b]], need_up)
     if ent is None:
         return Stuck(stuck_row=b) if resolve_violation(cfg, b, need_up) else PROGRESS
     pivot(cfg, b, ent, cfg.lo[b] if need_up else cfg.hi[b])
@@ -368,8 +410,9 @@ def equation(net, prop, kind, i, lo, hi):
     (terms, slack_lo, slack_hi): slack = sum(c * x for x, c in terms).
 
     This is the one definition of each equation. The search tableau
-    (`initialize`, `bound_maps`), the branch LP's chord rows (`lp.build`)
-    and the certificate test (`lp.certificate_refutes`) all read it:
+    and its slack bounds (`encode`, `refresh_bounds`), the branch LP's chord
+    rows (`lp.build`) and the certificate test (`lp.certificate_refutes`)
+    all read it:
 
         aff    s = W.prev - pre    s in [-b, -b]
         relu   s = post - pre      s in [max(0,-u), max(0,-l)]
@@ -385,7 +428,7 @@ def equation(net, prop, kind, i, lo, hi):
     single-output constraints (`neuron_bounds`). A chord exists for an
     uncertain ReLU (l < 0 < u); over any other interval it is the trivial
     equation s = 0 with s free, which shows nothing. An affine equation's
-    terms keep its zero weights, which `initialize` leaves out of its row.
+    terms keep its zero weights, which `encode` leaves out of its row.
     """
     lay = net.layout
     if kind == AFF:
@@ -424,16 +467,6 @@ def encoded_equations(net, prop) -> dict[int, tuple[str, int]]:
     return out
 
 
-def bound_maps(net, prop, bounds, equations):
-    """Variable bounds of the tableau: the neuron intervals of `bounds`,
-    each output's tightened by the single-output constraints, and the
-    interval of each slack of `equations` (`equation`)."""
-    lo, hi = neuron_bounds(net, prop, bounds)
-    for sid, (kind, i) in equations.items():
-        _, lo[sid], hi[sid] = equation(net, prop, kind, i, lo, hi)
-    return lo, hi
-
-
 def neuron_bounds(net, prop, bounds):
     """Copies of the neuron intervals of `bounds`, each output's tightened
     by the constraints over that output alone: a*y >= c bounds y by c/a."""
@@ -450,13 +483,18 @@ def neuron_bounds(net, prop, bounds):
 
 
 def initialize(net, prop, bounds) -> Configuration:
-    """Standard encoding: one row per equation of `encoded_equations`,
-    solved for the pre-activation of an affine one and for the slack of
-    any other; bounds from the neuron intervals of `bounds`; non-basics
-    start at their lower bound."""
+    """Standard encoding: the search tableau of the equations of
+    `encoded_equations` (`encode`)."""
+    return encode(net, prop, bounds, encoded_equations(net, prop))
+
+
+def encode(net, prop, bounds, equations) -> Configuration:
+    """One row per equation of `equations` (slack id -> (kind, index)), in
+    its order, solved for the pre-activation of an affine one and for the
+    slack of any other; bounds from the neuron intervals of `bounds`;
+    non-basics start at their lower bound."""
     if not prop.constraints:
         raise ValueError("empty negation is decided before encoding")
-    equations = encoded_equations(net, prop)
     lo, hi = neuron_bounds(net, prop, bounds)
     rows: dict[int, dict[int, float]] = {}
     for sid, (kind, i) in equations.items():
@@ -477,11 +515,23 @@ def initialize(net, prop, bounds) -> Configuration:
 def refresh_bounds(cfg: Configuration, net, prop, bounds) -> None:
     """Replace cfg's bounds with freshly analyzed ones (same variable set),
     clamp non-basics back into range, and re-solve the basics. Violation
-    counters restart: they score the upcoming local search only."""
-    cfg.lo, cfg.hi = lo, hi = bound_maps(net, prop, bounds, cfg.equations)
-    for v in cfg.alpha:
-        if v not in cfg.rows:
-            cfg.alpha[v] = min(max(cfg.alpha[v], lo[v]), hi[v])
+    counters restart: they score the upcoming local search only.
+
+    Each slack's interval is its `equation`'s over the new neuron
+    intervals, except an affine slack's, [-b, -b], which reads no interval:
+    it keeps the one `equation` gave it at encoding."""
+    new_lo, new_hi = neuron_bounds(net, prop, bounds)
+    lo, hi = list(cfg.lo), list(cfg.hi)
+    for v, x in new_lo.items():
+        lo[v], hi[v] = x, new_hi[v]
+    for sid, (kind, i) in cfg.equations.items():
+        if kind != AFF:
+            _, lo[sid], hi[sid] = equation(net, prop, kind, i, lo, hi)
+    cfg.lo, cfg.hi = lo, hi
+    alpha, pos = cfg.alpha, cfg.pos
+    for v, a in enumerate(alpha):
+        if v not in pos:
+            alpha[v] = min(max(a, lo[v]), hi[v])
     recompute(cfg)
     cfg.violations = {pre: 0 for pre, _ in cfg.relu_pairs}
 
@@ -493,18 +543,17 @@ def dump(cfg: Configuration, title: str | None = None) -> str:
         return f"x{v + 1}"
 
     lines = [] if title is None else [f"[{title}]"]
-    for b in sorted(cfg.rows):
+    for b in sorted(cfg.pos):
         terms = []
-        for k in sorted(cfg.rows[b]):
-            c = cfg.rows[b][k]
+        for k, c in cfg.row(b).items():
             sign = "-" if c < 0 else ("+" if terms else "")
             mag = abs(c)
             coef = "" if abs(mag - 1.0) < 1e-12 else f"{mag:g}*"
             terms.append(f"{sign} {coef}{name(k)}".strip())
         lines.append(f"{name(b)} = " + " ".join(terms) if terms else f"{name(b)} = 0")
     lines.append("")
-    for v in sorted(cfg.lo):
-        mark = "B" if v in cfg.rows else " "
+    for v in range(len(cfg.lo)):
+        mark = "B" if v in cfg.pos else " "
         lines.append(
             f"{mark} {name(v):>6}  in [{cfg.lo[v]:.6g}, {cfg.hi[v]:.6g}]  alpha={cfg.alpha[v]:.6g}"
         )

@@ -102,7 +102,7 @@ def search(net, prop, tree, nid, bounds, parent=None):
         cfg = parent.copy()
         refresh_bounds(cfg, net, prop, bounds)
     candidates = _uncertain(net.layout, bounds)
-    steps_left = LP_ITER_FACTOR * (len(cfg.rows) + len(cfg.lo))
+    steps_left = LP_ITER_FACTOR * (len(cfg.basic) + len(cfg.lo))
     while (row := check_unsat_rows(cfg)) is None:
         if max(cfg.violations.values(), default=0) >= SPLIT_THRESHOLD or not steps_left:
             break

@@ -63,19 +63,19 @@ def random_configuration(rng) -> Configuration:
 def _row_solutions(cfg: Configuration, rng, count: int = 4) -> list[dict[int, float]]:
     """Arbitrary solutions of the row equations (bounds intentionally
     ignored: the preservation claim is about the equation system)."""
-    nonbasics = [v for v in cfg.lo if v not in cfg.rows]
+    nonbasics = [v for v in range(len(cfg.lo)) if v not in cfg.pos]
     sols = []
     for _ in range(count):
         s = {v: float(rng.uniform(-3.0, 3.0)) for v in nonbasics}
-        for b, row in cfg.rows.items():
-            s[b] = sum(c * s[k] for k, c in row.items())
+        for b in cfg.basic:
+            s[b] = sum(c * s[k] for k, c in cfg.row(b).items())
         sols.append(s)
     return sols
 
 
 def _satisfies_rows(cfg: Configuration, sol: dict[int, float], tol: float = 1e-6) -> bool:
-    for b, row in cfg.rows.items():
-        rhs = sum(c * sol[k] for k, c in row.items())
+    for b in cfg.basic:
+        rhs = sum(c * sol[k] for k, c in cfg.row(b).items())
         if abs(sol[b] - rhs) > tol * (1.0 + abs(sol[b])):
             return False
     return True
@@ -87,12 +87,12 @@ def pivot_preservation(trials: int = 1000, seed: int = 101) -> int:
     for _ in range(trials):
         cfg = random_configuration(rng)
         sols = _row_solutions(cfg, rng)
-        basics = sorted(cfg.rows)
+        basics = sorted(cfg.pos)
         b = basics[int(rng.integers(len(basics)))]
-        cols = sorted(cfg.rows[b])
+        cols = sorted(cfg.row(b))
         e = cols[int(rng.integers(len(cols)))]
         pivot(cfg, b, e)
-        if b in cfg.rows or e not in cfg.rows:
+        if b in cfg.pos or e not in cfg.pos:
             bad += 1
             continue
         recompute(cfg)
@@ -100,7 +100,7 @@ def pivot_preservation(trials: int = 1000, seed: int = 101) -> int:
             bad += 1
             continue
         # the assignment must still solve the (pivoted) row system
-        live = {v: cfg.alpha[v] for v in cfg.lo}
+        live = dict(enumerate(cfg.alpha))
         if not _satisfies_rows(cfg, live):
             bad += 1
     return bad
@@ -259,9 +259,9 @@ def relaxation_soundness(points: int = 1000, seed: int = 505) -> int:
         relax = lp.build(net, prop, bounds)
 
         # snapshot before phase 1 runs: pivoting re-keys the rows
-        rows0 = {b: dict(r) for b, r in relax.cfg.rows.items()}
-        lo0 = dict(relax.cfg.lo)
-        hi0 = dict(relax.cfg.hi)
+        rows0 = {b: relax.cfg.row(b) for b in relax.cfg.basic}
+        lo0 = list(relax.cfg.lo)
+        hi0 = list(relax.cfg.hi)
         prop_vars = set(lay.output_ids) | {
             sid for sid, (kind, _) in relax.cfg.equations.items() if kind == "prop"}
         feasible = lp.feasible(relax)
@@ -279,7 +279,7 @@ def relaxation_soundness(points: int = 1000, seed: int = 505) -> int:
                 continue
             checked += 1
             point = _relaxation_point(net, prop, bounds, relax, vals)
-            if set(point) != set(lo0):
+            if set(point) != set(range(len(lo0))):
                 bad += 1
                 continue
             for b, row in rows0.items():

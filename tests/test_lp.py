@@ -10,9 +10,7 @@ from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze
 from incremark.model import LinearConstraint, Network, SafetyProperty, forward_values
 from incremark.simplex import (
     Configuration,
-    bound_maps,
     certificate,
-    encoded_equations,
     initialize,
     recompute,
 )
@@ -29,7 +27,7 @@ def test_build_uses_clamped_intervals(demo_net, demo_prop):
     assert r.cfg.lo[6] == 0.3            # single-output property: direct bound
     assert r.cfg.hi[6] == 1.28
     # the search tableau's 3 affine and 2 relu rows, plus 2 chord rows
-    assert len(r.cfg.rows) == 3 + 2 + 2
+    assert len(r.cfg.basic) == 3 + 2 + 2
     assert r.cap == lp.LP_ITER_FACTOR * (7 + 14)
     assert r.status is None              # phase 1 not run yet
 
@@ -38,11 +36,11 @@ def test_build_decided_relu_rows(demo_net, demo_prop):
     r = demo_relax(demo_net, demo_prop, [Assertion(3, NONPOS)])
     # the off unit has no chord; its post variable is pinned to zero
     assert r.cfg.lo[5] == 0.0 and r.cfg.hi[5] == 0.0
-    assert len(r.cfg.rows) == 3 + 2 + 1
+    assert len(r.cfg.basic) == 3 + 2 + 1
     r2 = demo_relax(demo_net, demo_prop, [Assertion(3, NONNEG)])
     # the on unit has no chord; its slack post - pre is pinned to zero
     assert (r2.cfg.lo[8], r2.cfg.hi[8]) == (0.0, 0.0)
-    assert len(r2.cfg.rows) == 3 + 2 + 1
+    assert len(r2.cfg.basic) == 3 + 2 + 1
 
 
 def test_build_is_search_tableau_plus_chord_rows():
@@ -67,15 +65,16 @@ def test_build_is_search_tableau_plus_chord_rows():
         cfg = initialize(net, prop, bounds)
         relax = lp.build(net, prop, bounds)
         first = lay.n_vars + sum(kind == "prop" for kind, _ in cfg.equations.values())
-        chords = sorted(set(relax.cfg.rows) - set(cfg.rows))
+        chords = sorted(set(relax.cfg.pos) - set(cfg.pos))
         assert chords == list(range(first, first + len(uncertain)))
-        assert {b: relax.cfg.rows[b] for b in cfg.rows} == cfg.rows
-        assert {v: relax.cfg.lo[v] for v in cfg.lo} == cfg.lo
-        assert {v: relax.cfg.hi[v] for v in cfg.hi} == cfg.hi
+        assert all(relax.cfg.row(b) == cfg.row(b) for b in cfg.pos)
+        assert relax.cfg.lo[:len(cfg.lo)] == cfg.lo
+        assert relax.cfg.hi[:len(cfg.hi)] == cfg.hi
         # each chord row, at any assignment of the non-basics, equals
         # post - k.pre with pre solved from its affine row
-        point = {v: float(rng.normal()) for v in cfg.alpha if v not in cfg.rows}
-        val = Configuration(relax.cfg.rows, relax.cfg.lo, relax.cfg.hi, point, [], [])
+        point = {v: float(rng.normal()) for v in range(len(cfg.alpha)) if v not in cfg.pos}
+        rows = {b: relax.cfg.row(b) for b in relax.cfg.basic}
+        val = Configuration(rows, relax.cfg.lo, relax.cfg.hi, point, [], [])
         recompute(val)
         for sid, (pre, post) in zip(chords, uncertain):
             l, u = bounds.lo[pre], bounds.hi[pre]
@@ -162,9 +161,9 @@ def test_every_row_is_its_certificates_sum(shape, seed, n_out):
         lp.phase1(r)  # pivots the rows away from their encoded form
         kinds = {kind for kind, _ in r.cfg.equations.values()}
         assert kinds == ({"aff", "relu", "chord", "prop"} if n_out > 1 else {"aff", "relu", "chord"})
-        v = {k: float(x) for k, x in zip(sorted(r.cfg.lo), rng.normal(size=len(r.cfg.lo)))}
-        for b, row in r.cfg.rows.items():
-            lhs = v[b] - sum(c * v[k] for k, c in row.items())
+        v = dict(enumerate(rng.normal(size=len(r.cfg.lo)).tolist()))
+        for b in r.cfg.basic:
+            lhs = v[b] - sum(c * v[k] for k, c in r.cfg.row(b).items())
             rhs = sum(y * _equation_residual(net, prop, r.cfg, bounds, kind, i, v)
                       for kind, i, y in certificate(r.cfg, b))
             assert rhs == pytest.approx(lhs, abs=1e-9)
@@ -184,11 +183,11 @@ def test_infeasible_branch_certificate_closes_it(demo_net, unsat_prop, fprime):
 
 def _refutes_over_all_bounds(net, prop, bounds, cert):
     """Reference for lp.certificate_refutes: the same test over every
-    variable bound of the tableau, built by simplex.bound_maps."""
+    variable bound of the search tableau, built by simplex.initialize."""
     lay = net.layout
-    equations = encoded_equations(net, prop)
-    slacks = {i: sid for sid, (kind, i) in equations.items() if kind == "prop"}
-    lo, hi = bound_maps(net, prop, bounds, equations)
+    cfg = initialize(net, prop, bounds)
+    slacks = {i: sid for sid, (kind, i) in cfg.equations.items() if kind == "prop"}
+    lo, hi = cfg.lo, cfg.hi
     coef, rlo, rhi = {}, 0.0, 0.0
     for kind, i, y in cert:
         if kind == "chord":
@@ -244,7 +243,7 @@ def test_certificate_refutes_reads_only_the_bounds_it_needs(shape, n_out):
                 continue
             r = lp.build(net, prop, bounds)
             lp.phase1(r)
-            for b in r.cfg.rows:
+            for b in r.cfg.basic:
                 cert = certificate(r.cfg, b)
                 for scale in (1.0, -3.0):
                     scaled = tuple((k, i, scale * y) for k, i, y in cert)
@@ -306,14 +305,14 @@ def test_ratio_test_ties_within_an_ulp_go_to_the_lowest_basic():
     recompute(cfg)
     relax = lp.Relaxation(cfg, cap=10, status=lp.FEASIBLE)
     assert lp._optimize(relax, 0, maximize=True) == 1.0
-    assert 1 not in cfg.rows and 2 in cfg.rows
+    assert 1 not in cfg.pos and 2 in cfg.pos
     # a tie with the entering variable's own bound goes to the bound flip,
     # though the row blocks one ulp earlier
     cfg = Configuration({1: {0: 1.0}}, {0: 0.0, 1: 0.0}, {0: 1.0, 1: top}, {0: 0.0}, [], [0])
     recompute(cfg)
     relax = lp.Relaxation(cfg, cap=10, status=lp.FEASIBLE)
     assert lp._optimize(relax, 0, maximize=True) == 1.0
-    assert 1 in cfg.rows
+    assert 1 in cfg.pos
 
 
 def test_tighten_never_widens(demo_net, demo_prop):

@@ -1,9 +1,13 @@
+import math
+import warnings
+
+import numpy as np
 import pytest
 
 import _suites
 from incremark import lp, solver
 from incremark.bench import Perturbation, perturb, random_network, random_threshold_property
-from incremark.constants import EPS_ROW
+from incremark.constants import COEF_EPS, EPS_ROW
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze
 from incremark.incremental import verify_incremental
 from incremark.model import LinearConstraint, Network, SafetyProperty
@@ -44,12 +48,12 @@ def small_cfg(rows, lo, hi, alpha):
 
 def test_initialize_demo_tableau(demo_net, demo_prop):
     cfg = demo_cfg(demo_net, demo_prop)
-    assert sorted(cfg.rows) == [2, 3, 6, 7, 8]
-    assert cfg.rows[2] == {0: 0.2, 1: -0.7, 9: -1.0}
-    assert cfg.rows[3] == {0: 0.8, 1: -0.8, 10: -1.0}
-    assert cfg.rows[6] == {4: 0.4, 5: 0.6, 11: -1.0}
-    assert cfg.rows[7] == {0: -0.2, 1: 0.7, 4: 1.0, 9: 1.0}
-    assert cfg.rows[8] == {0: -0.8, 1: 0.8, 5: 1.0, 10: 1.0}
+    assert sorted(cfg.pos) == [2, 3, 6, 7, 8]
+    assert cfg.row(2) == {0: 0.2, 1: -0.7, 9: -1.0}
+    assert cfg.row(3) == {0: 0.8, 1: -0.8, 10: -1.0}
+    assert cfg.row(6) == {4: 0.4, 5: 0.6, 11: -1.0}
+    assert cfg.row(7) == {0: -0.2, 1: 0.7, 4: 1.0, 9: 1.0}
+    assert cfg.row(8) == {0: -0.8, 1: 0.8, 5: 1.0, 10: 1.0}
     assert "prop" not in {kind for kind, _ in cfg.equations.values()}
 
 
@@ -64,7 +68,7 @@ def test_initialize_demo_slack_intervals(demo_net, demo_prop):
     assert (cfg.lo[9], cfg.hi[9]) == (0.1, 0.1)
     assert (cfg.lo[10], cfg.hi[10]) == (-0.0, -0.0)
     assert (cfg.lo[11], cfg.hi[11]) == (-0.0, -0.0)
-    assert sorted(cfg.lo) == list(range(12))
+    assert len(cfg.lo) == len(cfg.hi) == 12
     # refresh_bounds derives them the same way from new neuron intervals
     refresh_bounds(cfg, demo_net, demo_prop, analyze(demo_net, BOX, [Assertion(3, NONNEG)]))
     assert (cfg.lo[8], cfg.hi[8]) == (0.0, 0.0)
@@ -96,7 +100,7 @@ def test_initialize_multi_output_property_slack():
     assert cfg.equations[sid] == ("prop", 0)
     # outputs are themselves basic, so the slack row is pre-substituted down
     # to inputs and affine slacks
-    assert cfg.rows[sid] == {0: 1.0, 1: -1.0, 4: -1.0, 5: 1.0}
+    assert cfg.row(sid) == {0: 1.0, 1: -1.0, 4: -1.0, 5: 1.0}
     assert cfg.lo[sid] == 0.25
     assert cfg.hi[sid] == 1.0  # interval ub of y1 - y2
 
@@ -104,16 +108,16 @@ def test_initialize_multi_output_property_slack():
 def test_pivot_demo_sequence(demo_net, demo_prop):
     cfg = demo_cfg(demo_net, demo_prop)
     pivot(cfg, 7, 4)
-    assert sorted(cfg.rows) == [2, 3, 4, 6, 8]
-    assert cfg.rows[4] == {0: 0.2, 1: -0.7, 7: 1.0, 9: -1.0}
+    assert sorted(cfg.pos) == [2, 3, 4, 6, 8]
+    assert cfg.row(4) == {0: 0.2, 1: -0.7, 7: 1.0, 9: -1.0}
     # the substitution reaches every row that mentioned the entering variable
-    assert cfg.rows[6] == {
+    assert cfg.row(6) == {
         0: 0.08000000000000002, 1: -0.27999999999999997, 5: 0.6,
         7: 0.4, 9: -0.4, 11: -1.0,
     }
     pivot(cfg, 6, 5)
-    assert sorted(cfg.rows) == [2, 3, 4, 5, 8]
-    assert cfg.rows[5] == {
+    assert sorted(cfg.pos) == [2, 3, 4, 5, 8]
+    assert cfg.row(5) == {
         0: -0.13333333333333336, 1: 0.4666666666666666, 6: 1.6666666666666667,
         7: -0.6666666666666667, 9: 0.6666666666666667, 11: 1.6666666666666667,
     }
@@ -124,13 +128,13 @@ def test_pivot_and_update_moves_leaving_to_value(demo_net, demo_prop):
     pivot(cfg, 7, 4, 0.25)
     assert cfg.alpha[7] == 0.25
     # the column update keeps every row solved without a re-solve
-    for b in cfg.rows:
+    for b in cfg.basic:
         assert cfg.alpha[b] == pytest.approx(cfg.row_value(b), abs=1e-12)
 
 
 def test_update_shifts_only_rows_that_mention_the_variable(demo_net, demo_prop):
     cfg = demo_cfg(demo_net, demo_prop)
-    before = dict(cfg.alpha)
+    before = list(cfg.alpha)
     update(cfg, 4, 0.5)                        # x5 appears in rows 6 and 7
     assert cfg.alpha[4] == 0.5
     assert cfg.alpha[6] == pytest.approx(before[6] + 0.4 * (0.5 - before[4]))
@@ -169,15 +173,34 @@ def test_row_unsat_margins():
 
 
 def test_check_unsat_rows_picks_lowest_basic():
+    # variables are numbered densely: x0 is free and in no row
     cfg = small_cfg(
         {3: {1: 1.0}, 2: {1: 1.0}},
-        {1: 0.0, 2: 5.0, 3: 5.0},
-        {1: 1.0, 2: 6.0, 3: 6.0},
-        {1: 0.0},
+        {0: 0.0, 1: 0.0, 2: 5.0, 3: 5.0},
+        {0: 1.0, 1: 1.0, 2: 6.0, 3: 6.0},
+        {0: 0.0, 1: 0.0},
     )
     assert check_unsat_rows(cfg) == 2
-    ok = small_cfg({2: {1: 1.0}}, {1: 0.0, 2: 0.0}, {1: 1.0, 2: 1.0}, {1: 0.0})
+    ok = small_cfg({2: {1: 1.0}}, {0: 0.0, 1: 0.0, 2: 0.0}, {0: 1.0, 1: 1.0, 2: 1.0},
+                   {0: 0.0, 1: 0.0})
     assert check_unsat_rows(ok) is None
+
+
+def test_row_test_ignores_an_unmentioned_infinite_bound():
+    """A row that does not mention a variable with an infinite bound (a
+    chord slack's is [-inf, -k.l]) gets the same interval and the same row
+    test answer as the row without that variable, and no NaN warning."""
+
+    def mk(extra):
+        lo, hi, alpha = {0: -1.0, 1: 0.5, 2: 3.0}, {0: 2.0, 1: 1.0, 2: 4.0}, {0: -1.0, 1: 0.5}
+        if extra:
+            lo[3], hi[3], alpha[3] = -math.inf, -0.5, -1.0
+        return small_cfg({2: {0: 1.0, 1: -2.0}}, lo, hi, alpha)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [(row_interval(c, 2), check_unsat_rows(c)) for c in (mk(False), mk(True))]
+    assert got[0] == got[1] == ((-1.0 - 2.0, 2.0 - 1.0), 2)
 
 
 def test_bound_violation_direction_and_order():
@@ -202,7 +225,7 @@ def test_entering_for_bland_and_saturation():
         {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0},
         {0: 0.0, 1: 1.0, 2: 0.0},
     )
-    row = cfg.rows[3]
+    row = cfg.T[cfg.pos[3]]
     assert entering_for(cfg, row, True) == 0     # lowest eligible id
     cfg.alpha[0] = 1.0                            # saturate upward move of x1
     assert entering_for(cfg, row, True) == 1     # negative coef, x2 can decrease
@@ -224,7 +247,7 @@ def test_repair_step_bound_fix():
     out = repair_step(cfg)
     assert isinstance(out, Progress)
     assert cfg.alpha[2] == 0.5
-    assert sorted(cfg.rows) == [0]             # x1 entered the basis
+    assert sorted(cfg.pos) == [0]              # x1 entered the basis
     assert cfg.alpha[0] == 0.5
     assert bound_violation(cfg) is None
 
@@ -289,7 +312,7 @@ def test_set_variable_cases():
     assert cfg.alpha[0] == 0.9
     assert cfg.alpha[2] == pytest.approx(1.1)
     assert set_variable(cfg, 2, 0.5)           # basic: pivots out first
-    assert 2 not in cfg.rows
+    assert 2 not in cfg.pos
     assert cfg.alpha[2] == 0.5
 
 
@@ -334,6 +357,53 @@ def test_row_checker_matches_corner_oracle():
     assert _suites.row_checker_vs_corners(1000) == 0
 
 
+def _pivot_reference(rows, leaving, entering):
+    """The pivot's substitution as a loop over {id: coefficient} rows."""
+    row = rows.pop(leaving)
+    a = row[entering]
+    new = {leaving: 1.0 / a}
+    for k, c in row.items():
+        if k != entering and abs(-c / a) > COEF_EPS:
+            new[k] = -c / a
+    for r in rows.values():
+        c = r.pop(entering, 0.0)
+        if c == 0.0:
+            continue
+        for k, v in new.items():
+            w = r.get(k, 0.0) + c * v
+            if abs(w) > COEF_EPS:
+                r[k] = w
+            else:
+                r.pop(k, None)
+    rows[entering] = new
+
+
+def _interval_reference(cfg, b):
+    lo = hi = 0.0
+    for k, c in cfg.row(b).items():
+        lo += c * (cfg.lo[k] if c > 0 else cfg.hi[k])
+        hi += c * (cfg.hi[k] if c > 0 else cfg.lo[k])
+    return lo, hi
+
+
+def test_array_rows_match_the_loop_reference():
+    """The rank-1 pivot gives exactly the rows of the loop substitution, and
+    the row test's interval product exactly the intervals of a loop that
+    adds each row's terms in id order."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        cfg = _suites.random_configuration(rng)
+        rows = {b: cfg.row(b) for b in cfg.basic}
+        for _ in range(3):
+            b = sorted(rows)[int(rng.integers(len(rows)))]
+            e = sorted(rows[b])[int(rng.integers(len(rows[b])))]
+            pivot(cfg, b, e)
+            _pivot_reference(rows, b, e)
+            assert {b: cfg.row(b) for b in cfg.basic} == rows
+            for b in cfg.basic:
+                assert row_interval(cfg, b) == _interval_reference(cfg, b)
+
+
 # -- incremental assignment invariants over seeded searches ------------------
 
 def _instances(demo_net, demo_prop):
@@ -346,15 +416,15 @@ def _instances(demo_net, demo_prop):
 
 
 def _exact(cfg, vid):
-    return cfg.row_value(vid) if vid in cfg.rows else cfg.alpha[vid]
+    return cfg.row_value(vid) if vid in cfg.pos else cfg.alpha[vid]
 
 
 def _max_residual(cfg):
-    return max((abs(cfg.alpha[b] - cfg.row_value(b)) for b in cfg.rows), default=0.0)
+    return max((abs(cfg.alpha[b] - cfg.row_value(b)) for b in cfg.basic), default=0.0)
 
 
 def _nonbasics_in_bounds(cfg):
-    return all(cfg.lo[v] <= a <= cfg.hi[v] for v, a in cfg.alpha.items() if v not in cfg.rows)
+    return all(cfg.lo[v] <= a <= cfg.hi[v] for v, a in enumerate(cfg.alpha) if v not in cfg.pos)
 
 
 def _search_all(instances):
@@ -438,7 +508,7 @@ def test_restricted_row_check_matches_full_scan(monkeypatch, demo_net, demo_prop
 
     def both(cfg):
         out = real_check(cfg)
-        assert out == next((b for b in sorted(cfg.rows) if row_unsat(cfg, b)), None)
+        assert out == next((b for b in sorted(cfg.basic) if row_unsat(cfg, b)), None)
         compared[0] += 1
         return out
 

@@ -276,7 +276,7 @@ def test_every_local_search_ends(monkeypatch):
 
     def counted(cfg):
         rec = searches.setdefault(
-            id(cfg), [cfg, 0, LP_ITER_FACTOR * (len(cfg.rows) + len(cfg.lo))])
+            id(cfg), [cfg, 0, LP_ITER_FACTOR * (len(cfg.basic) + len(cfg.lo))])
         rec[1] += 1
         assert rec[1] <= rec[2], "a local search ran past its step cap"
         return repair_step(cfg)
