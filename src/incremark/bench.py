@@ -27,6 +27,7 @@ from .model import (
     SafetyProperty,
     Verdict,
     evaluate,
+    negation_empty,
 )
 from .solver import solve
 
@@ -99,16 +100,14 @@ def oracle(net: Network, prop: SafetyProperty) -> Verdict:
     pres = [pre for pre, _ in lay.relu_pairs]
     if len(pres) > ORACLE_MAX_RELUS:
         raise ValueError(f"oracle limited to {ORACLE_MAX_RELUS} ReLU neurons, got {len(pres)}")
-    if not prop.constraints:
+    if negation_empty(prop):
         return UNSAT
 
     def propagate(signs: dict[int, str]):
-        """Interval propagation with sign clamps; None when a clamp empties
-        an interval."""
-        lo: dict[int, float] = {}
-        hi: dict[int, float] = {}
-        for vid, (l, h) in zip(lay.input_ids, prop.box):
-            lo[vid], hi[vid] = float(l), float(h)
+        """Interval propagation with sign clamps, as lists by variable id;
+        None when a clamp empties an interval."""
+        lo = [float(l) for l, _ in prop.box]
+        hi = [float(h) for _, h in prop.box]
         prev = lay.input_ids
         for li in range(net.n_layers):
             w, b = net.weights[li], net.biases[li]
@@ -130,14 +129,13 @@ def oracle(net: Network, prop: SafetyProperty) -> Verdict:
                     if l > EPS_BOUND:
                         return None
                     l, h = min(l, 0.0), min(h, 0.0)
-                lo[pre], hi[pre] = l, h
+                lo.append(l)
+                hi.append(h)
             if lay.post_ids[li] is not lay.pre_ids[li]:
-                for j, pre in enumerate(lay.pre_ids[li]):
-                    post = lay.post_ids[li][j]
-                    if signs.get(pre) == NONPOS:
-                        lo[post] = hi[post] = 0.0
-                    else:
-                        lo[post], hi[post] = max(0.0, lo[pre]), max(0.0, hi[pre])
+                for pre in lay.pre_ids[li]:
+                    off = signs.get(pre) == NONPOS
+                    lo.append(0.0 if off else max(0.0, lo[pre]))
+                    hi.append(0.0 if off else max(0.0, hi[pre]))
             prev = lay.post_ids[li]
         return lo, hi
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import EPS_BOUND, EPS_COLLAPSE
-from .model import RELU, Network
+from .model import RELU, Network, negation_empty
 from .simplex import AFF, CHORD, PROP, RELU as RELU_EQ, Certificate
 
 NONNEG = "nonneg"
@@ -41,18 +41,17 @@ class Assertion:
 
 @dataclass
 class Bounds:
-    """Concrete intervals per neuron id.
-
-    Covers network neurons only; the tableau derives the bounds of its
-    own variables from these (`simplex.initialize`, `simplex.refresh_bounds`).
-    `infeasible` means the branch is empty; when `analyze` found it so,
-    `emptied` is the assertion that emptied its neuron's pre-activation
-    interval, and the dicts are filled only for the layers before that
-    neuron's.
+    """Concrete intervals as lists by variable id, over the network neurons
+    in the model's id order (inputs, then each layer's pre-activations,
+    then its posts); the tableau appends its own variables' intervals to
+    copies of them (`simplex.encode`). `infeasible` means the branch is
+    empty; when `analyze` found it so, `emptied` is the assertion that
+    emptied its neuron's pre-activation interval, and the lists stop
+    before that neuron's layer.
     """
 
-    lo: dict[int, float] = field(default_factory=dict)
-    hi: dict[int, float] = field(default_factory=dict)
+    lo: list[float] = field(default_factory=list)
+    hi: list[float] = field(default_factory=list)
     output_ids: tuple[int, ...] = ()
     infeasible: bool = False
     emptied: Assertion | None = None
@@ -64,10 +63,11 @@ class Bounds:
 def is_property_refuted(bounds: Bounds, prop) -> bool:
     """True when no point within `bounds` can satisfy the property.
 
-    An empty constraint list is refuted vacuously. Otherwise some conjunct
-    a.y >= c must be interval-impossible: ub(a.y) < c - EPS_BOUND.
+    A negation that is empty on its own (`model.negation_empty`) is refuted
+    vacuously. Otherwise some conjunct a.y >= c must be interval-impossible:
+    ub(a.y) < c - EPS_BOUND.
     """
-    if not prop.constraints:
+    if negation_empty(prop):
         return True
     if bounds.infeasible:
         return True
@@ -96,7 +96,7 @@ def clamp(net: Network, bounds: Bounds, asserts) -> Bounds | None:
     lowers its upper end to 0 and pins its post to [0, 0]. When `bounds`
     contain a region, the result contains the part of it where the
     assertions hold, though less tightly than `analyze` under them."""
-    lo, hi = dict(bounds.lo), dict(bounds.hi)
+    lo, hi = list(bounds.lo), list(bounds.hi)
     for a in asserts:
         v = a.neuron
         if a.sign == NONNEG:
@@ -108,6 +108,13 @@ def clamp(net: Network, bounds: Bounds, asserts) -> Bounds | None:
         if lo[v] > hi[v]:
             return None
     return Bounds(lo, hi, output_ids=bounds.output_ids)
+
+
+def uncertain(lay, bounds: Bounds) -> list[int]:
+    """The ReLU pre-activations whose interval straddles 0 (lo < 0 < hi),
+    in id order: the ones a branch can split and a chord relaxes."""
+    lo, hi = bounds.lo, bounds.hi
+    return [pre for pre, _ in lay.relu_pairs if lo[pre] < 0.0 < hi[pre]]
 
 
 def relaxation(lo, hi):
@@ -145,8 +152,8 @@ def analyze(net: Network, box, asserts=()) -> Bounds:
     hi0 = np.array([b[1] for b in box], dtype=float)
     if len(lo0) != net.n_inputs:
         raise ValueError("box arity does not match the network inputs")
-    res.lo.update(zip(lay.input_ids, lo0.tolist()))
-    res.hi.update(zip(lay.input_ids, hi0.tolist()))
+    res.lo += lo0.tolist()
+    res.hi += hi0.tolist()
 
     # Per processed layer: the relation vectors (lower coef, upper coef,
     # upper const) of post over pre, used during back-substitution.
@@ -187,13 +194,13 @@ def analyze(net: Network, box, asserts=()) -> Bounds:
                 res.emptied = Assertion(lay.pre_ids[li][j], NONNEG if k[n + j] < 0.0 else NONPOS)
                 return res
             lo = np.minimum(lo, hi)  # a tolerance-level crossing collapses to a point
-        res.lo.update(zip(lay.pre_ids[li], lo.tolist()))
-        res.hi.update(zip(lay.pre_ids[li], hi.tolist()))
+        res.lo += lo.tolist()
+        res.hi += hi.tolist()
 
         if net.activations[li] == RELU:
             rel.append(relaxation(lo, hi))
-            res.lo.update(zip(lay.post_ids[li], np.maximum(lo, 0.0).tolist()))
-            res.hi.update(zip(lay.post_ids[li], np.maximum(hi, 0.0).tolist()))
+            res.lo += np.maximum(lo, 0.0).tolist()
+            res.hi += np.maximum(hi, 0.0).tolist()
         else:
             # identity activation: post ids alias the pre ids
             rel.append((np.ones(n), np.ones(n), np.zeros(n)))
@@ -204,9 +211,9 @@ def analyze(net: Network, box, asserts=()) -> Bounds:
 def certificate(net: Network, prop, bounds: Bounds) -> Certificate | None:
     """Multipliers (kind, index, y) of the back-substitution row with which
     `analyze` refuted the branch of `bounds`; None when `bounds` refute
-    nothing or no equation states the refutation (an empty negation, a
-    constraint with no output term, or an output ReLU whose own interval
-    contradicts the property).
+    nothing or no equation states the refutation (a negation empty on its
+    own, a constraint with no output term, or an output ReLU whose own
+    interval contradicts the property).
 
     The row is the refuting bound's back-substitution written as a sum of
     encoded equations, one multiplier per equation it passes through: `aff`

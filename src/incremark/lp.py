@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import COEF_EPS, EPS_BOUND, EPS_LP, LP_ITER_FACTOR
-from .deeppoly import Bounds, analyze
+from .deeppoly import Bounds, analyze, uncertain
 from .model import witness_ok
 from .simplex import (
     CHORD,
@@ -64,10 +64,9 @@ def build(net, prop, bounds: Bounds) -> Relaxation:
     and the oracle's propagation do)."""
     equations = encoded_equations(net, prop)
     sid = max(equations) + 1
-    for pre, _ in net.layout.relu_pairs:
-        if bounds.lo[pre] < 0.0 < bounds.hi[pre]:
-            equations[sid] = (CHORD, pre)
-            sid += 1
+    for pre in uncertain(net.layout, bounds):
+        equations[sid] = (CHORD, pre)
+        sid += 1
     cfg = encode(net, prop, bounds, equations)
     return Relaxation(cfg, LP_ITER_FACTOR * (len(cfg.basic) + len(cfg.lo)))
 

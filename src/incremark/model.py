@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import EPS_SAT
+from .constants import EPS_BOUND, EPS_SAT
 
 NeuronId = int
 
@@ -223,6 +223,31 @@ def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> b
         if float(np.dot(c.coeffs, y)) < c.threshold - eps:
             return False
     return True
+
+
+def output_bounds(prop: SafetyProperty) -> tuple[list[float], list[float]]:
+    """Per output, the interval (lo, hi) that the constraints over that
+    output alone put on it: a*y >= c bounds y by c/a."""
+    n = len(prop.constraints[0].coeffs) if prop.constraints else 0
+    lo, hi = [-math.inf] * n, [math.inf] * n
+    for c in prop.constraints:
+        terms = [(j, a) for j, a in enumerate(c.coeffs) if a != 0.0]
+        if len(terms) == 1:
+            [(j, a)] = terms
+            if a > 0:
+                lo[j] = max(lo[j], c.threshold / a)
+            else:
+                hi[j] = min(hi[j], c.threshold / a)
+    return lo, hi
+
+
+def negation_empty(prop: SafetyProperty) -> bool:
+    """Is the negated property unsatisfiable on its own? True for the empty
+    negation, and when the single-output constraints on one output
+    contradict each other by more than EPS_BOUND (y <= 0.5 and y >= 0.6):
+    no equation states such a clash, so no certificate can show it."""
+    lo, hi = output_bounds(prop)
+    return not prop.constraints or any(l > h + EPS_BOUND for l, h in zip(lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -95,13 +95,13 @@ class ProofTree:
         """Drop every subtree whose edge assertion contradicts the intervals.
 
         nonneg on x is impossible when u(x) < -EPS_BOUND; nonpos when
-        l(x) > EPS_BOUND. A dropped branch covers an empty region, so its
-        root is kept as an UNSAT leaf, which this run does not replay (ids
-        of these leaves are appended to `removed`); a leaf keeps its
-        certificate, and an internal node gets none here (`incremental`
-        gives it one). Complementary
-        assertions can never both contradict one interval, so no internal
-        node loses both children.
+        l(x) > EPS_BOUND; `bounds` must cover every asserted neuron. A
+        dropped branch covers an empty region, so its root is kept as an
+        UNSAT leaf, which this run does not replay (ids of these leaves are
+        appended to `removed`); a leaf keeps its certificate, and an
+        internal node gets none here (`incremental` gives it one).
+        Complementary assertions can never both contradict one interval, so
+        no internal node loses both children.
         """
         out = self.copy()
         for nid in sorted(out.nodes):
@@ -109,7 +109,7 @@ class ProofTree:
                 continue  # already deleted with an ancestor
             n = out.nodes[nid]
             a = n.assertion
-            if a is None or a.neuron not in bounds.hi:
+            if a is None:
                 continue
             dead = (
                 bounds.hi[a.neuron] < -EPS_BOUND

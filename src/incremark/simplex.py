@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import COEF_EPS, EPS_BOUND, EPS_PIVOT, EPS_RELU
+from .model import negation_empty, output_bounds
 
 
 # kinds of encoded equation, each written `slack - expr = 0` and named by
@@ -97,7 +98,7 @@ class Configuration:
 
     rows: basic id -> {non-basic id: coefficient}, the constructor's form of
     the tableau, which `row(b)` reads back one row at a time.
-    lo, hi: the bounds of ids 0..n-1 (a dict or a list).
+    lo, hi: lists of the bounds of ids 0..n-1.
     alpha: {id: value} of the non-basics; `recompute` solves the basics.
     equations: slack id -> (kind, index) of the one equation it belongs to.
     """
@@ -110,8 +111,8 @@ class Configuration:
         for r, row in enumerate(rows.values()):
             for k, c in row.items():
                 self.T[r, k] = c
-        self.lo: list[float] = [lo[v] for v in range(n)]
-        self.hi: list[float] = [hi[v] for v in range(n)]
+        self.lo: list[float] = list(lo)
+        self.hi: list[float] = list(hi)
         self.alpha: list[float] = [alpha.get(v, 0.0) for v in range(n)]
         self.relu_pairs: list[tuple[int, int]] = list(relu_pairs)
         self.input_ids: list[int] = list(input_ids)
@@ -469,16 +470,11 @@ def encoded_equations(net, prop) -> dict[int, tuple[str, int]]:
 
 def neuron_bounds(net, prop, bounds):
     """Copies of the neuron intervals of `bounds`, each output's tightened
-    by the constraints over that output alone: a*y >= c bounds y by c/a."""
-    lo, hi = dict(bounds.lo), dict(bounds.hi)
-    for c in prop.constraints:
-        terms = [(v, a) for v, a in zip(net.layout.output_ids, c.coeffs) if a != 0.0]
-        if len(terms) == 1:
-            [(v, a)] = terms
-            if a > 0:
-                lo[v] = max(lo[v], c.threshold / a)
-            else:
-                hi[v] = min(hi[v], c.threshold / a)
+    by the constraints over that output alone (`model.output_bounds`)."""
+    lo, hi = list(bounds.lo), list(bounds.hi)
+    for v, l, h in zip(net.layout.output_ids, *output_bounds(prop)):
+        lo[v] = max(lo[v], l)
+        hi[v] = min(hi[v], h)
     return lo, hi
 
 
@@ -491,11 +487,13 @@ def initialize(net, prop, bounds) -> Configuration:
 def encode(net, prop, bounds, equations) -> Configuration:
     """One row per equation of `equations` (slack id -> (kind, index)), in
     its order, solved for the pre-activation of an affine one and for the
-    slack of any other; bounds from the neuron intervals of `bounds`;
-    non-basics start at their lower bound."""
-    if not prop.constraints:
-        raise ValueError("empty negation is decided before encoding")
+    slack of any other; bounds from the neuron intervals of `bounds`, each
+    slack's written at its id; non-basics start at their lower bound."""
+    if negation_empty(prop):
+        raise ValueError("an empty negation is decided before encoding")
     lo, hi = neuron_bounds(net, prop, bounds)
+    lo += [-INF] * (max(equations) + 1 - len(lo))
+    hi += [INF] * (len(lo) - len(hi))
     rows: dict[int, dict[int, float]] = {}
     for sid, (kind, i) in equations.items():
         terms, lo[sid], hi[sid] = equation(net, prop, kind, i, lo, hi)
@@ -505,7 +503,7 @@ def encode(net, prop, bounds, equations) -> Configuration:
             define_row(rows, i, expr)
         else:
             define_row(rows, sid, dict(terms))
-    alpha = {v: lo[v] for v in lo if v not in rows}
+    alpha = {v: x for v, x in enumerate(lo) if v not in rows}
     cfg = Configuration(rows, lo, hi, alpha, net.layout.relu_pairs, net.layout.input_ids,
                         equations)
     recompute(cfg)
@@ -513,17 +511,16 @@ def encode(net, prop, bounds, equations) -> Configuration:
 
 
 def refresh_bounds(cfg: Configuration, net, prop, bounds) -> None:
-    """Replace cfg's bounds with freshly analyzed ones (same variable set),
-    clamp non-basics back into range, and re-solve the basics. Violation
-    counters restart: they score the upcoming local search only.
+    """Replace the neuron intervals of cfg's bounds with freshly analyzed
+    ones, clamp non-basics back into range, and re-solve the basics.
+    Violation counters restart: they score the upcoming local search only.
 
     Each slack's interval is its `equation`'s over the new neuron
     intervals, except an affine slack's, [-b, -b], which reads no interval:
     it keeps the one `equation` gave it at encoding."""
-    new_lo, new_hi = neuron_bounds(net, prop, bounds)
-    lo, hi = list(cfg.lo), list(cfg.hi)
-    for v, x in new_lo.items():
-        lo[v], hi[v] = x, new_hi[v]
+    lo, hi = neuron_bounds(net, prop, bounds)
+    lo += cfg.lo[len(lo):]
+    hi += cfg.hi[len(hi):]
     for sid, (kind, i) in cfg.equations.items():
         if kind != AFF:
             _, lo[sid], hi[sid] = equation(net, prop, kind, i, lo, hi)

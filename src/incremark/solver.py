@@ -37,7 +37,7 @@ from __future__ import annotations
 from . import deeppoly, lp
 from . import prooftree as pt
 from .constants import LP_ITER_FACTOR
-from .deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted
+from .deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted, uncertain
 from .model import UNSAT, Verdict, property_hash, witness_ok
 from .simplex import (
     Progress,
@@ -54,14 +54,6 @@ from .simplex import (
 # splits on its most repaired uncertain pair, or, with none left, asks the
 # branch LP
 SPLIT_THRESHOLD = 10
-
-
-def _uncertain(lay, bounds) -> list[int]:
-    return [
-        pre
-        for pre, _ in lay.relu_pairs
-        if bounds.lo.get(pre, 0.0) < 0.0 < bounds.hi.get(pre, 0.0)
-    ]
 
 
 def solve(net, prop):
@@ -101,7 +93,7 @@ def search(net, prop, tree, nid, bounds, parent=None):
     else:
         cfg = parent.copy()
         refresh_bounds(cfg, net, prop, bounds)
-    candidates = _uncertain(net.layout, bounds)
+    candidates = uncertain(net.layout, bounds)
     steps_left = LP_ITER_FACTOR * (len(cfg.basic) + len(cfg.lo))
     while (row := check_unsat_rows(cfg)) is None:
         if max(cfg.violations.values(), default=0) >= SPLIT_THRESHOLD or not steps_left:

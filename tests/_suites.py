@@ -46,11 +46,12 @@ def random_configuration(rng) -> Configuration:
                 coef = 0.05 if coef >= 0 else -0.05
             row[int(c)] = coef
         rows[b] = row
-    lo, hi, alpha = {}, {}, {}
+    lo, hi, alpha = [], [], {}
     for v in range(n):
         l = float(rng.uniform(-5.0, 1.0))
         width = float(rng.uniform(0.0, 4.0)) if rng.random() > 0.15 else 0.0
-        lo[v], hi[v] = l, l + width
+        lo.append(l)
+        hi.append(l + width)
     for v in nonbasics:
         alpha[v] = float(rng.uniform(lo[v], hi[v]))
     for b in basics:
@@ -114,8 +115,9 @@ def row_checker_vs_corners(trials: int = 1000, seed: int = 303) -> int:
         m = int(rng.integers(1, 9))
         cols = list(range(1, m + 1))
         row = {c: float(rng.uniform(-3.0, 3.0)) for c in cols}
-        lo = {c: float(rng.uniform(-4.0, 0.0)) for c in cols}
-        hi = {c: lo[c] + float(rng.uniform(0.0, 4.0)) for c in cols}
+        # x0 is the row's basic, bounded below
+        lo = [0.0, *(float(rng.uniform(-4.0, 0.0)) for c in cols)]
+        hi = [0.0, *(lo[c] + float(rng.uniform(0.0, 4.0)) for c in cols)]
         corners = [
             sum(row[c] * pick[i] for i, c in enumerate(cols))
             for pick in itertools.product(*[(lo[c], hi[c]) for c in cols])

@@ -104,6 +104,15 @@ def test_verify_dump_tableau_empty_negation(runner, tmp_path):
     assert res.output == "no tableau: the negation is empty\nUNSAT\n"
 
 
+def test_verify_and_oracle_contradictory_constraints(runner, tmp_path):
+    # y <= 0.5 and y >= 0.6 on the one output: UNSAT, not a solver error
+    prop = tmp_path / "clash.prop"
+    prop.write_text("box\n-1 1\n-1 1\nge -0.5 -1.0\nge 0.6 1.0\n")
+    for command in ("verify", "oracle"):
+        res = runner.invoke(main, [command, "--net", DEMO, "--prop", str(prop)])
+        assert (res.exit_code, res.output) == (EXIT_UNSAT, "UNSAT\n"), command
+
+
 def test_reverify_with_report(runner, tmp_path):
     tree_path = tmp_path / "tree.json"
     runner.invoke(main, ["verify", "--net", DEMO, "--prop", PROP,

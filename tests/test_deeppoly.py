@@ -29,6 +29,7 @@ def test_negated_assertion_flips_sign():
 def test_analyze_demo_intervals(demo_net):
     b = analyze(demo_net, BOX)
     assert not b.infeasible
+    assert len(b.lo) == len(b.hi) == len(demo_net.layout.neuron_ids)
     assert b.output_ids == (6,)
     assert b.interval(0) == (-1.0, 1.0)
     assert b.interval(2) == (-0.9999999999999999, 0.7999999999999999)
@@ -81,7 +82,8 @@ def test_analyze_infeasible_assertion(demo_net):
     b = analyze(demo_net, ((-1.0, -0.5), (0.5, 1.0)), [Assertion(2, NONNEG)])
     assert b.infeasible
     assert b.emptied == Assertion(2, NONNEG)
-    assert sorted(b.lo) == [0, 1]  # partial: stops at the contradiction
+    # partial: the inputs only, the lists stop before the emptied layer
+    assert (b.lo, b.hi) == ([-1.0, 0.5], [-0.5, 1.0])
 
 
 @pytest.mark.parametrize("sign, bias", [(NONPOS, 1.0), (NONNEG, -1.0)])
@@ -149,7 +151,7 @@ def reference_analyze(net, box, asserts=()):
     the emptied assertion when an assertion empties an interval (the first
     neuron in id order whose interval crosses by more than EPS_COLLAPSE;
     NONNEG if its unclamped upper end is below 0, else NONPOS), else
-    (lo, hi, relations) over the network neurons, relations being
+    (lo, hi, relations): lists over the network neurons in id order, and
     post -> (lc, uc, uk)."""
     lay = net.layout
     lo0 = np.array([b[0] for b in box], dtype=float)
@@ -157,8 +159,7 @@ def reference_analyze(net, box, asserts=()):
     signs: dict[int, list[str]] = {}
     for a in asserts:
         signs.setdefault(a.neuron, []).append(a.sign)
-    lo = dict(zip(lay.input_ids, lo0.tolist()))
-    hi = dict(zip(lay.input_ids, hi0.tolist()))
+    lo, hi = lo0.tolist(), hi0.tolist()
     rel, relations = [], {}
 
     def back(level, coefs, const, upper):
@@ -188,7 +189,8 @@ def reference_analyze(net, box, asserts=()):
             if l > u + EPS_COLLAPSE:
                 return Assertion(vid, NONNEG if u0 < 0.0 else NONPOS)
             pl[j], ph[j] = min(l, u), u
-            lo[vid], hi[vid] = pl[j], ph[j]
+        lo += pl.tolist()
+        hi += ph.tolist()
         if net.activations[li] != RELU:
             rel.append((np.ones(n), np.zeros(n), np.ones(n), np.zeros(n)))
             continue
@@ -201,8 +203,9 @@ def reference_analyze(net, box, asserts=()):
                 uc[j] = u / (u - l)
                 uk[j] = -uc[j] * l
         rel.append((lc, lk, uc, uk))
+        lo += np.maximum(pl, 0.0).tolist()
+        hi += np.maximum(ph, 0.0).tolist()
         for j, vid in enumerate(lay.post_ids[li]):
-            lo[vid], hi[vid] = max(pl[j], 0.0), max(ph[j], 0.0)
             relations[vid] = (lc[j], uc[j], uk[j])
     return lo, hi, relations
 
@@ -229,12 +232,15 @@ def test_matrix_analyze_matches_scalar_reference(dims):
             if got.infeasible:
                 # the whole-layer clamp empties the same neuron the scalar one does
                 assert got.emptied == want, (dims, seed, trial)
+                # the lists stop before the emptied neuron's layer
+                li = net.layout.pre_row[want.neuron][0]
+                assert len(got.lo) == len(got.hi) == net.layout.pre_ids[li][0]
                 seen["infeasible"] += 1
                 continue
             lo, hi, relations = want
-            for vid in lo:
-                assert got.lo[vid] == pytest.approx(lo[vid], rel=0, abs=1e-12)
-                assert got.hi[vid] == pytest.approx(hi[vid], rel=0, abs=1e-12)
+            assert len(got.lo) == len(got.hi) == len(net.layout.neuron_ids)
+            assert got.lo == pytest.approx(lo, rel=0, abs=1e-12), (dims, seed, trial)
+            assert got.hi == pytest.approx(hi, rel=0, abs=1e-12), (dims, seed, trial)
             got_relations = _suites.relu_relations(net, got)
             assert set(got_relations) == set(relations)
             for pre, post in net.layout.relu_pairs:
@@ -276,7 +282,7 @@ def test_certificate_of_an_emptied_assertion(demo_net, demo_prop):
     assert cert == (("aff", 2, 1.0),)
     root = analyze(demo_net, box)
     assert clamp(demo_net, root, [Assertion(2, NONNEG)]) is None  # empties too
-    raised = Bounds(dict(root.lo), dict(root.hi), output_ids=root.output_ids)
+    raised = Bounds(list(root.lo), list(root.hi), output_ids=root.output_ids)
     raised.lo[2] = 0.0
     assert certificate_refutes(demo_net, demo_prop, raised, cert)
     # NONPOS: x3 >= 0.1 over x0 in [0.5, 1], x1 in [-1, -0.5]

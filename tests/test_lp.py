@@ -297,8 +297,8 @@ def test_ratio_test_ties_within_an_ulp_go_to_the_lowest_basic():
     top = math.nextafter(1.0, 0.0)
     cfg = Configuration(
         {1: {0: 1.0}, 2: {0: 1.0}},
-        {0: 0.0, 1: 0.0, 2: 0.0},
-        {0: 10.0, 1: 1.0, 2: top},
+        [0.0, 0.0, 0.0],
+        [10.0, 1.0, top],
         {0: 0.0},
         [], [0],
     )
@@ -308,7 +308,7 @@ def test_ratio_test_ties_within_an_ulp_go_to_the_lowest_basic():
     assert 1 not in cfg.pos and 2 in cfg.pos
     # a tie with the entering variable's own bound goes to the bound flip,
     # though the row blocks one ulp earlier
-    cfg = Configuration({1: {0: 1.0}}, {0: 0.0, 1: 0.0}, {0: 1.0, 1: top}, {0: 0.0}, [], [0])
+    cfg = Configuration({1: {0: 1.0}}, [0.0, 0.0], [1.0, top], {0: 0.0}, [], [0])
     recompute(cfg)
     relax = lp.Relaxation(cfg, cap=10, status=lp.FEASIBLE)
     assert lp._optimize(relax, 0, maximize=True) == 1.0

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -92,10 +93,8 @@ def test_distance_axioms_sampled():
 
 
 def _bounds(lo2, hi2):
-    b = Bounds()
-    b.lo = {2: lo2, 3: -1.0}
-    b.hi = {2: hi2, 3: 1.0}
-    return b
+    """Inputs x0, x1 in [-1, 1], x2 in [lo2, hi2], x3 in [-1, 1]."""
+    return Bounds([-1.0, -1.0, lo2, -1.0], [1.0, 1.0, hi2, 1.0])
 
 
 def test_prune_drops_contradicted_branch():
@@ -119,9 +118,8 @@ def test_prune_keeps_straddling_and_unknown_neurons():
     t, l, r, ll, lr = small_tree()
     out = t.prune(_bounds(-1.0, 1.0))
     assert sorted(out.nodes) == sorted(t.nodes)
-    b = Bounds()
-    b.lo, b.hi = {9: 5.0}, {9: 5.0}  # tree neurons absent: nothing to prune
-    out = t.prune(b)
+    # nothing known of the tree neurons: nothing to prune
+    out = t.prune(Bounds([-math.inf] * 4, [math.inf] * 4))
     assert sorted(out.nodes) == sorted(t.nodes)
 
 
@@ -251,7 +249,7 @@ def test_certificate_roundtrip_copy_and_prune():
     assert back.to_json() == data
     assert t.copy().nodes[r].cert == t.nodes[r].cert
     # pruning the other side keeps the certified leaf as it is
-    pruned = t.prune(Bounds(lo={2: 0.5}, hi={2: 1.0}))
+    pruned = t.prune(_bounds(0.5, 1.0))
     assert sorted(pruned.nodes) == [0, l, r]
     assert pruned.nodes[r].cert == t.nodes[r].cert
     assert pruned.nodes[l].cert is None

@@ -8,7 +8,7 @@ import _suites
 from incremark import lp, solver
 from incremark.bench import Perturbation, perturb, random_network, random_threshold_property
 from incremark.constants import COEF_EPS, EPS_ROW
-from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze
+from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted
 from incremark.incremental import verify_incremental
 from incremark.model import LinearConstraint, Network, SafetyProperty
 from incremark.simplex import (
@@ -59,7 +59,7 @@ def test_initialize_demo_tableau(demo_net, demo_prop):
 
 def test_initialize_demo_slack_intervals(demo_net, demo_prop):
     b = analyze(demo_net, BOX)
-    assert set(b.lo) == set(b.hi) == set(demo_net.layout.neuron_ids)  # neurons only
+    assert len(b.lo) == len(b.hi) == len(demo_net.layout.neuron_ids)  # neurons only
     cfg = initialize(demo_net, demo_prop, b)
     # relu inequality slacks: post - pre in [max(0,-u), max(0,-l)]
     assert (cfg.lo[7], cfg.hi[7]) == (0.0, 0.9999999999999999)
@@ -72,6 +72,35 @@ def test_initialize_demo_slack_intervals(demo_net, demo_prop):
     # refresh_bounds derives them the same way from new neuron intervals
     refresh_bounds(cfg, demo_net, demo_prop, analyze(demo_net, BOX, [Assertion(3, NONNEG)]))
     assert (cfg.lo[8], cfg.hi[8]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("dims", [(2, 5, 5, 1), (3, 8, 8, 1)])
+def test_refresh_bounds_equals_a_new_encoding(dims):
+    """A copied configuration refreshed to a branch's bounds carries the
+    intervals of one encoded over them, bit for bit: the neuron intervals
+    and every slack's."""
+    rng = np.random.default_rng(sum(dims))
+    cases = seed = 0
+    while cases < 100:
+        seed += 1
+        net = random_network(dims, seed)
+        prop = random_threshold_property(net, seed + 1)
+        cfg = initialize(net, prop, analyze(net, prop.box))
+        pres = [pre for pre, _ in net.layout.relu_pairs]
+        for _ in range(10):
+            chosen = rng.choice(pres, size=int(rng.integers(1, 4)), replace=False)
+            asserts = sorted(Assertion(int(v), (NONNEG, NONPOS)[int(rng.integers(2))])
+                             for v in chosen)
+            b2 = analyze(net, prop.box, asserts)
+            if is_property_refuted(b2, prop):
+                continue  # the search encodes no refuted branch
+            got = cfg.copy()
+            refresh_bounds(got, net, prop, b2)
+            want = initialize(net, prop, b2)
+            for ends in ("lo", "hi"):
+                assert ([x.hex() for x in getattr(got, ends)]
+                        == [x.hex() for x in getattr(want, ends)]), (seed, asserts, ends)
+            cases += 1
 
 
 def test_initialize_demo_bounds_and_alpha(demo_net, demo_prop):
@@ -151,8 +180,8 @@ def test_pivot_zero_coefficient_raises(demo_net, demo_prop):
 def test_row_interval_sign_split():
     cfg = small_cfg(
         {0: {1: 2.0, 2: -1.0}},
-        {0: -10.0, 1: -1.0, 2: 0.5},
-        {0: 10.0, 1: 3.0, 2: 2.0},
+        [-10.0, -1.0, 0.5],
+        [10.0, 3.0, 2.0],
         {1: 0.0, 2: 1.0},
     )
     assert row_interval(cfg, 0) == (2.0 * -1.0 - 2.0, 2.0 * 3.0 - 0.5)
@@ -161,7 +190,7 @@ def test_row_interval_sign_split():
 def test_row_unsat_margins():
     def mk(blo, bhi):
         return small_cfg(
-            {0: {1: 1.0}}, {0: blo, 1: 0.0}, {0: bhi, 1: 1.0}, {1: 0.0}
+            {0: {1: 1.0}}, [blo, 0.0], [bhi, 1.0], {1: 0.0}
         )
 
     assert row_unsat(mk(1.1, 2.0), 0)          # lo(b) above rhs range
@@ -176,12 +205,12 @@ def test_check_unsat_rows_picks_lowest_basic():
     # variables are numbered densely: x0 is free and in no row
     cfg = small_cfg(
         {3: {1: 1.0}, 2: {1: 1.0}},
-        {0: 0.0, 1: 0.0, 2: 5.0, 3: 5.0},
-        {0: 1.0, 1: 1.0, 2: 6.0, 3: 6.0},
+        [0.0, 0.0, 5.0, 5.0],
+        [1.0, 1.0, 6.0, 6.0],
         {0: 0.0, 1: 0.0},
     )
     assert check_unsat_rows(cfg) == 2
-    ok = small_cfg({2: {1: 1.0}}, {0: 0.0, 1: 0.0, 2: 0.0}, {0: 1.0, 1: 1.0, 2: 1.0},
+    ok = small_cfg({2: {1: 1.0}}, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0],
                    {0: 0.0, 1: 0.0})
     assert check_unsat_rows(ok) is None
 
@@ -192,9 +221,11 @@ def test_row_test_ignores_an_unmentioned_infinite_bound():
     test answer as the row without that variable, and no NaN warning."""
 
     def mk(extra):
-        lo, hi, alpha = {0: -1.0, 1: 0.5, 2: 3.0}, {0: 2.0, 1: 1.0, 2: 4.0}, {0: -1.0, 1: 0.5}
+        lo, hi, alpha = [-1.0, 0.5, 3.0], [2.0, 1.0, 4.0], {0: -1.0, 1: 0.5}
         if extra:
-            lo[3], hi[3], alpha[3] = -math.inf, -0.5, -1.0
+            lo.append(-math.inf)
+            hi.append(-0.5)
+            alpha[3] = -1.0
         return small_cfg({2: {0: 1.0, 1: -2.0}}, lo, hi, alpha)
 
     with warnings.catch_warnings():
@@ -206,8 +237,8 @@ def test_row_test_ignores_an_unmentioned_infinite_bound():
 def test_bound_violation_direction_and_order():
     cfg = small_cfg(
         {2: {0: 1.0}, 3: {1: 1.0}},
-        {0: 0.0, 1: 0.0, 2: 0.5, 3: -1.0},
-        {0: 1.0, 1: 1.0, 2: 2.0, 3: -0.5},
+        [0.0, 0.0, 0.5, -1.0],
+        [1.0, 1.0, 2.0, -0.5],
         {0: 0.0, 1: 0.0},
     )
     # both rows violate; lowest basic id wins; alpha 0 < lo 0.5 needs up
@@ -221,8 +252,8 @@ def test_bound_violation_direction_and_order():
 def test_entering_for_bland_and_saturation():
     cfg = small_cfg(
         {3: {0: 1.0, 1: -1.0, 2: 1.0}},
-        {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0},
-        {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0},
+        [0.0, 0.0, 0.0, 0.0],
+        [1.0, 1.0, 1.0, 1.0],
         {0: 0.0, 1: 1.0, 2: 0.0},
     )
     row = cfg.T[cfg.pos[3]]
@@ -240,8 +271,8 @@ def test_entering_for_bland_and_saturation():
 def test_repair_step_bound_fix():
     cfg = small_cfg(
         {2: {0: 1.0, 1: 1.0}},
-        {0: 0.0, 1: 0.0, 2: 0.5},
-        {0: 1.0, 1: 1.0, 2: 2.0},
+        [0.0, 0.0, 0.5],
+        [1.0, 1.0, 2.0],
         {0: 0.0, 1: 0.0},
     )
     out = repair_step(cfg)
@@ -255,8 +286,8 @@ def test_repair_step_bound_fix():
 def test_repair_step_stuck_reports_row():
     cfg = small_cfg(
         {2: {0: 1.0, 1: 1.0}},
-        {0: 0.0, 1: 0.0, 2: 3.0},
-        {0: 1.0, 1: 1.0, 2: 4.0},
+        [0.0, 0.0, 3.0],
+        [1.0, 1.0, 4.0],
         {0: 1.0, 1: 1.0},
     )
     out = repair_step(cfg)
@@ -290,7 +321,7 @@ def test_repair_step_satisfied_on_branch(demo_net, demo_prop):
 
 def test_violated_relu_pairs_tolerance():
     cfg = Configuration(
-        {}, {0: -1.0, 1: 0.0}, {0: 1.0, 1: 1.0}, {0: 0.5, 1: 0.5},
+        {}, [-1.0, 0.0], [1.0, 1.0], {0: 0.5, 1: 0.5},
         [(0, 1)], [0],
     )
     assert violated_relu_pairs(cfg) == []
@@ -303,8 +334,8 @@ def test_violated_relu_pairs_tolerance():
 def test_set_variable_cases():
     cfg = small_cfg(
         {2: {0: 1.0, 1: 1.0}},
-        {0: 0.0, 1: 0.0, 2: -10.0},
-        {0: 1.0, 1: 1.0, 2: 10.0},
+        [0.0, 0.0, -10.0],
+        [1.0, 1.0, 10.0],
         {0: 0.2, 1: 0.2},
     )
     assert not set_variable(cfg, 0, 5.0)       # outside bounds
@@ -319,8 +350,8 @@ def test_set_variable_cases():
 def test_set_variable_basic_refusals():
     cfg = small_cfg(
         {2: {0: 1.0, 1: 1.0}},
-        {0: 0.0, 1: 0.0, 2: -10.0},
-        {0: 1.0, 1: 1.0, 2: 10.0},
+        [0.0, 0.0, -10.0],
+        [1.0, 1.0, 10.0],
         {0: 0.2, 1: 0.2},
     )
     # a basic no-op move refuses rather than pivoting pointlessly

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from incremark.bench import oracle, random_network, random_threshold_property
-from incremark.constants import LP_ITER_FACTOR
+from incremark.constants import EPS_BOUND, LP_ITER_FACTOR
 from incremark.deeppoly import analyze
+from incremark.incremental import verify_incremental
 from incremark.model import (
     LinearConstraint,
     Network,
     SafetyProperty,
     evaluate,
+    negation_empty,
     property_hash,
     witness_ok,
 )
-from incremark import solver
+from incremark import deeppoly, solver
 from incremark.prooftree import INTERNAL, SAT, UNSAT, UNSOLVED, ProofTree
 from incremark.simplex import PROGRESS, Stuck
 from incremark.solver import solve
@@ -72,6 +74,24 @@ def test_solve_empty_negation_is_unsat(demo_net):
     verdict, tree = solve(demo_net, SafetyProperty(BOX, ()))
     assert not verdict.sat
     assert tree.root.status == UNSAT
+
+
+def test_contradictory_single_output_constraints_are_unsat(demo_net):
+    """y <= 0.5 and y >= 0.6 leave the output no value. No sum of equations
+    states a clash of two bounds, so the negation is decided empty, as the
+    empty one is, by solve, re-verification and the oracle alike."""
+    clash = SafetyProperty(BOX, (LinearConstraint((-1.0,), -0.5),
+                                 LinearConstraint((1.0,), 0.6)))
+    assert negation_empty(clash)
+    verdict, tree = solve(demo_net, clash)
+    assert not verdict.sat
+    assert sorted(tree.nodes) == [0] and tree.root.status == UNSAT
+    assert not verify_incremental(demo_net, clash, tree)[0].sat
+    assert not oracle(demo_net, clash).sat
+    # a clash within EPS_BOUND is float rounding, not an empty negation
+    touch = SafetyProperty(BOX, (LinearConstraint((-1.0,), -0.5),
+                                 LinearConstraint((1.0,), 0.5 + EPS_BOUND / 2)))
+    assert not negation_empty(touch)
 
 
 def test_solve_unsat_after_search():
@@ -169,7 +189,7 @@ def test_decided_pair_at_threshold_ends_the_node(monkeypatch):
     uncertain pair instead of repairing the decided one on and on."""
     net = random_network((2, 5, 5, 1), 18)
     prop = random_threshold_property(net, 19)
-    uncertain = solver._uncertain(net.layout, analyze(net, prop.box))
+    uncertain = deeppoly.uncertain(net.layout, analyze(net, prop.box))
     decided = next(pre for pre, _ in net.layout.relu_pairs if pre not in uncertain)
     assert uncertain
     root = {"steps": 0}
