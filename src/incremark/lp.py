@@ -7,7 +7,8 @@ ReLU (l < 0 < u), encoded together by `simplex.encode`, each equation as
 `simplex.equation` defines it. A decided-on ReLU (l >= 0) has its slack
 at [0, 0]; a decided-off one (u <= 0) has post pinned to [0, 0] by its
 interval; so the region is the triangle relaxation of every uncertain
-ReLU. Phase 1 is the search's own bound step (Bland's rule, so it
+ReLU. Phase 1 is the search's own bound step, given the search's own scan
+for basics outside their bounds (`out_of_bounds`; Bland's rule, so it
 terminates); phase 2 optimizes single variables by reduced costs with a
 ratio test.
 
@@ -39,6 +40,7 @@ from .simplex import (
     entering_for,
     equation,
     neuron_bounds,
+    out_of_bounds,
     pivot,
     update,
 )
@@ -77,8 +79,9 @@ def phase1(relax: Relaxation) -> str:
     if relax.status is not None:
         return relax.status
     relax.status = CAP
+    cfg = relax.cfg
     for _ in range(relax.cap):
-        step = bound_step(relax.cfg)
+        step = bound_step(cfg, out_of_bounds(cfg))
         if step is None:
             relax.status = FEASIBLE
             break

@@ -20,7 +20,9 @@ Non-basic variables always lie within their bounds: `encode` and
 `refresh_bounds` place them there, and every move (`update`, `set_variable`,
 the leaving side of a pivot) sends one to a value inside them. The repair
 loop relies on this, and so does the row test, which therefore tests only
-the rows whose basic lies outside its bounds (`check_unsat_rows`).
+the rows whose basic lies outside its bounds. One scan per step finds those
+basics (`out_of_bounds`); the row test (`check_unsat_rows`) and the bound
+repair (`bound_step`, inside `repair_step`) both take its list.
 
 Each encoded equation has a slack of its own that no other equation
 mentions, so every tableau row is a combination of the equations whose
@@ -94,13 +96,18 @@ class Configuration:
     column, and pos maps a basic id to its row. A coefficient within
     COEF_EPS of zero is stored as zero. The bounds lo, hi and the assignment
     alpha are lists of Python floats by id, which the scalar repair moves
-    read one at a time; only the row test turns the bounds into arrays.
+    read one at a time. The row test reads the bounds as one 2 x n array,
+    lohi = [lo, hi]. Only the constructor and `refresh_bounds` write bounds,
+    and each builds lohi anew from the lists it writes, so a copy shares its
+    original's array.
 
     rows: basic id -> {non-basic id: coefficient}, the constructor's form of
     the tableau, which `row(b)` reads back one row at a time.
     lo, hi: lists of the bounds of ids 0..n-1.
     alpha: {id: value} of the non-basics; `recompute` solves the basics.
     equations: slack id -> (kind, index) of the one equation it belongs to.
+    violations: ReLU pre id -> its pair's repairs in this local search, and
+    max_violations their running maximum (`count_repair`).
     """
 
     def __init__(self, rows, lo, hi, alpha, relu_pairs, input_ids, equations=None):
@@ -113,11 +120,13 @@ class Configuration:
                 self.T[r, k] = c
         self.lo: list[float] = list(lo)
         self.hi: list[float] = list(hi)
+        self.lohi = np.array((self.lo, self.hi))
         self.alpha: list[float] = [alpha.get(v, 0.0) for v in range(n)]
         self.relu_pairs: list[tuple[int, int]] = list(relu_pairs)
         self.input_ids: list[int] = list(input_ids)
         self.equations: dict[int, tuple[str, int]] = equations or {}
         self.violations: dict[int, int] = {pre: 0 for pre, _ in self.relu_pairs}
+        self.max_violations = 0
 
     def copy(self) -> "Configuration":
         c = copy.copy(self)
@@ -134,9 +143,21 @@ class Configuration:
         nz = np.flatnonzero(r)
         return dict(zip(nz.tolist(), r[nz].tolist()))
 
+    def count_repair(self, pre: int) -> None:
+        """Score one repair of the ReLU pair of pre-activation `pre`."""
+        n = self.violations[pre] = self.violations[pre] + 1
+        self.max_violations = max(self.max_violations, n)
+
     def row_value(self, basic: int) -> float:
+        """Value of `basic` re-solved from its row: the terms added one by
+        one in id order, from 0.0. Builtin `sum` is not used: on CPython
+        3.12+ it compensates float rounding, and results would depend on the
+        Python version."""
         alpha = self.alpha
-        return sum(c * alpha[k] for k, c in self.row(basic).items())
+        v = 0.0
+        for k, c in self.row(basic).items():
+            v += c * alpha[k]
+        return v
 
     def witness(self) -> tuple[float, ...]:
         return tuple(self.alpha[i] for i in self.input_ids)
@@ -144,14 +165,16 @@ class Configuration:
 
 def recompute(cfg: Configuration) -> None:
     """Re-solve every row for its basic variable from the non-basic alphas,
-    adding each row's terms in id order, as `row_value` does. The basics'
-    own values are left out of the product: their columns hold zeros, and
-    a zero term changes no sum."""
+    adding each row's terms one by one in id order, as `row_value` does
+    (`np.add.accumulate` is sequential). The basics' own values are left
+    out of the product: their columns hold zeros, and a zero term changes
+    no sum."""
     alpha = cfg.alpha
     a = np.array(alpha)
     a[cfg.basic] = 0.0
-    for b, terms in zip(cfg.basic, (cfg.T * a).tolist()):
-        alpha[b] = sum(terms)
+    sums = np.add.accumulate(cfg.T * a, axis=1)[:, -1]
+    for b, v in zip(cfg.basic, sums.tolist()):
+        alpha[b] = v
 
 
 def _shift(cfg: Configuration, col: np.ndarray, d: float) -> None:
@@ -179,8 +202,9 @@ def pivot(cfg: Configuration, leaving: int, entering: int, value: float | None =
     is its coefficient in the leaving row, and each basic whose row holds it
     by c x d. With value None the assignment is left as it is. The tableau
     takes one rank-1 update, T += (entering column) x (new row), and drops
-    the coefficients it leaves within COEF_EPS of zero. Mutates cfg in
-    place; the solution set is unchanged.
+    the coefficients it leaves within COEF_EPS of zero. The new row holds
+    exactly -1.0 at `entering` (a / -a), so the update zeroes the entering
+    column by itself. Mutates cfg in place; the solution set is unchanged.
     """
     T = cfg.T
     r = cfg.pos[leaving]
@@ -194,15 +218,14 @@ def pivot(cfg: Configuration, leaving: int, entering: int, value: float | None =
         alpha[leaving] = value
         alpha[entering] += d
     new = T[r] / -a
-    new[entering] = 0.0
     new[np.abs(new) <= COEF_EPS] = 0.0
     new[leaving] = 1.0 / a
     col = T[:, entering].copy()
     col[r] = 0.0
     _shift(cfg, col, d)
-    T[:, entering] = 0.0
     T += col[:, None] * new
     T[np.abs(T) <= COEF_EPS] = 0.0
+    new[entering] = 0.0
     T[r] = new
     cfg.basic[r] = entering
     del cfg.pos[leaving]
@@ -216,7 +239,7 @@ def row_intervals(cfg: Configuration, basics: list[int]) -> list[list[float]]:
     row adds its terms one by one in id order. A zero coefficient adds 0,
     even against an infinite bound."""
     C = cfg.T[[cfg.pos[b] for b in basics]]
-    lh = np.array((cfg.lo, cfg.hi))
+    lh = cfg.lohi
     ends = np.where(C > 0.0, lh[:, None, :], lh[::-1, None, :])
     terms = np.multiply(C, ends, out=np.zeros_like(ends), where=C != 0.0)
     return np.add.accumulate(terms, axis=2)[:, :, -1].tolist()
@@ -238,18 +261,24 @@ def row_unsat(cfg: Configuration, basic: int) -> bool:
     return _unsat(cfg, basic, *row_interval(cfg, basic))
 
 
-def check_unsat_rows(cfg: Configuration) -> int | None:
+def out_of_bounds(cfg: Configuration) -> list[int]:
+    """Sorted ids of the basics outside their bounds by more than EPS_BOUND:
+    the one scan of a repair step, which `check_unsat_rows` and
+    `bound_step` both take."""
+    lo, hi, alpha = cfg.lo, cfg.hi, cfg.alpha
+    return sorted(b for b in cfg.basic
+                  if alpha[b] < lo[b] - EPS_BOUND or alpha[b] > hi[b] + EPS_BOUND)
+
+
+def check_unsat_rows(cfg: Configuration, out: list[int]) -> int | None:
     """Basic id of the lowest row that contradicts its bounds, else None.
 
-    Only basics outside their bounds by more than EPS_BOUND are tested, the
-    ones `bound_violation` scans, with one interval product over their rows:
-    while every non-basic is inside its bounds the assignment is a point of
-    each row's interval, so the row of a basic within EPS_BOUND of its
-    bounds passes `row_unsat`, whose margin is the same.
+    Only the rows of `out`, the basics that `out_of_bounds` found, are
+    tested, with one interval product over their rows: while every
+    non-basic is inside its bounds the assignment is a point of each row's
+    interval, so the row of a basic within EPS_BOUND of its bounds passes
+    `row_unsat`, whose margin is the same.
     """
-    lo, hi, alpha = cfg.lo, cfg.hi, cfg.alpha
-    out = sorted(b for b in cfg.basic
-                 if alpha[b] < lo[b] - EPS_BOUND or alpha[b] > hi[b] + EPS_BOUND)
     if not out:
         return None
     rlo, rhi = row_intervals(cfg, out)
@@ -276,21 +305,6 @@ def resolve_violation(cfg: Configuration, b: int, need_up: bool) -> bool:
     bound in the same direction? Run before b's row certifies anything."""
     a = cfg.alpha[b] = cfg.row_value(b)
     return a < cfg.lo[b] - EPS_BOUND if need_up else a > cfg.hi[b] + EPS_BOUND
-
-
-def bound_violation(cfg: Configuration):
-    """Lowest-id basic variable outside its bounds, with the needed direction.
-
-    Returns (basic id, need_up) or None. Non-basic variables satisfy their
-    bounds by construction (clamped whenever bounds change).
-    """
-    for b in sorted(cfg.basic):
-        a = cfg.alpha[b]
-        if a < cfg.lo[b] - EPS_BOUND:
-            return b, True
-        if a > cfg.hi[b] + EPS_BOUND:
-            return b, False
-    return None
 
 
 def entering_for(cfg: Configuration, row: np.ndarray, need_up: bool) -> int | None:
@@ -340,19 +354,21 @@ def violated_relu_pairs(cfg: Configuration) -> list[tuple[int, int]]:
     return out
 
 
-def bound_step(cfg: Configuration) -> Progress | Stuck | None:
-    """One bound repair: None when every basic lies within its bounds.
+def bound_step(cfg: Configuration, out: list[int]) -> Progress | Stuck | None:
+    """One bound repair, given the basics `out` that `out_of_bounds` found:
+    None when there are none.
 
-    Otherwise the lowest-id violating basic leaves the basis at the violated
+    Otherwise the lowest-id one, out[0], leaves the basis at the violated
     bound by pivot-and-update (Bland's rule, so a run of steps terminates).
     Stuck(row) when no entering variable can move it and the exact re-solve
     confirms the violation: the row then certifies that no point within the
-    bounds exists.
+    bounds exists. Non-basic variables need no scan: they lie within their
+    bounds (see the module docstring).
     """
-    bv = bound_violation(cfg)
-    if bv is None:
+    if not out:
         return None
-    b, need_up = bv
+    b = out[0]
+    need_up = cfg.alpha[b] < cfg.lo[b] - EPS_BOUND
     ent = entering_for(cfg, cfg.T[cfg.pos[b]], need_up)
     if ent is None:
         return Stuck(stuck_row=b) if resolve_violation(cfg, b, need_up) else PROGRESS
@@ -360,23 +376,25 @@ def bound_step(cfg: Configuration) -> Progress | Stuck | None:
     return PROGRESS
 
 
-def repair_step(cfg: Configuration) -> StepResult:
-    """One move of the local search.
+def repair_step(cfg: Configuration, out: list[int]) -> StepResult:
+    """One move of the local search, given the basics `out` that
+    `out_of_bounds` found in the configuration as it stands.
 
-    Priority: a bound step, then the lowest-id violated ReLU pair.
-    Non-basics need no repair: they stay within their bounds (see the module
-    docstring). Satisfied when nothing is violated once every basic is
-    re-solved exactly; a violation that the re-solve brings back is another
-    step's work.
+    Priority: a bound step, then the lowest-id violated ReLU pair, whose
+    repair is scored (`count_repair`). Non-basics need no repair: they stay
+    within their bounds (see the module docstring). Satisfied when nothing
+    is violated once every basic is re-solved exactly, which takes a scan
+    of its own; a violation that the re-solve brings back is another step's
+    work.
     """
-    step = bound_step(cfg)
+    step = bound_step(cfg, out)
     if step is not None:
         return step
 
     bad = violated_relu_pairs(cfg)
     if bad:
         pre, post = bad[0]
-        cfg.violations[pre] = cfg.violations.get(pre, 0) + 1
+        cfg.count_repair(pre)
         if set_variable(cfg, post, max(0.0, cfg.alpha[pre])):
             return PROGRESS
         if set_variable(cfg, pre, cfg.alpha[post]):
@@ -384,7 +402,7 @@ def repair_step(cfg: Configuration) -> StepResult:
         return Stuck()
 
     recompute(cfg)
-    if bound_violation(cfg) is not None or violated_relu_pairs(cfg):
+    if out_of_bounds(cfg) or violated_relu_pairs(cfg):
         return PROGRESS
     return Satisfied(cfg.witness())
 
@@ -514,6 +532,8 @@ def refresh_bounds(cfg: Configuration, net, prop, bounds) -> None:
     """Replace the neuron intervals of cfg's bounds with freshly analyzed
     ones, clamp non-basics back into range, and re-solve the basics.
     Violation counters restart: they score the upcoming local search only.
+    The bound array `lohi` is built anew, never written in place: a copy
+    shares it with the configuration it was copied from.
 
     Each slack's interval is its `equation`'s over the new neuron
     intervals, except an affine slack's, [-b, -b], which reads no interval:
@@ -525,12 +545,14 @@ def refresh_bounds(cfg: Configuration, net, prop, bounds) -> None:
         if kind != AFF:
             _, lo[sid], hi[sid] = equation(net, prop, kind, i, lo, hi)
     cfg.lo, cfg.hi = lo, hi
+    cfg.lohi = np.array((lo, hi))
     alpha, pos = cfg.alpha, cfg.pos
     for v, a in enumerate(alpha):
         if v not in pos:
             alpha[v] = min(max(a, lo[v]), hi[v])
     recompute(cfg)
     cfg.violations = {pre: 0 for pre, _ in cfg.relu_pairs}
+    cfg.max_violations = 0
 
 
 def dump(cfg: Configuration, title: str | None = None) -> str:

@@ -7,16 +7,19 @@ that leaf: `solve` calls it on the root of a new tree, each split calls it
 on the new children, and re-verification (`incremental`) calls it on the
 leaves of a stored tree that it cannot replay.
 
-A node runs the tableau repair loop, testing its rows before each step
-(`simplex.check_unsat_rows`). The loop ends a node in one of three ways: a
-row that contradicts its bounds closes the branch once its certificate
-re-checks (below), a repaired point that passes forward validation is a
-witness, and anything else ends the local search. That covers one ReLU
-pair repaired SPLIT_THRESHOLD times (Reluplex's split on demand, Katz et
-al., CAV 2017), LP_ITER_FACTOR * (rows + variables) repair steps (bound
-repair can cycle once values are re-solved between pivots), a row whose
-certificate does not re-check, a repair that is stuck, and a point that
-forward validation rejects. The node then splits on its most repaired
+A node runs the tableau repair loop. Each step scans the basics once for
+those outside their bounds (`simplex.out_of_bounds`), tests their rows
+(`simplex.check_unsat_rows`) and, when none contradicts its bounds, makes
+one repair (`simplex.repair_step`); both take that one scan. The loop ends
+a node in one of three ways: a row that contradicts its bounds closes the
+branch once its certificate re-checks (below), a repaired point that passes
+forward validation is a witness, and anything else ends the local search.
+That covers one ReLU pair repaired SPLIT_THRESHOLD times (Reluplex's split
+on demand, Katz et al., CAV 2017; the configuration keeps the running
+maximum of its repair counts), LP_ITER_FACTOR * (rows + variables) repair
+steps (bound repair can cycle once values are re-solved between pivots), a
+row whose certificate does not re-check, a repair that is stuck, and a
+point that forward validation rejects. The node then splits on its most repaired
 uncertain pair, or, with every ReLU decided, the exact branch LP decides
 it (the loop can cycle between decided pairs that sit within the bound
 tolerance). A branch that the LP cannot decide stays an unsolved leaf and
@@ -45,6 +48,7 @@ from .simplex import (
     certificate,
     check_unsat_rows,
     initialize,
+    out_of_bounds,
     refresh_bounds,
     repair_step,
 )
@@ -95,11 +99,11 @@ def search(net, prop, tree, nid, bounds, parent=None):
         refresh_bounds(cfg, net, prop, bounds)
     candidates = uncertain(net.layout, bounds)
     steps_left = LP_ITER_FACTOR * (len(cfg.basic) + len(cfg.lo))
-    while (row := check_unsat_rows(cfg)) is None:
-        if max(cfg.violations.values(), default=0) >= SPLIT_THRESHOLD or not steps_left:
+    while (row := check_unsat_rows(cfg, out := out_of_bounds(cfg))) is None:
+        if cfg.max_violations >= SPLIT_THRESHOLD or not steps_left:
             break
         steps_left -= 1
-        step = repair_step(cfg)
+        step = repair_step(cfg, out)
         if isinstance(step, Satisfied) and witness_ok(net, prop, step.witness):
             node.status = pt.SAT
             node.witness = step.witness

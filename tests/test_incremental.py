@@ -295,11 +295,11 @@ def test_fully_decided_fallback_branch_is_decided_by_its_lp(monkeypatch):
     steps = 0
     repair_step = solver.repair_step
 
-    def counted(cfg):
+    def counted(cfg, *args):
         nonlocal steps
         steps += 1
         assert steps <= 5_000, "repair loop does not end"
-        return repair_step(cfg)
+        return repair_step(cfg, *args)
 
     net = random_network((2, 5, 5, 1), 587)
     prop = random_threshold_property(net, 588)

@@ -12,16 +12,18 @@ from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_r
 from incremark.incremental import verify_incremental
 from incremark.model import LinearConstraint, Network, SafetyProperty
 from incremark.simplex import (
+    PROGRESS,
     Configuration,
     PivotError,
     Progress,
     Satisfied,
     Stuck,
-    bound_violation,
+    bound_step,
     check_unsat_rows,
     dump,
     entering_for,
     initialize,
+    out_of_bounds,
     pivot,
     recompute,
     refresh_bounds,
@@ -187,6 +189,20 @@ def test_row_interval_sign_split():
     assert row_interval(cfg, 0) == (2.0 * -1.0 - 2.0, 2.0 * 3.0 - 0.5)
 
 
+def test_row_sums_are_sequential():
+    """A row's terms are added one by one in id order, whatever the Python
+    version: 1e16 + 1.0 rounds back to 1e16, so the row sums to 0.0, where a
+    compensated sum (builtin `sum` on CPython 3.12+) gives 1.0."""
+    cfg = small_cfg(
+        {3: {0: 1e16, 1: 1.0, 2: -1e16}},
+        [0.0, 0.0, 0.0, -math.inf],
+        [1.0, 1.0, 1.0, math.inf],
+        {0: 1.0, 1: 1.0, 2: 1.0},
+    )
+    assert cfg.alpha[3] == 0.0
+    assert cfg.row_value(3) == 0.0
+
+
 def test_row_unsat_margins():
     def mk(blo, bhi):
         return small_cfg(
@@ -209,10 +225,10 @@ def test_check_unsat_rows_picks_lowest_basic():
         [1.0, 1.0, 6.0, 6.0],
         {0: 0.0, 1: 0.0},
     )
-    assert check_unsat_rows(cfg) == 2
+    assert check_unsat_rows(cfg, out_of_bounds(cfg)) == 2
     ok = small_cfg({2: {1: 1.0}}, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0],
                    {0: 0.0, 1: 0.0})
-    assert check_unsat_rows(ok) is None
+    assert check_unsat_rows(ok, out_of_bounds(ok)) is None
 
 
 def test_row_test_ignores_an_unmentioned_infinite_bound():
@@ -230,23 +246,38 @@ def test_row_test_ignores_an_unmentioned_infinite_bound():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [(row_interval(c, 2), check_unsat_rows(c)) for c in (mk(False), mk(True))]
+        got = [(row_interval(c, 2), check_unsat_rows(c, out_of_bounds(c)))
+               for c in (mk(False), mk(True))]
     assert got[0] == got[1] == ((-1.0 - 2.0, 2.0 - 1.0), 2)
 
 
-def test_bound_violation_direction_and_order():
-    cfg = small_cfg(
-        {2: {0: 1.0}, 3: {1: 1.0}},
-        [0.0, 0.0, 0.5, -1.0],
-        [1.0, 1.0, 2.0, -0.5],
-        {0: 0.0, 1: 0.0},
-    )
-    # both rows violate; lowest basic id wins; alpha 0 < lo 0.5 needs up
-    assert bound_violation(cfg) == (2, True)
+def test_out_of_bounds_direction_and_order():
+    def mk():
+        return small_cfg(
+            {2: {0: 1.0}, 3: {1: 1.0}},
+            [0.0, -1.0, 0.5, -1.0],
+            [1.0, 1.0, 2.0, -0.5],
+            {0: 0.0, 1: 0.0},
+        )
+
+    cfg = mk()
+    # both rows violate, listed by basic id
+    assert out_of_bounds(cfg) == [2, 3]
     cfg.lo[2], cfg.hi[2] = -1.0, 1.0
-    assert bound_violation(cfg) == (3, False)
+    assert out_of_bounds(cfg) == [3]
     cfg.lo[3], cfg.hi[3] = -1.0, 1.0
-    assert bound_violation(cfg) is None
+    assert out_of_bounds(cfg) == []
+    # the bound step repairs the lowest id first, the way it needs: alpha
+    # 0 < lo 0.5 sends x3 up to its lower bound, then alpha 0 > hi -0.5
+    # sends x4 down to its upper bound
+    cfg = mk()
+    assert bound_step(cfg, out_of_bounds(cfg)) is PROGRESS
+    assert 2 not in cfg.pos and cfg.alpha[2] == 0.5
+    assert out_of_bounds(cfg) == [3]
+    assert bound_step(cfg, out_of_bounds(cfg)) is PROGRESS
+    assert 3 not in cfg.pos and cfg.alpha[3] == -0.5
+    assert out_of_bounds(cfg) == []
+    assert bound_step(cfg, []) is None
 
 
 def test_entering_for_bland_and_saturation():
@@ -275,12 +306,12 @@ def test_repair_step_bound_fix():
         [1.0, 1.0, 2.0],
         {0: 0.0, 1: 0.0},
     )
-    out = repair_step(cfg)
+    out = repair_step(cfg, out_of_bounds(cfg))
     assert isinstance(out, Progress)
     assert cfg.alpha[2] == 0.5
     assert sorted(cfg.pos) == [0]              # x1 entered the basis
     assert cfg.alpha[0] == 0.5
-    assert bound_violation(cfg) is None
+    assert out_of_bounds(cfg) == []
 
 
 def test_repair_step_stuck_reports_row():
@@ -290,7 +321,7 @@ def test_repair_step_stuck_reports_row():
         [1.0, 1.0, 4.0],
         {0: 1.0, 1: 1.0},
     )
-    out = repair_step(cfg)
+    out = repair_step(cfg, out_of_bounds(cfg))
     assert isinstance(out, Stuck)
     assert out.stuck_row == 2                  # certificate row at these bounds
 
@@ -300,8 +331,9 @@ def test_repair_step_cycles_and_scores_violations(demo_net, demo_prop):
     # relu pairs; the violation counters are what the solver splits on
     cfg = demo_cfg(demo_net, demo_prop)
     for _ in range(40):
-        assert isinstance(repair_step(cfg), Progress)
+        assert isinstance(repair_step(cfg, out_of_bounds(cfg)), Progress)
     assert cfg.violations == {2: 20, 3: 19}
+    assert cfg.max_violations == 20
 
 
 def test_repair_step_satisfied_on_branch(demo_net, demo_prop):
@@ -309,14 +341,14 @@ def test_repair_step_satisfied_on_branch(demo_net, demo_prop):
     b = analyze(demo_net, BOX, [Assertion(2, NONPOS)])
     cfg = initialize(demo_net, demo_prop, b)
     for i in range(50):
-        out = repair_step(cfg)
+        out = repair_step(cfg, out_of_bounds(cfg))
         if isinstance(out, Satisfied):
             break
     assert isinstance(out, Satisfied)
     assert i == 3
     assert out.witness == (0.6749999999999999, 0.050000000000000044)
     assert violated_relu_pairs(cfg) == []
-    assert bound_violation(cfg) is None
+    assert out_of_bounds(cfg) == []
 
 
 def test_violated_relu_pairs_tolerance():
@@ -364,13 +396,17 @@ def test_set_variable_basic_refusals():
 
 def test_refresh_bounds_reclamps(demo_net, demo_prop):
     cfg = demo_cfg(demo_net, demo_prop)
-    cfg.violations[2] = 5
+    for _ in range(5):
+        cfg.count_repair(2)
+    assert (cfg.violations[2], cfg.max_violations) == (5, 5)
     b = analyze(demo_net, ((0.5, 1.0), (-1.0, 1.0)))
     refresh_bounds(cfg, demo_net, demo_prop, b)
     assert cfg.lo[0] == 0.5
     assert cfg.alpha[0] == 0.5                 # clamped back inside
     assert cfg.lo[6] == 0.3                    # property re-applied
     assert cfg.violations == {2: 0, 3: 0}
+    assert cfg.max_violations == 0
+    assert cfg.lohi.tolist() == [cfg.lo, cfg.hi]
 
 
 def test_dump_mentions_rows(demo_net, demo_prop):
@@ -474,8 +510,8 @@ def test_row_residual_invariant(monkeypatch, demo_net, demo_prop):
 
     real_step = solver.repair_step
 
-    def checked_step(cfg):
-        out = real_step(cfg)
+    def checked_step(cfg, *args):
+        out = real_step(cfg, *args)
         seen["steps"] += 1
         assert _max_residual(cfg) <= EPS_ROW
         # repair_step has no clamp of its own: no move may leave a
@@ -537,8 +573,8 @@ def test_restricted_row_check_matches_full_scan(monkeypatch, demo_net, demo_prop
     real_check = solver.check_unsat_rows
     compared = [0]
 
-    def both(cfg):
-        out = real_check(cfg)
+    def both(cfg, *args):
+        out = real_check(cfg, *args)
         assert out == next((b for b in sorted(cfg.basic) if row_unsat(cfg, b)), None)
         compared[0] += 1
         return out
@@ -546,3 +582,30 @@ def test_restricted_row_check_matches_full_scan(monkeypatch, demo_net, demo_prop
     monkeypatch.setattr(solver, "check_unsat_rows", both)
     _search_all(_instances(demo_net, demo_prop))
     assert compared[0] > 1000
+
+
+def test_bound_array_matches_the_bound_lists(monkeypatch, demo_net, demo_prop):
+    """The row test reads the bounds from the array `lohi`: at every row
+    test of the searches it equals the bound lists, and a split child's
+    `refresh_bounds` builds its own array, leaving its parent's as it was."""
+    real_check, real_refresh = solver.check_unsat_rows, solver.refresh_bounds
+    seen = {"checks": 0, "refreshes": 0}
+
+    def check(cfg, *args):
+        assert cfg.lohi.tolist() == [cfg.lo, cfg.hi]
+        seen["checks"] += 1
+        return real_check(cfg, *args)
+
+    def refresh(cfg, *args):
+        shared = cfg.lohi  # a copy shares its parent's array
+        before = shared.tolist()
+        real_refresh(cfg, *args)
+        assert shared.tolist() == before
+        assert cfg.lohi is not shared
+        assert cfg.lohi.tolist() == [cfg.lo, cfg.hi]
+        seen["refreshes"] += 1
+
+    monkeypatch.setattr(solver, "check_unsat_rows", check)
+    monkeypatch.setattr(solver, "refresh_bounds", refresh)
+    _search_all(_instances(demo_net, demo_prop))
+    assert seen["checks"] > 1000 and seen["refreshes"] > 10

@@ -148,9 +148,9 @@ def test_split_on_demand(monkeypatch, dims, seed):
     last = []
     repair_step, add_child = solver.repair_step, ProofTree.add_child
 
-    def traced_step(cfg):
+    def traced_step(cfg, *args):
         rec = searches.setdefault(id(cfg), {"cfg": cfg, "steps": 0, "hot": None})
-        step = repair_step(cfg)
+        step = repair_step(cfg, *args)
         rec["steps"] += 1
         rec["stuck"] = isinstance(step, Stuck)
         if rec["hot"] is None:
@@ -195,12 +195,12 @@ def test_decided_pair_at_threshold_ends_the_node(monkeypatch):
     root = {"steps": 0}
     repair_step = solver.repair_step
 
-    def step(cfg):
+    def step(cfg, *args):
         if root.setdefault("cfg", cfg) is not cfg:
-            return repair_step(cfg)
+            return repair_step(cfg, *args)
         # the root's local search only ever re-repairs its decided pair
         root["steps"] += 1
-        cfg.violations[decided] += 1
+        cfg.count_repair(decided)
         return PROGRESS
 
     monkeypatch.setattr(solver, "repair_step", step)
@@ -294,12 +294,12 @@ def test_every_local_search_ends(monkeypatch):
     searches = {}  # id(cfg) -> [cfg, steps, cap]
     repair_step = solver.repair_step
 
-    def counted(cfg):
+    def counted(cfg, *args):
         rec = searches.setdefault(
             id(cfg), [cfg, 0, LP_ITER_FACTOR * (len(cfg.basic) + len(cfg.lo))])
         rec[1] += 1
         assert rec[1] <= rec[2], "a local search ran past its step cap"
-        return repair_step(cfg)
+        return repair_step(cfg, *args)
 
     monkeypatch.setattr(solver, "repair_step", counted)
     try:
