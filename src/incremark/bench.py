@@ -3,9 +3,11 @@ scratch-vs-incremental comparison runs emitting a CSV report.
 
 The oracle enumerates activation patterns with its own plain interval
 propagation for pruning, then decides each surviving pattern with an exact
-LP (all ReLUs decided, so the relaxation has no slack). It shares the LP
-module but none of the search machinery, which keeps it usable as ground
-truth for the solvers.
+LP (all ReLUs decided, so the relaxation has no slack). Its intervals are
+its own; it tests them against a sign assertion with `constants.apart` and
+against the property with `deeppoly.is_property_refuted`, the refutation
+tests every other path uses. It shares the LP module but none of the search
+machinery, which keeps it usable as ground truth for the solvers.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .constants import EPS_BOUND
-from .deeppoly import NONNEG, NONPOS, Bounds
+from .constants import apart
+from .deeppoly import NONNEG, NONPOS, SIGN_RANGE, Bounds, is_property_refuted
 from .incremental import verify_incremental
 from .model import (
     UNSAT,
@@ -121,14 +123,11 @@ def oracle(net: Network, prop: SafetyProperty) -> Verdict:
                     l += min(c * pl, c * ph)
                     h += max(c * pl, c * ph)
                 sign = signs.get(pre)
-                if sign == NONNEG:
-                    if h < -EPS_BOUND:
+                if sign is not None:
+                    slo, shi = SIGN_RANGE[sign]
+                    if apart(l, h, slo, shi):
                         return None
-                    l, h = max(l, 0.0), max(h, 0.0)
-                elif sign == NONPOS:
-                    if l > EPS_BOUND:
-                        return None
-                    l, h = min(l, 0.0), min(h, 0.0)
+                    l, h = min(max(l, slo), shi), min(max(h, slo), shi)
                 lo.append(l)
                 hi.append(h)
             if lay.post_ids[li] is not lay.pre_ids[li]:
@@ -139,15 +138,6 @@ def oracle(net: Network, prop: SafetyProperty) -> Verdict:
             prev = lay.post_ids[li]
         return lo, hi
 
-    def can_violate(lo, hi) -> bool:
-        for c in prop.constraints:
-            ub = 0.0
-            for a, vid in zip(c.coeffs, lay.output_ids):
-                ub += a * (hi[vid] if a > 0 else lo[vid])
-            if ub < c.threshold - EPS_BOUND:
-                return False
-        return True
-
     undecided = 0
 
     def search(i: int, signs: dict[int, str]):
@@ -155,11 +145,10 @@ def oracle(net: Network, prop: SafetyProperty) -> Verdict:
         iv = propagate(signs)
         if iv is None:
             return None
-        lo, hi = iv
-        if not can_violate(lo, hi):
+        bounds = Bounds(*iv, output_ids=tuple(lay.output_ids))
+        if is_property_refuted(bounds, prop):
             return None
         if i == len(pres):
-            bounds = Bounds(lo=lo, hi=hi, output_ids=tuple(lay.output_ids))
             witness, cert = lp.decide(net, prop, bounds)
             undecided += witness is None and cert is None
             return witness

@@ -1,7 +1,11 @@
-"""Numeric tolerances shared across the package.
+"""Numeric tolerances shared across the package, and the one refutation
+margin.
 
 All comparisons against these are absolute. They are pinned here so every
-module agrees on what counts as zero.
+module agrees on what counts as zero. Every UNSAT that an interval shows
+rests on `apart`, the one test of two intervals against EPS_BOUND; only the
+point scans that choose a repair move (`simplex.out_of_bounds`,
+`resolve_violation` and `bound_step`) compare against EPS_BOUND inline.
 """
 
 # Witness validation: a counterexample must violate the property with at most
@@ -12,11 +16,15 @@ EPS_SAT = 1e-6
 # Pivot elements smaller than this are treated as zero (singular).
 EPS_PIVOT = 1e-8
 
-# Row residual tolerance: |alpha(basic) - row(alpha)| must stay below this.
-EPS_ROW = 1e-7
-
-# Bound comparisons: violation and UNSAT-row margins.
+# Bound comparisons: violation and UNSAT margins.
 EPS_BOUND = 1e-7
+
+
+def apart(lo1: float, hi1: float, lo2: float, hi2: float) -> bool:
+    """Do the intervals [lo1, hi1] and [lo2, hi2] miss each other by more
+    than EPS_BOUND? An infinite end on either side is allowed."""
+    return lo1 > hi2 + EPS_BOUND or hi1 < lo2 - EPS_BOUND
+
 
 # A pre-activation interval that its sign assertion empties by at most this
 # much is taken as float rounding of the back-substitution and collapses to a

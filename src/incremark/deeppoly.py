@@ -22,12 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import EPS_BOUND, EPS_COLLAPSE
+from .constants import EPS_COLLAPSE, apart
 from .model import RELU, Network, negation_empty
-from .simplex import AFF, CHORD, PROP, RELU as RELU_EQ, Certificate
+from .simplex import AFF, CHORD, INF, PROP, RELU as RELU_EQ, Certificate, linear_interval
 
 NONNEG = "nonneg"
 NONPOS = "nonpos"
+
+# the interval that each sign assertion allows its pre-activation
+SIGN_RANGE = {NONNEG: (0.0, INF), NONPOS: (-INF, 0.0)}
 
 
 @dataclass(frozen=True, order=True)
@@ -56,16 +59,13 @@ class Bounds:
     infeasible: bool = False
     emptied: Assertion | None = None
 
-    def interval(self, vid: int) -> tuple[float, float]:
-        return self.lo[vid], self.hi[vid]
-
 
 def is_property_refuted(bounds: Bounds, prop) -> bool:
     """True when no point within `bounds` can satisfy the property.
 
     A negation that is empty on its own (`model.negation_empty`) is refuted
-    vacuously. Otherwise some conjunct a.y >= c must be interval-impossible:
-    ub(a.y) < c - EPS_BOUND.
+    vacuously. Otherwise some conjunct a.y >= c must be interval-impossible
+    (`_refuted_constraint`).
     """
     if negation_empty(prop):
         return True
@@ -75,17 +75,14 @@ def is_property_refuted(bounds: Bounds, prop) -> bool:
 
 
 def _refuted_constraint(bounds: Bounds, prop) -> int | None:
-    """Index of the first conjunct a.y >= c with ub(a.y) < c - EPS_BOUND."""
+    """Index of the first conjunct a.y >= c whose interval of a.y over
+    `bounds` is `apart` from [c, inf], i.e. below c by more than
+    EPS_BOUND."""
     for idx, c in enumerate(prop.constraints):
         if len(c.coeffs) != len(bounds.output_ids):
             raise ValueError("constraint arity does not match the network outputs")
-        ub = 0.0
-        for a, vid in zip(c.coeffs, bounds.output_ids):
-            if a > 0:
-                ub += a * bounds.hi[vid]
-            elif a < 0:
-                ub += a * bounds.lo[vid]
-        if ub < c.threshold - EPS_BOUND:
+        ylo, yhi = linear_interval(zip(bounds.output_ids, c.coeffs), bounds.lo, bounds.hi)
+        if apart(ylo, yhi, c.threshold, INF):
             return idx
     return None
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import COEF_EPS, EPS_BOUND, EPS_LP, LP_ITER_FACTOR
+from .constants import COEF_EPS, EPS_LP, EPS_PIVOT, LP_ITER_FACTOR, apart
 from .deeppoly import Bounds, analyze, uncertain
 from .model import witness_ok
 from .simplex import (
@@ -39,6 +39,7 @@ from .simplex import (
     encoded_equations,
     entering_for,
     equation,
+    linear_interval,
     neuron_bounds,
     out_of_bounds,
     pivot,
@@ -137,14 +138,15 @@ def certificate_refutes(net, prop, bounds: Bounds, cert: Certificate) -> bool:
     from this network's weights and biases and from `bounds`, with each
     output's interval tightened by the single-output constraints. The sum
     of y times (slack - terms) vanishes at every point of the branch,
-    whatever the multipliers, so when its interval over the variable bounds
-    excludes 0 by more than EPS_BOUND the branch is empty. A chord on a
-    neuron that `bounds` no longer leave undecided, or a non-finite end of
-    the interval, refutes nothing. Indices must name equations of this
-    network and property (`incremental` checks stored trees)."""
+    whatever the multipliers, so when its `linear_interval` over the
+    variable bounds, each slack's written after the neurons', is `apart`
+    from 0 the branch is empty. A chord on a neuron that `bounds` no longer
+    leave undecided, or a non-finite end of the interval, refutes nothing.
+    Indices must name equations of this network and property
+    (`incremental` checks stored trees)."""
     lo, hi = neuron_bounds(net, prop, bounds)
     coef: dict[int, float] = {}
-    rlo = rhi = 0.0  # the slacks' share of the interval
+    row = []  # each slack's term (its position in lo and hi, y), ahead of coef's
 
     for kind, i, y in cert:
         if y == 0.0:
@@ -152,26 +154,18 @@ def certificate_refutes(net, prop, bounds: Bounds, cert: Certificate) -> bool:
         terms, slo, shi = equation(net, prop, kind, i, lo, hi)
         for v, c in terms:
             coef[v] = coef.get(v, 0.0) - y * c
-        if y > 0:
-            rlo += y * slo
-            rhi += y * shi
-        else:
-            rlo += y * shi
-            rhi += y * slo
+        row.append((len(lo), y))
+        lo.append(slo)
+        hi.append(shi)
 
-    for v, c in coef.items():
-        if c > 0:
-            rlo += c * lo[v]
-            rhi += c * hi[v]
-        elif c < 0:
-            rlo += c * hi[v]
-            rhi += c * lo[v]
-    return EPS_BOUND < rlo < INF or -INF < rhi < -EPS_BOUND
+    rlo, rhi = linear_interval([*row, *coef.items()], lo, hi)
+    return apart(rlo, rhi, 0.0, 0.0) and rlo < INF and -INF < rhi
 
 
 def _optimize(relax: Relaxation, vid: int, maximize: bool) -> float | None:
     """Optimum of one variable over the relaxation, or None when the
-    direction is unbounded or the cap is hit. Assumes phase1 == feasible.
+    direction is unbounded, the cap is hit, or the leaving row's entering
+    coefficient is one `pivot` rejects. Assumes phase1 == feasible.
 
     The ratio test treats steps within a relative COEF_EPS of the smallest
     as tied and breaks ties by the bound flip, then the lowest basic id
@@ -206,14 +200,17 @@ def _optimize(relax: Relaxation, vid: int, maximize: bool) -> float | None:
             update(cfg, ent, cfg.hi[ent] if sigma > 0 else cfg.lo[ent])
         else:
             leave = min(b for b, t in steps.items() if t <= tied)
-            hit_upper = cfg.T[cfg.pos[leave], ent] * sigma > 0
+            a = cfg.T.item(cfg.pos[leave], ent)
+            if abs(a) <= EPS_PIVOT:
+                return None
+            hit_upper = a * sigma > 0
             pivot(cfg, leave, ent, cfg.hi[leave] if hit_upper else cfg.lo[leave])
     return None
 
 
 def tighten(relax: Relaxation, vids) -> dict[int, tuple[float, float]]:
     """Per-variable LP bounds, never wider than the variable's current ones.
-    Unbounded directions and cap hits keep the current side. Optima are
+    A direction `_optimize` cannot bound keeps the current side. Optima are
     padded outward by EPS_LP so rounding error cannot cut off a feasible
     point. ValueError on an infeasible relaxation."""
     st = phase1(relax)

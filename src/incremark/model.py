@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import EPS_BOUND, EPS_SAT
+from .constants import EPS_SAT, apart
 
 NeuronId = int
 
@@ -175,9 +175,6 @@ class VariableLayout:
                 nxt += 1
         self.n_vars = nxt
 
-    def var_name(self, vid: int) -> str:
-        return f"x{vid + 1}"
-
 
 def evaluate(net: Network, x) -> np.ndarray:
     """Exact forward pass; raises on dimension mismatch."""
@@ -189,21 +186,6 @@ def evaluate(net: Network, x) -> np.ndarray:
         if act == RELU:
             v = np.maximum(v, 0.0)
     return v
-
-
-def forward_values(net: Network, x) -> dict[int, float]:
-    """Values of every network variable (inputs, pre, post) at input x."""
-    v = np.asarray(x, dtype=float)
-    lay = net.layout
-    out: dict[int, float] = {i: float(v[j]) for j, i in enumerate(lay.input_ids)}
-    for li, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
-        pre = w @ v + b
-        for j, vid in enumerate(lay.pre_ids[li]):
-            out[vid] = float(pre[j])
-        v = np.maximum(pre, 0.0) if act == RELU else pre
-        for j, vid in enumerate(lay.post_ids[li]):
-            out[vid] = float(v[j])
-    return out
 
 
 def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> bool:
@@ -243,11 +225,11 @@ def output_bounds(prop: SafetyProperty) -> tuple[list[float], list[float]]:
 
 def negation_empty(prop: SafetyProperty) -> bool:
     """Is the negated property unsatisfiable on its own? True for the empty
-    negation, and when the single-output constraints on one output
-    contradict each other by more than EPS_BOUND (y <= 0.5 and y >= 0.6):
-    no equation states such a clash, so no certificate can show it."""
+    negation, and when the single-output constraints on one output are
+    `apart` (y <= 0.5 and y >= 0.6): no equation states such a clash, so no
+    certificate can show it."""
     lo, hi = output_bounds(prop)
-    return not prop.constraints or any(l > h + EPS_BOUND for l, h in zip(lo, hi))
+    return not prop.constraints or any(apart(l, math.inf, -math.inf, h) for l, h in zip(lo, hi))
 
 
 # ---------------------------------------------------------------------------

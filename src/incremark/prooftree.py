@@ -21,8 +21,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .constants import EPS_BOUND
-from .deeppoly import NONNEG, NONPOS, Assertion, Bounds
+from .constants import apart
+from .deeppoly import NONNEG, NONPOS, SIGN_RANGE, Assertion, Bounds
 from .simplex import EQUATION_KINDS, Certificate
 
 INTERNAL = "internal"
@@ -94,16 +94,17 @@ class ProofTree:
     def prune(self, bounds: Bounds, removed: list[int] | None = None) -> "ProofTree":
         """Drop every subtree whose edge assertion contradicts the intervals.
 
-        nonneg on x is impossible when u(x) < -EPS_BOUND; nonpos when
-        l(x) > EPS_BOUND; `bounds` must cover every asserted neuron. A
-        dropped branch covers an empty region, so its root is kept as an
-        UNSAT leaf, which this run does not replay (ids of these leaves are
-        appended to `removed`); a leaf keeps its certificate, and an
+        It does when its neuron's interval is `apart` from the range its sign
+        allows (`deeppoly.SIGN_RANGE`); `bounds` must cover every asserted
+        neuron. A dropped branch covers an empty region, so its root is kept
+        as an UNSAT leaf, which this run does not replay (ids of these leaves
+        are appended to `removed`); a leaf keeps its certificate, and an
         internal node gets none here (`incremental` gives it one).
         Complementary assertions can never both contradict one interval, so
         no internal node loses both children.
         """
         out = self.copy()
+        lo, hi = bounds.lo, bounds.hi
         for nid in sorted(out.nodes):
             if nid not in out.nodes:
                 continue  # already deleted with an ancestor
@@ -111,12 +112,8 @@ class ProofTree:
             a = n.assertion
             if a is None:
                 continue
-            dead = (
-                bounds.hi[a.neuron] < -EPS_BOUND
-                if a.sign == NONNEG
-                else bounds.lo[a.neuron] > EPS_BOUND
-            )
-            if not dead:
+            slo, shi = SIGN_RANGE[a.sign]
+            if not apart(lo[a.neuron], hi[a.neuron], slo, shi):
                 continue
             for c in list(n.children):
                 out._delete_subtree(c)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import COEF_EPS, EPS_BOUND, EPS_PIVOT, EPS_RELU
+from .constants import COEF_EPS, EPS_BOUND, EPS_PIVOT, EPS_RELU, apart
 from .model import negation_empty, output_bounds
 
 
@@ -245,20 +245,21 @@ def row_intervals(cfg: Configuration, basics: list[int]) -> list[list[float]]:
     return np.add.accumulate(terms, axis=2)[:, :, -1].tolist()
 
 
-def row_interval(cfg: Configuration, basic: int) -> tuple[float, float]:
-    """Interval-arithmetic range of a row's right-hand side under l, u."""
-    [lo], [hi] = row_intervals(cfg, [basic])
-    return lo, hi
-
-
-def _unsat(cfg: Configuration, b: int, rlo: float, rhi: float) -> bool:
-    return cfg.lo[b] > rhi + EPS_BOUND or cfg.hi[b] < rlo - EPS_BOUND
-
-
-def row_unsat(cfg: Configuration, basic: int) -> bool:
-    """Does this row contradict its basic variable's bounds with margin >
-    EPS_BOUND?"""
-    return _unsat(cfg, basic, *row_interval(cfg, basic))
+def linear_interval(terms, lo, hi) -> tuple[float, float]:
+    """Interval-arithmetic range (l, h) of sum(c * x) over the (x, c) pairs
+    of `terms`, with each x in [lo[x], hi[x]]: the scalar twin of
+    `row_intervals`. The terms are added one by one in the order given,
+    from 0.0, and a zero coefficient adds nothing, even against an infinite
+    bound."""
+    l = h = 0.0
+    for x, c in terms:
+        if c > 0.0:
+            l += c * lo[x]
+            h += c * hi[x]
+        elif c < 0.0:
+            l += c * hi[x]
+            h += c * lo[x]
+    return l, h
 
 
 def out_of_bounds(cfg: Configuration) -> list[int]:
@@ -276,13 +277,14 @@ def check_unsat_rows(cfg: Configuration, out: list[int]) -> int | None:
     Only the rows of `out`, the basics that `out_of_bounds` found, are
     tested, with one interval product over their rows: while every
     non-basic is inside its bounds the assignment is a point of each row's
-    interval, so the row of a basic within EPS_BOUND of its bounds passes
-    `row_unsat`, whose margin is the same.
+    interval, so the row of a basic within EPS_BOUND of its bounds is never
+    `apart` from its bounds.
     """
     if not out:
         return None
+    lo, hi = cfg.lo, cfg.hi
     rlo, rhi = row_intervals(cfg, out)
-    return next((b for b, l, h in zip(out, rlo, rhi) if _unsat(cfg, b, l, h)), None)
+    return next((b for b, l, h in zip(out, rlo, rhi) if apart(lo[b], hi[b], l, h)), None)
 
 
 def certificate(cfg: Configuration, b: int) -> Certificate:
@@ -458,9 +460,7 @@ def equation(net, prop, kind, i, lo, hi):
     if kind == PROP:
         c = prop.constraints[i]
         terms = tuple((v, float(a)) for v, a in zip(lay.output_ids, c.coeffs) if a != 0.0)
-        ub = 0.0
-        for v, a in terms:
-            ub += a * (hi[v] if a > 0 else lo[v])
+        _, ub = linear_interval(terms, lo, hi)
         return terms, c.threshold, max(ub, c.threshold)
     l, u = lo[i], hi[i]
     post = lay.relu_post[i]

@@ -11,11 +11,27 @@ import numpy as np
 
 from incremark import lp
 from incremark.bench import random_network, random_threshold_property
-from incremark.constants import EPS_BOUND
+from incremark.constants import EPS_BOUND, apart
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze, relaxation
-from incremark.model import forward_values, witness_ok
+from incremark.model import RELU, witness_ok
 from incremark.prooftree import ProofTree
-from incremark.simplex import Configuration, pivot, recompute, row_unsat
+from incremark.simplex import Configuration, pivot, recompute, row_intervals
+
+
+def forward_values(net, x) -> dict[int, float]:
+    """Values of every network variable (inputs, pre, post) at input x:
+    the reference point that the tests check intervals and rows against."""
+    v = np.asarray(x, dtype=float)
+    lay = net.layout
+    out: dict[int, float] = {i: float(v[j]) for j, i in enumerate(lay.input_ids)}
+    for li, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
+        pre = w @ v + b
+        for j, vid in enumerate(lay.pre_ids[li]):
+            out[vid] = float(pre[j])
+        v = np.maximum(pre, 0.0) if act == RELU else pre
+        for j, vid in enumerate(lay.post_ids[li]):
+            out[vid] = float(v[j])
+    return out
 
 
 def relu_relations(net, bounds) -> dict[int, tuple[float, float, float]]:
@@ -139,7 +155,8 @@ def row_checker_vs_corners(trials: int = 1000, seed: int = 303) -> int:
         cfg = Configuration({0: row}, lo, hi, alpha, [], [])
         recompute(cfg)
         expected = bl > tmax + EPS_BOUND or bh < tmin - EPS_BOUND
-        if row_unsat(cfg, 0) != expected:
+        [[rlo], [rhi]] = row_intervals(cfg, [0])
+        if apart(bl, bh, rlo, rhi) != expected:
             bad += 1
     return bad
 

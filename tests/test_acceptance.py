@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from _suites import (
     deeppoly_soundness,
     distance_axioms,
+    forward_values,
     pivot_preservation,
     relaxation_soundness,
     relu_relations,
@@ -32,7 +33,7 @@ from incremark.bench import (
 from incremark.cli import main as cli_main
 from incremark.deeppoly import analyze
 from incremark.incremental import verify_incremental
-from incremark.model import evaluate, forward_values, witness_ok
+from incremark.model import evaluate, witness_ok
 from incremark.simplex import initialize
 from incremark.solver import solve
 

@@ -31,12 +31,12 @@ def test_analyze_demo_intervals(demo_net):
     assert not b.infeasible
     assert len(b.lo) == len(b.hi) == len(demo_net.layout.neuron_ids)
     assert b.output_ids == (6,)
-    assert b.interval(0) == (-1.0, 1.0)
-    assert b.interval(2) == (-0.9999999999999999, 0.7999999999999999)
-    assert b.interval(3) == (-1.6, 1.6)
-    assert b.interval(4) == (0.0, 0.7999999999999999)  # relu of x2's interval
-    assert b.interval(5) == (0.0, 1.6)
-    assert b.interval(6) == (0.0, 1.28)
+    assert (b.lo[0], b.hi[0]) == (-1.0, 1.0)
+    assert (b.lo[2], b.hi[2]) == (-0.9999999999999999, 0.7999999999999999)
+    assert (b.lo[3], b.hi[3]) == (-1.6, 1.6)
+    assert (b.lo[4], b.hi[4]) == (0.0, 0.7999999999999999)  # relu of x2's interval
+    assert (b.lo[5], b.hi[5]) == (0.0, 1.6)
+    assert (b.lo[6], b.hi[6]) == (0.0, 1.28)
 
 
 def test_analyze_demo_relational(demo_net):
@@ -74,7 +74,7 @@ def test_analyze_nonneg_assertion(demo_net):
 def test_analyze_contradictory_asserts_pin_to_zero(demo_net):
     b = analyze(demo_net, BOX, [Assertion(2, NONNEG), Assertion(2, NONPOS)])
     assert not b.infeasible
-    assert b.interval(2) == (0.0, 0.0)
+    assert (b.lo[2], b.hi[2]) == (0.0, 0.0)
 
 
 def test_analyze_infeasible_assertion(demo_net):
@@ -100,7 +100,7 @@ def test_analyze_assertion_crossing_collapses_within_eps(sign, bias):
 
     b = run(EPS_COLLAPSE / 2)
     assert not b.infeasible
-    lo, hi = b.interval(pre)
+    lo, hi = b.lo[pre], b.hi[pre]
     assert lo == hi and abs(hi) <= EPS_COLLAPSE
     assert run(1e-6).infeasible
 
@@ -317,8 +317,8 @@ def test_certificate_none_when_no_equation_states_it(demo_net):
 def test_clamp_narrows_asserted_neurons(demo_net):
     b = analyze(demo_net, BOX)
     c = clamp(demo_net, b, [Assertion(2, NONNEG), Assertion(3, NONPOS)])
-    assert c.interval(2) == (0.0, b.hi[2])
-    assert c.interval(3) == (b.lo[3], 0.0)
-    assert c.interval(5) == (0.0, 0.0)  # the post of the NONPOS neuron
-    assert c.interval(4) == b.interval(4) and c.interval(6) == b.interval(6)
-    assert b.interval(2) == (-0.9999999999999999, 0.7999999999999999)  # untouched
+    assert (c.lo[2], c.hi[2]) == (0.0, b.hi[2])
+    assert (c.lo[3], c.hi[3]) == (b.lo[3], 0.0)
+    assert (c.lo[5], c.hi[5]) == (0.0, 0.0)  # the post of the NONPOS neuron
+    assert (c.lo[4], c.hi[4]) == (b.lo[4], b.hi[4]) and (c.lo[6], c.hi[6]) == (b.lo[6], b.hi[6])
+    assert (b.lo[2], b.hi[2]) == (-0.9999999999999999, 0.7999999999999999)  # untouched

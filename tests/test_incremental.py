@@ -33,11 +33,11 @@ from incremark.model import (
     Network,
     SafetyProperty,
     Verdict,
-    forward_values,
     witness_ok,
 )
 from incremark.solver import solve
 
+from _suites import forward_values
 from conftest import BOX
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"

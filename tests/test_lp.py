@@ -7,7 +7,7 @@ import _suites
 from incremark import lp
 from incremark.bench import random_network, random_threshold_property
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze
-from incremark.model import LinearConstraint, Network, SafetyProperty, forward_values
+from incremark.model import LinearConstraint, Network, SafetyProperty
 from incremark.simplex import (
     Configuration,
     certificate,
@@ -313,6 +313,22 @@ def test_ratio_test_ties_within_an_ulp_go_to_the_lowest_basic():
     relax = lp.Relaxation(cfg, cap=10, status=lp.FEASIBLE)
     assert lp._optimize(relax, 0, maximize=True) == 1.0
     assert 1 in cfg.pos
+
+
+def test_ratio_test_never_chooses_a_row_that_pivot_rejects():
+    # maximize x0 under x2 = 5e-9 x0 + x1, x1 in [0, 0], x2 in [0, 1e-9]: the
+    # row of x2 alone blocks x0, but its coefficient is below EPS_PIVOT, so
+    # the optimum is not found and tighten keeps x0's upper bound
+    def relax():
+        cfg = Configuration({2: {0: 5e-9, 1: 1.0}}, [0.0, 0.0, 0.0],
+                            [math.inf, 0.0, 1e-9], {0: 0.0, 1: 0.0}, [], [0])
+        recompute(cfg)
+        r = lp.Relaxation(cfg, cap=10)
+        assert lp.phase1(r) == lp.FEASIBLE
+        return r
+
+    assert lp._optimize(relax(), 0, maximize=True) is None
+    assert lp.tighten(relax(), [0]) == {0: (0.0, math.inf)}
 
 
 def test_tighten_never_widens(demo_net, demo_prop):

@@ -8,7 +8,6 @@ from incremark.model import (
     SafetyProperty,
     Verdict,
     evaluate,
-    forward_values,
     load_network,
     load_property,
     property_hash,
@@ -17,6 +16,7 @@ from incremark.model import (
     witness_ok,
 )
 
+from _suites import forward_values
 from conftest import BOX
 
 
@@ -52,11 +52,6 @@ def test_layout_deeper_shape():
     assert lay.neuron_ids == list(range(20))
     # 8 relu slacks, then 9 affine consts after the neurons
     assert lay.n_vars == 20 + 8 + 9
-
-
-def test_var_name_is_one_based(demo_net):
-    assert demo_net.layout.var_name(0) == "x1"
-    assert demo_net.layout.var_name(6) == "x7"
 
 
 def test_evaluate_demo_witness(demo_net):

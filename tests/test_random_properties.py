@@ -7,13 +7,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _suites import forward_values
 from incremark.bench import Perturbation, perturb, random_network
 from incremark.model import (
     LinearConstraint,
     Network,
     SafetyProperty,
     evaluate,
-    forward_values,
     load_network,
     load_property,
     property_hash,

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -7,11 +9,12 @@ import pytest
 import _suites
 from incremark import lp, solver
 from incremark.bench import Perturbation, perturb, random_network, random_threshold_property
-from incremark.constants import COEF_EPS, EPS_ROW
+from incremark.constants import COEF_EPS, apart
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted
 from incremark.incremental import verify_incremental
 from incremark.model import LinearConstraint, Network, SafetyProperty
 from incremark.simplex import (
+    INF,
     PROGRESS,
     Configuration,
     PivotError,
@@ -23,13 +26,13 @@ from incremark.simplex import (
     dump,
     entering_for,
     initialize,
+    linear_interval,
     out_of_bounds,
     pivot,
     recompute,
     refresh_bounds,
     repair_step,
-    row_interval,
-    row_unsat,
+    row_intervals,
     set_variable,
     update,
     violated_relu_pairs,
@@ -186,7 +189,7 @@ def test_row_interval_sign_split():
         [10.0, 3.0, 2.0],
         {1: 0.0, 2: 1.0},
     )
-    assert row_interval(cfg, 0) == (2.0 * -1.0 - 2.0, 2.0 * 3.0 - 0.5)
+    assert row_intervals(cfg, [0]) == [[2.0 * -1.0 - 2.0], [2.0 * 3.0 - 0.5]]
 
 
 def test_row_sums_are_sequential():
@@ -203,18 +206,65 @@ def test_row_sums_are_sequential():
     assert cfg.row_value(3) == 0.0
 
 
-def test_row_unsat_margins():
-    def mk(blo, bhi):
-        return small_cfg(
-            {0: {1: 1.0}}, [blo, 0.0], [bhi, 1.0], {1: 0.0}
-        )
+def test_apart_margins():
+    def row_apart(blo, bhi):
+        # the row x0 = x1, x1 in [0, 1], against x0's bounds
+        cfg = small_cfg({0: {1: 1.0}}, [blo, 0.0], [bhi, 1.0], {1: 0.0})
+        [[rlo], [rhi]] = row_intervals(cfg, [0])
+        return apart(blo, bhi, rlo, rhi)
 
-    assert row_unsat(mk(1.1, 2.0), 0)          # lo(b) above rhs range
-    assert row_unsat(mk(-2.0, -0.1), 0)        # hi(b) below rhs range
-    assert not row_unsat(mk(0.5, 2.0), 0)
+    assert row_apart(1.1, 2.0)          # lo(b) above rhs range
+    assert row_apart(-2.0, -0.1)        # hi(b) below rhs range
+    assert not row_apart(0.5, 2.0)
     # violations inside the eps margin do not count
-    assert not row_unsat(mk(1.0 + 5e-8, 2.0), 0)
-    assert row_unsat(mk(1.0 + 5e-7, 2.0), 0)
+    assert not row_apart(1.0 + 5e-8, 2.0)
+    assert row_apart(1.0 + 5e-7, 2.0)
+    # one-sided forms with infinite ends: a nonneg assertion against [0, inf]
+    # and a nonpos one against [-inf, 0] (prune, the oracle), and a clash of
+    # y >= lo with y <= hi (negation_empty)
+    assert apart(-2.0, -5e-7, 0.0, INF)
+    assert not apart(-2.0, -5e-8, 0.0, INF)
+    assert apart(5e-7, 2.0, -INF, 0.0)
+    assert not apart(5e-8, 2.0, -INF, 0.0)
+    assert not apart(-INF, INF, 0.0, INF) and not apart(-INF, INF, -INF, 0.0)
+    assert apart(0.6, INF, -INF, 0.5)
+    assert not apart(0.5 + 5e-8, INF, -INF, 0.5)
+
+
+def test_linear_interval_zero_terms_and_order():
+    lo, hi = [-INF, 1.0, 1.0, 1.0, 0.0], [INF, 1.0, 1.0, 1.0, 2.0]
+    # a zero coefficient adds nothing, even against an infinite bound
+    assert linear_interval([(0, 0.0), (4, -3.0)], lo, hi) == (-6.0, 0.0)
+    assert linear_interval([(0, 2.0), (4, 1.0)], lo, hi) == (-INF, INF)
+    # terms are added one by one in the order given: 1e16 + 1.0 rounds back
+    # to 1e16, so the same terms sum to 0.0 or 1.0 by their order
+    big = [(1, 1e16), (2, 1.0), (3, -1e16)]
+    assert linear_interval(big, lo, hi) == (0.0, 0.0)
+    assert linear_interval([big[0], big[2], big[1]], lo, hi) == (1.0, 1.0)
+
+
+def test_refutation_margin_has_one_home():
+    """EPS_BOUND enters a comparison only in `constants.apart` and in the
+    point scans that choose a repair move, so that every refutation has one
+    margin to change."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "incremark"
+    found = set()
+
+    def visit(node, module, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Compare) and any(
+                getattr(n, "id", getattr(n, "attr", None)) == "EPS_BOUND"
+                for n in ast.walk(node)):
+            found.add((module, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert ("constants", "apart") in found
+    assert found <= {("constants", "apart"), ("simplex", "out_of_bounds"),
+                     ("simplex", "resolve_violation"), ("simplex", "bound_step")}
 
 
 def test_check_unsat_rows_picks_lowest_basic():
@@ -246,9 +296,9 @@ def test_row_test_ignores_an_unmentioned_infinite_bound():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [(row_interval(c, 2), check_unsat_rows(c, out_of_bounds(c)))
+        got = [(row_intervals(c, [2]), check_unsat_rows(c, out_of_bounds(c)))
                for c in (mk(False), mk(True))]
-    assert got[0] == got[1] == ((-1.0 - 2.0, 2.0 - 1.0), 2)
+    assert got[0] == got[1] == ([[-1.0 - 2.0], [2.0 - 1.0]], 2)
 
 
 def test_out_of_bounds_direction_and_order():
@@ -467,8 +517,8 @@ def test_array_rows_match_the_loop_reference():
             pivot(cfg, b, e)
             _pivot_reference(rows, b, e)
             assert {b: cfg.row(b) for b in cfg.basic} == rows
-            for b in cfg.basic:
-                assert row_interval(cfg, b) == _interval_reference(cfg, b)
+            rlo, rhi = row_intervals(cfg, cfg.basic)
+            assert list(zip(rlo, rhi)) == [_interval_reference(cfg, b) for b in cfg.basic]
 
 
 # -- incremental assignment invariants over seeded searches ------------------
@@ -484,6 +534,10 @@ def _instances(demo_net, demo_prop):
 
 def _exact(cfg, vid):
     return cfg.row_value(vid) if vid in cfg.pos else cfg.alpha[vid]
+
+
+# tolerance of the test on |alpha(basic) - row(alpha)|
+ROW_RESIDUAL = 1e-7
 
 
 def _max_residual(cfg):
@@ -513,7 +567,7 @@ def test_row_residual_invariant(monkeypatch, demo_net, demo_prop):
     def checked_step(cfg, *args):
         out = real_step(cfg, *args)
         seen["steps"] += 1
-        assert _max_residual(cfg) <= EPS_ROW
+        assert _max_residual(cfg) <= ROW_RESIDUAL
         # repair_step has no clamp of its own: no move may leave a
         # non-basic outside its bounds
         assert _nonbasics_in_bounds(cfg)
@@ -526,7 +580,7 @@ def test_row_residual_invariant(monkeypatch, demo_net, demo_prop):
         def wrapper(cfg, *args):
             fn(cfg, *args)
             seen[key] += 1
-            assert _max_residual(cfg) <= EPS_ROW
+            assert _max_residual(cfg) <= ROW_RESIDUAL
         return wrapper
 
     real_optimize = lp._optimize
@@ -543,7 +597,7 @@ def test_row_residual_invariant(monkeypatch, demo_net, demo_prop):
     def checked_tighten(relax, vids):
         out = real_tighten(relax, vids)
         seen["tighten"] += 1
-        assert _max_residual(relax.cfg) <= EPS_ROW
+        assert _max_residual(relax.cfg) <= ROW_RESIDUAL
         return out
 
     monkeypatch.setattr(solver, "repair_step", checked_step)
@@ -569,13 +623,15 @@ def test_row_residual_invariant(monkeypatch, demo_net, demo_prop):
 
 def test_restricted_row_check_matches_full_scan(monkeypatch, demo_net, demo_prop):
     """The row test scans only basics outside their bounds; every answer
-    must be the lowest row that `row_unsat` rejects among all rows."""
+    must be the lowest row `apart` from its bounds among all rows."""
     real_check = solver.check_unsat_rows
     compared = [0]
 
     def both(cfg, *args):
         out = real_check(cfg, *args)
-        assert out == next((b for b in sorted(cfg.basic) if row_unsat(cfg, b)), None)
+        basics = sorted(cfg.basic)
+        rows = zip(basics, *row_intervals(cfg, basics))
+        assert out == next((b for b, l, h in rows if apart(cfg.lo[b], cfg.hi[b], l, h)), None)
         compared[0] += 1
         return out
 
