@@ -38,9 +38,6 @@ class Assertion:
     neuron: int
     sign: str  # NONNEG | NONPOS
 
-    def negated(self) -> "Assertion":
-        return Assertion(self.neuron, NONPOS if self.sign == NONNEG else NONNEG)
-
 
 @dataclass
 class Bounds:

@@ -46,7 +46,7 @@ from . import deeppoly, lp
 from . import prooftree as pt
 from .deeppoly import analyze, clamp, is_property_refuted
 from .model import UNSAT, Verdict, property_hash, witness_ok
-from .simplex import CHORD, certificate, encoded_equations
+from .simplex import CHORD, encoded_equations
 # not called here: perfbench/tracer.py patches these two names on this module
 from .simplex import check_unsat_rows, refresh_bounds  # noqa: F401
 from .solver import raise_if_undecided, search
@@ -165,8 +165,8 @@ def _replay_unsat_leaf(net, prop, tree, nid, base):
         if is_property_refuted(bounds, prop):
             return TIGHTEN, None
     else:
-        cert = certificate(relax.cfg, relax.infeasible_row)
-        if lp.certificate_refutes(net, prop, bounds, cert):
+        cert = lp.refuting_certificate(net, prop, bounds, relax.cfg, relax.infeasible_row)
+        if cert is not None:
             node.cert = cert
             return LP, None
         # the relaxation's infeasibility is unproven: tightening over it

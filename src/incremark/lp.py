@@ -122,8 +122,7 @@ def decide(net, prop, bounds: Bounds) -> tuple[tuple[float, ...] | None, Certifi
     relax = build(net, prop, bounds)
     status = phase1(relax)
     if status == INFEASIBLE:
-        cert = certificate(relax.cfg, relax.infeasible_row)
-        return None, (cert if certificate_refutes(net, prop, bounds, cert) else None)
+        return None, refuting_certificate(net, prop, bounds, relax.cfg, relax.infeasible_row)
     if status == CAP:
         return None, None
     point = find_point(relax, net.layout.input_ids)
@@ -160,6 +159,16 @@ def certificate_refutes(net, prop, bounds: Bounds, cert: Certificate) -> bool:
 
     rlo, rhi = linear_interval([*row, *coef.items()], lo, hi)
     return apart(rlo, rhi, 0.0, 0.0) and rlo < INF and -INF < rhi
+
+
+def refuting_certificate(net, prop, bounds: Bounds, cfg: Configuration,
+                         row: int) -> Certificate | None:
+    """The certificate of `row` of `cfg` if it shows the branch of `bounds`
+    empty (`certificate_refutes`), else None: the one re-check before a row
+    closes a branch. Pivoting drifts rows away from the sums of the
+    equations they name, most at large weight scales."""
+    cert = certificate(cfg, row)
+    return cert if certificate_refutes(net, prop, bounds, cert) else None
 
 
 def _optimize(relax: Relaxation, vid: int, maximize: bool) -> float | None:

@@ -14,7 +14,10 @@ a slack variable pinned to minus its bias, so a pivot is pure coefficient
 algebra. `equation` defines each encoded equation and its slack's interval
 over the neuron intervals of a `Bounds`; the rows and slack bounds
 (`encode`, `refresh_bounds`), the branch LP and the certificate test all
-read it.
+read it. The array is the tableau's only form: `encode` writes each row
+straight from its equation's terms, with a basic term's row in its place.
+One level of substitution is enough: the only basic terms are
+pre-activations, whose affine rows come first and name no basic.
 
 Non-basic variables always lie within their bounds: `encode` and
 `refresh_bounds` place them there, and every move (`update`, `set_variable`,
@@ -101,27 +104,22 @@ class Configuration:
     and each builds lohi anew from the lists it writes, so a copy shares its
     original's array.
 
-    rows: basic id -> {non-basic id: coefficient}, the constructor's form of
-    the tableau, which `row(b)` reads back one row at a time.
-    lo, hi: lists of the bounds of ids 0..n-1.
-    alpha: {id: value} of the non-basics; `recompute` solves the basics.
+    T, basic: the tableau array, its one form, which `encode` writes and
+    the configuration keeps as given, and the basic id of each of its rows.
+    lo, hi, alpha: lists of the bounds and values of ids 0..n-1.
     equations: slack id -> (kind, index) of the one equation it belongs to.
     violations: ReLU pre id -> its pair's repairs in this local search, and
     max_violations their running maximum (`count_repair`).
     """
 
-    def __init__(self, rows, lo, hi, alpha, relu_pairs, input_ids, equations=None):
-        n = len(lo)
-        self.basic: list[int] = list(rows)
+    def __init__(self, T, basic, lo, hi, alpha, relu_pairs, input_ids, equations=None):
+        self.T = T
+        self.basic: list[int] = list(basic)
         self.pos: dict[int, int] = {b: r for r, b in enumerate(self.basic)}
-        self.T = np.zeros((len(self.basic), n))
-        for r, row in enumerate(rows.values()):
-            for k, c in row.items():
-                self.T[r, k] = c
         self.lo: list[float] = list(lo)
         self.hi: list[float] = list(hi)
         self.lohi = np.array((self.lo, self.hi))
-        self.alpha: list[float] = [alpha.get(v, 0.0) for v in range(n)]
+        self.alpha: list[float] = list(alpha)
         self.relu_pairs: list[tuple[int, int]] = list(relu_pairs)
         self.input_ids: list[int] = list(input_ids)
         self.equations: dict[int, tuple[str, int]] = equations or {}
@@ -412,20 +410,6 @@ def repair_step(cfg: Configuration, out: list[int]) -> StepResult:
 # ---------------------------------------------------------------------------
 # building the initial configuration
 
-def define_row(rows: dict[int, dict[int, float]], basic: int, expr: dict[int, float]) -> None:
-    """Install basic = expr, substituting already-basic variables so the RHS
-    only mentions non-basics."""
-    out: dict[int, float] = {}
-    stack = list(expr.items())
-    while stack:
-        k, c = stack.pop()
-        if k in rows:
-            stack.extend((k2, c * c2) for k2, c2 in rows[k].items())
-        else:
-            out[k] = out.get(k, 0.0) + c
-    rows[basic] = {k: v for k, v in sorted(out.items()) if abs(v) > COEF_EPS}
-
-
 def equation(net, prop, kind, i, lo, hi):
     """Equation (kind, i) of the encoding and its slack's interval, as
     (terms, slack_lo, slack_hi): slack = sum(c * x for x, c in terms).
@@ -504,25 +488,35 @@ def initialize(net, prop, bounds) -> Configuration:
 
 def encode(net, prop, bounds, equations) -> Configuration:
     """One row per equation of `equations` (slack id -> (kind, index)), in
-    its order, solved for the pre-activation of an affine one and for the
-    slack of any other; bounds from the neuron intervals of `bounds`, each
-    slack's written at its id; non-basics start at their lower bound."""
+    its order: solved for the pre-activation of an affine one and for the
+    slack of any other, its terms added last first (the order fixes the
+    rounding of a sum over three or more outputs), a basic one as its row;
+    bounds from the neuron intervals of `bounds`, each slack's written at
+    its id; non-basics start at their lower bound."""
     if negation_empty(prop):
         raise ValueError("an empty negation is decided before encoding")
     lo, hi = neuron_bounds(net, prop, bounds)
     lo += [-INF] * (max(equations) + 1 - len(lo))
     hi += [INF] * (len(lo) - len(hi))
-    rows: dict[int, dict[int, float]] = {}
-    for sid, (kind, i) in equations.items():
+    T = np.zeros((len(equations), len(lo)))
+    pos: dict[int, int] = {}
+    for r, (sid, (kind, i)) in enumerate(equations.items()):
         terms, lo[sid], hi[sid] = equation(net, prop, kind, i, lo, hi)
+        row = T[r]
         if kind == AFF:  # s = W.prev - pre, so pre = W.prev - s
-            expr = {v: c for v, c in terms[1:] if c != 0.0}
-            expr[sid] = -1.0
-            define_row(rows, i, expr)
+            pos[i] = r
+            row[sid] = -1.0
+            terms = terms[1:]
         else:
-            define_row(rows, sid, dict(terms))
-    alpha = {v: x for v, x in enumerate(lo) if v not in rows}
-    cfg = Configuration(rows, lo, hi, alpha, net.layout.relu_pairs, net.layout.input_ids,
+            pos[sid] = r
+        for v, c in reversed(terms):
+            if v in pos:
+                row += c * T[pos[v]]
+            else:
+                row[v] += c
+        row[np.abs(row) <= COEF_EPS] = 0.0
+    alpha = [0.0 if v in pos else x for v, x in enumerate(lo)]
+    cfg = Configuration(T, pos, lo, hi, alpha, net.layout.relu_pairs, net.layout.input_ids,
                         equations)
     recompute(cfg)
     return cfg

@@ -31,8 +31,7 @@ replay: a row of the search tableau or of the branch LP
 (`simplex.certificate`), or the DeepPoly back-substitution that refuted the
 branch (`deeppoly.certificate`). A tableau row closes a node only when its
 certificate, rebuilt from the network, refutes the node's bounds
-(`lp.certificate_refutes`): pivoting drifts rows away from the sum of the
-equations they name, most at large weight scales.
+(`lp.refuting_certificate`, which the branch LP and replay use too).
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .model import UNSAT, Verdict, property_hash, witness_ok
 from .simplex import (
     Progress,
     Satisfied,
-    certificate,
     check_unsat_rows,
     initialize,
     out_of_bounds,
@@ -110,7 +108,9 @@ def search(net, prop, tree, nid, bounds, parent=None):
             return step.witness
         if not isinstance(step, Progress):
             break  # Stuck, or a point that the forward pass rejects
-    if row is not None and _close_by_row(net, prop, node, cfg, bounds, row):
+    cert = None if row is None else lp.refuting_certificate(net, prop, bounds, cfg, row)
+    if cert is not None:
+        node.status, node.cert = pt.UNSAT, cert
         return None
 
     if not candidates:
@@ -127,17 +127,6 @@ def search(net, prop, tree, nid, bounds, parent=None):
         child_bounds = analyze(net, prop.box, sorted(tree.asserts_of(cid)))
         witness = search(net, prop, tree, cid, child_bounds, cfg)
     return witness
-
-
-def _close_by_row(net, prop, node, cfg, bounds, row) -> bool:
-    """Close the node as UNSAT on a tableau row that contradicts its bounds,
-    if the row's certificate, rebuilt from the network, refutes them too."""
-    cert = certificate(cfg, row)
-    if not lp.certificate_refutes(net, prop, bounds, cert):
-        return False
-    node.status = pt.UNSAT
-    node.cert = cert
-    return True
 
 
 def _decide_by_lp(net, prop, node, bounds):

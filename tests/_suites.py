@@ -11,11 +11,71 @@ import numpy as np
 
 from incremark import lp
 from incremark.bench import random_network, random_threshold_property
-from incremark.constants import EPS_BOUND, apart
+from incremark.constants import COEF_EPS, EPS_BOUND, apart
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze, relaxation
 from incremark.model import RELU, witness_ok
 from incremark.prooftree import ProofTree
-from incremark.simplex import Configuration, pivot, recompute, row_intervals
+from incremark.simplex import (
+    AFF,
+    INF,
+    Configuration,
+    equation,
+    neuron_bounds,
+    pivot,
+    recompute,
+    row_intervals,
+)
+
+
+def configuration(rows, lo, hi, alpha, relu_pairs=(), input_ids=(),
+                  equations=None) -> Configuration:
+    """A Configuration written in dict form: `rows` maps each basic id, in
+    row order, to {id: coefficient}, and `alpha` maps ids to values (0.0
+    for any other). The basics are not re-solved."""
+    T = np.zeros((len(rows), len(lo)))
+    for r, row in enumerate(rows.values()):
+        for k, c in row.items():
+            T[r, k] = c
+    return Configuration(T, list(rows), lo, hi, [alpha.get(v, 0.0) for v in range(len(lo))],
+                         relu_pairs, input_ids, equations)
+
+
+def define_row(rows: dict[int, dict[int, float]], basic: int, expr: dict[int, float]) -> None:
+    """Install basic = expr in dict-form `rows`, substituting the rows of
+    already-basic variables (depth first, last term first) so that the
+    right-hand side mentions only non-basics."""
+    out: dict[int, float] = {}
+    stack = list(expr.items())
+    while stack:
+        k, c = stack.pop()
+        if k in rows:
+            stack.extend((k2, c * c2) for k2, c2 in rows[k].items())
+        else:
+            out[k] = out.get(k, 0.0) + c
+    rows[basic] = {k: v for k, v in sorted(out.items()) if abs(v) > COEF_EPS}
+
+
+def reference_encode(net, prop, bounds, equations) -> Configuration:
+    """`simplex.encode` as a dict of rows built by `define_row`, then
+    copied into an array: the reference that the array encoding must
+    match bit for bit."""
+    lo, hi = neuron_bounds(net, prop, bounds)
+    lo += [-INF] * (max(equations) + 1 - len(lo))
+    hi += [INF] * (len(lo) - len(hi))
+    rows: dict[int, dict[int, float]] = {}
+    for sid, (kind, i) in equations.items():
+        terms, lo[sid], hi[sid] = equation(net, prop, kind, i, lo, hi)
+        if kind == AFF:
+            expr = {v: c for v, c in terms[1:] if c != 0.0}
+            expr[sid] = -1.0
+            define_row(rows, i, expr)
+        else:
+            define_row(rows, sid, dict(terms))
+    alpha = {v: x for v, x in enumerate(lo) if v not in rows}
+    cfg = configuration(rows, lo, hi, alpha, net.layout.relu_pairs, net.layout.input_ids,
+                        equations)
+    recompute(cfg)
+    return cfg
 
 
 def forward_values(net, x) -> dict[int, float]:
@@ -72,7 +132,7 @@ def random_configuration(rng) -> Configuration:
         alpha[v] = float(rng.uniform(lo[v], hi[v]))
     for b in basics:
         alpha[b] = 0.0
-    cfg = Configuration(rows, lo, hi, alpha, [], list(range(min(2, n))))
+    cfg = configuration(rows, lo, hi, alpha, input_ids=range(min(2, n)))
     recompute(cfg)
     return cfg
 
@@ -152,7 +212,7 @@ def row_checker_vs_corners(trials: int = 1000, seed: int = 303) -> int:
         lo[0], hi[0] = bl, bh
         alpha = {c: lo[c] for c in cols}
         alpha[0] = 0.0
-        cfg = Configuration({0: row}, lo, hi, alpha, [], [])
+        cfg = configuration({0: row}, lo, hi, alpha)
         recompute(cfg)
         expected = bl > tmax + EPS_BOUND or bh < tmin - EPS_BOUND
         [[rlo], [rhi]] = row_intervals(cfg, [0])

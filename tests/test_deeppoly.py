@@ -20,12 +20,6 @@ from incremark.model import RELU, LinearConstraint, Network, SafetyProperty
 from conftest import BOX
 
 
-def test_negated_assertion_flips_sign():
-    a = Assertion(2, NONNEG)
-    assert a.negated() == Assertion(2, NONPOS)
-    assert a.negated().negated() == a
-
-
 def test_analyze_demo_intervals(demo_net):
     b = analyze(demo_net, BOX)
     assert not b.infeasible

@@ -1,5 +1,6 @@
 import json
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -540,8 +541,10 @@ def test_lp_rung_closes_only_on_a_certificate_that_rechecks(monkeypatch):
     _, rep, _ = verify_incremental(modified, prop, tree)
     by_lp = {nid for nid, rung in rep.outcomes.items() if rung == LP}
     assert by_lp
-    # the lp rung's certificate becomes an empty sum, which refutes nothing
-    monkeypatch.setattr(incremental, "certificate", lambda cfg, row: ())
+    # the lp rung's re-check refutes nothing; the searches' re-checks are
+    # left as they are
+    monkeypatch.setattr(incremental, "lp", SimpleNamespace(
+        **{**vars(lp), "refuting_certificate": lambda *args: None}))
     verdict, rep, out = verify_incremental(modified, prop, tree)
     assert not verdict.sat and not oracle(modified, prop).sat
     assert LP not in rep.outcomes.values()

@@ -9,7 +9,6 @@ from incremark.bench import random_network, random_threshold_property
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze
 from incremark.model import LinearConstraint, Network, SafetyProperty
 from incremark.simplex import (
-    Configuration,
     certificate,
     initialize,
     recompute,
@@ -74,7 +73,7 @@ def test_build_is_search_tableau_plus_chord_rows():
         # post - k.pre with pre solved from its affine row
         point = {v: float(rng.normal()) for v in range(len(cfg.alpha)) if v not in cfg.pos}
         rows = {b: relax.cfg.row(b) for b in relax.cfg.basic}
-        val = Configuration(rows, relax.cfg.lo, relax.cfg.hi, point, [], [])
+        val = _suites.configuration(rows, relax.cfg.lo, relax.cfg.hi, point)
         recompute(val)
         for sid, (pre, post) in zip(chords, uncertain):
             l, u = bounds.lo[pre], bounds.hi[pre]
@@ -169,11 +168,18 @@ def test_every_row_is_its_certificates_sum(shape, seed, n_out):
             assert rhs == pytest.approx(lhs, abs=1e-9)
 
 
-def test_infeasible_branch_certificate_closes_it(demo_net, unsat_prop, fprime):
+def test_infeasible_branch_certificate_closes_it(demo_net, demo_prop, unsat_prop, fprime):
     r = lp.build(demo_net, unsat_prop, analyze(demo_net, BOX))
     assert lp.phase1(r) == lp.INFEASIBLE
     cert = certificate(r.cfg, r.infeasible_row)
     assert lp.certificate_refutes(demo_net, unsat_prop, analyze(demo_net, BOX), cert)
+    assert lp.refuting_certificate(demo_net, unsat_prop, analyze(demo_net, BOX), r.cfg,
+                                   r.infeasible_row) == cert
+    # no row of a relaxation with a feasible point shows its branch empty
+    sat = lp.build(demo_net, demo_prop, analyze(demo_net, BOX))
+    assert lp.phase1(sat) == lp.FEASIBLE
+    assert all(lp.refuting_certificate(demo_net, demo_prop, analyze(demo_net, BOX), sat.cfg, b)
+               is None for b in sat.cfg.basic)
     # a small weight change: the rebuilt sum still excludes 0
     assert lp.certificate_refutes(fprime, unsat_prop, analyze(fprime, BOX), cert)
     # any multipliers give an implied equation; these ones show nothing
@@ -295,20 +301,15 @@ def test_ratio_test_ties_within_an_ulp_go_to_the_lowest_basic():
     # maximize x0: rows x1 = x0 and x2 = x0 both block it, x2 one ulp
     # earlier than x1; the two steps tie, so the lower id x1 leaves
     top = math.nextafter(1.0, 0.0)
-    cfg = Configuration(
-        {1: {0: 1.0}, 2: {0: 1.0}},
-        [0.0, 0.0, 0.0],
-        [10.0, 1.0, top],
-        {0: 0.0},
-        [], [0],
-    )
+    cfg = _suites.configuration({1: {0: 1.0}, 2: {0: 1.0}}, [0.0, 0.0, 0.0], [10.0, 1.0, top],
+                                {0: 0.0}, input_ids=[0])
     recompute(cfg)
     relax = lp.Relaxation(cfg, cap=10, status=lp.FEASIBLE)
     assert lp._optimize(relax, 0, maximize=True) == 1.0
     assert 1 not in cfg.pos and 2 in cfg.pos
     # a tie with the entering variable's own bound goes to the bound flip,
     # though the row blocks one ulp earlier
-    cfg = Configuration({1: {0: 1.0}}, [0.0, 0.0], [1.0, top], {0: 0.0}, [], [0])
+    cfg = _suites.configuration({1: {0: 1.0}}, [0.0, 0.0], [1.0, top], {0: 0.0}, input_ids=[0])
     recompute(cfg)
     relax = lp.Relaxation(cfg, cap=10, status=lp.FEASIBLE)
     assert lp._optimize(relax, 0, maximize=True) == 1.0
@@ -320,8 +321,8 @@ def test_ratio_test_never_chooses_a_row_that_pivot_rejects():
     # row of x2 alone blocks x0, but its coefficient is below EPS_PIVOT, so
     # the optimum is not found and tighten keeps x0's upper bound
     def relax():
-        cfg = Configuration({2: {0: 5e-9, 1: 1.0}}, [0.0, 0.0, 0.0],
-                            [math.inf, 0.0, 1e-9], {0: 0.0, 1: 0.0}, [], [0])
+        cfg = _suites.configuration({2: {0: 5e-9, 1: 1.0}}, [0.0, 0.0, 0.0],
+                                    [math.inf, 0.0, 1e-9], {0: 0.0, 1: 0.0}, input_ids=[0])
         recompute(cfg)
         r = lp.Relaxation(cfg, cap=10)
         assert lp.phase1(r) == lp.FEASIBLE

@@ -12,11 +12,10 @@ from incremark.bench import Perturbation, perturb, random_network, random_thresh
 from incremark.constants import COEF_EPS, apart
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted
 from incremark.incremental import verify_incremental
-from incremark.model import LinearConstraint, Network, SafetyProperty
+from incremark.model import LinearConstraint, Network, SafetyProperty, evaluate, negation_empty
 from incremark.simplex import (
     INF,
     PROGRESS,
-    Configuration,
     PivotError,
     Progress,
     Satisfied,
@@ -46,7 +45,7 @@ def demo_cfg(demo_net, demo_prop):
 
 
 def small_cfg(rows, lo, hi, alpha):
-    cfg = Configuration(rows, lo, hi, alpha, [], [])
+    cfg = _suites.configuration(rows, lo, hi, alpha)
     recompute(cfg)
     return cfg
 
@@ -77,6 +76,63 @@ def test_initialize_demo_slack_intervals(demo_net, demo_prop):
     # refresh_bounds derives them the same way from new neuron intervals
     refresh_bounds(cfg, demo_net, demo_prop, analyze(demo_net, BOX, [Assertion(3, NONNEG)]))
     assert (cfg.lo[8], cfg.hi[8]) == (0.0, 0.0)
+
+
+def _random_multi_output_instance(rng, k):
+    """Net k of a seeded family: 1-4 outputs, a ReLU output layer on every
+    third, a weight of 5e-13 on every second, and up to three constraints
+    with random zero coefficients, each threshold drawn from the outputs'
+    sampled range."""
+    dims = (int(rng.integers(2, 4)), int(rng.integers(3, 7)), int(rng.integers(3, 6)),
+            int(rng.integers(1, 5)))
+    net = random_network(dims, k)
+    weights = net.weights
+    if k % 2:  # a weight within COEF_EPS of zero, which no row keeps
+        li = int(rng.integers(len(weights)))
+        weights[li][tuple(rng.integers(weights[li].shape))] = 5e-13
+    net = Network(weights, net.biases, ["relu"] * len(weights) if k % 3 == 0 else None)
+    box = tuple(sorted(rng.uniform(-1.0, 1.0, 2).tolist()) for _ in range(dims[0]))
+    ys = np.array([evaluate(net, [rng.uniform(l, h) for l, h in box]) for _ in range(16)])
+    constraints = []
+    for _ in range(int(rng.integers(1, 4))):
+        a = rng.uniform(-1.0, 1.0, dims[-1]) * (rng.random(dims[-1]) < 0.8)
+        if not a.any():
+            a[0] = 1.0
+        t = float(rng.uniform((ys @ a).min(), (ys @ a).max()))
+        constraints.append(LinearConstraint(tuple(a.tolist()), t))
+    return net, SafetyProperty(box, tuple(constraints))
+
+
+def test_encoding_equals_the_dict_of_rows_reference():
+    """`initialize` and `lp.build` write the tableau, bounds and assignment
+    of the dict-of-rows encoding (`_suites.reference_encode`) bit for bit,
+    with its summation order over three or more substituted outputs, on
+    networks with linear and ReLU output layers and with chord rows."""
+    rng = np.random.default_rng(2024)
+    seen = {"prop3": 0, "relu_out": 0, "chord": 0}
+    for k in range(150):
+        net, prop = _random_multi_output_instance(rng, k)
+        if negation_empty(prop):
+            continue
+        pres = [pre for pre, _ in net.layout.relu_pairs]
+        asserts = [Assertion(int(v), (NONNEG, NONPOS)[k % 2])
+                   for v in rng.choice(pres, k % 3, replace=False)]
+        bounds = analyze(net, prop.box, sorted(asserts))
+        if bounds.infeasible:
+            continue
+        relax = lp.build(net, prop, bounds)
+        for got in (initialize(net, prop, bounds), relax.cfg):
+            want = _suites.reference_encode(net, prop, bounds, got.equations)
+            assert got.basic == want.basic, k
+            assert got.T.shape == want.T.shape and got.T.tobytes() == want.T.tobytes(), k
+            for name in ("lo", "hi", "alpha"):
+                assert ([x.hex() for x in getattr(got, name)]
+                        == [x.hex() for x in getattr(want, name)]), (k, name)
+        seen["prop3"] += any(kind == "prop" and sum(map(bool, prop.constraints[i].coeffs)) >= 3
+                             for kind, i in relax.cfg.equations.values())
+        seen["relu_out"] += net.activations[-1] == "relu"
+        seen["chord"] += any(kind == "chord" for kind, _ in relax.cfg.equations.values())
+    assert min(seen.values()) >= 10, seen
 
 
 @pytest.mark.parametrize("dims", [(2, 5, 5, 1), (3, 8, 8, 1)])
@@ -402,10 +458,7 @@ def test_repair_step_satisfied_on_branch(demo_net, demo_prop):
 
 
 def test_violated_relu_pairs_tolerance():
-    cfg = Configuration(
-        {}, [-1.0, 0.0], [1.0, 1.0], {0: 0.5, 1: 0.5},
-        [(0, 1)], [0],
-    )
+    cfg = _suites.configuration({}, [-1.0, 0.0], [1.0, 1.0], {0: 0.5, 1: 0.5}, [(0, 1)], [0])
     assert violated_relu_pairs(cfg) == []
     cfg.alpha[1] = 0.5 + 2e-9
     assert violated_relu_pairs(cfg) == [(0, 1)]

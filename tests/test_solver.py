@@ -310,6 +310,16 @@ def test_every_local_search_ends(monkeypatch):
     assert any(steps == cap for _, steps, cap in searches.values())
 
 
+def test_largest_search_node_count():
+    """(4,10,10,1) s0 is the largest search the tableau runs in these
+    tests: UNSAT in 751 nodes. A change that moves the count updates it
+    here and says why; `--durations` reports its wall time."""
+    net = random_network((4, 10, 10, 1), 0)
+    verdict, tree = solve(net, random_threshold_property(net, 1))
+    assert not verdict.sat
+    assert len(tree.nodes) == 751
+
+
 def _answer(decide, net, prop):
     try:
         return decide(net, prop)
