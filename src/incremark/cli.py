@@ -13,7 +13,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import bench as bench_mod
 from . import prooftree
@@ -156,8 +155,8 @@ def bounds(net_path, prop_path):
     lay = net.layout
     for vid in lay.neuron_ids:
         click.echo(f"x{vid + 1} in [{b.lo[vid]:.10g}, {b.hi[vid]:.10g}]")
-    lo, hi = (np.array([d[pre] for pre, _ in lay.relu_pairs]) for d in (b.lo, b.hi))
-    for (pre, post), lc, uc, uk in zip(lay.relu_pairs, *relaxation(lo, hi)):
+    for pre, post in lay.relu_pairs:
+        lc, uc, uk = relaxation(b.lo[pre], b.hi[pre])
         click.echo(f"x{post + 1} >= {lc:.10g}*x{pre + 1} + 0")
         click.echo(f"x{post + 1} <= {uc:.10g}*x{pre + 1} + {uk:.10g}")
     sys.exit(0)

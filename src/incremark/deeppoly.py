@@ -8,6 +8,14 @@ a ReLU output's interval is the ReLU of its pre-activation's. Sign
 assertions clamp the pre-activation interval *before* the ReLU case split,
 so asserted branches propagate tightened relaxations downstream.
 
+Numpy runs only the back-substitution (the stacked rows [w; w], the
+choice of relation and box end by sign, the row sums and the products);
+its fixed cost per call would dominate the steps per neuron (finiteness
+check, clamps, collapse, ReLU image, relations), which run on Python
+floats and give numpy's results bit for bit, signed zeros included. A
+lower bound is a row of its own: the negated upper bound of -w would turn
+0.0 ends into -0.0, the demo output's among them.
+
 A back-substitution is itself a sum of the equations the tableau encodes
 (see the simplex module): an affine layer is an `aff` equation, a
 decided-on ReLU a `relu` equation, an uncertain ReLU taken by its upper
@@ -19,6 +27,8 @@ same kind of proof as one a tableau row closed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
+from operator import gt, sub
 
 import numpy as np
 
@@ -64,9 +74,7 @@ def is_property_refuted(bounds: Bounds, prop) -> bool:
     vacuously. Otherwise some conjunct a.y >= c must be interval-impossible
     (`_refuted_constraint`).
     """
-    if negation_empty(prop):
-        return True
-    if bounds.infeasible:
+    if negation_empty(prop) or bounds.infeasible:
         return True
     return _refuted_constraint(bounds, prop) is not None
 
@@ -111,46 +119,38 @@ def uncertain(lay, bounds: Bounds) -> list[int]:
     return [pre for pre, _ in lay.relu_pairs if lo[pre] < 0.0 < hi[pre]]
 
 
-def relaxation(lo, hi):
-    """DeepPoly's linear bounds of relu(pre) over pre in [lo, hi], per
-    element of the interval arrays: relu(pre) >= lc*pre and
-    relu(pre) <= uc*pre + uk. Returns (lc, uc, uk).
+def relaxation(lo: float, hi: float) -> tuple[float, float, float]:
+    """DeepPoly's linear bounds of relu(pre) over pre in [lo, hi]:
+    relu(pre) >= lc*pre and relu(pre) <= uc*pre + uk. Returns (lc, uc, uk).
 
     A decided-on neuron (lo >= 0) is the identity both ways; an uncertain
     one (lo < 0 < hi) is bounded above by the chord over [lo, hi] and below
     by 0; a decided-off one is 0 both ways."""
-    on = lo >= 0.0
-    cross = ~on & (hi > 0.0)
-    # span is 1 off the crossing neurons, so no division sees a 0
-    span = np.where(cross, hi - lo, 1.0)
-    s = np.where(cross, hi / span, 0.0)
-    lc = on.astype(float)
-    return lc, np.where(cross, s, lc), np.where(cross, -s * lo, 0.0)
+    if lo >= 0.0:
+        return 1.0, 1.0, 0.0
+    if hi > 0.0:
+        s = hi / (hi - lo)
+        return 0.0, s, -s * lo
+    return 0.0, 0.0, 0.0
 
 
+# a bound that overflows becomes inf or nan, which the finiteness check reports
+@np.errstate(over="ignore", invalid="ignore")
 def analyze(net: Network, box, asserts=()) -> Bounds:
     """Run the abstraction under sign assertions; `box` is passed explicitly
     so callers can re-propagate with a tightened one."""
     lay = net.layout
-    res = Bounds(output_ids=tuple(lay.output_ids))
-    # per asserted layer, the floor (row 0) and ceiling (row 1) that NONNEG
-    # and NONPOS put on its pre-activations
-    clamps: dict[int, np.ndarray] = {}
+    asserted: dict[int, list[Assertion]] = {}  # by the layer of their neuron
     for a in asserts:
-        li, j = lay.pre_row[a.neuron]
-        if li not in clamps:
-            clamps[li] = np.array([[-np.inf], [np.inf]]).repeat(len(lay.pre_ids[li]), axis=1)
-        clamps[li][int(a.sign == NONPOS), j] = 0.0
+        asserted.setdefault(lay.pre_row[a.neuron][0], []).append(a)
 
     lo0 = np.array([b[0] for b in box], dtype=float)
     hi0 = np.array([b[1] for b in box], dtype=float)
     if len(lo0) != net.n_inputs:
         raise ValueError("box arity does not match the network inputs")
-    res.lo += lo0.tolist()
-    res.hi += hi0.tolist()
+    res = Bounds(lo0.tolist(), hi0.tolist(), tuple(lay.output_ids))
 
-    # Per processed layer: the relation vectors (lower coef, upper coef,
-    # upper const) of post over pre, used during back-substitution.
+    # per layer but a last one without ReLU: the relations (lc, uc, uk) of post over pre
     rel: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     for li in range(net.n_layers):
@@ -162,42 +162,41 @@ def analyze(net: Network, box, asserts=()) -> Bounds:
         c = np.concatenate((w, w))
         k = np.concatenate((net.biases[li], net.biases[li]))
         upper_row = (np.arange(2 * n) >= n)[:, None]
-        # a chord over an interval wider than the largest float has slope 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(li, 0, -1):
-                lc, uc, uk = rel[j - 1]
-                take_u = (c > 0) == upper_row
-                k += (np.where(take_u, uk, 0.0) * c).sum(axis=1)
-                c = np.where(take_u, uc, lc) * c
-                k += c @ net.biases[j - 1]
-                c = c @ net.weights[j - 1]
-            k += np.where((c > 0) == upper_row, c * hi0, c * lo0).sum(axis=1)
-            lo, hi = k[:n], k[n:]
-            if not np.isfinite(hi - lo).all():
-                raise RuntimeError(f"layer {li + 1}: a pre-activation interval or its width "
-                                   "is not a finite float")
+        for j in range(li, 0, -1):
+            lc, uc, uk = rel[j - 1]
+            take_u = (c > 0) == upper_row
+            k += (np.where(take_u, uk, 0.0) * c).sum(axis=1)
+            c = np.where(take_u, uc, lc) * c
+            k += c @ net.biases[j - 1]
+            c = c @ net.weights[j - 1]
+        k += (c * np.where((c > 0) == upper_row, hi0, lo0)).sum(axis=1)
+        lo, hi = k[:n].tolist(), k[n:].tolist()
+        if not all(map(isfinite, map(sub, hi, lo))):
+            raise RuntimeError(f"layer {li + 1}: a pre-activation interval or its width "
+                               "is not a finite float")
 
-        if li in clamps:
-            lo, hi = np.maximum(lo, clamps[li][0]), np.minimum(hi, clamps[li][1])
-        if (lo > hi).any():
-            emptied = lo > hi + EPS_COLLAPSE
-            if emptied.any():
-                # the first in id order; k[n + j] is its unclamped upper end
-                j = int(emptied.argmax())
+        # numpy's maximum and minimum keep their second argument on a tie (0.0
+        # against -0.0), hence max(0.0, x) here, min(hi, lo) and max(0.0, l) below
+        for a in asserted.get(li, ()):
+            j = lay.pre_row[a.neuron][1]
+            if a.sign == NONNEG:
+                lo[j] = max(0.0, lo[j])
+            else:
+                hi[j] = min(0.0, hi[j])
+        if any(map(gt, lo, hi)):
+            # the first in id order that an assertion emptied; k[n + j] is its unclamped upper end
+            for j in (i for i in range(n) if lo[i] > hi[i] + EPS_COLLAPSE):
                 res.infeasible = True
                 res.emptied = Assertion(lay.pre_ids[li][j], NONNEG if k[n + j] < 0.0 else NONPOS)
                 return res
-            lo = np.minimum(lo, hi)  # a tolerance-level crossing collapses to a point
-        res.lo += lo.tolist()
-        res.hi += hi.tolist()
+            lo = list(map(min, hi, lo))  # a tolerance-level crossing collapses to a point
+        res.lo += lo
+        res.hi += hi
 
         if net.activations[li] == RELU:
-            rel.append(relaxation(lo, hi))
-            res.lo += np.maximum(lo, 0.0).tolist()
-            res.hi += np.maximum(hi, 0.0).tolist()
-        else:
-            # identity activation: post ids alias the pre ids
-            rel.append((np.ones(n), np.ones(n), np.zeros(n)))
+            rel.append(tuple(map(np.array, zip(*map(relaxation, lo, hi)))))
+            res.lo += [max(0.0, l) for l in lo]
+            res.hi += [max(0.0, h) for h in hi]
 
     return res
 
@@ -225,8 +224,7 @@ def certificate(net: Network, prop, bounds: Bounds) -> Certificate | None:
     if bounds.emptied is not None:
         # keep s*pre (s = +1 under NONNEG), expand -s*pre: the row's lower
         # end is s*(the asserted bound - the back-substituted one)
-        v = bounds.emptied.neuron
-        li, j = lay.pre_row[v]
+        li, j = lay.pre_row[bounds.emptied.neuron]
         d = np.zeros(len(lay.pre_ids[li]))
         d[j] = -1.0 if bounds.emptied.sign == NONNEG else 1.0
     else:

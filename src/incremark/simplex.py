@@ -506,15 +506,18 @@ def encode(net, prop, bounds, equations) -> Configuration:
         if kind == AFF:  # s = W.prev - pre, so pre = W.prev - s
             pos[i] = r
             row[sid] = -1.0
-            terms = terms[1:]
-        else:
-            pos[sid] = r
+            for v, c in terms[1:]:  # inputs or posts, none basic
+                if abs(c) > COEF_EPS:
+                    row[v] = c
+            continue
+        pos[sid] = r
         for v, c in reversed(terms):
             if v in pos:
                 row += c * T[pos[v]]
             else:
                 row[v] += c
-        row[np.abs(row) <= COEF_EPS] = 0.0
+        if kind != RELU:  # a relu row negates an affine row exactly: no new tiny term
+            row[np.abs(row) <= COEF_EPS] = 0.0
     alpha = [0.0 if v in pos else x for v, x in enumerate(lo)]
     cfg = Configuration(T, pos, lo, hi, alpha, net.layout.relu_pairs, net.layout.input_ids,
                         equations)

@@ -11,8 +11,8 @@ import numpy as np
 
 from incremark import lp
 from incremark.bench import random_network, random_threshold_property
-from incremark.constants import COEF_EPS, EPS_BOUND, apart
-from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze, relaxation
+from incremark.constants import COEF_EPS, EPS_BOUND, EPS_COLLAPSE, apart
+from incremark.deeppoly import NONNEG, NONPOS, Assertion, Bounds, analyze, relaxation
 from incremark.model import RELU, witness_ok
 from incremark.prooftree import ProofTree
 from incremark.simplex import (
@@ -78,6 +78,77 @@ def reference_encode(net, prop, bounds, equations) -> Configuration:
     return cfg
 
 
+def matrix_analyze(net, box, asserts=()) -> Bounds:
+    """`deeppoly.analyze` with every per-neuron step as a whole-layer numpy
+    operation: the finiteness check, the sign clamps, the EPS_COLLAPSE
+    collapse, the relations and the ReLU image. The reference that
+    `analyze` must match bit for bit, signed zeros included."""
+    lay = net.layout
+    res = Bounds(output_ids=tuple(lay.output_ids))
+    # per asserted layer, the floor (row 0) and ceiling (row 1) that NONNEG
+    # and NONPOS put on its pre-activations
+    clamps: dict[int, np.ndarray] = {}
+    for a in asserts:
+        li, j = lay.pre_row[a.neuron]
+        if li not in clamps:
+            clamps[li] = np.array([[-np.inf], [np.inf]]).repeat(len(lay.pre_ids[li]), axis=1)
+        clamps[li][int(a.sign == NONPOS), j] = 0.0
+
+    lo0 = np.array([b[0] for b in box], dtype=float)
+    hi0 = np.array([b[1] for b in box], dtype=float)
+    if len(lo0) != net.n_inputs:
+        raise ValueError("box arity does not match the network inputs")
+    res.lo += lo0.tolist()
+    res.hi += hi0.tolist()
+    rel: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    for li in range(net.n_layers):
+        w = net.weights[li]
+        n = w.shape[0]
+        c = np.concatenate((w, w))
+        k = np.concatenate((net.biases[li], net.biases[li]))
+        upper_row = (np.arange(2 * n) >= n)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(li, 0, -1):
+                lc, uc, uk = rel[j - 1]
+                take_u = (c > 0) == upper_row
+                k += (np.where(take_u, uk, 0.0) * c).sum(axis=1)
+                c = np.where(take_u, uc, lc) * c
+                k += c @ net.biases[j - 1]
+                c = c @ net.weights[j - 1]
+            k += np.where((c > 0) == upper_row, c * hi0, c * lo0).sum(axis=1)
+            lo, hi = k[:n], k[n:]
+            if not np.isfinite(hi - lo).all():
+                raise RuntimeError(f"layer {li + 1}: a pre-activation interval or its width "
+                                   "is not a finite float")
+
+        if li in clamps:
+            lo, hi = np.maximum(lo, clamps[li][0]), np.minimum(hi, clamps[li][1])
+        if (lo > hi).any():
+            emptied = lo > hi + EPS_COLLAPSE
+            if emptied.any():
+                j = int(emptied.argmax())
+                res.infeasible = True
+                res.emptied = Assertion(lay.pre_ids[li][j], NONNEG if k[n + j] < 0.0 else NONPOS)
+                return res
+            lo = np.minimum(lo, hi)
+        res.lo += lo.tolist()
+        res.hi += hi.tolist()
+
+        if net.activations[li] == RELU:
+            on = lo >= 0.0
+            cross = ~on & (hi > 0.0)
+            span = np.where(cross, hi - lo, 1.0)
+            s = np.where(cross, hi / span, 0.0)
+            lc = on.astype(float)
+            rel.append((lc, np.where(cross, s, lc), np.where(cross, -s * lo, 0.0)))
+            res.lo += np.maximum(lo, 0.0).tolist()
+            res.hi += np.maximum(hi, 0.0).tolist()
+        else:
+            rel.append((np.ones(n), np.ones(n), np.zeros(n)))
+    return res
+
+
 def forward_values(net, x) -> dict[int, float]:
     """Values of every network variable (inputs, pre, post) at input x:
     the reference point that the tests check intervals and rows against."""
@@ -98,10 +169,8 @@ def relu_relations(net, bounds) -> dict[int, tuple[float, float, float]]:
     """Post id -> (lc, uc, uk), the relations `relaxation` gives each ReLU
     over its pre-activation interval in `bounds`:
     lc*pre <= post <= uc*pre + uk."""
-    pairs = net.layout.relu_pairs
-    rel = relaxation(np.array([bounds.lo[pre] for pre, _ in pairs]),
-                     np.array([bounds.hi[pre] for pre, _ in pairs]))
-    return {post: r for (_, post), r in zip(pairs, zip(*(v.tolist() for v in rel)))}
+    return {post: relaxation(bounds.lo[pre], bounds.hi[pre])
+            for pre, post in net.layout.relu_pairs}
 
 
 def random_configuration(rng) -> Configuration:

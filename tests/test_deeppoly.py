@@ -1,3 +1,6 @@
+import itertools
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,9 +18,9 @@ from incremark.deeppoly import (
     is_property_refuted,
 )
 from incremark.lp import certificate_refutes
-from incremark.model import RELU, LinearConstraint, Network, SafetyProperty
+from incremark.model import RELU, LinearConstraint, Network, SafetyProperty, load_network
 
-from conftest import BOX
+from conftest import BOX, DATA
 
 
 def test_analyze_demo_intervals(demo_net):
@@ -244,6 +247,97 @@ def test_matrix_analyze_matches_scalar_reference(dims):
             for vid, want_rel in relations.items():
                 assert got_relations[vid] == pytest.approx(want_rel, rel=0, abs=1e-12)
     assert seen["infeasible"] > 0 and seen["contradictory"] > 0, seen
+
+
+def _bits(b: Bounds):
+    """Everything `analyze` returns, each interval end as its 8 bytes, so
+    that -0.0 and 0.0 differ."""
+    def pack(xs):
+        return b"".join(struct.pack("<d", x) for x in xs)
+
+    return (b.infeasible, b.emptied, b.output_ids, len(b.lo), len(b.hi), pack(b.lo), pack(b.hi))
+
+
+def _zeroed(net, rng) -> Network:
+    """`net` with about a third of its weights and biases set to 0."""
+    weights = [np.where(rng.random(w.shape) < 0.3, 0.0, w) for w in net.weights]
+    biases = [np.where(rng.random(b.shape) < 0.3, 0.0, b) for b in net.biases]
+    return Network(weights, biases, net.activations)
+
+
+def _crossing(net, box, asserts, rng, gap):
+    """(net', asserts') where net' shifts the bias of one unasserted ReLU
+    pre-activation v so that a new assertion on v crosses its interval by
+    about `gap`: within EPS_COLLAPSE it collapses to a point, beyond it
+    empties. None when the branch is already empty or every ReLU is
+    asserted."""
+    before = _suites.matrix_analyze(net, box, asserts)
+    free = [pre for pre, _ in net.layout.relu_pairs if pre not in {a.neuron for a in asserts}]
+    if before.infeasible or not free:
+        return None
+    v = int(rng.choice(free))
+    li, j = net.layout.pre_row[v]
+    sign = (NONNEG, NONPOS)[int(rng.integers(2))]
+    # NONNEG raises the lower end to 0 over an upper end moved to -gap;
+    # NONPOS lowers the upper end to 0 under a lower end moved to +gap
+    shift = -(before.hi[v] + gap) if sign == NONNEG else gap - before.lo[v]
+    biases = [b.copy() for b in net.biases]
+    biases[li][j] += shift
+    return Network(net.weights, biases, net.activations), sorted({*asserts, Assertion(v, sign)})
+
+
+def test_analyze_matches_the_array_form_bit_for_bit():
+    """`analyze` returns exactly what the whole-layer array form
+    (`_suites.matrix_analyze`) does, compared as bytes: on seeded nets,
+    the same nets with weights and biases zeroed, boxes with sides pinned
+    to [0, 0], random assertion sets (contradictory pairs, emptied layers,
+    EPS_COLLAPSE crossings) and every assertion set on `data/demo.rnn`."""
+    cases = []
+    demo_net = load_network(str(DATA / "demo.rnn"))
+    every = [Assertion(pre, s) for pre, _ in demo_net.layout.relu_pairs for s in (NONNEG, NONPOS)]
+    demo_boxes = (BOX, ((-1.0, -0.5), (0.5, 1.0)), ((0.5, 1.0), (-1.0, -0.5)),
+                  ((0.0, 0.0), (-1.0, 1.0)), ((0.0, 0.0), (0.0, 0.0)))
+    for box in demo_boxes:
+        for r in range(len(every) + 1):
+            cases += [(demo_net, box, list(a)) for a in itertools.combinations(every, r)]
+
+    rng = np.random.default_rng(23)
+    for dims in [(2, 5, 5, 1), (3, 8, 8, 1), (4, 10, 10, 1), (3, 6, 6, 3)]:
+        for seed in range(6):
+            base = random_network(dims, seed)
+            pres = [pre for pre, _ in base.layout.relu_pairs]
+            for net in (base, _zeroed(base, rng)):
+                for trial in range(10):
+                    a, b = rng.uniform(-1.0, 1.0, (2, dims[0]))
+                    lo, hi = np.minimum(a, b), np.maximum(a, b)
+                    pinned = rng.random(dims[0]) < (0.3 if trial % 2 else 0.0)
+                    box = tuple(zip(np.where(pinned, 0.0, lo).tolist(),
+                                    np.where(pinned, 0.0, hi).tolist()))
+                    k = int(rng.integers(0, len(pres) // 2 + 1)) if trial else 0
+                    asserts = sorted({Assertion(int(v), (NONNEG, NONPOS)[int(rng.integers(2))])
+                                      for v in rng.choice(pres, size=k)})
+                    cases.append((net, box, asserts))
+                    for gap in (EPS_COLLAPSE / 2, 3 * EPS_COLLAPSE):
+                        crossed = _crossing(net, box, asserts, rng, gap)
+                        if crossed is not None:
+                            cases.append((crossed[0], box, crossed[1]))
+
+    seen = dict.fromkeys(("contradictory", "emptied", "collapsed", "zero end"), 0)
+    for net, box, asserts in cases:
+        want = _suites.matrix_analyze(net, box, asserts)
+        assert _bits(analyze(net, box, asserts)) == _bits(want), (net.dims, box, asserts)
+        signs = {}
+        for a in asserts:
+            signs.setdefault(a.neuron, set()).add(a.sign)
+        seen["contradictory"] += any(len(s) == 2 for s in signs.values())
+        seen["emptied"] += want.infeasible
+        seen["collapsed"] += any(v < len(want.lo) and want.lo[v] == want.hi[v] != 0.0
+                                 for v in signs)
+        # an unasserted pre-activation end at 0.0, which a form that negates
+        # the upper bound of -w to get the lower bound of w returns as -0.0
+        seen["zero end"] += any(0.0 in (want.lo[v], want.hi[v]) for v in net.layout.pre_row
+                                if v < len(want.lo) and v not in signs)
+    assert min(seen.values()) > 0 and len(cases) > 1000, (len(cases), seen)
 
 
 def test_certificate_is_the_refuting_back_substitution(demo_net):

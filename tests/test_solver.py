@@ -3,7 +3,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from incremark.bench import oracle, random_network, random_threshold_property
+from incremark.bench import (
+    Perturbation,
+    oracle,
+    perturb,
+    random_network,
+    random_threshold_property,
+)
 from incremark.constants import EPS_BOUND, LP_ITER_FACTOR
 from incremark.deeppoly import analyze
 from incremark.incremental import verify_incremental
@@ -135,6 +141,30 @@ def test_solve_random_instances_validate():
             assert tree.sat_leaf() is None
             assert tree.leaves_with_status(UNSOLVED) == []
     assert sats and unsats  # the generator must exercise both outcomes
+
+
+def test_point_boxes_are_decided_without_a_traceback():
+    """Every input of (2,5,5,1) s0-39 pinned to the midpoint of its box:
+    `analyze` gives point intervals, and `solve` and a re-verification of
+    its tree under Perturbation(0.05, 0.5, s) finish and agree with the
+    oracle."""
+    verdicts = Counter()
+    for seed in range(40):
+        net = random_network((2, 5, 5, 1), seed)
+        base = random_threshold_property(net, seed + 1)
+        box = tuple(((lo + hi) / 2,) * 2 for lo, hi in base.box)
+        prop = SafetyProperty(box, base.constraints)
+        b = analyze(net, box)
+        assert not b.infeasible and b.lo == b.hi, seed
+        verdict, tree = solve(net, prop)
+        assert verdict.sat == oracle(net, prop).sat, seed
+        changed = perturb(net, Perturbation(0.05, 0.5, seed))
+        again, _, _ = verify_incremental(changed, prop, tree)
+        assert again.sat == oracle(changed, prop).sat, seed
+        for v, n in ((verdict, net), (again, changed)):
+            assert not v.sat or witness_ok(n, prop, v.witness), seed
+            verdicts[v.sat] += 1
+    assert verdicts[True] and verdicts[False], verdicts
 
 
 @pytest.mark.parametrize("dims, seed", [((2, 5, 5, 1), 2), ((3, 8, 8, 1), 5)])
