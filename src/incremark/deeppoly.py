@@ -1,10 +1,10 @@
 """Symbolic interval analysis over the network (DeepPoly-style).
 
 A ReLU output is bounded by linear functions of its pre-activation,
-`relaxation` of the pre-activation's interval. Pre-activations are bounded
-by back-substitution of those relations to the input box, once per layer
-as a matrix that bounds every pre-activation of the layer from both sides;
-a ReLU output's interval is the ReLU of its pre-activation's. Sign
+`simplex.relaxation` of the pre-activation's interval. Pre-activations are
+bounded by back-substitution of those relations to the input box, once per
+layer as a matrix that bounds every pre-activation of the layer from both
+sides; a ReLU output's interval is the ReLU of its pre-activation's. Sign
 assertions clamp the pre-activation interval *before* the ReLU case split,
 so asserted branches propagate tightened relaxations downstream.
 
@@ -34,7 +34,8 @@ import numpy as np
 
 from .constants import EPS_COLLAPSE, apart
 from .model import RELU, Network, negation_empty
-from .simplex import AFF, CHORD, INF, PROP, RELU as RELU_EQ, Certificate, linear_interval
+from .simplex import (AFF, CHORD, INF, PROP, RELU as RELU_EQ, Certificate, linear_interval,
+                      relaxation)
 
 NONNEG = "nonneg"
 NONPOS = "nonpos"
@@ -117,21 +118,6 @@ def uncertain(lay, bounds: Bounds) -> list[int]:
     in id order: the ones a branch can split and a chord relaxes."""
     lo, hi = bounds.lo, bounds.hi
     return [pre for pre, _ in lay.relu_pairs if lo[pre] < 0.0 < hi[pre]]
-
-
-def relaxation(lo: float, hi: float) -> tuple[float, float, float]:
-    """DeepPoly's linear bounds of relu(pre) over pre in [lo, hi]:
-    relu(pre) >= lc*pre and relu(pre) <= uc*pre + uk. Returns (lc, uc, uk).
-
-    A decided-on neuron (lo >= 0) is the identity both ways; an uncertain
-    one (lo < 0 < hi) is bounded above by the chord over [lo, hi] and below
-    by 0; a decided-off one is 0 both ways."""
-    if lo >= 0.0:
-        return 1.0, 1.0, 0.0
-    if hi > 0.0:
-        s = hi / (hi - lo)
-        return 0.0, s, -s * lo
-    return 0.0, 0.0, 0.0
 
 
 # a bound that overflows becomes inf or nan, which the finiteness check reports
@@ -273,7 +259,7 @@ def _through_activation(net, bounds, li, g, out, expand_all):
             d[n] = c
         elif u > 0.0 and c < 0.0:
             out.append((CHORD, pre, c))
-            d[n] = c * (u / (u - l))
+            d[n] = c * relaxation(l, u)[1]
         elif expand_all:
             return None
     return d

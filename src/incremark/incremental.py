@@ -160,17 +160,17 @@ def _replay_unsat_leaf(net, prop, tree, nid, base):
     if asserts and node.cert is not None and lp.certificate_refutes(net, prop, bounds, node.cert):
         return CERTIFICATE, None
     relax = lp.build(net, prop, bounds)
-    if lp.feasible(relax):
-        bounds = lp.tighten_inputs_then_repropagate(net, prop, asserts, relax)
-        if is_property_refuted(bounds, prop):
-            return TIGHTEN, None
-    else:
+    if lp.phase1(relax) == lp.INFEASIBLE:
         cert = lp.refuting_certificate(net, prop, bounds, relax.cfg, relax.infeasible_row)
         if cert is not None:
             node.cert = cert
             return LP, None
         # the relaxation's infeasibility is unproven: tightening over it
         # would only repeat that claim
+    else:
+        bounds = lp.tighten_inputs_then_repropagate(net, asserts, relax)
+        if is_property_refuted(bounds, prop):
+            return TIGHTEN, None
     return FALLBACK, search(net, prop, tree, nid, bounds)
 
 
@@ -180,7 +180,9 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     Returns (Verdict, IncrementalReport, new ProofTree). The new tree is the
     pruned copy of the stored one that this run's searches grew; it records
     what this run established, so it can seed the next modification.
+    ValueError on a tree that `ProofTree.validate` rejects.
     """
+    tree.validate()
     check_dims(tree, net)
     phash = property_hash(prop)
     if tree.prop_hash != phash:

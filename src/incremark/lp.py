@@ -1,6 +1,6 @@
-"""Linear programming over the branch relaxation: feasibility, bound
-tightening, the input-box tightening variant, and the exact decision of a
-branch with every ReLU decided.
+"""Linear programming over the branch relaxation: feasibility, tightening
+of the input box, and the exact decision of a branch with every ReLU
+decided.
 
 The relaxation is the search tableau plus one chord row per uncertain
 ReLU (l < 0 < u), encoded together by `simplex.encode`, each equation as
@@ -9,8 +9,9 @@ at [0, 0]; a decided-off one (u <= 0) has post pinned to [0, 0] by its
 interval; so the region is the triangle relaxation of every uncertain
 ReLU. Phase 1 is the search's own bound step, given the search's own scan
 for basics outside their bounds (`out_of_bounds`; Bland's rule, so it
-terminates); phase 2 optimizes single variables by reduced costs with a
-ratio test.
+terminates), once per relaxation, and each use reads the status it
+records; phase 2 optimizes single variables by reduced costs with a ratio
+test, from phase 1's vertex.
 
 The row that shows a relaxation infeasible is a combination of these
 equations (`simplex.certificate`). `certificate_refutes` rebuilds such a
@@ -55,7 +56,7 @@ CAP = "cap"
 class Relaxation:
     cfg: Configuration
     cap: int
-    status: str | None = None  # phase-1 result, cached
+    status: str | None = None  # phase-1 result, None until phase 1 runs
     infeasible_row: int | None = None
 
 
@@ -76,9 +77,8 @@ def build(net, prop, bounds: Bounds) -> Relaxation:
 
 def phase1(relax: Relaxation) -> str:
     """Repair bound violations until feasible, certified infeasible, or the
-    iteration cap. Result is cached; the vertex is reused by phase 2."""
-    if relax.status is not None:
-        return relax.status
+    iteration cap; records the result in `relax` and returns it. On
+    FEASIBLE, `relax.cfg` holds the vertex that phase 2 starts from."""
     relax.status = CAP
     cfg = relax.cfg
     for _ in range(relax.cap):
@@ -94,21 +94,8 @@ def phase1(relax: Relaxation) -> str:
     return relax.status
 
 
-def feasible(relax: Relaxation) -> bool:
-    """False only on a certified contradiction; the iteration cap answers
-    True (conservative: callers lose precision, never soundness)."""
-    return phase1(relax) != INFEASIBLE
-
-
 def _value(cfg: Configuration, vid: int) -> float:
     return cfg.row_value(vid) if vid in cfg.pos else cfg.alpha[vid]
-
-
-def find_point(relax: Relaxation, vids) -> dict[int, float] | None:
-    """Values of `vids` at a feasible point, or None (infeasible or capped)."""
-    if phase1(relax) != FEASIBLE:
-        return None
-    return {v: _value(relax.cfg, v) for v in vids}
 
 
 def decide(net, prop, bounds: Bounds) -> tuple[tuple[float, ...] | None, Certificate | None]:
@@ -125,8 +112,7 @@ def decide(net, prop, bounds: Bounds) -> tuple[tuple[float, ...] | None, Certifi
         return None, refuting_certificate(net, prop, bounds, relax.cfg, relax.infeasible_row)
     if status == CAP:
         return None, None
-    point = find_point(relax, net.layout.input_ids)
-    witness = tuple(float(x) for x in point.values())
+    witness = tuple(float(_value(relax.cfg, v)) for v in net.layout.input_ids)
     return (witness if witness_ok(net, prop, witness) else None), None
 
 
@@ -174,7 +160,8 @@ def refuting_certificate(net, prop, bounds: Bounds, cfg: Configuration,
 def _optimize(relax: Relaxation, vid: int, maximize: bool) -> float | None:
     """Optimum of one variable over the relaxation, or None when the
     direction is unbounded, the cap is hit, or the leaving row's entering
-    coefficient is one `pivot` rejects. Assumes phase1 == feasible.
+    coefficient is one `pivot` rejects. Starts from the vertex of a phase 1
+    that returned FEASIBLE.
 
     The ratio test treats steps within a relative COEF_EPS of the smallest
     as tied and breaks ties by the bound flip, then the lowest basic id
@@ -217,40 +204,27 @@ def _optimize(relax: Relaxation, vid: int, maximize: bool) -> float | None:
     return None
 
 
-def tighten(relax: Relaxation, vids) -> dict[int, tuple[float, float]]:
-    """Per-variable LP bounds, never wider than the variable's current ones.
-    A direction `_optimize` cannot bound keeps the current side. Optima are
-    padded outward by EPS_LP so rounding error cannot cut off a feasible
-    point. ValueError on an infeasible relaxation."""
-    st = phase1(relax)
-    if st == INFEASIBLE:
-        raise ValueError("tighten on an infeasible relaxation")
-    cfg = relax.cfg
-    out = {}
-    for v in sorted(vids):
-        lo, hi = cfg.lo[v], cfg.hi[v]
-        if st != CAP:
-            mn = _optimize(relax, v, maximize=False)
-            mx = _optimize(relax, v, maximize=True)
-            lo = lo if mn is None else max(lo, mn - EPS_LP)
-            hi = hi if mx is None else min(hi, mx + EPS_LP)
-        out[v] = (lo, hi)
-    return out
-
-
-def tighten_inputs_then_repropagate(net, prop, asserts, relax) -> Bounds:
+def tighten_inputs_then_repropagate(net, asserts, relax) -> Bounds:
     """Shrink the input box by per-input LP optimization over `relax`, the
     branch relaxation built for the same asserts over the unchanged box,
-    then re-run the abstraction on the smaller box. An input interval
-    squeezed empty is reported as infeasible Bounds. Raises ValueError on
-    an infeasible relaxation, as `tighten` does: callers check
-    `feasible(relax)` first."""
-    asserts = sorted(asserts)
+    then re-run the abstraction on the smaller box. Each optimum is padded
+    outward by EPS_LP so rounding error cannot cut off a feasible point,
+    and no interval widens; a direction `_optimize` cannot bound, or a
+    phase 1 that hit its cap, keeps the box's side. An input interval
+    squeezed empty is reported as infeasible Bounds. Raises ValueError
+    unless phase 1 has run and found no contradiction."""
+    if relax.status not in (FEASIBLE, CAP):
+        raise ValueError(f"input tightening on a relaxation with phase-1 status {relax.status}")
+    cfg = relax.cfg
     box = []
-    for vid, (blo, bhi) in zip(net.layout.input_ids, prop.box):
-        tlo, thi = tighten(relax, [vid])[vid]
-        tlo, thi = max(tlo, blo), min(thi, bhi)
-        if tlo > thi:
+    for vid in net.layout.input_ids:
+        lo, hi = cfg.lo[vid], cfg.hi[vid]
+        if relax.status == FEASIBLE:
+            mn = _optimize(relax, vid, maximize=False)
+            mx = _optimize(relax, vid, maximize=True)
+            lo = lo if mn is None else max(lo, mn - EPS_LP)
+            hi = hi if mx is None else min(hi, mx + EPS_LP)
+        if lo > hi:
             return Bounds(output_ids=tuple(net.layout.output_ids), infeasible=True)
-        box.append((tlo, thi))
+        box.append((lo, hi))
     return analyze(net, tuple(box), asserts)

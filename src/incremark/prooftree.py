@@ -160,9 +160,9 @@ class ProofTree:
                 raise ValueError(f"node {nid}: reached twice from the root")
             seen.add(nid)
             n = self.nodes[nid]
-            where = "internal node" if n.children else f"{n.status} leaf"
             for what, value, home in (("witness", n.witness, SAT), ("certificate", n.cert, UNSAT)):
-                if value is not None and where != f"{home} leaf":
+                if value is not None and (n.children or n.status != home):
+                    where = "internal node" if n.children else f"{n.status} leaf"
                     raise ValueError(f"node {n.id}: {where} carries a {what}")
             if n.children:
                 if n.status != INTERNAL:

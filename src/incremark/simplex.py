@@ -410,6 +410,22 @@ def repair_step(cfg: Configuration, out: list[int]) -> StepResult:
 # ---------------------------------------------------------------------------
 # building the initial configuration
 
+def relaxation(lo: float, hi: float) -> tuple[float, float, float]:
+    """DeepPoly's linear bounds of relu(pre) over pre in [lo, hi]:
+    relu(pre) >= lc*pre and relu(pre) <= uc*pre + uk. Returns (lc, uc, uk).
+
+    A decided-on neuron (lo >= 0) is the identity both ways; an uncertain
+    one (lo < 0 < hi) is bounded above by the chord over [lo, hi] and below
+    by 0; a decided-off one is 0 both ways. `equation`'s chord and DeepPoly
+    read the chord here."""
+    if lo >= 0.0:
+        return 1.0, 1.0, 0.0
+    if hi > 0.0:
+        s = hi / (hi - lo)
+        return 0.0, s, -s * lo
+    return 0.0, 0.0, 0.0
+
+
 def equation(net, prop, kind, i, lo, hi):
     """Equation (kind, i) of the encoding and its slack's interval, as
     (terms, slack_lo, slack_hi): slack = sum(c * x for x, c in terms).
@@ -421,7 +437,7 @@ def equation(net, prop, kind, i, lo, hi):
 
         aff    s = W.prev - pre    s in [-b, -b]
         relu   s = post - pre      s in [max(0,-u), max(0,-l)]
-        chord  s = post - k.pre    s in [-inf, -k.l],  k = u/(u-l)
+        chord  s = post - k.pre    s in [-inf, -k.l],  k = u/(u-l) (`relaxation`)
         prop   s = a.y             s in [c, max(c, ub)]
 
     `pre` is pre-activation neuron i, with weight row W and bias b of its
@@ -452,8 +468,8 @@ def equation(net, prop, kind, i, lo, hi):
         return ((i, -1.0), (post, 1.0)), max(0.0, -u), max(0.0, -l)
     if not l < 0.0 < u:
         return (), -INF, INF
-    k = u / (u - l)
-    return ((i, -k), (post, 1.0)), -INF, -k * l
+    _, k, uk = relaxation(l, u)
+    return ((i, -k), (post, 1.0)), -INF, uk
 
 
 def encoded_equations(net, prop) -> dict[int, tuple[str, int]]:

@@ -412,7 +412,7 @@ def relaxation_soundness(points: int = 1000, seed: int = 505) -> int:
         hi0 = list(relax.cfg.hi)
         prop_vars = set(lay.output_ids) | {
             sid for sid, (kind, _) in relax.cfg.equations.items() if kind == "prop"}
-        feasible = lp.feasible(relax)
+        feasible = lp.phase1(relax) != lp.INFEASIBLE
 
         lows = [l for l, _ in prop.box]
         highs = [h for _, h in prop.box]

@@ -108,6 +108,28 @@ def test_mode_and_shape_validation(demo_net, demo_prop):
         verify_incremental(demo_net, moved, tree)
 
 
+def test_malformed_tree_is_refused_not_answered():
+    """A tree that `from_json` accepts but whose structure is broken is
+    refused with ValueError, never answered UNSAT: here a SAT instance's
+    tree with its SAT leaf dropped and its unsolved leaves marked unsat,
+    and a tree with no nodes at all."""
+    net = random_network((2, 5, 5, 1), 2)
+    prop = random_threshold_property(net, 3)
+    assert oracle(net, prop).sat
+    v, tree = solve(net, prop)
+    assert v.sat and len(tree.nodes) == 69
+    doc = tree.to_json()
+    nodes = [nd for nd in doc["nodes"] if nd["status"] != "sat"]
+    for nd in nodes:
+        if nd["status"] == "unsolved":
+            nd["status"] = "unsat"
+    assert len(nodes) == len(doc["nodes"]) - 1
+    for broken in (nodes, []):
+        stored = from_json({**doc, "nodes": broken})
+        with pytest.raises(ValueError):
+            verify_incremental(net, prop, stored)
+
+
 def test_root_refutation_skips_everything(demo_net, demo_prop):
     _, tree = solve(demo_net, demo_prop)
     tiny = Network([[[0.01, -0.035], [0.04, -0.04]], [[0.4, 0.6]]],
@@ -491,7 +513,7 @@ def test_certificate_rung_closes_only_empty_branches():
             for nid, rung in rep.outcomes.items():
                 if rung == CERTIFICATE:
                     bounds = _leaf_bounds(modified, prop, tree, nid)
-                    assert not lp.feasible(lp.build(modified, prop, bounds))
+                    assert lp.phase1(lp.build(modified, prop, bounds)) == lp.INFEASIBLE
                     closed += 1
     assert closed >= 20
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -84,20 +85,21 @@ def test_build_is_search_tableau_plus_chord_rows():
     assert checked > 20
 
 
-def test_phase1_feasible_and_cached(demo_net, demo_prop):
+def test_phase1_records_status_and_row(demo_net, demo_prop, unsat_prop):
     r = demo_relax(demo_net, demo_prop)
     assert lp.phase1(r) == lp.FEASIBLE
     assert r.status == lp.FEASIBLE
-    assert lp.feasible(r)
-    # cached: flipping the stored status shows later calls do not recompute
-    r.status = lp.INFEASIBLE
-    assert lp.phase1(r) == lp.INFEASIBLE
+    assert r.infeasible_row is None
+    bad = lp.build(demo_net, unsat_prop, analyze(demo_net, BOX))
+    assert lp.phase1(bad) == lp.INFEASIBLE
+    assert bad.status == lp.INFEASIBLE
+    assert bad.infeasible_row in bad.cfg.basic
 
 
-def test_find_point_satisfies_everything(demo_net, demo_prop):
+def test_phase1_vertex_satisfies_everything(demo_net, demo_prop):
     r = demo_relax(demo_net, demo_prop)
-    pt = lp.find_point(r, demo_net.layout.neuron_ids)
-    assert pt is not None
+    assert lp.phase1(r) == lp.FEASIBLE
+    pt = {v: lp._value(r.cfg, v) for v in demo_net.layout.neuron_ids}
     assert set(pt) == set(range(7))
     assert pt[6] >= 0.3 - 1e-12
     for v in pt:
@@ -110,11 +112,9 @@ def test_find_point_satisfies_everything(demo_net, demo_prop):
 def test_infeasible_certificate(demo_net, unsat_prop):
     r = lp.build(demo_net, unsat_prop, analyze(demo_net, BOX))
     assert lp.phase1(r) == lp.INFEASIBLE
-    assert not lp.feasible(r)
     assert r.infeasible_row is not None
-    assert lp.find_point(r, [0, 1]) is None
     with pytest.raises(ValueError):
-        lp.tighten(r, [6])
+        lp.tighten_inputs_then_repropagate(demo_net, [], r)
 
 
 def _equation_residual(net, prop, cfg, bounds, kind, i, v):
@@ -273,7 +273,7 @@ def test_certificate_chord_needs_an_undecided_neuron(demo_net, demo_prop):
     prop = SafetyProperty(((1.0, 2.0),), (LinearConstraint((-1.0,), -1.5),))
     on = analyze(net, prop.box)
     assert (on.lo[1], on.hi[1]) == (1.0, 2.0)
-    assert lp.feasible(lp.build(net, prop, on))
+    assert lp.phase1(lp.build(net, prop, on)) == lp.FEASIBLE
     cut = (("chord", 1, 1.0), ("relu", 1, -2.0), ("aff", 3, 1.0))  # s_chord + y <= -0.5
     assert not lp.certificate_refutes(net, prop, on, cut)
     # on a neuron pinned to [0, 0] the chord has no slope (0/0): it refutes
@@ -283,9 +283,19 @@ def test_certificate_chord_needs_an_undecided_neuron(demo_net, demo_prop):
     assert not lp.certificate_refutes(demo_net, demo_prop, pinned, (("chord", 3, 1.0),))
 
 
+def _tightened(r, v):
+    """The LP interval of neuron v over a relaxation whose phase 1 found it
+    feasible: both optima, padded by EPS_LP and capped by v's own bounds,
+    the rule by which `tighten_inputs_then_repropagate` shrinks an input."""
+    lo = max(r.cfg.lo[v], lp._optimize(r, v, maximize=False) - lp.EPS_LP)
+    hi = min(r.cfg.hi[v], lp._optimize(r, v, maximize=True) + lp.EPS_LP)
+    return lo, hi
+
+
 def test_tighten_demo_values(demo_net, demo_prop):
     r = demo_relax(demo_net, demo_prop)
-    out = lp.tighten(r, [2, 3, 6])
+    assert lp.phase1(r) == lp.FEASIBLE
+    out = {v: _tightened(r, v) for v in (2, 3, 6)}
     # x3: the property floor pushes the reachable lower end up from -1
     assert out[2] == (-0.7822580655161292, 0.7999999999999999)
     # x4: improved from -1.6; the exact constrained minimum is 0.4, so any
@@ -316,10 +326,10 @@ def test_ratio_test_ties_within_an_ulp_go_to_the_lowest_basic():
     assert 1 in cfg.pos
 
 
-def test_ratio_test_never_chooses_a_row_that_pivot_rejects():
+def test_ratio_test_never_chooses_a_row_that_pivot_rejects(monkeypatch):
     # maximize x0 under x2 = 5e-9 x0 + x1, x1 in [0, 0], x2 in [0, 1e-9]: the
     # row of x2 alone blocks x0, but its coefficient is below EPS_PIVOT, so
-    # the optimum is not found and tighten keeps x0's upper bound
+    # the optimum is not found and input tightening keeps x0's upper bound
     def relax():
         cfg = _suites.configuration({2: {0: 5e-9, 1: 1.0}}, [0.0, 0.0, 0.0],
                                     [math.inf, 0.0, 1e-9], {0: 0.0, 1: 0.0}, input_ids=[0])
@@ -329,28 +339,50 @@ def test_ratio_test_never_chooses_a_row_that_pivot_rejects():
         return r
 
     assert lp._optimize(relax(), 0, maximize=True) is None
-    assert lp.tighten(relax(), [0]) == {0: (0.0, math.inf)}
+    # x0 as the one input: the box handed on to the abstraction keeps it
+    monkeypatch.setattr(lp, "analyze", lambda net, box, asserts: box)
+    net = SimpleNamespace(layout=SimpleNamespace(input_ids=[0]))
+    assert lp.tighten_inputs_then_repropagate(net, [], relax()) == ((0.0, math.inf),)
 
 
 def test_tighten_never_widens(demo_net, demo_prop):
+    # every optimum lies within its variable's bounds, up to the padding
     r = demo_relax(demo_net, demo_prop)
-    for v, (tlo, thi) in lp.tighten(r, range(7)).items():
-        assert tlo >= r.cfg.lo[v]
-        assert thi <= r.cfg.hi[v]
+    assert lp.phase1(r) == lp.FEASIBLE
+    for v in range(7):
+        mn = lp._optimize(r, v, maximize=False)
+        mx = lp._optimize(r, v, maximize=True)
+        assert r.cfg.lo[v] - lp.EPS_LP <= mn <= mx <= r.cfg.hi[v] + lp.EPS_LP
+    # and no input interval widens, whatever the assertions
+    for asserts in ([], [Assertion(2, NONNEG)], [Assertion(2, NONPOS)], [Assertion(3, NONNEG)]):
+        r = demo_relax(demo_net, demo_prop, asserts)
+        assert lp.phase1(r) == lp.FEASIBLE
+        nb = lp.tighten_inputs_then_repropagate(demo_net, asserts, r)
+        for v, (blo, bhi) in zip(demo_net.layout.input_ids, BOX):
+            assert blo <= nb.lo[v] <= nb.hi[v] <= bhi
 
 
-def test_cap_is_conservative(demo_net, demo_prop):
+def test_cap_is_conservative(monkeypatch, demo_net, demo_prop):
     r = demo_relax(demo_net, demo_prop)
     r.cap = 0
     assert lp.phase1(r) == lp.CAP
-    assert lp.feasible(r)                # cap never certifies infeasibility
-    assert lp.find_point(r, [0, 1]) is None
-    assert lp.tighten(r, [6]) == {6: (0.3, 1.28)}  # priors kept verbatim
+    assert r.infeasible_row is None      # cap never certifies infeasibility
+    # the box kept verbatim, so the re-propagated bounds are analyze's
+    nb = lp.tighten_inputs_then_repropagate(demo_net, [], r)
+    assert (nb.lo, nb.hi) == (analyze(demo_net, BOX).lo, analyze(demo_net, BOX).hi)
+    # and no vertex to decide from
+    monkeypatch.setattr(lp, "LP_ITER_FACTOR", 0)
+    assert lp.decide(demo_net, demo_prop, analyze(demo_net, BOX)) == (None, None)
+
+
+def _phase1_run(relax):
+    lp.phase1(relax)
+    return relax
 
 
 def test_repropagate_plain_box_unchanged(demo_net, demo_prop):
     nb = lp.tighten_inputs_then_repropagate(
-        demo_net, demo_prop, [], demo_relax(demo_net, demo_prop))
+        demo_net, [], _phase1_run(demo_relax(demo_net, demo_prop)))
     assert not nb.infeasible
     assert (nb.lo[0], nb.hi[0]) == (-1.0, 1.0)
     assert (nb.lo[1], nb.hi[1]) == (-1.0, 1.0)
@@ -360,7 +392,7 @@ def test_repropagate_plain_box_unchanged(demo_net, demo_prop):
 def test_repropagate_shrinks_inputs(demo_net, demo_prop):
     asserts = [Assertion(2, NONNEG)]
     nb = lp.tighten_inputs_then_repropagate(
-        demo_net, demo_prop, asserts, demo_relax(demo_net, demo_prop, asserts))
+        demo_net, asserts, _phase1_run(demo_relax(demo_net, demo_prop, asserts)))
     assert not nb.infeasible
     # x3 >= 0 forces 0.2 x1 - 0.7 x2 >= 0.1, so x2 <= 1/7 (+ padding)
     assert nb.hi[1] == pytest.approx(1.0 / 7.0, abs=1e-8)
@@ -372,9 +404,12 @@ def test_repropagate_shrinks_inputs(demo_net, demo_prop):
 
 def test_repropagate_infeasible_cases(demo_net, unsat_prop):
     relax = demo_relax(demo_net, unsat_prop)
-    assert not lp.feasible(relax)
+    # before phase 1 runs there is no status to read
     with pytest.raises(ValueError):
-        lp.tighten_inputs_then_repropagate(demo_net, unsat_prop, [], relax)
+        lp.tighten_inputs_then_repropagate(demo_net, [], relax)
+    assert lp.phase1(relax) == lp.INFEASIBLE
+    with pytest.raises(ValueError):
+        lp.tighten_inputs_then_repropagate(demo_net, [], relax)
 
 
 def test_relaxation_soundness_sampled():

@@ -323,6 +323,28 @@ def test_refutation_margin_has_one_home():
                      ("simplex", "resolve_violation"), ("simplex", "bound_step")}
 
 
+def test_relu_chord_has_one_home():
+    """The slope u / (u - l) of a ReLU chord is written out once, in
+    `simplex.relaxation`; the chord equation and DeepPoly's relations and
+    back-substitution all read it there: no other function in the package
+    divides by a difference."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "incremark"
+    found = set()
+
+    def visit(node, module, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Sub)):
+            found.add((module, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert found == {("simplex", "relaxation")}
+
+
 def test_check_unsat_rows_picks_lowest_basic():
     # variables are numbered densely: x0 is free and in no row
     cfg = small_cfg(
@@ -645,10 +667,10 @@ def test_row_residual_invariant(monkeypatch, demo_net, demo_prop):
             assert out == _exact(relax.cfg, vid)
         return out
 
-    real_tighten = lp.tighten
+    real_tighten = lp.tighten_inputs_then_repropagate
 
-    def checked_tighten(relax, vids):
-        out = real_tighten(relax, vids)
+    def checked_tighten(net, asserts, relax):
+        out = real_tighten(net, asserts, relax)
         seen["tighten"] += 1
         assert _max_residual(relax.cfg) <= ROW_RESIDUAL
         return out
@@ -657,9 +679,9 @@ def test_row_residual_invariant(monkeypatch, demo_net, demo_prop):
     monkeypatch.setattr(lp, "pivot", checked(lp.pivot, "lp"))
     monkeypatch.setattr(lp, "update", checked(lp.update, "lp"))
     monkeypatch.setattr(lp, "_optimize", checked_optimize)
-    monkeypatch.setattr(lp, "tighten", checked_tighten)
+    monkeypatch.setattr(lp, "tighten_inputs_then_repropagate", checked_tighten)
     _search_all(instances)
-    # LP tightening of every neuron at each scratch leaf's relaxation
+    # both LP optima of every neuron at each scratch leaf's relaxation
     for net, prop in instances:
         _, tree = solver.solve(net, prop)
         for leaf in tree.leaves():
@@ -669,7 +691,11 @@ def test_row_residual_invariant(monkeypatch, demo_net, demo_prop):
                 continue
             relax = lp.build(net, prop, bounds)
             if lp.phase1(relax) == lp.FEASIBLE:
-                lp.tighten(relax, net.layout.neuron_ids)
+                for v in net.layout.neuron_ids:
+                    lp._optimize(relax, v, maximize=False)
+                    lp._optimize(relax, v, maximize=True)
+                seen["tighten"] += 1
+                assert _max_residual(relax.cfg) <= ROW_RESIDUAL
     assert seen["steps"] > 1000 and seen["sat"] >= 3
     assert seen["lp"] > 100 and seen["optima"] > 10 and seen["tighten"] > 10
 
