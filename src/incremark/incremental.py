@@ -6,9 +6,10 @@ for each stored UNSAT leaf tries to replay the old proof before falling back
 to a branch search. Every search is `solver.search` on a leaf of the pruned
 copy of the stored tree, which it grows in place; that copy is the output
 tree, so the stored nodes that pruning keeps keep their ids and a search's
-nodes take ids above them. Every UNSAT leaf that `solve` writes carries a
+nodes take ids above them. An UNSAT leaf that `solve` writes carries a
 certificate: the multipliers of the encoded equations whose sum showed its
-branch empty (a tableau or LP row, or a DeepPoly back-substitution). The
+branch empty (a tableau or LP row, or a DeepPoly back-substitution), unless
+no equation states the refutation (an output ReLU's own interval). The
 ladder tests it first, on the cheapest bounds that contain the branch. Each
 rung is named by the word the report records:
 
@@ -155,19 +156,19 @@ def _replay_unsat_leaf(net, prop, tree, nid, base):
             return CERTIFICATE, None
     bounds = analyze(net, prop.box, asserts) if asserts else base
     if is_property_refuted(bounds, prop):
-        node.cert = deeppoly.certificate(net, prop, bounds) or node.cert
+        node.cert = deeppoly.certificate(net, prop, bounds)
         return ANALYZE, None
     if asserts and node.cert is not None and lp.certificate_refutes(net, prop, bounds, node.cert):
         return CERTIFICATE, None
     relax = lp.build(net, prop, bounds)
-    if lp.phase1(relax) == lp.INFEASIBLE:
+    if relax.status == lp.INFEASIBLE:
         cert = lp.refuting_certificate(net, prop, bounds, relax.cfg, relax.infeasible_row)
         if cert is not None:
             node.cert = cert
             return LP, None
-        # the relaxation's infeasibility is unproven: tightening over it
-        # would only repeat that claim
-    else:
+        # tightening needs a feasible relaxation: over an unproven infeasibility
+        # it would repeat that claim, and at the cap it would repeat analyze
+    elif relax.status == lp.FEASIBLE:
         bounds = lp.tighten_inputs_then_repropagate(net, asserts, relax)
         if is_property_refuted(bounds, prop):
             return TIGHTEN, None

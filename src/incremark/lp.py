@@ -9,9 +9,10 @@ at [0, 0]; a decided-off one (u <= 0) has post pinned to [0, 0] by its
 interval; so the region is the triangle relaxation of every uncertain
 ReLU. Phase 1 is the search's own bound step, given the search's own scan
 for basics outside their bounds (`out_of_bounds`; Bland's rule, so it
-terminates), once per relaxation, and each use reads the status it
+terminates). `build` runs it once, and each use reads the status it
 records; phase 2 optimizes single variables by reduced costs with a ratio
-test, from phase 1's vertex.
+test, from phase 1's vertex. Both phases stop at the tableau's step cap
+(`Configuration.cap`).
 
 The row that shows a relaxation infeasible is a combination of these
 equations (`simplex.certificate`). `certificate_refutes` rebuilds such a
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import COEF_EPS, EPS_LP, EPS_PIVOT, LP_ITER_FACTOR, apart
+from .constants import COEF_EPS, EPS_LP, EPS_PIVOT, apart
 from .deeppoly import Bounds, analyze, uncertain
 from .model import witness_ok
 from .simplex import (
@@ -55,33 +56,34 @@ CAP = "cap"
 @dataclass
 class Relaxation:
     cfg: Configuration
-    cap: int
-    status: str | None = None  # phase-1 result, None until phase 1 runs
+    status: str | None = None  # phase-1 result, None until `build` runs phase 1
     infeasible_row: int | None = None
 
 
 def build(net, prop, bounds: Bounds) -> Relaxation:
-    """Encode the branch relaxation: the equations of the search tableau
-    over `bounds` and one chord per uncertain ReLU, numbered from the first
-    free id. `bounds` holds the branch's neuron
-    intervals, with its sign assertions already clamped in (as `analyze`
-    and the oracle's propagation do)."""
+    """Encode the branch relaxation and run its phase 1, whose status it
+    records. The relaxation holds the equations of the search tableau over
+    `bounds` and one chord per uncertain ReLU, numbered from the first id
+    after theirs. `bounds` holds the branch's neuron intervals, with its
+    sign assertions already clamped in (as `analyze` and the oracle's
+    propagation do)."""
     equations = encoded_equations(net, prop)
     sid = max(equations) + 1
     for pre in uncertain(net.layout, bounds):
         equations[sid] = (CHORD, pre)
         sid += 1
-    cfg = encode(net, prop, bounds, equations)
-    return Relaxation(cfg, LP_ITER_FACTOR * (len(cfg.basic) + len(cfg.lo)))
+    relax = Relaxation(encode(net, prop, bounds, equations))
+    phase1(relax)
+    return relax
 
 
 def phase1(relax: Relaxation) -> str:
     """Repair bound violations until feasible, certified infeasible, or the
-    iteration cap; records the result in `relax` and returns it. On
-    FEASIBLE, `relax.cfg` holds the vertex that phase 2 starts from."""
+    step cap; records the result in `relax` and returns it. On FEASIBLE,
+    `relax.cfg` holds the vertex that phase 2 starts from."""
     relax.status = CAP
     cfg = relax.cfg
-    for _ in range(relax.cap):
+    for _ in range(cfg.cap):
         step = bound_step(cfg, out_of_bounds(cfg))
         if step is None:
             relax.status = FEASIBLE
@@ -104,13 +106,12 @@ def decide(net, prop, bounds: Bounds) -> tuple[tuple[float, ...] | None, Certifi
     property, or (None, certificate) when the branch is infeasible and the
     certificate re-checks over `bounds` (`certificate_refutes`). Returns
     (None, None) when it cannot decide: a certificate that does not
-    re-check, an iteration-cap hit, or a point that fails forward
+    re-check, a step-cap hit, or a point that fails forward
     validation."""
     relax = build(net, prop, bounds)
-    status = phase1(relax)
-    if status == INFEASIBLE:
+    if relax.status == INFEASIBLE:
         return None, refuting_certificate(net, prop, bounds, relax.cfg, relax.infeasible_row)
-    if status == CAP:
+    if relax.status == CAP:
         return None, None
     witness = tuple(float(_value(relax.cfg, v)) for v in net.layout.input_ids)
     return (witness if witness_ok(net, prop, witness) else None), None
@@ -173,7 +174,7 @@ def _optimize(relax: Relaxation, vid: int, maximize: bool) -> float | None:
     cfg = relax.cfg
     unit = np.zeros(len(cfg.lo))
     unit[vid] = 1.0
-    for _ in range(relax.cap):
+    for _ in range(cfg.cap):
         red = cfg.T[cfg.pos[vid]] if vid in cfg.pos else unit
         ent = entering_for(cfg, red, maximize)
         if ent is None:
@@ -209,21 +210,19 @@ def tighten_inputs_then_repropagate(net, asserts, relax) -> Bounds:
     branch relaxation built for the same asserts over the unchanged box,
     then re-run the abstraction on the smaller box. Each optimum is padded
     outward by EPS_LP so rounding error cannot cut off a feasible point,
-    and no interval widens; a direction `_optimize` cannot bound, or a
-    phase 1 that hit its cap, keeps the box's side. An input interval
-    squeezed empty is reported as infeasible Bounds. Raises ValueError
-    unless phase 1 has run and found no contradiction."""
-    if relax.status not in (FEASIBLE, CAP):
+    and no interval widens; a direction `_optimize` cannot bound keeps the
+    box's side. An input interval squeezed empty is reported as infeasible
+    Bounds. Raises ValueError unless phase 1 found the relaxation
+    FEASIBLE: it starts from phase 1's vertex."""
+    if relax.status != FEASIBLE:
         raise ValueError(f"input tightening on a relaxation with phase-1 status {relax.status}")
     cfg = relax.cfg
     box = []
     for vid in net.layout.input_ids:
-        lo, hi = cfg.lo[vid], cfg.hi[vid]
-        if relax.status == FEASIBLE:
-            mn = _optimize(relax, vid, maximize=False)
-            mx = _optimize(relax, vid, maximize=True)
-            lo = lo if mn is None else max(lo, mn - EPS_LP)
-            hi = hi if mx is None else min(hi, mx + EPS_LP)
+        mn = _optimize(relax, vid, maximize=False)
+        mx = _optimize(relax, vid, maximize=True)
+        lo = cfg.lo[vid] if mn is None else max(cfg.lo[vid], mn - EPS_LP)
+        hi = cfg.hi[vid] if mx is None else min(cfg.hi[vid], mx + EPS_LP)
         if lo > hi:
             return Bounds(output_ids=tuple(net.layout.output_ids), infeasible=True)
         box.append((lo, hi))

@@ -5,14 +5,13 @@ A network is a stack of affine layers, each followed by a ReLU except
 variable id:
 
     inputs, then per layer its pre-activation neurons followed by its
-    post-activation neurons, then (implicitly) the outputs, then the
-    tableau's slack variables: one per ReLU inequality x_post >= x_pre
-    (s = x_post - x_pre), then one per affine equation, pinned to minus its
-    bias. Property slacks and the branch LP's chord slacks follow at
-    solve time, from n_vars on.
+    post-activation neurons (a layer without a ReLU reuses its
+    pre-activation ids as its outputs).
 
-The numbering is a pure function of the layer dimensions, so trees recorded
-for one network apply to any same-shaped network.
+The layout numbers neurons only; the tableau numbers its slack variables
+after them (`simplex.encoded_equations`). The numbering is a pure function
+of the layer dimensions, so trees recorded for one network apply to any
+same-shaped network.
 """
 
 from __future__ import annotations
@@ -131,25 +130,23 @@ class Network:
 
 @dataclass
 class VariableLayout:
-    """Global variable ids for a network shape. Pure function of (dims, acts)."""
+    """Global ids of the neurons of a network shape, a pure function of
+    (dims, activations); the tableau's slacks are numbered after them."""
 
     dims: tuple[int, ...]
     activations: tuple[str, ...]
-    input_ids: list[int] = field(default_factory=list)
-    pre_ids: list[list[int]] = field(default_factory=list)    # per layer 1..k
-    post_ids: list[list[int]] = field(default_factory=list)   # per layer; == pre_ids for 'none'
-    output_ids: list[int] = field(default_factory=list)
-    neuron_ids: list[int] = field(default_factory=list)  # inputs, then each layer's pre, post
-    relu_pairs: list[tuple[int, int]] = field(default_factory=list)
-    relu_post: dict[int, int] = field(default_factory=dict)  # ReLU pre id -> post id
-    pre_row: dict[int, tuple[int, int]] = field(default_factory=dict)  # pre id -> (layer, row)
-    relu_slack: dict[tuple[int, int], int] = field(default_factory=dict)
-    affine_const_slack: dict[int, int] = field(default_factory=dict)  # pre id -> slack id
-    n_vars: int = 0  # network neurons + structural slacks; property slacks go after
+    input_ids: list[int] = field(init=False)
+    pre_ids: list[list[int]] = field(init=False)    # per layer 1..k
+    post_ids: list[list[int]] = field(init=False)   # per layer; == pre_ids for 'none'
+    output_ids: list[int] = field(init=False)
+    neuron_ids: list[int] = field(init=False)  # inputs, then each layer's pre, post
+    relu_pairs: list[tuple[int, int]] = field(init=False)
+    relu_post: dict[int, int] = field(init=False)  # ReLU pre id -> post id
+    pre_row: dict[int, tuple[int, int]] = field(init=False)  # pre id -> (layer, row)
 
     def __post_init__(self) -> None:
-        nxt = 0
         self.input_ids = list(range(self.dims[0]))
+        self.pre_ids, self.post_ids, self.relu_pairs, self.pre_row = [], [], [], {}
         nxt = self.dims[0]
         for i, n in enumerate(self.dims[1:]):
             pre = list(range(nxt, nxt + n))
@@ -166,14 +163,6 @@ class VariableLayout:
         self.output_ids = self.post_ids[-1]
         self.relu_post = dict(self.relu_pairs)
         self.neuron_ids = list(range(nxt))
-        for pair in self.relu_pairs:
-            self.relu_slack[pair] = nxt
-            nxt += 1
-        for layer_pre in self.pre_ids:
-            for p in layer_pre:
-                self.affine_const_slack[p] = nxt
-                nxt += 1
-        self.n_vars = nxt
 
 
 def evaluate(net: Network, x) -> np.ndarray:

@@ -3,11 +3,12 @@ ReLU pre-activations, leaves carry a status, and a SAT leaf its witness.
 A search (`solver.search`) decides one leaf and grows the tree below it, so
 re-verification grows the pruned copy of a stored tree in place.
 
-An UNSAT leaf's edge assertions say which branch to re-check. Every UNSAT
+An UNSAT leaf's edge assertions say which branch to re-check. An UNSAT
 leaf also stores a certificate: the multipliers `[kind, index, y]` of the
 encoded equations whose sum showed its branch empty, be it a tableau or LP
 row (`simplex.certificate`) or a DeepPoly back-substitution
-(`deeppoly.certificate`). Replay re-tests it for the new weights before
+(`deeppoly.certificate`), unless no equation states the refutation (an
+output ReLU's own interval). Replay re-tests it for the new weights before
 anything else. The key is optional on load: a leaf without it, such as one
 written by an older version, replays from its assertions alone. Files
 written before the stored basis was dropped still carry `basis` and

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import COEF_EPS, EPS_BOUND, EPS_PIVOT, EPS_RELU, apart
+from .constants import COEF_EPS, EPS_BOUND, EPS_PIVOT, EPS_RELU, LP_ITER_FACTOR, apart
 from .model import negation_empty, output_bounds
 
 
@@ -110,6 +110,8 @@ class Configuration:
     equations: slack id -> (kind, index) of the one equation it belongs to.
     violations: ReLU pre id -> its pair's repairs in this local search, and
     max_violations their running maximum (`count_repair`).
+    cap: the steps that one local search, or one LP phase, may take on this
+    tableau, LP_ITER_FACTOR * (rows + variables); a copy keeps it.
     """
 
     def __init__(self, T, basic, lo, hi, alpha, relu_pairs, input_ids, equations=None):
@@ -125,6 +127,7 @@ class Configuration:
         self.equations: dict[int, tuple[str, int]] = equations or {}
         self.violations: dict[int, int] = {pre: 0 for pre, _ in self.relu_pairs}
         self.max_violations = 0
+        self.cap = LP_ITER_FACTOR * (len(self.basic) + len(self.lo))
 
     def copy(self) -> "Configuration":
         c = copy.copy(self)
@@ -476,13 +479,17 @@ def encoded_equations(net, prop) -> dict[int, tuple[str, int]]:
     """Slack id -> (kind, index) of each equation of the search tableau, in
     the order `initialize` installs their rows: the affine equations layer
     by layer, the ReLU couplings, then the property constraints over two or
-    more outputs, whose slacks are numbered from n_vars on in constraint
-    order (a single-output one bounds its output instead)."""
+    more outputs (a single-output one bounds its output instead). Slack ids
+    follow the neurons': the ReLU couplings' first, then the affine
+    equations', then the property constraints'; the branch LP's chords come
+    after."""
     lay = net.layout
-    out = {lay.affine_const_slack[pre]: (AFF, pre) for pre in lay.pre_row}
-    out.update((sid, (RELU, pre)) for (pre, _), sid in lay.relu_slack.items())
+    relu = len(lay.neuron_ids)
+    aff = relu + len(lay.relu_pairs)
+    out = {aff + n: (AFF, pre) for n, pre in enumerate(lay.pre_row)}
+    out.update((relu + n, (RELU, pre)) for n, (pre, _) in enumerate(lay.relu_pairs))
     multi = [i for i, c in enumerate(prop.constraints) if sum(a != 0.0 for a in c.coeffs) >= 2]
-    out.update((lay.n_vars + n, (PROP, i)) for n, i in enumerate(multi))
+    out.update((aff + len(lay.pre_row) + n, (PROP, i)) for n, i in enumerate(multi))
     return out
 
 

@@ -16,29 +16,30 @@ branch once its certificate re-checks (below), a repaired point that passes
 forward validation is a witness, and anything else ends the local search.
 That covers one ReLU pair repaired SPLIT_THRESHOLD times (Reluplex's split
 on demand, Katz et al., CAV 2017; the configuration keeps the running
-maximum of its repair counts), LP_ITER_FACTOR * (rows + variables) repair
-steps (bound repair can cycle once values are re-solved between pivots), a
-row whose certificate does not re-check, a repair that is stuck, and a
-point that forward validation rejects. The node then splits on its most repaired
-uncertain pair, or, with every ReLU decided, the exact branch LP decides
-it (the loop can cycle between decided pairs that sit within the bound
-tolerance). A branch that the LP cannot decide stays an unsolved leaf and
+maximum of its repair counts), the tableau's step cap of repair steps
+(`Configuration.cap`; bound repair can cycle once values are re-solved
+between pivots), a row whose certificate does not re-check, a repair that
+is stuck, and a point that forward validation rejects. The node then
+splits on its most repaired uncertain pair, or, with every ReLU decided,
+the exact branch LP decides it (the loop can cycle between decided pairs
+that sit within the bound tolerance). A branch that the LP cannot decide stays an unsolved leaf and
 the search goes on; `solve` raises RuntimeError only when it ends with no
 witness and such a leaf.
 
-Every UNSAT leaf stores the certificate of the row that closed it, for
+An UNSAT leaf stores the certificate of the row that closed it, for
 replay: a row of the search tableau or of the branch LP
 (`simplex.certificate`), or the DeepPoly back-substitution that refuted the
-branch (`deeppoly.certificate`). A tableau row closes a node only when its
-certificate, rebuilt from the network, refutes the node's bounds
-(`lp.refuting_certificate`, which the branch LP and replay use too).
+branch (`deeppoly.certificate`). A leaf that no equation refutes, such as
+one whose output ReLU's own interval contradicts the property, has none.
+A tableau row closes a node only when its certificate, rebuilt from the
+network, refutes the node's bounds (`lp.refuting_certificate`, which the
+branch LP and replay use too).
 """
 
 from __future__ import annotations
 
 from . import deeppoly, lp
 from . import prooftree as pt
-from .constants import LP_ITER_FACTOR
 from .deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted, uncertain
 from .model import UNSAT, Verdict, property_hash, witness_ok
 from .simplex import (
@@ -96,7 +97,7 @@ def search(net, prop, tree, nid, bounds, parent=None):
         cfg = parent.copy()
         refresh_bounds(cfg, net, prop, bounds)
     candidates = uncertain(net.layout, bounds)
-    steps_left = LP_ITER_FACTOR * (len(cfg.basic) + len(cfg.lo))
+    steps_left = cfg.cap
     while (row := check_unsat_rows(cfg, out := out_of_bounds(cfg))) is None:
         if cfg.max_violations >= SPLIT_THRESHOLD or not steps_left:
             break

@@ -18,7 +18,10 @@ from incremark.prooftree import ProofTree
 from incremark.simplex import (
     AFF,
     INF,
+    PROP,
     Configuration,
+    encode,
+    encoded_equations,
     equation,
     neuron_bounds,
     pivot,
@@ -38,6 +41,20 @@ def configuration(rows, lo, hi, alpha, relu_pairs=(), input_ids=(),
             T[r, k] = c
     return Configuration(T, list(rows), lo, hi, [alpha.get(v, 0.0) for v in range(len(lo))],
                          relu_pairs, input_ids, equations)
+
+
+def encodings(monkeypatch) -> list[Configuration]:
+    """Copies of the configuration of each relaxation that `lp.build`
+    encodes from here on in the test, taken before its phase 1 pivots it."""
+    copies: list[Configuration] = []
+    phase1 = lp.phase1
+
+    def recorded(relax):
+        copies.append(relax.cfg.copy())
+        return phase1(relax)
+
+    monkeypatch.setattr(lp, "phase1", recorded)
+    return copies
 
 
 def define_row(rows: dict[int, dict[int, float]], basic: int, expr: dict[int, float]) -> None:
@@ -355,24 +372,25 @@ def deeppoly_soundness(first_net=None, first_box=None, n_random: int = 50,
     return bad
 
 
-def _relaxation_point(net, prop, bounds, relax, vals: dict[int, float]) -> dict[int, float]:
+def _relaxation_point(net, prop, bounds, vals: dict[int, float]) -> dict[int, float]:
     """Extend a forward-evaluated network point by the values the
     relaxation's slacks take there, computed from the network and the
     neuron intervals alone: post - pre per ReLU, -bias per affine equation,
     a.y per multi-output constraint, and post - k.pre per uncertain ReLU,
-    numbered as the encoding documents."""
+    numbered as `simplex.encoded_equations` numbers them, chords after."""
     lay = net.layout
     point = dict(vals)
-    for (pre, post), sid in lay.relu_slack.items():
-        point[sid] = vals[post] - vals[pre]
-    for li in range(net.n_layers):
-        for j, pre in enumerate(lay.pre_ids[li]):
-            point[lay.affine_const_slack[pre]] = -float(net.biases[li][j])
-    sid = lay.n_vars
-    for c in prop.constraints:
-        if sum(a != 0.0 for a in c.coeffs) >= 2:
-            point[sid] = sum(a * vals[y] for a, y in zip(c.coeffs, lay.output_ids))
-            sid += 1
+    equations = encoded_equations(net, prop)
+    for sid, (kind, i) in equations.items():
+        if kind == AFF:
+            li, j = lay.pre_row[i]
+            point[sid] = -float(net.biases[li][j])
+        elif kind == PROP:
+            coeffs = prop.constraints[i].coeffs
+            point[sid] = sum(a * vals[y] for a, y in zip(coeffs, lay.output_ids))
+        else:
+            point[sid] = vals[lay.relu_post[i]] - vals[i]
+    sid = max(equations) + 1
     for pre, post in lay.relu_pairs:
         l, u = bounds.lo[pre], bounds.hi[pre]
         if l < 0.0 < u:
@@ -405,14 +423,14 @@ def relaxation_soundness(points: int = 1000, seed: int = 505) -> int:
             if bounds.infeasible:
                 continue
         relax = lp.build(net, prop, bounds)
+        feasible = relax.status != lp.INFEASIBLE
 
-        # snapshot before phase 1 runs: pivoting re-keys the rows
-        rows0 = {b: relax.cfg.row(b) for b in relax.cfg.basic}
-        lo0 = list(relax.cfg.lo)
-        hi0 = list(relax.cfg.hi)
+        # the rows as encoded, before phase 1 pivoted them
+        encoded = encode(net, prop, bounds, relax.cfg.equations)
+        rows0 = {b: encoded.row(b) for b in encoded.basic}
+        lo0, hi0 = encoded.lo, encoded.hi
         prop_vars = set(lay.output_ids) | {
             sid for sid, (kind, _) in relax.cfg.equations.items() if kind == "prop"}
-        feasible = lp.phase1(relax) != lp.INFEASIBLE
 
         lows = [l for l, _ in prop.box]
         highs = [h for _, h in prop.box]
@@ -426,7 +444,7 @@ def relaxation_soundness(points: int = 1000, seed: int = 505) -> int:
             if not in_assert:
                 continue
             checked += 1
-            point = _relaxation_point(net, prop, bounds, relax, vals)
+            point = _relaxation_point(net, prop, bounds, vals)
             if set(point) != set(range(len(lo0))):
                 bad += 1
                 continue

@@ -24,6 +24,7 @@ from incremark.incremental import (
     RESOLVED_UNSAT,
     RUNGS,
     SKIPPED,
+    TIGHTEN,
     IncrementalReport,
     ShapeMismatchError,
     verify_incremental,
@@ -513,7 +514,7 @@ def test_certificate_rung_closes_only_empty_branches():
             for nid, rung in rep.outcomes.items():
                 if rung == CERTIFICATE:
                     bounds = _leaf_bounds(modified, prop, tree, nid)
-                    assert lp.phase1(lp.build(modified, prop, bounds)) == lp.INFEASIBLE
+                    assert lp.build(modified, prop, bounds).status == lp.INFEASIBLE
                     closed += 1
     assert closed >= 20
 
@@ -612,22 +613,68 @@ def test_fallback_graft_brings_its_certificates():
 def test_analyze_rung_stores_a_fresh_certificate():
     """A leaf that the analyze rung closes carries that run's DeepPoly
     certificate in the output tree, which closes the leaf under its own
-    bounds."""
-    net = random_network((2, 5, 5, 1), 28)
-    prop = random_threshold_property(net, 29)
+    bounds, or none when no equation states the refutation, never the
+    stored one. The second instance's output ReLU refutes its leaves by
+    its own interval; its leaf 5 stored an LP row's certificate."""
+    relu_out = random_network((2, 4, 4, 1), 58)
+    instances = ((random_network((2, 5, 5, 1), 28), 29, Perturbation(0.001, 0.1, 18)),
+                 (Network(relu_out.weights, relu_out.biases, ["relu"] * 3), 59,
+                  Perturbation(0.05, 0.5, 58000)))
+    for net, prop_seed, p in instances:
+        prop = random_threshold_property(net, prop_seed)
+        _, tree = solve(net, prop)
+        modified = perturb(net, p)
+        _, rep1, out1 = verify_incremental(modified, prop, tree)
+        by_analyze = {tree.asserts_of(nid) for nid, rung in rep1.outcomes.items()
+                      if rung == ANALYZE}
+        assert by_analyze
+        for nid in out1.leaves():
+            asserts = out1.asserts_of(nid)
+            if asserts in by_analyze:
+                bounds = analyze(modified, prop.box, sorted(asserts))
+                cert = out1.nodes[nid].cert
+                assert cert == deeppoly.certificate(modified, prop, bounds)
+                assert (bounds.infeasible or cert is None
+                        or lp.certificate_refutes(modified, prop, bounds, cert))
+
+
+def test_capped_branch_lp_skips_the_tighten_rung(monkeypatch):
+    """A ladder relaxation whose phase 1 hits its step cap has no vertex to
+    tighten from: its leaf goes straight to the fallback, and the verdict is
+    the uncapped run's."""
+    net = random_network((2, 5, 5, 1), 18)
+    prop = random_threshold_property(net, 19)
     _, tree = solve(net, prop)
-    modified = perturb(net, Perturbation(0.001, 0.1, 18))
-    _, rep1, out1 = verify_incremental(modified, prop, tree)
-    by_analyze = {tree.asserts_of(nid) for nid, rung in rep1.outcomes.items()
-                  if rung == ANALYZE}
-    assert by_analyze
-    for nid in out1.leaves():
-        asserts = out1.asserts_of(nid)
-        if asserts in by_analyze:
-            bounds = analyze(modified, prop.box, sorted(asserts))
-            cert = out1.nodes[nid].cert
-            assert cert == deeppoly.certificate(modified, prop, bounds)
-            assert bounds.infeasible or lp.certificate_refutes(modified, prop, bounds, cert)
+    modified = perturb(net, Perturbation(0.1, 1.0, 18002))
+    want, rep, _ = verify_incremental(modified, prop, tree)
+    at_lp = [nid for nid, rung in rep.outcomes.items() if rung in (LP, TIGHTEN, FALLBACK)]
+    assert TIGHTEN in rep.outcomes.values()
+
+    search, phase1 = incremental.search, lp.phase1
+    searching = False
+
+    def fallback(*args):
+        nonlocal searching
+        searching = True
+        try:
+            return search(*args)
+        finally:
+            searching = False
+
+    def capped(relax):
+        if not searching:  # the ladder's own relaxation
+            relax.cfg.cap = 0
+        return phase1(relax)
+
+    def tighten(*args):
+        raise AssertionError("a relaxation without a vertex was tightened")
+
+    monkeypatch.setattr(incremental, "search", fallback)
+    monkeypatch.setattr(lp, "phase1", capped)
+    monkeypatch.setattr(lp, "tighten_inputs_then_repropagate", tighten)
+    got, rep, _ = verify_incremental(modified, prop, tree)
+    assert got == want
+    assert {nid: rep.outcomes[nid] for nid in at_lp} == dict.fromkeys(at_lp, FALLBACK)
 
 
 def test_replay_closed_by_certificates_builds_no_tableau(monkeypatch):

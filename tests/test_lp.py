@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import _suites
-from incremark import lp
+from incremark import lp, simplex
 from incremark.bench import random_network, random_threshold_property
+from incremark.constants import LP_ITER_FACTOR
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze
 from incremark.model import LinearConstraint, Network, SafetyProperty
 from incremark.simplex import (
     certificate,
+    encoded_equations,
     initialize,
     recompute,
 )
@@ -28,8 +30,8 @@ def test_build_uses_clamped_intervals(demo_net, demo_prop):
     assert r.cfg.hi[6] == 1.28
     # the search tableau's 3 affine and 2 relu rows, plus 2 chord rows
     assert len(r.cfg.basic) == 3 + 2 + 2
-    assert r.cap == lp.LP_ITER_FACTOR * (7 + 14)
-    assert r.status is None              # phase 1 not run yet
+    assert r.cfg.cap == LP_ITER_FACTOR * (7 + 14)
+    assert r.status == lp.FEASIBLE       # build ran phase 1
 
 
 def test_build_decided_relu_rows(demo_net, demo_prop):
@@ -43,10 +45,11 @@ def test_build_decided_relu_rows(demo_net, demo_prop):
     assert len(r2.cfg.basic) == 3 + 2 + 1
 
 
-def test_build_is_search_tableau_plus_chord_rows():
-    """lp.build's rows and bounds are initialize's, plus exactly one chord
-    row post - k.pre <= -k.l per uncertain ReLU, numbered from the first
-    free id."""
+def test_build_is_search_tableau_plus_chord_rows(monkeypatch):
+    """lp.build's rows and bounds, as encoded before its phase 1 pivots
+    them, are initialize's, plus exactly one chord row post - k.pre <= -k.l
+    per uncertain ReLU, numbered from the first free id."""
+    encoded = _suites.encodings(monkeypatch)
     rng = np.random.default_rng(7)
     checked = 0
     for seed in range(12):
@@ -63,42 +66,41 @@ def test_build_is_search_tableau_plus_chord_rows():
             uncertain = [(p, q) for p, q in lay.relu_pairs
                          if bounds.lo[p] < 0.0 < bounds.hi[p]]
         cfg = initialize(net, prop, bounds)
-        relax = lp.build(net, prop, bounds)
-        first = lay.n_vars + sum(kind == "prop" for kind, _ in cfg.equations.values())
-        chords = sorted(set(relax.cfg.pos) - set(cfg.pos))
+        lp.build(net, prop, bounds)
+        built = encoded[-1]
+        first = max(encoded_equations(net, prop)) + 1
+        chords = sorted(set(built.pos) - set(cfg.pos))
         assert chords == list(range(first, first + len(uncertain)))
-        assert all(relax.cfg.row(b) == cfg.row(b) for b in cfg.pos)
-        assert relax.cfg.lo[:len(cfg.lo)] == cfg.lo
-        assert relax.cfg.hi[:len(cfg.hi)] == cfg.hi
+        assert all(built.row(b) == cfg.row(b) for b in cfg.pos)
+        assert built.lo[:len(cfg.lo)] == cfg.lo
+        assert built.hi[:len(cfg.hi)] == cfg.hi
         # each chord row, at any assignment of the non-basics, equals
         # post - k.pre with pre solved from its affine row
         point = {v: float(rng.normal()) for v in range(len(cfg.alpha)) if v not in cfg.pos}
-        rows = {b: relax.cfg.row(b) for b in relax.cfg.basic}
-        val = _suites.configuration(rows, relax.cfg.lo, relax.cfg.hi, point)
+        rows = {b: built.row(b) for b in built.basic}
+        val = _suites.configuration(rows, built.lo, built.hi, point)
         recompute(val)
         for sid, (pre, post) in zip(chords, uncertain):
             l, u = bounds.lo[pre], bounds.hi[pre]
             k = u / (u - l)
             assert val.alpha[sid] == pytest.approx(point[post] - k * val.alpha[pre], abs=1e-9)
-            assert (relax.cfg.lo[sid], relax.cfg.hi[sid]) == (-math.inf, -k * l)
+            assert (built.lo[sid], built.hi[sid]) == (-math.inf, -k * l)
             checked += 1
     assert checked > 20
 
 
 def test_phase1_records_status_and_row(demo_net, demo_prop, unsat_prop):
     r = demo_relax(demo_net, demo_prop)
-    assert lp.phase1(r) == lp.FEASIBLE
     assert r.status == lp.FEASIBLE
     assert r.infeasible_row is None
     bad = lp.build(demo_net, unsat_prop, analyze(demo_net, BOX))
-    assert lp.phase1(bad) == lp.INFEASIBLE
     assert bad.status == lp.INFEASIBLE
     assert bad.infeasible_row in bad.cfg.basic
 
 
 def test_phase1_vertex_satisfies_everything(demo_net, demo_prop):
     r = demo_relax(demo_net, demo_prop)
-    assert lp.phase1(r) == lp.FEASIBLE
+    assert r.status == lp.FEASIBLE
     pt = {v: lp._value(r.cfg, v) for v in demo_net.layout.neuron_ids}
     assert set(pt) == set(range(7))
     assert pt[6] >= 0.3 - 1e-12
@@ -111,7 +113,7 @@ def test_phase1_vertex_satisfies_everything(demo_net, demo_prop):
 
 def test_infeasible_certificate(demo_net, unsat_prop):
     r = lp.build(demo_net, unsat_prop, analyze(demo_net, BOX))
-    assert lp.phase1(r) == lp.INFEASIBLE
+    assert r.status == lp.INFEASIBLE
     assert r.infeasible_row is not None
     with pytest.raises(ValueError):
         lp.tighten_inputs_then_repropagate(demo_net, [], r)
@@ -156,8 +158,8 @@ def test_every_row_is_its_certificates_sum(shape, seed, n_out):
         LinearConstraint(tuple(rng.normal(size=n_out)), -5.0) for _ in range(2)))
     for net in (net, _zero_some_weights(net, rng)):
         bounds = analyze(net, prop.box)
+        # build's phase 1 pivots the rows away from their encoded form
         r = lp.build(net, prop, bounds)
-        lp.phase1(r)  # pivots the rows away from their encoded form
         kinds = {kind for kind, _ in r.cfg.equations.values()}
         assert kinds == ({"aff", "relu", "chord", "prop"} if n_out > 1 else {"aff", "relu", "chord"})
         v = dict(enumerate(rng.normal(size=len(r.cfg.lo)).tolist()))
@@ -170,14 +172,14 @@ def test_every_row_is_its_certificates_sum(shape, seed, n_out):
 
 def test_infeasible_branch_certificate_closes_it(demo_net, demo_prop, unsat_prop, fprime):
     r = lp.build(demo_net, unsat_prop, analyze(demo_net, BOX))
-    assert lp.phase1(r) == lp.INFEASIBLE
+    assert r.status == lp.INFEASIBLE
     cert = certificate(r.cfg, r.infeasible_row)
     assert lp.certificate_refutes(demo_net, unsat_prop, analyze(demo_net, BOX), cert)
     assert lp.refuting_certificate(demo_net, unsat_prop, analyze(demo_net, BOX), r.cfg,
                                    r.infeasible_row) == cert
     # no row of a relaxation with a feasible point shows its branch empty
     sat = lp.build(demo_net, demo_prop, analyze(demo_net, BOX))
-    assert lp.phase1(sat) == lp.FEASIBLE
+    assert sat.status == lp.FEASIBLE
     assert all(lp.refuting_certificate(demo_net, demo_prop, analyze(demo_net, BOX), sat.cfg, b)
                is None for b in sat.cfg.basic)
     # a small weight change: the rebuilt sum still excludes 0
@@ -192,7 +194,7 @@ def _refutes_over_all_bounds(net, prop, bounds, cert):
     variable bound of the search tableau, built by simplex.initialize."""
     lay = net.layout
     cfg = initialize(net, prop, bounds)
-    slacks = {i: sid for sid, (kind, i) in cfg.equations.items() if kind == "prop"}
+    sids = {key: sid for sid, key in encoded_equations(net, prop).items()}
     lo, hi = cfg.lo, cfg.hi
     coef, rlo, rhi = {}, 0.0, 0.0
     for kind, i, y in cert:
@@ -207,13 +209,12 @@ def _refutes_over_all_bounds(net, prop, bounds, cert):
                 li, j = lay.pre_row[i]
                 prev = lay.input_ids if li == 0 else lay.post_ids[li - 1]
                 terms = [(i, 1.0), *zip(prev, (-net.weights[li][j]).tolist())]
-                sid = lay.affine_const_slack[i]
             elif kind == "relu":
-                terms, sid = [(i, 1.0), (lay.relu_post[i], -1.0)], lay.relu_slack[(i, lay.relu_post[i])]
+                terms = [(i, 1.0), (lay.relu_post[i], -1.0)]
             else:
                 coeffs = prop.constraints[i].coeffs
                 terms = [(lay.output_ids[n], -a) for n, a in enumerate(coeffs) if a != 0.0]
-                sid = slacks[i]
+            sid = sids[(kind, i)]
             slo, shi = lo[sid], hi[sid]
         rlo += y * (slo if y > 0 else shi)
         rhi += y * (shi if y > 0 else slo)
@@ -248,7 +249,6 @@ def test_certificate_refutes_reads_only_the_bounds_it_needs(shape, n_out):
             if bounds.infeasible:
                 continue
             r = lp.build(net, prop, bounds)
-            lp.phase1(r)
             for b in r.cfg.basic:
                 cert = certificate(r.cfg, b)
                 for scale in (1.0, -3.0):
@@ -273,7 +273,7 @@ def test_certificate_chord_needs_an_undecided_neuron(demo_net, demo_prop):
     prop = SafetyProperty(((1.0, 2.0),), (LinearConstraint((-1.0,), -1.5),))
     on = analyze(net, prop.box)
     assert (on.lo[1], on.hi[1]) == (1.0, 2.0)
-    assert lp.phase1(lp.build(net, prop, on)) == lp.FEASIBLE
+    assert lp.build(net, prop, on).status == lp.FEASIBLE
     cut = (("chord", 1, 1.0), ("relu", 1, -2.0), ("aff", 3, 1.0))  # s_chord + y <= -0.5
     assert not lp.certificate_refutes(net, prop, on, cut)
     # on a neuron pinned to [0, 0] the chord has no slope (0/0): it refutes
@@ -294,7 +294,7 @@ def _tightened(r, v):
 
 def test_tighten_demo_values(demo_net, demo_prop):
     r = demo_relax(demo_net, demo_prop)
-    assert lp.phase1(r) == lp.FEASIBLE
+    assert r.status == lp.FEASIBLE
     out = {v: _tightened(r, v) for v in (2, 3, 6)}
     # x3: the property floor pushes the reachable lower end up from -1
     assert out[2] == (-0.7822580655161292, 0.7999999999999999)
@@ -314,14 +314,16 @@ def test_ratio_test_ties_within_an_ulp_go_to_the_lowest_basic():
     cfg = _suites.configuration({1: {0: 1.0}, 2: {0: 1.0}}, [0.0, 0.0, 0.0], [10.0, 1.0, top],
                                 {0: 0.0}, input_ids=[0])
     recompute(cfg)
-    relax = lp.Relaxation(cfg, cap=10, status=lp.FEASIBLE)
+    cfg.cap = 10
+    relax = lp.Relaxation(cfg, status=lp.FEASIBLE)
     assert lp._optimize(relax, 0, maximize=True) == 1.0
     assert 1 not in cfg.pos and 2 in cfg.pos
     # a tie with the entering variable's own bound goes to the bound flip,
     # though the row blocks one ulp earlier
     cfg = _suites.configuration({1: {0: 1.0}}, [0.0, 0.0], [1.0, top], {0: 0.0}, input_ids=[0])
     recompute(cfg)
-    relax = lp.Relaxation(cfg, cap=10, status=lp.FEASIBLE)
+    cfg.cap = 10
+    relax = lp.Relaxation(cfg, status=lp.FEASIBLE)
     assert lp._optimize(relax, 0, maximize=True) == 1.0
     assert 1 in cfg.pos
 
@@ -334,7 +336,8 @@ def test_ratio_test_never_chooses_a_row_that_pivot_rejects(monkeypatch):
         cfg = _suites.configuration({2: {0: 5e-9, 1: 1.0}}, [0.0, 0.0, 0.0],
                                     [math.inf, 0.0, 1e-9], {0: 0.0, 1: 0.0}, input_ids=[0])
         recompute(cfg)
-        r = lp.Relaxation(cfg, cap=10)
+        cfg.cap = 10
+        r = lp.Relaxation(cfg)
         assert lp.phase1(r) == lp.FEASIBLE
         return r
 
@@ -348,7 +351,7 @@ def test_ratio_test_never_chooses_a_row_that_pivot_rejects(monkeypatch):
 def test_tighten_never_widens(demo_net, demo_prop):
     # every optimum lies within its variable's bounds, up to the padding
     r = demo_relax(demo_net, demo_prop)
-    assert lp.phase1(r) == lp.FEASIBLE
+    assert r.status == lp.FEASIBLE
     for v in range(7):
         mn = lp._optimize(r, v, maximize=False)
         mx = lp._optimize(r, v, maximize=True)
@@ -356,33 +359,27 @@ def test_tighten_never_widens(demo_net, demo_prop):
     # and no input interval widens, whatever the assertions
     for asserts in ([], [Assertion(2, NONNEG)], [Assertion(2, NONPOS)], [Assertion(3, NONNEG)]):
         r = demo_relax(demo_net, demo_prop, asserts)
-        assert lp.phase1(r) == lp.FEASIBLE
+        assert r.status == lp.FEASIBLE
         nb = lp.tighten_inputs_then_repropagate(demo_net, asserts, r)
         for v, (blo, bhi) in zip(demo_net.layout.input_ids, BOX):
             assert blo <= nb.lo[v] <= nb.hi[v] <= bhi
 
 
 def test_cap_is_conservative(monkeypatch, demo_net, demo_prop):
+    monkeypatch.setattr(simplex, "LP_ITER_FACTOR", 0)
     r = demo_relax(demo_net, demo_prop)
-    r.cap = 0
-    assert lp.phase1(r) == lp.CAP
+    assert r.cfg.cap == 0
+    assert r.status == lp.CAP
     assert r.infeasible_row is None      # cap never certifies infeasibility
-    # the box kept verbatim, so the re-propagated bounds are analyze's
-    nb = lp.tighten_inputs_then_repropagate(demo_net, [], r)
-    assert (nb.lo, nb.hi) == (analyze(demo_net, BOX).lo, analyze(demo_net, BOX).hi)
-    # and no vertex to decide from
-    monkeypatch.setattr(lp, "LP_ITER_FACTOR", 0)
+    # no vertex to tighten from
+    with pytest.raises(ValueError):
+        lp.tighten_inputs_then_repropagate(demo_net, [], r)
+    # and none to decide from
     assert lp.decide(demo_net, demo_prop, analyze(demo_net, BOX)) == (None, None)
 
 
-def _phase1_run(relax):
-    lp.phase1(relax)
-    return relax
-
-
 def test_repropagate_plain_box_unchanged(demo_net, demo_prop):
-    nb = lp.tighten_inputs_then_repropagate(
-        demo_net, [], _phase1_run(demo_relax(demo_net, demo_prop)))
+    nb = lp.tighten_inputs_then_repropagate(demo_net, [], demo_relax(demo_net, demo_prop))
     assert not nb.infeasible
     assert (nb.lo[0], nb.hi[0]) == (-1.0, 1.0)
     assert (nb.lo[1], nb.hi[1]) == (-1.0, 1.0)
@@ -392,7 +389,7 @@ def test_repropagate_plain_box_unchanged(demo_net, demo_prop):
 def test_repropagate_shrinks_inputs(demo_net, demo_prop):
     asserts = [Assertion(2, NONNEG)]
     nb = lp.tighten_inputs_then_repropagate(
-        demo_net, asserts, _phase1_run(demo_relax(demo_net, demo_prop, asserts)))
+        demo_net, asserts, demo_relax(demo_net, demo_prop, asserts))
     assert not nb.infeasible
     # x3 >= 0 forces 0.2 x1 - 0.7 x2 >= 0.1, so x2 <= 1/7 (+ padding)
     assert nb.hi[1] == pytest.approx(1.0 / 7.0, abs=1e-8)
@@ -404,12 +401,12 @@ def test_repropagate_shrinks_inputs(demo_net, demo_prop):
 
 def test_repropagate_infeasible_cases(demo_net, unsat_prop):
     relax = demo_relax(demo_net, unsat_prop)
+    assert relax.status == lp.INFEASIBLE
+    with pytest.raises(ValueError):
+        lp.tighten_inputs_then_repropagate(demo_net, [], relax)
     # before phase 1 runs there is no status to read
     with pytest.raises(ValueError):
-        lp.tighten_inputs_then_repropagate(demo_net, [], relax)
-    assert lp.phase1(relax) == lp.INFEASIBLE
-    with pytest.raises(ValueError):
-        lp.tighten_inputs_then_repropagate(demo_net, [], relax)
+        lp.tighten_inputs_then_repropagate(demo_net, [], lp.Relaxation(relax.cfg))
 
 
 def test_relaxation_soundness_sampled():

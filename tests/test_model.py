@@ -6,6 +6,7 @@ from incremark.model import (
     LinearConstraint,
     Network,
     SafetyProperty,
+    VariableLayout,
     Verdict,
     evaluate,
     load_network,
@@ -29,9 +30,10 @@ def test_layout_demo_shape(demo_net):
     assert lay.output_ids == [6]
     assert lay.neuron_ids == [0, 1, 2, 3, 4, 5, 6]
     assert lay.relu_pairs == [(2, 4), (3, 5)]
-    assert lay.relu_slack == {(2, 4): 7, (3, 5): 8}
-    assert lay.affine_const_slack == {2: 9, 3: 10, 6: 11}
-    assert lay.n_vars == 12
+    assert lay.relu_post == {2: 4, 3: 5}
+    assert lay.pre_row == {2: (0, 0), 3: (0, 1), 6: (1, 0)}
+    # the shape is the whole input; the tableau numbers its slacks itself
+    assert VariableLayout((2, 2, 1), ("relu", "none")) == lay
 
 
 def test_layout_final_none_layer_shares_ids(demo_net):
@@ -50,8 +52,7 @@ def test_layout_deeper_shape():
     assert lay.post_ids[0] == list(range(11, 19))
     assert lay.pre_ids[1] == [19]
     assert lay.neuron_ids == list(range(20))
-    # 8 relu slacks, then 9 affine consts after the neurons
-    assert lay.n_vars == 20 + 8 + 9
+    assert lay.relu_pairs == list(zip(range(3, 11), range(11, 19)))
 
 
 def test_evaluate_demo_witness(demo_net):

@@ -23,6 +23,7 @@ from incremark.simplex import (
     bound_step,
     check_unsat_rows,
     dump,
+    encoded_equations,
     entering_for,
     initialize,
     linear_interval,
@@ -103,11 +104,13 @@ def _random_multi_output_instance(rng, k):
     return net, SafetyProperty(box, tuple(constraints))
 
 
-def test_encoding_equals_the_dict_of_rows_reference():
-    """`initialize` and `lp.build` write the tableau, bounds and assignment
-    of the dict-of-rows encoding (`_suites.reference_encode`) bit for bit,
-    with its summation order over three or more substituted outputs, on
-    networks with linear and ReLU output layers and with chord rows."""
+def test_encoding_equals_the_dict_of_rows_reference(monkeypatch):
+    """`initialize` and `lp.build` (before its phase 1) write the tableau,
+    bounds and assignment of the dict-of-rows encoding
+    (`_suites.reference_encode`) bit for bit, with its summation order over
+    three or more substituted outputs, on networks with linear and ReLU
+    output layers and with chord rows."""
+    encoded = _suites.encodings(monkeypatch)
     rng = np.random.default_rng(2024)
     seen = {"prop3": 0, "relu_out": 0, "chord": 0}
     for k in range(150):
@@ -121,7 +124,7 @@ def test_encoding_equals_the_dict_of_rows_reference():
         if bounds.infeasible:
             continue
         relax = lp.build(net, prop, bounds)
-        for got in (initialize(net, prop, bounds), relax.cfg):
+        for got in (initialize(net, prop, bounds), encoded[-1]):
             want = _suites.reference_encode(net, prop, bounds, got.equations)
             assert got.basic == want.basic, k
             assert got.T.shape == want.T.shape and got.T.tobytes() == want.T.tobytes(), k
@@ -181,12 +184,39 @@ def test_initialize_rejects_empty_negation(demo_net):
         initialize(demo_net, SafetyProperty(BOX, ()), analyze(demo_net, BOX))
 
 
+def test_encoded_equations_number_the_slacks_after_the_neurons(demo_net, demo_prop):
+    """Slack ids: the ReLU couplings' from the first id after the neurons,
+    in `relu_pairs` order, then the affine equations', then those of the
+    constraints over two or more outputs, in constraint order; the rows are
+    installed affine first. The branch LP's chords come after them all."""
+    eqs = encoded_equations(demo_net, demo_prop)
+    assert eqs == {9: ("aff", 2), 10: ("aff", 3), 11: ("aff", 6),
+                   7: ("relu", 2), 8: ("relu", 3)}
+    assert list(eqs) == [9, 10, 11, 7, 8]
+    relax = lp.build(demo_net, demo_prop, analyze(demo_net, BOX))
+    assert {sid: key for sid, key in relax.cfg.equations.items() if sid >= 12} == {
+        12: ("chord", 2), 13: ("chord", 3)}
+    # a single-output constraint has no slack; the others follow the affine ones
+    net = Network([np.ones((2, 2)), np.ones((2, 2))], [np.zeros(2), np.zeros(2)])
+    prop = SafetyProperty(BOX, tuple(LinearConstraint(a, 0.0)
+                                     for a in ((1.0, -1.0), (0.0, 1.0), (2.0, 1.0))))
+    eqs = encoded_equations(net, prop)
+    assert [(sid, key) for sid, key in eqs.items() if key[0] == "prop"] == [
+        (14, ("prop", 0)), (15, ("prop", 2))]
+    # (3, 8, 1): 20 neurons, 8 ReLU couplings, 9 affine equations
+    net = Network([np.zeros((8, 3)), np.zeros((1, 8))], [np.zeros(8), np.zeros(1)])
+    prop = SafetyProperty(((0.0, 1.0),) * 3, (LinearConstraint((1.0,), 0.0),))
+    eqs = encoded_equations(net, prop)
+    assert sorted(eqs) == list(range(20, 20 + 8 + 9))
+    assert [eqs[sid] for sid in range(20, 28)] == [("relu", p) for p in range(3, 11)]
+
+
 def test_initialize_multi_output_property_slack():
     net = Network([[[1.0, 0.0], [0.0, 1.0]]], [[0.0, 0.0]])
     box = ((0.0, 1.0), (0.0, 1.0))
     prop = SafetyProperty(box, (LinearConstraint((1.0, -1.0), 0.25),))
     cfg = initialize(net, prop, analyze(net, box))
-    sid = net.layout.n_vars
+    sid = 6  # after 4 neurons and 2 affine slacks
     assert cfg.equations[sid] == ("prop", 0)
     # outputs are themselves basic, so the slack row is pre-substituted down
     # to inputs and affine slacks
@@ -321,6 +351,21 @@ def test_refutation_margin_has_one_home():
     assert ("constants", "apart") in found
     assert found <= {("constants", "apart"), ("simplex", "out_of_bounds"),
                      ("simplex", "resolve_violation"), ("simplex", "bound_step")}
+
+
+def test_step_cap_has_one_home():
+    """Only `simplex` reads LP_ITER_FACTOR: each configuration computes its
+    step cap once, and the search and both LP phases read it there."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "incremark"
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.alias) and node.name == "LP_ITER_FACTOR"
+                    or isinstance(node, ast.Attribute) and node.attr == "LP_ITER_FACTOR"
+                    or isinstance(node, ast.Name) and node.id == "LP_ITER_FACTOR"
+                    and isinstance(node.ctx, ast.Load)):
+                found.add(path.stem)
+    assert found == {"simplex"}
 
 
 def test_relu_chord_has_one_home():
@@ -690,7 +735,7 @@ def test_row_residual_invariant(monkeypatch, demo_net, demo_prop):
             if bounds.infeasible:
                 continue
             relax = lp.build(net, prop, bounds)
-            if lp.phase1(relax) == lp.FEASIBLE:
+            if relax.status == lp.FEASIBLE:
                 for v in net.layout.neuron_ids:
                     lp._optimize(relax, v, maximize=False)
                     lp._optimize(relax, v, maximize=True)

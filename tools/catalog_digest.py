@@ -21,10 +21,6 @@ hashes moved but whose counts did not moved by floats only:
     python tools/catalog_digest.py ../parent/src > a.txt
     python tools/catalog_digest.py src > b.txt
     diff a.txt b.txt
-
-The (2,5,5,1) s587 `Perturbation(0.5, 1.0, 32263)` query is skipped: the
-benchmark's reference store records no work count for it (its search
-outran the store's call limit), so no workload draws it.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-SKIP = {("2,5,5,1:587", 0.5, 1.0, 32263)}
 
 
 def _digest(doc) -> str:
@@ -70,8 +65,6 @@ def main(argv: list[str]) -> int:
             rec = ref.bases[key]
             if rec["nodes"] is not None:
                 for p in grids(shape, s, rec["verdict"], rec["nodes"]):
-                    if (key, p.gamma, p.fraction, p.seed) in SKIP:
-                        continue
                     try:
                         verdict, report, out = incremental.verify_incremental(
                             perturb(net, p), prop, pt.from_json(doc))
