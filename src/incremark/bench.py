@@ -29,7 +29,6 @@ from .model import (
     SafetyProperty,
     Verdict,
     evaluate,
-    negation_empty,
 )
 from .solver import solve
 
@@ -102,7 +101,7 @@ def oracle(net: Network, prop: SafetyProperty) -> Verdict:
     pres = [pre for pre, _ in lay.relu_pairs]
     if len(pres) > ORACLE_MAX_RELUS:
         raise ValueError(f"oracle limited to {ORACLE_MAX_RELUS} ReLU neurons, got {len(pres)}")
-    if negation_empty(prop):
+    if prop.negation_empty:
         return UNSAT
 
     def propagate(signs: dict[int, str]):

@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from . import prooftree
 from .deeppoly import analyze, relaxation
 from .incremental import RUNGS, ShapeMismatchError, check_dims, verify_incremental
-from .model import load_network, load_property, negation_empty, save_network
+from .model import load_network, load_property, save_network
 from .simplex import dump, initialize
 from .solver import solve
 
@@ -94,7 +94,7 @@ def verify(net_path, prop_path, tree_out, dump_tableau):
     net, prop = _load_query(net_path, prop_path)
     try:
         if dump_tableau:
-            click.echo("no tableau: the negation is empty" if negation_empty(prop) else
+            click.echo("no tableau: the negation is empty" if prop.negation_empty else
                        dump(initialize(net, prop, analyze(net, prop.box)), "initial tableau"))
         verdict, tree = solve(net, prop)
     except RuntimeError as e:

@@ -33,7 +33,7 @@ from operator import gt, sub
 import numpy as np
 
 from .constants import EPS_COLLAPSE, apart
-from .model import RELU, Network, negation_empty
+from .model import RELU, Network
 from .simplex import (AFF, CHORD, INF, PROP, RELU as RELU_EQ, Certificate, linear_interval,
                       relaxation)
 
@@ -71,11 +71,11 @@ class Bounds:
 def is_property_refuted(bounds: Bounds, prop) -> bool:
     """True when no point within `bounds` can satisfy the property.
 
-    A negation that is empty on its own (`model.negation_empty`) is refuted
-    vacuously. Otherwise some conjunct a.y >= c must be interval-impossible
-    (`_refuted_constraint`).
+    A negation that is empty on its own (`SafetyProperty.negation_empty`) is
+    refuted vacuously. Otherwise some conjunct a.y >= c must be
+    interval-impossible (`_refuted_constraint`).
     """
-    if negation_empty(prop) or bounds.infeasible:
+    if prop.negation_empty or bounds.infeasible:
         return True
     return _refuted_constraint(bounds, prop) is not None
 
@@ -217,17 +217,16 @@ def certificate(net: Network, prop, bounds: Bounds) -> Certificate | None:
         idx = _refuted_constraint(bounds, prop) if not bounds.infeasible else None
         if idx is None:
             return None
-        coeffs = prop.constraints[idx].coeffs
+        c = prop.constraints[idx]
         li = net.n_layers - 1
         # -a on the outputs: actual terms of the prop equation s - a.y, or
         # for one output the expansion of the kept a*y bounded by the threshold
-        terms = sum(1 for a in coeffs if a != 0.0)
-        if terms == 0:
+        if not c.terms:
             return None  # 0 >= c: no equation to name
-        single = terms == 1
+        single = len(c.terms) == 1
         if not single:
             out.append((PROP, idx, 1.0))
-        d = _through_activation(net, bounds, li, -np.asarray(coeffs, dtype=float), out, single)
+        d = _through_activation(net, bounds, li, -np.asarray(c.coeffs, dtype=float), out, single)
         if d is None:
             return None
     while True:

@@ -204,9 +204,8 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
         return UNSAT, report, out
 
     t1 = time.perf_counter()
-    removed: list[int] = []
-    work = tree.prune(base, removed)
-    for nid in removed:
+    work, closed = tree.prune(base)
+    for nid in closed:
         report.outcomes[nid] = PRUNED
         node = work.nodes[nid]
         if node.cert is None:
@@ -217,7 +216,7 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
 
     # the stored leaves, taken before any search grows `work` below them
     stored_leaves = work.leaves()
-    unsat_leaves = [nid for nid in work.leaves_with_status(pt.UNSAT) if nid not in removed]
+    unsat_leaves = [nid for nid in work.leaves_with_status(pt.UNSAT) if nid not in closed]
     # the sat leaf first, then the unsolved ones nearest it; the sat branch
     # may have been pruned away, and unproven regions remain
     sat_leaf = work.sat_leaf()
@@ -242,7 +241,7 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     times["open_leaves"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    report.unsat_total = len(unsat_leaves) + len(removed)
+    report.unsat_total = len(unsat_leaves) + len(closed)
     if witness is None:
         for nid in unsat_leaves:
             size = len(work.nodes)

@@ -12,6 +12,10 @@ The layout numbers neurons only; the tableau numbers its slack variables
 after them (`simplex.encoded_equations`). The numbering is a pure function
 of the layer dimensions, so trees recorded for one network apply to any
 same-shaped network.
+
+A property computes once the facts that its constraints imply
+(`LinearConstraint.terms`, `SafetyProperty.output_bounds` and
+`negation_empty`); every other module reads them there.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,13 +42,19 @@ class LinearConstraint:
     coeffs: tuple[float, ...]
     threshold: float
 
+    @cached_property
+    def terms(self) -> tuple[tuple[int, float], ...]:
+        """(output index, coefficient) of each nonzero coefficient."""
+        return tuple((j, float(a)) for j, a in enumerate(self.coeffs) if a != 0.0)
+
 
 @dataclass(frozen=True)
 class SafetyProperty:
     """Input box plus the negated output property (conjunction of >=).
 
     An empty constraint tuple is the explicit empty-negation marker: the
-    negation is unsatisfiable and verification is immediately UNSAT.
+    negation is unsatisfiable and verification is immediately UNSAT. Every
+    constraint has the same number of coefficients, one per output.
     """
 
     box: tuple[tuple[float, float], ...]
@@ -59,6 +70,32 @@ class SafetyProperty:
             if not all(map(math.isfinite, (c.threshold, *c.coeffs))):
                 raise ValueError(f"constraint ge {c.threshold} {c.coeffs} holds a value that is "
                                  "not a finite number")
+        if len({len(c.coeffs) for c in self.constraints}) > 1:
+            raise ValueError("inconsistent coefficient counts")
+
+    @cached_property
+    def output_bounds(self) -> tuple[list[float], list[float]]:
+        """Per output, the interval (lo, hi) that the constraints over that
+        output alone put on it: a*y >= c bounds y by c/a."""
+        n = len(self.constraints[0].coeffs) if self.constraints else 0
+        lo, hi = [-math.inf] * n, [math.inf] * n
+        for c in self.constraints:
+            if len(c.terms) == 1:
+                [(j, a)] = c.terms
+                if a > 0:
+                    lo[j] = max(lo[j], c.threshold / a)
+                else:
+                    hi[j] = min(hi[j], c.threshold / a)
+        return lo, hi
+
+    @cached_property
+    def negation_empty(self) -> bool:
+        """Is the negated property unsatisfiable on its own? True for the
+        empty negation, and when the single-output constraints on one output
+        are `apart` (y <= 0.5 and y >= 0.6): no equation states such a
+        clash, so no certificate can show it."""
+        return not self.constraints or any(apart(l, math.inf, -math.inf, h)
+                                           for l, h in zip(*self.output_bounds))
 
 
 @dataclass(frozen=True)
@@ -196,31 +233,6 @@ def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> b
     return True
 
 
-def output_bounds(prop: SafetyProperty) -> tuple[list[float], list[float]]:
-    """Per output, the interval (lo, hi) that the constraints over that
-    output alone put on it: a*y >= c bounds y by c/a."""
-    n = len(prop.constraints[0].coeffs) if prop.constraints else 0
-    lo, hi = [-math.inf] * n, [math.inf] * n
-    for c in prop.constraints:
-        terms = [(j, a) for j, a in enumerate(c.coeffs) if a != 0.0]
-        if len(terms) == 1:
-            [(j, a)] = terms
-            if a > 0:
-                lo[j] = max(lo[j], c.threshold / a)
-            else:
-                hi[j] = min(hi[j], c.threshold / a)
-    return lo, hi
-
-
-def negation_empty(prop: SafetyProperty) -> bool:
-    """Is the negated property unsatisfiable on its own? True for the empty
-    negation, and when the single-output constraints on one output are
-    `apart` (y <= 0.5 and y >= 0.6): no equation states such a clash, so no
-    certificate can show it."""
-    lo, hi = output_bounds(prop)
-    return not prop.constraints or any(apart(l, math.inf, -math.inf, h) for l, h in zip(lo, hi))
-
-
 # ---------------------------------------------------------------------------
 # text formats
 
@@ -297,7 +309,6 @@ def load_property(path: str) -> SafetyProperty:
         box.append((float(toks[pos]), float(toks[pos + 1])))
         pos += 2
     constraints = []
-    n = None
     while pos < len(toks):
         if toks[pos] != "ge":
             raise ValueError(f"{path}: expected 'ge', got {toks[pos]!r}")
@@ -308,10 +319,6 @@ def load_property(path: str) -> SafetyProperty:
             pos += 1
         if len(rest) < 2:
             raise ValueError(f"{path}: 'ge' needs a threshold and coefficients")
-        if n is None:
-            n = len(rest) - 1
-        elif len(rest) - 1 != n:
-            raise ValueError(f"{path}: inconsistent coefficient counts")
         constraints.append(LinearConstraint(tuple(rest[1:]), rest[0]))
     return SafetyProperty(tuple(box), tuple(constraints))
 

@@ -57,10 +57,10 @@ class ProofTree:
     def root(self) -> Node:
         return self.nodes[0]
 
-    def add_child(self, parent: int, assertion: Assertion, status: str = UNSOLVED) -> int:
+    def add_child(self, parent: int, assertion: Assertion) -> int:
         nid = self._next
         self._next += 1
-        self.nodes[nid] = Node(nid, parent, assertion, status)
+        self.nodes[nid] = Node(nid, parent, assertion)
         self.nodes[parent].children.append(nid)
         return nid
 
@@ -84,46 +84,38 @@ class ProofTree:
         return [i for i in self.leaves() if self.nodes[i].status == status]
 
     def sat_leaf(self) -> int | None:
-        for i in sorted(self.nodes):
-            n = self.nodes[i]
-            if n.status == SAT and not n.children:
-                return i
-        return None
+        return next(iter(self.leaves_with_status(SAT)), None)
 
     # -- pruning ------------------------------------------------------------
 
-    def prune(self, bounds: Bounds, removed: list[int] | None = None) -> "ProofTree":
-        """Drop every subtree whose edge assertion contradicts the intervals.
+    def prune(self, bounds: Bounds) -> tuple["ProofTree", list[int]]:
+        """A copy without every subtree whose edge assertion contradicts the
+        intervals, and the ids of the nodes that it closed, in walk order.
 
-        It does when its neuron's interval is `apart` from the range its sign
-        allows (`deeppoly.SIGN_RANGE`); `bounds` must cover every asserted
-        neuron. A dropped branch covers an empty region, so its root is kept
-        as an UNSAT leaf, which this run does not replay (ids of these leaves
-        are appended to `removed`); a leaf keeps its certificate, and an
-        internal node gets none here (`incremental` gives it one).
-        Complementary assertions can never both contradict one interval, so
-        no internal node loses both children.
+        An assertion does when its neuron's interval is `apart` from the
+        range its sign allows (`deeppoly.SIGN_RANGE`); `bounds` must cover
+        every asserted neuron. The walk starts at the root's children (the
+        root carries none, `validate`) and stops at each node it closes. A
+        dropped branch covers an empty region, so its root is kept as an
+        UNSAT leaf, which this run does not replay; a leaf keeps its
+        certificate, and an internal node gets none here (`incremental`
+        gives it one). Complementary assertions can never both contradict
+        one interval, so no internal node loses both children.
         """
         out = self.copy()
-        lo, hi = bounds.lo, bounds.hi
-        for nid in sorted(out.nodes):
-            if nid not in out.nodes:
-                continue  # already deleted with an ancestor
-            n = out.nodes[nid]
+        closed = []
+        stack = list(out.root.children)
+        while stack:
+            n = out.nodes[stack.pop()]
             a = n.assertion
-            if a is None:
+            if not apart(bounds.lo[a.neuron], bounds.hi[a.neuron], *SIGN_RANGE[a.sign]):
+                stack.extend(n.children)
                 continue
-            slo, shi = SIGN_RANGE[a.sign]
-            if not apart(lo[a.neuron], hi[a.neuron], slo, shi):
-                continue
-            for c in list(n.children):
+            for c in n.children:
                 out._delete_subtree(c)
-            n.children = []
-            n.status = UNSAT
-            n.witness = None
-            if removed is not None:
-                removed.append(nid)
-        return out
+            n.children, n.status, n.witness = [], UNSAT, None
+            closed.append(n.id)
+        return out, closed
 
     def _delete_subtree(self, nid: int) -> None:
         n = self.nodes.pop(nid)
@@ -144,13 +136,16 @@ class ProofTree:
     def validate(self) -> None:
         """Raise ValueError on a structural invariant breach.
 
-        One walk from the root checks that every node is reached exactly
-        once, that each internal node has two complementary children, that
-        no neuron is asserted twice on one root-to-leaf path, that each
-        leaf carries a leaf status, and that only a SAT leaf carries a
-        witness and only an UNSAT leaf a certificate."""
+        It checks that the root carries no assertion (no branch or replay
+        reads one there), and one walk from the root that every node is
+        reached exactly once, that each internal node has two complementary
+        children, that no neuron is asserted twice on one root-to-leaf path,
+        that each leaf carries a leaf status, and that only a SAT leaf
+        carries a witness and only an UNSAT leaf a certificate."""
         if 0 not in self.nodes:
             raise ValueError("no root node")
+        if self.root.assertion is not None:
+            raise ValueError("the root node carries an assertion")
         sat_leaves = 0
         unsolved = 0
         seen: set[int] = set()
@@ -244,9 +239,13 @@ def _int(x, what: str) -> int:
     return x
 
 
+def _finite(x) -> bool:
+    """Is x a finite JSON number? (float() takes "1" and true; JSON has NaN.)"""
+    return type(x) in (int, float) and math.isfinite(x)
+
+
 def _cert_from_json(entries) -> Certificate:
-    """A stored certificate: a list of [kind, integer index, finite number]
-    (JSON admits NaN and Infinity, so finiteness is checked)."""
+    """A stored certificate: a list of [kind, integer index, finite number]."""
     if not isinstance(entries, list):
         raise ValueError("certificate is not a list")
     out = []
@@ -257,7 +256,7 @@ def _cert_from_json(entries) -> Certificate:
         if kind not in EQUATION_KINDS:
             raise ValueError(f"certificate names unknown equation kind {kind!r}")
         _int(idx, "certificate index")
-        if type(y) not in (int, float) or not math.isfinite(float(y)):
+        if not _finite(y):
             raise ValueError(f"certificate multiplier {y!r} is not a finite number")
         out.append((kind, idx, float(y)))
     return tuple(out)
@@ -272,16 +271,16 @@ def _from_json(data: dict) -> ProofTree:
         assertion = None if a is None else Assertion(_int(a["neuron"], "neuron"), a["sign"])
         if assertion is not None and assertion.sign not in (NONNEG, NONPOS):
             raise ValueError(f"bad assertion sign {assertion.sign!r}")
-        witness = None if nd.get("witness") is None else tuple(float(x) for x in nd["witness"])
-        if witness is not None and not all(map(math.isfinite, witness)):
-            raise ValueError(f"witness {list(witness)} is not a finite point")
+        w = nd.get("witness")
+        if w is not None and not (isinstance(w, list) and all(map(_finite, w))):
+            raise ValueError(f"witness {w!r} is not a finite point")
         parent = nd["parent"]
         node = Node(
             _int(nd["id"], "node id"),
             None if parent is None else _int(parent, "parent"),
             assertion,
             nd["status"],
-            witness,
+            None if w is None else tuple(map(float, w)),
             cert=None if nd.get("cert") is None else _cert_from_json(nd["cert"]),
         )
         if node.id in tree.nodes:

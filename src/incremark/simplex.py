@@ -41,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import COEF_EPS, EPS_BOUND, EPS_PIVOT, EPS_RELU, LP_ITER_FACTOR, apart
-from .model import negation_empty, output_bounds
 
 
 # kinds of encoded equation, each written `slack - expr = 0` and named by
@@ -114,7 +113,7 @@ class Configuration:
     tableau, LP_ITER_FACTOR * (rows + variables); a copy keeps it.
     """
 
-    def __init__(self, T, basic, lo, hi, alpha, relu_pairs, input_ids, equations=None):
+    def __init__(self, T, basic, lo, hi, alpha, relu_pairs, input_ids, equations):
         self.T = T
         self.basic: list[int] = list(basic)
         self.pos: dict[int, int] = {b: r for r, b in enumerate(self.basic)}
@@ -124,7 +123,7 @@ class Configuration:
         self.alpha: list[float] = list(alpha)
         self.relu_pairs: list[tuple[int, int]] = list(relu_pairs)
         self.input_ids: list[int] = list(input_ids)
-        self.equations: dict[int, tuple[str, int]] = equations or {}
+        self.equations: dict[int, tuple[str, int]] = equations
         self.violations: dict[int, int] = {pre: 0 for pre, _ in self.relu_pairs}
         self.max_violations = 0
         self.cap = LP_ITER_FACTOR * (len(self.basic) + len(self.lo))
@@ -195,17 +194,17 @@ def update(cfg: Configuration, vid: int, value: float) -> None:
         _shift(cfg, cfg.T[:, vid], d)
 
 
-def pivot(cfg: Configuration, leaving: int, entering: int, value: float | None = None) -> None:
+def pivot(cfg: Configuration, leaving: int, entering: int, value: float) -> None:
     """Pivot-and-update: swap a basic and a non-basic variable, substituting
     everywhere, and move the leaving variable to `value`.
 
     The entering variable moves by d = (value - alpha[leaving]) / a, where a
     is its coefficient in the leaving row, and each basic whose row holds it
-    by c x d. With value None the assignment is left as it is. The tableau
-    takes one rank-1 update, T += (entering column) x (new row), and drops
-    the coefficients it leaves within COEF_EPS of zero. The new row holds
-    exactly -1.0 at `entering` (a / -a), so the update zeroes the entering
-    column by itself. Mutates cfg in place; the solution set is unchanged.
+    by c x d. The tableau takes one rank-1 update, T += (entering column) x
+    (new row), and drops the coefficients it leaves within COEF_EPS of zero.
+    The new row holds exactly -1.0 at `entering` (a / -a), so the update
+    zeroes the entering column by itself. Mutates cfg in place; the solution
+    set is unchanged.
     """
     T = cfg.T
     r = cfg.pos[leaving]
@@ -213,11 +212,9 @@ def pivot(cfg: Configuration, leaving: int, entering: int, value: float | None =
     if abs(a) <= EPS_PIVOT:
         raise PivotError(f"pivot coefficient {a!r} for ({leaving}, {entering})")
     alpha = cfg.alpha
-    d = 0.0
-    if value is not None:
-        d = (value - alpha[leaving]) / a
-        alpha[leaving] = value
-        alpha[entering] += d
+    d = (value - alpha[leaving]) / a
+    alpha[leaving] = value
+    alpha[entering] += d
     new = T[r] / -a
     new[np.abs(new) <= COEF_EPS] = 0.0
     new[leaving] = 1.0 / a
@@ -251,13 +248,13 @@ def linear_interval(terms, lo, hi) -> tuple[float, float]:
     of `terms`, with each x in [lo[x], hi[x]]: the scalar twin of
     `row_intervals`. The terms are added one by one in the order given,
     from 0.0, and a zero coefficient adds nothing, even against an infinite
-    bound."""
+    bound. A NaN coefficient makes both ends NaN, as in `row_intervals`."""
     l = h = 0.0
     for x, c in terms:
         if c > 0.0:
             l += c * lo[x]
             h += c * hi[x]
-        elif c < 0.0:
+        elif c != 0.0:
             l += c * hi[x]
             h += c * lo[x]
     return l, h
@@ -445,7 +442,7 @@ def equation(net, prop, kind, i, lo, hi):
 
     `pre` is pre-activation neuron i, with weight row W and bias b of its
     layer, interval [l, u] and ReLU output `post`. `prop` is constraint i,
-    a.y >= c over two or more outputs (zero coefficients left out), and ub
+    a.y >= c over two or more outputs (`LinearConstraint.terms`), and ub
     is the interval upper bound of a.y; the floor at c makes a refuted
     constraint show up in a row test, not as an inverted interval. `lo`
     and `hi` give the neuron intervals, each output's tightened by the
@@ -462,7 +459,7 @@ def equation(net, prop, kind, i, lo, hi):
         return ((i, -1.0), *zip(prev, net.weights[li][j].tolist())), s, s
     if kind == PROP:
         c = prop.constraints[i]
-        terms = tuple((v, float(a)) for v, a in zip(lay.output_ids, c.coeffs) if a != 0.0)
+        terms = tuple((lay.output_ids[j], a) for j, a in c.terms)
         _, ub = linear_interval(terms, lo, hi)
         return terms, c.threshold, max(ub, c.threshold)
     l, u = lo[i], hi[i]
@@ -488,16 +485,16 @@ def encoded_equations(net, prop) -> dict[int, tuple[str, int]]:
     aff = relu + len(lay.relu_pairs)
     out = {aff + n: (AFF, pre) for n, pre in enumerate(lay.pre_row)}
     out.update((relu + n, (RELU, pre)) for n, (pre, _) in enumerate(lay.relu_pairs))
-    multi = [i for i, c in enumerate(prop.constraints) if sum(a != 0.0 for a in c.coeffs) >= 2]
+    multi = [i for i, c in enumerate(prop.constraints) if len(c.terms) >= 2]
     out.update((aff + len(lay.pre_row) + n, (PROP, i)) for n, i in enumerate(multi))
     return out
 
 
 def neuron_bounds(net, prop, bounds):
     """Copies of the neuron intervals of `bounds`, each output's tightened
-    by the constraints over that output alone (`model.output_bounds`)."""
+    by the constraints over that output alone (`SafetyProperty.output_bounds`)."""
     lo, hi = list(bounds.lo), list(bounds.hi)
-    for v, l, h in zip(net.layout.output_ids, *output_bounds(prop)):
+    for v, l, h in zip(net.layout.output_ids, *prop.output_bounds):
         lo[v] = max(lo[v], l)
         hi[v] = min(hi[v], h)
     return lo, hi
@@ -516,7 +513,7 @@ def encode(net, prop, bounds, equations) -> Configuration:
     rounding of a sum over three or more outputs), a basic one as its row;
     bounds from the neuron intervals of `bounds`, each slack's written at
     its id; non-basics start at their lower bound."""
-    if negation_empty(prop):
+    if prop.negation_empty:
         raise ValueError("an empty negation is decided before encoding")
     lo, hi = neuron_bounds(net, prop, bounds)
     lo += [-INF] * (max(equations) + 1 - len(lo))
@@ -575,13 +572,13 @@ def refresh_bounds(cfg: Configuration, net, prop, bounds) -> None:
     cfg.max_violations = 0
 
 
-def dump(cfg: Configuration, title: str | None = None) -> str:
+def dump(cfg: Configuration, title: str) -> str:
     """Human-readable tableau, bounds, and assignment (debug aid)."""
 
     def name(v: int) -> str:
         return f"x{v + 1}"
 
-    lines = [] if title is None else [f"[{title}]"]
+    lines = [f"[{title}]"]
     for b in sorted(cfg.pos):
         terms = []
         for k, c in cfg.row(b).items():

@@ -40,7 +40,7 @@ def configuration(rows, lo, hi, alpha, relu_pairs=(), input_ids=(),
         for k, c in row.items():
             T[r, k] = c
     return Configuration(T, list(rows), lo, hi, [alpha.get(v, 0.0) for v in range(len(lo))],
-                         relu_pairs, input_ids, equations)
+                         relu_pairs, input_ids, equations or {})
 
 
 def encodings(monkeypatch) -> list[Configuration]:
@@ -254,7 +254,7 @@ def pivot_preservation(trials: int = 1000, seed: int = 101) -> int:
         b = basics[int(rng.integers(len(basics)))]
         cols = sorted(cfg.row(b))
         e = cols[int(rng.integers(len(cols)))]
-        pivot(cfg, b, e)
+        pivot(cfg, b, e, cfg.alpha[b])
         if b in cfg.pos or e not in cfg.pos:
             bad += 1
             continue

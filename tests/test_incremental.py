@@ -35,6 +35,7 @@ from incremark.model import (
     Network,
     SafetyProperty,
     Verdict,
+    property_hash,
     witness_ok,
 )
 from incremark.solver import solve
@@ -112,8 +113,10 @@ def test_mode_and_shape_validation(demo_net, demo_prop):
 def test_malformed_tree_is_refused_not_answered():
     """A tree that `from_json` accepts but whose structure is broken is
     refused with ValueError, never answered UNSAT: here a SAT instance's
-    tree with its SAT leaf dropped and its unsolved leaves marked unsat,
-    and a tree with no nodes at all."""
+    tree with its SAT leaf dropped and its unsolved leaves marked unsat, a
+    tree with no nodes at all, and the whole tree with an assertion on its
+    root, which no branch reads (pruning used to close the root on it and
+    answer UNSAT)."""
     net = random_network((2, 5, 5, 1), 2)
     prop = random_threshold_property(net, 3)
     assert oracle(net, prop).sat
@@ -125,7 +128,9 @@ def test_malformed_tree_is_refused_not_answered():
         if nd["status"] == "unsolved":
             nd["status"] = "unsat"
     assert len(nodes) == len(doc["nodes"]) - 1
-    for broken in (nodes, []):
+    rooted = json.loads(json.dumps(doc["nodes"]))
+    rooted[0]["assert"] = {"neuron": 2, "sign": "nonpos"}  # its interval is above 0
+    for broken in (nodes, [], rooted):
         stored = from_json({**doc, "nodes": broken})
         with pytest.raises(ValueError):
             verify_incremental(net, prop, stored)
@@ -517,6 +522,27 @@ def test_certificate_rung_closes_only_empty_branches():
                     assert lp.build(modified, prop, bounds).status == lp.INFEASIBLE
                     closed += 1
     assert closed >= 20
+
+
+def test_certificate_whose_row_overflows_to_nan_refutes_nothing():
+    """A stored certificate with finite multipliers whose rebuilt row
+    overflows: x0's coefficient is -2e308 + 2.1e308, i.e. -inf + inf = NaN.
+    The interval test used to drop the NaN term, keep the finite rest,
+    which is apart from 0, and answer UNSAT on the certificate rung; the
+    instance is SAT at x = 0.5."""
+    net = Network([[[2.0], [3.0]], [[1.0, 0.0]]], [[0.0, 0.0], [0.0]])
+    prop = SafetyProperty(((0.5, 0.5),), (LinearConstraint((1.0,), 0.5),))
+    assert oracle(net, prop).sat
+    tree = from_json({
+        "version": 1, "dims": list(net.dims), "prop_hash": property_hash(prop),
+        "verdict": "unsat",
+        "nodes": [{"id": 0, "parent": None, "assert": None, "status": "unsat",
+                   "witness": None, "cert": [["aff", 1, 1e308], ["aff", 2, -0.7e308]]}],
+    })
+    assert not lp.certificate_refutes(net, prop, analyze(net, prop.box), tree.root.cert)
+    v, rep, _ = verify_incremental(net, prop, tree)
+    assert v.sat and witness_ok(net, prop, v.witness)
+    assert rep.outcomes == {0: FALLBACK}
 
 
 def test_lp_certificate_is_carried_forward(monkeypatch):

@@ -348,6 +348,38 @@ def test_ratio_test_never_chooses_a_row_that_pivot_rejects(monkeypatch):
     assert lp.tighten_inputs_then_repropagate(net, [], relax()) == ((0.0, math.inf),)
 
 
+def test_optimize_gives_up_when_unbounded_or_capped():
+    # maximize x0 under x1 = x0, neither bounded above: nothing blocks x0
+    cfg = _suites.configuration({1: {0: 1.0}}, [0.0, 0.0], [math.inf, math.inf], {0: 0.0},
+                                input_ids=[0])
+    recompute(cfg)
+    relax = lp.Relaxation(cfg, status=lp.FEASIBLE)
+    assert lp._optimize(relax, 0, maximize=True) is None
+    assert lp._optimize(relax, 0, maximize=False) == 0.0
+    # maximize x2 = x0 + x1 over x0, x1 in [0, 1]: two bound flips, then
+    # the optimum, so a cap of two steps stops short of it
+    for cap, optimum in ((3, 2.0), (2, None)):
+        cfg = _suites.configuration({2: {0: 1.0, 1: 1.0}}, [0.0, 0.0, -math.inf],
+                                    [1.0, 1.0, math.inf], {}, input_ids=[0, 1])
+        recompute(cfg)
+        cfg.cap = cap
+        assert lp._optimize(lp.Relaxation(cfg, status=lp.FEASIBLE), 2, maximize=True) == optimum
+
+
+def test_tighten_reports_an_input_squeezed_empty():
+    # the row x0 = x1 with x1 pinned 5e-8 above x0's upper end: phase 1
+    # accepts a basic within EPS_BOUND of its bounds, so the relaxation is
+    # FEASIBLE, but x0's minimum lies above its upper end by more than EPS_LP
+    top = 1.0 + 5e-8
+    cfg = _suites.configuration({0: {1: 1.0}}, [0.0, top], [1.0, top], {1: top}, input_ids=[0])
+    recompute(cfg)
+    relax = lp.Relaxation(cfg)
+    assert lp.phase1(relax) == lp.FEASIBLE
+    net = Network([[[1.0]]], [[0.0]])
+    out = lp.tighten_inputs_then_repropagate(net, [], relax)
+    assert out.infeasible and out.lo == [] and out.output_ids == (1,)
+
+
 def test_tighten_never_widens(demo_net, demo_prop):
     # every optimum lies within its variable's bounds, up to the padding
     r = demo_relax(demo_net, demo_prop)

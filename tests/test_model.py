@@ -118,6 +118,26 @@ def test_property_box_must_be_nonempty():
         SafetyProperty(((0.5, -0.5),), ())
 
 
+def test_constraints_must_have_one_coefficient_count():
+    # built in code, this property used to end in an IndexError inside the
+    # output bounds of the first search
+    with pytest.raises(ValueError, match="inconsistent coefficient counts"):
+        SafetyProperty(BOX, (LinearConstraint((1.0,), 0.5), LinearConstraint((0.0, 1.0), 0.5)))
+
+
+def test_property_facts_are_computed_once():
+    c = LinearConstraint((0.0, 2.0, -1.5), 1.0)
+    assert c.terms == ((1, 2.0), (2, -1.5))
+    prop = SafetyProperty(BOX, (c, LinearConstraint((0.0, 0.0, -2.0), 1.0)))
+    assert prop.output_bounds == ([-np.inf] * 3, [np.inf, np.inf, -0.5])
+    assert prop.output_bounds is prop.output_bounds
+    assert not prop.negation_empty
+    # the cached values are not fields: equality and hashing ignore them
+    fresh = SafetyProperty(BOX, (LinearConstraint((0.0, 2.0, -1.5), 1.0),
+                                 LinearConstraint((0.0, 0.0, -2.0), 1.0)))
+    assert fresh == prop and hash(fresh) == hash(prop)
+
+
 def test_verdict_names():
     assert Verdict(True, (0.0,)).name == "sat"
     assert UNSAT.name == "unsat"

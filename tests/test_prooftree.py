@@ -100,9 +100,8 @@ def _bounds(lo2, hi2):
 def test_prune_drops_contradicted_branch():
     t, l, r, ll, lr = small_tree()
     t.nodes[r].status = UNSAT
-    removed: list[int] = []
-    out = t.prune(_bounds(0.5, 1.0), removed)  # nonpos on x3 impossible
-    assert removed == [l]
+    out, closed = t.prune(_bounds(0.5, 1.0))  # nonpos on x3 impossible
+    assert closed == [l]
     assert sorted(out.nodes) == [0, l, r]
     kept = out.nodes[l]
     assert kept.children == []
@@ -116,24 +115,24 @@ def test_prune_drops_contradicted_branch():
 
 def test_prune_keeps_straddling_and_unknown_neurons():
     t, l, r, ll, lr = small_tree()
-    out = t.prune(_bounds(-1.0, 1.0))
+    out, _ = t.prune(_bounds(-1.0, 1.0))
     assert sorted(out.nodes) == sorted(t.nodes)
     # nothing known of the tree neurons: nothing to prune
-    out = t.prune(Bounds([-math.inf] * 4, [math.inf] * 4))
+    out, _ = t.prune(Bounds([-math.inf] * 4, [math.inf] * 4))
     assert sorted(out.nodes) == sorted(t.nodes)
 
 
 def test_prune_never_removes_both_children():
     t, l, r, ll, lr = small_tree()
     for lo2, hi2 in ((0.5, 1.0), (-1.0, -0.5)):
-        out = t.prune(_bounds(lo2, hi2))
+        out, _ = t.prune(_bounds(lo2, hi2))
         assert len(out.nodes[0].children) == 2
 
 
 def test_prune_margin():
     t, l, r, ll, lr = small_tree()
     # within the bound tolerance nothing is contradicted
-    out = t.prune(_bounds(5e-8, 1.0))
+    out, _ = t.prune(_bounds(5e-8, 1.0))
     assert sorted(out.nodes) == sorted(t.nodes)
 
 
@@ -185,6 +184,19 @@ def test_validate_rejections():
     t.nodes[r].status = INTERNAL  # a leaf that claims to be split
     t.nodes[ll].status = t.nodes[lr].status = UNSAT
     with pytest.raises(ValueError, match="leaf with status"):
+        t.validate()
+
+    t, l, r, ll, lr = small_tree()
+    t.nodes[r].children = [ll, lr]  # ll and lr are reached from l and from r
+    t.nodes[r].status = INTERNAL
+    t.nodes[ll].status = t.nodes[lr].status = UNSAT
+    with pytest.raises(ValueError, match="reached twice"):
+        t.validate()
+
+    t, l, r, ll, lr = small_tree()
+    t.nodes[0].assertion = Assertion(2, NONPOS)  # a root edge that no branch reads
+    t.nodes[r].status = t.nodes[ll].status = t.nodes[lr].status = UNSAT
+    with pytest.raises(ValueError, match="root node carries an assertion"):
         t.validate()
 
     t, l, r, ll, lr = small_tree()
@@ -249,7 +261,7 @@ def test_certificate_roundtrip_copy_and_prune():
     assert back.to_json() == data
     assert t.copy().nodes[r].cert == t.nodes[r].cert
     # pruning the other side keeps the certified leaf as it is
-    pruned = t.prune(_bounds(0.5, 1.0))
+    pruned, _ = t.prune(_bounds(0.5, 1.0))
     assert sorted(pruned.nodes) == [0, l, r]
     assert pruned.nodes[r].cert == t.nodes[r].cert
     assert pruned.nodes[l].cert is None
@@ -308,6 +320,12 @@ def test_from_json_rejects():
     bad["nodes"][1]["witness"] = [10 ** 400, 0.0]
     with pytest.raises(ValueError, match="malformed proof tree"):
         from_json(bad)
+    # a witness entry that is not a JSON number used to be read by float():
+    # "12" as (1.0, 2.0), and "0.5" and true as 0.5 and 1.0
+    for w in ("12", ["0.5", True], [0.5, None], {"0": 0.5}):
+        bad["nodes"][1]["witness"] = w
+        with pytest.raises(ValueError, match="is not a finite point"):
+            from_json(bad)
     # a NaN witness used to pass witness_ok and answer SAT
     for x in (float("nan"), float("inf"), -float("inf")):
         bad["nodes"][1]["witness"] = [0.5, x]

@@ -12,7 +12,7 @@ from incremark.bench import Perturbation, perturb, random_network, random_thresh
 from incremark.constants import COEF_EPS, apart
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted
 from incremark.incremental import verify_incremental
-from incremark.model import LinearConstraint, Network, SafetyProperty, evaluate, negation_empty
+from incremark.model import LinearConstraint, Network, SafetyProperty, evaluate
 from incremark.simplex import (
     INF,
     PROGRESS,
@@ -115,7 +115,7 @@ def test_encoding_equals_the_dict_of_rows_reference(monkeypatch):
     seen = {"prop3": 0, "relu_out": 0, "chord": 0}
     for k in range(150):
         net, prop = _random_multi_output_instance(rng, k)
-        if negation_empty(prop):
+        if prop.negation_empty:
             continue
         pres = [pre for pre, _ in net.layout.relu_pairs]
         asserts = [Assertion(int(v), (NONNEG, NONPOS)[k % 2])
@@ -227,7 +227,7 @@ def test_initialize_multi_output_property_slack():
 
 def test_pivot_demo_sequence(demo_net, demo_prop):
     cfg = demo_cfg(demo_net, demo_prop)
-    pivot(cfg, 7, 4)
+    pivot(cfg, 7, 4, cfg.alpha[7])
     assert sorted(cfg.pos) == [2, 3, 4, 6, 8]
     assert cfg.row(4) == {0: 0.2, 1: -0.7, 7: 1.0, 9: -1.0}
     # the substitution reaches every row that mentioned the entering variable
@@ -235,7 +235,7 @@ def test_pivot_demo_sequence(demo_net, demo_prop):
         0: 0.08000000000000002, 1: -0.27999999999999997, 5: 0.6,
         7: 0.4, 9: -0.4, 11: -1.0,
     }
-    pivot(cfg, 6, 5)
+    pivot(cfg, 6, 5, cfg.alpha[6])
     assert sorted(cfg.pos) == [2, 3, 4, 5, 8]
     assert cfg.row(5) == {
         0: -0.13333333333333336, 1: 0.4666666666666666, 6: 1.6666666666666667,
@@ -265,7 +265,7 @@ def test_update_shifts_only_rows_that_mention_the_variable(demo_net, demo_prop):
 def test_pivot_zero_coefficient_raises(demo_net, demo_prop):
     cfg = demo_cfg(demo_net, demo_prop)
     with pytest.raises(PivotError):
-        pivot(cfg, 2, 4)  # x5 does not appear in the x3 row
+        pivot(cfg, 2, 4, cfg.alpha[2])  # x5 does not appear in the x3 row
 
 
 def test_row_interval_sign_split():
@@ -327,6 +327,37 @@ def test_linear_interval_zero_terms_and_order():
     big = [(1, 1e16), (2, 1.0), (3, -1e16)]
     assert linear_interval(big, lo, hi) == (0.0, 0.0)
     assert linear_interval([big[0], big[2], big[1]], lo, hi) == (1.0, 1.0)
+
+
+def test_interval_twins_agree_on_non_finite_coefficients():
+    """`linear_interval` and `row_intervals` give the same ends when a row
+    holds a NaN or an infinite coefficient: a NaN makes both ends NaN (the
+    scalar twin used to drop the term) and an infinite one meets each kind
+    of bound. Ends are compared with NaN equal to NaN."""
+    lo = [-INF, -1.0, 0.0, 2.0, 1.0]
+    hi = [INF, 0.0, 1.0, 3.0, 2.0]
+    rows = {}
+    for c in (math.nan, INF, -INF):
+        for k in range(4):
+            rows[len(lo)] = {k: c, 4: -2.0}
+            lo.append(-INF)
+            hi.append(INF)
+    cfg = _suites.configuration(rows, lo, hi, {})
+    basics = list(rows)
+    want = np.array([linear_interval(cfg.row(b).items(), cfg.lo, cfg.hi) for b in basics]).T
+    with np.errstate(invalid="ignore"):  # inf * 0
+        np.testing.assert_array_equal(np.array(row_intervals(cfg, basics)), want)
+    assert np.isnan(want[:, :4]).all()
+
+
+def test_constraint_terms_have_one_home():
+    """The tableau reads a property constraint only through
+    `LinearConstraint.terms`, the one rule for the outputs it names: no
+    line of `simplex` reads a coefficient tuple."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "src" / "incremark" / "simplex.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and n.attr == "coeffs"] == []
 
 
 def test_refutation_margin_has_one_home():
@@ -634,7 +665,7 @@ def test_array_rows_match_the_loop_reference():
         for _ in range(3):
             b = sorted(rows)[int(rng.integers(len(rows)))]
             e = sorted(rows[b])[int(rng.integers(len(rows[b])))]
-            pivot(cfg, b, e)
+            pivot(cfg, b, e, cfg.alpha[b])
             _pivot_reference(rows, b, e)
             assert {b: cfg.row(b) for b in cfg.basic} == rows
             rlo, rhi = row_intervals(cfg, cfg.basic)

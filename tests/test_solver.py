@@ -18,7 +18,6 @@ from incremark.model import (
     Network,
     SafetyProperty,
     evaluate,
-    negation_empty,
     property_hash,
     witness_ok,
 )
@@ -88,7 +87,7 @@ def test_contradictory_single_output_constraints_are_unsat(demo_net):
     empty one is, by solve, re-verification and the oracle alike."""
     clash = SafetyProperty(BOX, (LinearConstraint((-1.0,), -0.5),
                                  LinearConstraint((1.0,), 0.6)))
-    assert negation_empty(clash)
+    assert clash.negation_empty
     verdict, tree = solve(demo_net, clash)
     assert not verdict.sat
     assert sorted(tree.nodes) == [0] and tree.root.status == UNSAT
@@ -97,7 +96,7 @@ def test_contradictory_single_output_constraints_are_unsat(demo_net):
     # a clash within EPS_BOUND is float rounding, not an empty negation
     touch = SafetyProperty(BOX, (LinearConstraint((-1.0,), -0.5),
                                  LinearConstraint((1.0,), 0.5 + EPS_BOUND / 2)))
-    assert not negation_empty(touch)
+    assert not touch.negation_empty
 
 
 def test_solve_unsat_after_search():
