@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -40,12 +41,25 @@ def main():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load(loader, path: str, what: str):
+@contextmanager
+def _file_errors(doing: str, what: str, path: str, errors=OSError):
+    """Turn `errors` raised while reading or writing the file `path` into
+    one line, `error <doing> <what> <path>: <reason>`, and exit 1."""
     try:
-        return loader(path)
-    except (OSError, ValueError) as e:
-        click.echo(f"error reading {what} {path}: {e}", err=True)
+        yield
+    except errors as e:
+        click.echo(f"error {doing} {what} {path}: {e}", err=True)
         sys.exit(EXIT_ERROR)
+
+
+def _load(loader, path: str, what: str):
+    with _file_errors("reading", what, path, (OSError, ValueError)):
+        return loader(path)
+
+
+def _write_text(what: str, path: str, text: str) -> None:
+    with _file_errors("writing", what, path), open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _check_property_fits(net, prop, prop_path: str) -> None:
@@ -101,7 +115,8 @@ def verify(net_path, prop_path, tree_out, dump_tableau):
         _solver_error(e)
     log.info("verify %s: %s, %d tree nodes", net_path, verdict.name, len(tree.nodes))
     if tree_out:
-        tree.serialize(tree_out)
+        with _file_errors("writing", "proof tree", tree_out):
+            tree.serialize(tree_out)
     _finish(verdict)
 
 
@@ -134,11 +149,10 @@ def reverify(net_path, prop_path, tree_path, tree_out, report_path):
             log.debug("unsat leaf %d: %s", nid, outcome)
     log.info("reverify %s: %s, replay %.1f%%", net_path, verdict.name, rep.replay_pct)
     if tree_out:
-        new_tree.serialize(tree_out)
+        with _file_errors("writing", "proof tree", tree_out):
+            new_tree.serialize(tree_out)
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(rep.to_json(), fh, indent=2)
-            fh.write("\n")
+        _write_text("report", report_path, json.dumps(rep.to_json(), indent=2) + "\n")
     _finish(verdict)
 
 
@@ -178,7 +192,8 @@ def perturb(net_path, out_path, gamma, fraction, seed, scope):
     except ValueError as e:
         click.echo(str(e), err=True)
         sys.exit(EXIT_ERROR)
-    save_network(out, out_path)
+    with _file_errors("writing", "network", out_path):
+        save_network(out, out_path)
     sys.exit(0)
 
 
@@ -240,17 +255,15 @@ def bench(net_path, prop_path, gammas, fractions, trials, seed, out_path):
     try:
         report = bench_mod.compare(net, prop, perts)
     except bench_mod.OracleDisagreement as e:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(e.csv_text)
         click.echo(f"disagreement: {e}", err=True)
+        _write_text("CSV", out_path, e.csv_text)
         sys.exit(EXIT_ERROR)
     except RuntimeError as e:
         _solver_error(e)
     except ValueError as e:
         click.echo(f"bench error: {e}", err=True)
         sys.exit(EXIT_ERROR)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(report.csv_text)
+    _write_text("CSV", out_path, report.csv_text)
     for line in report.summary_lines():
         click.echo(line)
     click.echo(f"rows={len(report.rows)} all_agree={str(report.all_agree).lower()}")

@@ -1,17 +1,18 @@
 """Re-verification of a weight-modified network against a stored proof tree.
 
-The driver prunes edges the new bounds contradict, fast-paths the stored SAT
-witness, re-searches open (sat/unsolved) leaves seeded with fresh bounds, and
-for each stored UNSAT leaf tries to replay the old proof before falling back
-to a branch search. Every search is `solver.search` on a leaf of the pruned
-copy of the stored tree, which it grows in place; that copy is the output
-tree, so the stored nodes that pruning keeps keep their ids and a search's
-nodes take ids above them. An UNSAT leaf that `solve` writes carries a
-certificate: the multipliers of the encoded equations whose sum showed its
-branch empty (a tableau or LP row, or a DeepPoly back-substitution), unless
-no equation states the refutation (an output ReLU's own interval). The
-ladder tests it first, on the cheapest bounds that contain the branch. Each
-rung is named by the word the report records:
+`verify_incremental` prunes edges the new bounds contradict, fast-paths the
+stored SAT witness, re-searches open (sat/unsolved) leaves seeded with
+fresh bounds, and for each stored UNSAT leaf tries to replay the old proof
+before falling back to a branch search. Every search is `solver.search` on
+a leaf of the tree that pruning the stored one builds (`ProofTree.prune`),
+which it grows in place; that tree is the output tree, so the stored nodes
+that pruning keeps keep their ids and a search's nodes take ids above them.
+An UNSAT leaf that `solve` writes carries a certificate: the multipliers of
+the encoded equations whose sum showed its branch empty (a tableau or LP
+row, or a DeepPoly back-substitution), unless no equation states the
+refutation (an output ReLU's own interval). The ladder tests it first, on
+the cheapest bounds that contain the branch. Each rung is named by the word
+the report records:
 
     certificate  the stored certificate, rebuilt for the new weights, excludes
                  0 by intervals over the root bounds clamped by the leaf's
@@ -179,8 +180,9 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     """Re-verify (net, prop) guided by a stored tree, which is left as it is.
 
     Returns (Verdict, IncrementalReport, new ProofTree). The new tree is the
-    pruned copy of the stored one that this run's searches grew; it records
-    what this run established, so it can seed the next modification.
+    tree that `ProofTree.prune` built and this run's searches grew; it
+    records what this run established, so it can seed the next
+    modification.
     ValueError on a tree that `ProofTree.validate` rejects.
     """
     tree.validate()

@@ -130,16 +130,17 @@ class Network:
                 raise ValueError(f"unknown activation {act!r}")
             if act == NONE and i != k - 1:
                 raise ValueError("'none' is only permitted on the final layer")
-        dims = [self.weights[0].shape[1]]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.size == 0:  # a layer without neurons or without inputs
+                raise ValueError(f"layer {i + 1}: a layer width is below 1")
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {i + 1}: bad weight/bias shape")
-            if w.shape[1] != dims[-1]:
-                raise ValueError(f"layer {i + 1}: expects {dims[-1]} inputs, got {w.shape[1]}")
+            if i and w.shape[1] != self.weights[i - 1].shape[0]:
+                raise ValueError(f"layer {i + 1}: expects {self.weights[i - 1].shape[0]} "
+                                 f"inputs, got {w.shape[1]}")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {i + 1}: a weight or bias is not a finite number")
-            dims.append(w.shape[0])
-        self.dims = tuple(dims)
+        self.dims = (self.weights[0].shape[1], *(w.shape[0] for w in self.weights))
         self.layout = VariableLayout(self.dims, tuple(self.activations))
 
     @property
@@ -304,14 +305,12 @@ def load_property(path: str) -> SafetyProperty:
     pos = 1
     box = []
     while pos < len(toks) and toks[pos] != "ge":
-        if pos + 1 >= len(toks):
+        if pos + 1 >= len(toks) or toks[pos + 1] == "ge":
             raise ValueError(f"{path}: dangling box bound")
         box.append((float(toks[pos]), float(toks[pos + 1])))
         pos += 2
     constraints = []
-    while pos < len(toks):
-        if toks[pos] != "ge":
-            raise ValueError(f"{path}: expected 'ge', got {toks[pos]!r}")
+    while pos < len(toks):  # at a 'ge': the box and each constraint stop only there
         pos += 1
         rest = []
         while pos < len(toks) and toks[pos] != "ge":

@@ -1,7 +1,7 @@
 """Labelled binary tree recording a search: edges carry sign assertions on
 ReLU pre-activations, leaves carry a status, and a SAT leaf its witness.
 A search (`solver.search`) decides one leaf and grows the tree below it, so
-re-verification grows the pruned copy of a stored tree in place.
+re-verification grows the tree that pruning a stored tree builds in place.
 
 An UNSAT leaf's edge assertions say which branch to re-check. An UNSAT
 leaf also stores a certificate: the multipliers `[kind, index, y]` of the
@@ -89,47 +89,38 @@ class ProofTree:
     # -- pruning ------------------------------------------------------------
 
     def prune(self, bounds: Bounds) -> tuple["ProofTree", list[int]]:
-        """A copy without every subtree whose edge assertion contradicts the
-        intervals, and the ids of the nodes that it closed, in walk order.
+        """A new tree of the nodes that the intervals keep, and the ids of
+        the nodes that it closed, in walk order; this tree is left as it is.
 
-        An assertion does when its neuron's interval is `apart` from the
-        range its sign allows (`deeppoly.SIGN_RANGE`); `bounds` must cover
-        every asserted neuron. The walk starts at the root's children (the
-        root carries none, `validate`) and stops at each node it closes. A
-        dropped branch covers an empty region, so its root is kept as an
-        UNSAT leaf, which this run does not replay; a leaf keeps its
-        certificate, and an internal node gets none here (`incremental`
-        gives it one). Complementary assertions can never both contradict
-        one interval, so no internal node loses both children.
+        An edge assertion contradicts the intervals when its neuron's
+        interval is `apart` from the range its sign allows
+        (`deeppoly.SIGN_RANGE`); `bounds` must cover every asserted neuron.
+        The walk copies each node it reaches, from the root down; the root
+        carries no assertion (`validate`), so none is tested there. A node
+        whose assertion contradicts the intervals covers an empty region, so
+        it is copied as an UNSAT leaf without children or witness, which
+        this run does not replay, and the walk does not go below it. A leaf
+        keeps its certificate, and an internal node gets none here
+        (`incremental` gives it one). Complementary assertions can never
+        both contradict one interval, so no internal node loses both
+        children.
         """
-        out = self.copy()
+        out = ProofTree(self.dims, self.prop_hash, self.verdict)
+        out._next = self._next
         closed = []
-        stack = list(out.root.children)
+        stack = [0]
         while stack:
-            n = out.nodes[stack.pop()]
+            n = self.nodes[stack.pop()]
             a = n.assertion
-            if not apart(bounds.lo[a.neuron], bounds.hi[a.neuron], *SIGN_RANGE[a.sign]):
+            if n.parent is not None and apart(bounds.lo[a.neuron], bounds.hi[a.neuron],
+                                              *SIGN_RANGE[a.sign]):
+                out.nodes[n.id] = Node(n.id, n.parent, a, UNSAT, cert=n.cert)
+                closed.append(n.id)
+            else:
+                out.nodes[n.id] = Node(n.id, n.parent, a, n.status, n.witness,
+                                       list(n.children), n.cert)
                 stack.extend(n.children)
-                continue
-            for c in n.children:
-                out._delete_subtree(c)
-            n.children, n.status, n.witness = [], UNSAT, None
-            closed.append(n.id)
         return out, closed
-
-    def _delete_subtree(self, nid: int) -> None:
-        n = self.nodes.pop(nid)
-        for c in n.children:
-            self._delete_subtree(c)
-
-    def copy(self) -> "ProofTree":
-        t = ProofTree(self.dims, self.prop_hash, self.verdict)
-        t.nodes = {
-            i: Node(n.id, n.parent, n.assertion, n.status, n.witness, list(n.children), n.cert)
-            for i, n in self.nodes.items()
-        }
-        t._next = self._next
-        return t
 
     # -- invariants ----------------------------------------------------------
 

@@ -15,7 +15,8 @@ algebra. `equation` defines each encoded equation and its slack's interval
 over the neuron intervals of a `Bounds`; the rows and slack bounds
 (`encode`, `refresh_bounds`), the branch LP and the certificate test all
 read it. The array is the tableau's only form: `encode` writes each row
-straight from its equation's terms, with a basic term's row in its place.
+straight from its equation's terms, with a basic term's row in its place,
+and `refresh_bounds` builds a split child's tableau from its parent's.
 One level of substitution is enough: the only basic terms are
 pre-activations, whose affine rows come first and name no basic.
 
@@ -34,7 +35,6 @@ multipliers can be read off the row (`certificate`).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -99,9 +99,8 @@ class Configuration:
     COEF_EPS of zero is stored as zero. The bounds lo, hi and the assignment
     alpha are lists of Python floats by id, which the scalar repair moves
     read one at a time. The row test reads the bounds as one 2 x n array,
-    lohi = [lo, hi]. Only the constructor and `refresh_bounds` write bounds,
-    and each builds lohi anew from the lists it writes, so a copy shares its
-    original's array.
+    lohi = [lo, hi]. Only the constructor writes bounds: a configuration
+    over other bounds is a new one (`refresh_bounds`).
 
     T, basic: the tableau array, its one form, which `encode` writes and
     the configuration keeps as given, and the basic id of each of its rows.
@@ -110,7 +109,7 @@ class Configuration:
     violations: ReLU pre id -> its pair's repairs in this local search, and
     max_violations their running maximum (`count_repair`).
     cap: the steps that one local search, or one LP phase, may take on this
-    tableau, LP_ITER_FACTOR * (rows + variables); a copy keeps it.
+    tableau, LP_ITER_FACTOR * (rows + variables).
     """
 
     def __init__(self, T, basic, lo, hi, alpha, relu_pairs, input_ids, equations):
@@ -127,15 +126,6 @@ class Configuration:
         self.violations: dict[int, int] = {pre: 0 for pre, _ in self.relu_pairs}
         self.max_violations = 0
         self.cap = LP_ITER_FACTOR * (len(self.basic) + len(self.lo))
-
-    def copy(self) -> "Configuration":
-        c = copy.copy(self)
-        c.T = self.T.copy()
-        c.basic = list(self.basic)
-        c.pos = dict(self.pos)
-        c.lo, c.hi, c.alpha = list(self.lo), list(self.hi), list(self.alpha)
-        c.violations = dict(self.violations)
-        return c
 
     def row(self, basic: int) -> dict[int, float]:
         """Row of `basic` as {non-basic id: coefficient}, in id order."""
@@ -545,12 +535,12 @@ def encode(net, prop, bounds, equations) -> Configuration:
     return cfg
 
 
-def refresh_bounds(cfg: Configuration, net, prop, bounds) -> None:
-    """Replace the neuron intervals of cfg's bounds with freshly analyzed
-    ones, clamp non-basics back into range, and re-solve the basics.
-    Violation counters restart: they score the upcoming local search only.
-    The bound array `lohi` is built anew, never written in place: a copy
-    shares it with the configuration it was copied from.
+def refresh_bounds(cfg: Configuration, net, prop, bounds) -> Configuration:
+    """A split child's configuration: cfg's tableau and basis over the
+    freshly analyzed neuron intervals of `bounds`, its non-basics clamped
+    into them and its basics re-solved. cfg is left as it is (both children
+    of a split start from it), and the child's violation counters start at
+    zero: they score its own local search.
 
     Each slack's interval is its `equation`'s over the new neuron
     intervals, except an affine slack's, [-b, -b], which reads no interval:
@@ -561,15 +551,12 @@ def refresh_bounds(cfg: Configuration, net, prop, bounds) -> None:
     for sid, (kind, i) in cfg.equations.items():
         if kind != AFF:
             _, lo[sid], hi[sid] = equation(net, prop, kind, i, lo, hi)
-    cfg.lo, cfg.hi = lo, hi
-    cfg.lohi = np.array((lo, hi))
-    alpha, pos = cfg.alpha, cfg.pos
-    for v, a in enumerate(alpha):
-        if v not in pos:
-            alpha[v] = min(max(a, lo[v]), hi[v])
-    recompute(cfg)
-    cfg.violations = {pre: 0 for pre, _ in cfg.relu_pairs}
-    cfg.max_violations = 0
+    pos = cfg.pos
+    alpha = [a if v in pos else min(max(a, lo[v]), hi[v]) for v, a in enumerate(cfg.alpha)]
+    child = Configuration(cfg.T.copy(), cfg.basic, lo, hi, alpha, cfg.relu_pairs,
+                          cfg.input_ids, cfg.equations)
+    recompute(child)
+    return child
 
 
 def dump(cfg: Configuration, title: str) -> str:

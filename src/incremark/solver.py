@@ -4,7 +4,8 @@ demand, DFS over sign assertions, full proof tree recording.
 `search` is the one way a branch is decided. It takes any tree and one of
 its leaves, with the bounds of the leaf's branch, and grows the tree below
 that leaf: `solve` calls it on the root of a new tree, each split calls it
-on the new children, and re-verification (`incremental`) calls it on the
+on the new children, whose tableaus `simplex.refresh_bounds` builds from
+the parent's, and re-verification (`incremental`) calls it on the
 leaves of a stored tree that it cannot replay.
 
 A node runs the tableau repair loop. Each step scans the basics once for
@@ -81,8 +82,8 @@ def search(net, prop, tree, nid, bounds, parent=None):
 
     Bounds that refute the property close the leaf with their DeepPoly
     certificate. Otherwise the leaf is searched from a new tableau, or, for
-    a split child, from a copy of its `parent`'s configuration with the
-    child's bounds; the configuration is exclusively owned here.
+    a split child, from one that `refresh_bounds` builds from its `parent`'s
+    over the child's bounds; `parent` is left as it is.
     """
     node = tree.nodes[nid]
     node.status, node.witness, node.cert = pt.UNSOLVED, None, None
@@ -91,11 +92,8 @@ def search(net, prop, tree, nid, bounds, parent=None):
         node.status = pt.UNSAT
         node.cert = deeppoly.certificate(net, prop, bounds)
         return None
-    if parent is None:
-        cfg = initialize(net, prop, bounds)
-    else:
-        cfg = parent.copy()
-        refresh_bounds(cfg, net, prop, bounds)
+    cfg = (initialize(net, prop, bounds) if parent is None
+           else refresh_bounds(parent, net, prop, bounds))
     candidates = uncertain(net.layout, bounds)
     steps_left = cfg.cap
     while (row := check_unsat_rows(cfg, out := out_of_bounds(cfg))) is None:

@@ -5,6 +5,7 @@ is always zero. Seeds are fixed by callers so failures reproduce.
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import numpy as np
@@ -50,7 +51,7 @@ def encodings(monkeypatch) -> list[Configuration]:
     phase1 = lp.phase1
 
     def recorded(relax):
-        copies.append(relax.cfg.copy())
+        copies.append(copy.deepcopy(relax.cfg))
         return phase1(relax)
 
     monkeypatch.setattr(lp, "phase1", recorded)

@@ -11,7 +11,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import incremark
-from incremark import prooftree
+from incremark import bench as bench_mod
+from incremark import cli, prooftree
 from incremark.bench import (
     CSV_HEADER,
     Perturbation,
@@ -372,6 +373,72 @@ def test_bench_solver_error_is_one_line(runner, tmp_path):
     assert res.stderr == ("solver error: no witness found, and the branch LP could not "
                           "decide 4 branch(es)\n")
     assert not out.exists()
+
+
+def test_zero_width_network_file_is_one_line(runner, tmp_path):
+    # this used to end in an IndexError traceback
+    net = tmp_path / "z.rnn"
+    net.write_text("relunet 1\ndims 2 0 1\nlayer 1 relu\nlayer 2 none\n0.5\n")
+    res = runner.invoke(main, ["verify", "--net", str(net), "--prop", PROP])
+    assert res.exit_code == EXIT_ERROR and isinstance(res.exception, SystemExit)
+    assert res.stderr == (f"error reading network {net}: "
+                          "layer 1: a layer width is below 1\n")
+
+
+@pytest.mark.parametrize("what, args", [
+    ("proof tree", ["verify", "--net", DEMO, "--prop", PROP, "--tree-out"]),
+    ("proof tree", ["reverify", "--net", FPRIME, "--prop", PROP, "--tree", "TREE",
+                    "--tree-out"]),
+    ("report", ["reverify", "--net", FPRIME, "--prop", PROP, "--tree", "TREE", "--report"]),
+    ("network", ["perturb", "--net", DEMO, "--gamma", "0", "--out"]),
+    ("CSV", ["bench", "--trials", "1", "--gammas", "0.01", "--out"]),
+], ids=["verify-tree-out", "reverify-tree-out", "reverify-report", "perturb-out", "bench-out"])
+def test_unwritable_output_path_is_one_line(runner, tmp_path, what, args):
+    # each of these used to end in a FileNotFoundError traceback
+    tree = tmp_path / "tree.json"
+    solve(load_network(DEMO), load_property(PROP))[1].serialize(str(tree))
+    out = tmp_path / "missing" / "out"
+    res = runner.invoke(main, [str(tree) if a == "TREE" else a for a in args] + [str(out)])
+    assert res.exit_code == EXIT_ERROR and isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith(f"error writing {what} {out}: ")
+    assert res.stderr.count("\n") == 1
+
+
+def test_oracle_refuses_a_large_network(runner, tmp_path):
+    net = random_network((2, 9, 9, 1), 0)
+    save_network(net, str(tmp_path / "n.rnn"))
+    save_property(random_threshold_property(net, 1), str(tmp_path / "n.prop"))
+    res = runner.invoke(main, ["oracle", "--net", str(tmp_path / "n.rnn"),
+                               "--prop", str(tmp_path / "n.prop")])
+    assert res.exit_code == EXIT_ERROR
+    assert res.stderr == "oracle error: oracle limited to 16 ReLU neurons, got 18\n"
+
+
+def test_bench_disagreement_keeps_the_partial_csv(runner, tmp_path, monkeypatch):
+    def disagree(net, prop, perts):
+        raise bench_mod.OracleDisagreement("scratch says sat, the oracle unsat",
+                                           CSV_HEADER + "\n")
+
+    monkeypatch.setattr(bench_mod, "compare", disagree)
+    out = tmp_path / "b.csv"
+    res = runner.invoke(main, ["bench", "--trials", "1", "--gammas", "0.01", "--out", str(out)])
+    assert res.exit_code == EXIT_ERROR
+    assert res.stderr == "disagreement: scratch says sat, the oracle unsat\n"
+    assert out.read_text() == CSV_HEADER + "\n"
+
+
+def test_reverify_solver_error_is_one_line(runner, tmp_path, monkeypatch):
+    tree = tmp_path / "tree.json"
+    solve(load_network(DEMO), load_property(PROP))[1].serialize(str(tree))
+
+    def undecided(net, prop, tree):
+        raise RuntimeError("a branch stayed undecided")
+
+    monkeypatch.setattr(cli, "verify_incremental", undecided)
+    res = runner.invoke(main, ["reverify", "--net", FPRIME, "--prop", PROP,
+                               "--tree", str(tree)])
+    assert res.exit_code == EXIT_ERROR
+    assert res.stderr == "solver error: a branch stayed undecided\n"
 
 
 def test_log_env_smoke(runner):

@@ -157,6 +157,24 @@ def test_network_validation():
         Network([[[float("nan")]]], [[0.0]])
     with pytest.raises(ValueError, match="not a finite number"):
         Network([[[1.0]]], [[float("-inf")]])
+    with pytest.raises(ValueError, match="one activation flag per layer"):
+        Network([[[1.0]]], [[0.0]], ["relu", "none"])
+    with pytest.raises(ValueError, match="layer 1: bad weight/bias shape"):
+        Network([[1.0]], [[0.0]])                   # a weight row used to raise IndexError
+    with pytest.raises(ValueError, match="layer 2: bad weight/bias shape"):
+        Network([[[1.0]], [[1.0, 2.0]]], [[0.0], [0.0, 1.0]])
+
+
+def test_zero_width_layer_is_refused(tmp_path):
+    # built in code, this network used to be accepted, and `solve` then
+    # raised inside `analyze`
+    with pytest.raises(ValueError, match="layer 1: a layer width is below 1"):
+        Network([np.zeros((0, 2)), np.zeros((1, 0))], [np.zeros(0), [0.5]])
+    p = tmp_path / "z.rnn"
+    p.write_text("relunet 1\ndims 2 3 0\nlayer 1 relu\n" + "0.5 0.5\n" * 3
+                 + "0 0 0\nlayer 2 none\n")
+    with pytest.raises(ValueError, match="layer 2: a layer width is below 1"):
+        load_network(str(p))                        # was "bad weight/bias shape"
 
 
 def test_network_roundtrip(tmp_path, fdoubleprime):
@@ -193,6 +211,14 @@ def test_network_file_errors(tmp_path):
         p.write_text(f"relunet 1\ndims 1 1\nlayer 1 none\n{bad}\n")
         with pytest.raises(ValueError, match="not a finite number"):
             load_network(str(p))  # a NaN weight used to give a wrong SAT
+    for text, message in (("relunet 1\nlayer 1 none\n1.0\n0.0\n", "expected 'dims'"),
+                          ("relunet 1\ndims 1 1\nlayer 2 none\n1.0\n0.0\n",
+                           "expected 'layer 1'"),
+                          ("relunet 1\ndims 1 1\nlayer 1 tanh\n1.0\n0.0\n",
+                           "bad activation 'tanh'")):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_network(str(p))
 
 
 def test_property_roundtrip(tmp_path, demo_prop):
@@ -218,8 +244,8 @@ def test_property_file_errors(tmp_path):
     with pytest.raises(ValueError):
         load_property(str(p))  # must start with box
     p.write_text("box\n-1.0 1.0\n-1.0\nge 0.3 1.0\n")
-    with pytest.raises(ValueError):
-        load_property(str(p))  # dangling bound
+    with pytest.raises(ValueError, match="dangling box bound"):
+        load_property(str(p))  # used to fail converting 'ge' to a float
     p.write_text("box\n-1.0 1.0\nge 0.3\n")
     with pytest.raises(ValueError):
         load_property(str(p))  # constraint without coefficients

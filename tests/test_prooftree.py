@@ -206,11 +206,14 @@ def test_validate_rejections():
         t.validate()
 
 
-def test_copy_is_deep():
+def test_pruned_tree_is_independent():
+    """The tree that `prune` builds shares no node with the stored one:
+    growing it leaves the stored tree as it was."""
     t, l, r, ll, lr = small_tree()
-    c = t.copy()
-    c.nodes[r].status = UNSAT
-    c.add_child(r, Assertion(3, NONPOS))
+    out, closed = t.prune(_bounds(-1.0, 1.0))  # contradicts no assertion
+    assert closed == [] and sorted(out.nodes) == sorted(t.nodes)
+    out.nodes[r].status = UNSAT
+    assert out.add_child(r, Assertion(3, NONPOS)) == lr + 1
     assert t.nodes[r].status == UNSOLVED
     assert t.nodes[r].children == []
 
@@ -259,7 +262,6 @@ def test_certificate_roundtrip_copy_and_prune():
     back = from_json(json.loads(json.dumps(data)))
     assert back.nodes[r].cert == t.nodes[r].cert
     assert back.to_json() == data
-    assert t.copy().nodes[r].cert == t.nodes[r].cert
     # pruning the other side keeps the certified leaf as it is
     pruned, _ = t.prune(_bounds(0.5, 1.0))
     assert sorted(pruned.nodes) == [0, l, r]

@@ -75,7 +75,8 @@ def test_initialize_demo_slack_intervals(demo_net, demo_prop):
     assert (cfg.lo[11], cfg.hi[11]) == (-0.0, -0.0)
     assert len(cfg.lo) == len(cfg.hi) == 12
     # refresh_bounds derives them the same way from new neuron intervals
-    refresh_bounds(cfg, demo_net, demo_prop, analyze(demo_net, BOX, [Assertion(3, NONNEG)]))
+    cfg = refresh_bounds(cfg, demo_net, demo_prop,
+                         analyze(demo_net, BOX, [Assertion(3, NONNEG)]))
     assert (cfg.lo[8], cfg.hi[8]) == (0.0, 0.0)
 
 
@@ -140,9 +141,9 @@ def test_encoding_equals_the_dict_of_rows_reference(monkeypatch):
 
 @pytest.mark.parametrize("dims", [(2, 5, 5, 1), (3, 8, 8, 1)])
 def test_refresh_bounds_equals_a_new_encoding(dims):
-    """A copied configuration refreshed to a branch's bounds carries the
-    intervals of one encoded over them, bit for bit: the neuron intervals
-    and every slack's."""
+    """The configuration that `refresh_bounds` builds for a branch's bounds
+    carries the intervals of one encoded over them, bit for bit: the neuron
+    intervals and every slack's."""
     rng = np.random.default_rng(sum(dims))
     cases = seed = 0
     while cases < 100:
@@ -158,8 +159,7 @@ def test_refresh_bounds_equals_a_new_encoding(dims):
             b2 = analyze(net, prop.box, asserts)
             if is_property_refuted(b2, prop):
                 continue  # the search encodes no refuted branch
-            got = cfg.copy()
-            refresh_bounds(got, net, prop, b2)
+            got = refresh_bounds(cfg, net, prop, b2)
             want = initialize(net, prop, b2)
             for ends in ("lo", "hi"):
                 assert ([x.hex() for x in getattr(got, ends)]
@@ -358,6 +358,36 @@ def test_constraint_terms_have_one_home():
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute)
             and n.attr == "coeffs"] == []
+
+
+def test_bounds_are_written_only_by_the_constructor():
+    """No line of `simplex`, `lp` or `solver` outside
+    `Configuration.__init__` assigns a configuration's `lo`, `hi` or
+    `lohi`, or an entry of one: a configuration over other bounds is a new
+    one (`refresh_bounds`)."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "incremark"
+    found = []
+
+    def written(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(map(written, target.elts))
+        if isinstance(target, ast.Subscript):
+            target = target.value
+        return isinstance(target, ast.Attribute) and target.attr in ("lo", "hi", "lohi")
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        if any(map(written, targets)) and where != "Configuration.__init__":
+            found.append((module, where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for module in ("simplex.py", "lp.py", "solver.py"):
+        visit(ast.parse((src / module).read_text(encoding="utf-8")), module, "")
+    assert found == []
 
 
 def test_refutation_margin_has_one_home():
@@ -601,7 +631,7 @@ def test_refresh_bounds_reclamps(demo_net, demo_prop):
         cfg.count_repair(2)
     assert (cfg.violations[2], cfg.max_violations) == (5, 5)
     b = analyze(demo_net, ((0.5, 1.0), (-1.0, 1.0)))
-    refresh_bounds(cfg, demo_net, demo_prop, b)
+    cfg = refresh_bounds(cfg, demo_net, demo_prop, b)
     assert cfg.lo[0] == 0.5
     assert cfg.alpha[0] == 0.5                 # clamped back inside
     assert cfg.lo[6] == 0.3                    # property re-applied
@@ -797,8 +827,10 @@ def test_restricted_row_check_matches_full_scan(monkeypatch, demo_net, demo_prop
 
 def test_bound_array_matches_the_bound_lists(monkeypatch, demo_net, demo_prop):
     """The row test reads the bounds from the array `lohi`: at every row
-    test of the searches it equals the bound lists, and a split child's
-    `refresh_bounds` builds its own array, leaving its parent's as it was."""
+    test of the searches it equals the bound lists, and `refresh_bounds`
+    builds a split child a configuration of its own, leaving its parent's
+    tableau, bounds and assignment as they were (both children of a split
+    start from the parent)."""
     real_check, real_refresh = solver.check_unsat_rows, solver.refresh_bounds
     seen = {"checks": 0, "refreshes": 0}
 
@@ -807,14 +839,18 @@ def test_bound_array_matches_the_bound_lists(monkeypatch, demo_net, demo_prop):
         seen["checks"] += 1
         return real_check(cfg, *args)
 
+    def state(cfg):
+        return (cfg.T.tolist(), list(cfg.basic), list(cfg.alpha), list(cfg.lo), list(cfg.hi),
+                cfg.lohi.tolist())
+
     def refresh(cfg, *args):
-        shared = cfg.lohi  # a copy shares its parent's array
-        before = shared.tolist()
-        real_refresh(cfg, *args)
-        assert shared.tolist() == before
-        assert cfg.lohi is not shared
-        assert cfg.lohi.tolist() == [cfg.lo, cfg.hi]
+        before = state(cfg)
+        child = real_refresh(cfg, *args)
+        assert child is not cfg
+        assert state(cfg) == before
+        assert child.lohi.tolist() == [child.lo, child.hi]
         seen["refreshes"] += 1
+        return child
 
     monkeypatch.setattr(solver, "check_unsat_rows", check)
     monkeypatch.setattr(solver, "refresh_bounds", refresh)
