@@ -3,10 +3,13 @@
 `verify_incremental` prunes edges the new bounds contradict, fast-paths the
 stored SAT witness, re-searches open (sat/unsolved) leaves seeded with
 fresh bounds, and for each stored UNSAT leaf tries to replay the old proof
-before falling back to a branch search. Every search is `solver.search` on
-a leaf of the tree that pruning the stored one builds (`ProofTree.prune`),
-which it grows in place; that tree is the output tree, so the stored nodes
-that pruning keeps keep their ids and a search's nodes take ids above them.
+before falling back to a branch search. The search of a SAT leaf whose
+witness no longer holds first climbs from that witness (`solver.attack`):
+a nearby witness of the new network closes the leaf with no tableau.
+Every search is `solver.search` on a leaf of the tree that pruning the
+stored one builds (`ProofTree.prune`), which it grows in place; that tree
+is the output tree, so the stored nodes that pruning keeps keep their ids
+and a search's nodes take ids above them.
 An UNSAT leaf that `solve` writes carries a certificate: the multipliers of
 the encoded equations whose sum showed its branch empty (a tableau or LP
 row, or a DeepPoly back-substitution), unless no equation states the

@@ -269,6 +269,9 @@ def load_network(path: str) -> Network:
         dims.append(int(take(1)[0]))
     if len(dims) < 2:
         raise ValueError(f"{path}: need at least input and output dims")
+    for i, d in enumerate(dims):
+        if d < 1:  # a negative width would move the reads below backwards
+            raise ValueError(f"layer {max(i, 1)}: a layer width is below 1")  # as `Network` says
     weights, biases, acts = [], [], []
     for i in range(1, len(dims)):
         kw, idx, act = take(3)

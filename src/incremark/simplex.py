@@ -220,6 +220,7 @@ def pivot(cfg: Configuration, leaving: int, entering: int, value: float) -> None
     cfg.pos[entering] = r
 
 
+@np.errstate(invalid="ignore")  # inf * 0 and inf - inf give NaN, as in linear_interval
 def row_intervals(cfg: Configuration, basics: list[int]) -> list[list[float]]:
     """Interval-arithmetic ranges [lows, highs] of the right-hand sides of
     the rows of `basics` under l, u, by one product over those rows: each

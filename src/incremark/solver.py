@@ -8,6 +8,15 @@ on the new children, whose tableaus `simplex.refresh_bounds` builds from
 the parent's, and re-verification (`incremental`) calls it on the
 leaves of a stored tree that it cannot replay.
 
+Before a node builds a tableau it looks for a counterexample by projected
+gradient ascent over the input box (`attack`; PGD, Madry et al., ICLR
+2018, run before branching as in Beta-CROWN, Wang et al., NeurIPS 2021),
+from the node's stored witness, which re-verification leaves on a SAT leaf
+whose witness no longer holds, and at the root of a tree from the box
+centre. A point that it returns is a witness, and the node becomes a SAT
+leaf; a miss leaves the node to the tableau as before, so the ascent never
+changes an UNSAT tree.
+
 A node runs the tableau repair loop. Each step scans the basics once for
 those outside their bounds (`simplex.out_of_bounds`), tests their rows
 (`simplex.check_unsat_rows`) and, when none contradicts its bounds, makes
@@ -39,10 +48,12 @@ branch LP and replay use too).
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import deeppoly, lp
 from . import prooftree as pt
 from .deeppoly import NONNEG, NONPOS, Assertion, analyze, is_property_refuted, uncertain
-from .model import UNSAT, Verdict, property_hash, witness_ok
+from .model import RELU, UNSAT, Verdict, property_hash, witness_ok
 from .simplex import (
     Progress,
     Satisfied,
@@ -58,6 +69,12 @@ from .simplex import (
 # splits on its most repaired uncertain pair, or, with none left, asks the
 # branch LP
 SPLIT_THRESHOLD = 10
+
+# the ascent that looks for a witness before a node builds its tableau:
+# at most ATTACK_MOVES moves, the first a quarter of the box wide in each
+# input, each next one ATTACK_DECAY times the last
+ATTACK_MOVES = 10
+ATTACK_DECAY = 0.7
 
 
 def solve(net, prop):
@@ -86,12 +103,20 @@ def search(net, prop, tree, nid, bounds, parent=None):
     over the child's bounds; `parent` is left as it is.
     """
     node = tree.nodes[nid]
+    # the ascent starts from the stored witness, and at the root from the box centre
+    starts = [] if node.witness is None else [node.witness]
+    if nid == 0:
+        starts.append([(lo + hi) / 2 for lo, hi in prop.box])
     node.status, node.witness, node.cert = pt.UNSOLVED, None, None
     if is_property_refuted(bounds, prop):
         # region empty or property interval-impossible: nothing to search
         node.status = pt.UNSAT
         node.cert = deeppoly.certificate(net, prop, bounds)
         return None
+    for start in starts:
+        if (witness := attack(net, prop, start)) is not None:
+            node.status, node.witness = pt.SAT, witness
+            return witness
     cfg = (initialize(net, prop, bounds) if parent is None
            else refresh_bounds(parent, net, prop, bounds))
     candidates = uncertain(net.layout, bounds)
@@ -126,6 +151,41 @@ def search(net, prop, tree, nid, bounds, parent=None):
         child_bounds = analyze(net, prop.box, sorted(tree.asserts_of(cid)))
         witness = search(net, prop, tree, cid, child_bounds, cfg)
     return witness
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a point that overflows is no witness
+def attack(net, prop, start):
+    """Projected sign-gradient ascent on the negated property over the box,
+    from `start` clipped into it; returns the first point of its path that
+    satisfies every negated constraint (`witness_ok` with eps 0), as a
+    tuple of floats, or None.
+
+    Each move takes one forward pass, which gives both the margins a.y - c
+    and the Jacobian of the outputs, with ReLU derivative 1 where the
+    pre-activation is > 0 and 0 otherwise. The constraint of smallest
+    margin (the first on a tie) gives the move, sign(a . J) times the step,
+    and the new point is clipped into the box. The path ends early at a
+    point that its move leaves where it is: the next move would be the same.
+    """
+    lo, hi = np.array(prop.box, dtype=float).T
+    a = np.array([con.coeffs for con in prop.constraints], dtype=float)
+    c = np.array([con.threshold for con in prop.constraints], dtype=float)
+    x, step = np.clip(np.asarray(start, dtype=float), lo, hi), (hi - lo) / 4
+    for move in range(ATTACK_MOVES + 1):
+        y, jac = x, np.eye(len(x))
+        for w, b, act in zip(net.weights, net.biases, net.activations):
+            y, jac = w @ y + b, w @ jac
+            if act == RELU:
+                y, jac = np.maximum(y, 0.0), jac * (y > 0.0)[:, None]
+        margins = a @ y - c
+        if (margins >= 0.0).all() and witness_ok(net, prop, x, eps=0.0):
+            return tuple(x.tolist())
+        if move == ATTACK_MOVES:
+            return None
+        nxt = np.clip(x + step * np.sign(a[np.argmin(margins)] @ jac), lo, hi)
+        if np.array_equal(nxt, x):
+            return None
+        x, step = nxt, step * ATTACK_DECAY
 
 
 def _decide_by_lp(net, prop, node, bounds):

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from incremark import solver
 from incremark.model import LinearConstraint, Network, SafetyProperty
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -51,6 +52,13 @@ def demo_prop() -> SafetyProperty:
 def unsat_prop() -> SafetyProperty:
     # threshold above the true maximum (1.28), interval-refuted outright
     return SafetyProperty(BOX, (LinearConstraint((1.0,), 2.0),))
+
+
+@pytest.fixture
+def no_attack(monkeypatch):
+    """`solver.search` without the ascent it runs before building a tableau:
+    for tests of the tableau on instances that the ascent decides."""
+    monkeypatch.setattr(solver, "attack", lambda net, prop, start: None)
 
 
 @pytest.fixture

@@ -358,10 +358,10 @@ def test_bench_rejects_bad_gammas(runner, tmp_path):
         assert res.stderr.count("\n") == 1, (args, res.stderr)
 
 
-def test_bench_solver_error_is_one_line(runner, tmp_path):
-    # the base solve finds no witness and leaves four fully decided branches
-    # that the branch LP cannot decide; this used to end in a RuntimeError
-    # traceback
+def test_bench_solver_error_is_one_line(runner, tmp_path, no_attack):
+    # without the ascent, the base solve finds no witness and leaves four
+    # fully decided branches that the branch LP cannot decide; this used to
+    # end in a RuntimeError traceback
     net, prop = _scaled_instance(9, 1e4)
     save_network(net, str(tmp_path / "sc.rnn"))
     save_property(prop, str(tmp_path / "sc.prop"))

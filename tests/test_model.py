@@ -177,6 +177,15 @@ def test_zero_width_layer_is_refused(tmp_path):
         load_network(str(p))                        # was "bad weight/bias shape"
 
 
+def test_negative_width_is_refused(tmp_path):
+    # a negative width moved the read position backwards, and the file was
+    # refused as "expected 'layer 2'"
+    p = tmp_path / "n.rnn"
+    p.write_text("relunet 1\ndims 2 -1 1\nlayer 1 relu\n0.5 0.5\n0\nlayer 2 none\n0.5\n0\n")
+    with pytest.raises(ValueError, match="^layer 1: a layer width is below 1$"):
+        load_network(str(p))
+
+
 def test_network_roundtrip(tmp_path, fdoubleprime):
     p = tmp_path / "n.rnn"
     save_network(fdoubleprime, str(p))

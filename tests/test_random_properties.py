@@ -4,7 +4,7 @@ import math
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from _suites import forward_values
@@ -19,7 +19,9 @@ from incremark.model import (
     property_hash,
     save_network,
     save_property,
+    witness_ok,
 )
+from incremark.solver import attack
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -50,6 +52,33 @@ def properties(draw):
         for _ in range(k)
     )
     return SafetyProperty(tuple(box), cons)
+
+
+@st.composite
+def attacks(draw):
+    """A network, a property that fits it, and a start point that may lie
+    outside the property's box."""
+    net = draw(networks())
+    box = []
+    for _ in range(net.n_inputs):
+        a, b = draw(finite), draw(finite)
+        box.append((min(a, b), max(a, b)))
+    cons = tuple(LinearConstraint(tuple(draw(finite) for _ in range(net.n_outputs)),
+                                  draw(finite))
+                 for _ in range(draw(st.integers(1, 3))))
+    start = [draw(finite) for _ in range(net.n_inputs)]
+    return net, SafetyProperty(tuple(box), cons), start
+
+
+@settings(max_examples=200, deadline=None)
+@given(attacks())
+def test_attack_returns_only_witnesses(case):
+    net, prop, start = case
+    x = attack(net, prop, start)
+    event("witness" if x is not None else "none")
+    if x is not None:
+        assert all(type(v) is float and lo <= v <= hi for v, (lo, hi) in zip(x, prop.box))
+        assert witness_ok(net, prop, x, eps=0.0)
 
 
 @settings(max_examples=60, deadline=None)
