@@ -216,9 +216,10 @@ def evaluate(net: Network, x) -> np.ndarray:
 
 
 def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> bool:
-    """A SAT witness must be a finite point that sits in the box and
-    violates the property, i.e. satisfies every negated constraint, within
-    eps."""
+    """A SAT witness must be a finite point that sits in the box, whose
+    outputs are finite, and that violates the property, i.e. satisfies
+    every negated constraint, within eps. A constraint sums its nonzero
+    terms only, and a sum that is not a number satisfies nothing."""
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n_inputs,) or not np.isfinite(x).all():
         return False
@@ -227,9 +228,12 @@ def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> b
             return False
     if not prop.constraints:
         return False  # empty negation: nothing can violate the property
-    y = evaluate(net, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = evaluate(net, x)
+    if not np.isfinite(y).all():
+        return False
     for c in prop.constraints:
-        if float(np.dot(c.coeffs, y)) < c.threshold - eps:
+        if not sum(a * float(y[j]) for j, a in c.terms) >= c.threshold - eps:
             return False
     return True
 

@@ -9,11 +9,15 @@ the parent's, and re-verification (`incremental`) calls it on the
 leaves of a stored tree that it cannot replay.
 
 Before a node builds a tableau it looks for a counterexample by projected
-gradient ascent over the input box (`attack`; PGD, Madry et al., ICLR
-2018, run before branching as in Beta-CROWN, Wang et al., NeurIPS 2021),
-from the node's stored witness, which re-verification leaves on a SAT leaf
-whose witness no longer holds, and at the root of a tree from the box
-centre. A point that it returns is a witness, and the node becomes a SAT
+gradient ascent over the input box (`attack`; PGD with restarts, Madry et
+al., ICLR 2018, run before branching as in Beta-CROWN, Wang et al.,
+NeurIPS 2021). Its starts, in order: the node's stored witness, which
+re-verification leaves on a SAT leaf whose witness no longer holds; then,
+at the root of a tree, the box centre and, for a box of at most
+ATTACK_CORNER_INPUTS inputs, its 2^n corners in `itertools.product(*box)`
+order. Split children have no start. All starts climb in lockstep, and
+the witness found at the earliest move wins, the lowest start on a tie.
+A point that the ascent returns is a witness, and the node becomes a SAT
 leaf; a miss leaves the node to the tableau as before, so the ascent never
 changes an UNSAT tree.
 
@@ -48,6 +52,8 @@ branch LP and replay use too).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import deeppoly, lp
@@ -72,9 +78,12 @@ SPLIT_THRESHOLD = 10
 
 # the ascent that looks for a witness before a node builds its tableau:
 # at most ATTACK_MOVES moves, the first a quarter of the box wide in each
-# input, each next one ATTACK_DECAY times the last
+# input, each next one ATTACK_DECAY times the last; at the root of a tree
+# it also starts from each corner of a box of at most ATTACK_CORNER_INPUTS
+# inputs (2^n corners)
 ATTACK_MOVES = 10
 ATTACK_DECAY = 0.7
+ATTACK_CORNER_INPUTS = 4
 
 
 def solve(net, prop):
@@ -103,20 +112,22 @@ def search(net, prop, tree, nid, bounds, parent=None):
     over the child's bounds; `parent` is left as it is.
     """
     node = tree.nodes[nid]
-    # the ascent starts from the stored witness, and at the root from the box centre
+    # the ascent starts from the stored witness, and at the root from the box
+    # centre and the corners of a narrow box
     starts = [] if node.witness is None else [node.witness]
     if nid == 0:
         starts.append([(lo + hi) / 2 for lo, hi in prop.box])
+        if len(prop.box) <= ATTACK_CORNER_INPUTS:
+            starts.extend(itertools.product(*prop.box))
     node.status, node.witness, node.cert = pt.UNSOLVED, None, None
     if is_property_refuted(bounds, prop):
         # region empty or property interval-impossible: nothing to search
         node.status = pt.UNSAT
         node.cert = deeppoly.certificate(net, prop, bounds)
         return None
-    for start in starts:
-        if (witness := attack(net, prop, start)) is not None:
-            node.status, node.witness = pt.SAT, witness
-            return witness
+    if starts and (witness := attack(net, prop, starts)) is not None:
+        node.status, node.witness = pt.SAT, witness
+        return witness
     cfg = (initialize(net, prop, bounds) if parent is None
            else refresh_bounds(parent, net, prop, bounds))
     candidates = uncertain(net.layout, bounds)
@@ -154,38 +165,48 @@ def search(net, prop, tree, nid, bounds, parent=None):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a point that overflows is no witness
-def attack(net, prop, start):
+def attack(net, prop, starts):
     """Projected sign-gradient ascent on the negated property over the box,
-    from `start` clipped into it; returns the first point of its path that
-    satisfies every negated constraint (`witness_ok` with eps 0), as a
-    tuple of floats, or None.
+    from each of `starts` clipped into it, all in lockstep; returns the
+    first point that satisfies every negated constraint (`witness_ok` with
+    eps 0), as a tuple of floats, or None. First means found at the
+    earliest move, and among one move's points, from the lowest start.
 
-    Each move takes one forward pass, which gives both the margins a.y - c
-    and the Jacobian of the outputs, with ReLU derivative 1 where the
-    pre-activation is > 0 and 0 otherwise. The constraint of smallest
-    margin (the first on a tie) gives the move, sign(a . J) times the step,
-    and the new point is clipped into the box. The path ends early at a
-    point that its move leaves where it is: the next move would be the same.
+    The k points are one (k, n) array. Each move takes one batched forward
+    pass, which gives every point's margins a.y - c, and one backward
+    vector-Jacobian product of the row a of each point's smallest-margin
+    constraint (the first on a tie), with ReLU derivative 1 where the
+    pre-activation is > 0 and 0 otherwise. Each point moves by the sign of
+    its gradient times the step and is clipped into the box. A point that
+    its move leaves where it is drops out: its next move would be the same.
     """
     lo, hi = np.array(prop.box, dtype=float).T
     a = np.array([con.coeffs for con in prop.constraints], dtype=float)
     c = np.array([con.threshold for con in prop.constraints], dtype=float)
-    x, step = np.clip(np.asarray(start, dtype=float), lo, hi), (hi - lo) / 4
+    # np.minimum(np.maximum(...)) clips as np.clip does, in less time
+    x = np.minimum(np.maximum(np.array(starts, dtype=float), lo), hi)
+    step = (hi - lo) / 4
     for move in range(ATTACK_MOVES + 1):
-        y, jac = x, np.eye(len(x))
+        y, masks = x, []
         for w, b, act in zip(net.weights, net.biases, net.activations):
-            y, jac = w @ y + b, w @ jac
+            y = y @ w.T + b
+            masks.append(y > 0.0 if act == RELU else None)
             if act == RELU:
-                y, jac = np.maximum(y, 0.0), jac * (y > 0.0)[:, None]
-        margins = a @ y - c
-        if (margins >= 0.0).all() and witness_ok(net, prop, x, eps=0.0):
-            return tuple(x.tolist())
+                y = np.maximum(y, 0.0)
+        margins = y @ a.T - c
+        for i in np.flatnonzero(margins.min(axis=1) >= 0.0):
+            if witness_ok(net, prop, x[i], eps=0.0):
+                return tuple(x[i].tolist())
         if move == ATTACK_MOVES:
             return None
-        nxt = np.clip(x + step * np.sign(a[np.argmin(margins)] @ jac), lo, hi)
-        if np.array_equal(nxt, x):
+        g = a[margins.argmin(axis=1)]
+        for w, mask in zip(reversed(net.weights), reversed(masks)):
+            g = (g if mask is None else g * mask) @ w
+        nxt = np.minimum(np.maximum(x + step * np.sign(g), lo), hi)
+        moved = (nxt != x).any(axis=1)
+        x, step = nxt[moved], step * ATTACK_DECAY
+        if not len(x):
             return None
-        x, step = nxt, step * ATTACK_DECAY
 
 
 def _decide_by_lp(net, prop, node, bounds):

@@ -54,11 +54,24 @@ def unsat_prop() -> SafetyProperty:
     return SafetyProperty(BOX, (LinearConstraint((1.0,), 2.0),))
 
 
+def _no_witness(net, prop, starts):
+    return None
+
+
 @pytest.fixture
 def no_attack(monkeypatch):
     """`solver.search` without the ascent it runs before building a tableau:
     for tests of the tableau on instances that the ascent decides."""
-    monkeypatch.setattr(solver, "attack", lambda net, prop, start: None)
+    monkeypatch.setattr(solver, "attack", _no_witness)
+
+
+def tableau_solve(net, prop):
+    """`solve` without the ascent, for one call: the tableau's tree. The
+    demo's has its SAT leaf below a split, where the ascent decides the demo
+    at the root from a box corner."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "attack", _no_witness)
+        return solver.solve(net, prop)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from _suites import (
     relu_relations,
     row_checker_vs_corners,
 )
-from conftest import ACCEPTANCE_LINES, BOX
+from conftest import ACCEPTANCE_LINES, BOX, tableau_solve
 
 from incremark.bench import (
     CSV_HEADER,
@@ -32,7 +32,7 @@ from incremark.bench import (
 )
 from incremark.cli import main as cli_main
 from incremark.deeppoly import analyze
-from incremark.incremental import verify_incremental
+from incremark.incremental import RESOLVED_SAT, verify_incremental
 from incremark.model import evaluate, witness_ok
 from incremark.simplex import initialize
 from incremark.solver import solve
@@ -87,8 +87,17 @@ def test_criterion_1_abstraction_bounds(demo_net, demo_prop, data_dir):
 def test_criterion_2_scratch_verification(demo_net, demo_prop):
     detail = []
     with reported("criterion 2, scratch verification", detail):
+        # the default search: the ascent from the box corner (1, -1) decides
+        # the demo at the root, before any tableau
         t0 = time.perf_counter()
         verdict, tree = solve(demo_net, demo_prop)
+        assert time.perf_counter() - t0 < 1.0
+        assert verdict.sat and verdict.witness == (1.0, -1.0)
+        assert witness_ok(demo_net, demo_prop, verdict.witness, eps=0.0)
+        assert len(tree.nodes) == 1 and tree.root.witness == verdict.witness
+        # the worked example: the tableau search, without the ascent
+        t0 = time.perf_counter()
+        verdict, tree = tableau_solve(demo_net, demo_prop)
         assert time.perf_counter() - t0 < 1.0
         assert verdict.sat
         assert all(l <= x <= h for x, (l, h) in zip(verdict.witness, BOX))
@@ -113,7 +122,14 @@ def test_criterion_2_scratch_verification(demo_net, demo_prop):
 def test_criterion_3_incremental_first_modification(demo_net, fprime, demo_prop):
     detail = []
     with reported("criterion 3, re-verify first modification", detail):
+        # the default search's 1-node tree: its corner witness still holds
         _, tree = solve(demo_net, demo_prop)
+        verdict, rep, _ = verify_incremental(fprime, demo_prop, tree)
+        assert verdict.sat and verdict.witness == tree.root.witness
+        assert witness_ok(fprime, demo_prop, verdict.witness, eps=0.0)
+        assert rep.outcomes == {0: RESOLVED_SAT}
+        # the worked example: the tableau's tree, without the ascent
+        _, tree = tableau_solve(demo_net, demo_prop)
         t0 = time.perf_counter()
         verdict, rep, _ = verify_incremental(fprime, demo_prop, tree)
         assert time.perf_counter() - t0 < 1.0

@@ -41,7 +41,7 @@ from incremark.model import (
 from incremark.solver import solve
 
 from _suites import forward_values
-from conftest import BOX
+from conftest import BOX, tableau_solve
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -57,7 +57,7 @@ def _rungs(rep):
 
 
 def test_modified_net_fast_path(demo_net, fprime, demo_prop):
-    _, tree = solve(demo_net, demo_prop)
+    _, tree = tableau_solve(demo_net, demo_prop)
     verdict, rep, out = verify_incremental(fprime, demo_prop, tree)
     assert verdict.sat
     # the stored witness still violates the property, so no search runs
@@ -71,7 +71,7 @@ def test_modified_net_fast_path(demo_net, fprime, demo_prop):
 
 
 def test_modified_net_witness_signs(demo_net, fprime, demo_prop):
-    _, tree = solve(demo_net, demo_prop)
+    _, tree = tableau_solve(demo_net, demo_prop)
     verdict, _, _ = verify_incremental(fprime, demo_prop, tree)
     vals = forward_values(fprime, verdict.witness)
     # the witness sits in the stored branch: first hidden unit off, second on
@@ -81,7 +81,7 @@ def test_modified_net_witness_signs(demo_net, fprime, demo_prop):
 
 
 def test_report_json_schema(demo_net, fprime, demo_prop):
-    _, tree = solve(demo_net, demo_prop)
+    _, tree = tableau_solve(demo_net, demo_prop)
     _, rep, _ = verify_incremental(fprime, demo_prop, tree)
     j = rep.to_json()
     assert set(j) == REPORT_KEYS
@@ -120,7 +120,7 @@ def test_malformed_tree_is_refused_not_answered():
     net = random_network((2, 5, 5, 1), 2)
     prop = random_threshold_property(net, 3)
     assert oracle(net, prop).sat
-    v, tree = solve(net, prop)
+    v, tree = tableau_solve(net, prop)
     assert v.sat and len(tree.nodes) == 69
     doc = tree.to_json()
     nodes = [nd for nd in doc["nodes"] if nd["status"] != "sat"]
@@ -137,7 +137,7 @@ def test_malformed_tree_is_refused_not_answered():
 
 
 def test_root_refutation_skips_everything(demo_net, demo_prop):
-    _, tree = solve(demo_net, demo_prop)
+    _, tree = tableau_solve(demo_net, demo_prop)
     tiny = Network([[[0.01, -0.035], [0.04, -0.04]], [[0.4, 0.6]]],
                    [[-0.1, 0.0], [0.0]])
     verdict, rep, out = verify_incremental(tiny, demo_prop, tree)
@@ -151,7 +151,7 @@ def test_root_refutation_skips_everything(demo_net, demo_prop):
 
 
 def test_prune_then_search_surviving_branch(demo_net, demo_prop):
-    _, tree = solve(demo_net, demo_prop)
+    _, tree = tableau_solve(demo_net, demo_prop)
     # bias shift makes the first hidden unit always active, contradicting the
     # stored nonpos edge that held the old SAT leaf
     shifted = Network([[[0.2, -0.7], [0.8, -0.8]], [[0.4, 0.6]]],
@@ -199,7 +199,7 @@ def test_output_tree_keeps_stored_ids(demo_net, demo_prop, case, fallbacks, prun
         net = random_network((2, 5, 5, 1), 18)
         prop = random_threshold_property(net, 19)
         modified = perturb(net, Perturbation(0.5, 1.0, int(case.split("-")[1])))
-    _, tree = solve(net, prop)
+    _, tree = tableau_solve(net, prop)
     doc = tree.to_json()
     _, rep, out = verify_incremental(modified, prop, tree)
     assert tree.to_json() == doc
@@ -402,7 +402,7 @@ def test_solve_certificates_close_their_own_leaves(shape, seeds):
     for s in seeds:
         net = random_network(shape, s)
         prop = random_threshold_property(net, s + 1)
-        _, tree = solve(net, prop)
+        _, tree = tableau_solve(net, prop)
         base = analyze(net, prop.box)
         for nid in tree.leaves_with_status("unsat"):
             cert = tree.nodes[nid].cert
@@ -613,7 +613,7 @@ def test_fallback_graft_brings_its_certificates():
     for s, perturbation in ((18, Perturbation(0.5, 1.0, 28)), (2, Perturbation(0.05, 1.0, 0))):
         net = random_network((2, 5, 5, 1), s)
         prop = random_threshold_property(net, s + 1)
-        _, tree = solve(net, prop)
+        _, tree = tableau_solve(net, prop)
         doc = tree.to_json()
         verdict, rep, out = verify_incremental(perturb(net, perturbation), prop, tree)
         assert not verdict.sat

@@ -113,6 +113,21 @@ def test_witness_ok_tolerance(demo_net):
     assert not witness_ok(demo_net, far, (0.675, 0.05))
 
 
+def test_witness_ok_rejects_an_output_that_overflows():
+    """y1 = 1e200 * relu(1e200 * x) overflows to inf. The dot product of
+    the constraint (1, 0) with (0, inf) is 0 * inf = NaN, and NaN < 0.3
+    is False, so the point used to pass though y0 = 0 is below 0.3."""
+    net = Network([[[1e200]], [[0.0], [1e200]]], [[0.0], [0.0, 0.0]])
+    with np.errstate(over="ignore"):
+        assert evaluate(net, (1.0,)).tolist() == [0.0, np.inf]
+    prop = SafetyProperty(((0.5, 1.0),), (LinearConstraint((1.0, 0.0), 0.3),))
+    assert not witness_ok(net, prop, (1.0,))
+    assert not witness_ok(net, prop, (1.0,), eps=0.0)
+    # a finite output that meets the constraint still passes
+    small = Network([[[1.0]], [[1.0], [1e200]]], [[0.0], [0.0, 0.0]])
+    assert witness_ok(small, prop, (1.0,), eps=0.0)
+
+
 def test_property_box_must_be_nonempty():
     with pytest.raises(ValueError):
         SafetyProperty(((0.5, -0.5),), ())

@@ -56,8 +56,8 @@ def properties(draw):
 
 @st.composite
 def attacks(draw):
-    """A network, a property that fits it, and a start point that may lie
-    outside the property's box."""
+    """A network, a property that fits it, and one to three start points
+    that may lie outside the property's box."""
     net = draw(networks())
     box = []
     for _ in range(net.n_inputs):
@@ -66,15 +66,16 @@ def attacks(draw):
     cons = tuple(LinearConstraint(tuple(draw(finite) for _ in range(net.n_outputs)),
                                   draw(finite))
                  for _ in range(draw(st.integers(1, 3))))
-    start = [draw(finite) for _ in range(net.n_inputs)]
-    return net, SafetyProperty(tuple(box), cons), start
+    starts = [[draw(finite) for _ in range(net.n_inputs)]
+              for _ in range(draw(st.integers(1, 3)))]
+    return net, SafetyProperty(tuple(box), cons), starts
 
 
 @settings(max_examples=200, deadline=None)
 @given(attacks())
 def test_attack_returns_only_witnesses(case):
-    net, prop, start = case
-    x = attack(net, prop, start)
+    net, prop, starts = case
+    x = attack(net, prop, starts)
     event("witness" if x is not None else "none")
     if x is not None:
         assert all(type(v) is float and lo <= v <= hi for v, (lo, hi) in zip(x, prop.box))

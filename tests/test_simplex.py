@@ -807,9 +807,11 @@ def test_row_residual_invariant(monkeypatch, demo_net, demo_prop, no_attack):
     assert seen["lp"] > 100 and seen["optima"] > 10 and seen["tighten"] > 10
 
 
-def test_restricted_row_check_matches_full_scan(monkeypatch, demo_net, demo_prop):
+def test_restricted_row_check_matches_full_scan(monkeypatch, demo_net, demo_prop, no_attack):
     """The row test scans only basics outside their bounds; every answer
-    must be the lowest row `apart` from its bounds among all rows."""
+    must be the lowest row `apart` from its bounds among all rows. The
+    ascent, which decides most of the instances before a tableau is built,
+    is off."""
     real_check = solver.check_unsat_rows
     compared = [0]
 
@@ -826,12 +828,12 @@ def test_restricted_row_check_matches_full_scan(monkeypatch, demo_net, demo_prop
     assert compared[0] > 1000
 
 
-def test_bound_array_matches_the_bound_lists(monkeypatch, demo_net, demo_prop):
+def test_bound_array_matches_the_bound_lists(monkeypatch, demo_net, demo_prop, no_attack):
     """The row test reads the bounds from the array `lohi`: at every row
     test of the searches it equals the bound lists, and `refresh_bounds`
     builds a split child a configuration of its own, leaving its parent's
     tableau, bounds and assignment as they were (both children of a split
-    start from the parent)."""
+    start from the parent). The ascent is off, as in the row test above."""
     real_check, real_refresh = solver.check_unsat_rows, solver.refresh_bounds
     seen = {"checks": 0, "refreshes": 0}
 
