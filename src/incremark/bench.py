@@ -55,6 +55,8 @@ class Perturbation:
             raise ValueError(f"gamma must be a finite number >= 0, got {self.gamma!r}")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.scope not in (WEIGHTS, WEIGHTS_AND_BIASES):
             raise ValueError(f"unknown scope {self.scope!r}")
 

@@ -291,6 +291,10 @@ def _from_json(data: dict) -> ProofTree:
 def deserialize(path: str) -> ProofTree:
     """Load and validate a stored tree; ValueError on a malformed file."""
     with open(path, "r", encoding="utf-8") as fh:
-        tree = from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:  # json.load recurses once per level of nesting
+            raise ValueError("JSON nested too deeply") from None
+    tree = from_json(doc)
     tree.validate()
     return tree

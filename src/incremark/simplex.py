@@ -24,9 +24,12 @@ Non-basic variables always lie within their bounds: `encode` and
 `refresh_bounds` place them there, and every move (`update`, `set_variable`,
 the leaving side of a pivot) sends one to a value inside them. The repair
 loop relies on this, and so does the row test, which therefore tests only
-the rows whose basic lies outside its bounds. One scan per step finds those
-basics (`out_of_bounds`); the row test (`check_unsat_rows`) and the bound
-repair (`bound_step`, inside `repair_step`) both take its list.
+rows whose basic lies outside its bounds. One scan per step finds those
+basics (`out_of_bounds`); the bound repair (`bound_step`, inside
+`repair_step`) takes its list, and the row test (`check_unsat_rows`) the
+part of it that the search passes (see `solver`). The row test reads each
+row's interval from `linear_interval`, which the property equation, the
+certificate test and DeepPoly's output test read too.
 
 Each encoded equation has a slack of its own that no other equation
 mentions, so every tableau row is a combination of the equations whose
@@ -97,10 +100,9 @@ class Configuration:
     r reads basic[r] = sum_k T[r, k] * x_k, with zeros on every basic
     column, and pos maps a basic id to its row. A coefficient within
     COEF_EPS of zero is stored as zero. The bounds lo, hi and the assignment
-    alpha are lists of Python floats by id, which the scalar repair moves
-    read one at a time. The row test reads the bounds as one 2 x n array,
-    lohi = [lo, hi]. Only the constructor writes bounds: a configuration
-    over other bounds is a new one (`refresh_bounds`).
+    alpha are lists of Python floats by id, which the repair moves and the
+    row test read one at a time. Only the constructor writes bounds: a
+    configuration over other bounds is a new one (`refresh_bounds`).
 
     T, basic: the tableau array, its one form, which `encode` writes and
     the configuration keeps as given, and the basic id of each of its rows.
@@ -118,7 +120,6 @@ class Configuration:
         self.pos: dict[int, int] = {b: r for r, b in enumerate(self.basic)}
         self.lo: list[float] = list(lo)
         self.hi: list[float] = list(hi)
-        self.lohi = np.array((self.lo, self.hi))
         self.alpha: list[float] = list(alpha)
         self.relu_pairs: list[tuple[int, int]] = list(relu_pairs)
         self.input_ids: list[int] = list(input_ids)
@@ -220,26 +221,12 @@ def pivot(cfg: Configuration, leaving: int, entering: int, value: float) -> None
     cfg.pos[entering] = r
 
 
-@np.errstate(invalid="ignore")  # inf * 0 and inf - inf give NaN, as in linear_interval
-def row_intervals(cfg: Configuration, basics: list[int]) -> list[list[float]]:
-    """Interval-arithmetic ranges [lows, highs] of the right-hand sides of
-    the rows of `basics` under l, u, by one product over those rows: each
-    coefficient c takes c*l and c*u in the order its sign gives, and each
-    row adds its terms one by one in id order. A zero coefficient adds 0,
-    even against an infinite bound."""
-    C = cfg.T[[cfg.pos[b] for b in basics]]
-    lh = cfg.lohi
-    ends = np.where(C > 0.0, lh[:, None, :], lh[::-1, None, :])
-    terms = np.multiply(C, ends, out=np.zeros_like(ends), where=C != 0.0)
-    return np.add.accumulate(terms, axis=2)[:, :, -1].tolist()
-
-
 def linear_interval(terms, lo, hi) -> tuple[float, float]:
     """Interval-arithmetic range (l, h) of sum(c * x) over the (x, c) pairs
-    of `terms`, with each x in [lo[x], hi[x]]: the scalar twin of
-    `row_intervals`. The terms are added one by one in the order given,
-    from 0.0, and a zero coefficient adds nothing, even against an infinite
-    bound. A NaN coefficient makes both ends NaN, as in `row_intervals`."""
+    of `terms`, with each x in [lo[x], hi[x]]: the one interval function of
+    the package. The terms are added one by one in the order given, from
+    0.0, and a zero coefficient adds nothing, even against an infinite
+    bound. A NaN coefficient makes both ends NaN."""
     l = h = 0.0
     for x, c in terms:
         if c > 0.0:
@@ -253,27 +240,26 @@ def linear_interval(terms, lo, hi) -> tuple[float, float]:
 
 def out_of_bounds(cfg: Configuration) -> list[int]:
     """Sorted ids of the basics outside their bounds by more than EPS_BOUND:
-    the one scan of a repair step, which `check_unsat_rows` and
-    `bound_step` both take."""
+    the one scan of a repair step, which `bound_step` takes and
+    `check_unsat_rows` takes part of."""
     lo, hi, alpha = cfg.lo, cfg.hi, cfg.alpha
     return sorted(b for b in cfg.basic
                   if alpha[b] < lo[b] - EPS_BOUND or alpha[b] > hi[b] + EPS_BOUND)
 
 
-def check_unsat_rows(cfg: Configuration, out: list[int]) -> int | None:
-    """Basic id of the lowest row that contradicts its bounds, else None.
+def check_unsat_rows(cfg: Configuration, rows: list[int]) -> int | None:
+    """The first basic of `rows` whose row contradicts its bounds, else None:
+    the row's `linear_interval`, its terms in id order, is `apart` from the
+    basic's bounds.
 
-    Only the rows of `out`, the basics that `out_of_bounds` found, are
-    tested, with one interval product over their rows: while every
-    non-basic is inside its bounds the assignment is a point of each row's
-    interval, so the row of a basic within EPS_BOUND of its bounds is never
-    `apart` from its bounds.
+    The search passes basics that `out_of_bounds` found, in id order: while
+    every non-basic is inside its bounds the assignment is a point of each
+    row's interval, so the row of a basic within EPS_BOUND of its bounds is
+    never `apart` from its bounds.
     """
-    if not out:
-        return None
     lo, hi = cfg.lo, cfg.hi
-    rlo, rhi = row_intervals(cfg, out)
-    return next((b for b, l, h in zip(out, rlo, rhi) if apart(lo[b], hi[b], l, h)), None)
+    return next((b for b in rows
+                 if apart(lo[b], hi[b], *linear_interval(cfg.row(b).items(), lo, hi))), None)
 
 
 def certificate(cfg: Configuration, b: int) -> Certificate:

@@ -22,23 +22,28 @@ leaf; a miss leaves the node to the tableau as before, so the ascent never
 changes an UNSAT tree.
 
 A node runs the tableau repair loop. Each step scans the basics once for
-those outside their bounds (`simplex.out_of_bounds`), tests their rows
+those outside their bounds (`simplex.out_of_bounds`), tests rows of them
 (`simplex.check_unsat_rows`) and, when none contradicts its bounds, makes
-one repair (`simplex.repair_step`); both take that one scan. The loop ends
-a node in one of three ways: a row that contradicts its bounds closes the
-branch once its certificate re-checks (below), a repaired point that passes
-forward validation is a witness, and anything else ends the local search.
-That covers one ReLU pair repaired SPLIT_THRESHOLD times (Reluplex's split
-on demand, Katz et al., CAV 2017; the configuration keeps the running
-maximum of its repair counts), the tableau's step cap of repair steps
-(`Configuration.cap`; bound repair can cycle once values are re-solved
-between pivots), a row whose certificate does not re-check, a repair that
-is stuck, and a point that forward validation rejects. The node then
-splits on its most repaired uncertain pair, or, with every ReLU decided,
-the exact branch LP decides it (the loop can cycle between decided pairs
-that sit within the bound tolerance). A branch that the LP cannot decide stays an unsolved leaf and
-the search goes on; `solve` raises RuntimeError only when it ends with no
-witness and such a leaf.
+one repair (`simplex.repair_step`), which takes the whole scan. The first
+test of a node's new tableau takes the row of every basic outside its
+bounds; each later test takes only the lowest one, the row that Bland's
+bound step repairs next. A new tableau's rows carry the least pivot drift,
+so their certificates re-check most often, and one row a step keeps the
+test to one interval. The loop ends a node in one of three ways: a row
+that contradicts its bounds closes the branch once its certificate
+re-checks (below), a repaired point that passes forward validation is a
+witness, and anything else ends the local search. That covers one ReLU
+pair repaired SPLIT_THRESHOLD times (Reluplex's split on demand, Katz et
+al., CAV 2017; the configuration keeps the running maximum of its repair
+counts), the tableau's step cap of repair steps (`Configuration.cap`;
+bound repair can cycle once values are re-solved between pivots), a row
+whose certificate does not re-check, a repair that is stuck, and a point
+that forward validation rejects. The node then splits on its most
+repaired uncertain pair, or, with every ReLU decided, the exact branch LP
+decides it (the loop can cycle between decided pairs that sit within the
+bound tolerance). A branch that the LP cannot decide stays an unsolved
+leaf and the search goes on; `solve` raises RuntimeError only when it
+ends with no witness and such a leaf.
 
 An UNSAT leaf stores the certificate of the row that closed it, for
 replay: a row of the search tableau or of the branch LP
@@ -132,7 +137,11 @@ def search(net, prop, tree, nid, bounds, parent=None):
            else refresh_bounds(parent, net, prop, bounds))
     candidates = uncertain(net.layout, bounds)
     steps_left = cfg.cap
-    while (row := check_unsat_rows(cfg, out := out_of_bounds(cfg))) is None:
+    # a new tableau's rows drift least, so its first test takes every
+    # out-of-bound row; each later one takes only the row that the bound
+    # step repairs next
+    rows = out = out_of_bounds(cfg)
+    while (row := check_unsat_rows(cfg, rows)) is None:
         if cfg.max_violations >= SPLIT_THRESHOLD or not steps_left:
             break
         steps_left -= 1
@@ -143,6 +152,7 @@ def search(net, prop, tree, nid, bounds, parent=None):
             return step.witness
         if not isinstance(step, Progress):
             break  # Stuck, or a point that the forward pass rejects
+        rows = (out := out_of_bounds(cfg))[:1]
     cert = None if row is None else lp.refuting_certificate(net, prop, bounds, cfg, row)
     if cert is not None:
         node.status, node.cert = pt.UNSAT, cert

@@ -12,7 +12,7 @@ import numpy as np
 
 from incremark import lp
 from incremark.bench import random_network, random_threshold_property
-from incremark.constants import COEF_EPS, EPS_BOUND, EPS_COLLAPSE, apart
+from incremark.constants import COEF_EPS, EPS_BOUND, EPS_COLLAPSE
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, Bounds, analyze, relaxation
 from incremark.model import RELU, witness_ok
 from incremark.prooftree import ProofTree
@@ -21,13 +21,13 @@ from incremark.simplex import (
     INF,
     PROP,
     Configuration,
+    check_unsat_rows,
     encode,
     encoded_equations,
     equation,
     neuron_bounds,
     pivot,
     recompute,
-    row_intervals,
 )
 
 
@@ -271,7 +271,8 @@ def pivot_preservation(trials: int = 1000, seed: int = 101) -> int:
 
 
 def row_checker_vs_corners(trials: int = 1000, seed: int = 303) -> int:
-    """The Eq-style row test against brute-force corner enumeration."""
+    """The row test, `check_unsat_rows` on one row, against brute-force
+    corner enumeration."""
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(trials):
@@ -302,8 +303,7 @@ def row_checker_vs_corners(trials: int = 1000, seed: int = 303) -> int:
         cfg = configuration({0: row}, lo, hi, alpha)
         recompute(cfg)
         expected = bl > tmax + EPS_BOUND or bh < tmin - EPS_BOUND
-        [[rlo], [rhi]] = row_intervals(cfg, [0])
-        if apart(bl, bh, rlo, rhi) != expected:
+        if (check_unsat_rows(cfg, [0]) == 0) != expected:
             bad += 1
     return bad
 

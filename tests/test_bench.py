@@ -45,6 +45,9 @@ def test_perturbation_validation():
     for gamma in (math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma must be a finite number"):
             Perturbation(gamma)
+    # numpy's generator refuses it later with a message that names no seed
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        Perturbation(0.1, 0.5, -1)
 
 
 def test_perturb_gamma_zero_bitwise():

@@ -186,6 +186,16 @@ def test_reverify_rejects_tree_without_dims(runner, tmp_path):
     assert "missing key 'dims'" in res.stderr
 
 
+def test_reverify_deeply_nested_tree_is_one_line(runner, tmp_path):
+    # this used to end in a RecursionError traceback from json.load
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text("[" * 100000 + "]" * 100000)
+    res = runner.invoke(main, ["reverify", "--net", DEMO, "--prop", PROP,
+                               "--tree", str(tree_path)])
+    assert res.exit_code == EXIT_ERROR and isinstance(res.exception, SystemExit)
+    assert res.stderr == f"error reading proof tree {tree_path}: JSON nested too deeply\n"
+
+
 # the demo network has two inputs and one output
 MISFIT_PROPS = {
     "constraint": ("box\n-1.0 1.0\n-1.0 1.0\nge 0.3 1.0 1.0\n",
@@ -289,6 +299,20 @@ def test_perturb_rejects_bad_gamma(runner, tmp_path):
                                "--out", str(tmp_path / "x.rnn"),
                                "--gamma", "-1"])
     assert res.exit_code == EXIT_ERROR
+
+
+def test_negative_seed_is_one_line(runner, tmp_path):
+    # bench used to end in a numpy ValueError traceback, and perturb printed
+    # numpy's "expected non-negative integer", which names no flag
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["bench", "--seed", "-1", "--out", str(out)])
+    assert res.exit_code == EXIT_ERROR and isinstance(res.exception, SystemExit)
+    assert res.stderr == "bad flag value: seed must be >= 0, got -1\n"
+    assert not out.exists()
+    res = runner.invoke(main, ["perturb", "--net", DEMO, "--out", str(tmp_path / "x.rnn"),
+                               "--gamma", "0.1", "--seed", "-5"])
+    assert res.exit_code == EXIT_ERROR
+    assert res.stderr == "seed must be >= 0, got -5\n"
 
 
 def test_oracle_command(runner):

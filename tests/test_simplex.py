@@ -32,7 +32,6 @@ from incremark.simplex import (
     recompute,
     refresh_bounds,
     repair_step,
-    row_intervals,
     set_variable,
     update,
     violated_relu_pairs,
@@ -275,7 +274,8 @@ def test_row_interval_sign_split():
         [10.0, 3.0, 2.0],
         {1: 0.0, 2: 1.0},
     )
-    assert row_intervals(cfg, [0]) == [[2.0 * -1.0 - 2.0], [2.0 * 3.0 - 0.5]]
+    assert linear_interval(cfg.row(0).items(), cfg.lo, cfg.hi) == (2.0 * -1.0 - 2.0,
+                                                                   2.0 * 3.0 - 0.5)
 
 
 def test_row_sums_are_sequential():
@@ -296,8 +296,7 @@ def test_apart_margins():
     def row_apart(blo, bhi):
         # the row x0 = x1, x1 in [0, 1], against x0's bounds
         cfg = small_cfg({0: {1: 1.0}}, [blo, 0.0], [bhi, 1.0], {1: 0.0})
-        [[rlo], [rhi]] = row_intervals(cfg, [0])
-        return apart(blo, bhi, rlo, rhi)
+        return apart(blo, bhi, *linear_interval(cfg.row(0).items(), cfg.lo, cfg.hi))
 
     assert row_apart(1.1, 2.0)          # lo(b) above rhs range
     assert row_apart(-2.0, -0.1)        # hi(b) below rhs range
@@ -329,11 +328,11 @@ def test_linear_interval_zero_terms_and_order():
     assert linear_interval([big[0], big[2], big[1]], lo, hi) == (1.0, 1.0)
 
 
-def test_interval_twins_agree_on_non_finite_coefficients():
-    """`linear_interval` and `row_intervals` give the same ends when a row
-    holds a NaN or an infinite coefficient: a NaN makes both ends NaN (the
-    scalar twin used to drop the term) and an infinite one meets each kind
-    of bound. Ends are compared with NaN equal to NaN."""
+def test_row_test_on_non_finite_coefficients_warns_nothing():
+    """The row test runs without a warning on rows that hold a NaN or an
+    infinite coefficient, which meets each kind of bound (inf * 0 and
+    inf - inf give NaN): a NaN coefficient makes both ends NaN, and no row
+    is `apart` from the free bounds of its basic."""
     lo = [-INF, -1.0, 0.0, 2.0, 1.0]
     hi = [INF, 0.0, 1.0, 3.0, 2.0]
     rows = {}
@@ -344,9 +343,11 @@ def test_interval_twins_agree_on_non_finite_coefficients():
             hi.append(INF)
     cfg = _suites.configuration(rows, lo, hi, {})
     basics = list(rows)
-    want = np.array([linear_interval(cfg.row(b).items(), cfg.lo, cfg.hi) for b in basics]).T
-    np.testing.assert_array_equal(np.array(row_intervals(cfg, basics)), want)
-    assert np.isnan(want[:, :4]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_unsat_rows(cfg, basics) is None
+        ends = [linear_interval(cfg.row(b).items(), cfg.lo, cfg.hi) for b in basics]
+    assert all(math.isnan(x) for end in ends[:4] for x in end)
 
 
 def test_constraint_terms_have_one_home():
@@ -361,9 +362,9 @@ def test_constraint_terms_have_one_home():
 
 def test_bounds_are_written_only_by_the_constructor():
     """No line of `simplex`, `lp` or `solver` outside
-    `Configuration.__init__` assigns a configuration's `lo`, `hi` or
-    `lohi`, or an entry of one: a configuration over other bounds is a new
-    one (`refresh_bounds`)."""
+    `Configuration.__init__` assigns a configuration's `lo` or `hi`, or an
+    entry of one: a configuration over other bounds is a new one
+    (`refresh_bounds`)."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "incremark"
     found = []
 
@@ -372,7 +373,7 @@ def test_bounds_are_written_only_by_the_constructor():
             return any(map(written, target.elts))
         if isinstance(target, ast.Subscript):
             target = target.value
-        return isinstance(target, ast.Attribute) and target.attr in ("lo", "hi", "lohi")
+        return isinstance(target, ast.Attribute) and target.attr in ("lo", "hi")
 
     def visit(node, module, where):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
@@ -479,9 +480,10 @@ def test_row_test_ignores_an_unmentioned_infinite_bound():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [(row_intervals(c, [2]), check_unsat_rows(c, out_of_bounds(c)))
+        got = [(linear_interval(c.row(2).items(), c.lo, c.hi),
+                check_unsat_rows(c, out_of_bounds(c)))
                for c in (mk(False), mk(True))]
-    assert got[0] == got[1] == ([[-1.0 - 2.0], [2.0 - 1.0]], 2)
+    assert got[0] == got[1] == ((-1.0 - 2.0, 2.0 - 1.0), 2)
 
 
 def test_out_of_bounds_direction_and_order():
@@ -636,7 +638,6 @@ def test_refresh_bounds_reclamps(demo_net, demo_prop):
     assert cfg.lo[6] == 0.3                    # property re-applied
     assert cfg.violations == {2: 0, 3: 0}
     assert cfg.max_violations == 0
-    assert cfg.lohi.tolist() == [cfg.lo, cfg.hi]
 
 
 def test_dump_mentions_rows(demo_net, demo_prop):
@@ -675,18 +676,8 @@ def _pivot_reference(rows, leaving, entering):
     rows[entering] = new
 
 
-def _interval_reference(cfg, b):
-    lo = hi = 0.0
-    for k, c in cfg.row(b).items():
-        lo += c * (cfg.lo[k] if c > 0 else cfg.hi[k])
-        hi += c * (cfg.hi[k] if c > 0 else cfg.lo[k])
-    return lo, hi
-
-
 def test_array_rows_match_the_loop_reference():
-    """The rank-1 pivot gives exactly the rows of the loop substitution, and
-    the row test's interval product exactly the intervals of a loop that
-    adds each row's terms in id order."""
+    """The rank-1 pivot gives exactly the rows of the loop substitution."""
     rng = np.random.default_rng(11)
     for _ in range(300):
         cfg = _suites.random_configuration(rng)
@@ -697,8 +688,6 @@ def test_array_rows_match_the_loop_reference():
             pivot(cfg, b, e, cfg.alpha[b])
             _pivot_reference(rows, b, e)
             assert {b: cfg.row(b) for b in cfg.basic} == rows
-            rlo, rhi = row_intervals(cfg, cfg.basic)
-            assert list(zip(rlo, rhi)) == [_interval_reference(cfg, b) for b in cfg.basic]
 
 
 # -- incremental assignment invariants over seeded searches ------------------
@@ -808,54 +797,55 @@ def test_row_residual_invariant(monkeypatch, demo_net, demo_prop, no_attack):
 
 
 def test_restricted_row_check_matches_full_scan(monkeypatch, demo_net, demo_prop, no_attack):
-    """The row test scans only basics outside their bounds; every answer
-    must be the lowest row `apart` from its bounds among all rows. The
-    ascent, which decides most of the instances before a tableau is built,
-    is off."""
+    """The first row test of a configuration, a node's new tableau, answers
+    the lowest row `apart` from its bounds among all rows; each later one
+    tests only the row of the lowest basic outside its bounds, the one that
+    the bound step repairs next, and answers it or None. The ascent, which
+    decides most of the instances before a tableau is built, is off."""
     real_check = solver.check_unsat_rows
-    compared = [0]
+    seen = set()
+    compared = {"first": 0, "later": 0}
 
-    def both(cfg, *args):
-        out = real_check(cfg, *args)
-        basics = sorted(cfg.basic)
-        rows = zip(basics, *row_intervals(cfg, basics))
-        assert out == next((b for b, l, h in rows if apart(cfg.lo[b], cfg.hi[b], l, h)), None)
-        compared[0] += 1
-        return out
+    def refuted(cfg, b):
+        return apart(cfg.lo[b], cfg.hi[b], *linear_interval(cfg.row(b).items(), cfg.lo, cfg.hi))
+
+    def both(cfg, rows):
+        got = real_check(cfg, rows)
+        if cfg not in seen:
+            seen.add(cfg)
+            assert got == next((b for b in sorted(cfg.basic) if refuted(cfg, b)), None)
+            compared["first"] += 1
+        else:
+            assert rows == out_of_bounds(cfg)[:1]
+            assert got == next((b for b in rows if refuted(cfg, b)), None)
+            compared["later"] += 1
+        return got
 
     monkeypatch.setattr(solver, "check_unsat_rows", both)
     _search_all(_instances(demo_net, demo_prop))
-    assert compared[0] > 1000
+    assert compared["first"] > 10 and compared["later"] > 1000
 
 
-def test_bound_array_matches_the_bound_lists(monkeypatch, demo_net, demo_prop, no_attack):
-    """The row test reads the bounds from the array `lohi`: at every row
-    test of the searches it equals the bound lists, and `refresh_bounds`
-    builds a split child a configuration of its own, leaving its parent's
-    tableau, bounds and assignment as they were (both children of a split
-    start from the parent). The ascent is off, as in the row test above."""
-    real_check, real_refresh = solver.check_unsat_rows, solver.refresh_bounds
-    seen = {"checks": 0, "refreshes": 0}
-
-    def check(cfg, *args):
-        assert cfg.lohi.tolist() == [cfg.lo, cfg.hi]
-        seen["checks"] += 1
-        return real_check(cfg, *args)
+def test_refresh_bounds_leaves_the_parent_unchanged(monkeypatch, demo_net, demo_prop,
+                                                    no_attack):
+    """`refresh_bounds` builds a split child a configuration of its own,
+    leaving its parent's tableau, bounds and assignment as they were (both
+    children of a split start from the parent). The ascent is off, as in
+    the row test above."""
+    real_refresh = solver.refresh_bounds
+    refreshes = [0]
 
     def state(cfg):
-        return (cfg.T.tolist(), list(cfg.basic), list(cfg.alpha), list(cfg.lo), list(cfg.hi),
-                cfg.lohi.tolist())
+        return cfg.T.tolist(), list(cfg.basic), list(cfg.alpha), list(cfg.lo), list(cfg.hi)
 
     def refresh(cfg, *args):
         before = state(cfg)
         child = real_refresh(cfg, *args)
         assert child is not cfg
         assert state(cfg) == before
-        assert child.lohi.tolist() == [child.lo, child.hi]
-        seen["refreshes"] += 1
+        refreshes[0] += 1
         return child
 
-    monkeypatch.setattr(solver, "check_unsat_rows", check)
     monkeypatch.setattr(solver, "refresh_bounds", refresh)
     _search_all(_instances(demo_net, demo_prop))
-    assert seen["checks"] > 1000 and seen["refreshes"] > 10
+    assert refreshes[0] > 10
