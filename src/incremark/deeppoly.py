@@ -87,7 +87,8 @@ def _refuted_constraint(bounds: Bounds, prop) -> int | None:
     for idx, c in enumerate(prop.constraints):
         if len(c.coeffs) != len(bounds.output_ids):
             raise ValueError("constraint arity does not match the network outputs")
-        ylo, yhi = linear_interval(zip(bounds.output_ids, c.coeffs), bounds.lo, bounds.hi)
+        ylo, yhi = linear_interval([(bounds.output_ids[j], a) for j, a in c.terms],
+                                   bounds.lo, bounds.hi)
         if apart(ylo, yhi, c.threshold, INF):
             return idx
     return None

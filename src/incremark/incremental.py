@@ -23,15 +23,15 @@ the report records:
     analyze      analyze under Assert(v): empty or property-impossible; the
                  refuting back-substitution becomes the leaf's certificate
     certificate  the stored certificate over the leaf's own analyze bounds
-    lp           the branch relaxation LP is infeasible and the certificate
-                 of its row re-checks over the leaf's bounds; it becomes the
-                 leaf's certificate
+    lp           the branch relaxation carries a certificate (`lp.build`
+                 keeps an infeasible row's certificate when it re-checks
+                 over the leaf's bounds); it becomes the leaf's certificate
     tighten      the relaxation is feasible: LP-shrink the input box,
                  re-propagate: empty or property-impossible
     fallback     otherwise: `solver.search` decides the leaf from a new
-                 tableau over the tightened bounds (the leaf's own, after an
-                 LP row that does not re-check) and grows the tree below it;
-                 its closed leaves bring their own certificates
+                 tableau over the tightened bounds (the leaf's own, when
+                 phase 1 ended infeasible or at the cap) and grows the tree
+                 below it; its closed leaves bring their own certificates
 
 Every rung but the last closes the leaf. The clamped root box contains the
 leaf's region, and a chord over a wider interval still bounds its ReLU, so
@@ -165,14 +165,10 @@ def _replay_unsat_leaf(net, prop, tree, nid, base):
     if asserts and node.cert is not None and lp.certificate_refutes(net, prop, bounds, node.cert):
         return CERTIFICATE, None
     relax = lp.build(net, prop, bounds)
-    if relax.status == lp.INFEASIBLE:
-        cert = lp.refuting_certificate(net, prop, bounds, relax.cfg, relax.infeasible_row)
-        if cert is not None:
-            node.cert = cert
-            return LP, None
-        # tightening needs a feasible relaxation: over an unproven infeasibility
-        # it would repeat that claim, and at the cap it would repeat analyze
-    elif relax.status == lp.FEASIBLE:
+    if relax.cert is not None:
+        node.cert = relax.cert
+        return LP, None
+    if relax.status == lp.FEASIBLE:
         bounds = lp.tighten_inputs_then_repropagate(net, asserts, relax)
         if is_property_refuted(bounds, prop):
             return TIGHTEN, None

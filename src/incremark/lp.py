@@ -17,7 +17,9 @@ test, from phase 1's vertex. Both phases stop at the tableau's step cap
 The row that shows a relaxation infeasible is a combination of these
 equations (`simplex.certificate`). `certificate_refutes` rebuilds such a
 combination for other weights and bounds and tests it by intervals, which
-closes a branch without building its relaxation.
+closes a branch without building its relaxation. `build` runs that test
+on its own infeasible row and keeps the certificate only when it passes
+(`Relaxation.cert`), so a caller closes a branch on `cert` alone.
 """
 
 from __future__ import annotations
@@ -55,25 +57,33 @@ CAP = "cap"
 
 @dataclass
 class Relaxation:
+    """A branch relaxation and its phase-1 result. `cert` is the certificate
+    of the infeasible row when it re-checks over the branch's bounds, and
+    None otherwise: after FEASIBLE, after CAP, and after an INFEASIBLE whose
+    row does not re-check."""
+
     cfg: Configuration
     status: str | None = None  # phase-1 result, None until `build` runs phase 1
     infeasible_row: int | None = None
+    cert: Certificate | None = None
 
 
 def build(net, prop, bounds: Bounds) -> Relaxation:
-    """Encode the branch relaxation and run its phase 1, whose status it
-    records. The relaxation holds the equations of the search tableau over
-    `bounds` and one chord per uncertain ReLU, numbered from the first id
-    after theirs. `bounds` holds the branch's neuron intervals, with its
-    sign assertions already clamped in (as `analyze` and the oracle's
-    propagation do)."""
+    """Encode the branch relaxation, run its phase 1, whose status it
+    records, and re-check an infeasible row's certificate over `bounds`
+    (`refuting_certificate`), which it keeps in `cert` when it refutes. The
+    relaxation holds the equations of the search tableau over `bounds` and
+    one chord per uncertain ReLU, numbered from the first id after theirs.
+    `bounds` holds the branch's neuron intervals, with its sign assertions
+    already clamped in (as `analyze` and the oracle's propagation do)."""
     equations = encoded_equations(net, prop)
     sid = max(equations) + 1
     for pre in uncertain(net.layout, bounds):
         equations[sid] = (CHORD, pre)
         sid += 1
     relax = Relaxation(encode(net, prop, bounds, equations))
-    phase1(relax)
+    if phase1(relax) == INFEASIBLE:
+        relax.cert = refuting_certificate(net, prop, bounds, relax.cfg, relax.infeasible_row)
     return relax
 
 
@@ -103,16 +113,13 @@ def _value(cfg: Configuration, vid: int) -> float:
 def decide(net, prop, bounds: Bounds) -> tuple[tuple[float, ...] | None, Certificate | None]:
     """Decide a branch with every ReLU decided, whose relaxation is then
     exact. Returns (witness, None) with an input point that violates the
-    property, or (None, certificate) when the branch is infeasible and the
-    certificate re-checks over `bounds` (`certificate_refutes`). Returns
-    (None, None) when it cannot decide: a certificate that does not
-    re-check, a step-cap hit, or a point that fails forward
-    validation."""
+    property, or (None, certificate) with the relaxation's re-checked
+    certificate (`Relaxation.cert`). Returns (None, None) when it cannot
+    decide: a certificate that does not re-check, a step-cap hit, or a
+    point that fails forward validation."""
     relax = build(net, prop, bounds)
-    if relax.status == INFEASIBLE:
-        return None, refuting_certificate(net, prop, bounds, relax.cfg, relax.infeasible_row)
-    if relax.status == CAP:
-        return None, None
+    if relax.status != FEASIBLE:
+        return None, relax.cert
     witness = tuple(float(_value(relax.cfg, v)) for v in net.layout.input_ids)
     return (witness if witness_ok(net, prop, witness) else None), None
 
@@ -152,8 +159,9 @@ def refuting_certificate(net, prop, bounds: Bounds, cfg: Configuration,
                          row: int) -> Certificate | None:
     """The certificate of `row` of `cfg` if it shows the branch of `bounds`
     empty (`certificate_refutes`), else None: the one re-check before a row
-    closes a branch. Pivoting drifts rows away from the sums of the
-    equations they name, most at large weight scales."""
+    closes a branch, run by `solver.search` on tableau rows and by `build`
+    on LP rows. Pivoting drifts rows away from the sums of the equations
+    they name, most at large weight scales."""
     cert = certificate(cfg, row)
     return cert if certificate_refutes(net, prop, bounds, cert) else None
 

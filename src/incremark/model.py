@@ -29,8 +29,6 @@ import numpy as np
 
 from .constants import EPS_SAT, apart
 
-NeuronId = int
-
 RELU = "relu"
 NONE = "none"
 
@@ -218,8 +216,10 @@ def evaluate(net: Network, x) -> np.ndarray:
 def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> bool:
     """A SAT witness must be a finite point that sits in the box, whose
     outputs are finite, and that violates the property, i.e. satisfies
-    every negated constraint, within eps. A constraint sums its nonzero
-    terms only, and a sum that is not a number satisfies nothing."""
+    every negated constraint, within eps. A constraint adds its nonzero
+    terms one by one, from 0.0, as `Configuration.row_value` does (builtin
+    `sum` compensates rounding on CPython 3.12+), and a sum that is not a
+    number satisfies nothing."""
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n_inputs,) or not np.isfinite(x).all():
         return False
@@ -233,7 +233,10 @@ def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> b
     if not np.isfinite(y).all():
         return False
     for c in prop.constraints:
-        if not sum(a * float(y[j]) for j, a in c.terms) >= c.threshold - eps:
+        total = 0.0
+        for j, a in c.terms:
+            total += a * float(y[j])
+        if not total >= c.threshold - eps:
             return False
     return True
 

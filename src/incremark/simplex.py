@@ -131,7 +131,7 @@ class Configuration:
     def row(self, basic: int) -> dict[int, float]:
         """Row of `basic` as {non-basic id: coefficient}, in id order."""
         r = self.T[self.pos[basic]]
-        nz = np.flatnonzero(r)
+        nz = r.nonzero()[0]
         return dict(zip(nz.tolist(), r[nz].tolist()))
 
     def count_repair(self, pre: int) -> None:
@@ -323,12 +323,13 @@ def set_variable(cfg: Configuration, vid: int, value: float) -> bool:
     return True
 
 
-def violated_relu_pairs(cfg: Configuration) -> list[tuple[int, int]]:
-    out = []
+def violated_relu_pair(cfg: Configuration) -> tuple[int, int] | None:
+    """The lowest-id ReLU pair whose post is off relu(pre) by more than
+    EPS_RELU, or None."""
     for pre, post in cfg.relu_pairs:
         if abs(cfg.alpha[post] - max(0.0, cfg.alpha[pre])) > EPS_RELU:
-            out.append((pre, post))
-    return out
+            return pre, post
+    return None
 
 
 def bound_step(cfg: Configuration, out: list[int]) -> Progress | Stuck | None:
@@ -368,9 +369,8 @@ def repair_step(cfg: Configuration, out: list[int]) -> StepResult:
     if step is not None:
         return step
 
-    bad = violated_relu_pairs(cfg)
-    if bad:
-        pre, post = bad[0]
+    if (bad := violated_relu_pair(cfg)) is not None:
+        pre, post = bad
         cfg.count_repair(pre)
         if set_variable(cfg, post, max(0.0, cfg.alpha[pre])):
             return PROGRESS
@@ -379,7 +379,7 @@ def repair_step(cfg: Configuration, out: list[int]) -> StepResult:
         return Stuck()
 
     recompute(cfg)
-    if out_of_bounds(cfg) or violated_relu_pairs(cfg):
+    if out_of_bounds(cfg) or violated_relu_pair(cfg) is not None:
         return PROGRESS
     return Satisfied(cfg.witness())
 

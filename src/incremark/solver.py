@@ -51,8 +51,8 @@ replay: a row of the search tableau or of the branch LP
 branch (`deeppoly.certificate`). A leaf that no equation refutes, such as
 one whose output ReLU's own interval contradicts the property, has none.
 A tableau row closes a node only when its certificate, rebuilt from the
-network, refutes the node's bounds (`lp.refuting_certificate`, which the
-branch LP and replay use too).
+network, refutes the node's bounds (`lp.refuting_certificate`, which
+`lp.build` runs on the branch LP's row too).
 """
 
 from __future__ import annotations

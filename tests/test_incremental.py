@@ -579,10 +579,10 @@ def test_lp_certificate_is_carried_forward(monkeypatch):
 
 
 def test_lp_rung_closes_only_on_a_certificate_that_rechecks(monkeypatch):
-    """A leaf whose branch LP is infeasible but whose certificate does not
-    re-check over the leaf's bounds is not closed by the lp rung: nothing
-    is left to tighten over, so it falls back to a branch search, which
-    decides it."""
+    """A leaf whose branch LP carries no certificate, because its infeasible
+    row does not re-check over the leaf's bounds, is not closed by the lp
+    rung: nothing is left to tighten over, so it falls back to a branch
+    search, which decides it."""
     net = random_network((2, 5, 5, 1), 18)
     prop = random_threshold_property(net, 19)
     _, tree = solve(net, prop)
@@ -590,10 +590,14 @@ def test_lp_rung_closes_only_on_a_certificate_that_rechecks(monkeypatch):
     _, rep, _ = verify_incremental(modified, prop, tree)
     by_lp = {nid for nid, rung in rep.outcomes.items() if rung == LP}
     assert by_lp
-    # the lp rung's re-check refutes nothing; the searches' re-checks are
-    # left as they are
-    monkeypatch.setattr(incremental, "lp", SimpleNamespace(
-        **{**vars(lp), "refuting_certificate": lambda *args: None}))
+    # the ladder's relaxations come without a certificate, as when their
+    # row does not re-check; the searches' relaxations are left as they are
+    def uncertified(*args):
+        relax = lp.build(*args)
+        relax.cert = None
+        return relax
+
+    monkeypatch.setattr(incremental, "lp", SimpleNamespace(**{**vars(lp), "build": uncertified}))
     verdict, rep, out = verify_incremental(modified, prop, tree)
     assert not verdict.sat and not oracle(modified, prop).sat
     assert LP not in rep.outcomes.values()

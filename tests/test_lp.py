@@ -177,9 +177,11 @@ def test_infeasible_branch_certificate_closes_it(demo_net, demo_prop, unsat_prop
     assert lp.certificate_refutes(demo_net, unsat_prop, analyze(demo_net, BOX), cert)
     assert lp.refuting_certificate(demo_net, unsat_prop, analyze(demo_net, BOX), r.cfg,
                                    r.infeasible_row) == cert
+    assert r.cert == cert                # build kept the re-checked certificate
+    assert lp.decide(demo_net, unsat_prop, analyze(demo_net, BOX)) == (None, cert)
     # no row of a relaxation with a feasible point shows its branch empty
     sat = lp.build(demo_net, demo_prop, analyze(demo_net, BOX))
-    assert sat.status == lp.FEASIBLE
+    assert sat.status == lp.FEASIBLE and sat.cert is None
     assert all(lp.refuting_certificate(demo_net, demo_prop, analyze(demo_net, BOX), sat.cfg, b)
                is None for b in sat.cfg.basic)
     # a small weight change: the rebuilt sum still excludes 0
@@ -187,6 +189,17 @@ def test_infeasible_branch_certificate_closes_it(demo_net, demo_prop, unsat_prop
     # any multipliers give an implied equation; these ones show nothing
     for useless in ((), (("relu", 2, 1.0),), (("relu", 2, -3.0), ("relu", 3, 0.5))):
         assert not lp.certificate_refutes(demo_net, unsat_prop, analyze(demo_net, BOX), useless)
+
+
+def test_infeasible_row_that_does_not_recheck_leaves_no_certificate(monkeypatch, demo_net,
+                                                                    unsat_prop):
+    """`build` keeps an infeasible row's certificate only when it re-checks;
+    `decide` then has nothing to close the branch on."""
+    monkeypatch.setattr(lp, "certificate_refutes", lambda *args: False)
+    r = lp.build(demo_net, unsat_prop, analyze(demo_net, BOX))
+    assert r.status == lp.INFEASIBLE and r.infeasible_row is not None
+    assert r.cert is None
+    assert lp.decide(demo_net, unsat_prop, analyze(demo_net, BOX)) == (None, None)
 
 
 def _refutes_over_all_bounds(net, prop, bounds, cert):
@@ -403,6 +416,7 @@ def test_cap_is_conservative(monkeypatch, demo_net, demo_prop):
     assert r.cfg.cap == 0
     assert r.status == lp.CAP
     assert r.infeasible_row is None      # cap never certifies infeasibility
+    assert r.cert is None
     # no vertex to tighten from
     with pytest.raises(ValueError):
         lp.tighten_inputs_then_repropagate(demo_net, [], r)

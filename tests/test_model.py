@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from incremark.deeppoly import analyze, is_property_refuted
 from incremark.model import (
     UNSAT,
     LinearConstraint,
@@ -126,6 +127,17 @@ def test_witness_ok_rejects_an_output_that_overflows():
     # a finite output that meets the constraint still passes
     small = Network([[[1.0]], [[1.0], [1e200]]], [[0.0], [0.0, 0.0]])
     assert witness_ok(small, prop, (1.0,), eps=0.0)
+
+
+def test_witness_ok_adds_terms_in_order():
+    """The outputs are (1e16, 1, 1e16), and 1e16 + 1 rounds to 1e16, so the
+    constraint y0 + y1 - y2 >= 0.5 adds up to 0.0 term by term, as
+    `is_property_refuted` adds it. A compensated sum (builtin `sum` on
+    CPython 3.12+) gives 1.0 and would call the point a witness."""
+    net = Network([[[0.0], [0.0], [0.0]]], [[1e16, 1.0, 1e16]], ["none"])
+    prop = SafetyProperty(((0.0, 0.0),), (LinearConstraint((1.0, 1.0, -1.0), 0.5),))
+    assert not witness_ok(net, prop, (0.0,))
+    assert is_property_refuted(analyze(net, prop.box), prop)
 
 
 def test_property_box_must_be_nonempty():

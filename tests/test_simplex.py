@@ -34,7 +34,7 @@ from incremark.simplex import (
     repair_step,
     set_variable,
     update,
-    violated_relu_pairs,
+    violated_relu_pair,
 )
 
 from conftest import BOX
@@ -414,6 +414,27 @@ def test_refutation_margin_has_one_home():
                      ("simplex", "resolve_violation"), ("simplex", "bound_step")}
 
 
+def test_row_recheck_has_two_callers():
+    """`lp.refuting_certificate` is called only where a row can close a
+    branch: `solver.search` for tableau rows and `lp.build` for LP rows.
+    Every other reader of the branch LP takes `Relaxation.cert`."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "incremark"
+    found = set()
+
+    def visit(node, module, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "refuting_certificate":
+            found.add((module, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert found == {("solver", "search"), ("lp", "build")}
+
+
 def test_step_cap_has_one_home():
     """Only `simplex` reads LP_ITER_FACTOR: each configuration computes its
     step cap once, and the search and both LP phases read it there."""
@@ -582,17 +603,17 @@ def test_repair_step_satisfied_on_branch(demo_net, demo_prop):
     assert isinstance(out, Satisfied)
     assert i == 3
     assert out.witness == (0.6749999999999999, 0.050000000000000044)
-    assert violated_relu_pairs(cfg) == []
+    assert violated_relu_pair(cfg) is None
     assert out_of_bounds(cfg) == []
 
 
 def test_violated_relu_pairs_tolerance():
     cfg = _suites.configuration({}, [-1.0, 0.0], [1.0, 1.0], {0: 0.5, 1: 0.5}, [(0, 1)], [0])
-    assert violated_relu_pairs(cfg) == []
+    assert violated_relu_pair(cfg) is None
     cfg.alpha[1] = 0.5 + 2e-9
-    assert violated_relu_pairs(cfg) == [(0, 1)]
+    assert violated_relu_pair(cfg) == (0, 1)
     cfg.alpha[1] = 0.5 + 2e-10                 # below the relu tolerance
-    assert violated_relu_pairs(cfg) == []
+    assert violated_relu_pair(cfg) is None
 
 
 def test_set_variable_cases():
