@@ -1,15 +1,26 @@
 """Re-verification of a weight-modified network against a stored proof tree.
 
-`verify_incremental` prunes edges the new bounds contradict, fast-paths the
-stored SAT witness, re-searches open (sat/unsolved) leaves seeded with
-fresh bounds, and for each stored UNSAT leaf tries to replay the old proof
-before falling back to a branch search. The search of a SAT leaf whose
-witness no longer holds first climbs from that witness (`solver.attack`):
-a nearby witness of the new network closes the leaf with no tableau.
-Every search is `solver.search` on a leaf of the tree that pruning the
-stored one builds (`ProofTree.prune`), which it grows in place; that tree
-is the output tree, so the stored nodes that pruning keeps keep their ids
-and a search's nodes take ids above them.
+`verify_incremental` works in this order. It first runs the checks that
+refuse a tree: its structure, its layer widths, its property hash, and
+that its edges, witnesses and certificates fit the network. It then tests
+the stored SAT witness, if the tree has one, before it computes any
+bounds: a witness that violates the property on the new network at eps 0
+and whose own pre-activations meet every edge assertion of its leaf
+answers SAT at once, from one forward pass. The output tree is then the
+stored tree as it is (`ProofTree.copy`), its SAT leaf `resolved_sat` and
+every other leaf `skipped`. A witness that holds only within EPS_SAT, or
+that has left its leaf's branch, takes the full path, which is the only
+path of a tree without a SAT leaf: DeepPoly bounds over the root box,
+pruning of the edges that they contradict, a re-search of the open
+(sat/unsolved) leaves seeded with fresh bounds, and for each stored UNSAT
+leaf the replay ladder below, before it falls back to a branch search.
+The search of a SAT leaf whose witness no longer holds first climbs from
+that witness (`solver.attack`): a nearby witness of the new network
+closes the leaf with no tableau. Every search is `solver.search` on a
+leaf of the tree that pruning the stored one builds (`ProofTree.prune`),
+which it grows in place; that tree is the output tree, so the stored
+nodes that pruning keeps keep their ids and a search's nodes take ids
+above them.
 An UNSAT leaf that `solve` writes carries a certificate: the multipliers of
 the encoded equations whose sum showed its branch empty (a tableau or LP
 row, or a DeepPoly back-substitution), unless no equation states the
@@ -49,8 +60,8 @@ from dataclasses import dataclass, field, replace
 
 from . import deeppoly, lp
 from . import prooftree as pt
-from .deeppoly import analyze, clamp, is_property_refuted
-from .model import UNSAT, Verdict, property_hash, witness_ok
+from .deeppoly import SIGN_RANGE, analyze, clamp, is_property_refuted
+from .model import UNSAT, Verdict, property_hash, witness_ok, witness_values
 from .simplex import CHORD, encoded_equations
 # not called here: perfbench/tracer.py patches these two names on this module
 from .simplex import check_unsat_rows, refresh_bounds  # noqa: F401
@@ -175,13 +186,32 @@ def _replay_unsat_leaf(net, prop, tree, nid, base):
     return FALLBACK, search(net, prop, tree, nid, bounds)
 
 
+def _stored_witness(net, prop, tree: pt.ProofTree, sat_leaves: list[int]):
+    """The stored SAT leaf's witness as a tuple when it still violates the
+    property on this network at eps 0 and meets every edge assertion of
+    its leaf, both read from one forward pass; else None."""
+    if not sat_leaves or (w := tree.nodes[sat_leaves[0]].witness) is None:
+        return None
+    values = witness_values(net, prop, w, eps=0.0)
+    if values is None:
+        return None
+    for a in tree.asserts_of(sat_leaves[0]):
+        lo, hi = SIGN_RANGE[a.sign]
+        if not lo <= values[a.neuron] <= hi:
+            return None
+    return tuple(w)
+
+
 def verify_incremental(net, prop, tree: pt.ProofTree):
     """Re-verify (net, prop) guided by a stored tree, which is left as it is.
 
     Returns (Verdict, IncrementalReport, new ProofTree). The new tree is the
     tree that `ProofTree.prune` built and this run's searches grew; it
     records what this run established, so it can seed the next
-    modification.
+    modification. The order of work: the checks that refuse a tree, then
+    the stored witness, which answers SAT before any bounds are computed
+    when it holds (module docstring), then the root bounds, pruning, the
+    open leaves and the replay ladder.
     ValueError on a tree that `ProofTree.validate` rejects.
     """
     tree.validate()
@@ -195,14 +225,26 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     times = report.times
     t0 = time.perf_counter()
 
+    # the stored leaves of each status, from one walk
+    leaves = tree.leaves_by_status()
+    stored_leaves = sorted(nid for ids in leaves.values() for nid in ids)
+    witness = _stored_witness(net, prop, tree, leaves[pt.SAT])
+    if witness is not None:
+        # the stored tree, as it is, with its SAT leaf resolved
+        work = tree.copy()
+        report.outcomes = {nid: SKIPPED for nid in stored_leaves}
+        report.outcomes[leaves[pt.SAT][0]] = RESOLVED_SAT
+        report.unsat_total = len(leaves[pt.UNSAT])
+        times["open_leaves"] = time.perf_counter() - t0
+        return _answer(report, work, witness, t0)
+
     base = analyze(net, prop.box)
     times["analyze"] = time.perf_counter() - t0
     if is_property_refuted(base, prop):
-        out = pt.ProofTree(net.dims, phash, "unsat")
+        out = pt.ProofTree(net.dims, phash)
         search(net, prop, out, 0, base)
-        report.outcomes = {nid: SKIPPED for nid in tree.leaves()}
-        times["total"] = time.perf_counter() - t0
-        return UNSAT, report, out
+        report.outcomes = {nid: SKIPPED for nid in stored_leaves}
+        return _answer(report, out, None, t0)
 
     t1 = time.perf_counter()
     work, closed = tree.prune(base)
@@ -215,19 +257,23 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
                 net, prop, replace(base, infeasible=True, emptied=node.assertion))
     times["prune"] = time.perf_counter() - t1
 
-    # the stored leaves, taken before any search grows `work` below them
-    stored_leaves = work.leaves()
-    unsat_leaves = [nid for nid in work.leaves_with_status(pt.UNSAT) if nid not in closed]
+    # the stored leaves that pruning kept open, taken from the stored walk
+    # before any search grows `work` below them
+    shut = set(closed)
+
+    def kept(ids):
+        return [nid for nid in ids if nid in work.nodes and nid not in shut]
+
+    unsat_leaves = kept(leaves[pt.UNSAT])
     # the sat leaf first, then the unsolved ones nearest it; the sat branch
     # may have been pruned away, and unproven regions remain
-    sat_leaf = work.sat_leaf()
-    open_leaves = work.leaves_with_status(pt.UNSOLVED)
+    sat_leaf = next(iter(kept(leaves[pt.SAT])), None)
+    open_leaves = kept(leaves[pt.UNSOLVED])
     if sat_leaf is not None:
         open_leaves.sort(key=lambda v: (work.distance(v, sat_leaf), v))
         open_leaves.insert(0, sat_leaf)
 
     t2 = time.perf_counter()
-    witness: tuple[float, ...] | None = None
     for nid in open_leaves:
         node = work.nodes[nid]
         if node.witness is not None and witness_ok(net, prop, node.witness):
@@ -256,11 +302,16 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
 
     if witness is None:
         raise_if_undecided(work)
-    for nid in stored_leaves:
+    for nid in kept(stored_leaves):
         report.outcomes.setdefault(nid, SKIPPED)
+    return _answer(report, work, witness, t0)
 
+
+def _answer(report, tree, witness, t0):
+    """Record the verdict that `witness` gives on the report and the output
+    tree; returns verify_incremental's triple."""
     verdict = Verdict(True, witness) if witness is not None else UNSAT
     report.verdict = verdict
-    work.verdict = verdict.name
-    times["total"] = time.perf_counter() - t0
-    return verdict, report, work
+    tree.verdict = verdict.name
+    report.times["total"] = time.perf_counter() - t0
+    return verdict, report, tree

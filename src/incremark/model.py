@@ -201,8 +201,28 @@ class VariableLayout:
         self.neuron_ids = list(range(nxt))
 
 
+def neuron_values(net: Network, x) -> np.ndarray:
+    """Exact forward pass: the value of every neuron at input x, indexed by
+    its layout id (inputs, then each layer's pre-activations and, after a
+    ReLU, its posts); raises on dimension mismatch."""
+    v = np.asarray(x, dtype=float)
+    if v.shape != (net.n_inputs,):
+        raise ValueError(f"expected {net.n_inputs} inputs, got shape {v.shape}")
+    out = [v]
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        v = w @ v + b
+        out.append(v)
+        if act == RELU:
+            v = np.maximum(v, 0.0)
+            out.append(v)
+    return np.concatenate(out)
+
+
 def evaluate(net: Network, x) -> np.ndarray:
-    """Exact forward pass; raises on dimension mismatch."""
+    """Exact forward pass: the outputs at input x, the last entries of
+    `neuron_values`; raises on dimension mismatch. It keeps no layer it has
+    passed: `bench.random_threshold_property` calls it 64 times per property,
+    where building the whole vector costs set-up time."""
     v = np.asarray(x, dtype=float)
     if v.shape != (net.n_inputs,):
         raise ValueError(f"expected {net.n_inputs} inputs, got shape {v.shape}")
@@ -213,8 +233,11 @@ def evaluate(net: Network, x) -> np.ndarray:
     return v
 
 
-def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> bool:
-    """A SAT witness must be a finite point that sits in the box, whose
+def witness_values(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT):
+    """`neuron_values(net, x)` when x is a SAT witness, else None: one
+    forward pass that both judges the point and gives its pre-activations.
+
+    A SAT witness must be a finite point that sits in the box, whose
     outputs are finite, and that violates the property, i.e. satisfies
     every negated constraint, within eps. A constraint adds its nonzero
     terms one by one, from 0.0, as `Configuration.row_value` does (builtin
@@ -222,23 +245,29 @@ def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> b
     number satisfies nothing."""
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n_inputs,) or not np.isfinite(x).all():
-        return False
+        return None
     for xi, (lo, hi) in zip(x, prop.box):
         if xi < lo - eps or xi > hi + eps:
-            return False
+            return None
     if not prop.constraints:
-        return False  # empty negation: nothing can violate the property
+        return None  # empty negation: nothing can violate the property
     with np.errstate(over="ignore", invalid="ignore"):
-        y = evaluate(net, x)
+        values = neuron_values(net, x)
+    y = values[net.layout.output_ids]
     if not np.isfinite(y).all():
-        return False
+        return None
     for c in prop.constraints:
         total = 0.0
         for j, a in c.terms:
             total += a * float(y[j])
         if not total >= c.threshold - eps:
-            return False
-    return True
+            return None
+    return values
+
+
+def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> bool:
+    """Is x a SAT witness within eps (`witness_values`)?"""
+    return witness_values(net, prop, x, eps) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Labelled binary tree recording a search: edges carry sign assertions on
 ReLU pre-activations, leaves carry a status, and a SAT leaf its witness.
 A search (`solver.search`) decides one leaf and grows the tree below it, so
-re-verification grows the tree that pruning a stored tree builds in place.
+re-verification grows the tree that pruning a stored tree builds in place
+(or, when the stored witness still holds, returns a copy of it).
 
 An UNSAT leaf's edge assertions say which branch to re-check. An UNSAT
 leaf also stores a certificate: the multipliers `[kind, index, y]` of the
@@ -86,6 +87,16 @@ class ProofTree:
     def sat_leaf(self) -> int | None:
         return next(iter(self.leaves_with_status(SAT)), None)
 
+    def leaves_by_status(self) -> dict[str, list[int]]:
+        """The leaves of each status, each list in id order, from one walk;
+        a status that no leaf has maps to []."""
+        out: dict[str, list[int]] = {SAT: [], UNSAT: [], UNSOLVED: []}
+        for i in sorted(self.nodes):
+            n = self.nodes[i]
+            if not n.children:
+                out.setdefault(n.status, []).append(i)
+        return out
+
     # -- pruning ------------------------------------------------------------
 
     def prune(self, bounds: Bounds) -> tuple["ProofTree", list[int]]:
@@ -105,6 +116,15 @@ class ProofTree:
         both contradict one interval, so no internal node loses both
         children.
         """
+        return self._walk(bounds)
+
+    def copy(self) -> "ProofTree":
+        """A new tree equal to this one: `prune`'s walk, testing no
+        assertion."""
+        return self._walk(None)[0]
+
+    def _walk(self, bounds: Bounds | None) -> tuple["ProofTree", list[int]]:
+        """`prune`, or with bounds None a copy that closes nothing."""
         out = ProofTree(self.dims, self.prop_hash, self.verdict)
         out._next = self._next
         closed = []
@@ -112,8 +132,8 @@ class ProofTree:
         while stack:
             n = self.nodes[stack.pop()]
             a = n.assertion
-            if n.parent is not None and apart(bounds.lo[a.neuron], bounds.hi[a.neuron],
-                                              *SIGN_RANGE[a.sign]):
+            if bounds is not None and n.parent is not None and apart(
+                    bounds.lo[a.neuron], bounds.hi[a.neuron], *SIGN_RANGE[a.sign]):
                 out.nodes[n.id] = Node(n.id, n.parent, a, UNSAT, cert=n.cert)
                 closed.append(n.id)
             else:

@@ -128,11 +128,12 @@ class Configuration:
         self.max_violations = 0
         self.cap = LP_ITER_FACTOR * (len(self.basic) + len(self.lo))
 
-    def row(self, basic: int) -> dict[int, float]:
-        """Row of `basic` as {non-basic id: coefficient}, in id order."""
+    def row(self, basic: int) -> list[tuple[int, float]]:
+        """Row of `basic` as its (non-basic id, coefficient) pairs, in id
+        order: every caller only iterates them."""
         r = self.T[self.pos[basic]]
         nz = r.nonzero()[0]
-        return dict(zip(nz.tolist(), r[nz].tolist()))
+        return list(zip(nz.tolist(), r[nz].tolist()))
 
     def count_repair(self, pre: int) -> None:
         """Score one repair of the ReLU pair of pre-activation `pre`."""
@@ -146,7 +147,7 @@ class Configuration:
         Python version."""
         alpha = self.alpha
         v = 0.0
-        for k, c in self.row(basic).items():
+        for k, c in self.row(basic):
             v += c * alpha[k]
         return v
 
@@ -259,7 +260,7 @@ def check_unsat_rows(cfg: Configuration, rows: list[int]) -> int | None:
     """
     lo, hi = cfg.lo, cfg.hi
     return next((b for b in rows
-                 if apart(lo[b], hi[b], *linear_interval(cfg.row(b).items(), lo, hi))), None)
+                 if apart(lo[b], hi[b], *linear_interval(cfg.row(b), lo, hi))), None)
 
 
 def certificate(cfg: Configuration, b: int) -> Certificate:
@@ -271,7 +272,7 @@ def certificate(cfg: Configuration, b: int) -> Certificate:
     slack, 0 for any other basic one (left out).
     """
     eq = cfg.equations
-    out = [(*eq[k], -c) for k, c in cfg.row(b).items() if k in eq]
+    out = [(*eq[k], -c) for k, c in cfg.row(b) if k in eq]
     if b in eq:
         out.append((*eq[b], 1.0))
     return tuple(sorted(out))
@@ -555,7 +556,7 @@ def dump(cfg: Configuration, title: str) -> str:
     lines = [f"[{title}]"]
     for b in sorted(cfg.pos):
         terms = []
-        for k, c in cfg.row(b).items():
+        for k, c in cfg.row(b):
             sign = "-" if c < 0 else ("+" if terms else "")
             mag = abs(c)
             coef = "" if abs(mag - 1.0) < 1e-12 else f"{mag:g}*"

@@ -232,14 +232,14 @@ def _row_solutions(cfg: Configuration, rng, count: int = 4) -> list[dict[int, fl
     for _ in range(count):
         s = {v: float(rng.uniform(-3.0, 3.0)) for v in nonbasics}
         for b in cfg.basic:
-            s[b] = sum(c * s[k] for k, c in cfg.row(b).items())
+            s[b] = sum(c * s[k] for k, c in cfg.row(b))
         sols.append(s)
     return sols
 
 
 def _satisfies_rows(cfg: Configuration, sol: dict[int, float], tol: float = 1e-6) -> bool:
     for b in cfg.basic:
-        rhs = sum(c * sol[k] for k, c in cfg.row(b).items())
+        rhs = sum(c * sol[k] for k, c in cfg.row(b))
         if abs(sol[b] - rhs) > tol * (1.0 + abs(sol[b])):
             return False
     return True
@@ -253,7 +253,7 @@ def pivot_preservation(trials: int = 1000, seed: int = 101) -> int:
         sols = _row_solutions(cfg, rng)
         basics = sorted(cfg.pos)
         b = basics[int(rng.integers(len(basics)))]
-        cols = sorted(cfg.row(b))
+        cols = [k for k, _ in cfg.row(b)]
         e = cols[int(rng.integers(len(cols)))]
         pivot(cfg, b, e, cfg.alpha[b])
         if b in cfg.pos or e not in cfg.pos:
@@ -428,7 +428,7 @@ def relaxation_soundness(points: int = 1000, seed: int = 505) -> int:
 
         # the rows as encoded, before phase 1 pivoted them
         encoded = encode(net, prop, bounds, relax.cfg.equations)
-        rows0 = {b: encoded.row(b) for b in encoded.basic}
+        rows0 = {b: dict(encoded.row(b)) for b in encoded.basic}
         lo0, hi0 = encoded.lo, encoded.hi
         prop_vars = set(lay.output_ids) | {
             sid for sid, (kind, _) in relax.cfg.equations.items() if kind == "prop"}

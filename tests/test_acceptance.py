@@ -110,11 +110,11 @@ def test_criterion_2_scratch_verification(demo_net, demo_prop):
         # initial tableau: basic rows over inputs, posts, and affine slacks
         cfg = initialize(demo_net, demo_prop, analyze(demo_net, demo_prop.box))
         assert sorted(cfg.pos) == [2, 3, 6, 7, 8]
-        assert cfg.row(2) == {0: 0.2, 1: -0.7, 9: -1.0}
-        assert cfg.row(3) == {0: 0.8, 1: -0.8, 10: -1.0}
-        assert cfg.row(6) == {4: 0.4, 5: 0.6, 11: -1.0}
-        assert cfg.row(7) == {0: -0.2, 1: 0.7, 4: 1.0, 9: 1.0}
-        assert cfg.row(8) == {0: -0.8, 1: 0.8, 5: 1.0, 10: 1.0}
+        assert dict(cfg.row(2)) == {0: 0.2, 1: -0.7, 9: -1.0}
+        assert dict(cfg.row(3)) == {0: 0.8, 1: -0.8, 10: -1.0}
+        assert dict(cfg.row(6)) == {4: 0.4, 5: 0.6, 11: -1.0}
+        assert dict(cfg.row(7)) == {0: -0.2, 1: 0.7, 4: 1.0, 9: 1.0}
+        assert dict(cfg.row(8)) == {0: -0.8, 1: 0.8, 5: 1.0, 10: 1.0}
         assert cfg.lo[6] == 0.3 and cfg.hi[6] == 1.28
         assert len(tree.nodes) == 3
 

@@ -29,12 +29,15 @@ from incremark.incremental import (
     ShapeMismatchError,
     verify_incremental,
 )
+from incremark import prooftree as pt
+from incremark.constants import EPS_SAT
 from incremark.prooftree import deserialize, from_json
 from incremark.model import (
     LinearConstraint,
     Network,
     SafetyProperty,
     Verdict,
+    neuron_values,
     property_hash,
     witness_ok,
 )
@@ -167,6 +170,80 @@ def test_prune_then_search_surviving_branch(demo_net, demo_prop):
     # the pruned leaf's proof: x3 = 0.2*x1 - 0.7*x2 + 1 >= 0.1 > 0 under nonpos
     assert out.nodes[1].cert == (("aff", 2, -1.0),)
     assert witness_ok(shifted, demo_prop, verdict.witness)
+    out.validate()
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("called on a stored witness that still holds")
+
+
+def test_stored_witness_answers_before_any_bounds(monkeypatch):
+    """A stored SAT witness that still holds at eps 0 and stays in its
+    leaf's branch answers before any bounds are computed or any node is
+    pruned: the output tree is the stored one as it is, its SAT leaf
+    resolved and every other leaf skipped."""
+    net = random_network((2, 5, 5, 1), 2)
+    prop = random_threshold_property(net, 3)
+    _, tree = tableau_solve(net, prop)
+    doc = tree.to_json()
+    [sat] = tree.leaves_with_status("sat")
+    unsat = tree.leaves_with_status("unsat")
+    assert len(unsat) == 31 and len(tree.leaves()) == 35
+    modified = perturb(net, Perturbation(0.001, 1.0, 3))
+    monkeypatch.setattr(incremental, "analyze", _fail)
+    monkeypatch.setattr(incremental, "search", _fail)
+    monkeypatch.setattr(pt.ProofTree, "prune", _fail)
+    verdict, rep, out = verify_incremental(modified, prop, tree)
+    assert verdict.sat and verdict.witness == tree.nodes[sat].witness
+    assert witness_ok(modified, prop, verdict.witness, eps=0.0)
+    assert rep.outcomes == {nid: RESOLVED_SAT if nid == sat else SKIPPED
+                            for nid in tree.leaves()}
+    assert rep.unsat_total == 31
+    assert (rep.pruned, rep.replayed, rep.fallbacks, rep.replay_pct) == (0, 0, 0, 100.0)
+    assert set(rep.to_json()) == REPORT_KEYS
+    assert out is not tree and out.to_json() == doc
+    assert tree.to_json() == doc
+
+
+def test_witness_within_eps_sat_takes_the_full_path(demo_net, fprime, demo_prop, monkeypatch):
+    """A stored witness whose output sits EPS_SAT/2 below the threshold
+    holds only within EPS_SAT: the root bounds are computed, and the open
+    leaves then answer SAT from that witness, as before the shortcut."""
+    _, tree = tableau_solve(demo_net, demo_prop)
+    w = tree.nodes[1].witness
+    y = neuron_values(fprime, w)[-1]
+    near = Network(fprime.weights, [fprime.biases[0], fprime.biases[1] + 0.3 - EPS_SAT / 2 - y])
+    assert witness_ok(near, demo_prop, w) and not witness_ok(near, demo_prop, w, eps=0.0)
+    calls = 0
+    run = incremental.analyze
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return run(*args)
+
+    monkeypatch.setattr(incremental, "analyze", counted)
+    verdict, rep, out = verify_incremental(near, demo_prop, tree)
+    assert calls == 1
+    assert verdict == Verdict(True, w)
+    assert rep.outcomes == {1: RESOLVED_SAT, 2: SKIPPED}
+    assert "analyze" in rep.times
+    out.validate()
+
+
+def test_stored_witness_answers_where_root_bounds_overflow(demo_net, demo_prop):
+    """The second hidden unit's weights of 1e308 overflow its interval over
+    the box, so `analyze` raises; the stored witness still holds, so the
+    re-verification answers SAT instead of raising."""
+    _, tree = tableau_solve(demo_net, demo_prop)
+    huge = Network([[[0.2, -0.7], [1e308, -1e308]], [[0.4, 0.6]]], [[-0.1, 0.0], [0.0]])
+    with pytest.raises(RuntimeError):
+        analyze(huge, demo_prop.box)
+    verdict, rep, out = verify_incremental(huge, demo_prop, tree)
+    assert verdict == Verdict(True, (0.6750000000000002, 0.0500000000000001))
+    assert witness_ok(huge, demo_prop, verdict.witness, eps=0.0)
+    assert rep.outcomes == {1: RESOLVED_SAT, 2: SKIPPED}
+    assert out.verdict == "sat"
     out.validate()
 
 

@@ -77,7 +77,7 @@ def test_build_is_search_tableau_plus_chord_rows(monkeypatch):
         # each chord row, at any assignment of the non-basics, equals
         # post - k.pre with pre solved from its affine row
         point = {v: float(rng.normal()) for v in range(len(cfg.alpha)) if v not in cfg.pos}
-        rows = {b: built.row(b) for b in built.basic}
+        rows = {b: dict(built.row(b)) for b in built.basic}
         val = _suites.configuration(rows, built.lo, built.hi, point)
         recompute(val)
         for sid, (pre, post) in zip(chords, uncertain):
@@ -164,7 +164,7 @@ def test_every_row_is_its_certificates_sum(shape, seed, n_out):
         assert kinds == ({"aff", "relu", "chord", "prop"} if n_out > 1 else {"aff", "relu", "chord"})
         v = dict(enumerate(rng.normal(size=len(r.cfg.lo)).tolist()))
         for b in r.cfg.basic:
-            lhs = v[b] - sum(c * v[k] for k, c in r.cfg.row(b).items())
+            lhs = v[b] - sum(c * v[k] for k, c in r.cfg.row(b))
             rhs = sum(y * _equation_residual(net, prop, r.cfg, bounds, kind, i, v)
                       for kind, i, y in certificate(r.cfg, b))
             assert rhs == pytest.approx(lhs, abs=1e-9)

@@ -12,10 +12,12 @@ from incremark.model import (
     evaluate,
     load_network,
     load_property,
+    neuron_values,
     property_hash,
     save_network,
     save_property,
     witness_ok,
+    witness_values,
 )
 
 from _suites import forward_values
@@ -88,6 +90,28 @@ def test_forward_values_matches_evaluate(demo_net):
     assert vals[4] == max(vals[2], 0.0)
     assert vals[5] == max(vals[3], 0.0)
     assert vals[6] == evaluate(demo_net, x)[0]
+
+
+def test_neuron_values_are_indexed_by_layout_id(demo_net):
+    """One forward pass gives every neuron's value at its layout id, for a
+    last layer without a ReLU (demo) and with one."""
+    relu_out = Network(demo_net.weights, demo_net.biases, ["relu", "relu"])
+    for net in (demo_net, relu_out):
+        for x in ((0.3, -0.4), (0.675, 0.05), (-1.0, 1.0)):
+            vals = neuron_values(net, x)
+            assert vals.tolist() == [forward_values(net, x)[i] for i in net.layout.neuron_ids]
+            assert vals[net.layout.output_ids].tolist() == evaluate(net, x).tolist()
+    with pytest.raises(ValueError):
+        neuron_values(demo_net, (0.1,))
+
+
+def test_witness_values_judge_as_witness_ok(demo_net, demo_prop):
+    for x in ((0.675, 0.05), (1.5, 0.0), (0.0, 0.0), (0.675,), (float("nan"), 0.0)):
+        for eps in (0.0, 1e-6):
+            vals = witness_values(demo_net, demo_prop, x, eps)
+            assert (vals is not None) == witness_ok(demo_net, demo_prop, x, eps)
+            if vals is not None:
+                assert vals.tolist() == neuron_values(demo_net, x).tolist()
 
 
 def test_witness_ok_accepts_demo_witness(demo_net, demo_prop):

@@ -66,6 +66,20 @@ def test_leaves_and_filters():
     assert t.leaves_with_status(UNSAT) == [ll]
     assert t.leaves_with_status(SAT) == [lr]
     assert t.leaves_with_status(UNSOLVED) == [r]
+    assert t.leaves_by_status() == {UNSAT: [ll], SAT: [lr], UNSOLVED: [r]}
+    t.nodes[lr].status = UNSAT
+    assert t.leaves_by_status() == {UNSAT: [ll, lr], SAT: [], UNSOLVED: [r]}
+
+
+def test_copy_is_an_equal_independent_tree():
+    t, l, r, ll, lr = small_tree()
+    t.nodes[lr].status, t.nodes[lr].witness = SAT, (0.5, -0.5)
+    doc = t.to_json()
+    out = t.copy()
+    assert out.to_json() == doc and out._next == t._next
+    out.nodes[l].children.append(99)
+    out.add_child(r, Assertion(3, NONNEG))
+    assert t.to_json() == doc
 
 
 def test_sat_leaf_lookup():

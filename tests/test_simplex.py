@@ -53,11 +53,11 @@ def small_cfg(rows, lo, hi, alpha):
 def test_initialize_demo_tableau(demo_net, demo_prop):
     cfg = demo_cfg(demo_net, demo_prop)
     assert sorted(cfg.pos) == [2, 3, 6, 7, 8]
-    assert cfg.row(2) == {0: 0.2, 1: -0.7, 9: -1.0}
-    assert cfg.row(3) == {0: 0.8, 1: -0.8, 10: -1.0}
-    assert cfg.row(6) == {4: 0.4, 5: 0.6, 11: -1.0}
-    assert cfg.row(7) == {0: -0.2, 1: 0.7, 4: 1.0, 9: 1.0}
-    assert cfg.row(8) == {0: -0.8, 1: 0.8, 5: 1.0, 10: 1.0}
+    assert dict(cfg.row(2)) == {0: 0.2, 1: -0.7, 9: -1.0}
+    assert dict(cfg.row(3)) == {0: 0.8, 1: -0.8, 10: -1.0}
+    assert dict(cfg.row(6)) == {4: 0.4, 5: 0.6, 11: -1.0}
+    assert dict(cfg.row(7)) == {0: -0.2, 1: 0.7, 4: 1.0, 9: 1.0}
+    assert dict(cfg.row(8)) == {0: -0.8, 1: 0.8, 5: 1.0, 10: 1.0}
     assert "prop" not in {kind for kind, _ in cfg.equations.values()}
 
 
@@ -219,7 +219,7 @@ def test_initialize_multi_output_property_slack():
     assert cfg.equations[sid] == ("prop", 0)
     # outputs are themselves basic, so the slack row is pre-substituted down
     # to inputs and affine slacks
-    assert cfg.row(sid) == {0: 1.0, 1: -1.0, 4: -1.0, 5: 1.0}
+    assert dict(cfg.row(sid)) == {0: 1.0, 1: -1.0, 4: -1.0, 5: 1.0}
     assert cfg.lo[sid] == 0.25
     assert cfg.hi[sid] == 1.0  # interval ub of y1 - y2
 
@@ -228,15 +228,15 @@ def test_pivot_demo_sequence(demo_net, demo_prop):
     cfg = demo_cfg(demo_net, demo_prop)
     pivot(cfg, 7, 4, cfg.alpha[7])
     assert sorted(cfg.pos) == [2, 3, 4, 6, 8]
-    assert cfg.row(4) == {0: 0.2, 1: -0.7, 7: 1.0, 9: -1.0}
+    assert dict(cfg.row(4)) == {0: 0.2, 1: -0.7, 7: 1.0, 9: -1.0}
     # the substitution reaches every row that mentioned the entering variable
-    assert cfg.row(6) == {
+    assert dict(cfg.row(6)) == {
         0: 0.08000000000000002, 1: -0.27999999999999997, 5: 0.6,
         7: 0.4, 9: -0.4, 11: -1.0,
     }
     pivot(cfg, 6, 5, cfg.alpha[6])
     assert sorted(cfg.pos) == [2, 3, 4, 5, 8]
-    assert cfg.row(5) == {
+    assert dict(cfg.row(5)) == {
         0: -0.13333333333333336, 1: 0.4666666666666666, 6: 1.6666666666666667,
         7: -0.6666666666666667, 9: 0.6666666666666667, 11: 1.6666666666666667,
     }
@@ -274,7 +274,7 @@ def test_row_interval_sign_split():
         [10.0, 3.0, 2.0],
         {1: 0.0, 2: 1.0},
     )
-    assert linear_interval(cfg.row(0).items(), cfg.lo, cfg.hi) == (2.0 * -1.0 - 2.0,
+    assert linear_interval(cfg.row(0), cfg.lo, cfg.hi) == (2.0 * -1.0 - 2.0,
                                                                    2.0 * 3.0 - 0.5)
 
 
@@ -296,7 +296,7 @@ def test_apart_margins():
     def row_apart(blo, bhi):
         # the row x0 = x1, x1 in [0, 1], against x0's bounds
         cfg = small_cfg({0: {1: 1.0}}, [blo, 0.0], [bhi, 1.0], {1: 0.0})
-        return apart(blo, bhi, *linear_interval(cfg.row(0).items(), cfg.lo, cfg.hi))
+        return apart(blo, bhi, *linear_interval(cfg.row(0), cfg.lo, cfg.hi))
 
     assert row_apart(1.1, 2.0)          # lo(b) above rhs range
     assert row_apart(-2.0, -0.1)        # hi(b) below rhs range
@@ -346,7 +346,7 @@ def test_row_test_on_non_finite_coefficients_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert check_unsat_rows(cfg, basics) is None
-        ends = [linear_interval(cfg.row(b).items(), cfg.lo, cfg.hi) for b in basics]
+        ends = [linear_interval(cfg.row(b), cfg.lo, cfg.hi) for b in basics]
     assert all(math.isnan(x) for end in ends[:4] for x in end)
 
 
@@ -501,7 +501,7 @@ def test_row_test_ignores_an_unmentioned_infinite_bound():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [(linear_interval(c.row(2).items(), c.lo, c.hi),
+        got = [(linear_interval(c.row(2), c.lo, c.hi),
                 check_unsat_rows(c, out_of_bounds(c)))
                for c in (mk(False), mk(True))]
     assert got[0] == got[1] == ((-1.0 - 2.0, 2.0 - 1.0), 2)
@@ -702,13 +702,13 @@ def test_array_rows_match_the_loop_reference():
     rng = np.random.default_rng(11)
     for _ in range(300):
         cfg = _suites.random_configuration(rng)
-        rows = {b: cfg.row(b) for b in cfg.basic}
+        rows = {b: dict(cfg.row(b)) for b in cfg.basic}
         for _ in range(3):
             b = sorted(rows)[int(rng.integers(len(rows)))]
             e = sorted(rows[b])[int(rng.integers(len(rows[b])))]
             pivot(cfg, b, e, cfg.alpha[b])
             _pivot_reference(rows, b, e)
-            assert {b: cfg.row(b) for b in cfg.basic} == rows
+            assert {b: dict(cfg.row(b)) for b in cfg.basic} == rows
 
 
 # -- incremental assignment invariants over seeded searches ------------------
@@ -828,7 +828,7 @@ def test_restricted_row_check_matches_full_scan(monkeypatch, demo_net, demo_prop
     compared = {"first": 0, "later": 0}
 
     def refuted(cfg, b):
-        return apart(cfg.lo[b], cfg.hi[b], *linear_interval(cfg.row(b).items(), cfg.lo, cfg.hi))
+        return apart(cfg.lo[b], cfg.hi[b], *linear_interval(cfg.row(b), cfg.lo, cfg.hi))
 
     def both(cfg, rows):
         got = real_check(cfg, rows)
