@@ -37,19 +37,28 @@ the report records:
     lp           the branch relaxation carries a certificate (`lp.build`
                  keeps an infeasible row's certificate when it re-checks
                  over the leaf's bounds); it becomes the leaf's certificate
-    tighten      the relaxation is feasible: LP-shrink the input box,
-                 re-propagate: empty or property-impossible
+    resolved_sat the relaxation is feasible: the ascent (`solver.attack`)
+                 from its input point (`Relaxation.input_point`) finds a
+                 witness, which answers SAT; the leaf becomes a SAT leaf
+    tighten      otherwise LP-shrink the input box, re-propagate: empty or
+                 property-impossible
     fallback     otherwise: `solver.search` decides the leaf from a new
                  tableau over the tightened bounds (the leaf's own, when
                  phase 1 ended infeasible or at the cap) and grows the tree
                  below it; its closed leaves bring their own certificates
 
-Every rung but the last closes the leaf. The clamped root box contains the
-leaf's region, and a chord over a wider interval still bounds its ReLU, so
-the first test is sound; an assertion that empties its clamped interval
-skips it. A leaf needs only its edge assertions; its certificate, when it
-has one, only saves work. A run that finds no witness raises RuntimeError
-when a search left a branch undecided (`solver.raise_if_undecided`).
+Every rung but the last closes the leaf, and `resolved_sat` ends the
+ladder with the run's witness. That witness passes `witness_ok` at eps 0,
+so it is a counterexample of the new network, but it may lie outside the
+leaf's branch, as the ascent from a re-searched SAT leaf's stale witness
+may too; a run from the output tree then finds that `_stored_witness`
+leaves its branch and takes the full path. The clamped root box contains
+the leaf's region, and a chord over a wider interval still bounds its
+ReLU, so the first test is sound; an assertion that empties its clamped
+interval skips it. A leaf needs only its edge assertions; its
+certificate, when it has one, only saves work. A run that finds no
+witness raises RuntimeError when a search left a branch undecided
+(`solver.raise_if_undecided`).
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ from .model import UNSAT, Verdict, property_hash, witness_ok, witness_values
 from .simplex import CHORD, encoded_equations
 # not called here: perfbench/tracer.py patches these two names on this module
 from .simplex import check_unsat_rows, refresh_bounds  # noqa: F401
-from .solver import raise_if_undecided, search
+from .solver import attack, raise_if_undecided, search
 
 RESOLVED_SAT = "resolved_sat"
 RESOLVED_UNSAT = "resolved_unsat"
@@ -160,9 +169,10 @@ def _check_fits(tree: pt.ProofTree, net, prop) -> None:
 
 def _replay_unsat_leaf(net, prop, tree, nid, base):
     """Climb the replay ladder for a stored UNSAT leaf, given the root
-    bounds `base`; returns (rung, witness | None). The analyze and LP rungs
-    leave their certificates on the leaf, and the fallback grows the tree
-    below it."""
+    bounds `base`; returns (outcome, witness | None), the outcome a rung or
+    RESOLVED_SAT when the ascent from the LP's point finds a witness. The
+    analyze and LP rungs leave their certificates on the leaf, the ascent
+    leaves its witness there, and the fallback grows the tree below it."""
     node = tree.nodes[nid]
     asserts = sorted(tree.asserts_of(nid))
     if node.cert is not None:
@@ -180,6 +190,10 @@ def _replay_unsat_leaf(net, prop, tree, nid, base):
         node.cert = relax.cert
         return LP, None
     if relax.status == lp.FEASIBLE:
+        witness = attack(net, prop, [relax.input_point(net)])
+        if witness is not None:
+            node.status, node.witness, node.cert = pt.SAT, witness, None
+            return RESOLVED_SAT, witness
         bounds = lp.tighten_inputs_then_repropagate(net, asserts, relax)
         if is_property_refuted(bounds, prop):
             return TIGHTEN, None

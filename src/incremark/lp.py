@@ -67,6 +67,11 @@ class Relaxation:
     infeasible_row: int | None = None
     cert: Certificate | None = None
 
+    def input_point(self, net) -> tuple[float, ...]:
+        """The inputs of phase 1's vertex, as floats; a point of the
+        relaxation when phase 1 ended FEASIBLE."""
+        return tuple(float(_value(self.cfg, v)) for v in net.layout.input_ids)
+
 
 def build(net, prop, bounds: Bounds) -> Relaxation:
     """Encode the branch relaxation, run its phase 1, whose status it
@@ -120,7 +125,7 @@ def decide(net, prop, bounds: Bounds) -> tuple[tuple[float, ...] | None, Certifi
     relax = build(net, prop, bounds)
     if relax.status != FEASIBLE:
         return None, relax.cert
-    witness = tuple(float(_value(relax.cfg, v)) for v in net.layout.input_ids)
+    witness = relax.input_point(net)
     return (witness if witness_ok(net, prop, witness) else None), None
 
 

@@ -14,8 +14,8 @@ of the layer dimensions, so trees recorded for one network apply to any
 same-shaped network.
 
 A property computes once the facts that its constraints imply
-(`LinearConstraint.terms`, `SafetyProperty.output_bounds` and
-`negation_empty`); every other module reads them there.
+(`LinearConstraint.terms`, `SafetyProperty.output_bounds`,
+`negation_empty` and `digest`); every other module reads them there.
 """
 
 from __future__ import annotations
@@ -85,6 +85,19 @@ class SafetyProperty:
                 else:
                     hi[j] = min(hi[j], c.threshold / a)
         return lo, hi
+
+    @cached_property
+    def digest(self) -> str:
+        """The property's hash, which a proof tree stores as `prop_hash`: 16
+        hex digits of the SHA-256 of its box and constraints, each number in
+        its shortest round-trip repr."""
+        parts = ["box"]
+        for lo, hi in self.box:
+            parts.append(f"{lo!r},{hi!r}")
+        for c in self.constraints:
+            parts.append("ge:" + repr(float(c.threshold)) + ":"
+                         + ",".join(repr(float(v)) for v in c.coeffs))
+        return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
     @cached_property
     def negation_empty(self) -> bool:
@@ -233,9 +246,9 @@ def evaluate(net: Network, x) -> np.ndarray:
     return v
 
 
-def witness_values(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT):
-    """`neuron_values(net, x)` when x is a SAT witness, else None: one
-    forward pass that both judges the point and gives its pre-activations.
+def _judge(net: Network, prop: SafetyProperty, x, eps: float, forward):
+    """`forward(net, x)` when x is a SAT witness within eps, else None; the
+    forward pass must end with the outputs (`neuron_values`, `evaluate`).
 
     A SAT witness must be a finite point that sits in the box, whose
     outputs are finite, and that violates the property, i.e. satisfies
@@ -252,8 +265,8 @@ def witness_values(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT):
     if not prop.constraints:
         return None  # empty negation: nothing can violate the property
     with np.errstate(over="ignore", invalid="ignore"):
-        values = neuron_values(net, x)
-    y = values[net.layout.output_ids]
+        values = forward(net, x)
+    y = values[len(values) - net.n_outputs:]
     if not np.isfinite(y).all():
         return None
     for c in prop.constraints:
@@ -265,9 +278,17 @@ def witness_values(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT):
     return values
 
 
+def witness_values(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT):
+    """`neuron_values(net, x)` when x is a SAT witness (`_judge`), else
+    None: one forward pass that both judges the point and gives its
+    pre-activations."""
+    return _judge(net, prop, x, eps, neuron_values)
+
+
 def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> bool:
-    """Is x a SAT witness within eps (`witness_values`)?"""
-    return witness_values(net, prop, x, eps) is not None
+    """Is x a SAT witness within eps (`_judge`)? Judged from the outputs
+    alone (`evaluate`), with the same verdict as `witness_values`."""
+    return _judge(net, prop, x, eps, evaluate) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +393,5 @@ def save_property(prop: SafetyProperty, path: str) -> None:
 
 
 def property_hash(prop: SafetyProperty) -> str:
-    parts = ["box"]
-    for lo, hi in prop.box:
-        parts.append(f"{lo!r},{hi!r}")
-    for c in prop.constraints:
-        parts.append("ge:" + repr(float(c.threshold)) + ":" + ",".join(repr(float(v)) for v in c.coeffs))
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+    """`prop.digest`, computed once per property."""
+    return prop.digest

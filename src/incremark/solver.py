@@ -15,11 +15,15 @@ NeurIPS 2021). Its starts, in order: the node's stored witness, which
 re-verification leaves on a SAT leaf whose witness no longer holds; then,
 at the root of a tree, the box centre and, for a box of at most
 ATTACK_CORNER_INPUTS inputs, its 2^n corners in `itertools.product(*box)`
-order. Split children have no start. All starts climb in lockstep, and
-the witness found at the earliest move wins, the lowest start on a tie.
-A point that the ascent returns is a witness, and the node becomes a SAT
-leaf; a miss leaves the node to the tableau as before, so the ascent never
-changes an UNSAT tree.
+order. Split children have no start. Re-verification also climbs from
+one point outside `search`: the input point of a replayed UNSAT leaf's
+branch LP, when phase 1 finds that relaxation feasible (`incremental`'s
+replay ladder; Bunel et al., JMLR 2020, also take a relaxation's optimum
+as a candidate counterexample). All starts climb in lockstep,
+and the witness found at the earliest move wins, the lowest start on a
+tie. A point that the ascent returns is a witness, and the node becomes a
+SAT leaf; a miss leaves the node to the tableau as before, so the ascent
+never changes an UNSAT tree.
 
 A node runs the tableau repair loop. Each step scans the basics once for
 those outside their bounds (`simplex.out_of_bounds`), tests rows of them

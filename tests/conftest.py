@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from incremark import solver
+from incremark import incremental, solver
 from incremark.model import LinearConstraint, Network, SafetyProperty
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -60,9 +60,12 @@ def _no_witness(net, prop, starts):
 
 @pytest.fixture
 def no_attack(monkeypatch):
-    """`solver.search` without the ascent it runs before building a tableau:
-    for tests of the tableau on instances that the ascent decides."""
+    """`solver.search` without the ascent it runs before building a tableau,
+    and the replay ladder without the ascent from a feasible branch LP's
+    point: for tests of the tableau and of the ladder's later rungs on
+    instances that the ascent decides."""
     monkeypatch.setattr(solver, "attack", _no_witness)
+    monkeypatch.setattr(incremental, "attack", _no_witness)
 
 
 def tableau_solve(net, prop):

@@ -397,7 +397,9 @@ def test_lazy_replay_refuted_after_input_tightening():
 def test_fully_decided_fallback_branch_is_decided_by_its_lp(monkeypatch):
     # the fallback branch has no uncertain ReLU left, and the repair loop
     # alternated fixes of two decided pairs within the bound tolerance
-    # without end; the branch LP must decide it, within a few repair steps
+    # without end; the branch LP must decide it, within a few repair steps.
+    # The ascent from the leaf's feasible LP point finds the witness before
+    # the fallback, so it is made to miss here to reach the fallback's LP
     steps = 0
     repair_step = solver.repair_step
 
@@ -412,10 +414,68 @@ def test_fully_decided_fallback_branch_is_decided_by_its_lp(monkeypatch):
     _, tree = solve(net, prop)
     bumped = perturb(net, Perturbation(0.5, 1.0, 32263))
     monkeypatch.setattr(solver, "repair_step", counted)
+    monkeypatch.setattr(incremental, "attack", lambda net, prop, starts: None)
     verdict, rep, out = verify_incremental(bumped, prop, tree)
     assert verdict.sat
     assert witness_ok(bumped, prop, verdict.witness)
     assert oracle(bumped, prop).name == "sat"
+    assert rep.fallbacks == 1
+    out.validate()
+
+
+def _lp_point_instance():
+    """A stored UNSAT tree under a weight change that breaks its property:
+    leaf 1's branch LP is feasible, and the ascent from the LP's input point
+    reaches a witness; without it, tightening and the fallback search run
+    and the search finds one."""
+    net = random_network((2, 5, 5, 1), 567)
+    prop = random_threshold_property(net, 568)
+    _, tree = solve(net, prop)
+    return perturb(net, Perturbation(0.5, 1.0, 40162)), prop, tree
+
+
+def _past_the_lp_point(*args, **kwargs):
+    raise AssertionError("the ladder went past a feasible LP point that climbs to a witness")
+
+
+def test_feasible_lp_point_climbs_to_a_witness(monkeypatch):
+    """The ascent from a feasible branch LP's input point answers SAT before
+    LP tightening and the fallback search, neither of which runs: the leaf
+    becomes a SAT leaf with the witness and no certificate, and the output
+    tree seeds a re-verification that answers SAT."""
+    bumped, prop, tree = _lp_point_instance()
+    monkeypatch.setattr(incremental, "search", _past_the_lp_point)
+    monkeypatch.setattr(lp, "tighten_inputs_then_repropagate", _past_the_lp_point)
+    verdict, rep, out = verify_incremental(bumped, prop, tree)
+    assert verdict.sat and witness_ok(bumped, prop, verdict.witness, eps=0.0)
+    assert oracle(bumped, prop).sat
+    assert rep.outcomes == {1: RESOLVED_SAT, 2: SKIPPED}
+    assert (rep.fallbacks, rep.fallback_nodes) == (0, 0)
+    leaf = out.nodes[1]
+    assert (leaf.status, leaf.witness, leaf.cert) == (pt.SAT, verdict.witness, None)
+    assert out.verdict == "sat"
+    out.validate()
+    doc = out.to_json()
+    assert from_json(json.loads(json.dumps(doc))).to_json() == doc
+    again, _, _ = verify_incremental(bumped, prop, from_json(doc))
+    assert again.sat and witness_ok(bumped, prop, again.witness, eps=0.0)
+
+
+def test_lp_point_that_misses_keeps_the_ladder(monkeypatch):
+    """An ascent from the LP's point that finds nothing leaves the leaf to
+    tightening and the fallback: the fallback search finds the witness."""
+    bumped, prop, tree = _lp_point_instance()
+    starts = []
+
+    def miss(net, prop, points):
+        starts.append(points)
+        return None
+
+    monkeypatch.setattr(incremental, "attack", miss)
+    verdict, rep, out = verify_incremental(bumped, prop, tree)
+    assert len(starts) == 1 and len(starts[0]) == 1
+    assert verdict.sat and witness_ok(bumped, prop, verdict.witness)
+    assert rep.outcomes == {1: FALLBACK, 2: SKIPPED}
     assert rep.fallbacks == 1
     out.validate()
 
@@ -441,7 +501,7 @@ def test_replay_pct_vacuous_default():
 @pytest.mark.parametrize("p, replayed, fallbacks", [
     (Perturbation(0.3, 0.5, 18), 4, 0),   # every stored leaf replays
     (Perturbation(0.5, 1.0, 28), 1, 1),   # one leaf falls back, still UNSAT
-    (Perturbation(0.5, 1.0, 7), 1, 1),    # the fallback finds a witness
+    (Perturbation(0.5, 1.0, 7), 1, 0),    # the LP point climbs to a witness
 ])
 def test_tree_with_stored_basis_still_reverifies(p, replayed, fallbacks):
     # written by a version that stored each UNSAT leaf's final basis and key
@@ -619,7 +679,9 @@ def test_certificate_whose_row_overflows_to_nan_refutes_nothing():
     assert not lp.certificate_refutes(net, prop, analyze(net, prop.box), tree.root.cert)
     v, rep, _ = verify_incremental(net, prop, tree)
     assert v.sat and witness_ok(net, prop, v.witness)
-    assert rep.outcomes == {0: FALLBACK}
+    # past the certificate rung, the ascent from the branch LP's point
+    # finds the witness
+    assert rep.outcomes == {0: RESOLVED_SAT}
 
 
 def test_lp_certificate_is_carried_forward(monkeypatch):

@@ -1,6 +1,11 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
+from incremark.bench import random_network, random_threshold_property
+from incremark.constants import EPS_SAT
 from incremark.deeppoly import analyze, is_property_refuted
 from incremark.model import (
     UNSAT,
@@ -22,6 +27,8 @@ from incremark.model import (
 
 from _suites import forward_values
 from conftest import BOX
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 def test_layout_demo_shape(demo_net):
@@ -105,13 +112,45 @@ def test_neuron_values_are_indexed_by_layout_id(demo_net):
         neuron_values(demo_net, (0.1,))
 
 
+def _judged_alike(net, prop, x, eps):
+    """Do `witness_ok`, which runs the outputs' forward pass alone, and
+    `witness_values`, which runs every neuron's, judge x alike? Returns
+    the judgement."""
+    vals = witness_values(net, prop, x, eps)
+    ok = witness_ok(net, prop, x, eps)
+    assert ok == (vals is not None), (x, eps)
+    if ok:
+        assert vals.tolist() == neuron_values(net, x).tolist()
+    return ok
+
+
 def test_witness_values_judge_as_witness_ok(demo_net, demo_prop):
+    """On the demo, and on catalog nets with the catalog property and with
+    one whose threshold cuts the sampled outputs in half, each also with a
+    ReLU on its output: points in the box, within EPS_SAT of it and beyond,
+    non-finite points and points of the wrong arity, at eps 0 and EPS_SAT."""
     for x in ((0.675, 0.05), (1.5, 0.0), (0.0, 0.0), (0.675,), (float("nan"), 0.0)):
         for eps in (0.0, 1e-6):
-            vals = witness_values(demo_net, demo_prop, x, eps)
-            assert (vals is not None) == witness_ok(demo_net, demo_prop, x, eps)
-            if vals is not None:
-                assert vals.tolist() == neuron_values(demo_net, x).tolist()
+            _judged_alike(demo_net, demo_prop, x, eps)
+    rng = np.random.default_rng(11)
+    judged = {True: 0, False: 0}
+    for shape, seeds in (((2, 5, 5, 1), range(6)), ((3, 8, 8, 1), range(3))):
+        for s in seeds:
+            base = random_network(shape, s)
+            catalog = random_threshold_property(base, s + 1)
+            lo, hi = np.array(catalog.box).T
+            inside = rng.uniform(lo, hi, size=(40, base.n_inputs))
+            sides = rng.choice([-1.0, 1.0], size=inside.shape)
+            points = [*inside, *(inside + sides * EPS_SAT / 2), *(inside + sides * (hi - lo)),
+                      *(np.full(base.n_inputs, v) for v in (np.nan, np.inf, -np.inf)),
+                      np.zeros(base.n_inputs + 1)]
+            for net in (base, Network(base.weights, base.biases, ["relu"] * base.n_layers)):
+                half = float(np.median([evaluate(net, x)[0] for x in inside]))
+                for prop in (catalog, SafetyProperty(catalog.box, (LinearConstraint((1.0,), half),))):
+                    for x in points:
+                        for eps in (0.0, EPS_SAT):
+                            judged[_judged_alike(net, prop, x, eps)] += 1
+    assert min(judged.values()) > 100
 
 
 def test_witness_ok_accepts_demo_witness(demo_net, demo_prop):
@@ -322,6 +361,13 @@ def test_property_file_errors(tmp_path):
 
 def test_property_hash_frozen(demo_prop):
     assert property_hash(demo_prop) == "833a2885059f3ff5"
+    # the hash that tests/fixtures/tree_v1_s18.json stores
+    doc = json.loads((FIXTURES / "tree_v1_s18.json").read_text())
+    net = random_network((2, 5, 5, 1), 18)
+    prop = random_threshold_property(net, 19)
+    assert property_hash(prop) == doc["prop_hash"] == "6c20a50b4173f0b7"
+    # computed once, then read from the property
+    assert prop.__dict__["digest"] is property_hash(prop) is prop.digest
     shifted = SafetyProperty(demo_prop.box, (LinearConstraint((1.0,), 0.31),))
     assert property_hash(shifted) != property_hash(demo_prop)
 
