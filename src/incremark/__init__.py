@@ -13,7 +13,7 @@ only where none does.
 
 from .bench import CompareReport, Perturbation, compare, oracle, perturb
 from .deeppoly import Assertion, Bounds, analyze, is_property_refuted
-from .incremental import IncrementalReport, ShapeMismatchError, verify_incremental
+from .incremental import IncrementalReport, verify_incremental
 from .model import (
     LinearConstraint,
     Network,
@@ -27,7 +27,7 @@ from .model import (
     save_property,
     witness_ok,
 )
-from .prooftree import ProofTree, deserialize, from_json
+from .prooftree import ProofTree, ShapeMismatchError, deserialize, from_json
 from .solver import solve
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import click
 from . import bench as bench_mod
 from . import prooftree
 from .deeppoly import analyze, relaxation
-from .incremental import RUNGS, ShapeMismatchError, check_dims, verify_incremental
+from .incremental import RUNGS, verify_incremental
 from .model import load_network, load_property, save_network
 from .simplex import dump, initialize
 from .solver import solve
@@ -134,10 +134,11 @@ def reverify(net_path, prop_path, tree_path, tree_out, report_path):
     try:
         # a tree of other layer widths is a mismatch first; a property that
         # does not fit the network is an error even if the tree carries its hash
-        check_dims(tree, net)
+        with _file_errors("reading", "proof tree", tree_path, ValueError):
+            tree.validate(net, prop)
         _check_property_fits(net, prop, prop_path)
         verdict, rep, new_tree = verify_incremental(net, prop, tree)
-    except ShapeMismatchError as e:
+    except prooftree.ShapeMismatchError as e:
         click.echo(f"stored tree does not match: {e}", err=True)
         sys.exit(EXIT_MISMATCH)
     except RuntimeError as e:

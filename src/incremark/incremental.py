@@ -1,12 +1,14 @@
 """Re-verification of a weight-modified network against a stored proof tree.
 
-`verify_incremental` works in this order. It first runs the checks that
-refuse a tree: its structure, its layer widths, its property hash, and
-that its edges, witnesses and certificates fit the network. It then tests
-the stored SAT witness, if the tree has one, before it computes any
-bounds: a witness that violates the property on the new network at eps 0
-and whose own pre-activations meet every edge assertion of its leaf
-answers SAT at once, from one forward pass. The output tree is then the
+`verify_incremental` works in this order. It first runs the one check that
+refuses a tree, `ProofTree.validate(net, prop)`: its layer widths, its
+property hash, then one walk for its structure and for the fit of its
+edges, witnesses and certificates to the network; the walk also gives the
+stored leaves of each status. It then tests the stored SAT witness, if the
+tree has one, before it computes any bounds: a witness that violates the
+property on the new network at eps 0 and whose own pre-activations meet
+every edge assertion of its leaf answers SAT at once, from one forward
+pass. The output tree is then the
 stored tree as it is (`ProofTree.copy`), its SAT leaf `resolved_sat` and
 every other leaf `skipped`. A witness that holds only within EPS_SAT, or
 that has left its leaf's branch, takes the full path, which is the only
@@ -70,8 +72,9 @@ from dataclasses import dataclass, field, replace
 from . import deeppoly, lp
 from . import prooftree as pt
 from .deeppoly import SIGN_RANGE, analyze, clamp, is_property_refuted
-from .model import UNSAT, Verdict, property_hash, witness_ok, witness_values
-from .simplex import CHORD, encoded_equations
+from .model import UNSAT, Verdict, witness_ok, witness_values
+# raised by `ProofTree.validate`; this module still exports the name
+from .prooftree import ShapeMismatchError  # noqa: F401
 # not called here: perfbench/tracer.py patches these two names on this module
 from .simplex import check_unsat_rows, refresh_bounds  # noqa: F401
 from .solver import attack, raise_if_undecided, search
@@ -89,11 +92,6 @@ LP = "lp"
 TIGHTEN = "tighten"
 FALLBACK = "fallback"
 RUNGS = (ANALYZE, CERTIFICATE, LP, TIGHTEN, FALLBACK)
-
-
-class ShapeMismatchError(Exception):
-    """Stored tree does not fit the network shape (or the property changed,
-    which is just as fatal for replay)."""
 
 
 @dataclass
@@ -138,33 +136,6 @@ class IncrementalReport:
             "outcomes": {str(k): v for k, v in sorted(self.outcomes.items())},
             "rungs": {r: counts[r] for r in RUNGS},
         }
-
-
-def check_dims(tree: pt.ProofTree, net) -> None:
-    """ShapeMismatchError unless the tree was built for a network of these
-    layer widths."""
-    if tuple(tree.dims) != tuple(net.dims):
-        raise ShapeMismatchError(f"tree dims {tree.dims} vs network {net.dims}")
-
-
-def _check_fits(tree: pt.ProofTree, net, prop) -> None:
-    """One walk over the stored nodes: every edge splits a ReLU of this
-    network, every witness is an input point, and every certificate names
-    equations that this network and property encode."""
-    lay = net.layout
-    equations = {*encoded_equations(net, prop).values(), *((CHORD, p) for p in lay.relu_post)}
-    for n in tree.nodes.values():
-        if n.assertion is not None and n.assertion.neuron not in lay.relu_post:
-            raise ShapeMismatchError(
-                f"node {n.id}: neuron {n.assertion.neuron} is not a ReLU of the network")
-        if n.witness is not None and len(n.witness) != net.n_inputs:
-            raise ShapeMismatchError(
-                f"node {n.id}: witness has {len(n.witness)} values for {net.n_inputs} inputs")
-        for kind, i, _ in n.cert or ():
-            if (kind, i) not in equations:
-                raise ShapeMismatchError(
-                    f"node {n.id}: certificate names {kind} equation {i}, which this "
-                    "network and property do not encode")
 
 
 def _replay_unsat_leaf(net, prop, tree, nid, base):
@@ -222,25 +193,20 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     Returns (Verdict, IncrementalReport, new ProofTree). The new tree is the
     tree that `ProofTree.prune` built and this run's searches grew; it
     records what this run established, so it can seed the next
-    modification. The order of work: the checks that refuse a tree, then
-    the stored witness, which answers SAT before any bounds are computed
-    when it holds (module docstring), then the root bounds, pruning, the
-    open leaves and the replay ladder.
-    ValueError on a tree that `ProofTree.validate` rejects.
+    modification. The order of work: `tree.validate(net, prop)`, the one
+    check that refuses a tree (ShapeMismatchError on other layer widths,
+    another property or a node that does not fit the network, ValueError
+    on a structural breach) and gives the stored leaves of each status;
+    then the stored witness, which answers SAT before any bounds are
+    computed when it holds (module docstring); then the root bounds,
+    pruning, the open leaves and the replay ladder.
     """
-    tree.validate()
-    check_dims(tree, net)
-    phash = property_hash(prop)
-    if tree.prop_hash != phash:
-        raise ShapeMismatchError("stored tree was built for a different property")
-    _check_fits(tree, net, prop)
+    leaves = tree.validate(net, prop)
 
     report = IncrementalReport(UNSAT)
     times = report.times
     t0 = time.perf_counter()
 
-    # the stored leaves of each status, from one walk
-    leaves = tree.leaves_by_status()
     stored_leaves = sorted(nid for ids in leaves.values() for nid in ids)
     witness = _stored_witness(net, prop, tree, leaves[pt.SAT])
     if witness is not None:
@@ -255,7 +221,7 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     base = analyze(net, prop.box)
     times["analyze"] = time.perf_counter() - t0
     if is_property_refuted(base, prop):
-        out = pt.ProofTree(net.dims, phash)
+        out = pt.ProofTree(net.dims, tree.prop_hash)
         search(net, prop, out, 0, base)
         report.outcomes = {nid: SKIPPED for nid in stored_leaves}
         return _answer(report, out, None, t0)

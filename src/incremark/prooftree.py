@@ -15,6 +15,13 @@ written by an older version, replays from its assertions alone. Files
 written before the stored basis was dropped still carry `basis` and
 `key_row_var` keys on UNSAT leaves; they are read as the same format
 version and ignored.
+
+`ProofTree.validate(net, prop)` is the one check of a stored tree: the
+layer widths, then the property hash, then one walk from the root that
+tests the structure (ValueError) and that every edge, witness and
+certificate fits the network and property (ShapeMismatchError). It returns
+the leaves of each status, so nothing walks the tree again to find them.
+Loading (`from_json`, `deserialize`) only parses.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .constants import apart
 from .deeppoly import NONNEG, NONPOS, SIGN_RANGE, Assertion, Bounds
-from .simplex import EQUATION_KINDS, Certificate
+from .simplex import CHORD, EQUATION_KINDS, Certificate, encoded_equations
 
 INTERNAL = "internal"
 UNSAT = "unsat"
@@ -33,6 +40,11 @@ SAT = "sat"
 UNSOLVED = "unsolved"
 
 FORMAT_VERSION = 1
+
+
+class ShapeMismatchError(Exception):
+    """Stored tree does not fit the network shape (or the property changed,
+    which is just as fatal for replay)."""
 
 
 @dataclass
@@ -84,19 +96,6 @@ class ProofTree:
     def leaves_with_status(self, status: str) -> list[int]:
         return [i for i in self.leaves() if self.nodes[i].status == status]
 
-    def sat_leaf(self) -> int | None:
-        return next(iter(self.leaves_with_status(SAT)), None)
-
-    def leaves_by_status(self) -> dict[str, list[int]]:
-        """The leaves of each status, each list in id order, from one walk;
-        a status that no leaf has maps to []."""
-        out: dict[str, list[int]] = {SAT: [], UNSAT: [], UNSOLVED: []}
-        for i in sorted(self.nodes):
-            n = self.nodes[i]
-            if not n.children:
-                out.setdefault(n.status, []).append(i)
-        return out
-
     # -- pruning ------------------------------------------------------------
 
     def prune(self, bounds: Bounds) -> tuple["ProofTree", list[int]]:
@@ -142,58 +141,96 @@ class ProofTree:
                 stack.extend(n.children)
         return out, closed
 
-    # -- invariants ----------------------------------------------------------
+    # -- the check of a stored tree -------------------------------------------
 
-    def validate(self) -> None:
-        """Raise ValueError on a structural invariant breach.
+    def validate(self, net, prop) -> dict[str, list[int]]:
+        """The one check of a stored tree against the network and property
+        that it is to re-verify; returns the leaves of each status (SAT,
+        UNSAT, UNSOLVED), each list in id order.
 
-        It checks that the root carries no assertion (no branch or replay
-        reads one there), and one walk from the root that every node is
-        reached exactly once, that each internal node has two complementary
-        children, that no neuron is asserted twice on one root-to-leaf path,
-        that each leaf carries a leaf status, and that only a SAT leaf
-        carries a witness and only an UNSAT leaf a certificate."""
+        In this order: ShapeMismatchError unless the tree was built for a
+        network of these layer widths, then unless it carries this
+        property's hash (`prop.digest`). Then one walk from the root, which
+        raises ValueError on a structural breach: a root that carries an
+        assertion (no branch or replay reads one there), a child id that
+        names no node, a node reached twice or not at all, a parent pointer
+        that disagrees with the child lists (`asserts_of` follows the
+        pointers), an internal node without two complementary children, a
+        neuron asserted twice on one root-to-leaf path, a leaf without a
+        leaf status, a witness anywhere but on a SAT leaf or a certificate
+        anywhere but on an UNSAT leaf, more than one SAT leaf, or unsolved
+        leaves without a SAT leaf. The same walk raises ShapeMismatchError
+        on a node that does not fit: an edge that splits no ReLU of the
+        network, a witness that is not an input point, or a certificate
+        that names an equation which the network and property do not
+        encode."""
+        if tuple(self.dims) != tuple(net.dims):
+            raise ShapeMismatchError(f"tree dims {self.dims} vs network {net.dims}")
+        if self.prop_hash != prop.digest:
+            raise ShapeMismatchError("stored tree was built for a different property")
         if 0 not in self.nodes:
             raise ValueError("no root node")
         if self.root.assertion is not None:
             raise ValueError("the root node carries an assertion")
-        sat_leaves = 0
-        unsolved = 0
+        relus = net.layout.relu_post
+        equations = {*encoded_equations(net, prop).values(), *((CHORD, p) for p in relus)}
+        leaves: dict[str, list[int]] = {SAT: [], UNSAT: [], UNSOLVED: []}
         seen: set[int] = set()
-        stack: list[tuple[int, frozenset[int]]] = [(0, frozenset())]
+        # the first node whose parent pointer is not the node that lists it;
+        # reported after the walk, where a node that two nodes list is reached twice
+        stray = None
+        stack: list[tuple[int, int | None, frozenset[int]]] = [(0, None, frozenset())]
         while stack:
-            nid, path = stack.pop()
+            nid, parent, path = stack.pop()
             if nid in seen:
                 raise ValueError(f"node {nid}: reached twice from the root")
             seen.add(nid)
             n = self.nodes[nid]
+            if n.parent != parent and stray is None:
+                stray = n
             for what, value, home in (("witness", n.witness, SAT), ("certificate", n.cert, UNSAT)):
                 if value is not None and (n.children or n.status != home):
                     where = "internal node" if n.children else f"{n.status} leaf"
                     raise ValueError(f"node {n.id}: {where} carries a {what}")
+            if n.assertion is not None and n.assertion.neuron not in relus:
+                raise ShapeMismatchError(
+                    f"node {n.id}: neuron {n.assertion.neuron} is not a ReLU of the network")
+            if n.witness is not None and len(n.witness) != net.n_inputs:
+                raise ShapeMismatchError(
+                    f"node {n.id}: witness has {len(n.witness)} values for {net.n_inputs} inputs")
+            for kind, i, _ in n.cert or ():
+                if (kind, i) not in equations:
+                    raise ShapeMismatchError(
+                        f"node {n.id}: certificate names {kind} equation {i}, which this "
+                        "network and property do not encode")
             if n.children:
                 if n.status != INTERNAL:
                     raise ValueError(f"node {n.id}: children but status {n.status}")
                 if len(n.children) != 2:
                     raise ValueError(f"node {n.id}: {len(n.children)} children")
+                for c in n.children:
+                    if c not in self.nodes:
+                        raise ValueError(f"node {n.id}: child {c} is not in the tree")
                 a, b = (self.nodes[c].assertion for c in n.children)
                 if a is None or b is None or a.neuron != b.neuron or a.sign == b.sign:
                     raise ValueError(f"node {n.id}: children are not complementary")
                 if a.neuron in path:
                     raise ValueError(f"node {n.id}: neuron {a.neuron} asserted twice on one path")
-                stack.extend((c, path | {a.neuron}) for c in n.children)
-            elif n.status == SAT:
-                sat_leaves += 1
-            elif n.status == UNSOLVED:
-                unsolved += 1
-            elif n.status != UNSAT:
+                stack.extend((c, nid, path | {a.neuron}) for c in n.children)
+            elif n.status in leaves:
+                leaves[n.status].append(nid)
+            else:
                 raise ValueError(f"node {n.id}: leaf with status {n.status!r}")
         if len(seen) != len(self.nodes):
             raise ValueError(f"{len(self.nodes) - len(seen)} nodes are not reachable from the root")
-        if sat_leaves > 1:
+        if stray is not None:
+            raise ValueError(
+                f"node {stray.id}: parent {stray.parent} disagrees with the child lists")
+        if len(leaves[SAT]) > 1:
             raise ValueError("more than one SAT leaf")
-        if unsolved and not sat_leaves:
+        if leaves[UNSOLVED] and not leaves[SAT]:
             raise ValueError("unsolved leaves without a SAT leaf")
+        return {status: sorted(ids) for status, ids in leaves.items()}
 
     # -- serialization --------------------------------------------------------
 
@@ -228,8 +265,9 @@ class ProofTree:
 
 def from_json(data: dict) -> ProofTree:
     """Rebuild a tree from its JSON form. A missing key or a value of the
-    wrong type raises ValueError; the structure is not validated
-    (deserialize does that for files)."""
+    wrong type raises ValueError; neither the structure nor the fit to a
+    network is checked here: `ProofTree.validate(net, prop)` checks both,
+    and `verify_incremental` runs it before anything else."""
     if not isinstance(data, dict):
         raise ValueError("proof tree is not a JSON object")
     version = data.get("version")
@@ -309,12 +347,12 @@ def _from_json(data: dict) -> ProofTree:
 
 
 def deserialize(path: str) -> ProofTree:
-    """Load and validate a stored tree; ValueError on a malformed file."""
+    """Load a stored tree: its JSON, then `from_json`; ValueError on a file
+    that is neither. The tree is checked against a network and property by
+    `ProofTree.validate(net, prop)`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except RecursionError:  # json.load recurses once per level of nesting
             raise ValueError("JSON nested too deeply") from None
-    tree = from_json(doc)
-    tree.validate()
-    return tree
+    return from_json(doc)

@@ -85,7 +85,7 @@ def test_verify_writes_tree(runner, tmp_path):
     tree = prooftree.deserialize(str(out))
     # the ascent from a box corner decides the demo at the root
     assert len(tree.nodes) == 1 and tree.root.status == prooftree.SAT
-    tree.validate()
+    tree.validate(load_network(DEMO), load_property(PROP))
 
 
 def test_verify_dump_tableau(runner):

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from incremark import deeppoly, incremental, lp, simplex, solver
 from incremark.bench import (
@@ -44,7 +46,7 @@ from incremark.model import (
 from incremark.solver import solve
 
 from _suites import forward_values
-from conftest import BOX, tableau_solve
+from conftest import BOX, _demo_net, _demo_prop, _fprime, tableau_solve
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -70,7 +72,7 @@ def test_modified_net_fast_path(demo_net, fprime, demo_prop):
     assert rep.replay_pct == 100.0  # vacuous: nothing needed replaying
     assert sorted(out.nodes) == [0, 1, 2]
     assert out.verdict == "sat"
-    out.validate()
+    out.validate(fprime, demo_prop)
 
 
 def test_modified_net_witness_signs(demo_net, fprime, demo_prop):
@@ -139,6 +141,86 @@ def test_malformed_tree_is_refused_not_answered():
             verify_incremental(net, prop, stored)
 
 
+def test_child_lists_that_disagree_with_parent_pointers_are_refused():
+    """(2,4,4,1) s76's tree is a root split with two UNSAT leaves. With
+    leaf 2's parent pointer re-pointed to its sibling, the replay of leaf 2
+    read both signs of one neuron as its branch, an empty region, and the
+    run answered UNSAT, though the oracle finds a witness; the check now
+    refuses such a tree. A child id that names no node used to end in a
+    KeyError traceback."""
+    net = random_network((2, 4, 4, 1), 76)
+    prop = random_threshold_property(net, 77)
+    modified = perturb(net, Perturbation(0.3, 0.5, 3))
+    assert oracle(modified, prop).sat
+    _, tree = solve(net, prop)
+    assert tree.nodes[0].children == [1, 2]
+    assert tree.leaves_with_status(pt.UNSAT) == [1, 2]
+    tree.nodes[2].parent = 1
+    with pytest.raises(ValueError, match="node 2: parent 1 disagrees with the child lists"):
+        verify_incremental(modified, prop, tree)
+    tree.nodes[2].parent = 0
+    assert verify_incremental(modified, prop, tree)[0].sat
+    tree.nodes[0].children = [1, 5]
+    with pytest.raises(ValueError, match="node 0: child 5 is not in the tree"):
+        verify_incremental(modified, prop, tree)
+
+
+@pytest.fixture(scope="module")
+def in_memory():
+    """Stored trees to corrupt in memory: name -> (tree JSON, modified net,
+    property, the oracle's verdict on the modified net)."""
+    net = random_network((2, 5, 5, 1), 18)
+    prop = random_threshold_property(net, 19)
+    out = {}
+    for name, base, modified, p in (
+            ("demo", _demo_net(), _fprime(), _demo_prop()),
+            ("s18", net, perturb(net, Perturbation(0.3, 0.5, 18)), prop),
+            ("s18_sat", net, perturb(net, Perturbation(0.5, 1.0, 7)), prop)):
+        # the demo's tableau tree has an unsolved leaf; the ascent's has one node
+        _, tree = (tableau_solve if name == "demo" else solve)(base, p)
+        out[name] = (tree.to_json(), modified, p, oracle(modified, p).sat)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_tree_in_memory(in_memory, data):
+    """A tree corrupted in memory, where no file format stands between the
+    mutation and the check: a parent pointer re-pointed, a child id dropped
+    or repeated, a status changed, a witness or certificate moved to another
+    node. Re-verification refuses it with ValueError or ShapeMismatchError,
+    or answers the oracle's verdict."""
+    case = data.draw(st.sampled_from(sorted(in_memory)))
+    doc, net, prop, expected = in_memory[case]
+    tree = from_json(doc)
+    ids = sorted(tree.nodes)
+    for kind in data.draw(st.lists(st.sampled_from(
+            ("parent", "drop", "repeat", "status", "witness", "cert")), min_size=1, max_size=3)):
+        n = tree.nodes[data.draw(st.sampled_from(ids))]
+        if kind == "parent":
+            n.parent = data.draw(st.sampled_from([None, *ids]))
+        elif kind == "drop" and n.children:
+            del n.children[data.draw(st.integers(0, len(n.children) - 1))]
+        elif kind == "repeat" and n.children:
+            n.children.insert(0, data.draw(st.sampled_from(n.children)))
+        elif kind == "status":
+            n.status = data.draw(st.sampled_from((pt.INTERNAL, pt.SAT, pt.UNSAT, pt.UNSOLVED)))
+        elif kind in ("witness", "cert"):
+            carriers = [m for m in tree.nodes.values() if getattr(m, kind) is not None]
+            if carriers:
+                src = data.draw(st.sampled_from(carriers))
+                value = getattr(src, kind)
+                setattr(src, kind, None)
+                setattr(n, kind, value)
+    try:
+        verdict, _, _ = verify_incremental(net, prop, tree)
+    except (ValueError, ShapeMismatchError) as e:
+        event(f"refused: {type(e).__name__}")
+        return
+    event(f"{case}: answered")
+    assert verdict.sat == expected
+
+
 def test_root_refutation_skips_everything(demo_net, demo_prop):
     _, tree = tableau_solve(demo_net, demo_prop)
     tiny = Network([[[0.01, -0.035], [0.04, -0.04]], [[0.4, 0.6]]],
@@ -170,7 +252,7 @@ def test_prune_then_search_surviving_branch(demo_net, demo_prop):
     # the pruned leaf's proof: x3 = 0.2*x1 - 0.7*x2 + 1 >= 0.1 > 0 under nonpos
     assert out.nodes[1].cert == (("aff", 2, -1.0),)
     assert witness_ok(shifted, demo_prop, verdict.witness)
-    out.validate()
+    out.validate(shifted, demo_prop)
 
 
 def _fail(*args, **kwargs):
@@ -228,7 +310,7 @@ def test_witness_within_eps_sat_takes_the_full_path(demo_net, fprime, demo_prop,
     assert verdict == Verdict(True, w)
     assert rep.outcomes == {1: RESOLVED_SAT, 2: SKIPPED}
     assert "analyze" in rep.times
-    out.validate()
+    out.validate(near, demo_prop)
 
 
 def test_stored_witness_answers_where_root_bounds_overflow(demo_net, demo_prop):
@@ -244,7 +326,7 @@ def test_stored_witness_answers_where_root_bounds_overflow(demo_net, demo_prop):
     assert witness_ok(huge, demo_prop, verdict.witness, eps=0.0)
     assert rep.outcomes == {1: RESOLVED_SAT, 2: SKIPPED}
     assert out.verdict == "sat"
-    out.validate()
+    out.validate(huge, demo_prop)
 
 
 def _survivors(tree, rep):
@@ -280,7 +362,7 @@ def test_output_tree_keeps_stored_ids(demo_net, demo_prop, case, fallbacks, prun
     doc = tree.to_json()
     _, rep, out = verify_incremental(modified, prop, tree)
     assert tree.to_json() == doc
-    out.validate()
+    out.validate(modified, prop)
     assert (rep.fallbacks, rep.pruned) == (fallbacks, pruned)
     kept = _survivors(tree, rep)
     for nid in kept:
@@ -308,7 +390,7 @@ def test_unsat_leaves_replay_identity(demo_net, demo_prop):
     assert rep.pruned == 1
     assert rep.replay_pct == 100.0
     assert sorted(out.nodes) == list(range(9))
-    out.validate()
+    out.validate(net, prop)
 
 
 def test_gamma_zero_replays_everywhere():
@@ -339,7 +421,7 @@ def test_sat_flip_short_circuits_later_leaves():
     assert witness_ok(bumped, prop, verdict.witness)
     assert rep.outcomes == {2: FALLBACK, 3: SKIPPED, 4: SKIPPED}
     assert rep.replay_pct == 0.0
-    out.validate()
+    out.validate(bumped, prop)
     # skipped leaves stay unsat leaves for the next round
     skipped = [i for i in out.leaves() if out.nodes[i].status == "unsat"]
     assert skipped
@@ -361,7 +443,7 @@ def test_counters_are_consistent():
             assert rep.unsat_total >= rep.pruned
             assert 0.0 <= j["replay_pct"] <= 100.0
             assert set(rep.outcomes) <= set(out.nodes)
-            out.validate()
+            out.validate(net2, prop)
 
 
 def test_modes_agree_with_scratch():
@@ -391,7 +473,7 @@ def test_lazy_replay_refuted_after_input_tightening():
     assert not verdict.sat
     assert oracle(bumped, prop).name == "unsat"
     assert rep.fallbacks == 0 and rep.replayed > 0
-    out.validate()
+    out.validate(bumped, prop)
 
 
 def test_fully_decided_fallback_branch_is_decided_by_its_lp(monkeypatch):
@@ -420,7 +502,7 @@ def test_fully_decided_fallback_branch_is_decided_by_its_lp(monkeypatch):
     assert witness_ok(bumped, prop, verdict.witness)
     assert oracle(bumped, prop).name == "sat"
     assert rep.fallbacks == 1
-    out.validate()
+    out.validate(bumped, prop)
 
 
 def _lp_point_instance():
@@ -454,7 +536,7 @@ def test_feasible_lp_point_climbs_to_a_witness(monkeypatch):
     leaf = out.nodes[1]
     assert (leaf.status, leaf.witness, leaf.cert) == (pt.SAT, verdict.witness, None)
     assert out.verdict == "sat"
-    out.validate()
+    out.validate(bumped, prop)
     doc = out.to_json()
     assert from_json(json.loads(json.dumps(doc))).to_json() == doc
     again, _, _ = verify_incremental(bumped, prop, from_json(doc))
@@ -477,7 +559,7 @@ def test_lp_point_that_misses_keeps_the_ladder(monkeypatch):
     assert verdict.sat and witness_ok(bumped, prop, verdict.witness)
     assert rep.outcomes == {1: FALLBACK, 2: SKIPPED}
     assert rep.fallbacks == 1
-    out.validate()
+    out.validate(bumped, prop)
 
 
 def test_new_tree_seeds_next_round(demo_net, fprime, demo_prop):
@@ -487,7 +569,7 @@ def test_new_tree_seeds_next_round(demo_net, fprime, demo_prop):
     v2, rep2, t2 = verify_incremental(demo_net, demo_prop, t1)
     assert v2.sat
     assert witness_ok(demo_net, demo_prop, v2.witness)
-    t2.validate()
+    t2.validate(demo_net, demo_prop)
 
 
 def test_replay_pct_vacuous_default():
@@ -519,7 +601,7 @@ def test_tree_with_stored_basis_still_reverifies(p, replayed, fallbacks):
     assert (rep.replayed, rep.fallbacks) == (replayed, fallbacks)
     if verdict.sat:
         assert witness_ok(modified, prop, verdict.witness)
-    out.validate()
+    out.validate(modified, prop)
     # the file stores no certificates, so none closes a leaf
     assert not any("cert" in nd for nd in doc["nodes"])
     assert CERTIFICATE not in rep.outcomes.values()
@@ -741,7 +823,7 @@ def test_lp_rung_closes_only_on_a_certificate_that_rechecks(monkeypatch):
     assert not verdict.sat and not oracle(modified, prop).sat
     assert LP not in rep.outcomes.values()
     assert {rep.outcomes[nid] for nid in by_lp} == {FALLBACK}
-    out.validate()
+    out.validate(modified, prop)
     searched = [i for i in out.leaves_with_status("unsat") if i not in rep.outcomes]
     assert searched and all(out.nodes[i].cert for i in searched)
 
@@ -776,7 +858,7 @@ def test_fallback_graft_brings_its_certificates():
                        if not out.nodes[i].children)
         else:
             assert not fell_back
-            assert len(grown([tree.sat_leaf()])) == 3
+            assert len(grown(tree.leaves_with_status(pt.SAT))) == 3
 
 
 def test_analyze_rung_stores_a_fresh_certificate():

@@ -5,17 +5,22 @@ import re
 import pytest
 
 import _suites
+from conftest import _demo_net, _demo_prop
 from incremark.deeppoly import NONNEG, NONPOS, Assertion, Bounds
+from incremark.model import LinearConstraint, Network, SafetyProperty
 from incremark.prooftree import (
     INTERNAL,
     SAT,
     UNSAT,
     UNSOLVED,
     ProofTree,
+    ShapeMismatchError,
     deserialize,
     from_json,
 )
 
+# the trees below are of the demo network's widths, built for its property
+NET, PROP = _demo_net(), _demo_prop()
 HASH = "833a2885059f3ff5"
 
 
@@ -66,9 +71,12 @@ def test_leaves_and_filters():
     assert t.leaves_with_status(UNSAT) == [ll]
     assert t.leaves_with_status(SAT) == [lr]
     assert t.leaves_with_status(UNSOLVED) == [r]
-    assert t.leaves_by_status() == {UNSAT: [ll], SAT: [lr], UNSOLVED: [r]}
+    assert t.validate(NET, PROP) == {UNSAT: [ll], SAT: [lr], UNSOLVED: [r]}
     t.nodes[lr].status = UNSAT
-    assert t.leaves_by_status() == {UNSAT: [ll, lr], SAT: [], UNSOLVED: [r]}
+    with pytest.raises(ValueError, match="unsolved leaves without a SAT leaf"):
+        t.validate(NET, PROP)
+    t.nodes[r].status = UNSAT
+    assert t.validate(NET, PROP) == {UNSAT: [r, ll, lr], SAT: [], UNSOLVED: []}
 
 
 def test_copy_is_an_equal_independent_tree():
@@ -84,12 +92,14 @@ def test_copy_is_an_equal_independent_tree():
 
 def test_sat_leaf_lookup():
     t, l, r, ll, lr = small_tree()
-    assert t.sat_leaf() is None
+    t.nodes[r].status = t.nodes[ll].status = t.nodes[lr].status = UNSAT
+    assert t.validate(NET, PROP)[SAT] == []
     t.nodes[lr].status = SAT
-    assert t.sat_leaf() == lr
-    # internal nodes never count even with a stale status
+    assert t.validate(NET, PROP)[SAT] == [lr]
+    # an internal node with a stale status is refused, never taken for a leaf
     t.nodes[l].status = SAT
-    assert t.sat_leaf() == lr
+    with pytest.raises(ValueError, match="children but status sat"):
+        t.validate(NET, PROP)
 
 
 def test_distance_basics():
@@ -156,35 +166,35 @@ def test_validate_accepts_completed_tree():
     t.nodes[ll].status = UNSAT
     t.nodes[lr].status = SAT
     t.nodes[lr].witness = (0.5, 0.5)
-    t.validate()
+    t.validate(NET, PROP)
 
 
 def test_validate_rejections():
     t, l, r, ll, lr = small_tree()
     t.nodes[l].status = SAT  # internal node with children
     with pytest.raises(ValueError):
-        t.validate()
+        t.validate(NET, PROP)
 
     t, l, r, ll, lr = small_tree()
     t.nodes[ll].status = t.nodes[lr].status = SAT
     t.nodes[r].status = UNSAT
     with pytest.raises(ValueError):
-        t.validate()  # two SAT leaves
+        t.validate(NET, PROP)  # two SAT leaves
 
     t = ProofTree((2, 2, 1), HASH)
     with pytest.raises(ValueError):
-        t.validate()  # unsolved leaf without a SAT leaf
+        t.validate(NET, PROP)  # unsolved leaf without a SAT leaf
 
     t, l, r, ll, lr = small_tree()
     t.nodes[r].assertion = Assertion(2, NONPOS)  # same sign as sibling
     t.nodes[ll].status = t.nodes[lr].status = UNSAT
     with pytest.raises(ValueError):
-        t.validate()
+        t.validate(NET, PROP)
 
     t, l, r, ll, lr = small_tree()
     t.nodes[0].children = [l]  # arity breach
     with pytest.raises(ValueError):
-        t.validate()
+        t.validate(NET, PROP)
 
     t, l, r, ll, lr = small_tree()
     t.nodes[r].status = UNSAT
@@ -192,32 +202,94 @@ def test_validate_rejections():
         t.nodes[kid].assertion = Assertion(2, t.nodes[kid].assertion.sign)
     t.nodes[ll].status = t.nodes[lr].status = UNSAT
     with pytest.raises(ValueError, match="neuron 2 asserted twice on one path"):
-        t.validate()
+        t.validate(NET, PROP)
 
     t, l, r, ll, lr = small_tree()
     t.nodes[r].status = INTERNAL  # a leaf that claims to be split
     t.nodes[ll].status = t.nodes[lr].status = UNSAT
     with pytest.raises(ValueError, match="leaf with status"):
-        t.validate()
+        t.validate(NET, PROP)
 
     t, l, r, ll, lr = small_tree()
     t.nodes[r].children = [ll, lr]  # ll and lr are reached from l and from r
     t.nodes[r].status = INTERNAL
     t.nodes[ll].status = t.nodes[lr].status = UNSAT
     with pytest.raises(ValueError, match="reached twice"):
-        t.validate()
+        t.validate(NET, PROP)
 
     t, l, r, ll, lr = small_tree()
     t.nodes[0].assertion = Assertion(2, NONPOS)  # a root edge that no branch reads
     t.nodes[r].status = t.nodes[ll].status = t.nodes[lr].status = UNSAT
     with pytest.raises(ValueError, match="root node carries an assertion"):
-        t.validate()
+        t.validate(NET, PROP)
 
     t, l, r, ll, lr = small_tree()
     t.nodes[l].children = []  # ll and lr hang off no reachable node
     t.nodes[l].status = t.nodes[r].status = UNSAT
     with pytest.raises(ValueError, match="not reachable"):
-        t.validate()
+        t.validate(NET, PROP)
+
+    # `asserts_of` follows the parent pointers, so a leaf whose pointer names
+    # another node than the one that lists it would replay under the wrong
+    # assertions; the root has no parent
+    for node, parent in ((lr, r), (l, r), (0, l)):
+        t, l, r, ll, lr = small_tree()
+        t.nodes[r].status = t.nodes[ll].status = t.nodes[lr].status = UNSAT
+        t.nodes[node].parent = parent
+        with pytest.raises(ValueError, match=f"node {node}: parent {parent} disagrees"):
+            t.validate(NET, PROP)
+
+
+def _complete_tree():
+    t, l, r, ll, lr = small_tree()
+    t.nodes[r].status = t.nodes[ll].status = UNSAT
+    t.nodes[lr].status = SAT
+    t.nodes[lr].witness = (0.5, 0.5)
+    t.nodes[ll].cert = (("aff", 2, 1.0), ("relu", 3, -0.5))
+    return t
+
+
+def _edge_on_output(t):
+    t.nodes[3].assertion = Assertion(6, NONPOS)
+    t.nodes[4].assertion = Assertion(6, NONNEG)
+
+
+def _long_witness(t):
+    t.nodes[4].witness = (0.5, 0.5, 0.5)
+
+
+def _cert(kind, index):
+    def mutate(t):
+        t.nodes[3].cert = ((kind, index, 1.0),)
+    return mutate
+
+
+WIDE = Network([[[0.2, -0.7], [0.8, -0.8], [0.1, 0.1]], [[0.4, 0.6, 0.0]]],
+               [[-0.1, 0.0, 0.0], [0.0]])
+MOVED = SafetyProperty(PROP.box, (LinearConstraint((1.0,), 0.31),))
+
+
+@pytest.mark.parametrize("net, prop, mutate, message", [
+    (WIDE, PROP, None, "tree dims (2, 2, 1) vs network (2, 3, 1)"),
+    (NET, MOVED, None, "stored tree was built for a different property"),
+    (NET, PROP, _edge_on_output, "neuron 6 is not a ReLU of the network"),
+    (NET, PROP, _long_witness, "node 4: witness has 3 values for 2 inputs"),
+    (NET, PROP, _cert("chord", 99), "node 3: certificate names chord equation 99, which "
+                                    "this network and property do not encode"),
+    # the demo property's one constraint is over one output: it bounds that
+    # output and encodes no prop equation
+    (NET, PROP, _cert("prop", 0), "node 3: certificate names prop equation 0, which "
+                                  "this network and property do not encode"),
+])
+def test_validate_refuses_a_tree_that_does_not_fit(net, prop, mutate, message):
+    """Each refusal of a tree that does not fit the network and property,
+    with the message that `reverify` prints for it."""
+    t = _complete_tree()
+    assert t.validate(NET, PROP) == {SAT: [4], UNSAT: [2, 3], UNSOLVED: []}
+    if mutate is not None:
+        mutate(t)
+    with pytest.raises(ShapeMismatchError, match=re.escape(message)):
+        t.validate(net, prop)
 
 
 def test_pruned_tree_is_independent():

@@ -57,7 +57,7 @@ def test_solve_demo_tree_structure(demo_net, demo_prop, no_attack):
     assert open_leaf.assertion.neuron == 2 and open_leaf.assertion.sign == "nonneg"
     assert open_leaf.status == UNSOLVED
     assert open_leaf.witness is None
-    tree.validate()
+    tree.validate(demo_net, demo_prop)
 
 
 def test_solve_demo_tree_json(demo_net, demo_prop, no_attack):
@@ -134,7 +134,7 @@ def test_reverification_ascends_from_the_stored_witness(monkeypatch, no_attack):
     net = random_network((2, 5, 5, 1), 4)
     prop = random_threshold_property(net, 5)
     _, tree = solve(net, prop)  # without the ascent: the SAT leaf is not the root
-    leaf = tree.sat_leaf()
+    [leaf] = tree.validate(net, prop)[SAT]
     stored = tree.nodes[leaf].witness
     assert leaf != 0
     changed = perturb(net, Perturbation(0.01, 1.0, 0))
@@ -278,7 +278,7 @@ def test_solve_unsat_after_search():
     statuses = [tree.nodes[i].status for i in sorted(tree.nodes)]
     assert statuses == ["internal", "internal", "internal", "unsat",
                         "internal", "unsat", "unsat", "unsat", "unsat"]
-    tree.validate()
+    tree.validate(net, prop)
 
 
 def test_solve_deterministic(demo_net, demo_prop):
@@ -300,17 +300,16 @@ def _solve_random_instances():
         net = random_network(shape, seed)
         prop = random_threshold_property(net, seed + 1)
         verdict, tree = solve(net, prop)
-        tree.validate()
+        leaves = tree.validate(net, prop)
         assert tree.prop_hash == property_hash(prop)
         if verdict.sat:
             sats.append((net, prop, verdict.witness))
             assert witness_ok(net, prop, verdict.witness)
-            leaf = tree.sat_leaf()
+            [leaf] = leaves[SAT]
             assert tree.nodes[leaf].witness == verdict.witness
         else:
             unsats += 1
-            assert tree.sat_leaf() is None
-            assert tree.leaves_with_status(UNSOLVED) == []
+            assert leaves[SAT] == leaves[UNSOLVED] == []
     assert sats and unsats  # the generator must exercise both outcomes
     return sats
 
@@ -436,7 +435,7 @@ def test_decided_pair_at_threshold_ends_the_node(monkeypatch):
     assert root["steps"] == solver.SPLIT_THRESHOLD
     assert tree.root.status == INTERNAL
     assert {tree.nodes[c].assertion.neuron for c in tree.root.children} <= set(uncertain)
-    tree.validate()
+    tree.validate(net, prop)
     assert verdict.sat == oracle(net, prop).sat
 
 
@@ -459,7 +458,7 @@ def test_branch_lp_decides_fully_decided_branches(monkeypatch, no_attack):
         net = random_network((2, 5, 5, 1), seed)
         prop = random_threshold_property(net, seed + 1)
         verdict, tree = solve(net, prop)
-        tree.validate()
+        tree.validate(net, prop)
         assert verdict.sat == oracle(net, prop).sat
         if verdict.sat:
             assert witness_ok(net, prop, verdict.witness)
@@ -496,7 +495,7 @@ def test_row_closes_a_node_only_when_its_certificate_rechecks(no_attack):
     assert witness_ok(net, prop, verdict.witness)
     assert oracle(net, prop).sat
     assert len(tree.nodes) == 3
-    tree.validate()
+    tree.validate(net, prop)
 
 
 @pytest.mark.parametrize("seed, scale, nodes", [(123, 1e3, 3), (35, 1e4, 17)])
@@ -512,7 +511,7 @@ def test_unfinished_local_search_splits_or_asks_the_lp(seed, scale, nodes, no_at
     assert witness_ok(net, prop, verdict.witness)
     assert oracle(net, prop).sat
     assert len(tree.nodes) == nodes
-    tree.validate()
+    tree.validate(net, prop)
 
 
 def test_every_local_search_ends(monkeypatch, no_attack):
