@@ -90,15 +90,18 @@ def perturb(net: Network, p: Perturbation) -> Network:
     return Network(weights, biases, list(net.activations))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as `solver.solve`
 def oracle(net: Network, prop: SafetyProperty) -> Verdict:
     """Exhaustive decision by activation-pattern enumeration (k <= 16).
 
     Patterns are pruned with interval arithmetic; each survivor becomes an
     exact LP (pattern equalities + signs + box + property rows). SAT iff some
     pattern is feasible; the LP vertex restricted to the inputs is the
-    witness. RuntimeError when no pattern gave a witness and the LP could
-    not decide some pattern (`lp.decide`).
+    witness. ValueError first when the property does not fit the network
+    (`SafetyProperty.check_fits`), RuntimeError when no pattern gave a
+    witness and the LP could not decide some pattern (`lp.decide`).
     """
+    prop.check_fits(net)
     lay = net.layout
     pres = [pre for pre, _ in lay.relu_pairs]
     if len(pres) > ORACLE_MAX_RELUS:

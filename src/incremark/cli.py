@@ -63,18 +63,13 @@ def _write_text(what: str, path: str, text: str) -> None:
 
 
 def _check_property_fits(net, prop, prop_path: str) -> None:
-    """Exit with an error when the property's box or constraints do not
-    match the network's input and output counts."""
-    n_out = net.n_outputs
-    bad = next((c for c in prop.constraints if len(c.coeffs) != n_out), None)
-    if len(prop.box) != net.n_inputs:
-        problem = f"box has {len(prop.box)} intervals for {net.n_inputs} network inputs"
-    elif bad is not None:
-        problem = f"a constraint has {len(bad.coeffs)} coefficients for {n_out} network outputs"
-    else:
-        return
-    click.echo(f"property {prop_path} does not fit the network: {problem}", err=True)
-    sys.exit(EXIT_ERROR)
+    """Exit with an error when the property does not fit the network
+    (`SafetyProperty.check_fits`)."""
+    try:
+        prop.check_fits(net)
+    except ValueError as e:
+        click.echo(f"property {prop_path} does not fit the network: {e}", err=True)
+        sys.exit(EXIT_ERROR)
 
 
 def _load_query(net_path: str, prop_path: str):
@@ -132,12 +127,11 @@ def reverify(net_path, prop_path, tree_path, tree_out, report_path):
     prop = _load(load_property, prop_path, "property")
     tree = _load(prooftree.deserialize, tree_path, "proof tree")
     try:
-        # a tree of other layer widths is a mismatch first; a property that
-        # does not fit the network is an error even if the tree carries its hash
+        # `ProofTree.validate` opens the run: other layer widths or another
+        # property are a mismatch (exit 2), a property that does not fit the
+        # network or a malformed tree an error (exit 1)
         with _file_errors("reading", "proof tree", tree_path, ValueError):
-            tree.validate(net, prop)
-        _check_property_fits(net, prop, prop_path)
-        verdict, rep, new_tree = verify_incremental(net, prop, tree)
+            verdict, rep, new_tree = verify_incremental(net, prop, tree)
     except prooftree.ShapeMismatchError as e:
         click.echo(f"stored tree does not match: {e}", err=True)
         sys.exit(EXIT_MISMATCH)

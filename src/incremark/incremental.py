@@ -2,13 +2,13 @@
 
 `verify_incremental` works in this order. It first runs the one check that
 refuses a tree, `ProofTree.validate(net, prop)`: its layer widths, its
-property hash, then one walk for its structure and for the fit of its
-edges, witnesses and certificates to the network; the walk also gives the
-stored leaves of each status. It then tests the stored SAT witness, if the
-tree has one, before it computes any bounds: a witness that violates the
-property on the new network at eps 0 and whose own pre-activations meet
-every edge assertion of its leaf answers SAT at once, from one forward
-pass. The output tree is then the
+property hash, the property's fit to the network, then one walk for its
+structure and for the fit of its edges, witnesses and certificates to the
+network; the walk also gives the stored leaves of each status. It then
+tests the stored SAT witness, if the tree has one, before it computes any
+bounds: a witness that violates the property on the new network at eps 0
+(`witness_ok`) and whose own pre-activations meet every edge assertion of
+its leaf answers SAT at once. The output tree is then the
 stored tree as it is (`ProofTree.copy`), its SAT leaf `resolved_sat` and
 every other leaf `skipped`. A witness that holds only within EPS_SAT, or
 that has left its leaf's branch, takes the full path, which is the only
@@ -69,12 +69,12 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import deeppoly, lp
 from . import prooftree as pt
 from .deeppoly import SIGN_RANGE, analyze, clamp, is_property_refuted
-from .model import UNSAT, Verdict, witness_ok, witness_values
-# raised by `ProofTree.validate`; this module still exports the name
-from .prooftree import ShapeMismatchError  # noqa: F401
+from .model import UNSAT, Verdict, neuron_values, witness_ok
 # not called here: perfbench/tracer.py patches these two names on this module
 from .simplex import check_unsat_rows, refresh_bounds  # noqa: F401
 from .solver import attack, raise_if_undecided, search
@@ -173,20 +173,23 @@ def _replay_unsat_leaf(net, prop, tree, nid, base):
 
 def _stored_witness(net, prop, tree: pt.ProofTree, sat_leaves: list[int]):
     """The stored SAT leaf's witness as a tuple when it still violates the
-    property on this network at eps 0 and meets every edge assertion of
-    its leaf, both read from one forward pass; else None."""
-    if not sat_leaves or (w := tree.nodes[sat_leaves[0]].witness) is None:
+    property on this network at eps 0 (`witness_ok`) and its own
+    pre-activations (`neuron_values`, computed only for a leaf below the
+    root) meet every edge assertion of its leaf; else None."""
+    w = tree.nodes[sat_leaves[0]].witness if sat_leaves else None
+    if w is None or not witness_ok(net, prop, w, eps=0.0):
         return None
-    values = witness_values(net, prop, w, eps=0.0)
-    if values is None:
-        return None
-    for a in tree.asserts_of(sat_leaves[0]):
-        lo, hi = SIGN_RANGE[a.sign]
-        if not lo <= values[a.neuron] <= hi:
-            return None
+    asserts = tree.asserts_of(sat_leaves[0])
+    if asserts:
+        values = neuron_values(net, w)
+        for a in asserts:
+            lo, hi = SIGN_RANGE[a.sign]
+            if not lo <= values[a.neuron] <= hi:
+                return None
     return tuple(w)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as `solver.solve`
 def verify_incremental(net, prop, tree: pt.ProofTree):
     """Re-verify (net, prop) guided by a stored tree, which is left as it is.
 
@@ -194,12 +197,13 @@ def verify_incremental(net, prop, tree: pt.ProofTree):
     tree that `ProofTree.prune` built and this run's searches grew; it
     records what this run established, so it can seed the next
     modification. The order of work: `tree.validate(net, prop)`, the one
-    check that refuses a tree (ShapeMismatchError on other layer widths,
-    another property or a node that does not fit the network, ValueError
-    on a structural breach) and gives the stored leaves of each status;
-    then the stored witness, which answers SAT before any bounds are
-    computed when it holds (module docstring); then the root bounds,
-    pruning, the open leaves and the replay ladder.
+    check that refuses a tree, run once (ShapeMismatchError on other layer
+    widths, another property or a node that does not fit the network,
+    ValueError on a property that does not fit the network or on a
+    structural breach) and gives the stored leaves of each status; then
+    the stored witness, which answers SAT before any bounds are computed
+    when it holds (module docstring); then the root bounds, pruning, the
+    open leaves and the replay ladder.
     """
     leaves = tree.validate(net, prop)
 

@@ -71,6 +71,18 @@ class SafetyProperty:
         if len({len(c.coeffs) for c in self.constraints}) > 1:
             raise ValueError("inconsistent coefficient counts")
 
+    def check_fits(self, net: Network) -> None:
+        """The one rule that this property fits `net`, checked where a query
+        enters (`solve`, `bench.oracle`, `witness_ok`,
+        `ProofTree.validate`): ValueError unless the box has one interval
+        per network input and every constraint one coefficient per network
+        output (all constraints have as many, `__post_init__`)."""
+        if len(self.box) != net.n_inputs:
+            raise ValueError(f"box has {len(self.box)} intervals for {net.n_inputs} network inputs")
+        k = len(self.constraints[0].coeffs) if self.constraints else net.n_outputs
+        if k != net.n_outputs:
+            raise ValueError(f"a constraint has {k} coefficients for {net.n_outputs} network outputs")
+
     @cached_property
     def output_bounds(self) -> tuple[list[float], list[float]]:
         """Per output, the interval (lo, hi) that the constraints over that
@@ -214,10 +226,13 @@ class VariableLayout:
         self.neuron_ids = list(range(nxt))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def neuron_values(net: Network, x) -> np.ndarray:
     """Exact forward pass: the value of every neuron at input x, indexed by
     its layout id (inputs, then each layer's pre-activations and, after a
-    ReLU, its posts); raises on dimension mismatch."""
+    ReLU, its posts); raises on dimension mismatch. A value that overflows
+    is inf, without a warning: a point whose outputs are finite
+    (`witness_ok`) may still overflow a pre-activation to -inf."""
     v = np.asarray(x, dtype=float)
     if v.shape != (net.n_inputs,):
         raise ValueError(f"expected {net.n_inputs} inputs, got shape {v.shape}")
@@ -246,49 +261,37 @@ def evaluate(net: Network, x) -> np.ndarray:
     return v
 
 
-def _judge(net: Network, prop: SafetyProperty, x, eps: float, forward):
-    """`forward(net, x)` when x is a SAT witness within eps, else None; the
-    forward pass must end with the outputs (`neuron_values`, `evaluate`).
+def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> bool:
+    """Is x a SAT witness within eps? ValueError when the property does not
+    fit the network (`SafetyProperty.check_fits`).
 
     A SAT witness must be a finite point that sits in the box, whose
     outputs are finite, and that violates the property, i.e. satisfies
-    every negated constraint, within eps. A constraint adds its nonzero
-    terms one by one, from 0.0, as `Configuration.row_value` does (builtin
-    `sum` compensates rounding on CPython 3.12+), and a sum that is not a
-    number satisfies nothing."""
+    every negated constraint, within eps. It is judged from the outputs
+    alone (`evaluate`). A constraint adds its nonzero terms one by one,
+    from 0.0, as `Configuration.row_value` does (builtin `sum` compensates
+    rounding on CPython 3.12+), and a sum that is not a number satisfies
+    nothing."""
+    prop.check_fits(net)
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n_inputs,) or not np.isfinite(x).all():
-        return None
+        return False
     for xi, (lo, hi) in zip(x, prop.box):
         if xi < lo - eps or xi > hi + eps:
-            return None
+            return False
     if not prop.constraints:
-        return None  # empty negation: nothing can violate the property
+        return False  # empty negation: nothing can violate the property
     with np.errstate(over="ignore", invalid="ignore"):
-        values = forward(net, x)
-    y = values[len(values) - net.n_outputs:]
+        y = evaluate(net, x)
     if not np.isfinite(y).all():
-        return None
+        return False
     for c in prop.constraints:
         total = 0.0
         for j, a in c.terms:
             total += a * float(y[j])
         if not total >= c.threshold - eps:
-            return None
-    return values
-
-
-def witness_values(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT):
-    """`neuron_values(net, x)` when x is a SAT witness (`_judge`), else
-    None: one forward pass that both judges the point and gives its
-    pre-activations."""
-    return _judge(net, prop, x, eps, neuron_values)
-
-
-def witness_ok(net: Network, prop: SafetyProperty, x, eps: float = EPS_SAT) -> bool:
-    """Is x a SAT witness within eps (`_judge`)? Judged from the outputs
-    alone (`evaluate`), with the same verdict as `witness_values`."""
-    return _judge(net, prop, x, eps, evaluate) is not None
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

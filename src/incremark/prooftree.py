@@ -17,8 +17,9 @@ written before the stored basis was dropped still carry `basis` and
 version and ignored.
 
 `ProofTree.validate(net, prop)` is the one check of a stored tree: the
-layer widths, then the property hash, then one walk from the root that
-tests the structure (ValueError) and that every edge, witness and
+layer widths, then the property hash, then the property's fit to the
+network (`SafetyProperty.check_fits`, ValueError), then one walk from the
+root that tests the structure (ValueError) and that every edge, witness and
 certificate fits the network and property (ShapeMismatchError). It returns
 the leaves of each status, so nothing walks the tree again to find them.
 Loading (`from_json`, `deserialize`) only parses.
@@ -150,7 +151,11 @@ class ProofTree:
 
         In this order: ShapeMismatchError unless the tree was built for a
         network of these layer widths, then unless it carries this
-        property's hash (`prop.digest`). Then one walk from the root, which
+        property's hash (`prop.digest`); then ValueError unless the property
+        fits the network (`SafetyProperty.check_fits`), which a tree that
+        carries the hash of a property can fail only when forged: the
+        property fitted a network of the tree's widths. Then one walk from
+        the root, which
         raises ValueError on a structural breach: a root that carries an
         assertion (no branch or replay reads one there), a child id that
         names no node, a node reached twice or not at all, a parent pointer
@@ -168,6 +173,7 @@ class ProofTree:
             raise ShapeMismatchError(f"tree dims {self.dims} vs network {net.dims}")
         if self.prop_hash != prop.digest:
             raise ShapeMismatchError("stored tree was built for a different property")
+        prop.check_fits(net)
         if 0 not in self.nodes:
             raise ValueError("no root node")
         if self.root.assertion is not None:
@@ -320,6 +326,8 @@ def _from_json(data: dict) -> ProofTree:
         assertion = None if a is None else Assertion(_int(a["neuron"], "neuron"), a["sign"])
         if assertion is not None and assertion.sign not in (NONNEG, NONPOS):
             raise ValueError(f"bad assertion sign {assertion.sign!r}")
+        if type(nd["status"]) is not str:  # a JSON array or object would not even hash
+            raise ValueError(f"malformed proof tree: status {nd['status']!r} is not a string")
         w = nd.get("witness")
         if w is not None and not (isinstance(w, list) and all(map(_finite, w))):
             raise ValueError(f"witness {w!r} is not a finite point")

@@ -95,13 +95,22 @@ ATTACK_DECAY = 0.7
 ATTACK_CORNER_INPUTS = 4
 
 
+# a weight near the largest float can overflow tableau and LP entries to inf
+# or NaN. A node closes only on a witness that passes `witness_ok`, on
+# `analyze` bounds, which are finite or raise, or on a certificate that
+# re-checks by intervals, so such entries can at worst leave a branch
+# undecided, and their warnings say nothing more; `verify_incremental` and
+# `bench.oracle` run under the same setting
+@np.errstate(over="ignore", invalid="ignore")
 def solve(net, prop):
     """Decide (net, prop.box, negated property) and record the search.
 
     Returns (Verdict, ProofTree). SAT stops the whole search; branches never
     visited stay in the tree as Unsolved leaves. The search is fully
-    deterministic.
+    deterministic. ValueError first when the property does not fit the
+    network (`SafetyProperty.check_fits`).
     """
+    prop.check_fits(net)
     tree = pt.ProofTree(net.dims, property_hash(prop))
     witness = search(net, prop, tree, 0, analyze(net, prop.box))
     if witness is None:

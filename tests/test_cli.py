@@ -29,6 +29,7 @@ from incremark.model import (
     property_hash,
     save_network,
     save_property,
+    witness_ok,
 )
 from incremark.solver import solve
 
@@ -600,6 +601,10 @@ def _repeat_on_path(doc):
      EXIT_ERROR, "node 0: internal node carries a certificate"),
     ("demo", lambda doc: _put_on(doc, "cert", [["aff", 2, 1.0]], "sat"), EXIT_ERROR,
      "sat leaf carries a certificate"),
+    # a status that is a JSON array used to end in a TypeError traceback
+    # (unhashable type: 'list') from the walk
+    ("demo", lambda doc: doc["nodes"][0].update(status=[], witness=None), EXIT_ERROR,
+     "status [] is not a string"),
 ])
 def test_reverify_rejects_tree_not_of_this_network(stored, tmp_path, case, mutate, code, message):
     net_path, prop_path, doc, _ = stored[case]
@@ -611,7 +616,9 @@ def test_reverify_rejects_tree_not_of_this_network(stored, tmp_path, case, mutat
     assert len(res.stderr.strip().split("\n")) == 1
 
 
-MUTATIONS = ("drop", "flip", "renumber", "renumber_all", "witness", "cert", "truncate")
+MUTATIONS = ("drop", "flip", "renumber", "renumber_all", "witness", "cert", "status",
+             "truncate")
+STATUSES = st.sampled_from(["internal", "unsat", "sat", "unsolved", "", [], {}, 3, None])
 NUMBERS = st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 0.0,
                            1e-300]) | st.floats(allow_nan=True, allow_infinity=True)
 SCALES = st.sampled_from([-1.0, 1e-12, 1e-3, 1e3, 1e12, 1e300]) | st.floats(-1e6, 1e6)
@@ -687,6 +694,8 @@ def test_reverify_mutated_tree(stored, tmp_path_factory, data):
             nd["witness"] = data.draw(st.lists(NUMBERS, max_size=4))
         elif kind == "cert":
             _mutate_cert(doc, data, n_ids)
+        elif kind == "status":
+            data.draw(st.sampled_from(nodes))["status"] = data.draw(STATUSES)
     text = json.dumps(doc)
     if "truncate" in kinds:
         text = text[:data.draw(st.integers(0, len(text) - 1))]
@@ -724,3 +733,126 @@ def test_reverify_hostile_certificate(stored, tmp_path_factory, data):
         assert res.exit_code == expected
         rungs = json.loads(report_path.read_text())["rungs"]
         event(f"{case}: {rungs['certificate']} leaves closed by a certificate")
+
+
+def test_reverify_walks_the_stored_tree_once(stored, tmp_path, monkeypatch):
+    """`reverify` leaves every check of the tree to `verify_incremental`,
+    which opens with `ProofTree.validate`; it used to run the check a
+    second time itself so that its exit codes kept their order."""
+    calls = []
+    validate = prooftree.ProofTree.validate
+
+    def counted(tree, net, prop):
+        calls.append(tree)
+        return validate(tree, net, prop)
+
+    monkeypatch.setattr(prooftree.ProofTree, "validate", counted)
+    for case in sorted(stored):
+        net_path, prop_path, doc, code = stored[case]
+        calls.clear()
+        assert _reverify_doc(tmp_path, net_path, prop_path, doc).exit_code == code
+        assert len(calls) == 1, case
+
+
+@pytest.fixture(scope="module")
+def demo_tree(tmp_path_factory):
+    """The path of the tree that `solve` stores for the demo."""
+    path = str(tmp_path_factory.mktemp("demo") / "tree.json")
+    solve(load_network(DEMO), load_property(PROP))[1].serialize(path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle", "reverify"])
+def test_weight_near_the_largest_float_warns_nothing(demo_tree, tmp_path, command):
+    """The demo with its output weight 0.6 set to -1e308: the tableau's
+    pivots overflow to inf and NaN, which used to print numpy
+    RuntimeWarnings (an error under Tier-1) before each command's one
+    error line. The solver, the oracle and re-verification now run with
+    those warnings off, as `analyze` does."""
+    net = tmp_path / "huge.rnn"
+    net.write_text(pathlib.Path(DEMO).read_text().replace("0.4 0.6", "0.4 -1e308"))
+    extra = ["--tree", demo_tree] if command == "reverify" else []
+    res = CliRunner().invoke(main, [command, "--net", str(net), "--prop", PROP, *extra])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == EXIT_ERROR and res.stderr.count("\n") == 1, res.stderr
+
+
+# the lines of the demo files, and what a fuzzed token may become
+DEMO_LINES = {"net": pathlib.Path(DEMO).read_text().splitlines(),
+              "prop": pathlib.Path(PROP).read_text().splitlines()}
+FUZZ_NUMBERS = st.sampled_from(["0", "1", "-1", "0.5", "1e308", "-1e308", "1e309", "nan", "inf",
+                                "-inf"])
+FUZZ_KEYWORDS = st.sampled_from(["relunet", "dims", "layer", "relu", "none", "box", "ge"])
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _fuzz_edit(lines, data):
+    """One edit of a file's lines, in place: a number replaced by a number
+    (so that most mutants still parse), a token replaced by a keyword or
+    deleted, a line deleted, or a line added (a copy of one, or fuzzed
+    tokens)."""
+    how = data.draw(st.sampled_from(("number", "number", "number", "keyword", "drop_token",
+                                     "drop_line", "add_line")))
+    spots = [(i, j) for i, line in enumerate(lines) for j, t in enumerate(line.split())
+             if how != "number" or _is_number(t)]
+    if how == "add_line" or not spots:
+        line = data.draw(st.sampled_from(lines or [""]) | st.lists(
+            FUZZ_NUMBERS | FUZZ_KEYWORDS, min_size=1, max_size=3).map(" ".join))
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+        return
+    i, j = data.draw(st.sampled_from(spots))
+    toks = lines[i].split()
+    if how == "drop_line":
+        del lines[i]
+        return
+    if how == "drop_token":
+        del toks[j]
+    else:
+        toks[j] = data.draw(FUZZ_NUMBERS if how == "number" else FUZZ_KEYWORDS)
+    lines[i] = " ".join(toks)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_network_and_property_files(demo_tree, tmp_path_factory, data):
+    """1-3 token or line edits of the demo network and/or property file,
+    each run through `verify`, `bounds`, `oracle` and `reverify` (against
+    the tree that `solve` stores for the demo): every run exits 0, 10 or
+    20, or prints one error line and exits 1 or 2; neither `verify` nor
+    `reverify` gives the verdict opposite to the oracle's, and every SAT
+    witness passes `witness_ok` on the files as loaded."""
+    files = {name: list(lines) for name, lines in DEMO_LINES.items()}
+    targets = data.draw(st.sampled_from((("net",), ("prop",), ("net", "prop"))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _fuzz_edit(files[data.draw(st.sampled_from(targets))], data)
+    d = tmp_path_factory.mktemp("fuzz")
+    net_path, prop_path = str(d / "f.rnn"), str(d / "f.prop")
+    for path, lines in ((net_path, files["net"]), (prop_path, files["prop"])):
+        pathlib.Path(path).write_text("\n".join(lines) + "\n")
+    codes = {}
+    for command in ("verify", "bounds", "oracle", "reverify"):
+        extra = ["--tree", demo_tree] if command == "reverify" else []
+        res = CliRunner().invoke(main, [command, "--net", net_path, "--prop", prop_path, *extra])
+        # bounds ends with sys.exit(0), which CliRunner reports as no exception
+        assert res.exception is None or isinstance(res.exception, SystemExit), (
+            command, res.exception)
+        codes[command] = res.exit_code
+        if res.exit_code in (EXIT_ERROR, EXIT_MISMATCH):
+            message = res.stderr.strip()
+            assert message and "\n" not in message, (command, message)
+        else:
+            assert res.exit_code in ((0,) if command == "bounds" else (EXIT_SAT, EXIT_UNSAT))
+        if res.exit_code == EXIT_SAT:
+            witness = [float(t) for t in res.stdout.split()[1:]]
+            assert witness_ok(load_network(net_path), load_property(prop_path), witness)
+    for command in ("verify", "reverify"):
+        assert {codes[command], codes["oracle"]} != {EXIT_SAT, EXIT_UNSAT}, command
+    event(f"verify exit {codes['verify']}, oracle exit {codes['oracle']}, "
+          f"reverify exit {codes['reverify']}")

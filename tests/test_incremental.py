@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,12 +29,11 @@ from incremark.incremental import (
     SKIPPED,
     TIGHTEN,
     IncrementalReport,
-    ShapeMismatchError,
     verify_incremental,
 )
 from incremark import prooftree as pt
 from incremark.constants import EPS_SAT
-from incremark.prooftree import deserialize, from_json
+from incremark.prooftree import ShapeMismatchError, deserialize, from_json
 from incremark.model import (
     LinearConstraint,
     Network,
@@ -47,6 +47,7 @@ from incremark.solver import solve
 
 from _suites import forward_values
 from conftest import BOX, _demo_net, _demo_prop, _fprime, tableau_solve
+from test_model import MISFITS
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -113,6 +114,21 @@ def test_mode_and_shape_validation(demo_net, demo_prop):
     moved = SafetyProperty(BOX, (LinearConstraint((1.0,), 0.31),))
     with pytest.raises(ShapeMismatchError):
         verify_incremental(demo_net, moved, tree)
+
+
+@pytest.mark.parametrize("prop, message", MISFITS)
+def test_every_entry_refuses_a_property_that_does_not_fit(demo_net, prop, message):
+    """`solve`, `oracle` and `verify_incremental` each apply
+    `SafetyProperty.check_fits` before any other work, with its message;
+    `verify_incremental` after the tree's widths and property hash, so the
+    tree here carries the misfit property's hash. The oracle used to answer
+    a 3-interval box with a RuntimeError (undecided patterns) and a
+    1-interval box with an IndexError."""
+    tree = pt.ProofTree(demo_net.dims, prop.digest, pt.UNSAT)
+    tree.root.status = pt.UNSAT
+    for run in (solve, oracle, lambda net, p: verify_incremental(net, p, tree)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(demo_net, prop)
 
 
 def test_malformed_tree_is_refused_not_answered():

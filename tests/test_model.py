@@ -1,11 +1,11 @@
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from incremark.bench import random_network, random_threshold_property
-from incremark.constants import EPS_SAT
 from incremark.deeppoly import analyze, is_property_refuted
 from incremark.model import (
     UNSAT,
@@ -22,7 +22,6 @@ from incremark.model import (
     save_network,
     save_property,
     witness_ok,
-    witness_values,
 )
 
 from _suites import forward_values
@@ -112,47 +111,6 @@ def test_neuron_values_are_indexed_by_layout_id(demo_net):
         neuron_values(demo_net, (0.1,))
 
 
-def _judged_alike(net, prop, x, eps):
-    """Do `witness_ok`, which runs the outputs' forward pass alone, and
-    `witness_values`, which runs every neuron's, judge x alike? Returns
-    the judgement."""
-    vals = witness_values(net, prop, x, eps)
-    ok = witness_ok(net, prop, x, eps)
-    assert ok == (vals is not None), (x, eps)
-    if ok:
-        assert vals.tolist() == neuron_values(net, x).tolist()
-    return ok
-
-
-def test_witness_values_judge_as_witness_ok(demo_net, demo_prop):
-    """On the demo, and on catalog nets with the catalog property and with
-    one whose threshold cuts the sampled outputs in half, each also with a
-    ReLU on its output: points in the box, within EPS_SAT of it and beyond,
-    non-finite points and points of the wrong arity, at eps 0 and EPS_SAT."""
-    for x in ((0.675, 0.05), (1.5, 0.0), (0.0, 0.0), (0.675,), (float("nan"), 0.0)):
-        for eps in (0.0, 1e-6):
-            _judged_alike(demo_net, demo_prop, x, eps)
-    rng = np.random.default_rng(11)
-    judged = {True: 0, False: 0}
-    for shape, seeds in (((2, 5, 5, 1), range(6)), ((3, 8, 8, 1), range(3))):
-        for s in seeds:
-            base = random_network(shape, s)
-            catalog = random_threshold_property(base, s + 1)
-            lo, hi = np.array(catalog.box).T
-            inside = rng.uniform(lo, hi, size=(40, base.n_inputs))
-            sides = rng.choice([-1.0, 1.0], size=inside.shape)
-            points = [*inside, *(inside + sides * EPS_SAT / 2), *(inside + sides * (hi - lo)),
-                      *(np.full(base.n_inputs, v) for v in (np.nan, np.inf, -np.inf)),
-                      np.zeros(base.n_inputs + 1)]
-            for net in (base, Network(base.weights, base.biases, ["relu"] * base.n_layers)):
-                half = float(np.median([evaluate(net, x)[0] for x in inside]))
-                for prop in (catalog, SafetyProperty(catalog.box, (LinearConstraint((1.0,), half),))):
-                    for x in points:
-                        for eps in (0.0, EPS_SAT):
-                            judged[_judged_alike(net, prop, x, eps)] += 1
-    assert min(judged.values()) > 100
-
-
 def test_witness_ok_accepts_demo_witness(demo_net, demo_prop):
     assert witness_ok(demo_net, demo_prop, (0.675, 0.05))
 
@@ -190,6 +148,36 @@ def test_witness_ok_rejects_an_output_that_overflows():
     # a finite output that meets the constraint still passes
     small = Network([[[1.0]], [[1.0], [1e200]]], [[0.0], [0.0, 0.0]])
     assert witness_ok(small, prop, (1.0,), eps=0.0)
+
+
+# properties that do not fit the demo network (two inputs, one output), and
+# the message of each
+MISFITS = [
+    (SafetyProperty(BOX + ((-1.0, 1.0),), (LinearConstraint((1.0,), 0.3),)),
+     "box has 3 intervals for 2 network inputs"),
+    (SafetyProperty(((-1.0, 1.0),), (LinearConstraint((1.0,), 0.3),)),
+     "box has 1 intervals for 2 network inputs"),
+    (SafetyProperty(BOX, (LinearConstraint((1.0, 1.0), 0.3),)),
+     "a constraint has 2 coefficients for 1 network outputs"),
+]
+
+
+@pytest.mark.parametrize("prop, message", MISFITS)
+def test_property_that_does_not_fit_is_refused(demo_net, prop, message):
+    """`check_fits` is the one rule; `witness_ok` applies it before judging
+    a point. With a 3-interval box it used to accept (0.675, 0.05) (the
+    box `zip` stopped at two), and a 2-coefficient constraint raised
+    IndexError."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        prop.check_fits(demo_net)
+    for x in ((0.675, 0.05), (0.675, 0.05, 0.0), (0.675,)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            witness_ok(demo_net, prop, x)
+
+
+def test_property_that_fits(demo_net, demo_prop):
+    demo_prop.check_fits(demo_net)
+    SafetyProperty(BOX, ()).check_fits(demo_net)  # no constraint: any output count
 
 
 def test_witness_ok_adds_terms_in_order():
